@@ -125,7 +125,7 @@ void PaxosReplica::TryPropose() {
     auto [seq, batch] = pipeline_.Open();
     SlotCore& slot = log_.Slot(seq);
     slot.batch = std::move(batch);
-    slot.has_batch = true;
+    log_.SetHasBatch(slot, true);
     const Bytes encoded = slot.batch.Encode();
     ChargeHash(encoded.size());
     slot.digest = Digest::Of(encoded);
@@ -150,9 +150,9 @@ void PaxosReplica::HandleAccept(PrincipalId from, PaxosAcceptMsg msg) {
   if (!batch_or.ok()) return;
 
   SlotCore& slot = log_.Slot(msg.seq);
-  if (!slot.has_batch) {
+  if (!slot.has_batch()) {
     slot.batch = std::move(batch_or).value();
-    slot.has_batch = true;
+    log_.SetHasBatch(slot, true);
     ChargeHash(msg.batch.size());
     slot.digest = FrameFieldDigest(msg.batch, msg.batch_offset);
     slot.view = msg.view;
@@ -160,7 +160,7 @@ void PaxosReplica::HandleAccept(PrincipalId from, PaxosAcceptMsg msg) {
 
   PaxosAckMsg ack{msg.view, msg.seq, slot.digest};
   SendTo(from, ack.ToMessage());
-  if (slot.commit_seen && !slot.committed) {
+  if (slot.commit_seen && !slot.committed()) {
     CommitSlot(msg.seq, slot, /*send_replies=*/false);
   } else {
     ArmViewTimer();
@@ -170,7 +170,7 @@ void PaxosReplica::HandleAccept(PrincipalId from, PaxosAcceptMsg msg) {
 void PaxosReplica::HandleAck(PrincipalId from, PaxosAckMsg msg) {
   if (msg.view != view_ || !IsLeader() || in_view_change_) return;
   SlotCore* found = log_.Find(msg.seq);
-  if (found == nullptr || !found->has_batch) return;
+  if (found == nullptr || !found->has_batch()) return;
   SlotCore& slot = *found;
   if (slot.commit_sent) return;  // COMMIT already broadcast
   // The tracker sees every ACK (a conflicting digest flags the sender);
@@ -182,7 +182,7 @@ void PaxosReplica::HandleAck(PrincipalId from, PaxosAckMsg msg) {
     slot.commit_sent = true;
     PaxosCommitMsg commit{view_, msg.seq, slot.digest};
     SendToMany(config_.AllReplicas(), commit.ToMessage());
-    if (!slot.committed) CommitSlot(msg.seq, slot, /*send_replies=*/true);
+    if (!slot.committed()) CommitSlot(msg.seq, slot, /*send_replies=*/true);
   }
 }
 
@@ -193,19 +193,19 @@ void PaxosReplica::HandleCommit(PrincipalId from, PaxosCommitMsg msg) {
   if (from != config_.FlatPrimary(msg.view)) return;
   if (msg.seq <= ckpt_.stable_seq()) return;
   SlotCore* found = log_.Find(msg.seq);
-  if (found == nullptr || !found->has_batch) {
+  if (found == nullptr || !found->has_batch()) {
     // COMMIT outran the ACCEPT (jitter reordering); remember it.
     log_.Slot(msg.seq).commit_seen = true;
     return;
   }
   SlotCore& slot = *found;
-  if (slot.committed || msg.digest != slot.digest) return;
+  if (slot.committed() || msg.digest != slot.digest) return;
   CommitSlot(msg.seq, slot, /*send_replies=*/false);
 }
 
 void PaxosReplica::CommitSlot(uint64_t seq, SlotCore& slot,
                               bool send_replies) {
-  std::vector<ExecutedRequest> executed = commits().Commit(seq, slot);
+  std::vector<ExecutedRequest> executed = commits().Commit(log_, seq, slot);
   for (const ExecutedRequest& ex : executed) {
     if (send_replies && !(ex.duplicate && ex.result.empty())) {
       SendReply(ex);
@@ -392,7 +392,7 @@ void PaxosReplica::StartViewChange(uint64_t new_view) {
   msg.new_view = new_view;
   msg.stable_seq = ckpt_.stable_seq();
   log_.ForEachAscending([&](uint64_t seq, const SlotCore& slot) {
-    if (!slot.has_batch) return;
+    if (!slot.has_batch()) return;
     record.entries[seq] = {slot.view, slot.batch};
     PaxosVcEntry entry;
     entry.seq = seq;
@@ -482,16 +482,16 @@ void PaxosReplica::MaybeFormNewView(uint64_t new_view) {
   for (uint64_t seq = max_stable + 1; seq <= max_seq; ++seq) {
     const SlotCore* prior = log_.Find(seq);
     const bool was_committed =
-        (prior != nullptr && prior->committed) || exec_.HasCommitted(seq);
+        (prior != nullptr && prior->committed()) || exec_.HasCommitted(seq);
     // Fresh slot: stale ACK sets must not count toward the new view.
     SlotCore& slot = log_.ResetSlot(seq);
     auto chosen_it = chosen.find(seq);
     slot.batch =
         chosen_it != chosen.end() ? chosen_it->second.second : Batch::Noop();
-    slot.has_batch = true;
+    log_.SetHasBatch(slot, true);
     slot.digest = slot.batch.ComputeDigest();
     slot.view = new_view;
-    slot.committed = was_committed;
+    log_.SetCommitted(slot, was_committed);
     RecordVote(slot.plain_votes, slot.digest, id_);
   }
   ckpt_.AdvanceFloor(max_stable);
@@ -516,15 +516,15 @@ void PaxosReplica::HandleNewView(PrincipalId from, PaxosNewViewMsg msg) {
     // Already-committed slots still get ACKed: the new leader needs f+1
     // ACKs even for entries some replicas committed before the view change.
     const SlotCore* prior = log_.Find(wire_entry.seq);
-    const bool was_committed = (prior != nullptr && prior->committed) ||
+    const bool was_committed = (prior != nullptr && prior->committed()) ||
                                exec_.HasCommitted(wire_entry.seq);
     SlotCore& slot = log_.ResetSlot(wire_entry.seq);
     slot.batch = std::move(batch_or).value();
-    slot.has_batch = true;
+    log_.SetHasBatch(slot, true);
     ChargeHash(wire_entry.batch.size());
     slot.digest = FrameFieldDigest(wire_entry.batch, wire_entry.batch_offset);
     slot.view = new_view;
-    slot.committed = was_committed;
+    log_.SetCommitted(slot, was_committed);
 
     PaxosAckMsg ack{new_view, wire_entry.seq, slot.digest};
     SendTo(from, ack.ToMessage());

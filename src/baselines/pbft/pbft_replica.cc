@@ -167,7 +167,7 @@ void PbftCoreReplica::EmitPrePrepare(uint64_t seq, const Batch& batch,
 
   SlotCore& slot = log_.Slot(seq);
   slot.batch = batch;
-  slot.has_batch = true;
+  log_.SetHasBatch(slot, true);
   slot.digest = pp.digest;
   slot.view = view_;
   slot.primary_sig = pp.sig;
@@ -211,13 +211,13 @@ void PbftCoreReplica::HandlePrePrepare(PrincipalId from, PbftPrePrepareMsg msg) 
   }
 
   SlotCore& slot = log_.Slot(msg.seq);
-  if (slot.has_batch) {
+  if (slot.has_batch()) {
     // Equivocation defense: at most one pre-prepare per (view, seq).
     if (slot.view == msg.view && slot.digest != msg.digest) return;
     if (slot.digest == msg.digest) return;  // duplicate
   }
   slot.batch = std::move(batch);
-  slot.has_batch = true;
+  log_.SetHasBatch(slot, true);
   slot.digest = msg.digest;
   slot.view = msg.view;
   slot.primary_sig = msg.sig;
@@ -258,7 +258,7 @@ void PbftCoreReplica::HandlePrepare(PrincipalId from, PbftPrepareMsg msg) {
 }
 
 void PbftCoreReplica::CheckPrepared(uint64_t seq, SlotCore& slot) {
-  if (slot.prepared || !slot.has_batch) return;
+  if (slot.prepared || !slot.has_batch()) return;
   if (static_cast<int>(slot.accept_votes.Count(slot.digest)) <
       quorums_.agreement) {
     return;
@@ -298,12 +298,12 @@ void PbftCoreReplica::HandleCommit(PrincipalId from, PbftCommitMsg msg) {
 }
 
 void PbftCoreReplica::CheckCommitted(uint64_t seq, SlotCore& slot) {
-  if (slot.committed || !slot.prepared) return;
+  if (slot.committed() || !slot.prepared) return;
   if (static_cast<int>(slot.commit_votes.Count(slot.digest)) <
       quorums_.commit) {
     return;
   }
-  std::vector<ExecutedRequest> executed = commits().Commit(seq, slot);
+  std::vector<ExecutedRequest> executed = commits().Commit(log_, seq, slot);
   for (const ExecutedRequest& ex : executed) {
     if (!(ex.duplicate && ex.result.empty())) SendReply(ex);
   }
@@ -661,16 +661,16 @@ void PbftCoreReplica::MaybeFormNewView(uint64_t new_view) {
     max_seq = std::max(max_seq, seq);
     const SlotCore* prior = log_.Find(seq);
     const bool was_committed =
-        (prior != nullptr && prior->committed) || exec_.HasCommitted(seq);
+        (prior != nullptr && prior->committed()) || exec_.HasCommitted(seq);
     // Fresh slot: stale votes must not count toward the new view.
     SlotCore& slot = log_.ResetSlot(seq);
     slot.batch = std::move(proposal.batch);
-    slot.has_batch = true;
+    log_.SetHasBatch(slot, true);
     slot.digest = proposal.digest;
     slot.view = new_view;
     slot.primary_sig = signer_.Sign(
         ProposalHeader(kDomainPrePrepare, 0, new_view, seq, proposal.digest));
-    slot.committed = was_committed;
+    log_.SetCommitted(slot, was_committed);
   }
   if (max_stable > ckpt_.stable_seq() && max_stable > exec_.last_executed() &&
       helper != id_) {
@@ -735,15 +735,15 @@ void PbftCoreReplica::HandleNewView(PrincipalId from, PbftNewViewMsg msg) {
     // exchange so peers that missed them pre-view-change can assemble their
     // quorums; the committed flag prevents re-execution.
     const SlotCore* prior = log_.Find(entry.seq);
-    const bool was_committed = (prior != nullptr && prior->committed) ||
+    const bool was_committed = (prior != nullptr && prior->committed()) ||
                                exec_.HasCommitted(entry.seq);
     SlotCore& slot = log_.ResetSlot(entry.seq);
     slot.batch = std::move(proposals[entry.seq].batch);
-    slot.has_batch = true;
+    log_.SetHasBatch(slot, true);
     slot.digest = entry.digest;
     slot.view = new_view;
     slot.primary_sig = entry.sig;
-    slot.committed = was_committed;
+    log_.SetCommitted(slot, was_committed);
     SendPrepare(entry.seq, slot);
     CheckPrepared(entry.seq, slot);
   }

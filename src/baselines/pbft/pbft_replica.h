@@ -51,6 +51,8 @@ class PbftCoreReplica : public ReplicaBase {
   int uncommitted_slots() const { return log_.UncommittedSlots(); }
   /// Diagnostics: live instance-log slots (property tests bound this).
   size_t log_occupancy() const { return log_.occupied(); }
+  /// Diagnostics: the instance log itself (footprint tests read its ring).
+  const InstanceLog& instance_log() const { return log_; }
 
  protected:
   void HandleMessage(PrincipalId from, const Payload& frame) override;

@@ -44,10 +44,11 @@ class CommitQueue {
   CommitQueue(const CommitQueue&) = delete;
   CommitQueue& operator=(const CommitQueue&) = delete;
 
-  /// Phase 1: flag the slot committed and count the batch. Callers guard
-  /// idempotence (a slot is marked at most once).
-  void MarkCommitted(SlotCore& slot) {
-    slot.committed = true;
+  /// Phase 1: flag the slot committed (through its log, which keeps the
+  /// pacing count) and count the batch. Callers guard idempotence (a slot
+  /// is marked at most once).
+  void MarkCommitted(InstanceLog& log, SlotCore& slot) {
+    log.SetCommitted(slot, true);
     ++stats_.batches_committed;
   }
 
@@ -71,8 +72,9 @@ class CommitQueue {
 
   /// Both phases — the common case when nothing (e.g. an INFORM broadcast)
   /// has to happen between marking and execution.
-  std::vector<ExecutedRequest> Commit(uint64_t seq, SlotCore& slot) {
-    MarkCommitted(slot);
+  std::vector<ExecutedRequest> Commit(InstanceLog& log, uint64_t seq,
+                                      SlotCore& slot) {
+    MarkCommitted(log, slot);
     return Execute(seq, slot.batch);
   }
 

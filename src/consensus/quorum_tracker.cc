@@ -1,92 +1,34 @@
 #include "consensus/quorum_tracker.h"
 
-#include <algorithm>
-
 namespace seemore {
 
-namespace {
-
-/// Shared binding/equivocation bookkeeping: returns the outcome and whether
-/// the vote should be recorded.
-VoteOutcome Bind(FlatHashMap<PrincipalId, Digest>& bound,
-                 FlatHashSet<PrincipalId>& equivocators, const Digest& value,
-                 PrincipalId voter, bool* record) {
-  VoteOutcome outcome;
-  auto [it, inserted] = bound.try_emplace(voter, value);
-  if (!inserted && it->second != value) {
-    // Conflicting vote: the first value stays binding; flag the voter once.
-    outcome.equivocation = equivocators.insert(voter).second;
-    *record = false;
-    return outcome;
+size_t QuorumTracker::SignatureView::size() const {
+  if (ballots_ == nullptr) return 0;
+  size_t n = 0;
+  for (const internal::SignedBallot& ballot : *ballots_) {
+    if (ballot.value == value_) ++n;
   }
-  *record = true;
-  return outcome;
+  return n;
 }
 
-}  // namespace
-
-VoteOutcome VoteTracker::Add(const Digest& value, PrincipalId voter) {
-  bool record = false;
-  VoteOutcome outcome = Bind(bound_, equivocators_, value, voter, &record);
-  if (record) outcome.counted = votes_[value].insert(voter).second;
-  return outcome;
-}
-
-size_t VoteTracker::Count(const Digest& value) const {
-  auto it = votes_.find(value);
-  return it == votes_.end() ? 0 : it->second.size();
-}
-
-bool VoteTracker::HasVoted(const Digest& value, PrincipalId voter) const {
-  auto it = votes_.find(value);
-  return it != votes_.end() && it->second.count(voter) > 0;
-}
-
-void VoteTracker::Clear() {
-  votes_.clear();
-  bound_.clear();
-  equivocators_.clear();
-}
-
-VoteOutcome QuorumTracker::Add(const Digest& value, PrincipalId voter,
-                               const Signature& sig) {
-  bool record = false;
-  VoteOutcome outcome = Bind(bound_, equivocators_, value, voter, &record);
-  if (record) {
-    std::unique_ptr<SigTable>& table = votes_[value];
-    if (table == nullptr) table = std::make_unique<SigTable>();
-    outcome.counted = table->try_emplace(voter, sig).second;
+size_t QuorumTracker::SignatureView::count(PrincipalId voter) const {
+  if (ballots_ == nullptr) return 0;
+  for (const internal::SignedBallot& ballot : *ballots_) {
+    if (ballot.voter == voter) return ballot.value == value_ ? 1 : 0;
   }
-  return outcome;
-}
-
-size_t QuorumTracker::Count(const Digest& value) const {
-  auto it = votes_.find(value);
-  return it == votes_.end() ? 0 : it->second->size();
-}
-
-QuorumTracker::SignatureView QuorumTracker::SignaturesFor(
-    const Digest& value) const {
-  auto it = votes_.find(value);
-  return it == votes_.end() ? SignatureView()
-                            : SignatureView(it->second.get());
+  return 0;
 }
 
 std::vector<std::pair<PrincipalId, Signature>>
 QuorumTracker::SignatureView::SortedEntries() const {
   std::vector<std::pair<PrincipalId, Signature>> out;
-  if (table_ == nullptr) return out;
-  out.reserve(table_->size());
-  for (const auto& [voter, sig] : *table_) out.emplace_back(voter, sig);
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  if (ballots_ == nullptr) return out;
+  // Ballots are kept in voter order, so filtering preserves the canonical
+  // certificate order.
+  for (const internal::SignedBallot& ballot : *ballots_) {
+    if (ballot.value == value_) out.emplace_back(ballot.voter, ballot.sig);
+  }
   return out;
-}
-
-void QuorumTracker::Clear() {
-  votes_.clear();
-  bound_.clear();
-  equivocators_.clear();
 }
 
 }  // namespace seemore

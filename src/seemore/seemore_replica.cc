@@ -237,7 +237,7 @@ void SeeMoReReplica::TryPropose() {
 
     SlotCore& slot = log_.Slot(seq);
     slot.batch = std::move(batch);
-    slot.has_batch = true;
+    log_.SetHasBatch(slot, true);
     slot.digest = digest;
     slot.view = view_;
     slot.mode = mode_;
@@ -313,13 +313,13 @@ void SeeMoReReplica::HandlePrepare(PrincipalId from, SmPrepareMsg msg) {
   }
 
   SlotCore& slot = log_.Slot(msg.seq);
-  if (slot.has_batch) {
+  if (slot.has_batch()) {
     // At most one proposal per (view, seq): equivocation defense.
     if (slot.view == msg.view && slot.digest != msg.digest) return;
     if (slot.view == msg.view && slot.digest == msg.digest) return;  // dup
   }
   slot.batch = std::move(batch);
-  slot.has_batch = true;
+  log_.SetHasBatch(slot, true);
   slot.digest = msg.digest;
   slot.view = msg.view;
   slot.mode = mode_;
@@ -378,7 +378,7 @@ void SeeMoReReplica::HandleAcceptPlain(PrincipalId from, SmAcceptPlainMsg msg) {
   if (msg.view != view_ || !IsPrimary() || in_view_change_) return;
   if (msg.voter != from || !IsReplicaId(msg.voter)) return;
   SlotCore* found = log_.Find(msg.seq);
-  if (found == nullptr || !found->has_batch) return;
+  if (found == nullptr || !found->has_batch()) return;
   SlotCore& slot = *found;
   // The tracker sees every vote (conflicting ones flag the equivocator);
   // only votes matching the proposal count toward the quorum.
@@ -428,16 +428,16 @@ void SeeMoReReplica::HandleCommitPrimary(PrincipalId from,
   }
 
   SlotCore& slot = log_.Slot(msg.seq);
-  if (slot.committed) return;
+  if (slot.committed()) return;
   // "Even if the replica has not received a prepare message ... it considers
   // the request as committed" — the commit carries µ (§5.1).
-  if (!slot.has_batch || slot.digest != msg.digest) {
+  if (!slot.has_batch() || slot.digest != msg.digest) {
     ChargeHash(msg.batch.size());
     if (FrameFieldDigest(msg.batch, msg.batch_offset) != msg.digest) return;
     Result<Batch> batch_or = Batch::Decode(msg.batch);
     if (!batch_or.ok()) return;
     slot.batch = std::move(batch_or).value();
-    slot.has_batch = true;
+    log_.SetHasBatch(slot, true);
     slot.digest = msg.digest;
     slot.view = msg.view;
     slot.mode = msg_mode;
@@ -469,7 +469,7 @@ void SeeMoReReplica::HandleAcceptSigned(PrincipalId from,
 }
 
 void SeeMoReReplica::CheckProxyCommit(uint64_t seq, SlotCore& slot) {
-  if (!slot.has_batch) return;
+  if (!slot.has_batch()) return;
   const int quorum = CommitQuorum();  // 2m+1
 
   if (mode_ == SeeMoReMode::kDog) {
@@ -478,7 +478,7 @@ void SeeMoReReplica::CheckProxyCommit(uint64_t seq, SlotCore& slot) {
     if (static_cast<int>(slot.accept_votes.Count(slot.digest)) < quorum) {
       return;
     }
-    // NOTE: fall through even when slot.committed — the commit vote below
+    // NOTE: fall through even when slot.committed() — the commit vote below
     // must still go out for peers running the catch-up path.
     if (!slot.commit_sent) {
       slot.commit_sent = true;
@@ -547,7 +547,7 @@ void SeeMoReReplica::HandleCommitVote(PrincipalId from, SmCommitVoteMsg msg) {
   if (mode_ == SeeMoReMode::kDog) {
     // Catch-up: m+1 matching commits prove at least one non-faulty proxy
     // committed (§5.2).
-    if (!slot.committed && slot.has_batch && slot.digest == msg.digest &&
+    if (!slot.committed() && slot.has_batch() && slot.digest == msg.digest &&
         static_cast<int>(slot.commit_votes.Count(msg.digest)) >=
             config_.m + 1) {
       CommitSlot(msg.seq, slot, /*replies=*/true, /*informs=*/true);
@@ -574,7 +574,7 @@ void SeeMoReReplica::HandleInform(PrincipalId from, SmInformMsg msg) {
   // Dog: 2m+1 matching INFORMs; Peacock: m+1 (§5.2 / §5.3).
   const int needed =
       mode_ == SeeMoReMode::kDog ? 2 * config_.m + 1 : config_.m + 1;
-  if (!slot.committed && slot.has_batch && slot.digest == msg.digest &&
+  if (!slot.committed() && slot.has_batch() && slot.digest == msg.digest &&
       static_cast<int>(slot.inform_votes.Count(msg.digest)) >= needed) {
     CommitSlot(msg.seq, slot, /*replies=*/false, /*informs=*/false);
   }
@@ -582,8 +582,8 @@ void SeeMoReReplica::HandleInform(PrincipalId from, SmInformMsg msg) {
 
 void SeeMoReReplica::CommitSlot(uint64_t seq, SlotCore& slot, bool replies,
                                 bool informs) {
-  if (slot.committed) return;
-  commits().MarkCommitted(slot);
+  if (slot.committed()) return;
+  commits().MarkCommitted(log_, slot);
   if (informs) SendInform(seq, slot);
   std::vector<ExecutedRequest> executed = commits().Execute(seq, slot.batch);
   for (const ExecutedRequest& ex : executed) {

@@ -63,6 +63,8 @@ class SeeMoReReplica : public ReplicaBase {
   int uncommitted_slots() const { return log_.UncommittedSlots(); }
   /// Diagnostics: live instance-log slots (property tests bound this).
   size_t log_occupancy() const { return log_.occupied(); }
+  /// Diagnostics: the instance log itself (footprint tests read its ring).
+  const InstanceLog& instance_log() const { return log_; }
   bool IsPrimary() const { return current_primary() == id_; }
 
   /// Dynamic mode switching (§5.4). Must be invoked on the trusted replica

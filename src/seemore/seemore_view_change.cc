@@ -98,7 +98,7 @@ SmViewChangeMsg SeeMoReReplica::BuildViewChangeMessage(
   //   Proofs: Peacock prepared certificates (§5.3).
   const uint64_t stable = ckpt_.stable_seq();
   log_.ForEachAscending([&](uint64_t seq, const SlotCore& slot) {
-    if (!slot.has_batch || seq <= stable) return;
+    if (!slot.has_batch() || seq <= stable) return;
     if (slot.mode == SeeMoReMode::kPeacock) return;
     SmVcEntry entry;
     entry.mode = slot.mode;
@@ -110,7 +110,7 @@ SmViewChangeMsg SeeMoReReplica::BuildViewChangeMessage(
     msg.prepares.push_back(std::move(entry));
   });
   log_.ForEachAscending([&](uint64_t seq, const SlotCore& slot) {
-    if (!slot.has_batch || seq <= stable ||
+    if (!slot.has_batch() || seq <= stable ||
         slot.mode != SeeMoReMode::kLion || !slot.has_commit_sig) {
       return;
     }
@@ -124,7 +124,7 @@ SmViewChangeMsg SeeMoReReplica::BuildViewChangeMessage(
     msg.commits.push_back(std::move(entry));
   });
   log_.ForEachAscending([&](uint64_t seq, const SlotCore& slot) {
-    if (!slot.has_batch || seq <= stable ||
+    if (!slot.has_batch() || seq <= stable ||
         slot.mode != SeeMoReMode::kPeacock || !slot.prepared) {
       return;
     }
@@ -498,7 +498,7 @@ void SeeMoReReplica::MaybeFormNewView(uint64_t new_view) {
     // toward (or leak into proofs of) the new view.
     SlotCore& slot = log_.ResetSlot(seq);
     slot.batch = std::move(cand.batch);
-    slot.has_batch = true;
+    log_.SetHasBatch(slot, true);
     slot.digest = cand.digest;
     slot.view = new_view;
     slot.mode = target_mode;
@@ -511,16 +511,16 @@ void SeeMoReReplica::MaybeFormNewView(uint64_t new_view) {
     if (seq <= ckpt_.stable_seq()) continue;
     const SlotCore* prior = log_.Find(seq);
     const bool was_committed =
-        (prior != nullptr && prior->committed) || exec_.HasCommitted(seq);
+        (prior != nullptr && prior->committed()) || exec_.HasCommitted(seq);
     SlotCore& slot = log_.ResetSlot(seq);
     slot.batch = std::move(cand.batch);
-    slot.has_batch = true;
+    log_.SetHasBatch(slot, true);
     slot.digest = cand.digest;
     slot.view = new_view;
     slot.mode = target_mode;
     slot.primary_sig = signer_.Sign(
         ProposalHeader(kDomainPrePrepare, mode8, new_view, seq, cand.digest));
-    slot.committed = was_committed;
+    log_.SetCommitted(slot, was_committed);
     if (target_mode == SeeMoReMode::kLion) {
       RecordVote(slot.plain_votes, slot.digest, id_);
     }
@@ -639,7 +639,7 @@ void SeeMoReReplica::HandleNewView(PrincipalId from, SmNewViewMsg msg) {
     }
     SlotCore& slot = log_.ResetSlot(entry.seq);
     slot.batch = std::move(entry.batch);
-    slot.has_batch = true;
+    log_.SetHasBatch(slot, true);
     slot.digest = entry.digest;
     slot.view = new_view;
     slot.mode = new_mode;
@@ -657,15 +657,15 @@ void SeeMoReReplica::HandleNewView(PrincipalId from, SmNewViewMsg msg) {
     const bool already_committed = exec_.HasCommitted(entry.seq);
     const SlotCore* prior = log_.Find(entry.seq);
     const bool was_committed =
-        (prior != nullptr && prior->committed) || already_committed;
+        (prior != nullptr && prior->committed()) || already_committed;
     SlotCore& slot = log_.ResetSlot(entry.seq);
     slot.batch = std::move(entry.batch);
-    slot.has_batch = true;
+    log_.SetHasBatch(slot, true);
     slot.digest = entry.digest;
     slot.view = new_view;
     slot.mode = new_mode;
     slot.primary_sig = entry.sig;
-    slot.committed = was_committed;
+    log_.SetCommitted(slot, was_committed);
     if (already_committed && IsProxyNow() && mode_ != SeeMoReMode::kLion) {
       SendInform(entry.seq, slot);  // passive nodes may have missed them
     }

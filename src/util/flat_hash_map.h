@@ -1,7 +1,7 @@
 // Open-addressing hash containers for the consensus hot path.
 //
-// The replica receive path is dominated by small map operations — vote
-// tables keyed by digest or principal, timestamp maps, reply caches — where
+// The replica receive path is dominated by small map operations — client
+// timestamp maps, reply caches, the instance log's overflow — where
 // std::map's per-node allocation and pointer chasing cost more than the
 // lookup itself. FlatHashMap stores key/value pairs contiguously with
 // linear probing (power-of-two capacity, byte-per-slot metadata), so a hot
@@ -246,56 +246,6 @@ class FlatHashMap {
   std::vector<value_type> slots_;
   size_t size_ = 0;
   size_t tombstones_ = 0;
-};
-
-/// Set adapter over FlatHashMap (key-only view; same caveats).
-template <typename K, typename Hash = std::hash<K>,
-          typename Eq = std::equal_to<K>>
-class FlatHashSet {
- public:
-  struct Empty {};
-  using Map = FlatHashMap<K, Empty, Hash, Eq>;
-
-  class const_iterator {
-   public:
-    const_iterator() = default;
-    explicit const_iterator(typename Map::const_iterator it) : it_(it) {}
-    const K& operator*() const { return it_->first; }
-    const K* operator->() const { return &it_->first; }
-    const_iterator& operator++() {
-      ++it_;
-      return *this;
-    }
-    friend bool operator==(const const_iterator& a, const const_iterator& b) {
-      return a.it_ == b.it_;
-    }
-    friend bool operator!=(const const_iterator& a, const const_iterator& b) {
-      return a.it_ != b.it_;
-    }
-
-   private:
-    typename Map::const_iterator it_;
-  };
-  using iterator = const_iterator;
-
-  const_iterator begin() const { return const_iterator(map_.begin()); }
-  const_iterator end() const { return const_iterator(map_.end()); }
-
-  size_t size() const { return map_.size(); }
-  bool empty() const { return map_.empty(); }
-  void clear() { map_.clear(); }
-  void reserve(size_t n) { map_.reserve(n); }
-
-  std::pair<const_iterator, bool> insert(const K& key) {
-    auto r = map_.try_emplace(key);
-    return {const_iterator(r.first), r.second};
-  }
-  bool contains(const K& key) const { return map_.contains(key); }
-  size_t count(const K& key) const { return map_.count(key); }
-  size_t erase(const K& key) { return map_.erase(key); }
-
- private:
-  Map map_;
 };
 
 }  // namespace seemore

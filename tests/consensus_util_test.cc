@@ -148,15 +148,15 @@ TEST(InstanceLogTest, SlabLookupAndGenerationChecks) {
   InstanceLog log(/*window=*/16);
   EXPECT_EQ(log.occupied(), 0u);
   SlotCore& s5 = log.Slot(5);
-  s5.has_batch = true;
+  log.SetHasBatch(s5, true);
   EXPECT_EQ(log.occupied(), 1u);
   EXPECT_EQ(log.Find(5), &s5);
   EXPECT_EQ(log.Find(6), nullptr);  // never claimed: generation miss
   // Same storage object returned on re-access.
-  EXPECT_TRUE(log.Slot(5).has_batch);
+  EXPECT_TRUE(log.Slot(5).has_batch());
 
   // Reclamation frees slots at or below the floor; lookups miss afterwards.
-  log.Slot(7).committed = true;
+  log.SetCommitted(log.Slot(7), true);
   log.Reclaim(5);
   EXPECT_EQ(log.Find(5), nullptr);
   ASSERT_NE(log.Find(7), nullptr);
@@ -165,14 +165,14 @@ TEST(InstanceLogTest, SlabLookupAndGenerationChecks) {
 
   // A seq that maps to a reclaimed slot's index starts fresh.
   SlotCore& reused = log.Slot(5 + log.slab_capacity());
-  EXPECT_FALSE(reused.has_batch);
+  EXPECT_FALSE(reused.has_batch());
 }
 
 TEST(InstanceLogTest, OverflowSpillAndMigration) {
   InstanceLog log(/*window=*/8);
   const uint64_t far = log.slab_capacity() * 10;
   log.Slot(far).commit_seen = true;  // far beyond the window: side map
-  log.Slot(2).has_batch = true;
+  log.SetHasBatch(log.Slot(2), true);
   EXPECT_EQ(log.occupied(), 2u);
   ASSERT_NE(log.Find(far), nullptr);
   EXPECT_TRUE(log.Find(far)->commit_seen);
@@ -193,9 +193,9 @@ TEST(InstanceLogTest, OverflowSpillAndMigration) {
 
 TEST(InstanceLogTest, UncommittedCountAndEraseUncommitted) {
   InstanceLog log(/*window=*/16);
-  log.Slot(1).has_batch = true;
-  log.Slot(2).has_batch = true;
-  log.Slot(2).committed = true;
+  log.SetHasBatch(log.Slot(1), true);
+  log.SetHasBatch(log.Slot(2), true);
+  log.SetCommitted(log.Slot(2), true);
   log.Slot(3).commit_seen = true;  // no batch: not "uncommitted work"
   EXPECT_EQ(log.UncommittedSlots(), 1);
   log.EraseUncommitted();

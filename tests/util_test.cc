@@ -209,25 +209,6 @@ TEST(FlatHashMapTest, EraseByIteratorAdvances) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(m.contains(i), i % 2 == 1);
 }
 
-TEST(FlatHashSetTest, InsertContainsErase) {
-  FlatHashSet<int> s;
-  EXPECT_TRUE(s.insert(5).second);
-  EXPECT_FALSE(s.insert(5).second);
-  EXPECT_TRUE(s.contains(5));
-  EXPECT_EQ(s.size(), 1u);
-  for (int i = 0; i < 1000; ++i) s.insert(i);
-  EXPECT_EQ(s.size(), 1000u);
-  int seen = 0;
-  for (int v : s) {
-    EXPECT_GE(v, 0);
-    EXPECT_LT(v, 1000);
-    ++seen;
-  }
-  EXPECT_EQ(seen, 1000);
-  EXPECT_EQ(s.erase(5), 1u);
-  EXPECT_FALSE(s.contains(5));
-}
-
 TEST(ArenaTest, BumpAllocationAndAlignment) {
   Arena arena(/*chunk_bytes=*/256);
   uint8_t* a = arena.Allocate(10, 1);
