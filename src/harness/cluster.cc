@@ -1,7 +1,5 @@
 #include "harness/cluster.h"
 
-#include <cstdio>
-
 #include "util/logging.h"
 
 namespace seemore {
@@ -9,13 +7,8 @@ namespace seemore {
 Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
   SEEMORE_CHECK(options_.config.Validate().ok())
       << "invalid cluster config: " << options_.config.Validate().ToString();
-  if (!options_.state_machine_factory) {
-    options_.state_machine_factory = [] {
-      return std::make_unique<KvStateMachine>();
-    };
-  }
   sim_ = std::make_unique<Simulator>(options_.seed);
-  keystore_ = std::make_unique<KeyStore>(options_.seed ^ 0x5eed'c0de'5eed'c0deULL);
+  keystore_ = std::make_unique<KeyStore>(RunKeySeed(options_.seed));
   memo_ = std::make_unique<CryptoMemo>();
   net_ = std::make_unique<SimNetwork>(sim_.get(), options_.net);
 
@@ -26,7 +19,7 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
   media_.resize(config.n());
   stores_.resize(config.n());
   for (int i = 0; i < config.n(); ++i) {
-    replicas_.push_back(MakeReplica(i));
+    replicas_.push_back(BuildReplica(i));
     if (options_.durability.enabled) {
       media_[i] = std::make_unique<storage::MemMedium>();
       stores_[i] = std::make_unique<storage::FileDurableStore>(
@@ -44,30 +37,51 @@ Cluster::~Cluster() {
   clients_.clear();
 }
 
-std::unique_ptr<ReplicaBase> Cluster::MakeReplica(int i) {
-  Transport* transport = net_.get();
-  TimerService* timers = sim_.get();
-  const ClusterConfig& config = options_.config;
+std::unique_ptr<ReplicaBase> MakeReplica(
+    const ClusterConfig& config, int id, Transport* transport,
+    TimerService* timers, const KeyStore* keystore, CryptoMemo* memo,
+    std::unique_ptr<StateMachine> state_machine, const CostModel& costs) {
   switch (config.kind) {
     case ProtocolKind::kCft:
-      return std::make_unique<PaxosReplica>(
-          transport, timers, keystore_.get(), memo_.get(), i, config,
-          options_.state_machine_factory(), options_.costs);
+      return std::make_unique<PaxosReplica>(transport, timers, keystore, memo,
+                                            id, config,
+                                            std::move(state_machine), costs);
     case ProtocolKind::kBft:
-      return std::make_unique<PbftReplica>(
-          transport, timers, keystore_.get(), memo_.get(), i, config,
-          options_.state_machine_factory(), options_.costs);
+      return std::make_unique<PbftReplica>(transport, timers, keystore, memo,
+                                           id, config,
+                                           std::move(state_machine), costs);
     case ProtocolKind::kSUpRight:
       return std::make_unique<SUpRightReplica>(
-          transport, timers, keystore_.get(), memo_.get(), i, config,
-          options_.state_machine_factory(), options_.costs);
+          transport, timers, keystore, memo, id, config,
+          std::move(state_machine), costs);
     case ProtocolKind::kSeeMoRe:
       return std::make_unique<SeeMoReReplica>(
-          transport, timers, keystore_.get(), memo_.get(), i, config,
-          options_.state_machine_factory(), options_.costs);
+          transport, timers, keystore, memo, id, config,
+          std::move(state_machine), costs);
   }
   SEEMORE_CHECK(false) << "unknown protocol kind";
   return nullptr;
+}
+
+int CurrentPrimary(const ReplicaBase& replica, const ClusterConfig& config) {
+  switch (config.kind) {
+    case ProtocolKind::kSeeMoRe:
+      return static_cast<const SeeMoReReplica&>(replica).current_primary();
+    case ProtocolKind::kCft:
+      return config.FlatPrimary(
+          static_cast<const PaxosReplica&>(replica).view());
+    case ProtocolKind::kBft:
+    case ProtocolKind::kSUpRight:
+      return config.FlatPrimary(
+          static_cast<const PbftCoreReplica&>(replica).view());
+  }
+  return -1;
+}
+
+std::unique_ptr<ReplicaBase> Cluster::BuildReplica(int i) {
+  return MakeReplica(options_.config, i, net_.get(), sim_.get(),
+                     keystore_.get(), memo_.get(),
+                     options_.state_machine_factory(), options_.costs);
 }
 
 Result<RestartOutcome> Cluster::Restart(int i) {
@@ -98,11 +112,15 @@ Result<RestartOutcome> Cluster::Restart(int i) {
   // here is a storage-layer bug, not an injectable fault.
   SEEMORE_CHECK(opened.ok()) << "reopen after recovery: " << opened.ToString();
 
-  replicas_[i] = MakeReplica(i);
+  replicas_[i] = BuildReplica(i);
   replicas_[i]->AttachDurable(store.get());
   replicas_[i]->RestoreFromImage(image);
   stores_[i] = std::move(store);
 
+  return RestartOutcome::Of(image);
+}
+
+RestartOutcome RestartOutcome::Of(const RecoveredImage& image) {
   RestartOutcome outcome;
   if (const storage::RecoveredSnapshot* latest = image.Latest()) {
     outcome.snapshot_seq = latest->seq;
@@ -119,40 +137,15 @@ void Cluster::PowerLoss(int i) {
   media_[i]->PowerLoss();
 }
 
-Status Cluster::CheckTamperable(int i) const {
+Status Cluster::TamperWal(int i, storage::WalTamper tamper,
+                          uint64_t offset_from_end) {
   if (!options_.durability.enabled) {
     return Status::FailedPrecondition("wal tampering requires durability");
   }
   if (!replicas_[i]->crashed()) {
     return Status::FailedPrecondition("wal tampering target is not crashed");
   }
-  return Status::Ok();
-}
-
-Status Cluster::TruncateWalTail(int i, uint64_t bytes_from_end) {
-  SEEMORE_RETURN_IF_ERROR(CheckTamperable(i));
-  const std::vector<std::string> segments = media_[i]->List("wal-");
-  if (segments.empty()) {
-    return Status::FailedPrecondition("no wal segments to truncate");
-  }
-  const std::string& last = segments.back();
-  SEEMORE_ASSIGN_OR_RETURN(uint64_t size, media_[i]->SizeOf(last));
-  const uint64_t cut = bytes_from_end >= size ? 0 : size - bytes_from_end;
-  return media_[i]->TruncateTo(last, cut);
-}
-
-Status Cluster::CorruptWalTail(int i, uint64_t offset_from_end) {
-  SEEMORE_RETURN_IF_ERROR(CheckTamperable(i));
-  const std::vector<std::string> segments = media_[i]->List("wal-");
-  if (segments.empty()) {
-    return Status::FailedPrecondition("no wal segments to corrupt");
-  }
-  const std::string& last = segments.back();
-  SEEMORE_ASSIGN_OR_RETURN(uint64_t size, media_[i]->SizeOf(last));
-  if (size == 0) return Status::FailedPrecondition("empty wal segment");
-  const uint64_t offset =
-      offset_from_end >= size ? 0 : size - 1 - offset_from_end;
-  return media_[i]->FlipBit(last, offset, /*bit=*/0);
+  return storage::TamperWalTail(*media_[i], tamper, offset_from_end);
 }
 
 SeeMoReReplica* Cluster::seemore(int i) {
@@ -190,49 +183,33 @@ void Cluster::SetByzantine(int i, uint32_t flags) {
   replicas_[i]->SetByzantine(flags);
 }
 
+scenario::ReplicaOutcome Cluster::Outcome(int i) const {
+  const ReplicaBase& replica = *replicas_[i];
+  scenario::ReplicaOutcome outcome;
+  outcome.id = i;
+  outcome.end = replica.crashed() ? scenario::ReplicaEnd::kKilled
+                                  : scenario::ReplicaEnd::kRan;
+  outcome.last_executed = replica.exec().last_executed();
+  outcome.state_digest = replica.exec().StateDigest();
+  outcome.digest_log = &replica.exec().executed_digests();
+  return outcome;
+}
+
 Status Cluster::CheckAgreement() const {
-  for (size_t a = 0; a < replicas_.size(); ++a) {
-    const auto& da = replicas_[a]->exec().executed_digests();
-    for (size_t b = a + 1; b < replicas_.size(); ++b) {
-      const auto& db = replicas_[b]->exec().executed_digests();
-      for (uint64_t seq = da.floor(); !da.empty() && seq <= da.ceil(); ++seq) {
-        const Digest* other = db.Find(seq);
-        if (other != nullptr && *other != da.at(seq)) {
-          char buf[128];
-          std::snprintf(buf, sizeof(buf),
-                        "replicas %zu and %zu disagree at seq %llu", a, b,
-                        static_cast<unsigned long long>(seq));
-          return Status::Internal(buf);
-        }
-      }
-    }
-  }
-  return Status::Ok();
+  std::vector<scenario::ReplicaOutcome> outcomes;
+  for (int i = 0; i < n(); ++i) outcomes.push_back(Outcome(i));
+  return scenario::CheckVerdict(outcomes, /*check_convergence=*/false)
+      .agreement;
 }
 
 Status Cluster::CheckConvergence(const std::vector<int>& replicas) const {
-  if (replicas.empty()) return Status::Ok();
-  const Digest expected =
-      replicas_[replicas.front()]->exec().StateDigest();
-  const uint64_t expected_seq =
-      replicas_[replicas.front()]->exec().last_executed();
+  std::vector<scenario::ReplicaOutcome> outcomes;
   for (int i : replicas) {
-    if (replicas_[i]->exec().last_executed() != expected_seq) {
-      char buf[128];
-      std::snprintf(buf, sizeof(buf),
-                    "replica %d executed %llu, expected %llu", i,
-                    static_cast<unsigned long long>(
-                        replicas_[i]->exec().last_executed()),
-                    static_cast<unsigned long long>(expected_seq));
-      return Status::Internal(buf);
-    }
-    if (!(replicas_[i]->exec().StateDigest() == expected)) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), "replica %d state digest diverged", i);
-      return Status::Internal(buf);
-    }
+    outcomes.push_back(Outcome(i));
+    outcomes.back().end = scenario::ReplicaEnd::kRan;  // listed = compared
   }
-  return Status::Ok();
+  return scenario::CheckVerdict(outcomes, /*check_convergence=*/true)
+      .convergence;
 }
 
 uint64_t Cluster::TotalExecuted() const {

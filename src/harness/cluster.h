@@ -16,6 +16,7 @@
 #include "consensus/config.h"
 #include "harness/policies.h"
 #include "net/network.h"
+#include "scenario/verdict.h"
 #include "seemore/seemore_replica.h"
 #include "sim/simulator.h"
 #include "smr/client.h"
@@ -31,18 +32,40 @@ struct ClusterOptions {
   CostModel costs;
   uint64_t seed = 1;
   SimTime client_retransmit_timeout = Millis(60);
-  /// Factory for each replica's state machine (defaults to the KV store).
-  std::function<std::unique_ptr<StateMachine>()> state_machine_factory;
+  /// Factory for each replica's state machine.
+  std::function<std::unique_ptr<StateMachine>()> state_machine_factory = [] {
+    return std::make_unique<KvStateMachine>();
+  };
   /// Durable storage knobs. Disabled by default: every replica then runs on
   /// the no-op store and behaves bit-identically to the pre-durability code.
   DurabilityOptions durability;
 };
+
+/// The KeyStore seed of a run seeded with `seed`: every process of a run
+/// derives the identical per-principal keys from it.
+inline uint64_t RunKeySeed(uint64_t seed) {
+  return seed ^ 0x5eed'c0de'5eed'c0deULL;
+}
+
+/// Replica `id` of `config`'s protocol over the given runtime seams: the
+/// one per-protocol factory behind both the simulated cluster and a
+/// seemore_node process.
+std::unique_ptr<ReplicaBase> MakeReplica(
+    const ClusterConfig& config, int id, Transport* transport,
+    TimerService* timers, const KeyStore* keystore, CryptoMemo* memo,
+    std::unique_ptr<StateMachine> state_machine, const CostModel& costs);
+
+/// Who `replica` believes is primary now (replicas can disagree mid view
+/// change; any live vantage is fine for fault injection).
+int CurrentPrimary(const ReplicaBase& replica, const ClusterConfig& config);
 
 /// What a successful Restart() reconstructed (scenario/report provenance).
 struct RestartOutcome {
   uint64_t snapshot_seq = 0;     // newest snapshot restored from (0 = none)
   uint64_t replayed_commits = 0; // WAL commit records replayed
   uint64_t truncated_bytes = 0;  // torn tail discarded during recovery
+
+  static RestartOutcome Of(const RecoveredImage& image);
 };
 
 class Cluster {
@@ -56,10 +79,6 @@ class Cluster {
   Simulator& sim() { return *sim_; }
   SimNetwork& net() { return *net_; }
   const KeyStore& keystore() const { return *keystore_; }
-  /// The run's digest/verify memo (crypto/memo.h): shared by this cluster's
-  /// replicas, private to this run — concurrent clusters on other threads
-  /// each have their own, which is what makes scenario::RunMany safe.
-  CryptoMemo& memo() { return *memo_; }
   const ClusterConfig& config() const { return options_.config; }
 
   int n() const { return options_.config.n(); }
@@ -81,10 +100,8 @@ class Cluster {
   void SetByzantine(int i, uint32_t flags);
 
   /// --- durability / restart ----------------------------------------------
-  bool durability_enabled() const { return options_.durability.enabled; }
-  /// Per-replica disk and store (null when durability is disabled).
+  /// Per-replica disk (null when durability is disabled).
   storage::MemMedium* medium(int i) { return media_[i].get(); }
-  storage::FileDurableStore* durable_store(int i) { return stores_[i].get(); }
 
   /// Replace a crashed replica with a new incarnation rebuilt from its
   /// durable state (kill-and-restart, as opposed to Recover()'s
@@ -98,32 +115,34 @@ class Cluster {
   /// (unsynced tails are cut at sector granularity: torn writes).
   void PowerLoss(int i);
 
-  /// Corruption injection on a crashed replica's newest WAL segment (models
-  /// latent media damage discovered at the next restart). Offsets count
-  /// from the end of the segment; out-of-range values clamp to the segment
-  /// head (deterministic header damage).
-  Status TruncateWalTail(int i, uint64_t bytes_from_end);
-  Status CorruptWalTail(int i, uint64_t offset_from_end);
+  /// Damage a crashed replica's newest WAL segment (storage::TamperWalTail:
+  /// latent media damage discovered at the next restart).
+  Status TamperWal(int i, storage::WalTamper tamper, uint64_t offset_from_end);
 
-  /// --- invariants ---------------------------------------------------------
+  /// --- invariants (scenario/verdict.h) -------------------------------------
+  /// How replica `i` stands now: crashed replicas count as killed, and the
+  /// outcome shows the replica's digest log by reference.
+  scenario::ReplicaOutcome Outcome(int i) const;
   /// Agreement: every pair of replicas executed identical batches at every
   /// sequence number both executed. Returns an explanation on violation.
   Status CheckAgreement() const;
-  /// All non-crashed replicas converged to the same state digest (call after
-  /// quiescence).
+  /// The listed replicas converged to the same frontier and state digest
+  /// (call after quiescence).
   Status CheckConvergence(const std::vector<int>& replicas) const;
 
   /// Sum of requests_executed across replicas (progress diagnostics).
   uint64_t TotalExecuted() const;
 
  private:
-  std::unique_ptr<ReplicaBase> MakeReplica(int i);
-  /// Crashed + durability guard shared by the WAL tamper entry points.
-  Status CheckTamperable(int i) const;
+  /// MakeReplica over this cluster's simulator, network and keys.
+  std::unique_ptr<ReplicaBase> BuildReplica(int i);
 
   ClusterOptions options_;
   std::unique_ptr<Simulator> sim_;
   std::unique_ptr<KeyStore> keystore_;
+  /// The run's digest/verify memo (crypto/memo.h): shared by this cluster's
+  /// replicas, private to this run — concurrent clusters on other threads
+  /// each have their own, which is what makes scenario::RunMany safe.
   std::unique_ptr<CryptoMemo> memo_;
   std::unique_ptr<SimNetwork> net_;
   std::vector<std::unique_ptr<ReplicaBase>> replicas_;

@@ -69,41 +69,34 @@ RunResult RunClosedLoop(Cluster& cluster, int num_clients, OpFactory ops,
 
   cluster.sim().RunUntil(start + warmup + measure);
 
-  RunResult result;
-  result.clients = num_clients;
-  Histogram merged;
-  for (int i = 0; i < num_clients; ++i) {
-    const SimClient& client = *cluster.client(i);
-    result.completed += client.completed();
-    result.retransmissions += client.retransmissions();
-    merged.Merge(client.latencies());
-    cluster.client(i)->Stop();
-  }
-  const double seconds =
-      static_cast<double>(measure) / static_cast<double>(kNanosPerSecond);
-  result.throughput_kreqs =
-      static_cast<double>(result.completed) / seconds / 1000.0;
-  result.mean_latency_ms = merged.Mean() / static_cast<double>(kNanosPerMilli);
-  result.p50_latency_ms =
-      merged.Percentile(50.0) / static_cast<double>(kNanosPerMilli);
-  result.p90_latency_ms =
-      merged.Percentile(90.0) / static_cast<double>(kNanosPerMilli);
-  result.p99_latency_ms =
-      merged.Percentile(99.0) / static_cast<double>(kNanosPerMilli);
-  return result;
+  std::vector<SimClient*> clients;
+  for (int i = 0; i < num_clients; ++i) clients.push_back(cluster.client(i));
+  return StopAndSummarize(clients, measure);
 }
 
-std::vector<RunResult> SweepClients(
-    const std::function<std::unique_ptr<Cluster>()>& make_cluster,
-    const std::vector<int>& client_counts, const OpFactory& ops,
-    SimTime warmup, SimTime measure) {
-  std::vector<RunResult> results;
-  results.reserve(client_counts.size());
-  for (int count : client_counts) {
-    std::unique_ptr<Cluster> cluster = make_cluster();
-    results.push_back(RunClosedLoop(*cluster, count, ops, warmup, measure));
+RunResult StopAndSummarize(const std::vector<SimClient*>& clients,
+                           SimTime window) {
+  RunResult result;
+  result.clients = static_cast<int>(clients.size());
+  Histogram merged;
+  for (SimClient* client : clients) {
+    result.completed += client->completed();
+    result.retransmissions += client->retransmissions();
+    merged.Merge(client->latencies());
+    client->Stop();
   }
-  return results;
+  if (window > 0) {
+    const double seconds =
+        static_cast<double>(window) / static_cast<double>(kNanosPerSecond);
+    result.throughput_kreqs =
+        static_cast<double>(result.completed) / seconds / 1000.0;
+  }
+  const double to_ms = static_cast<double>(kNanosPerMilli);
+  result.mean_latency_ms = merged.Mean() / to_ms;
+  result.p50_latency_ms = merged.P50() / to_ms;
+  result.p90_latency_ms = merged.P90() / to_ms;
+  result.p99_latency_ms = merged.P99() / to_ms;
+  return result;
 }
 
 void ThroughputTimeline::Record(SimTime when) {

@@ -51,13 +51,11 @@ OpFactory KvWorkload(uint64_t seed, int key_space, double put_fraction);
 RunResult RunClosedLoop(Cluster& cluster, int num_clients, OpFactory ops,
                         SimTime warmup, SimTime measure);
 
-/// Sweep the client count and collect one RunResult per population size,
-/// producing one throughput/latency curve (one line of Figure 2/3). A fresh
-/// cluster is built per point via `make_cluster`.
-std::vector<RunResult> SweepClients(
-    const std::function<std::unique_ptr<Cluster>()>& make_cluster,
-    const std::vector<int>& client_counts, const OpFactory& ops,
-    SimTime warmup, SimTime measure);
+/// Stop `clients` and aggregate what they measured over a window of length
+/// `window`: the one RunResult formula of the sim engine, RunClosedLoop and
+/// the tcp launcher.
+RunResult StopAndSummarize(const std::vector<SimClient*>& clients,
+                           SimTime window);
 
 /// Timeline of completions in fixed buckets (Figure 4).
 struct ThroughputTimeline {

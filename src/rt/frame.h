@@ -141,7 +141,8 @@ struct FaultCommand {
   uint64_t delay_us = 0;     // kShapeLink: fixed extra delay
   uint64_t jitter_us = 0;    // kShapeLink: uniform extra jitter bound
   uint32_t drop_ppm = 0;     // kShapeLink: drop probability, parts-per-million
-  uint32_t value = 0;        // kPrimaryReply: the primary's id (+1, 0 = unknown)
+  uint32_t value = 0;  // kPrimaryReply: primary id + 1 (0 = unknown);
+                       // kSwitchMode: crashed-replica bits (ids >= 32 live)
 };
 
 /// CONTROL body bytes, unframed — sent through the transport like any other

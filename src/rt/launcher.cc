@@ -1,7 +1,5 @@
 #include "rt/launcher.h"
 
-#include <dirent.h>
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -11,9 +9,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <map>
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <optional>
 #include <set>
 
 #include "harness/policies.h"
@@ -21,62 +20,66 @@
 #include "rt/posix_medium.h"
 #include "rt/tcp_transport.h"
 #include "smr/client.h"
+#include "util/hex.h"
 
 namespace seemore {
 namespace rt {
 namespace {
 
 std::string SelfDir() {
-  char buf[4096];
-  const ssize_t n = readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return ".";
-  buf[n] = '\0';
-  std::string path(buf);
-  const size_t slash = path.rfind('/');
-  return slash == std::string::npos ? "." : path.substr(0, slash);
-}
-
-Status WriteTextFile(const std::string& path, const std::string& text) {
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) return Status::Internal("cannot write " + path);
-  std::fwrite(text.data(), 1, text.size(), out);
-  std::fclose(out);
-  return Status::Ok();
+  std::error_code ec;
+  const std::filesystem::path self =
+      std::filesystem::read_symlink("/proc/self/exe", ec);
+  return ec ? "." : self.parent_path().string();
 }
 
 Result<std::string> ReadTextFile(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "r");
-  if (in == nullptr) return Status::NotFound("cannot read " + path);
-  std::string text;
-  char buf[64 * 1024];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0) text.append(buf, n);
-  std::fclose(in);
-  return text;
+  std::ifstream in(path);
+  if (!in) return Status::NotFound("cannot read " + path);
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
-void RemoveTree(const std::string& path) {
-  DIR* dir = opendir(path.c_str());
-  if (dir != nullptr) {
-    while (dirent* entry = readdir(dir)) {
-      const std::string name = entry->d_name;
-      if (name == "." || name == "..") continue;
-      const std::string child = path + "/" + name;
-      struct stat st{};
-      if (lstat(child.c_str(), &st) == 0 && S_ISDIR(st.st_mode)) {
-        RemoveTree(child);
-      } else {
-        unlink(child.c_str());
-      }
-    }
-    closedir(dir);
+/// How a reaped process ended, or "" when it ended as expected: exit 0, or
+/// the signal the launcher itself sent.
+std::string UnexpectedExit(int wstatus, int expected_signal) {
+  if (WIFSIGNALED(wstatus) && WTERMSIG(wstatus) != expected_signal) {
+    return "killed by signal " + std::to_string(WTERMSIG(wstatus));
   }
-  rmdir(path.c_str());
+  if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) != 0) {
+    return "exited with status " + std::to_string(WEXITSTATUS(wstatus));
+  }
+  return "";
 }
 
-void SleepMillis(int ms) {
-  timespec ts{ms / 1000, static_cast<long>(ms % 1000) * 1000000L};
-  nanosleep(&ts, nullptr);
+std::optional<Digest> ParseDigest(const Json* hex) {
+  if (hex == nullptr || !hex->is_string()) return std::nullopt;
+  Result<std::vector<uint8_t>> bytes = HexDecode(hex->AsString());
+  if (!bytes.ok() || bytes->size() != Digest::kSize) return std::nullopt;
+  std::array<uint8_t, Digest::kSize> raw;
+  std::copy(bytes->begin(), bytes->end(), raw.begin());
+  return Digest(raw);
+}
+
+/// Fill `outcome`'s frontier, state digest and digest samples from a node's
+/// report; false when a required field is missing or malformed.
+bool ReadNodeReport(const Json& node, scenario::ReplicaOutcome& outcome) {
+  const Json* last = node.Find("last_executed");
+  const std::optional<Digest> state = ParseDigest(node.Find("state_digest"));
+  if (last == nullptr || !last->is_int() || !state) return false;
+  outcome.last_executed = static_cast<uint64_t>(last->AsInt());
+  outcome.state_digest = *state;
+  const Json* samples = node.Find("digest_samples");
+  if (samples == nullptr || !samples->is_array()) return false;
+  for (const Json& sample : samples->items()) {
+    const Json* seq = sample.Find("seq");
+    const std::optional<Digest> digest = ParseDigest(sample.Find("digest"));
+    if (seq == nullptr || !seq->is_int() || !digest) return false;
+    outcome.digest_samples.emplace_back(static_cast<uint64_t>(seq->AsInt()),
+                                        *digest);
+  }
+  std::sort(outcome.digest_samples.begin(), outcome.digest_samples.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  return true;
 }
 
 /// One node process slot (indexed by replica id across incarnations).
@@ -84,11 +87,19 @@ struct Child {
   int id = 0;
   pid_t pid = -1;
   bool alive = false;
+  /// The schedule SIGKILLed the current incarnation.
+  bool killed = false;
+  /// How some incarnation ended on its own ("" = none did). Sticky: a
+  /// respawn does not excuse an earlier abort.
+  std::string death;
   std::string data_dir;     // empty when durability is off
   std::string report_path;
 };
 
-class Launcher {
+/// The real-process cluster as the schedule's FaultTarget: process kills
+/// and respawns, WAL file surgery, and CONTROL frames for everything a
+/// signal cannot express.
+class Launcher final : public scenario::FaultTarget, MessageHandler {
  public:
   Launcher(const scenario::ScenarioSpec& spec, const LauncherOptions& options)
       : spec_(spec), options_(options), config_(spec.ResolvedConfig()) {}
@@ -97,40 +108,75 @@ class Launcher {
     clients_.clear();  // clients reference transport/loop
     transport_.reset();
     loop_.reset();
-    KillAll(SIGKILL);
-    if (!work_dir_.empty() && !options_.keep_work_dir) RemoveTree(work_dir_);
+    for (Child& child : children_) KillChild(child);
+    if (!work_dir_.empty() && !options_.keep_work_dir) {
+      std::error_code ignored;
+      std::filesystem::remove_all(work_dir_, ignored);
+    }
   }
 
   Result<TcpRunReport> Run();
 
  private:
-  /// Receives CONTROL replies (kPrimaryReply) addressed to the launcher's
-  /// fault-controller principal.
-  struct ControlSink : MessageHandler {
-    explicit ControlSink(Launcher* launcher) : launcher(launcher) {}
-    void OnMessage(PrincipalId from, Payload payload) override {
-      launcher->OnControlReply(from, std::move(payload));
+  // --- scenario::FaultTarget ----------------------------------------------
+  bool Crashed(int replica) const override {
+    return !children_[static_cast<size_t>(replica)].alive;
+  }
+  void Crash(int replica) override { KillChild(Slot(replica)); }
+  /// Respawns a fresh process: unlike the sim's, memory is not kept.
+  Status Recover(int replica) override {
+    if (!Crashed(replica)) {
+      return Status::FailedPrecondition("replica not crashed");
     }
-    Launcher* launcher;
-  };
+    return SpawnChild(Slot(replica));
+  }
+  /// The respawned process recovers its data dir and reports what it
+  /// restored itself.
+  Result<std::optional<RestartOutcome>> Restart(int replica) override {
+    SEEMORE_RETURN_IF_ERROR(SpawnChild(Slot(replica)));
+    return std::optional<RestartOutcome>();
+  }
+  /// SIGKILL: the data dir keeps whatever reached the filesystem.
+  void PowerLoss(int replica) override { KillChild(Slot(replica)); }
+  Status TamperWal(int replica, storage::WalTamper tamper,
+                   uint64_t offset_from_end) override;
+  void SetByzantine(int replica, uint32_t flags) override;
+  Status Switch(SeeMoReMode target) override;
+  void PartitionClouds() override {
+    BroadcastControl(Command(ControlKind::kPartition));
+  }
+  void HealClouds() override { BroadcastControl(Command(ControlKind::kHeal)); }
+  void SetLinkUp(int from, int to, bool up) override {
+    BroadcastControl(Command(
+        up ? ControlKind::kRestoreLink : ControlKind::kCutLink, from, to));
+  }
+  void ShapeLink(int from, int to, SimTime delay, SimTime jitter,
+                 uint32_t drop_ppm) override;
+  void ResolvePrimary(std::function<void(int)> then) override;
 
+  Child& Slot(int replica) { return children_[static_cast<size_t>(replica)]; }
   Status Setup();
   Status SpawnChild(Child& child);
   void KillChild(Child& child);
-  void KillAll(int sig);
   Status AwaitCluster();
   void ScheduleRun();
-  void ApplyScheduledEvent(const scenario::ScenarioEvent& event);
-  void FinishCrashPrimary();
-  Status TamperWal(const scenario::ScenarioEvent& event);
   /// Send one fault command over the control channel to a single node /
-  /// every live node.
+  /// every live node. Link-level commands go to every node (harmlessly to
+  /// the uninvolved), so a cut is enforced at the sender and the receiver.
   void SendControl(int replica, const FaultCommand& command);
   void BroadcastControl(const FaultCommand& command);
-  void OnControlReply(PrincipalId from, Payload payload);
+  static FaultCommand Command(ControlKind kind, int from = -1, int to = -1) {
+    FaultCommand command;
+    command.kind = kind;
+    command.from = from;
+    command.to = to;
+    return command;
+  }
+  /// CONTROL replies (kPrimaryReply) to the fault-controller principal.
+  void OnMessage(PrincipalId from, Payload payload) override;
   void ReapAll();
-  void CollectReports(TcpRunReport& report);
-  void CheckInvariants(TcpRunReport& report);
+  /// Read every node's report into report_.nodes and judge the run.
+  void CollectReports();
   void Note(const std::string& line) {
     if (options_.verbose) std::fprintf(stderr, "[launcher] %s\n", line.c_str());
   }
@@ -149,15 +195,12 @@ class Launcher {
   std::unique_ptr<KeyStore> keystore_;
   std::vector<std::unique_ptr<SimClient>> clients_;
 
-  std::vector<scenario::AppliedEvent> applied_;
-  /// Replicas the schedule has turned Byzantine: their reports are excluded
-  /// from the agreement and convergence checks (a faulty node's digests are
-  /// allowed to lie), mirroring the sim engine's ScheduleState.byzantine.
+  TcpRunReport report_;
+  /// Replicas the schedule ever made Byzantine (scenario::ApplyEvent).
   std::set<int> byzantine_;
-  /// Per-replica tallies of kPrimaryReply answers for an in-flight
-  /// crash-primary event (empty when none is pending).
+  /// Per-replica tallies of kPrimaryReply answers to the latest primary
+  /// query (empty before the first).
   std::vector<int> primary_votes_;
-  ControlSink control_sink_{this};
   SimTime t0_ = 0;
   SimTime measure_start_ = 0;
   SimTime measure_end_ = 0;
@@ -182,7 +225,11 @@ Status Launcher::Setup() {
     }
   }
   spec_path_ = work_dir_ + "/spec.json";
-  return WriteTextFile(spec_path_, spec_.ToJsonText());
+  std::ofstream out(spec_path_);
+  if (!(out << spec_.ToJsonText())) {
+    return Status::Internal("cannot write " + spec_path_);
+  }
+  return Status::Ok();
 }
 
 Status Launcher::SpawnChild(Child& child) {
@@ -211,6 +258,7 @@ Status Launcher::SpawnChild(Child& child) {
   }
   child.pid = pid;
   child.alive = true;
+  child.killed = false;
   Note("spawned node " + std::to_string(child.id) + " pid " +
        std::to_string(pid));
   return Status::Ok();
@@ -219,19 +267,13 @@ Status Launcher::SpawnChild(Child& child) {
 void Launcher::KillChild(Child& child) {
   if (!child.alive) return;
   kill(child.pid, SIGKILL);
-  waitpid(child.pid, nullptr, 0);
+  int wstatus = 0;
+  waitpid(child.pid, &wstatus, 0);
   child.alive = false;
-}
-
-void Launcher::KillAll(int sig) {
-  for (Child& child : children_) {
-    if (!child.alive) continue;
-    kill(child.pid, sig);
-    if (sig == SIGKILL) {
-      waitpid(child.pid, nullptr, 0);
-      child.alive = false;
-    }
-  }
+  child.killed = true;
+  // The process may have ended on its own before the schedule got to it.
+  const std::string death = UnexpectedExit(wstatus, SIGKILL);
+  if (!death.empty() && child.death.empty()) child.death = death;
 }
 
 Status Launcher::AwaitCluster() {
@@ -263,7 +305,15 @@ void Launcher::ScheduleRun() {
 
   for (const scenario::ScenarioEvent& event : spec_.schedule) {
     const SimTime at = event.at < 0 ? 0 : event.at;
-    loop_->ScheduleAfter(at, [this, event] { ApplyScheduledEvent(event); });
+    loop_->ScheduleAfter(at, [this, event] {
+      // Stamped when the outcome is known: crash-primary decides late.
+      scenario::ApplyEvent(
+          *this, event, byzantine_, [this](std::string description, Status) {
+            Note(description);
+            report_.events.push_back(
+                {loop_->Now() - t0_, std::move(description)});
+          });
+    });
   }
 
   loop_->ScheduleAfter(spec_.plan.warmup + spec_.plan.measure, [this] {
@@ -287,7 +337,7 @@ void Launcher::BroadcastControl(const FaultCommand& command) {
   }
 }
 
-void Launcher::OnControlReply(PrincipalId from, Payload payload) {
+void Launcher::OnMessage(PrincipalId from, Payload payload) {
   Result<FaultCommand> command =
       DecodeFaultCommand(payload.data(), payload.size());
   if (!command.ok()) {
@@ -304,216 +354,78 @@ void Launcher::OnControlReply(PrincipalId from, Payload payload) {
   }
 }
 
-Status Launcher::TamperWal(const scenario::ScenarioEvent& event) {
-  Child& child = children_[static_cast<size_t>(event.replica)];
+Status Launcher::TamperWal(int replica, storage::WalTamper tamper,
+                           uint64_t offset_from_end) {
+  const Child& child = Slot(replica);
   if (child.alive) {
     return Status::FailedPrecondition("wal tampering target is not crashed");
   }
   if (child.data_dir.empty()) {
     return Status::FailedPrecondition("wal tampering requires durability");
   }
-  // Same semantics as Cluster::TruncateWalTail / CorruptWalTail, applied to
-  // the dead process's on-disk WAL through the same medium type the node
-  // itself writes with.
+  // The dead process's on-disk WAL, through the medium type it wrote with.
   PosixMedium medium(child.data_dir);
   SEEMORE_RETURN_IF_ERROR(medium.status());
-  const std::vector<std::string> segments = medium.List("wal-");
-  if (segments.empty()) {
-    return Status::FailedPrecondition("no wal segments to tamper");
+  return storage::TamperWalTail(medium, tamper, offset_from_end);
+}
+
+void Launcher::SetByzantine(int replica, uint32_t flags) {
+  FaultCommand command = Command(ControlKind::kSetByzantine);
+  command.replica = replica;
+  command.byz_flags = flags;
+  SendControl(replica, command);
+}
+
+Status Launcher::Switch(SeeMoReMode target) {
+  FaultCommand command = Command(ControlKind::kSwitchMode);
+  command.mode = static_cast<uint8_t>(target);
+  bool any_alive = false;
+  for (const Child& child : children_) {
+    if (child.alive) {
+      any_alive = true;
+    } else if (child.id < 32) {
+      command.value |= 1u << child.id;
+    }
   }
-  const std::string& last = segments.back();
-  SEEMORE_ASSIGN_OR_RETURN(uint64_t size, medium.SizeOf(last));
-  if (event.kind == scenario::EventKind::kTruncateLog) {
-    const uint64_t bytes_from_end = static_cast<uint64_t>(event.arg);
-    const uint64_t cut = bytes_from_end >= size ? 0 : size - bytes_from_end;
-    return medium.TruncateTo(last, cut);
-  }
-  if (size == 0) return Status::FailedPrecondition("empty wal segment");
-  const uint64_t offset_from_end = static_cast<uint64_t>(event.arg);
-  const uint64_t offset =
-      offset_from_end >= size ? 0 : size - 1 - offset_from_end;
-  // PosixMedium has no FlipBit (real disks don't corrupt on request);
-  // flip the bit directly in the segment file.
-  const std::string path = child.data_dir + "/" + last;
-  const int fd = open(path.c_str(), O_RDWR | O_CLOEXEC);
-  if (fd < 0) return Status::Internal("cannot open " + path);
-  uint8_t byte = 0;
-  if (pread(fd, &byte, 1, static_cast<off_t>(offset)) != 1) {
-    close(fd);
-    return Status::Internal("cannot read " + path);
-  }
-  byte ^= 1u;
-  const bool wrote = pwrite(fd, &byte, 1, static_cast<off_t>(offset)) == 1;
-  close(fd);
-  if (!wrote) return Status::Internal("cannot write " + path);
+  if (!any_alive) return Status::Unavailable("all replicas crashed");
+  // Each node picks the first live authority from its own view and acts if
+  // that is itself. The authority's answer does not come back: Ok means the
+  // request went out.
+  BroadcastControl(command);
   return Status::Ok();
 }
 
-void Launcher::ApplyScheduledEvent(const scenario::ScenarioEvent& event) {
-  using scenario::EventKind;
-  scenario::AppliedEvent applied;
-  applied.at = loop_->Now() - t0_;
-  switch (event.kind) {
-    case EventKind::kCrash:
-    case EventKind::kPowerLoss: {
-      // A SIGKILL is both: the process loses its memory, the data dir keeps
-      // whatever reached the filesystem.
-      Child& child = children_[static_cast<size_t>(event.replica)];
-      KillChild(child);
-      applied.description =
-          (event.kind == EventKind::kCrash
-               ? "crash replica " + std::to_string(child.id)
-               : "power loss at replica " + std::to_string(child.id)) +
-          " (SIGKILL)";
-      break;
-    }
-    case EventKind::kRecover:
-    case EventKind::kRestart: {
-      Child& child = children_[static_cast<size_t>(event.replica)];
-      if (child.alive) {
-        applied.description = "restart skipped: replica " +
-                              std::to_string(child.id) + " is alive";
-        break;
-      }
-      const Status spawned = SpawnChild(child);
-      applied.description =
-          spawned.ok()
-              ? "respawn replica " + std::to_string(child.id) +
-                    (child.data_dir.empty() ? " (fresh)"
-                                            : " (durable data dir)")
-              : "respawn failed: " + spawned.ToString();
-      break;
-    }
-    case EventKind::kTruncateLog:
-    case EventKind::kCorruptLog: {
-      const Status status = TamperWal(event);
-      applied.description =
-          (event.kind == EventKind::kTruncateLog
-               ? "truncate replica " + std::to_string(event.replica) +
-                     "'s wal tail by " + std::to_string(event.arg) + " bytes"
-               : "flip a bit " + std::to_string(event.arg) +
-                     " bytes before the end of replica " +
-                     std::to_string(event.replica) + "'s wal") +
-          (status.ok() ? "" : " (" + status.ToString() + ")");
-      break;
-    }
-    case EventKind::kByzantine: {
-      FaultCommand command;
-      command.kind = ControlKind::kSetByzantine;
-      command.replica = event.replica;
-      command.byz_flags = event.byz_flags;
-      SendControl(event.replica, command);
-      if (event.byz_flags != kByzNone) {
-        byzantine_.insert(event.replica);
-      } else {
-        byzantine_.erase(event.replica);
-      }
-      applied.description = "replica " + std::to_string(event.replica) +
-                            " turns Byzantine (" +
-                            scenario::ByzFlagsToken(event.byz_flags) + ")";
-      break;
-    }
-    case EventKind::kSwitch: {
-      FaultCommand command;
-      command.kind = ControlKind::kSwitchMode;
-      command.mode = static_cast<uint8_t>(event.target_mode);
-      // Broadcast: each node checks whether it is the switch authority.
-      BroadcastControl(command);
-      applied.description = std::string("switch mode to ") +
-                            scenario::SeeMoReModeToken(event.target_mode);
-      break;
-    }
-    case EventKind::kPartitionClouds: {
-      FaultCommand command;
-      command.kind = ControlKind::kPartition;
-      BroadcastControl(command);
-      applied.description =
-          "partition the private cloud from the public cloud";
-      break;
-    }
-    case EventKind::kHealClouds: {
-      FaultCommand command;
-      command.kind = ControlKind::kHeal;
-      BroadcastControl(command);
-      applied.description = "heal the cross-cloud partition";
-      break;
-    }
-    case EventKind::kCutLink:
-    case EventKind::kRestoreLink: {
-      const bool cut = event.kind == EventKind::kCutLink;
-      FaultCommand command;
-      command.kind = cut ? ControlKind::kCutLink : ControlKind::kRestoreLink;
-      command.from = event.replica;
-      command.to = event.peer;
-      // Both endpoints (and everyone else, harmlessly) learn of the cut, so
-      // the direction is enforced at the sender and the receiver.
-      BroadcastControl(command);
-      applied.description = std::string(cut ? "cut" : "restore") +
-                            " the directed link " +
-                            std::to_string(event.replica) + " -> " +
-                            std::to_string(event.peer);
-      break;
-    }
-    case EventKind::kShapeLink: {
-      FaultCommand command;
-      command.kind = ControlKind::kShapeLink;
-      command.from = event.replica;
-      command.to = event.peer;
-      command.delay_us = static_cast<uint64_t>(event.delay / kNanosPerMicro);
-      command.jitter_us =
-          static_cast<uint64_t>(event.jitter / kNanosPerMicro);
-      command.drop_ppm = static_cast<uint32_t>(event.arg);
-      BroadcastControl(command);
-      applied.description =
-          "shape the directed link " + std::to_string(event.replica) +
-          " -> " + std::to_string(event.peer) + " (+" +
-          std::to_string(event.delay / kNanosPerMicro) + "us delay, " +
-          std::to_string(event.jitter / kNanosPerMicro) + "us jitter, " +
-          std::to_string(event.arg) + "ppm drop)";
-      break;
-    }
-    case EventKind::kCrashPrimary: {
-      // Nobody here knows the view; ask every live node over the control
-      // channel and kill the plurality answer once the replies are in.
-      primary_votes_.assign(static_cast<size_t>(config_.n()), 0);
-      FaultCommand query;
-      query.kind = ControlKind::kQueryPrimary;
-      BroadcastControl(query);
-      loop_->ScheduleAfter(Millis(300), [this] { FinishCrashPrimary(); });
-      return;  // the decision records the applied event
-    }
-  }
-  Note(applied.description);
-  applied_.push_back(std::move(applied));
+void Launcher::ShapeLink(int from, int to, SimTime delay, SimTime jitter,
+                         uint32_t drop_ppm) {
+  FaultCommand command = Command(ControlKind::kShapeLink, from, to);
+  command.delay_us = static_cast<uint64_t>(delay / kNanosPerMicro);
+  command.jitter_us = static_cast<uint64_t>(jitter / kNanosPerMicro);
+  command.drop_ppm = drop_ppm;
+  BroadcastControl(command);
 }
 
-void Launcher::FinishCrashPrimary() {
-  scenario::AppliedEvent applied;
-  applied.at = loop_->Now() - t0_;
-  int best = -1;
-  for (int r = 0; r < config_.n(); ++r) {
-    if (primary_votes_[static_cast<size_t>(r)] == 0) continue;
-    if (best < 0 || primary_votes_[static_cast<size_t>(r)] >
-                        primary_votes_[static_cast<size_t>(best)]) {
-      best = r;
+void Launcher::ResolvePrimary(std::function<void(int)> then) {
+  // Nobody here knows the view: ask every live node and take the plurality
+  // answer once the replies are in.
+  primary_votes_.assign(static_cast<size_t>(config_.n()), 0);
+  BroadcastControl(Command(ControlKind::kQueryPrimary));
+  loop_->ScheduleAfter(Millis(300), [this, then = std::move(then)] {
+    int best = -1;
+    for (int r = 0; r < config_.n(); ++r) {
+      const int votes = primary_votes_[static_cast<size_t>(r)];
+      if (votes > 0 &&
+          (best < 0 || votes > primary_votes_[static_cast<size_t>(best)])) {
+        best = r;
+      }
     }
-  }
-  primary_votes_.clear();
-  if (best < 0) {
-    applied.description =
-        "crash the current primary (skipped: no replica answered the "
-        "primary query)";
-  } else {
-    KillChild(children_[static_cast<size_t>(best)]);
-    applied.description = "crash the current primary (replica " +
-                          std::to_string(best) + ", SIGKILL)";
-  }
-  Note(applied.description);
-  applied_.push_back(std::move(applied));
+    then(best);
+  });
 }
 
 void Launcher::ReapAll() {
-  KillAll(SIGTERM);
+  for (const Child& child : children_) {
+    if (child.alive) kill(child.pid, SIGTERM);
+  }
   const int grace_ms =
       static_cast<int>(options_.shutdown_grace / kNanosPerMilli);
   for (int waited = 0; waited < grace_ms; waited += 20) {
@@ -521,114 +433,59 @@ void Launcher::ReapAll() {
     for (Child& child : children_) {
       if (!child.alive) continue;
       int wstatus = 0;
-      const pid_t done = waitpid(child.pid, &wstatus, WNOHANG);
-      if (done == child.pid) {
+      if (waitpid(child.pid, &wstatus, WNOHANG) == child.pid) {
         child.alive = false;
-        if (WIFSIGNALED(wstatus) && WTERMSIG(wstatus) != SIGTERM) {
-          Note("node " + std::to_string(child.id) + " died on signal " +
-               std::to_string(WTERMSIG(wstatus)));
-        } else if (WIFEXITED(wstatus) && WEXITSTATUS(wstatus) != 0) {
-          Note("node " + std::to_string(child.id) + " exited with status " +
-               std::to_string(WEXITSTATUS(wstatus)));
-        }
+        const std::string death = UnexpectedExit(wstatus, SIGTERM);
+        if (!death.empty() && child.death.empty()) child.death = death;
       } else {
         any = true;
       }
     }
     if (!any) return;
-    SleepMillis(20);
+    const timespec poll{0, 20 * 1000000L};
+    nanosleep(&poll, nullptr);
   }
-  KillAll(SIGKILL);  // report missing; CollectReports stubs them
+  for (Child& child : children_) {
+    if (child.alive && child.death.empty()) {
+      child.death = "still running after the shutdown grace";
+    }
+    KillChild(child);
+  }
 }
 
-void Launcher::CollectReports(TcpRunReport& report) {
+void Launcher::CollectReports() {
+  std::vector<scenario::ReplicaOutcome> outcomes;
   for (const Child& child : children_) {
-    Result<std::string> text = ReadTextFile(child.report_path);
-    if (text.ok()) {
-      Result<Json> parsed = Json::Parse(*text);
-      if (parsed.ok()) {
-        report.nodes.push_back(std::move(*parsed));
-        continue;
-      }
+    scenario::ReplicaOutcome outcome;
+    outcome.id = child.id;
+    outcome.byzantine = byzantine_.count(child.id) > 0;
+    Result<Json> node = Status::NotFound("no report");
+    if (Result<std::string> text = ReadTextFile(child.report_path); text.ok()) {
+      node = Json::Parse(*text);
     }
-    Json stub = Json::Object();
-    stub.Set("id", child.id);
-    stub.Set("crashed", true);
-    report.nodes.push_back(std::move(stub));
+    const bool read = node.ok() && ReadNodeReport(*node, outcome);
+    if (!child.death.empty()) {
+      Note("node " + std::to_string(child.id) + " " + child.death);
+      outcome.end = scenario::ReplicaEnd::kDied;
+      outcome.death = child.death;
+    } else if (child.killed) {
+      outcome.end = scenario::ReplicaEnd::kKilled;
+    } else if (!read) {
+      outcome.end = scenario::ReplicaEnd::kDied;
+      outcome.death = node.ok() ? "left a malformed report" : "left no report";
+    }
+    if (!node.ok()) {
+      // perfbench's gate and seemore_ctl read this stub.
+      Json stub = Json::Object();
+      stub.Set("id", child.id);
+      stub.Set("crashed", true);
+      node = std::move(stub);
+    }
+    report_.nodes.push_back(*std::move(node));
+    outcomes.push_back(std::move(outcome));
   }
-}
-
-void Launcher::CheckInvariants(TcpRunReport& report) {
-  // Agreement across the sampled executed-digest logs: any two nodes that
-  // both report a digest for a sequence number must report the same one.
-  std::map<uint64_t, std::pair<int, std::string>> seen;
-  for (const Json& node : report.nodes) {
-    const Json* samples = node.Find("digest_samples");
-    const Json* id = node.Find("id");
-    if (samples == nullptr || !samples->is_array() || id == nullptr) continue;
-    // A Byzantine replica's report is allowed to lie; only honest nodes
-    // participate in the agreement check (same rule as the sim engine).
-    if (byzantine_.count(static_cast<int>(id->AsInt())) > 0) continue;
-    for (const Json& sample : samples->items()) {
-      // A partially written report can parse as JSON yet miss fields; skip
-      // malformed samples rather than crash the launcher on them.
-      const Json* seq_field = sample.Find("seq");
-      const Json* digest_field = sample.Find("digest");
-      if (seq_field == nullptr || digest_field == nullptr) continue;
-      const uint64_t seq = static_cast<uint64_t>(seq_field->AsInt());
-      const std::string& digest = digest_field->AsString();
-      auto [it, inserted] = seen.emplace(
-          seq, std::make_pair(static_cast<int>(id->AsInt()), digest));
-      if (!inserted && it->second.second != digest) {
-        char buf[128];
-        std::snprintf(buf, sizeof(buf),
-                      "replicas %d and %d disagree at seq %llu",
-                      it->second.first, static_cast<int>(id->AsInt()),
-                      static_cast<unsigned long long>(seq));
-        report.agreement = Status::Internal(buf);
-        return;
-      }
-    }
-  }
-  report.agreement = Status::Ok();
-
-  if (!spec_.plan.check_convergence) return;
-  report.convergence_checked = true;
-  report.convergence = Status::Ok();
-  uint64_t expected_seq = 0;
-  std::string expected_digest;
-  bool first = true;
-  for (const Json& node : report.nodes) {
-    const Json* crashed = node.Find("crashed");
-    if (crashed != nullptr && crashed->AsBool()) continue;
-    const Json* node_id = node.Find("id");
-    if (node_id != nullptr &&
-        byzantine_.count(static_cast<int>(node_id->AsInt())) > 0) {
-      continue;
-    }
-    const Json* last = node.Find("last_executed");
-    const Json* digest = node.Find("state_digest");
-    if (last == nullptr || digest == nullptr) continue;
-    if (first) {
-      expected_seq = static_cast<uint64_t>(last->AsInt());
-      expected_digest = digest->AsString();
-      first = false;
-      continue;
-    }
-    if (static_cast<uint64_t>(last->AsInt()) != expected_seq ||
-        digest->AsString() != expected_digest) {
-      const Json* id = node.Find("id");
-      char buf[160];
-      std::snprintf(
-          buf, sizeof(buf),
-          "replica %d diverged: executed %llu, expected %llu",
-          id != nullptr ? static_cast<int>(id->AsInt()) : -1,
-          static_cast<unsigned long long>(last->AsInt()),
-          static_cast<unsigned long long>(expected_seq));
-      report.convergence = Status::Internal(buf);
-      return;
-    }
-  }
+  static_cast<scenario::Verdict&>(report_) =
+      scenario::CheckVerdict(outcomes, spec_.plan.check_convergence);
 }
 
 Result<TcpRunReport> Launcher::Run() {
@@ -653,13 +510,12 @@ Result<TcpRunReport> Launcher::Run() {
   transport_options.base_port = options_.base_port;
   transport_options.fingerprint = spec_.seed;
   transport_ = std::make_unique<TcpTransport>(loop_.get(), transport_options);
-  keystore_ =
-      std::make_unique<KeyStore>(spec_.seed ^ 0x5eed'c0de'5eed'c0deULL);
+  keystore_ = std::make_unique<KeyStore>(RunKeySeed(spec_.seed));
 
   // The fault controller dials every node like a client; those HELLO'd
   // connections are the control channel the schedule speaks over (and the
   // path kPrimaryReply answers come back on).
-  transport_->Register(kFaultControllerId, Zone::kClient, &control_sink_,
+  transport_->Register(kFaultControllerId, Zone::kClient, this,
                        /*metered=*/false);
 
   for (int i = 0; i < spec_.clients; ++i) {
@@ -686,52 +542,36 @@ Result<TcpRunReport> Launcher::Run() {
 
   ReapAll();
 
-  TcpRunReport report;
-  report.scenario = spec_.name;
-  report.seed = spec_.seed;
-  report.cluster = config_.ToString();
-  report.events = applied_;
+  report_.scenario = spec_.name;
+  report_.seed = spec_.seed;
+  report_.cluster = config_.ToString();
 
-  report.result.clients = spec_.clients;
-  Histogram merged;
-  for (auto& client : clients_) {
-    report.result.completed += client->completed();
-    report.result.retransmissions += client->retransmissions();
-    merged.Merge(client->latencies());
-  }
-  const double measure_ms =
-      static_cast<double>(measure_end_ - measure_start_) / kNanosPerMilli;
-  report.result.throughput_kreqs =
-      measure_ms > 0 ? static_cast<double>(report.result.completed) / measure_ms
-                     : 0.0;
-  report.result.mean_latency_ms = merged.Mean() / kNanosPerMilli;
-  report.result.p50_latency_ms = merged.P50() / kNanosPerMilli;
-  report.result.p90_latency_ms = merged.P90() / kNanosPerMilli;
-  report.result.p99_latency_ms = merged.P99() / kNanosPerMilli;
-  report.result.wall_time_ms =
+  std::vector<SimClient*> clients;
+  for (auto& client : clients_) clients.push_back(client.get());
+  report_.result = StopAndSummarize(clients, measure_end_ - measure_start_);
+  report_.result.wall_time_ms =
       static_cast<double>(run_end - t0_) / kNanosPerMilli;
 
-  CollectReports(report);
-  CheckInvariants(report);
+  CollectReports();
 
   // Whole-run transport ledger: our own counters (the client side) plus
   // every node's reported "net" object, summed field by field. Unknown
   // fields from newer/older nodes merge fine — the sum is by key.
-  report.net = transport_->counters().ToJson();
-  for (const Json& node : report.nodes) {
+  report_.net = transport_->counters().ToJson();
+  for (const Json& node : report_.nodes) {
     const Json* node_net = node.Find("net");
     if (node_net == nullptr || !node_net->is_object()) continue;
     for (const auto& [key, value] : node_net->members()) {
       if (!value.is_int()) continue;
-      Json* merged_field = report.net.Find(key);
+      Json* merged_field = report_.net.Find(key);
       if (merged_field == nullptr) {
-        report.net.Set(key, value);
+        report_.net.Set(key, value);
       } else {
-        report.net.Set(key, merged_field->AsInt() + value.AsInt());
+        report_.net.Set(key, merged_field->AsInt() + value.AsInt());
       }
     }
   }
-  return report;
+  return report_;
 }
 
 }  // namespace
@@ -741,20 +581,6 @@ Status ValidateForTcp(const scenario::ScenarioSpec& spec) {
   if (!spec.plan.sweep_clients.empty()) {
     return Status::InvalidArgument(
         "tcp backend runs one cluster per call (no sweep plan)");
-  }
-  // The fault plane + control channel cover every schedule kind the sim
-  // engine does; the supported set IS the full table, and the error text is
-  // derived from it so the message can never drift from scenario::names.
-  const std::vector<scenario::EventKind>& supported =
-      scenario::AllEventKinds();
-  for (const scenario::ScenarioEvent& event : spec.schedule) {
-    if (std::find(supported.begin(), supported.end(), event.kind) ==
-        supported.end()) {
-      return Status::InvalidArgument(
-          "tcp backend supports only " +
-          scenario::EventKindTokenList(supported) + " events (got " +
-          event.ToString() + ")");
-    }
   }
   return Status::Ok();
 }
@@ -769,26 +595,12 @@ Result<TcpRunReport> RunTcpScenario(const scenario::ScenarioSpec& spec,
 Json TcpRunReport::ToJson() const {
   Json j = Json::Object();
   j.Set("backend", "tcp");
-  j.Set("scenario", scenario);
-  j.Set("seed", seed);
-  j.Set("cluster", cluster);
-  j.Set("result", result.ToJson());
-  Json applied = Json::Array();
-  for (const scenario::AppliedEvent& event : events) {
-    Json e = Json::Object();
-    e.Set("at_ms", ToMillis(event.at));
-    e.Set("description", event.description);
-    applied.Append(std::move(e));
-  }
-  j.Set("events", std::move(applied));
+  SetHeadJson(j);
   Json reps = Json::Array();
   for (const Json& node : nodes) reps.Append(node);
   j.Set("replicas", std::move(reps));
   j.Set("net", net);
-  j.Set("agreement", agreement.ToString());
-  j.Set("convergence_checked", convergence_checked);
-  j.Set("convergence", convergence.ToString());
-  j.Set("ok", ok());
+  AppendJson(j);
   return j;
 }
 

@@ -1,31 +1,20 @@
 // Real-cluster launcher: runs one ScenarioSpec against actual seemore_node
-// processes on localhost — the tcp backend of seemore_ctl.
+// processes on localhost — the tcp backend of seemore_ctl (DESIGN.md §12).
 //
-// The launcher process is the experiment's client side and fault injector:
-// it spawns one node process per replica, hosts every closed-loop SimClient
-// itself on its own EventLoop/TcpTransport (so measurement happens where
-// the requests originate, exactly like the simulator's client model), and
-// translates the spec's schedule into real faults. Process-level kinds are
-// signals and file surgery — kCrash/kPowerLoss are SIGKILLs,
-// kRestart/kRecover respawn the process (reusing its durable data directory
-// when the spec enables durability, so recovery runs the real WAL/snapshot
-// path), kTruncateLog/kCorruptLog operate on the dead process's WAL files.
-// Network- and replica-level kinds ride the control channel: the launcher
-// registers the fault-controller principal (kFaultControllerId) on its own
-// transport and sends typed CONTROL frames that each node's TcpTransport
-// fault plane (partitions, directed cuts, link shaping) or Node (Byzantine
-// flags, mode switches, primary queries for kCrashPrimary) applies. At the
-// end it SIGTERMs the survivors, collects their per-node report JSONs, and
-// checks cross-process agreement/convergence from the reported digest
-// samples — the closest a multi-process run can get to
-// Cluster::CheckAgreement. Replicas the schedule turned Byzantine are
-// excluded from both checks, mirroring the sim engine.
+// The launcher spawns one node process per replica and hosts every
+// closed-loop SimClient on its own EventLoop/TcpTransport, so measurement
+// happens where requests originate, as in the simulator. It is the
+// schedule's scenario::FaultTarget: crash and power loss are SIGKILLs,
+// recover and restart respawn the process (on its durable data dir when
+// the spec enables durability), WAL tampering edits the dead process's
+// files, and everything else is a CONTROL frame to the nodes. At the end it
+// SIGTERMs the survivors and judges their reports with scenario::
+// CheckVerdict; a node that died on its own fails the run.
 //
 // Timeline semantics match the simulator's lifecycle: t=0 is when every
 // node answered the readiness gate; warmup resets client stats; the
 // measure window sizes the RunResult; then clients stop, the drain elapses
-// and nodes shut down. Times are real nanoseconds instead of virtual ones —
-// the honest difference bench_realnet exists to show.
+// and nodes shut down. Times are real nanoseconds instead of virtual ones.
 
 #ifndef SEEMORE_RT_LAUNCHER_H_
 #define SEEMORE_RT_LAUNCHER_H_
@@ -58,43 +47,26 @@ struct LauncherOptions {
   bool verbose = false;
 };
 
-/// The merged outcome of one real-cluster run. Mirrors ScenarioReport's
-/// verdict surface so tools can print sim and tcp runs side by side.
-struct TcpRunReport {
-  std::string scenario;
-  uint64_t seed = 0;
-  std::string cluster;
-
-  /// Client-side measurement over the (real-time) measure window.
-  RunResult result;
-
+/// The merged outcome of one real-cluster run, in ScenarioReport's shape so
+/// tools can print sim and tcp runs side by side. The measure window is
+/// real time, and events are stamped when their outcome was known.
+struct TcpRunReport : scenario::RunReportBase {
   /// Per-node end-of-run reports as written by the processes; a node that
-  /// died crashed (and was never respawned) contributes a stub with
-  /// "crashed": true.
+  /// left none (killed by the schedule, or died on its own) contributes a
+  /// stub with "crashed": true.
   std::vector<Json> nodes;
-
-  std::vector<scenario::AppliedEvent> events;
 
   /// Cluster-wide transport counters: the launcher's own TcpTransport (the
   /// client side) plus every node report's "net" object, summed field by
   /// field — the whole-run syscall/copy ledger bench_realnet reads.
   Json net;
 
-  Status agreement;
-  bool convergence_checked = false;
-  Status convergence;
-
-  bool ok() const {
-    return agreement.ok() && (!convergence_checked || convergence.ok());
-  }
-
   Json ToJson() const;
 };
 
 /// Spec constraints the tcp backend imposes (checked before any spawn):
-/// no sweep plan (one process cluster per call). Every schedule kind the
-/// sim engine supports now has a process-level or control-channel
-/// implementation, so nothing else is rejected.
+/// no sweep plan (one process cluster per call). Every schedule kind runs
+/// through the shared interpreter, so none is rejected.
 Status ValidateForTcp(const scenario::ScenarioSpec& spec);
 
 /// Run the spec against a real localhost cluster. Fails on spawn/setup

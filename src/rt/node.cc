@@ -2,9 +2,9 @@
 
 #include <csignal>
 #include <cstdio>
+#include <fstream>
 
 #include "scenario/engine.h"
-#include "smr/kv_store.h"
 
 namespace seemore {
 namespace rt {
@@ -61,32 +61,6 @@ Node::~Node() {
   transport_.reset();
 }
 
-std::unique_ptr<ReplicaBase> Node::MakeReplica() {
-  Transport* transport = transport_.get();
-  TimerService* timers = loop_.get();
-  const ClusterConfig& config = cluster_options_.config;
-  const int i = options_.replica_id;
-  switch (config.kind) {
-    case ProtocolKind::kCft:
-      return std::make_unique<PaxosReplica>(
-          transport, timers, keystore_.get(), memo_.get(), i, config,
-          cluster_options_.state_machine_factory(), cluster_options_.costs);
-    case ProtocolKind::kBft:
-      return std::make_unique<PbftReplica>(
-          transport, timers, keystore_.get(), memo_.get(), i, config,
-          cluster_options_.state_machine_factory(), cluster_options_.costs);
-    case ProtocolKind::kSUpRight:
-      return std::make_unique<SUpRightReplica>(
-          transport, timers, keystore_.get(), memo_.get(), i, config,
-          cluster_options_.state_machine_factory(), cluster_options_.costs);
-    case ProtocolKind::kSeeMoRe:
-      return std::make_unique<SeeMoReReplica>(
-          transport, timers, keystore_.get(), memo_.get(), i, config,
-          cluster_options_.state_machine_factory(), cluster_options_.costs);
-  }
-  return nullptr;
-}
-
 Status Node::InitDurability() {
   if (!cluster_options_.durability.enabled || options_.data_dir.empty()) {
     return Status::Ok();
@@ -111,23 +85,13 @@ Status Node::InitDurability() {
   SEEMORE_RETURN_IF_ERROR(store_->OpenAfterRecovery(image));
   replica_->AttachDurable(store_.get());
   replica_->RestoreFromImage(image);
-  recovery_.recovered = true;
-  if (const storage::RecoveredSnapshot* latest = image.Latest()) {
-    recovery_.snapshot_seq = latest->seq;
-  }
-  recovery_.replayed_commits = image.commits.size();
-  recovery_.truncated_bytes = image.truncated_bytes;
+  recovery_ = RestartOutcome::Of(image);
   return Status::Ok();
 }
 
 Status Node::Init() {
   SEEMORE_RETURN_IF_ERROR(spec_.Validate());
   cluster_options_ = scenario::ToClusterOptions(spec_);
-  if (!cluster_options_.state_machine_factory) {
-    cluster_options_.state_machine_factory = [] {
-      return std::make_unique<KvStateMachine>();
-    };
-  }
   const ClusterConfig& config = cluster_options_.config;
   if (options_.replica_id < 0 || options_.replica_id >= config.n()) {
     return Status::InvalidArgument("replica id out of range for topology");
@@ -147,33 +111,15 @@ Status Node::Init() {
   transport_->SetControlHandler(
       [this](const FaultCommand& command) { OnControl(command); });
 
-  // Same keystore derivation as Cluster: every process of a run derives the
-  // identical per-principal keys from the spec seed.
-  keystore_ = std::make_unique<KeyStore>(cluster_options_.seed ^
-                                         0x5eed'c0de'5eed'c0deULL);
+  keystore_ = std::make_unique<KeyStore>(RunKeySeed(cluster_options_.seed));
   memo_ = std::make_unique<CryptoMemo>();
 
-  replica_ = MakeReplica();
-  if (replica_ == nullptr) return Status::Internal("unknown protocol kind");
+  replica_ = MakeReplica(config, options_.replica_id, transport_.get(),
+                         loop_.get(), keystore_.get(), memo_.get(),
+                         cluster_options_.state_machine_factory(),
+                         cluster_options_.costs);
   SEEMORE_RETURN_IF_ERROR(transport_->status());  // listener bind outcome
   return InitDurability();
-}
-
-int Node::CurrentPrimary() const {
-  const ClusterConfig& config = cluster_options_.config;
-  switch (config.kind) {
-    case ProtocolKind::kSeeMoRe:
-      return static_cast<const SeeMoReReplica*>(replica_.get())
-          ->current_primary();
-    case ProtocolKind::kCft:
-      return config.FlatPrimary(
-          static_cast<const PaxosReplica*>(replica_.get())->view());
-    case ProtocolKind::kBft:
-    case ProtocolKind::kSUpRight:
-      return config.FlatPrimary(
-          static_cast<const PbftReplica*>(replica_.get())->view());
-  }
-  return -1;
 }
 
 void Node::OnControl(const FaultCommand& command) {
@@ -187,11 +133,14 @@ void Node::OnControl(const FaultCommand& command) {
       if (cluster_options_.config.kind != ProtocolKind::kSeeMoRe) return;
       auto* seemore = static_cast<SeeMoReReplica*>(replica_.get());
       const SeeMoReMode target = static_cast<SeeMoReMode>(command.mode);
-      // The switch must be requested on the new view's trusted authority
-      // (engine.cc RequestSwitch); the command is broadcast, so each node
-      // checks whether that authority is itself.
-      if (seemore->SwitchAuthority(target, seemore->view() + 1) ==
-          options_.replica_id) {
+      // The command is broadcast; only the first live authority acts, the
+      // same pick as the sim's RequestSwitch.
+      const uint32_t crashed = command.value;
+      const PrincipalId authority = seemore->LiveSwitchAuthority(
+          target, [crashed](PrincipalId r) {
+            return r >= 32 || (crashed & (1u << r)) == 0;
+          });
+      if (authority == options_.replica_id) {
         (void)seemore->RequestModeSwitch(target);
       }
       return;
@@ -202,7 +151,8 @@ void Node::OnControl(const FaultCommand& command) {
       reply.replica = options_.replica_id;
       // +1 so "unknown primary" (no reply field set) stays distinct from
       // replica 0.
-      reply.value = static_cast<uint32_t>(CurrentPrimary() + 1);
+      reply.value = static_cast<uint32_t>(
+          CurrentPrimary(*replica_, cluster_options_.config) + 1);
       transport_->Send(options_.replica_id, kFaultControllerId,
                        Payload(EncodeFaultCommandBody(reply)));
       return;
@@ -218,18 +168,15 @@ Status Node::Serve() {
   loop_->set_interrupt([] { return g_stop_requested != 0; });
   loop_->Run(options_.max_run > 0 ? options_.max_run : -1);
 
-  const Json report = Report();
-  const std::string text = report.Dump(2) + "\n";
+  const std::string text = Report().Dump(2) + "\n";
   if (options_.report_path.empty()) {
     std::fwrite(text.data(), 1, text.size(), stdout);
     return Status::Ok();
   }
-  std::FILE* out = std::fopen(options_.report_path.c_str(), "w");
-  if (out == nullptr) {
+  std::ofstream out(options_.report_path);
+  if (!(out << text)) {
     return Status::Internal("cannot write report: " + options_.report_path);
   }
-  std::fwrite(text.data(), 1, text.size(), out);
-  std::fclose(out);
   return Status::Ok();
 }
 
@@ -257,10 +204,11 @@ Json Node::Report() const {
   root.Set("run_ns", loop_->Now());
 
   Json recovery = Json::Object();
-  recovery.Set("recovered", recovery_.recovered);
-  recovery.Set("snapshot_seq", recovery_.snapshot_seq);
-  recovery.Set("replayed_commits", recovery_.replayed_commits);
-  recovery.Set("truncated_bytes", recovery_.truncated_bytes);
+  const RestartOutcome restored = recovery_.value_or(RestartOutcome());
+  recovery.Set("recovered", recovery_.has_value());
+  recovery.Set("snapshot_seq", restored.snapshot_seq);
+  recovery.Set("replayed_commits", restored.replayed_commits);
+  recovery.Set("truncated_bytes", restored.truncated_bytes);
   root.Set("recovery", std::move(recovery));
 
   root.Set("net", transport_->counters().ToJson());

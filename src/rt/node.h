@@ -1,19 +1,18 @@
 // One SeeMoRe replica as a real process: the composition root seemore_node
-// wraps. Mirrors harness/cluster.cc's wiring exactly — same keystore seed
-// derivation, same replica construction per protocol, same
+// wraps. Shares harness/cluster.h's wiring — RunKeySeed, MakeReplica, the
 // recover -> reopen -> restore restart sequence — but over the rt backend
 // (EventLoop + TcpTransport + PosixMedium) instead of the simulator.
 //
 // Protocol code is identical in both worlds; only this file and the
 // launcher know which backend is underneath. A node runs until SIGTERM (the
 // launcher's orderly stop), then writes a per-node report JSON whose
-// digest samples let the launcher check cross-process agreement the same
-// way Cluster::CheckAgreement does in-process.
+// digest samples feed the launcher's ReplicaOutcomes (scenario/verdict.h).
 
 #ifndef SEEMORE_RT_NODE_H_
 #define SEEMORE_RT_NODE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "consensus/replica_base.h"
@@ -42,16 +41,6 @@ struct NodeOptions {
   SimTime max_run = 0;
 };
 
-/// What recovery reconstructed, mirrored into the node report
-/// (RestartOutcome's fields, for a restarted process instead of a
-/// restarted in-sim incarnation).
-struct NodeRecovery {
-  bool recovered = false;
-  uint64_t snapshot_seq = 0;
-  uint64_t replayed_commits = 0;
-  uint64_t truncated_bytes = 0;
-};
-
 class Node {
  public:
   Node(scenario::ScenarioSpec spec, NodeOptions options);
@@ -70,20 +59,12 @@ class Node {
   /// The per-node report (valid any time after Init).
   Json Report() const;
 
-  ReplicaBase* replica() { return replica_.get(); }
-  TcpTransport* transport() { return transport_.get(); }
-  EventLoop* loop() { return loop_.get(); }
-
  private:
   Status InitDurability();
-  std::unique_ptr<ReplicaBase> MakeReplica();
   /// Node-level fault commands forwarded by the transport's control
   /// channel: Byzantine flags (the same SetByzantine path the sim engine
   /// uses), mode-switch requests, primary queries.
   void OnControl(const FaultCommand& command);
-  /// This node's current belief about the primary id (per-protocol view
-  /// resolution, mirroring the engine's ResolvePrimary).
-  int CurrentPrimary() const;
 
   const scenario::ScenarioSpec spec_;
   const NodeOptions options_;
@@ -96,7 +77,8 @@ class Node {
   std::unique_ptr<PosixMedium> medium_;
   std::unique_ptr<storage::FileDurableStore> store_;
   std::unique_ptr<ReplicaBase> replica_;
-  NodeRecovery recovery_;
+  /// What recovery reconstructed, when this process is a restart.
+  std::optional<RestartOutcome> recovery_;
 };
 
 }  // namespace rt

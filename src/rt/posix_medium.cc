@@ -205,5 +205,25 @@ Status PosixMedium::SyncAll() {
   return Status::Ok();
 }
 
+Status PosixMedium::FlipBit(const std::string& name, uint64_t offset,
+                            int bit) {
+  if (!ValidName(name)) return Status::InvalidArgument("bad file name");
+  const int fd = open(PathFor(name).c_str(), O_RDWR | O_CLOEXEC);
+  if (fd < 0) return Errno("open " + name);
+  uint8_t byte = 0;
+  Status status;
+  if (bit < 0 || bit >= 8 ||
+      pread(fd, &byte, 1, static_cast<off_t>(offset)) != 1) {
+    status = Status::OutOfRange("flip-bit outside " + name);
+  } else {
+    byte ^= static_cast<uint8_t>(1u << bit);
+    if (pwrite(fd, &byte, 1, static_cast<off_t>(offset)) != 1) {
+      status = Errno("flip-bit " + name);
+    }
+  }
+  close(fd);
+  return status;
+}
+
 }  // namespace rt
 }  // namespace seemore

@@ -43,6 +43,7 @@ class PosixMedium final : public storage::StorageMedium {
   Status Remove(const std::string& name) override;
   Status Sync(const std::string& name) override;
   Status SyncAll() override;
+  Status FlipBit(const std::string& name, uint64_t offset, int bit) override;
 
  private:
   std::string PathFor(const std::string& name) const;

@@ -12,133 +12,64 @@ namespace seemore {
 namespace scenario {
 namespace {
 
-/// The primary at this moment, from the first live replica's point of view
-/// (replicas can disagree mid view change; any live vantage is fine for
-/// fault injection). -1 when everything is down.
-int ResolvePrimary(Cluster& cluster) {
-  const ClusterConfig& config = cluster.config();
-  for (int i = 0; i < cluster.n(); ++i) {
-    if (cluster.replica(i)->crashed()) continue;
-    switch (config.kind) {
-      case ProtocolKind::kSeeMoRe:
-        return cluster.seemore(i)->current_primary();
-      case ProtocolKind::kCft:
-        return config.FlatPrimary(cluster.paxos(i)->view());
-      case ProtocolKind::kBft:
-      case ProtocolKind::kSUpRight:
-        return config.FlatPrimary(cluster.pbft(i)->view());
+/// The simulated cluster as a FaultTarget: every fault lands inline, in
+/// virtual time.
+class ClusterTarget final : public FaultTarget {
+ public:
+  explicit ClusterTarget(Cluster& cluster) : cluster_(cluster) {}
+
+  bool Crashed(int i) const override { return cluster_.replica(i)->crashed(); }
+  void Crash(int i) override { cluster_.Crash(i); }
+  Status Recover(int i) override {
+    cluster_.Recover(i);
+    return Status::Ok();
+  }
+  Result<std::optional<RestartOutcome>> Restart(int i) override {
+    SEEMORE_ASSIGN_OR_RETURN(RestartOutcome outcome, cluster_.Restart(i));
+    return std::optional<RestartOutcome>(outcome);
+  }
+  void PowerLoss(int i) override { cluster_.PowerLoss(i); }
+  Status TamperWal(int i, storage::WalTamper tamper, uint64_t offset) override {
+    return cluster_.TamperWal(i, tamper, offset);
+  }
+  void SetByzantine(int i, uint32_t flags) override {
+    cluster_.SetByzantine(i, flags);
+  }
+  Status Switch(SeeMoReMode to) override { return RequestSwitch(cluster_, to); }
+  void PartitionClouds() override {
+    for (PrincipalId a : cluster_.config().PrivateReplicas()) {
+      for (PrincipalId b : cluster_.config().PublicReplicas()) {
+        cluster_.net().SetLinkUp(a, b, false);
+        cut_links_.emplace_back(a, b);
+      }
     }
   }
-  return -1;
-}
+  void HealClouds() override {
+    for (const auto& [a, b] : cut_links_) cluster_.net().SetLinkUp(a, b, true);
+    cut_links_.clear();
+  }
+  void SetLinkUp(int from, int to, bool up) override {
+    cluster_.net().SetDirectedLinkUp(from, to, up);
+  }
+  void ShapeLink(int from, int to, SimTime delay, SimTime jitter,
+                 uint32_t drop_ppm) override {
+    cluster_.net().ShapeDirectedLink(from, to, delay, jitter, drop_ppm);
+  }
+  void ResolvePrimary(std::function<void(int)> then) override {
+    for (int i = 0; i < cluster_.n(); ++i) {
+      if (cluster_.replica(i)->crashed()) continue;
+      then(CurrentPrimary(*cluster_.replica(i), cluster_.config()));
+      return;
+    }
+    then(-1);
+  }
 
-/// Mutable state the schedule executor threads through event application.
-struct ScheduleState {
-  /// Links cut by kPartitionClouds, so kHealClouds restores exactly those
+ private:
+  Cluster& cluster_;
+  /// Links cut by PartitionClouds, so HealClouds restores exactly those
   /// (and not e.g. links detached by crashes).
-  std::vector<std::pair<PrincipalId, PrincipalId>> cut_links;
-  /// Replicas given non-zero Byzantine flags (excluded from convergence).
-  std::set<int> byzantine;
+  std::vector<std::pair<PrincipalId, PrincipalId>> cut_links_;
 };
-
-/// Apply one schedule event. Returns the event outcome (the switch request
-/// status for kSwitch; Ok otherwise) and a human-readable description.
-Status ApplyEvent(Cluster& cluster, const ScenarioEvent& event,
-                  ScheduleState& state, std::string& description) {
-  description = event.ToString();
-  switch (event.kind) {
-    case EventKind::kCrash:
-      cluster.Crash(event.replica);
-      return Status::Ok();
-    case EventKind::kRecover:
-      cluster.Recover(event.replica);
-      return Status::Ok();
-    case EventKind::kByzantine:
-      cluster.SetByzantine(event.replica, event.byz_flags);
-      if (event.byz_flags != kByzNone) state.byzantine.insert(event.replica);
-      return Status::Ok();
-    case EventKind::kCrashPrimary: {
-      const int primary = ResolvePrimary(cluster);
-      if (primary < 0) {
-        description += " (skipped: no live replica)";
-        return Status::Ok();
-      }
-      description += " (replica " + std::to_string(primary) + ")";
-      cluster.Crash(primary);
-      return Status::Ok();
-    }
-    case EventKind::kSwitch: {
-      Status status = RequestSwitch(cluster, event.target_mode);
-      description += ": " + status.ToString();
-      return status;
-    }
-    case EventKind::kPartitionClouds: {
-      for (PrincipalId a : cluster.config().PrivateReplicas()) {
-        for (PrincipalId b : cluster.config().PublicReplicas()) {
-          cluster.net().SetLinkUp(a, b, false);
-          state.cut_links.emplace_back(a, b);
-        }
-      }
-      return Status::Ok();
-    }
-    case EventKind::kHealClouds: {
-      for (const auto& [a, b] : state.cut_links) {
-        cluster.net().SetLinkUp(a, b, true);
-      }
-      state.cut_links.clear();
-      return Status::Ok();
-    }
-    case EventKind::kRestart: {
-      if (!cluster.replica(event.replica)->crashed()) {
-        // A runtime skip, not a spec error: crash-primary may have hit a
-        // different replica than the schedule's author expected.
-        description += " (skipped: replica not crashed)";
-        return Status::Ok();
-      }
-      Result<RestartOutcome> outcome = cluster.Restart(event.replica);
-      if (!outcome.ok()) {
-        // The refusal is the scenario's observable (corrupt-log runs assert
-        // on it); the replica stays crashed, its disk untouched.
-        description += " (refused: " + outcome.status().ToString() + ")";
-        return outcome.status();
-      }
-      description += " (restored from snapshot " +
-                     std::to_string(outcome->snapshot_seq) + ", replayed " +
-                     std::to_string(outcome->replayed_commits) +
-                     " commits, discarded " +
-                     std::to_string(outcome->truncated_bytes) +
-                     " torn bytes)";
-      return Status::Ok();
-    }
-    case EventKind::kPowerLoss:
-      cluster.PowerLoss(event.replica);
-      return Status::Ok();
-    case EventKind::kTruncateLog: {
-      const Status status = cluster.TruncateWalTail(
-          event.replica, static_cast<uint64_t>(event.arg));
-      if (!status.ok()) description += " (" + status.ToString() + ")";
-      return status;
-    }
-    case EventKind::kCorruptLog: {
-      const Status status = cluster.CorruptWalTail(
-          event.replica, static_cast<uint64_t>(event.arg));
-      if (!status.ok()) description += " (" + status.ToString() + ")";
-      return status;
-    }
-    case EventKind::kCutLink:
-      cluster.net().SetDirectedLinkUp(event.replica, event.peer, false);
-      return Status::Ok();
-    case EventKind::kRestoreLink:
-      cluster.net().SetDirectedLinkUp(event.replica, event.peer, true);
-      return Status::Ok();
-    case EventKind::kShapeLink:
-      cluster.net().ShapeDirectedLink(event.replica, event.peer, event.delay,
-                                      event.jitter,
-                                      static_cast<uint32_t>(event.arg));
-      return Status::Ok();
-  }
-  return Status::Ok();
-}
 
 }  // namespace
 
@@ -158,6 +89,21 @@ Json ReplicaReport::ToJson() const {
   return j;
 }
 
+void RunReportBase::SetHeadJson(Json& report) const {
+  report.Set("scenario", scenario);
+  report.Set("seed", seed);
+  report.Set("cluster", cluster);
+  report.Set("result", result.ToJson());
+  Json applied = Json::Array();
+  for (const AppliedEvent& event : events) {
+    Json e = Json::Object();
+    e.Set("at_ms", ToMillis(event.at));
+    e.Set("description", event.description);
+    applied.Append(std::move(e));
+  }
+  report.Set("events", std::move(applied));
+}
+
 Json ScenarioReport::DeterministicJson() const {
   ScenarioReport stripped = *this;
   stripped.result.wall_time_ms = 0.0;
@@ -166,18 +112,7 @@ Json ScenarioReport::DeterministicJson() const {
 
 Json ScenarioReport::ToJson() const {
   Json j = Json::Object();
-  j.Set("scenario", scenario);
-  j.Set("seed", seed);
-  j.Set("cluster", cluster);
-  j.Set("result", result.ToJson());
-  Json applied = Json::Array();
-  for (const AppliedEvent& event : events) {
-    Json e = Json::Object();
-    e.Set("at_ms", ToMillis(event.at));
-    e.Set("description", event.description);
-    applied.Append(std::move(e));
-  }
-  j.Set("events", std::move(applied));
+  SetHeadJson(j);
   Json reps = Json::Array();
   for (const ReplicaReport& replica : replicas) {
     reps.Append(replica.ToJson());
@@ -206,10 +141,7 @@ Json ScenarioReport::ToJson() const {
     t.Set("kreqs", std::move(kreqs));
     j.Set("timeline", std::move(t));
   }
-  j.Set("agreement", agreement.ToString());
-  j.Set("convergence_checked", convergence_checked);
-  j.Set("convergence", convergence.ToString());
-  j.Set("ok", ok());
+  AppendJson(j);
   return j;
 }
 
@@ -245,26 +177,108 @@ Result<std::unique_ptr<Cluster>> MakeCluster(const ScenarioSpec& spec) {
   return std::make_unique<Cluster>(ToClusterOptions(spec));
 }
 
-Status RequestSwitch(Cluster& cluster, SeeMoReMode target) {
-  SeeMoReReplica* any = nullptr;
-  for (int i = 0; i < cluster.n(); ++i) {
-    if (!cluster.replica(i)->crashed()) {
-      any = cluster.seemore(i);
+void ApplyEvent(FaultTarget& target, const ScenarioEvent& event,
+                std::set<int>& byzantine, EventDone done) {
+  std::string description = event.ToString();
+  Status outcome;
+  switch (event.kind) {
+    case EventKind::kCrash:
+      target.Crash(event.replica);
+      break;
+    case EventKind::kRecover: {
+      const Status status = target.Recover(event.replica);
+      if (!status.ok()) description += " (skipped: " + status.message() + ")";
       break;
     }
+    case EventKind::kByzantine:
+      target.SetByzantine(event.replica, event.byz_flags);
+      if (event.byz_flags != kByzNone) byzantine.insert(event.replica);
+      break;
+    case EventKind::kCrashPrimary:
+      // The only kind whose outcome may arrive later: capture by value, the
+      // event itself need not outlive this call.
+      target.ResolvePrimary([&target, description = std::move(description),
+                             done = std::move(done)](int primary) mutable {
+        if (primary < 0) {
+          description += " (skipped: no live replica)";
+        } else {
+          description += " (replica " + std::to_string(primary) + ")";
+          target.Crash(primary);
+        }
+        done(std::move(description), Status::Ok());
+      });
+      return;
+    case EventKind::kSwitch:
+      outcome = target.Switch(event.target_mode);
+      description += ": " + outcome.ToString();
+      break;
+    case EventKind::kPartitionClouds:
+      target.PartitionClouds();
+      break;
+    case EventKind::kHealClouds:
+      target.HealClouds();
+      break;
+    case EventKind::kRestart: {
+      if (!target.Crashed(event.replica)) {
+        // A runtime skip, not a spec error: crash-primary may have hit a
+        // different replica than the schedule's author expected.
+        description += " (skipped: replica not crashed)";
+        break;
+      }
+      Result<std::optional<RestartOutcome>> restarted =
+          target.Restart(event.replica);
+      if (!restarted.ok()) {
+        // The refusal is the scenario's observable (corrupt-log runs assert
+        // on it); the replica stays crashed, its disk untouched.
+        outcome = restarted.status();
+        description += " (refused: " + outcome.ToString() + ")";
+      } else if (restarted->has_value()) {
+        const RestartOutcome& r = **restarted;
+        description += " (restored from snapshot " +
+                       std::to_string(r.snapshot_seq) + ", replayed " +
+                       std::to_string(r.replayed_commits) +
+                       " commits, discarded " +
+                       std::to_string(r.truncated_bytes) + " torn bytes)";
+      }
+      break;
+    }
+    case EventKind::kPowerLoss:
+      target.PowerLoss(event.replica);
+      break;
+    case EventKind::kTruncateLog:
+    case EventKind::kCorruptLog:
+      outcome = target.TamperWal(event.replica,
+                                 event.kind == EventKind::kTruncateLog
+                                     ? storage::WalTamper::kTruncate
+                                     : storage::WalTamper::kFlipBit,
+                                 static_cast<uint64_t>(event.arg));
+      if (!outcome.ok()) description += " (" + outcome.ToString() + ")";
+      break;
+    case EventKind::kCutLink:
+      target.SetLinkUp(event.replica, event.peer, false);
+      break;
+    case EventKind::kRestoreLink:
+      target.SetLinkUp(event.replica, event.peer, true);
+      break;
+    case EventKind::kShapeLink:
+      target.ShapeLink(event.replica, event.peer, event.delay, event.jitter,
+                       static_cast<uint32_t>(event.arg));
+      break;
   }
-  if (any == nullptr) return Status::Unavailable("all replicas crashed");
-  // The switch must be requested on the new view's trusted authority; if
-  // that node is crashed, aim one view further (the view change would skip
-  // the dead primary anyway).
-  for (uint64_t ahead = 1;
-       ahead <= static_cast<uint64_t>(cluster.config().s); ++ahead) {
-    const PrincipalId authority =
-        any->SwitchAuthority(target, any->view() + ahead);
-    if (cluster.replica(authority)->crashed()) continue;
+  done(std::move(description), std::move(outcome));
+}
+
+Status RequestSwitch(Cluster& cluster, SeeMoReMode target) {
+  for (int i = 0; i < cluster.n(); ++i) {
+    if (cluster.replica(i)->crashed()) continue;
+    const PrincipalId authority = cluster.seemore(i)->LiveSwitchAuthority(
+        target, [&cluster](PrincipalId r) {
+          return !cluster.replica(r)->crashed();
+        });
+    if (authority < 0) return Status::Unavailable("no live switch authority");
     return cluster.seemore(authority)->RequestModeSwitch(target);
   }
-  return Status::Unavailable("no live switch authority");
+  return Status::Unavailable("all replicas crashed");
 }
 
 Result<ScenarioReport> RunScenario(const ScenarioSpec& spec) {
@@ -322,7 +336,8 @@ Result<ScenarioReport> RunScenario(const ScenarioSpec& spec,
                      return a.what < b.what;  // boundaries (negative) first
                    });
 
-  ScheduleState state;
+  ClusterTarget target(cluster);
+  std::set<int> byzantine;
   for (const Step& step : agenda) {
     if (step.at > cluster.sim().now()) cluster.sim().RunUntil(step.at);
     if (step.what == kWarmupEnd) {
@@ -335,31 +350,19 @@ Result<ScenarioReport> RunScenario(const ScenarioSpec& spec,
     if (step.what == kMeasureEnd) {
       // Hook-added clients (example tellers etc.) are part of the measured
       // population, so count what actually exists.
-      report.result.clients = cluster.num_clients();
-      Histogram merged;
+      std::vector<SimClient*> clients;
       for (int i = 0; i < cluster.num_clients(); ++i) {
-        SimClient* client = cluster.client(i);
-        report.result.completed += client->completed();
-        report.result.retransmissions += client->retransmissions();
-        merged.Merge(client->latencies());
-        client->Stop();
+        clients.push_back(cluster.client(i));
       }
-      const double seconds = static_cast<double>(spec.plan.measure) /
-                             static_cast<double>(kNanosPerSecond);
-      report.result.throughput_kreqs =
-          static_cast<double>(report.result.completed) / seconds / 1000.0;
-      const double to_ms = static_cast<double>(kNanosPerMilli);
-      report.result.mean_latency_ms = merged.Mean() / to_ms;
-      report.result.p50_latency_ms = merged.P50() / to_ms;
-      report.result.p90_latency_ms = merged.P90() / to_ms;
-      report.result.p99_latency_ms = merged.P99() / to_ms;
+      report.result = StopAndSummarize(clients, spec.plan.measure);
       continue;
     }
     const ScenarioEvent& event = spec.schedule[static_cast<size_t>(step.what)];
-    std::string description;
-    Status outcome = ApplyEvent(cluster, event, state, description);
-    report.events.push_back({event.at, std::move(description)});
-    if (hooks.on_event) hooks.on_event(cluster, event, outcome);
+    ApplyEvent(target, event, byzantine,
+               [&](std::string description, Status outcome) {
+                 report.events.push_back({event.at, std::move(description)});
+                 if (hooks.on_event) hooks.on_event(cluster, event, outcome);
+               });
   }
 
   if (hooks.on_finish) hooks.on_finish(cluster);
@@ -368,7 +371,10 @@ Result<ScenarioReport> RunScenario(const ScenarioSpec& spec,
   }
 
   report.net = cluster.net().counters();
+  std::vector<ReplicaOutcome> outcomes;
   for (int i = 0; i < cluster.n(); ++i) {
+    ReplicaOutcome outcome = cluster.Outcome(i);
+    outcome.byzantine = byzantine.count(i) > 0;
     const ReplicaBase* replica = cluster.replica(i);
     ReplicaReport r;
     r.id = i;
@@ -380,25 +386,16 @@ Result<ScenarioReport> RunScenario(const ScenarioSpec& spec,
     r.messages_handled = replica->stats().messages_handled;
     r.equivocations_detected = replica->stats().equivocations_detected;
     r.cpu_busy_ms = ToMillis(cluster.replica(i)->cpu()->total_busy());
-    r.last_executed = replica->exec().last_executed();
-    r.state_digest = replica->exec().StateDigest().ToHex();
+    r.last_executed = outcome.last_executed;
+    r.state_digest = outcome.state_digest.ToHex();
     report.total_cpu_busy_ms += r.cpu_busy_ms;
     report.replicas.push_back(r);
+    outcomes.push_back(std::move(outcome));
   }
   report.total_executed = cluster.TotalExecuted();
   report.end_time = cluster.sim().now();
-
-  report.agreement = cluster.CheckAgreement();
-  if (spec.plan.check_convergence) {
-    report.convergence_checked = true;
-    std::vector<int> honest_live;
-    for (int i = 0; i < cluster.n(); ++i) {
-      if (cluster.replica(i)->crashed()) continue;
-      if (state.byzantine.count(i) > 0) continue;
-      honest_live.push_back(i);
-    }
-    report.convergence = cluster.CheckConvergence(honest_live);
-  }
+  static_cast<Verdict&>(report) =
+      CheckVerdict(outcomes, spec.plan.check_convergence);
   report.result.wall_time_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - wall_start)

@@ -16,12 +16,15 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "harness/cluster.h"
 #include "harness/runner.h"
 #include "scenario/spec.h"
+#include "scenario/verdict.h"
 
 namespace seemore {
 namespace scenario {
@@ -55,15 +58,23 @@ struct AppliedEvent {
   std::string description;
 };
 
-struct ScenarioReport {
+/// What a run report carries whichever runtime produced it.
+struct RunReportBase : Verdict {
   std::string scenario;
   uint64_t seed = 0;
   std::string cluster;  // resolved ClusterConfig::ToString()
-
-  /// Measurement over the measure window, aggregated across every client
-  /// on the cluster — the spec's closed-loop clients plus any added by
-  /// hooks. All-zero when no client existed.
+  /// Client-side measurement over the measure window.
   RunResult result;
+  std::vector<AppliedEvent> events;
+
+  /// Sets scenario, seed, cluster, result and events on a report object.
+  void SetHeadJson(Json& report) const;
+};
+
+/// A simulated run. `result` aggregates every client on the cluster — the
+/// spec's closed-loop clients plus any added by hooks; all-zero when no
+/// client existed.
+struct ScenarioReport : RunReportBase {
   /// Filled when plan.timeline; covers the whole run, not just the measure
   /// window (Figure 4 wants the dip visible from t=0).
   ThroughputTimeline timeline;
@@ -74,17 +85,6 @@ struct ScenarioReport {
   double total_cpu_busy_ms = 0.0;
   uint64_t total_executed = 0;
   SimTime end_time = 0;
-
-  std::vector<AppliedEvent> events;
-
-  Status agreement;
-  bool convergence_checked = false;
-  Status convergence;
-
-  /// All requested invariants hold.
-  bool ok() const {
-    return agreement.ok() && (!convergence_checked || convergence.ok());
-  }
 
   Json ToJson() const;
   /// ToJson with the host-time fields (result.wall_time_ms) zeroed: the
@@ -110,6 +110,49 @@ struct ScenarioHooks {
   /// After clients stop, before the drain and the invariant checks.
   std::function<void(Cluster&)> on_finish;
 };
+
+/// The fault surface of one running cluster: what the schedule
+/// interpreter (ApplyEvent) needs from a runtime. The simulator implements
+/// it with a thin adapter over Cluster; the tcp backend with its Launcher.
+class FaultTarget {
+ public:
+  virtual ~FaultTarget() = default;
+
+  virtual bool Crashed(int replica) const = 0;
+  virtual void Crash(int replica) = 0;
+  /// A non-Ok status is a runtime skip (the replica was not crashed).
+  virtual Status Recover(int replica) = 0;
+  /// Rebuild a crashed replica from its durable state; an error refuses.
+  /// nullopt when recovery runs in a new process that reports it itself.
+  virtual Result<std::optional<RestartOutcome>> Restart(int replica) = 0;
+  virtual void PowerLoss(int replica) = 0;
+  /// Damage a crashed replica's newest WAL segment (storage::TamperWalTail).
+  virtual Status TamperWal(int replica, storage::WalTamper tamper,
+                           uint64_t offset_from_end) = 0;
+  virtual void SetByzantine(int replica, uint32_t flags) = 0;
+  /// Request a live mode switch on the first live switch authority.
+  virtual Status Switch(SeeMoReMode target) = 0;
+  virtual void PartitionClouds() = 0;
+  virtual void HealClouds() = 0;
+  virtual void SetLinkUp(int from, int to, bool up) = 0;
+  virtual void ShapeLink(int from, int to, SimTime delay, SimTime jitter,
+                         uint32_t drop_ppm) = 0;
+  /// Call `then` with the current primary, or -1 when no live replica
+  /// knows. May answer inline or later.
+  virtual void ResolvePrimary(std::function<void(int primary)> then) = 0;
+};
+
+/// Receives an event's AppliedEvent text and outcome status.
+using EventDone = std::function<void(std::string description, Status outcome)>;
+
+/// The one schedule interpreter of both runtimes: apply `event` to
+/// `target`, then report its AppliedEvent text (ScenarioEvent::ToString
+/// plus an outcome suffix). `byzantine` collects every replica the
+/// schedule ever made Byzantine; it stays excluded from the verdict even
+/// after byz=none. `done` runs once: inline, except for crash-primary on a
+/// target that resolves the primary later.
+void ApplyEvent(FaultTarget& target, const ScenarioEvent& event,
+                std::set<int>& byzantine, EventDone done);
 
 /// Translate a (valid) spec into ClusterOptions — the only ClusterOptions
 /// assembly point outside unit tests.
@@ -169,7 +212,8 @@ Result<std::vector<ScenarioReport>> RunSweep(const ScenarioSpec& spec,
 
 /// Request a live mode switch the way the paper does (§5.4): on the trusted
 /// authority of the next view, skipping crashed authorities up to S views
-/// ahead. Shared by the engine and embedders that switch outside a schedule.
+/// ahead (SeeMoReReplica::LiveSwitchAuthority). Shared by the engine and
+/// embedders that switch outside a schedule.
 Status RequestSwitch(Cluster& cluster, SeeMoReMode target);
 
 }  // namespace scenario

@@ -29,6 +29,7 @@
 #ifndef SEEMORE_SEEMORE_SEEMORE_REPLICA_H_
 #define SEEMORE_SEEMORE_SEEMORE_REPLICA_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <utility>
@@ -78,6 +79,17 @@ class SeeMoReReplica : public ReplicaBase {
   PrincipalId SwitchAuthority(SeeMoReMode mode, uint64_t v) const {
     return mode == SeeMoReMode::kPeacock ? config_.Transferer(v)
                                          : config_.TrustedPrimary(v);
+  }
+  /// Where a switch to `mode` must be requested, from this replica's view:
+  /// the authority of the first of views view+1 .. view+S that `live`
+  /// accepts (the view change would skip a dead one anyway); -1 if none.
+  PrincipalId LiveSwitchAuthority(
+      SeeMoReMode mode, const std::function<bool(PrincipalId)>& live) const {
+    for (int ahead = 1; ahead <= config_.s; ++ahead) {
+      const PrincipalId authority = SwitchAuthority(mode, view_ + ahead);
+      if (live(authority)) return authority;
+    }
+    return -1;
   }
 
  protected:

@@ -488,7 +488,6 @@ void SeeMoReReplica::MaybeFormNewView(uint64_t new_view) {
   EnterView(new_view, target_mode);
   last_new_view_frame_ = nv_frame;  // kept for relay to sleeping replicas
   ++stats_.view_changes_completed;
-  if (target_mode != mode_) ++stats_.mode_changes;
   if (low > exec_.last_executed() && helper != id_) RequestStateFrom(helper);
 
   for (auto& [seq, cand] : commit_entries) {
@@ -738,6 +737,7 @@ void SeeMoReReplica::HandleModeChange(PrincipalId from, SmModeChangeMsg msg) {
 
 void SeeMoReReplica::EnterView(uint64_t view, SeeMoReMode mode) {
   view_ = view;
+  if (mode != mode_) ++stats_.mode_changes;
   mode_ = mode;
   ClearProposerQuiescence();
   durable().NoteView(view, static_cast<uint8_t>(mode));

@@ -59,6 +59,10 @@ class StorageMedium {
   virtual Status Sync(const std::string& name) = 0;
   /// Sync every file (fsync the lot at a batch boundary).
   virtual Status SyncAll() = 0;
+
+  /// Flip one bit (latent corruption, fault injection). `bit` in [0, 8).
+  virtual Status FlipBit(const std::string& name, uint64_t offset,
+                         int bit) = 0;
 };
 
 /// Deterministic in-memory medium. One instance per replica; not thread-safe
@@ -84,8 +88,8 @@ class MemMedium final : public StorageMedium {
   /// Roll every file back to its durable prefix extended to the last fully
   /// written sector: max(durable_size, size rounded down to kTornSector).
   void PowerLoss();
-  /// Flip one bit (latent corruption). `bit` in [0, 8).
-  Status FlipBit(const std::string& name, uint64_t offset, int bit);
+  Status FlipBit(const std::string& name, uint64_t offset,
+                 int bit) override;
 
   /// Deep copy, including durable watermarks — recovery property tests
   /// mutate clones so every probe starts from the identical disk image.

@@ -119,6 +119,25 @@ WriteAheadLog::WriteAheadLog(StorageMedium* medium, WalOptions options)
   SEEMORE_CHECK(options_.segment_bytes > kWalSegmentHeaderBytes);
 }
 
+Status TamperWalTail(StorageMedium& medium, WalTamper tamper,
+                     uint64_t offset_from_end) {
+  const bool truncate = tamper == WalTamper::kTruncate;
+  const std::vector<std::string> segments = medium.List("wal-");
+  if (segments.empty()) {
+    return Status::FailedPrecondition(std::string("no wal segments to ") +
+                                      (truncate ? "truncate" : "corrupt"));
+  }
+  const std::string& last = segments.back();
+  SEEMORE_ASSIGN_OR_RETURN(uint64_t size, medium.SizeOf(last));
+  if (truncate) {
+    return medium.TruncateTo(
+        last, offset_from_end >= size ? 0 : size - offset_from_end);
+  }
+  if (size == 0) return Status::FailedPrecondition("empty wal segment");
+  return medium.FlipBit(
+      last, offset_from_end >= size ? 0 : size - 1 - offset_from_end, 0);
+}
+
 Status WriteAheadLog::Create() {
   SEEMORE_CHECK(!created_) << "wal already created";
   if (!medium_->List("wal-").empty()) {

@@ -80,6 +80,15 @@ struct WalRecovery {
 /// kCorruption is the one typed failure; a missing log recovers empty.
 Result<WalRecovery> RecoverWal(const StorageMedium& medium);
 
+/// Latent damage to a stopped replica's newest WAL segment.
+enum class WalTamper { kTruncate, kFlipBit };
+
+/// Cut `offset_from_end` bytes off the newest segment, or flip bit 0 of the
+/// byte that many bytes before its end. Out-of-range offsets clamp to the
+/// segment head (deterministic header damage).
+Status TamperWalTail(StorageMedium& medium, WalTamper tamper,
+                     uint64_t offset_from_end);
+
 class WriteAheadLog {
  public:
   WriteAheadLog(StorageMedium* medium, WalOptions options);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "scenario/builder.h"
+#include "scenario/engine.h"
 #include "tests/test_util.h"
 
 namespace seemore {
@@ -137,6 +139,67 @@ TEST(ModeSwitchTest, DogToLionKeepsPassiveNodesConsistent) {
   for (int i = 0; i < cluster.n(); ++i) {
     EXPECT_EQ(cluster.seemore(i)->mode(), SeeMoReMode::kLion);
   }
+}
+
+TEST(ModeSwitchTest, EveryReplicaCountsEveryScheduledSwitch) {
+  // Backups that install a view through NEW-VIEW count the mode change
+  // exactly like the authority that built it.
+  scenario::ScenarioBuilder builder;
+  builder.SeeMoRe(SeeMoReMode::kLion, 1, 1)
+      .Seed(5)
+      .Clients(4)
+      .Kv(32, 0.5)
+      .SwitchAt(Millis(50), SeeMoReMode::kDog)
+      .SwitchAt(Millis(150), SeeMoReMode::kPeacock)
+      .SwitchAt(Millis(250), SeeMoReMode::kLion)
+      .Warmup(Millis(20))
+      .Measure(Millis(430));
+  std::vector<uint64_t> mode_changes;
+  scenario::ScenarioHooks hooks;
+  hooks.on_finish = [&](Cluster& cluster) {
+    for (int i = 0; i < cluster.n(); ++i) {
+      EXPECT_EQ(cluster.seemore(i)->mode(), SeeMoReMode::kLion);
+      mode_changes.push_back(cluster.replica(i)->stats().mode_changes);
+    }
+  };
+  Result<scenario::ScenarioReport> report =
+      scenario::RunScenario(builder.spec(), hooks);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  for (const scenario::AppliedEvent& event : report->events) {
+    EXPECT_NE(event.description.find(": Ok"), std::string::npos)
+        << event.description;
+  }
+  ASSERT_EQ(mode_changes.size(), 6u);
+  for (size_t i = 0; i < mode_changes.size(); ++i) {
+    EXPECT_EQ(mode_changes[i], 3u) << "replica " << i;
+  }
+}
+
+TEST(ModeSwitchTest, LiveSwitchAuthoritySkipsCrashedAuthorities) {
+  Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 1, 1));
+  const SeeMoReReplica& vantage = *cluster.seemore(2);
+  const PrincipalId next = vantage.SwitchAuthority(SeeMoReMode::kDog, 1);
+  const PrincipalId after = vantage.SwitchAuthority(SeeMoReMode::kDog, 2);
+  ASSERT_NE(next, after);
+  const auto all_live = [](PrincipalId) { return true; };
+  EXPECT_EQ(vantage.LiveSwitchAuthority(SeeMoReMode::kDog, all_live), next);
+  const auto next_dead = [next](PrincipalId r) { return r != next; };
+  EXPECT_EQ(vantage.LiveSwitchAuthority(SeeMoReMode::kDog, next_dead), after);
+  // Only S views ahead are tried: with every trusted replica down there is
+  // no authority left to ask.
+  const auto none = [](PrincipalId) { return false; };
+  EXPECT_EQ(vantage.LiveSwitchAuthority(SeeMoReMode::kDog, none), -1);
+
+  // The sim's RequestSwitch applies the same pick: with the next authority
+  // crashed the request lands on the one after it, whose own view does not
+  // yet make it the authority, so the refusal names that rule.
+  cluster.Crash(next);
+  const Status status = scenario::RequestSwitch(cluster, SeeMoReMode::kDog);
+  EXPECT_NE(status.message().find("trusted authority"), std::string::npos)
+      << status.ToString();
+  cluster.Crash(after);
+  EXPECT_EQ(scenario::RequestSwitch(cluster, SeeMoReMode::kDog).code(),
+            StatusCode::kUnavailable);
 }
 
 }  // namespace

@@ -187,7 +187,8 @@ TEST(RecoveryTest, RestartRefusedOnTamperedMidLogThenReplicaStaysDown) {
   TornWriteRig rig(/*victim=*/2);
   Cluster& cluster = *rig.cluster;
   // Flip a bit far from the tail: guaranteed mid-log damage.
-  ASSERT_TRUE(cluster.CorruptWalTail(2, /*offset_from_end=*/3000).ok());
+  ASSERT_TRUE(cluster.TamperWal(2, storage::WalTamper::kFlipBit,
+                                /*offset_from_end=*/3000).ok());
   Result<RestartOutcome> outcome = cluster.Restart(2);
   ASSERT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.status().code(), StatusCode::kCorruption);
@@ -297,7 +298,7 @@ TEST(RecoveryTest, RestartRequiresDurabilityAndACrashedTarget) {
       WithDurability(testing::SeeMoReOptions(SeeMoReMode::kLion, 1, 1)));
   EXPECT_EQ(durable.Restart(3).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_EQ(durable.TruncateWalTail(3, 10).code(),
+  EXPECT_EQ(durable.TamperWal(3, storage::WalTamper::kTruncate, 10).code(),
             StatusCode::kFailedPrecondition);
 }
 

@@ -324,6 +324,20 @@ Result<ScenarioSpec> LoadScenario(const std::string& ref) {
   return ScenarioSpec::FromJsonText(text.str());
 }
 
+void PrintVerdict(std::FILE* out, const char* indent,
+                  const scenario::Verdict& verdict) {
+  if (!verdict.survival.ok()) {
+    std::fprintf(out, "%ssurvival: %s\n", indent,
+                 verdict.survival.ToString().c_str());
+  }
+  std::fprintf(out, "%sagreement: %s\n", indent,
+               verdict.agreement.ToString().c_str());
+  if (verdict.convergence_checked) {
+    std::fprintf(out, "%sconvergence: %s\n", indent,
+                 verdict.convergence.ToString().c_str());
+  }
+}
+
 void PrintReport(const FlagSet& flags, const ScenarioReport& report) {
   for (const scenario::AppliedEvent& event : report.events) {
     std::printf("%s\n", event.description.c_str());
@@ -356,10 +370,7 @@ void PrintReport(const FlagSet& flags, const ScenarioReport& report) {
     }
   }
 
-  std::printf("agreement: %s\n", report.agreement.ToString().c_str());
-  if (report.convergence_checked) {
-    std::printf("convergence: %s\n", report.convergence.ToString().c_str());
-  }
+  PrintVerdict(stdout, "", report);
 }
 
 using scenario::ApplyQuickBudgets;
@@ -386,8 +397,8 @@ int RunTcp(const FlagSet& flags, const ScenarioSpec& spec) {
   const rt::TcpRunReport& report = *run;
 
   for (const scenario::AppliedEvent& event : report.events) {
-    std::printf("t=%lldms %s\n", static_cast<long long>(ToMillis(event.at)),
-                event.description.c_str());
+    std::printf("%s [applied at %lldms]\n", event.description.c_str(),
+                static_cast<long long>(ToMillis(event.at)));
   }
   std::printf("\n%s\n", report.result.ToString().c_str());
   if (flags.GetBool("replica-stats")) {
@@ -412,10 +423,7 @@ int RunTcp(const FlagSet& flags, const ScenarioSpec& spec) {
                       : "");
     }
   }
-  std::printf("agreement: %s\n", report.agreement.ToString().c_str());
-  if (report.convergence_checked) {
-    std::printf("convergence: %s\n", report.convergence.ToString().c_str());
-  }
+  PrintVerdict(stdout, "", report);
 
   if (flags.WasSet("report-json")) {
     const std::string path = flags.GetString("report-json");
@@ -474,12 +482,7 @@ int SmokeRegistry(const FlagSet& flags, int jobs) {
                 static_cast<unsigned long long>(report.result.completed),
                 report.result.wall_time_ms);
     if (!report.ok()) {
-      std::fprintf(stderr, "  agreement: %s\n",
-                   report.agreement.ToString().c_str());
-      if (report.convergence_checked) {
-        std::fprintf(stderr, "  convergence: %s\n",
-                     report.convergence.ToString().c_str());
-      }
+      PrintVerdict(stderr, "  ", report);
       status = 1;
     }
     if (!report_dir.empty()) {
