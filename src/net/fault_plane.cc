@@ -1,9 +1,8 @@
-#include "rt/fault_plane.h"
+#include "net/fault_plane.h"
 
 #include <algorithm>
 
 namespace seemore {
-namespace rt {
 
 void FaultPlane::CutLink(int from, int to) {
   cut_.insert(DirectedKey(from, to));
@@ -14,20 +13,15 @@ void FaultPlane::RestoreLink(int from, int to) {
 }
 
 void FaultPlane::PartitionClouds(int trusted_count, int num_replicas) {
-  for (int a = 0; a < trusted_count; ++a) {
-    for (int b = trusted_count; b < num_replicas; ++b) {
-      cut_.insert(DirectedKey(a, b));
-      cut_.insert(DirectedKey(b, a));
-    }
-  }
+  partition_trusted_ = trusted_count;
+  partition_replicas_ = num_replicas;
 }
 
 bool FaultPlane::Heal() {
-  const bool had_faults = !cut_.empty() || !shapes_.empty();
-  cut_.clear();
-  shapes_.clear();
-  last_release_.clear();
-  return had_faults;
+  const bool partitioned = partition_replicas_ > 0;
+  partition_trusted_ = 0;
+  partition_replicas_ = 0;
+  return partitioned;
 }
 
 void FaultPlane::ShapeLink(int from, int to, const Shape& shape) {
@@ -40,9 +34,20 @@ void FaultPlane::ShapeLink(int from, int to, const Shape& shape) {
   shapes_[key] = shape;
 }
 
+bool FaultPlane::IsCut(int from, int to) const {
+  const auto in_cluster = [this](int id) {
+    return id >= 0 && id < partition_replicas_;
+  };
+  if (in_cluster(from) && in_cluster(to) &&
+      (from < partition_trusted_) != (to < partition_trusted_)) {
+    return true;
+  }
+  return cut_.count(DirectedKey(from, to)) != 0;
+}
+
 uint64_t FaultPlane::NextRandom() {
   // splitmix64: cheap, full-period, deterministic across runs with the
-  // same fingerprint (good enough for fault injection; not a crypto RNG).
+  // same seed (good enough for fault injection; not a crypto RNG).
   rng_ += 0x9e3779b97f4a7c15ULL;
   uint64_t z = rng_;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -51,15 +56,10 @@ uint64_t FaultPlane::NextRandom() {
 }
 
 bool FaultPlane::ShouldDropOutbound(PrincipalId from, PrincipalId to) {
-  const uint64_t key = DirectedKey(from, to);
-  if (cut_.count(key) != 0) return true;
-  auto shape = shapes_.find(key);
+  if (IsCut(from, to)) return true;
+  auto shape = shapes_.find(DirectedKey(from, to));
   if (shape == shapes_.end() || shape->second.drop_ppm == 0) return false;
   return NextRandom() % 1000000u < shape->second.drop_ppm;
-}
-
-bool FaultPlane::ShouldDropInbound(PrincipalId from, PrincipalId to) const {
-  return cut_.count(DirectedKey(from, to)) != 0;
 }
 
 SimTime FaultPlane::HoldFor(PrincipalId from, PrincipalId to, SimTime now) {
@@ -77,5 +77,4 @@ SimTime FaultPlane::HoldFor(PrincipalId from, PrincipalId to, SimTime now) {
   return release - now;
 }
 
-}  // namespace rt
 }  // namespace seemore

@@ -1,6 +1,6 @@
 #include "net/network.h"
 
-#include <algorithm>
+#include <optional>
 
 #include "util/logging.h"
 
@@ -57,17 +57,6 @@ void NodeCpu::DrainOne() {
   }
 }
 
-uint64_t SimNetwork::LinkKey(PrincipalId a, PrincipalId b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
-         static_cast<uint32_t>(b);
-}
-
-uint64_t SimNetwork::DirectedKey(PrincipalId from, PrincipalId to) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(from)) << 32) |
-         static_cast<uint32_t>(to);
-}
-
 void SimNetwork::AddNode(PrincipalId id, Zone zone, MessageHandler* handler,
                          NodeCpu* cpu) {
   SEEMORE_CHECK(nodes_.count(id) == 0) << "duplicate node id " << id;
@@ -98,45 +87,10 @@ Zone SimNetwork::ZoneOf(PrincipalId id) const {
   return it->second.zone;
 }
 
-void SimNetwork::SetLinkUp(PrincipalId a, PrincipalId b, bool up) {
-  if (up) {
-    cut_links_.erase(LinkKey(a, b));
-  } else {
-    cut_links_.insert(LinkKey(a, b));
-  }
-}
-
-void SimNetwork::SetDirectedLinkUp(PrincipalId from, PrincipalId to,
-                                   bool up) {
-  if (up) {
-    directed_cuts_.erase(DirectedKey(from, to));
-  } else {
-    directed_cuts_.insert(DirectedKey(from, to));
-  }
-}
-
-void SimNetwork::ShapeDirectedLink(PrincipalId from, PrincipalId to,
-                                   SimTime delay, SimTime jitter,
-                                   uint32_t drop_ppm) {
-  const uint64_t key = DirectedKey(from, to);
-  if (delay == 0 && jitter == 0 && drop_ppm == 0) {
-    directed_shapes_.erase(key);
-  } else {
-    directed_shapes_[key] = DirectedShape{delay, jitter, drop_ppm};
-  }
-}
-
 void SimNetwork::SetNodeUp(PrincipalId id, bool up) {
   auto it = nodes_.find(id);
   SEEMORE_CHECK(it != nodes_.end()) << "unknown node " << id;
   it->second.up = up;
-}
-
-void SimNetwork::HealAll() {
-  cut_links_.clear();
-  directed_cuts_.clear();
-  directed_shapes_.clear();
-  for (auto& [id, entry] : nodes_) entry.up = true;
 }
 
 void SimNetwork::Send(PrincipalId from, PrincipalId to, Payload payload) {
@@ -161,26 +115,20 @@ void SimNetwork::Send(PrincipalId from, PrincipalId to, Payload payload) {
     counters_.replica_to_replica_wire_bytes += static_cast<uint64_t>(wire_bytes);
   }
 
-  if (!src.up || !dst.up || cut_links_.count(LinkKey(from, to)) > 0 ||
-      (!directed_cuts_.empty() &&
-       directed_cuts_.count(DirectedKey(from, to)) > 0)) {
+  // Departure waits for the sender's CPU to finish the work charged so far.
+  const SimTime departure =
+      src.cpu != nullptr ? src.cpu->AvailableAt() : sim_->now();
+  // Link faults first, before any draw from the simulator's RNG: the plane
+  // draws shaped drops and jitter from its own generator, so cut and
+  // unshaped links consume the exact RNG stream they always have.
+  const std::optional<SimTime> hold =
+      src.up && dst.up ? faults_.Admit(from, to, departure) : std::nullopt;
+  if (!hold.has_value()) {
     counters_.dropped += 1;
     return;
   }
   if (config_.drop_probability > 0.0 &&
       sim_->rng().NextBool(config_.drop_probability)) {
-    counters_.dropped += 1;
-    return;
-  }
-  // Directed-link shaping: only shaped links draw extra randomness, so
-  // unshaped runs consume the exact pre-shaping RNG stream.
-  const DirectedShape* shape = nullptr;
-  if (!directed_shapes_.empty()) {
-    auto shape_it = directed_shapes_.find(DirectedKey(from, to));
-    if (shape_it != directed_shapes_.end()) shape = &shape_it->second;
-  }
-  if (shape != nullptr && shape->drop_ppm > 0 &&
-      sim_->rng().NextBounded(1000000) < shape->drop_ppm) {
     counters_.dropped += 1;
     return;
   }
@@ -195,23 +143,15 @@ void SimNetwork::Send(PrincipalId from, PrincipalId to, Payload payload) {
     copies = 2;
   }
 
-  // Departure waits for the sender's CPU to finish the work charged so far.
-  const SimTime departure =
-      src.cpu != nullptr ? src.cpu->AvailableAt() : sim_->now();
-
   for (int i = 0; i < copies; ++i) {
     SimTime jitter = link.jitter > 0
                          ? static_cast<SimTime>(sim_->rng().NextBounded(
                                static_cast<uint64_t>(link.jitter) + 1))
                          : 0;
-    SimTime arrival = departure + link.base + jitter + transmission;
-    if (shape != nullptr) {
-      arrival += shape->delay;
-      if (shape->jitter > 0) {
-        arrival += static_cast<SimTime>(sim_->rng().NextBounded(
-            static_cast<uint64_t>(shape->jitter) + 1));
-      }
-    }
+    // A shaped link holds the message at the sender, like tcp does before
+    // the socket; the link's own latency and jitter follow.
+    const SimTime arrival =
+        departure + *hold + link.base + jitter + transmission;
     // The closure shares the payload buffer (refcount bump, no byte copy) —
     // a duplicated delivery aliases the same immutable frame.
     sim_->ScheduleAt(arrival, [this, from, to, payload]() mutable {

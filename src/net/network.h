@@ -17,11 +17,11 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "crypto/keystore.h"
 #include "net/cost_model.h"
+#include "net/fault_plane.h"
 #include "net/transport.h"
 #include "sim/simulator.h"
 #include "wire/wire.h"
@@ -131,7 +131,7 @@ struct NetCounters {
 class SimNetwork : public Transport {
  public:
   SimNetwork(Simulator* sim, NetworkConfig config)
-      : sim_(sim), config_(config) {}
+      : sim_(sim), config_(config), faults_(sim->seed()) {}
 
   SimNetwork(const SimNetwork&) = delete;
   SimNetwork& operator=(const SimNetwork&) = delete;
@@ -163,21 +163,11 @@ class SimNetwork : public Transport {
   void Multicast(PrincipalId from, const std::vector<PrincipalId>& targets,
                  const Payload& payload) override;
 
-  /// Administratively cut / restore both directions of a link.
-  void SetLinkUp(PrincipalId a, PrincipalId b, bool up);
-  /// Cut / restore ONE direction of a link (asymmetric loss: from -> to
-  /// drops while to -> from still delivers).
-  void SetDirectedLinkUp(PrincipalId from, PrincipalId to, bool up);
-  /// Impose extra fixed delay + uniform jitter + probabilistic loss (ppm)
-  /// on one direction of a link. All-zero removes the shaping. Unshaped
-  /// links draw no extra randomness, so runs without shaping stay
-  /// bit-identical to pre-shaping builds.
-  void ShapeDirectedLink(PrincipalId from, PrincipalId to, SimTime delay,
-                         SimTime jitter, uint32_t drop_ppm);
   /// Detach / reattach a node entirely (models a crashed machine's NIC).
   void SetNodeUp(PrincipalId id, bool up) override;
-  /// Restore all links and nodes (directed cuts and shaping included).
-  void HealAll();
+  /// Link cuts, shaping and the cloud partition (net/fault_plane.h),
+  /// consulted once per Send.
+  FaultPlane& faults() { return faults_; }
 
   Zone ZoneOf(PrincipalId id) const;
   bool HasNode(PrincipalId id) const { return nodes_.count(id) > 0; }
@@ -196,23 +186,10 @@ class SimNetwork : public Transport {
     bool up = true;
   };
 
-  /// Per-direction shaping installed by ShapeDirectedLink.
-  struct DirectedShape {
-    SimTime delay = 0;
-    SimTime jitter = 0;
-    uint32_t drop_ppm = 0;
-  };
-
-  static uint64_t LinkKey(PrincipalId a, PrincipalId b);
-  /// Unswapped key: (from, to) and (to, from) are distinct links.
-  static uint64_t DirectedKey(PrincipalId from, PrincipalId to);
-
   Simulator* sim_;
   NetworkConfig config_;
   std::unordered_map<PrincipalId, NodeEntry> nodes_;
-  std::unordered_set<uint64_t> cut_links_;
-  std::unordered_set<uint64_t> directed_cuts_;
-  std::unordered_map<uint64_t, DirectedShape> directed_shapes_;
+  FaultPlane faults_;
   /// CPUs created by Register(); AddNode callers own theirs externally.
   std::vector<std::unique_ptr<NodeCpu>> owned_cpus_;
   NetCounters counters_;

@@ -119,7 +119,8 @@ enum class ControlKind : uint8_t {
   kCutLink = 1,      // drop frames on the directed link from -> to
   kRestoreLink = 2,  // undo kCutLink for from -> to
   kPartition = 3,    // cut every private<->public replica pair, both ways
-  kHeal = 4,         // undo kPartition/kCutLink state and reset dial backoff
+  kHeal = 4,         // undo kPartition only (cut/shaped links stay); a real
+                     // heal also resets dial backoff
   kSetByzantine = 5, // replica applies byz_flags via ReplicaBase::SetByzantine
   kSwitchMode = 6,   // mode-switch request: the switch authority acts on it
   kQueryPrimary = 7, // ask a node who it believes is primary

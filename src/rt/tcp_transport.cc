@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 
 namespace seemore {
 namespace rt {
@@ -69,7 +70,7 @@ Json TcpCounters::ToJson() const {
 TcpTransport::TcpTransport(EventLoop* loop, TcpTransportOptions options)
     : loop_(loop),
       options_(std::move(options)),
-      fault_plane_(options_.fingerprint) {}
+      faults_(options_.fingerprint) {}
 
 TcpTransport::~TcpTransport() {
   for (const std::shared_ptr<Connection>& conn : connections_) {
@@ -356,8 +357,8 @@ void TcpTransport::DrainReadable(const std::shared_ptr<Connection>& conn) {
         ++counters_.messages_received;
         // A cut directed link is enforced at BOTH ends: frames already in
         // flight when the cut landed are refused here.
-        if (fault_plane_.active() &&
-            fault_plane_.ShouldDropInbound(conn->peer, conn->local)) {
+        if (faults_.active() &&
+            faults_.ShouldDropInbound(conn->peer, conn->local)) {
           ++counters_.fault_dropped_rx;
           continue;
         }
@@ -498,7 +499,9 @@ void TcpTransport::Send(PrincipalId from, PrincipalId to, Payload payload) {
     ++counters_.dropped_no_connection;
     return;
   }
-  if (fault_plane_.active() && fault_plane_.ShouldDropOutbound(from, to)) {
+  const SimTime now = loop_->Now();
+  const std::optional<SimTime> hold = faults_.Admit(from, to, now);
+  if (!hold.has_value()) {
     ++counters_.fault_dropped_tx;
     return;
   }
@@ -521,37 +524,28 @@ void TcpTransport::Send(PrincipalId from, PrincipalId to, Payload payload) {
     memo_frame_ = frame;
     memo_reused_ = false;
   }
-  if (fault_plane_.active()) {
-    const SimTime now = loop_->Now();
-    const SimTime hold = fault_plane_.HoldFor(from, to, now);
-    if (hold > 0) {
-      ++counters_.fault_delayed;
-      DeferFrame(from, to, std::move(frame), now + hold);
-      return;
-    }
-  }
-  ++counters_.messages_sent;
-  EnqueueFrame(conn, frame);
+  Transmit(conn, from, to, now, *hold, std::move(frame));
 }
 
-void TcpTransport::DeferFrame(PrincipalId from, PrincipalId to,
-                              std::shared_ptr<const FrameBuffer> frame,
-                              SimTime release_at) {
+void TcpTransport::Transmit(const std::shared_ptr<Connection>& conn,
+                            PrincipalId from, PrincipalId to, SimTime now,
+                            SimTime hold,
+                            std::shared_ptr<const FrameBuffer> frame) {
+  if (hold == 0) {
+    ++counters_.messages_sent;
+    EnqueueFrame(conn, std::move(frame));
+    return;
+  }
+  ++counters_.fault_delayed;
   // Absolute deadline: the fault plane's release times are monotone per
   // directed link, and ScheduleAt fires equal deadlines in scheduling
   // order, so shaped frames keep FIFO. The relative form would re-read the
   // clock and smear clamped-equal releases by per-call skew, reordering.
+  // A link cut while the frame is held is enforced by the receiver.
   std::weak_ptr<bool> alive = alive_;
   loop_->ScheduleAt(
-      release_at, [this, alive, from, to, frame = std::move(frame)] {
+      now + hold, [this, alive, from, to, frame = std::move(frame)] {
         if (alive.expired()) return;
-        // The link may have been cut (or the connection died) while the
-        // frame was held; either way the frame is loss, as it would be on
-        // a real slow link.
-        if (fault_plane_.IsCut(from, to)) {
-          ++counters_.fault_dropped_tx;
-          return;
-        }
         std::shared_ptr<Connection> conn = ConnectionFor(from, to);
         if (conn == nullptr || !conn->hello_received) {
           ++counters_.dropped_no_connection;
@@ -576,6 +570,7 @@ void TcpTransport::Multicast(PrincipalId from,
   // shared by every remote target's write queue. Built lazily so an
   // all-local or all-disconnected multicast builds nothing.
   std::shared_ptr<const FrameBuffer> frame;
+  const SimTime now = loop_->Now();
   for (PrincipalId to : targets) {
     if (to == from) continue;
     if (IsLocal(to)) {
@@ -587,7 +582,8 @@ void TcpTransport::Multicast(PrincipalId from,
       ++counters_.dropped_no_connection;
       continue;
     }
-    if (fault_plane_.active() && fault_plane_.ShouldDropOutbound(from, to)) {
+    const std::optional<SimTime> hold = faults_.Admit(from, to, now);
+    if (!hold.has_value()) {
       ++counters_.fault_dropped_tx;
       continue;
     }
@@ -596,17 +592,7 @@ void TcpTransport::Multicast(PrincipalId from,
       ++counters_.multicast_encodes;
     }
     ++counters_.multicast_enqueues;
-    if (fault_plane_.active()) {
-      const SimTime now = loop_->Now();
-      const SimTime hold = fault_plane_.HoldFor(from, to, now);
-      if (hold > 0) {
-        ++counters_.fault_delayed;
-        DeferFrame(from, to, frame, now + hold);
-        continue;
-      }
-    }
-    ++counters_.messages_sent;
-    EnqueueFrame(conn, frame);
+    Transmit(conn, from, to, now, *hold, frame);
   }
 }
 
@@ -651,25 +637,24 @@ bool TcpTransport::ConnectedTo(PrincipalId peer) const {
 void TcpTransport::ApplyControl(const FaultCommand& command) {
   switch (command.kind) {
     case ControlKind::kCutLink:
-      fault_plane_.CutLink(command.from, command.to);
+      faults_.CutLink(command.from, command.to);
       return;
     case ControlKind::kRestoreLink:
-      fault_plane_.RestoreLink(command.from, command.to);
+      faults_.RestoreLink(command.from, command.to);
       ResetDialBackoff();
       return;
     case ControlKind::kPartition:
-      fault_plane_.PartitionClouds(options_.trusted_count,
-                                   options_.num_replicas);
+      faults_.PartitionClouds(options_.trusted_count, options_.num_replicas);
       return;
     case ControlKind::kHeal:
-      if (fault_plane_.Heal()) ResetDialBackoff();
+      if (faults_.Heal()) ResetDialBackoff();
       return;
     case ControlKind::kShapeLink: {
       FaultPlane::Shape shape;
       shape.delay = Micros(static_cast<int64_t>(command.delay_us));
       shape.jitter = Micros(static_cast<int64_t>(command.jitter_us));
       shape.drop_ppm = command.drop_ppm;
-      fault_plane_.ShapeLink(command.from, command.to, shape);
+      faults_.ShapeLink(command.from, command.to, shape);
       return;
     }
     default:

@@ -35,9 +35,9 @@
 #include <utility>
 #include <vector>
 
+#include "net/fault_plane.h"
 #include "net/transport.h"
 #include "rt/event_loop.h"
-#include "rt/fault_plane.h"
 #include "rt/frame.h"
 #include "rt/write_queue.h"
 #include "util/json.h"
@@ -174,7 +174,6 @@ class TcpTransport final : public Transport {
   /// immediate redial round — a heal must not wait out backoff a partition
   /// (or peer death) inflated to the 800ms ceiling.
   void ResetDialBackoff();
-  FaultPlane& fault_plane() { return fault_plane_; }
 
  private:
   struct LocalNode {
@@ -233,13 +232,14 @@ class TcpTransport final : public Transport {
                        const char* why);
   void EnqueueFrame(const std::shared_ptr<Connection>& conn,
                     std::shared_ptr<const FrameBuffer> frame);
-  /// Hold a shaped frame until the absolute `release_at`, then enqueue it
-  /// on whatever connection to the peer exists at release time (a vanished
+  /// Hand a frame the fault plane admitted to the socket: enqueue it now,
+  /// or hold it until the absolute `now + hold` and then enqueue it on
+  /// whatever connection to the peer exists at release time (a vanished
   /// connection is loss — exactly what a delayed frame on a dead link
   /// would be).
-  void DeferFrame(PrincipalId from, PrincipalId to,
-                  std::shared_ptr<const FrameBuffer> frame,
-                  SimTime release_at);
+  void Transmit(const std::shared_ptr<Connection>& conn, PrincipalId from,
+                PrincipalId to, SimTime now, SimTime hold,
+                std::shared_ptr<const FrameBuffer> frame);
   void DeliverLocally(PrincipalId from, PrincipalId to, Payload payload);
   /// The established connection for (local, peer), nullptr when none.
   std::shared_ptr<Connection> ConnectionFor(PrincipalId local,
@@ -250,7 +250,7 @@ class TcpTransport final : public Transport {
   Status status_;
   TcpCounters counters_;
   /// Per-peer-per-direction drop/delay filter between queues and sockets.
-  FaultPlane fault_plane_;
+  FaultPlane faults_;
   std::function<void(const FaultCommand&)> control_handler_;
   /// Receive blocks shared by every connection of this transport.
   BlockPool pool_;

@@ -37,23 +37,20 @@ class ClusterTarget final : public FaultTarget {
   }
   Status Switch(SeeMoReMode to) override { return RequestSwitch(cluster_, to); }
   void PartitionClouds() override {
-    for (PrincipalId a : cluster_.config().PrivateReplicas()) {
-      for (PrincipalId b : cluster_.config().PublicReplicas()) {
-        cluster_.net().SetLinkUp(a, b, false);
-        cut_links_.emplace_back(a, b);
-      }
-    }
+    cluster_.net().faults().PartitionClouds(cluster_.config().s,
+                                            cluster_.n());
   }
-  void HealClouds() override {
-    for (const auto& [a, b] : cut_links_) cluster_.net().SetLinkUp(a, b, true);
-    cut_links_.clear();
-  }
+  void HealClouds() override { cluster_.net().faults().Heal(); }
   void SetLinkUp(int from, int to, bool up) override {
-    cluster_.net().SetDirectedLinkUp(from, to, up);
+    if (up) {
+      cluster_.net().faults().RestoreLink(from, to);
+    } else {
+      cluster_.net().faults().CutLink(from, to);
+    }
   }
   void ShapeLink(int from, int to, SimTime delay, SimTime jitter,
                  uint32_t drop_ppm) override {
-    cluster_.net().ShapeDirectedLink(from, to, delay, jitter, drop_ppm);
+    cluster_.net().faults().ShapeLink(from, to, {delay, jitter, drop_ppm});
   }
   void ResolvePrimary(std::function<void(int)> then) override {
     for (int i = 0; i < cluster_.n(); ++i) {
@@ -66,9 +63,6 @@ class ClusterTarget final : public FaultTarget {
 
  private:
   Cluster& cluster_;
-  /// Links cut by PartitionClouds, so HealClouds restores exactly those
-  /// (and not e.g. links detached by crashes).
-  std::vector<std::pair<PrincipalId, PrincipalId>> cut_links_;
 };
 
 }  // namespace

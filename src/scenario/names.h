@@ -47,7 +47,7 @@ enum class EventKind : uint8_t {
   kSwitch = 4,           // SeeMoRe mode switch to `target_mode`
   kCrashPrimary = 5,     // crash whoever is primary at event time
   kPartitionClouds = 6,  // cut every private<->public replica link
-  kHealClouds = 7,       // restore the links cut by kPartitionClouds
+  kHealClouds = 7,       // undo kPartitionClouds only (cut/shaped links stay)
   /// The durability events (storage/; require spec.durability.enabled):
   kRestart = 8,      // rebuild crashed replica `replica` from its disk
   kPowerLoss = 9,    // crash `replica` AND roll its disk to durable state

@@ -6,7 +6,7 @@
 
 namespace seemore {
 
-Simulator::Simulator(uint64_t seed) : rng_(seed) {}
+Simulator::Simulator(uint64_t seed) : seed_(seed), rng_(seed) {}
 
 EventId Simulator::Schedule(SimTime delay, std::function<void()> fn) {
   if (delay < 0) delay = 0;

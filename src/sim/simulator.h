@@ -39,6 +39,8 @@ class Simulator : public TimerService {
 
   SimTime now() const { return now_; }
   Rng& rng() { return rng_; }
+  /// The run seed `rng()` was seeded with.
+  uint64_t seed() const { return seed_; }
 
   /// --- TimerService ------------------------------------------------------
   SimTime Now() const override { return now_; }
@@ -130,6 +132,7 @@ class Simulator : public TimerService {
   std::vector<HeapEntry> heap_;
   size_t tombstones_ = 0;  // cancelled entries still in heap_
 
+  uint64_t seed_;
   Rng rng_;
 };
 

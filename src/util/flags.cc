@@ -1,5 +1,7 @@
 #include "util/flags.h"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 namespace seemore {
@@ -51,16 +53,13 @@ Status FlagSet::SetValue(const std::string& name, const std::string& value) {
   }
   Flag& flag = it->second;
   switch (flag.type) {
-    case Type::kInt: {
-      char* end = nullptr;
-      (void)std::strtoll(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
+    case Type::kInt:
+      if (!ParseInt64(value).ok()) {
         return Status::InvalidArgument("flag --" + name +
                                        " expects an integer, got '" + value +
                                        "'");
       }
       break;
-    }
     case Type::kDouble: {
       char* end = nullptr;
       (void)std::strtod(value.c_str(), &end);
@@ -176,6 +175,17 @@ std::vector<std::string> SplitString(const std::string& input, char sep) {
     parts.push_back(input.substr(start, pos - start));
     start = pos + 1;
   }
+}
+
+Result<int64_t> ParseInt64(const std::string& text) {
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+      *end != '\0' || errno == ERANGE) {
+    return Status::InvalidArgument("expected an integer, got '" + text + "'");
+  }
+  return static_cast<int64_t>(value);
 }
 
 }  // namespace seemore

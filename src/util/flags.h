@@ -75,6 +75,10 @@ class FlagSet {
 /// Split "a,b,c" into parts (empty input -> empty vector).
 std::vector<std::string> SplitString(const std::string& input, char sep);
 
+/// Strict base-10 integer: the whole text, no leading space, no trailing
+/// characters, in int64 range; anything else is InvalidArgument.
+Result<int64_t> ParseInt64(const std::string& text);
+
 }  // namespace seemore
 
 #endif  // SEEMORE_UTIL_FLAGS_H_

@@ -1,5 +1,6 @@
 // Simulated network: delivery, latency profiles, drops, duplication,
-// partitions, node detach, counters, sender authentication.
+// link cuts and shaping through the fault plane, node detach, counters,
+// sender authentication.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,21 @@ class Recorder : public MessageHandler {
     messages.emplace_back(from, payload.ToBytes());
   }
   std::vector<std::pair<PrincipalId, Bytes>> messages;
+};
+
+/// Records each delivery's payload and virtual arrival time.
+class TimedRecorder : public MessageHandler {
+ public:
+  explicit TimedRecorder(const Simulator* sim) : sim_(sim) {}
+  void OnMessage(PrincipalId, Payload payload) override {
+    at.push_back(sim_->now());
+    messages.push_back(payload.ToBytes());
+  }
+  std::vector<SimTime> at;
+  std::vector<Bytes> messages;
+
+ private:
+  const Simulator* sim_;
 };
 
 NetworkConfig QuietConfig() {
@@ -93,13 +109,15 @@ TEST(NetworkTest, LinkCutBlocksBothDirections) {
   Recorder a, b;
   net.AddNode(0, Zone::kPrivate, &a, nullptr);
   net.AddNode(1, Zone::kPrivate, &b, nullptr);
-  net.SetLinkUp(0, 1, false);
+  net.faults().CutLink(0, 1);
+  net.faults().CutLink(1, 0);
   net.Send(0, 1, Bytes{1});
   net.Send(1, 0, Bytes{2});
   sim.Run();
   EXPECT_TRUE(a.messages.empty());
   EXPECT_TRUE(b.messages.empty());
-  net.SetLinkUp(0, 1, true);
+  net.faults().RestoreLink(0, 1);
+  net.faults().RestoreLink(1, 0);
   net.Send(0, 1, Bytes{3});
   sim.Run();
   EXPECT_EQ(b.messages.size(), 1u);
@@ -116,7 +134,7 @@ TEST(NetworkTest, NodeDownDropsInFlight) {
   sim.Schedule(Micros(10), [&] { net.SetNodeUp(1, false); });
   sim.Run();
   EXPECT_TRUE(b.messages.empty());
-  net.HealAll();
+  net.SetNodeUp(1, true);
   net.Send(0, 1, Bytes{2});
   sim.Run();
   EXPECT_EQ(b.messages.size(), 1u);
@@ -202,6 +220,125 @@ TEST(NetworkTest, SenderCpuDelaysDeparture) {
   });
   sim.Run();
   EXPECT_GE(sim.now(), Millis(1) + Micros(100));
+}
+
+// --- link shaping (FaultPlane::ShapeLink on the simulator) ---------------
+
+TEST(NetworkTest, ShapedLinkArrivesAtLeastDelayLater) {
+  Simulator sim;
+  SimNetwork net(&sim, QuietConfig());
+  TimedRecorder a(&sim), b(&sim);
+  net.AddNode(0, Zone::kPrivate, &a, nullptr);
+  net.AddNode(1, Zone::kPrivate, &b, nullptr);
+  net.Send(0, 1, Bytes{1});
+  sim.Run();
+  ASSERT_EQ(b.at.size(), 1u);
+  const SimTime unshaped = b.at[0];
+
+  net.faults().ShapeLink(0, 1, {Millis(5), Micros(300), 0});
+  const SimTime sent = sim.now();
+  net.Send(0, 1, Bytes{2});
+  net.Send(1, 0, Bytes{3});
+  sim.Run();
+  ASSERT_EQ(b.at.size(), 2u);
+  EXPECT_GE(b.at[1] - sent, unshaped + Millis(5));
+  EXPECT_LT(b.at[1] - sent, unshaped + Millis(5) + Micros(300));
+  ASSERT_EQ(a.at.size(), 1u);
+  EXPECT_EQ(a.at[0] - sent, unshaped) << "shaping is directed";
+}
+
+TEST(NetworkTest, ShapedDropPpmMillionDropsEverything) {
+  Simulator sim;
+  SimNetwork net(&sim, QuietConfig());
+  Recorder a, b;
+  net.AddNode(0, Zone::kPrivate, &a, nullptr);
+  net.AddNode(1, Zone::kPrivate, &b, nullptr);
+  net.faults().ShapeLink(0, 1, {0, 0, 1000000});
+  for (int i = 0; i < 20; ++i) net.Send(0, 1, Bytes{1});
+  net.Send(1, 0, Bytes{2});
+  sim.Run();
+  EXPECT_TRUE(b.messages.empty());
+  EXPECT_EQ(net.counters().dropped, 20u);
+  EXPECT_EQ(a.messages.size(), 1u) << "the reverse link is unshaped";
+}
+
+TEST(NetworkTest, JitteredShapedLinkKeepsFifoOrder) {
+  // QuietConfig's links add no jitter of their own, so any reordering
+  // would come from the shape: 5 ms of jitter over sends 100 us apart
+  // would swap most neighbours without the plane's monotone release times.
+  Simulator sim;
+  SimNetwork net(&sim, QuietConfig());
+  TimedRecorder a(&sim), b(&sim);
+  net.AddNode(0, Zone::kPrivate, &a, nullptr);
+  net.AddNode(1, Zone::kPrivate, &b, nullptr);
+  net.faults().ShapeLink(0, 1, {Micros(500), Millis(5), 0});
+  constexpr int kMessages = 64;
+  for (int i = 0; i < kMessages; ++i) {
+    sim.Schedule(Micros(100) * i, [&net, i] {
+      net.Send(0, 1, Bytes{static_cast<uint8_t>(i)});
+    });
+  }
+  sim.Run();
+  ASSERT_EQ(b.messages.size(), static_cast<size_t>(kMessages));
+  bool jittered = false;
+  for (int i = 0; i < kMessages; ++i) {
+    EXPECT_EQ(b.messages[i], Bytes{static_cast<uint8_t>(i)})
+        << "message " << i << " overtaken";
+    if (i > 0 && b.at[i] - b.at[i - 1] != Micros(100)) jittered = true;
+  }
+  EXPECT_TRUE(jittered) << "the shape's jitter never applied";
+}
+
+TEST(NetworkTest, AllZeroShapeRemovesShaping) {
+  Simulator sim;
+  SimNetwork net(&sim, QuietConfig());
+  TimedRecorder a(&sim), b(&sim);
+  net.AddNode(0, Zone::kPrivate, &a, nullptr);
+  net.AddNode(1, Zone::kPrivate, &b, nullptr);
+  net.Send(0, 1, Bytes{1});
+  sim.Run();
+  const SimTime unshaped = b.at.at(0);
+
+  net.faults().ShapeLink(0, 1, {Millis(5), Millis(1), 500000});
+  net.faults().ShapeLink(0, 1, {});
+  EXPECT_FALSE(net.faults().active());
+  for (int i = 0; i < 10; ++i) {
+    const SimTime sent = sim.now();
+    net.Send(0, 1, Bytes{2});
+    sim.Run();
+    ASSERT_EQ(b.at.size(), static_cast<size_t>(i + 2));
+    EXPECT_EQ(b.at.back() - sent, unshaped);
+  }
+}
+
+TEST(NetworkTest, ShapingOneLinkLeavesTheSimRngStreamUnchanged) {
+  // The default profiles jitter every link from the simulator's RNG. The
+  // shape's own delay and jitter come from the fault plane's generator, so
+  // the unshaped link 0 -> 2 sees the same draws with or without it.
+  const auto run = [](bool shaped, std::vector<SimTime>* shaped_at) {
+    Simulator sim(7);
+    SimNetwork net(&sim, NetworkConfig{});
+    TimedRecorder a(&sim), b(&sim), c(&sim);
+    net.AddNode(0, Zone::kPrivate, &a, nullptr);
+    net.AddNode(1, Zone::kPrivate, &b, nullptr);
+    net.AddNode(2, Zone::kPublic, &c, nullptr);
+    if (shaped) net.faults().ShapeLink(0, 1, {Millis(1), Millis(3), 0});
+    for (int i = 0; i < 32; ++i) {
+      sim.Schedule(Micros(50) * i, [&net, i] {
+        net.Send(0, 1, Bytes{static_cast<uint8_t>(i)});
+        net.Send(0, 2, Bytes{static_cast<uint8_t>(i)});
+      });
+    }
+    sim.Run();
+    *shaped_at = b.at;
+    return c.at;
+  };
+  std::vector<SimTime> plain_01, shaped_01;
+  const std::vector<SimTime> plain_02 = run(false, &plain_01);
+  const std::vector<SimTime> shaped_02 = run(true, &shaped_01);
+  ASSERT_EQ(plain_02.size(), 32u);
+  EXPECT_EQ(plain_02, shaped_02);
+  EXPECT_NE(plain_01, shaped_01) << "the shape never applied";
 }
 
 }  // namespace

@@ -2,18 +2,20 @@
 // encode/decode contract (every truncation and mutation refused with a
 // typed error), and real TcpTransports over loopback proving that a
 // directed cut drops exactly one direction (the counters show where),
-// that a cloud partition heals back to full delivery, and that link
-// shaping delays frames without ever reordering a directed link.
+// that a cloud partition heals back to full delivery while a heal leaves
+// directed cuts in place, and that link shaping delays frames without ever
+// reordering a directed link.
 // Ports 19200+ — rt_runtime_test.cc owns 19140-19190.
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "rt/event_loop.h"
-#include "rt/fault_plane.h"
+#include "net/fault_plane.h"
 #include "rt/frame.h"
 #include "rt/tcp_transport.h"
 #include "util/time.h"
@@ -221,6 +223,69 @@ TEST(RtFaultPlane, PartitionCutsCrossCloudAndHealRestores) {
   })) << "heal must restore delivery in both directions";
   EXPECT_EQ(handler0.messages[0], AsBytes("online"));
   EXPECT_EQ(handler1.messages[0], AsBytes("back"));
+}
+
+TEST(RtFaultPlane, HealLiftsOnlyThePartition) {
+  // partition, then cut-link 3 -> 0, then heal: the heal lifts the
+  // partition and nothing else (the simulator's rule too), so 3 -> 0 still
+  // drops while every other cross-cloud pair delivers.
+  EventLoop loop;
+  ASSERT_TRUE(loop.init_status().ok());
+
+  TcpTransportOptions options;
+  options.num_replicas = 4;
+  options.base_port = 19230;
+  options.fingerprint = 0xfa01a;
+  options.trusted_count = 2;  // replicas 0, 1 private; 2, 3 public
+
+  std::vector<std::unique_ptr<TcpTransport>> nodes;
+  std::vector<RecordingHandler> handlers(4);
+  for (int i = 0; i < 4; ++i) {
+    nodes.push_back(std::make_unique<TcpTransport>(&loop, options));
+    nodes[i]->Register(i, i < 2 ? Zone::kPrivate : Zone::kPublic,
+                       &handlers[i], true);
+  }
+  ASSERT_TRUE(RunUntil(&loop, [&] {
+    for (int i = 0; i < 4; ++i) {
+      for (int j = 0; j < 4; ++j) {
+        if (i != j && !nodes[i]->ConnectedTo(j)) return false;
+      }
+    }
+    return true;
+  }));
+
+  FaultCommand partition;
+  partition.kind = ControlKind::kPartition;
+  FaultCommand cut;
+  cut.kind = ControlKind::kCutLink;
+  cut.from = 3;
+  cut.to = 0;
+  FaultCommand heal;
+  heal.kind = ControlKind::kHeal;
+  for (const FaultCommand& command : {partition, cut, heal}) {
+    for (auto& node : nodes) node->ApplyControl(command);
+  }
+
+  for (int a = 0; a < 2; ++a) {
+    for (int b = 2; b < 4; ++b) {
+      nodes[a]->Send(a, b, Payload(AsBytes("down")));
+      nodes[b]->Send(b, a, Payload(AsBytes("up")));
+    }
+  }
+  // Everything but 3 -> 0: replica 0 hears only from 2.
+  const std::vector<size_t> expected = {1, 2, 2, 2};
+  ASSERT_TRUE(RunUntil(&loop, [&] {
+    for (int i = 0; i < 4; ++i) {
+      if (handlers[i].messages.size() < expected[i]) return false;
+    }
+    return true;
+  })) << "heal must restore every cross-cloud pair but the cut one";
+  RunUntil(&loop, [] { return false; }, Millis(200));
+  EXPECT_EQ(handlers[0].froms, std::vector<PrincipalId>{2});
+  for (int i = 1; i < 4; ++i) {
+    EXPECT_EQ(handlers[i].messages.size(), expected[i]) << "replica " << i;
+  }
+  EXPECT_EQ(nodes[3]->counters().fault_dropped_tx, 1u);
 }
 
 TEST(RtFaultPlane, ShapedLinkDelaysWithoutReordering) {

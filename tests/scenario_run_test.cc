@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "scenario/builder.h"
 #include "scenario/engine.h"
 #include "scenario/registry.h"
@@ -108,6 +112,48 @@ TEST(ScenarioRunTest, SwitchEventChangesMode) {
   EXPECT_EQ(final_mode, SeeMoReMode::kDog);
   EXPECT_TRUE(report->ok()) << report->agreement.ToString() << " / "
                             << report->convergence.ToString();
+}
+
+TEST(ScenarioRunTest, HealCloudsUndoesOnlyThePartition) {
+  // partition, then cut-link 3 -> 0, then heal-clouds: the heal lifts the
+  // partition and nothing else, so 3 -> 0 still drops while every other
+  // cross-cloud pair delivers again (the same rule as tcp's kHeal).
+  ScenarioBuilder builder;
+  builder.Name("heal-keeps-cut")
+      .SeeMoRe(SeeMoReMode::kLion, 1, 1)
+      .Seed(5)
+      .Clients(4)
+      .Echo(0, 0)
+      .PartitionCloudsAt(Millis(60))
+      .CutLinkAt(Millis(80), 3, 0)
+      .HealCloudsAt(Millis(120))
+      .Warmup(Millis(20))
+      .Measure(Millis(240))
+      .Drain(Millis(300))
+      .CheckConvergence();
+  std::vector<std::pair<int, int>> admitted;
+  bool cut_still_drops = false;
+  ScenarioHooks hooks;
+  hooks.on_finish = [&](Cluster& cluster) {
+    FaultPlane& faults = cluster.net().faults();
+    const SimTime now = cluster.sim().now();
+    cut_still_drops = !faults.Admit(3, 0, now).has_value();
+    for (PrincipalId a : cluster.config().PrivateReplicas()) {
+      for (PrincipalId b : cluster.config().PublicReplicas()) {
+        if (faults.Admit(a, b, now) == SimTime{0}) admitted.emplace_back(a, b);
+        if (faults.Admit(b, a, now) == SimTime{0}) admitted.emplace_back(b, a);
+      }
+    }
+  };
+  Result<ScenarioReport> report = RunScenario(builder.spec(), hooks);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->agreement.ToString() << " / "
+                            << report->convergence.ToString();
+  EXPECT_TRUE(cut_still_drops);
+  // 2 private x 4 public replicas, both ways, minus the cut 3 -> 0.
+  EXPECT_EQ(admitted.size(), 15u);
+  EXPECT_EQ(std::count(admitted.begin(), admitted.end(), std::make_pair(3, 0)),
+            0);
 }
 
 TEST(ScenarioRunTest, PartitionStallsAndHealRecovers) {

@@ -83,8 +83,10 @@ TEST(LionTest, ClientFallsBackToPublicQuorumOnRetransmit) {
   // m+1 matching public replies after retransmission (§5.1).
   Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 1, 1));
   SimClient* client = cluster.AddClient();
-  cluster.net().SetLinkUp(client->id(), 0, false);
-  cluster.net().SetLinkUp(client->id(), 1, false);
+  for (PrincipalId trusted : {0, 1}) {
+    cluster.net().faults().CutLink(client->id(), trusted);
+    cluster.net().faults().CutLink(trusted, client->id());
+  }
   auto put = SubmitAndWait(cluster, client, MakePut("k", "v"), Seconds(10));
   ASSERT_TRUE(put.ok()) << put.status().ToString();
   EXPECT_EQ(ParseKvReply(*put).status, KvResult::kOk);

@@ -17,8 +17,11 @@ using testing::SeeMoReOptions;
 template <typename GetExecuted>
 void PartitionHealCatchUp(Cluster& cluster, int victim,
                           GetExecuted executed_of) {
+  FaultPlane& faults = cluster.net().faults();
   for (int i = 0; i < cluster.n(); ++i) {
-    if (i != victim) cluster.net().SetLinkUp(victim, i, false);
+    if (i == victim) continue;
+    faults.CutLink(victim, i);
+    faults.CutLink(i, victim);
   }
   RunBurst(cluster, 4, Millis(400));
   const uint64_t cluster_progress = executed_of(0);
@@ -26,7 +29,9 @@ void PartitionHealCatchUp(Cluster& cluster, int victim,
   EXPECT_LT(executed_of(victim), cluster_progress);
 
   for (int i = 0; i < cluster.n(); ++i) {
-    if (i != victim) cluster.net().SetLinkUp(victim, i, true);
+    if (i == victim) continue;
+    faults.RestoreLink(victim, i);
+    faults.RestoreLink(i, victim);
   }
   RunBurst(cluster, 4, Millis(500));
   cluster.sim().RunUntil(cluster.sim().now() + Millis(200));

@@ -1,8 +1,12 @@
-// Flag parsing and the multi-cloud sizing planner.
+// Flag parsing (the FlagSet library and seemore_ctl's schedule flags, run
+// as the real binary) and the multi-cloud sizing planner.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
 #include "consensus/config.h"
 #include "util/flags.h"
@@ -91,6 +95,56 @@ TEST(SplitStringTest, Basics) {
   EXPECT_EQ(SplitString("a", ','), (std::vector<std::string>{"a"}));
   EXPECT_EQ(SplitString("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
   EXPECT_EQ(SplitString("a,,c", ','), (std::vector<std::string>{"a", "", "c"}));
+}
+
+TEST(ParseInt64Test, AcceptsOnlyWholeIntegers) {
+  EXPECT_EQ(*ParseInt64("150"), 150);
+  EXPECT_EQ(*ParseInt64("-3"), -3);
+  for (const char* bad : {"", "x", "zz", "15x0", "1e3", " 5", "5 ", "0x10",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(ParseInt64(bad).ok()) << "'" << bad << "'";
+  }
+}
+
+struct CtlRun {
+  int exit_code = -1;
+  std::string output;
+};
+
+/// Run the seemore_ctl binary with `args`, capturing stdout and stderr.
+CtlRun RunCtl(const std::string& args) {
+  CtlRun run;
+  const std::string command =
+      std::string(SEEMORE_CTL_PATH) + " " + args + " 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) return run;
+  char buffer[512];
+  while (fgets(buffer, sizeof(buffer), pipe) != nullptr) run.output += buffer;
+  const int status = pclose(pipe);
+  run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return run;
+}
+
+TEST(CtlScheduleFlagsTest, MalformedFieldsFailWithInvalidArgument) {
+  // Each of these used to parse as garbage-but-valid: "x@zz" crashed
+  // replica 0 at t=0, "15x0" cut the link at 15 ms.
+  for (const char* flag : {"--crash=x@zz", "--cut-link=3-0@15x0",
+                           "--shape-link=3-0:200:5x:1000@120"}) {
+    const CtlRun run = RunCtl(std::string("--quick ") + flag);
+    EXPECT_NE(run.exit_code, 0) << flag << "\n" << run.output;
+    EXPECT_NE(run.output.find("InvalidArgument"), std::string::npos)
+        << flag << "\n" << run.output;
+  }
+}
+
+TEST(CtlScheduleFlagsTest, WellFormedScheduleParses) {
+  const CtlRun run = RunCtl(
+      "--quick --crash=0@60 --cut-link=3-0@15 "
+      "--shape-link=3-0:200:50:1000@120 --dump-spec");
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find("\"cut-link\""), std::string::npos) << run.output;
+  EXPECT_NE(run.output.find("\"shape-link\""), std::string::npos)
+      << run.output;
 }
 
 TEST(MultiCloudTest, SingleCloudMatchesEq2) {

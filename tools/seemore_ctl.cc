@@ -40,145 +40,123 @@ namespace {
 using scenario::ScenarioReport;
 using scenario::ScenarioSpec;
 
-/// "<id>@<ms>" -> (id, time).
-Result<std::pair<int, SimTime>> ParseAt(const std::string& spec) {
-  const std::vector<std::string> parts = SplitString(spec, '@');
-  if (parts.size() != 2) {
-    return Status::InvalidArgument("expected <what>@<ms>, got: " + spec);
+/// Split one schedule-flag value at `seps`, one separator each and in
+/// order ("-@" splits "3-0@150" into "3", "0", "150"), then parse every
+/// field strictly as an integer except the one at `text_field` (-1: none),
+/// which comes back in `text`. `form` names the expected shape in errors.
+Result<std::vector<int64_t>> ParseSpec(const std::string& flag,
+                                       const std::string& spec,
+                                       const std::string& seps,
+                                       const std::string& form,
+                                       int text_field = -1,
+                                       std::string* text = nullptr) {
+  const Status bad = Status::InvalidArgument("expected --" + flag + "=" +
+                                             form + ", got: " + spec);
+  std::vector<std::string> fields;
+  size_t start = 0;
+  for (char sep : seps) {
+    const size_t at = spec.find(sep, start);
+    if (at == std::string::npos) return bad;
+    fields.push_back(spec.substr(start, at - start));
+    start = at + 1;
   }
-  return std::make_pair(std::atoi(parts[0].c_str()),
-                        Millis(std::atoll(parts[1].c_str())));
+  fields.push_back(spec.substr(start));
+  std::vector<int64_t> values(fields.size(), 0);
+  for (size_t i = 0; i < fields.size(); ++i) {
+    if (static_cast<int>(i) == text_field) {
+      *text = fields[i];
+    } else if (Result<int64_t> value = ParseInt64(fields[i]); value.ok()) {
+      values[i] = *value;
+    } else {
+      return Status::InvalidArgument(bad.message() + " (" +
+                                     value.status().message() + ")");
+    }
+  }
+  return values;
 }
 
-/// Flag -> schedule translation for the <id>@<ms> event families.
-Status ParseReplicaEvents(const FlagSet& flags, const std::string& flag,
-                          scenario::EventKind kind,
-                          scenario::ScenarioBuilder& builder) {
+/// Flag -> schedule translation for every integer-only event family:
+/// "<id>@<ms>" (crash, recover, restart, power-loss), "<id>:<arg>@<ms>"
+/// (truncate-log's byte count, corrupt-log's bit-flip offset), "<ms>"
+/// (crash-primary, partition, heal), "<from>-<to>@<ms>" (cut-link,
+/// restore-link) and "<from>-<to>:<delay_us>:<jitter_us>:<ppm>@<ms>"
+/// (shape-link). The time is always the last field.
+Status ParseEvents(const FlagSet& flags, const std::string& flag,
+                   scenario::EventKind kind,
+                   scenario::ScenarioBuilder& builder) {
+  using scenario::EventKind;
+  std::string seps = "@";
+  std::string form = "<id>@<ms>";
+  switch (kind) {
+    case EventKind::kTruncateLog:
+    case EventKind::kCorruptLog:
+      seps = ":@";
+      form = "<id>:<arg>@<ms>";
+      break;
+    case EventKind::kCrashPrimary:
+    case EventKind::kPartitionClouds:
+    case EventKind::kHealClouds:
+      seps = "";
+      form = "<ms>[,<ms>...]";
+      break;
+    case EventKind::kCutLink:
+    case EventKind::kRestoreLink:
+      seps = "-@";
+      form = "<from>-<to>@<ms>";
+      break;
+    case EventKind::kShapeLink:
+      seps = "-:::@";
+      form = "<from>-<to>:<delay_us>:<jitter_us>:<ppm>@<ms>";
+      break;
+    default:
+      break;
+  }
   for (const std::string& spec : SplitString(flags.GetString(flag), ',')) {
-    SEEMORE_ASSIGN_OR_RETURN(auto at, ParseAt(spec));
+    SEEMORE_ASSIGN_OR_RETURN(std::vector<int64_t> v,
+                             ParseSpec(flag, spec, seps, form));
+    const SimTime at = Millis(v.back());
+    const int id = v.size() > 1 ? static_cast<int>(v[0]) : -1;
     switch (kind) {
-      case scenario::EventKind::kCrash:
-        builder.CrashAt(at.second, at.first);
+      case EventKind::kCrash:
+        builder.CrashAt(at, id);
         break;
-      case scenario::EventKind::kRecover:
-        builder.RecoverAt(at.second, at.first);
+      case EventKind::kRecover:
+        builder.RecoverAt(at, id);
         break;
-      case scenario::EventKind::kRestart:
-        builder.RestartAt(at.second, at.first);
+      case EventKind::kRestart:
+        builder.RestartAt(at, id);
         break;
-      case scenario::EventKind::kPowerLoss:
-        builder.PowerLossAt(at.second, at.first);
+      case EventKind::kPowerLoss:
+        builder.PowerLossAt(at, id);
+        break;
+      case EventKind::kTruncateLog:
+        builder.TruncateLogAt(at, id, v[1]);
+        break;
+      case EventKind::kCorruptLog:
+        builder.CorruptLogAt(at, id, v[1]);
+        break;
+      case EventKind::kCrashPrimary:
+        builder.CrashPrimaryAt(at);
+        break;
+      case EventKind::kPartitionClouds:
+        builder.PartitionCloudsAt(at);
+        break;
+      case EventKind::kHealClouds:
+        builder.HealCloudsAt(at);
+        break;
+      case EventKind::kCutLink:
+        builder.CutLinkAt(at, id, static_cast<int>(v[1]));
+        break;
+      case EventKind::kRestoreLink:
+        builder.RestoreLinkAt(at, id, static_cast<int>(v[1]));
+        break;
+      case EventKind::kShapeLink:
+        builder.ShapeLinkAt(at, id, static_cast<int>(v[1]), Micros(v[2]),
+                            Micros(v[3]), v[4]);
         break;
       default:
-        return Status::Internal("bad replica-event kind");
+        return Status::Internal("bad schedule-event kind");
     }
-  }
-  return Status::Ok();
-}
-
-/// "<id>:<arg>@<ms>" schedules for the log-tamper events (truncate-log's
-/// byte count / corrupt-log's bit-flip offset).
-Status ParseTamperEvents(const FlagSet& flags, const std::string& flag,
-                         scenario::EventKind kind,
-                         scenario::ScenarioBuilder& builder) {
-  for (const std::string& spec : SplitString(flags.GetString(flag), ',')) {
-    const std::vector<std::string> head = SplitString(spec, ':');
-    const std::vector<std::string> tail =
-        head.size() == 2 ? SplitString(head[1], '@') : std::vector<std::string>();
-    if (tail.size() != 2) {
-      return Status::InvalidArgument("expected --" + flag +
-                                     "=<id>:<arg>@<ms>, got: " + spec);
-    }
-    const int replica = std::atoi(head[0].c_str());
-    const int64_t arg = std::atoll(tail[0].c_str());
-    const SimTime at = Millis(std::atoll(tail[1].c_str()));
-    if (kind == scenario::EventKind::kTruncateLog) {
-      builder.TruncateLogAt(at, replica, arg);
-    } else {
-      builder.CorruptLogAt(at, replica, arg);
-    }
-  }
-  return Status::Ok();
-}
-
-/// Times-only schedules ("<ms>[,<ms>...]") for partition / heal /
-/// crash-primary.
-Status ParseTimeEvents(const FlagSet& flags, const std::string& flag,
-                       scenario::EventKind kind,
-                       scenario::ScenarioBuilder& builder) {
-  for (const std::string& spec : SplitString(flags.GetString(flag), ',')) {
-    char* end = nullptr;
-    const long long ms = std::strtoll(spec.c_str(), &end, 10);
-    if (end == spec.c_str() || *end != '\0') {
-      return Status::InvalidArgument("expected --" + flag +
-                                     "=<ms>[,<ms>...], got: " + spec);
-    }
-    switch (kind) {
-      case scenario::EventKind::kCrashPrimary:
-        builder.CrashPrimaryAt(Millis(ms));
-        break;
-      case scenario::EventKind::kPartitionClouds:
-        builder.PartitionCloudsAt(Millis(ms));
-        break;
-      case scenario::EventKind::kHealClouds:
-        builder.HealCloudsAt(Millis(ms));
-        break;
-      default:
-        return Status::Internal("bad time-event kind");
-    }
-  }
-  return Status::Ok();
-}
-
-/// "<from>-<to>@<ms>" directed-link schedules for cut-link / restore-link.
-Status ParseLinkEvents(const FlagSet& flags, const std::string& flag,
-                       scenario::EventKind kind,
-                       scenario::ScenarioBuilder& builder) {
-  for (const std::string& spec : SplitString(flags.GetString(flag), ',')) {
-    const std::vector<std::string> at_parts = SplitString(spec, '@');
-    const std::vector<std::string> ends =
-        at_parts.size() == 2 ? SplitString(at_parts[0], '-')
-                             : std::vector<std::string>();
-    if (ends.size() != 2) {
-      return Status::InvalidArgument("expected --" + flag +
-                                     "=<from>-<to>@<ms>, got: " + spec);
-    }
-    const int from = std::atoi(ends[0].c_str());
-    const int to = std::atoi(ends[1].c_str());
-    const SimTime at = Millis(std::atoll(at_parts[1].c_str()));
-    if (kind == scenario::EventKind::kCutLink) {
-      builder.CutLinkAt(at, from, to);
-    } else {
-      builder.RestoreLinkAt(at, from, to);
-    }
-  }
-  return Status::Ok();
-}
-
-/// "<from>-<to>:<delay_us>:<jitter_us>:<ppm>@<ms>" shaping schedules.
-Status ParseShapeEvents(const FlagSet& flags,
-                        scenario::ScenarioBuilder& builder) {
-  for (const std::string& spec :
-       SplitString(flags.GetString("shape-link"), ',')) {
-    const std::vector<std::string> at_parts = SplitString(spec, '@');
-    const std::vector<std::string> fields =
-        at_parts.size() == 2 ? SplitString(at_parts[0], ':')
-                             : std::vector<std::string>();
-    const std::vector<std::string> ends =
-        fields.size() == 4 ? SplitString(fields[0], '-')
-                           : std::vector<std::string>();
-    if (ends.size() != 2) {
-      return Status::InvalidArgument(
-          "expected --shape-link=<from>-<to>:<delay_us>:<jitter_us>:<ppm>"
-          "@<ms>, got: " +
-          spec);
-    }
-    builder.ShapeLinkAt(Millis(std::atoll(at_parts[1].c_str())),
-                        std::atoi(ends[0].c_str()),
-                        std::atoi(ends[1].c_str()),
-                        Micros(std::atoll(fields[1].c_str())),
-                        Micros(std::atoll(fields[2].c_str())),
-                        std::atoll(fields[3].c_str()));
   }
   return Status::Ok();
 }
@@ -248,47 +226,38 @@ Result<ScenarioSpec> SpecFromFlags(const FlagSet& flags) {
   }
 
   // Fault / switch / partition schedule.
-  SEEMORE_RETURN_IF_ERROR(ParseReplicaEvents(
-      flags, "crash", scenario::EventKind::kCrash, builder));
-  SEEMORE_RETURN_IF_ERROR(ParseReplicaEvents(
-      flags, "recover", scenario::EventKind::kRecover, builder));
+  SEEMORE_RETURN_IF_ERROR(
+      ParseEvents(flags, "crash", scenario::EventKind::kCrash, builder));
+  SEEMORE_RETURN_IF_ERROR(
+      ParseEvents(flags, "recover", scenario::EventKind::kRecover, builder));
   for (const std::string& spec :
        SplitString(flags.GetString("byzantine"), ',')) {
-    // <id>:<behaviour[+behaviour]>@<ms>
-    const std::vector<std::string> head = SplitString(spec, ':');
-    if (head.size() != 2) {
-      return Status::InvalidArgument(
-          "expected --byzantine=<id>:<kind>@<ms>, got: " + spec);
-    }
+    std::string kinds;
     SEEMORE_ASSIGN_OR_RETURN(
-        auto at, ParseAt(head[0] + "@" + SplitString(head[1], '@').back()));
-    SEEMORE_ASSIGN_OR_RETURN(
-        uint32_t behaviours,
-        scenario::ByzFlagsFromToken(SplitString(head[1], '@').front()));
-    builder.ByzantineAt(at.second, at.first, behaviours);
+        std::vector<int64_t> v,
+        ParseSpec("byzantine", spec, ":@", "<id>:<kind>@<ms>", 1, &kinds));
+    SEEMORE_ASSIGN_OR_RETURN(uint32_t behaviours,
+                             scenario::ByzFlagsFromToken(kinds));
+    builder.ByzantineAt(Millis(v[2]), static_cast<int>(v[0]), behaviours);
   }
   for (const std::string& spec : SplitString(flags.GetString("switch"), ',')) {
-    // <mode>@<ms>
-    const std::vector<std::string> parts = SplitString(spec, '@');
-    if (parts.size() != 2) {
-      return Status::InvalidArgument("expected --switch=<mode>@<ms>, got: " +
-                                     spec);
-    }
+    std::string mode;
+    SEEMORE_ASSIGN_OR_RETURN(
+        std::vector<int64_t> v,
+        ParseSpec("switch", spec, "@", "<mode>@<ms>", 0, &mode));
     SEEMORE_ASSIGN_OR_RETURN(SeeMoReMode target,
-                             scenario::SeeMoReModeFromToken(parts[0]));
-    builder.SwitchAt(Millis(std::atoll(parts[1].c_str())), target);
+                             scenario::SeeMoReModeFromToken(mode));
+    builder.SwitchAt(Millis(v[1]), target);
   }
-  SEEMORE_RETURN_IF_ERROR(ParseTimeEvents(
-      flags, "crash-primary", scenario::EventKind::kCrashPrimary, builder));
-  SEEMORE_RETURN_IF_ERROR(ParseTimeEvents(
-      flags, "partition", scenario::EventKind::kPartitionClouds, builder));
-  SEEMORE_RETURN_IF_ERROR(ParseTimeEvents(
-      flags, "heal", scenario::EventKind::kHealClouds, builder));
-  SEEMORE_RETURN_IF_ERROR(ParseLinkEvents(
-      flags, "cut-link", scenario::EventKind::kCutLink, builder));
-  SEEMORE_RETURN_IF_ERROR(ParseLinkEvents(
-      flags, "restore-link", scenario::EventKind::kRestoreLink, builder));
-  SEEMORE_RETURN_IF_ERROR(ParseShapeEvents(flags, builder));
+  for (const auto& [flag, kind] :
+       {std::make_pair("crash-primary", scenario::EventKind::kCrashPrimary),
+        std::make_pair("partition", scenario::EventKind::kPartitionClouds),
+        std::make_pair("heal", scenario::EventKind::kHealClouds),
+        std::make_pair("cut-link", scenario::EventKind::kCutLink),
+        std::make_pair("restore-link", scenario::EventKind::kRestoreLink),
+        std::make_pair("shape-link", scenario::EventKind::kShapeLink)}) {
+    SEEMORE_RETURN_IF_ERROR(ParseEvents(flags, flag, kind, builder));
+  }
 
   // Durability + the restart/fault-injection family it enables.
   if (flags.GetBool("durable") || flags.WasSet("durable-fsync") ||
@@ -297,14 +266,13 @@ Result<ScenarioSpec> SpecFromFlags(const FlagSet& flags) {
         static_cast<int>(flags.GetInt("durable-fsync")),
         static_cast<int64_t>(flags.GetInt("durable-segment-kb")) * 1024);
   }
-  SEEMORE_RETURN_IF_ERROR(ParseReplicaEvents(
-      flags, "restart", scenario::EventKind::kRestart, builder));
-  SEEMORE_RETURN_IF_ERROR(ParseReplicaEvents(
-      flags, "power-loss", scenario::EventKind::kPowerLoss, builder));
-  SEEMORE_RETURN_IF_ERROR(ParseTamperEvents(
-      flags, "truncate-log", scenario::EventKind::kTruncateLog, builder));
-  SEEMORE_RETURN_IF_ERROR(ParseTamperEvents(
-      flags, "corrupt-log", scenario::EventKind::kCorruptLog, builder));
+  for (const auto& [flag, kind] :
+       {std::make_pair("restart", scenario::EventKind::kRestart),
+        std::make_pair("power-loss", scenario::EventKind::kPowerLoss),
+        std::make_pair("truncate-log", scenario::EventKind::kTruncateLog),
+        std::make_pair("corrupt-log", scenario::EventKind::kCorruptLog)}) {
+    SEEMORE_RETURN_IF_ERROR(ParseEvents(flags, flag, kind, builder));
+  }
 
   return builder.spec();
 }
