@@ -220,12 +220,12 @@ void PaxosReplica::SendReply(const ExecutedRequest& executed) {
   Reply reply;
   reply.mode = 0;
   reply.view = view_;
-  reply.timestamp = executed.request.timestamp;
+  reply.timestamp = executed.timestamp;
   reply.replica = id_;
   reply.result = executed.result;
   reply.Sign(signer_);
   ChargeMac();  // crash model: replies carry MACs, not signatures
-  SendTo(executed.request.client, reply.ToMessage());
+  SendTo(executed.client, reply.ToMessage());
 }
 
 // ---------------------------------------------------------------------------

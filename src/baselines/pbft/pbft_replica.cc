@@ -315,7 +315,7 @@ void PbftCoreReplica::CheckCommitted(uint64_t seq, SlotCore& slot) {
 void PbftCoreReplica::SendReply(const ExecutedRequest& executed) {
   Reply reply;
   reply.view = view_;
-  reply.timestamp = executed.request.timestamp;
+  reply.timestamp = executed.timestamp;
   reply.replica = id_;
   reply.result = executed.result;
   if (HasByz(kByzLieToClients) && !reply.result.empty()) {
@@ -323,7 +323,7 @@ void PbftCoreReplica::SendReply(const ExecutedRequest& executed) {
   }
   reply.Sign(signer_);
   ChargeMac();
-  SendTo(executed.request.client, reply.ToMessage());
+  SendTo(executed.client, reply.ToMessage());
 }
 
 // ---------------------------------------------------------------------------

@@ -59,12 +59,14 @@ class CommitQueue {
     durable_ = durable != nullptr && durable->enabled() ? durable : nullptr;
   }
 
-  /// Phase 2: enqueue (seq, batch) for in-order execution. Executes every
-  /// batch that became in-order runnable, charges the execution cost and
-  /// returns the per-request outcomes for the caller's reply policy.
-  std::vector<ExecutedRequest> Execute(uint64_t seq, const Batch& batch) {
+  /// Phase 2: enqueue (seq, batch) for in-order execution; `digest` is the
+  /// batch's verified digest (the slot's). Executes every batch that became
+  /// in-order runnable, charges the execution cost and returns the
+  /// per-request outcomes for the caller's reply policy.
+  std::vector<ExecutedRequest> Execute(uint64_t seq, const Batch& batch,
+                                       const Digest& digest) {
     if (durable_ != nullptr) durable_->AppendCommit(seq, batch);
-    std::vector<ExecutedRequest> executed = exec_.Commit(seq, batch);
+    std::vector<ExecutedRequest> executed = exec_.Commit(seq, batch, digest);
     cpu_->Charge(costs_.execute * static_cast<int64_t>(executed.size()));
     stats_.requests_executed += executed.size();
     return executed;
@@ -75,7 +77,7 @@ class CommitQueue {
   std::vector<ExecutedRequest> Commit(InstanceLog& log, uint64_t seq,
                                       SlotCore& slot) {
     MarkCommitted(log, slot);
-    return Execute(seq, slot.batch);
+    return Execute(seq, slot.batch, slot.digest);
   }
 
  private:

@@ -10,34 +10,36 @@ ExecutionEngine::ExecutionEngine(std::unique_ptr<StateMachine> state_machine)
     : state_machine_(std::move(state_machine)) {}
 
 std::vector<ExecutedRequest> ExecutionEngine::Commit(uint64_t seq,
-                                                     Batch batch) {
+                                                     const Batch& batch,
+                                                     const Digest& digest) {
   std::vector<ExecutedRequest> out;
-  if (seq <= last_executed_ || pending_.count(seq) > 0) return out;
-  pending_.emplace(seq, std::move(batch));
-  // Drain every batch that is now in order.
-  while (true) {
-    auto it = pending_.find(last_executed_ + 1);
-    if (it == pending_.end()) break;
-    std::vector<ExecutedRequest> executed = ExecuteBatch(it->first, it->second);
-    out.insert(out.end(), std::make_move_iterator(executed.begin()),
-               std::make_move_iterator(executed.end()));
-    executed_digests_.Append(it->first, it->second.ComputeDigest());
-    last_executed_ = it->first;
-    ++batches_executed_;
-    pending_.erase(it);
+  if (HasCommitted(seq)) return out;
+  if (seq == last_executed_ + 1) {
+    out.reserve(batch.size());
+    ExecuteBatch(seq, batch, digest, out);
+  } else {
+    pending_.emplace(seq, PendingBatch{batch, digest});
+  }
+  // Drain every buffered batch that is now in order. pending_ holds only
+  // seqs above last_executed_, so the next one, if any, is first; after a
+  // Restore it may already be runnable before any new commit arrives.
+  for (auto it = pending_.begin();
+       it != pending_.end() && it->first == last_executed_ + 1;
+       it = pending_.erase(it)) {
+    ExecuteBatch(it->first, it->second.batch, it->second.digest, out);
   }
   if (!out.empty()) EvictStaleReplies();
   return out;
 }
 
-std::vector<ExecutedRequest> ExecutionEngine::ExecuteBatch(uint64_t seq,
-                                                           const Batch& batch) {
-  std::vector<ExecutedRequest> out;
-  out.reserve(batch.requests.size());
+void ExecutionEngine::ExecuteBatch(uint64_t seq, const Batch& batch,
+                                   const Digest& digest,
+                                   std::vector<ExecutedRequest>& out) {
   for (const Request& request : batch.requests) {
-    ExecutedRequest result;
+    ExecutedRequest& result = out.emplace_back();
     result.seq = seq;
-    result.request = request;
+    result.client = request.client;
+    result.timestamp = request.timestamp;
     auto cache_it = reply_cache_.find(request.client);
     if (cache_it != reply_cache_.end() &&
         request.timestamp <= cache_it->second.timestamp) {
@@ -53,9 +55,10 @@ std::vector<ExecutedRequest> ExecutionEngine::ExecuteBatch(uint64_t seq,
       reply_cache_[request.client] =
           CacheEntry{request.timestamp, result.result, seq};
     }
-    out.push_back(std::move(result));
   }
-  return out;
+  executed_digests_.Append(seq, digest);
+  last_executed_ = seq;
+  ++batches_executed_;
 }
 
 void ExecutionEngine::EvictStaleReplies() {

@@ -3,6 +3,8 @@
 //
 // Shared by all four protocols: a protocol marks (seq, batch) committed and
 // the engine executes batches strictly in sequence order, buffering gaps.
+// The next-in-order batch executes in place from the caller's slot; only a
+// batch that must wait for a gap is copied.
 //
 // Memory model (DESIGN.md §10): the reply cache is an open-addressing flat
 // map (hot on every request/execute), bounded by opt-in retention-window
@@ -27,10 +29,13 @@
 
 namespace seemore {
 
-/// One request's execution outcome, used by protocols to send replies.
+/// One request's execution outcome, used by protocols to send replies. It
+/// names the request by (client, timestamp), all a reply needs; the op
+/// stays in the committed batch.
 struct ExecutedRequest {
   uint64_t seq = 0;
-  Request request;
+  PrincipalId client = 0;
+  uint64_t timestamp = 0;
   Bytes result;
   /// True if the request had already executed under an earlier sequence
   /// number (duplicate from a retransmission); `result` is the cached reply.
@@ -80,11 +85,16 @@ class ExecutionEngine {
   ExecutionEngine(const ExecutionEngine&) = delete;
   ExecutionEngine& operator=(const ExecutionEngine&) = delete;
 
-  /// Record (seq, batch) as committed. Executes every batch that becomes
-  /// in-order executable and returns the per-request outcomes (possibly from
-  /// several sequence numbers). Re-commits of an already-executed or
-  /// already-buffered seq are ignored (returns empty).
-  std::vector<ExecutedRequest> Commit(uint64_t seq, Batch batch);
+  /// Record (seq, batch) as committed; `digest` must be
+  /// batch.ComputeDigest(), which every protocol already holds as the
+  /// digest the batch was agreed under (the WAL replay computes it). When
+  /// `seq` is next in order the batch executes in place; otherwise a copy
+  /// waits, with its digest, for the gap below it. Executes every batch that
+  /// becomes in-order executable and returns the per-request outcomes
+  /// (possibly from several sequence numbers). Re-commits of an
+  /// already-executed or already-buffered seq are ignored (returns empty).
+  std::vector<ExecutedRequest> Commit(uint64_t seq, const Batch& batch,
+                                      const Digest& digest);
 
   uint64_t last_executed() const { return last_executed_; }
 
@@ -146,14 +156,23 @@ class ExecutionEngine {
     uint64_t last_seq = 0;
   };
 
-  std::vector<ExecutedRequest> ExecuteBatch(uint64_t seq, const Batch& batch);
+  /// A committed batch waiting for a lower seq to commit.
+  struct PendingBatch {
+    Batch batch;
+    Digest digest;
+  };
+
+  /// Execute `batch` as `seq` (which must be last_executed_ + 1), appending
+  /// its per-request outcomes to `out`.
+  void ExecuteBatch(uint64_t seq, const Batch& batch, const Digest& digest,
+                    std::vector<ExecutedRequest>& out);
   void EvictStaleReplies();
 
   std::unique_ptr<StateMachine> state_machine_;
   uint64_t last_executed_ = 0;
   uint64_t batches_executed_ = 0;
   uint64_t reply_retention_ = 0;  // 0 = unbounded (tool/test default)
-  std::map<uint64_t, Batch> pending_;  // committed, waiting for lower seqs
+  std::map<uint64_t, PendingBatch> pending_;  // waiting for lower seqs
   FlatHashMap<PrincipalId, CacheEntry> reply_cache_;
   ExecutedDigestLog executed_digests_;
 };

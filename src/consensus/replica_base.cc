@@ -50,9 +50,10 @@ void ReplicaBase::RestoreFromImage(const RecoveredImage& image) {
   }
   // Replay through the engine directly: gap-tolerant, dedups overlap with
   // the snapshot, and sends no replies and charges no CPU — the work
-  // happened while the replica was down.
+  // happened while the replica was down. A WAL record carries no digest,
+  // so replay computes it.
   for (const auto& [seq, batch] : image.commits) {
-    exec_.Commit(seq, batch);
+    exec_.Commit(seq, batch, batch.ComputeDigest());
   }
   // See proposer_quiesced(): no proposing in the restored view — the
   // pre-crash incarnation may have signed proposals this image lacks.

@@ -51,9 +51,11 @@ std::array<uint8_t, HmacSha256::kTagSize> HmacSha256::Mac(const uint8_t* key,
 }
 
 std::array<uint8_t, HmacSha256::kTagSize> HmacSha256::Mac(
-    const HmacKeySchedule& schedule, const uint8_t* data, size_t len) {
+    const HmacKeySchedule& schedule, const uint8_t* head, size_t head_len,
+    const uint8_t* tail, size_t tail_len) {
   HmacSha256 mac(schedule);
-  mac.Update(data, len);
+  mac.Update(head, head_len);
+  if (tail_len > 0) mac.Update(tail, tail_len);
   std::array<uint8_t, kTagSize> out;
   mac.Final(out.data());
   return out;

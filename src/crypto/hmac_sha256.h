@@ -70,7 +70,16 @@ class HmacSha256 {
     return Mac(key.data(), key.size(), data.data(), data.size());
   }
   static std::array<uint8_t, kTagSize> Mac(const HmacKeySchedule& schedule,
-                                           const uint8_t* data, size_t len);
+                                           const uint8_t* data, size_t len) {
+    return Mac(schedule, data, len, nullptr, 0);
+  }
+  /// Two-span MAC: the tag over `head` followed by `tail`, streamed through
+  /// one computation so the caller never joins the spans into a copy.
+  static std::array<uint8_t, kTagSize> Mac(const HmacKeySchedule& schedule,
+                                           const uint8_t* head,
+                                           size_t head_len,
+                                           const uint8_t* tail,
+                                           size_t tail_len);
 
   /// Constant-time tag comparison.
   static bool Equal(const uint8_t* a, const uint8_t* b, size_t len);

@@ -27,9 +27,11 @@ const HmacKeySchedule& KeyStore::ScheduleFor(PrincipalId id) const {
   return it->second;
 }
 
-bool KeyStore::Verify(PrincipalId signer, const uint8_t* msg, size_t len,
+bool KeyStore::Verify(PrincipalId signer, const uint8_t* head,
+                      size_t head_len, const uint8_t* tail, size_t tail_len,
                       const Signature& sig) const {
-  auto expected = HmacSha256::Mac(ScheduleFor(signer), msg, len);
+  auto expected =
+      HmacSha256::Mac(ScheduleFor(signer), head, head_len, tail, tail_len);
   return HmacSha256::Equal(expected.data(), sig.data(), Signature::kSize);
 }
 

@@ -80,6 +80,13 @@ class KeyStore {
 
   /// Verify that `sig` is principal `signer`'s signature over `msg`.
   bool Verify(PrincipalId signer, const uint8_t* msg, size_t len,
+              const Signature& sig) const {
+    return Verify(signer, msg, len, nullptr, 0, sig);
+  }
+  /// Two-span overload: the signature over `head` followed by `tail`, checked
+  /// without joining them (a request's header, then its op in place).
+  bool Verify(PrincipalId signer, const uint8_t* head, size_t head_len,
+              const uint8_t* tail, size_t tail_len,
               const Signature& sig) const;
   /// Span-like overload: Bytes, or a stack-built HeaderBuf (consensus/
   /// proofs.h) — anything exposing contiguous data()/size().
@@ -112,6 +119,13 @@ class Signer {
 
   Signature Sign(const uint8_t* msg, size_t len) const {
     return Signature(HmacSha256::Mac(schedule_, msg, len));
+  }
+  /// Two-span overload: signs `head` followed by `tail` (KeyStore::Verify's
+  /// two-span counterpart).
+  Signature Sign(const uint8_t* head, size_t head_len, const uint8_t* tail,
+                 size_t tail_len) const {
+    return Signature(
+        HmacSha256::Mac(schedule_, head, head_len, tail, tail_len));
   }
   /// Span-like overload (Bytes or a stack-built HeaderBuf).
   template <typename B>

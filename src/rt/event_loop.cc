@@ -211,9 +211,8 @@ void EventLoop::Run(SimTime until) {
     }
     // End-of-batch posts: everything deferred while dispatching this batch
     // (e.g. per-connection flush requests) runs now, before the loop can
-    // sleep again. Swap once — a post queued by a post runs in this same
-    // drain, but an unbounded self-posting chain still yields to io every
-    // iteration because the swapped vector is finite.
+    // sleep again. Swap once, so an unbounded self-posting chain still
+    // yields to io every iteration because the swapped vector is finite.
     if (!posted_.empty()) {
       std::vector<std::function<void()>> batch;
       batch.swap(posted_);

@@ -75,9 +75,10 @@ class EventLoop final : public TimerService {
   /// epoll_wait. This is the flush-coalescing hook: every message enqueued
   /// while draining one readiness batch posts a single deferred flush, so
   /// the frames leave in one writev instead of one send() each — and
-  /// unlike ScheduleAfter(0) it costs no timerfd_settime syscall. Posts
-  /// queued by a post run in the same drain (the queue is swapped once per
-  /// iteration, so a self-posting callback cannot starve io).
+  /// unlike ScheduleAfter(0) it costs no timerfd_settime syscall. The queue
+  /// is swapped once per iteration, so posts queued by a post run in the
+  /// next iteration (after a zero-timeout epoll_wait), and a self-posting
+  /// callback cannot starve io.
   void Post(std::function<void()> fn);
 
   /// --- running ------------------------------------------------------------

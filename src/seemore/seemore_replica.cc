@@ -585,7 +585,8 @@ void SeeMoReReplica::CommitSlot(uint64_t seq, SlotCore& slot, bool replies,
   if (slot.committed()) return;
   commits().MarkCommitted(log_, slot);
   if (informs) SendInform(seq, slot);
-  std::vector<ExecutedRequest> executed = commits().Execute(seq, slot.batch);
+  std::vector<ExecutedRequest> executed =
+      commits().Execute(seq, slot.batch, slot.digest);
   for (const ExecutedRequest& ex : executed) {
     if (replies && !(ex.duplicate && ex.result.empty())) SendReply(ex);
   }
@@ -598,7 +599,7 @@ void SeeMoReReplica::SendReply(const ExecutedRequest& executed) {
   Reply reply;
   reply.mode = static_cast<uint8_t>(mode_);
   reply.view = view_;
-  reply.timestamp = executed.request.timestamp;
+  reply.timestamp = executed.timestamp;
   reply.replica = id_;
   reply.result = executed.result;
   if (HasByz(kByzLieToClients) && !reply.result.empty()) {
@@ -606,7 +607,7 @@ void SeeMoReReplica::SendReply(const ExecutedRequest& executed) {
   }
   reply.Sign(signer_);
   ChargeSign();  // replies are signed in every SeeMoRe mode (§5.1)
-  SendTo(executed.request.client, reply.ToMessage());
+  SendTo(executed.client, reply.ToMessage());
 }
 
 void SeeMoReReplica::SendInform(uint64_t seq, const SlotCore& slot) {

@@ -2,20 +2,43 @@
 
 namespace seemore {
 
-Bytes Request::SignedPayload() const {
-  Encoder enc;
-  enc.PutU32(static_cast<uint32_t>(client));
-  enc.PutU64(timestamp);
-  enc.PutBytes(op);
-  return enc.Take();
+namespace {
+
+/// The signed fields ahead of the op (client, timestamp, op length), laid
+/// out as Request::EncodeTo writes them; the op bytes follow in the MAC.
+class SignedHeader {
+ public:
+  explicit SignedHeader(const Request& request) {
+    PutLe(static_cast<uint32_t>(request.client), 4);
+    PutLe(request.timestamp, 8);
+    len_ += WriteVarint(buf_ + len_, request.op.size());
+  }
+
+  const uint8_t* data() const { return buf_; }
+  size_t size() const { return len_; }
+
+ private:
+  void PutLe(uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      buf_[len_++] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  }
+
+  uint8_t buf_[4 + 8 + kMaxVarintSize];
+  size_t len_ = 0;
+};
+
+}  // namespace
+
+void Request::Sign(const Signer& signer) {
+  const SignedHeader header(*this);
+  sig = signer.Sign(header.data(), header.size(), op.data(), op.size());
 }
 
-Digest Request::ComputeDigest() const { return Digest::Of(SignedPayload()); }
-
-void Request::Sign(const Signer& signer) { sig = signer.Sign(SignedPayload()); }
-
 bool Request::VerifySignature(const KeyStore& keystore) const {
-  return keystore.Verify(client, SignedPayload(), sig);
+  const SignedHeader header(*this);
+  return keystore.Verify(client, header.data(), header.size(), op.data(),
+                         op.size(), sig);
 }
 
 void Request::EncodeTo(Encoder& enc) const {
@@ -41,6 +64,7 @@ Result<Request> Request::DecodeFrom(Decoder& dec) {
 
 Bytes Request::ToMessage() const {
   Encoder enc;
+  enc.Reserve(1 + EncodedSize());
   enc.PutU8(kMsgRequest);
   EncodeTo(enc);
   return enc.Take();

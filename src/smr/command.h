@@ -29,12 +29,10 @@ struct Request {
   Bytes op;
   Signature sig;
 
-  /// Deterministic encoding of the signed fields (everything but sig).
-  Bytes SignedPayload() const;
-
-  /// D(µ): digest over the signed payload.
-  Digest ComputeDigest() const;
-
+  /// The signature covers the deterministic encoding of every field but
+  /// sig: client, timestamp, length-prefixed op. Sign and VerifySignature
+  /// stream the small header and then `op` in place through one MAC, so the
+  /// op is never copied to be signed.
   void Sign(const Signer& signer);
   bool VerifySignature(const KeyStore& keystore) const;
 

@@ -16,11 +16,8 @@ void Encoder::PutU64(uint64_t v) {
 }
 
 void Encoder::PutVarint(uint64_t v) {
-  while (v >= 0x80) {
-    buf_.push_back(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buf_.push_back(static_cast<uint8_t>(v));
+  uint8_t encoded[kMaxVarintSize];
+  PutRaw(encoded, WriteVarint(encoded, v));
 }
 
 void Encoder::PutBytes(const uint8_t* data, size_t len) {
@@ -80,6 +77,14 @@ uint64_t Decoder::GetVarint() {
       Fail("varint overflow");
       return 0;
     }
+    // Canonical form only: a zero final group after the first byte is a
+    // padded encoding (0x80 0x00 for 0). Accepting it would let a peer send
+    // bytes that decode to a value whose re-encoding differs, so a digest
+    // over the received bytes would not be the digest of what was decoded.
+    if (byte == 0 && shift > 0) {
+      Fail("non-canonical varint");
+      return 0;
+    }
     v |= static_cast<uint64_t>(byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) return v;
     shift += 7;
@@ -90,21 +95,33 @@ uint64_t Decoder::GetVarint() {
   }
 }
 
-Bytes Decoder::GetBytes() {
-  uint64_t len = GetVarint();
-  if (!status_.ok()) return {};
-  if (len > remaining()) {
+const uint8_t* Decoder::TakePrefixed(size_t* len) {
+  const size_t start = pos_;
+  const uint64_t n = GetVarint();
+  if (!status_.ok()) return nullptr;
+  if (n > remaining()) {
+    pos_ = start;
     Fail("bytes length exceeds input");
-    return {};
+    return nullptr;
   }
-  Bytes out(data_ + pos_, data_ + pos_ + len);
-  pos_ += len;
-  return out;
+  const uint8_t* field = data_ + pos_;
+  pos_ += n;
+  *len = n;
+  return field;
+}
+
+Bytes Decoder::GetBytes() {
+  size_t len = 0;
+  const uint8_t* field = TakePrefixed(&len);
+  if (field == nullptr) return {};
+  return Bytes(field, field + len);
 }
 
 std::string Decoder::GetString() {
-  Bytes b = GetBytes();
-  return std::string(b.begin(), b.end());
+  size_t len = 0;
+  const uint8_t* field = TakePrefixed(&len);
+  if (field == nullptr) return {};
+  return std::string(reinterpret_cast<const char*>(field), len);
 }
 
 Bytes Decoder::GetRaw(size_t len) {
@@ -112,6 +129,12 @@ Bytes Decoder::GetRaw(size_t len) {
   Bytes out(data_ + pos_, data_ + pos_ + len);
   pos_ += len;
   return out;
+}
+
+bool Decoder::Skip(size_t len) {
+  if (!Require(len)) return false;
+  pos_ += len;
+  return true;
 }
 
 bool Decoder::GetRawInto(uint8_t* out, size_t len) {

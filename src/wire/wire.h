@@ -2,7 +2,9 @@
 //
 // Encoding rules (little-endian throughout):
 //   - u8 / u16 / u32 / u64: fixed width
-//   - varint: LEB128, for sequence numbers and lengths
+//   - varint: LEB128, for sequence numbers and lengths; the decoder accepts
+//     only the minimal (canonical) encoding, so an accepted batch re-encodes
+//     to exactly the bytes it was decoded from (and digested over)
 //   - bytes:  varint length prefix + raw bytes
 //   - string: same as bytes
 // The Decoder is bounds-checked and returns Status on any truncated or
@@ -32,6 +34,21 @@ constexpr size_t VarintSize(uint64_t v) {
     v >>= 7;
     ++n;
   }
+  return n;
+}
+
+/// Longest LEB128 encoding of a uint64_t.
+inline constexpr size_t kMaxVarintSize = 10;
+
+/// Write the canonical (minimal) LEB128 encoding of `v` to `out`, which must
+/// hold kMaxVarintSize bytes; returns the encoded length (== VarintSize(v)).
+inline size_t WriteVarint(uint8_t* out, uint64_t v) {
+  size_t n = 0;
+  while (v >= 0x80) {
+    out[n++] = static_cast<uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  out[n++] = static_cast<uint8_t>(v);
   return n;
 }
 
@@ -100,6 +117,9 @@ class Decoder {
   Bytes GetRaw(size_t len);
   /// Copy exactly `len` raw bytes into `out`.
   bool GetRawInto(uint8_t* out, size_t len);
+  /// Step over exactly `len` raw bytes without copying them (discarded
+  /// payload). Fails, without advancing, when fewer than `len` remain.
+  bool Skip(size_t len);
 
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
@@ -121,6 +141,10 @@ class Decoder {
  private:
   bool Require(size_t n);
   void Fail(const char* what);
+  /// The next length-prefixed field in place: returns its first byte and
+  /// sets `*len`, advancing past it. On a length past the end it fails and
+  /// leaves pos() where it was before the prefix.
+  const uint8_t* TakePrefixed(size_t* len);
 
   const uint8_t* data_;
   size_t len_;

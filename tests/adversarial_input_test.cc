@@ -113,6 +113,65 @@ TEST_F(AdversarialInputTest, PaxosSurvivesGarbage) {
   EXPECT_TRUE(cluster.CheckAgreement().ok());
 }
 
+TEST_F(AdversarialInputTest, PeacockRejectsSignedBatchWithPaddedVarint) {
+  // A Byzantine Peacock primary digests and signs batch bytes whose request
+  // count is a padded varint (0x81 0x00 for 1). Were they accepted, the
+  // slot digest would differ from the digest of the batch they decode to,
+  // and the honest re-proposal of the same batch would be refused as
+  // equivocation. Proxies must reject the padded bytes at decode, then
+  // accept, commit and execute the canonical proposal under its digest.
+  Cluster cluster(SeeMoReOptions(SeeMoReMode::kPeacock, 1, 1));
+  const PrincipalId primary = cluster.seemore(0)->current_primary();
+  const Signer primary_signer(primary, cluster.keystore());
+
+  const PrincipalId client = kClientIdBase + 42;
+  Request request;
+  request.client = client;
+  request.timestamp = 1;
+  request.op = MakePut("k", "v");
+  request.Sign(Signer(client, cluster.keystore()));
+  const Batch batch{{request}};
+  const Bytes canonical = batch.Encode();
+  ASSERT_EQ(canonical[0], 0x01);
+  Bytes padded = canonical;
+  padded[0] = 0x81;
+  padded.insert(padded.begin() + 1, 0x00);
+
+  const auto propose = [&](const Bytes& batch_bytes) {
+    SmPrepareMsg prepare;
+    prepare.mode = static_cast<uint8_t>(SeeMoReMode::kPeacock);
+    prepare.view = cluster.seemore(0)->view();
+    prepare.seq = 1;
+    prepare.batch = batch_bytes;
+    prepare.digest = Digest::Of(batch_bytes);
+    prepare.sig = primary_signer.Sign(prepare.Header());
+    for (PrincipalId r = 0; r < cluster.n(); ++r) {
+      if (r != primary) cluster.net().Send(primary, r, prepare.ToMessage());
+    }
+  };
+  propose(padded);
+  cluster.sim().RunUntil(cluster.sim().now() + Millis(5));
+  for (int i = 0; i < cluster.n(); ++i) {
+    cluster.seemore(i)->instance_log().ForEachAscending(
+        [&](uint64_t seq, const SlotCore& slot) {
+          EXPECT_FALSE(slot.has_batch())
+              << "replica " << i << " accepted padded bytes at seq " << seq;
+        });
+  }
+
+  propose(canonical);
+  cluster.sim().RunUntil(cluster.sim().now() + Millis(50));
+  int executed = 0;
+  for (int i = 0; i < cluster.n(); ++i) {
+    const ExecutedDigestLog& log =
+        cluster.replica(i)->exec().executed_digests();
+    if (log.Find(1) == nullptr) continue;
+    EXPECT_EQ(log.at(1), batch.ComputeDigest()) << "replica " << i;
+    ++executed;
+  }
+  EXPECT_GE(executed, 3);
+}
+
 TEST_F(AdversarialInputTest, MalformedOpsExecuteSafely) {
   // A *valid, signed* request whose op payload is garbage: the state
   // machine must return kBadRequest deterministically on every replica.

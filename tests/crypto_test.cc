@@ -247,6 +247,30 @@ TEST(KeyStoreTest, SignVerifyRoundTrip) {
   EXPECT_FALSE(store.Verify(3, altered, sig));
 }
 
+TEST(KeyStoreTest, TwoSpanSignatureEqualsTheJoinedMessage) {
+  // Streaming a message as head + tail must MAC exactly the concatenation,
+  // at every split point (block-internal, block boundary, empty tail).
+  KeyStore store(42);
+  Signer alice(3, store);
+  Bytes msg(200);
+  for (size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<uint8_t>(i * 7);
+  const Signature joined = alice.Sign(msg);
+  for (size_t split = 0; split <= msg.size(); ++split) {
+    const Signature sig = alice.Sign(msg.data(), split, msg.data() + split,
+                                     msg.size() - split);
+    EXPECT_EQ(sig, joined) << "split " << split;
+    EXPECT_TRUE(store.Verify(3, msg.data(), split, msg.data() + split,
+                             msg.size() - split, joined))
+        << "split " << split;
+  }
+  EXPECT_FALSE(store.Verify(4, msg.data(), 10, msg.data() + 10,
+                            msg.size() - 10, joined));  // wrong principal
+  Bytes altered = msg;
+  altered.back() ^= 1;
+  EXPECT_FALSE(store.Verify(3, altered.data(), 10, altered.data() + 10,
+                            altered.size() - 10, joined));
+}
+
 TEST(KeyStoreTest, AdversaryCannotForge) {
   KeyStore store(42);
   Signer byzantine(7, store);

@@ -217,6 +217,20 @@ void CrashRestartCatchUp(Cluster& cluster, int victim,
   // The durable image held real state: a snapshot, replayed commits, or
   // both.
   EXPECT_GT(outcome->snapshot_seq + outcome->replayed_commits, 0u);
+  // Replay recomputes each batch's digest from the WAL record; it must equal
+  // the digest a live replica logged from its agreed slot for the same seq.
+  const ExecutedDigestLog& replayed =
+      cluster.replica(victim)->exec().executed_digests();
+  const ExecutedDigestLog& live = cluster.replica(0)->exec().executed_digests();
+  uint64_t compared = 0;
+  for (uint64_t seq = replayed.floor();
+       !replayed.empty() && seq <= replayed.ceil(); ++seq) {
+    if (live.Find(seq) == nullptr) continue;
+    EXPECT_EQ(replayed.at(seq), live.at(seq)) << "seq " << seq;
+    ++compared;
+  }
+  EXPECT_EQ(compared, replayed.size());
+  EXPECT_GT(compared, 0u) << "no commit replayed above the snapshot";
 
   testing::RunBurst(cluster, 4, Millis(400));
   cluster.sim().RunUntil(cluster.sim().now() + Millis(200));

@@ -45,6 +45,24 @@ TEST(KvStoreTest, EchoSizes) {
             KvResult::kBadRequest);
 }
 
+TEST(KvStoreTest, TruncatedEchoPaddingIsABadRequest) {
+  // The echo op steps over its padding in place; a padding length past the
+  // end of the op must still be rejected, not read past the buffer.
+  KvStateMachine kv;
+  Bytes op = MakeEcho(16, 100);
+  ASSERT_EQ(ParseKvReply(kv.Execute(op)).status, KvResult::kOk);
+  for (size_t cut : {1u, 50u, 100u}) {
+    Bytes truncated(op.begin(), op.end() - static_cast<std::ptrdiff_t>(cut));
+    EXPECT_EQ(ParseKvReply(kv.Execute(truncated)).status,
+              KvResult::kBadRequest)
+        << "cut " << cut;
+  }
+  // Header only: kind + reply size, no padding length at all.
+  Bytes header_only(op.begin(), op.begin() + 5);
+  EXPECT_EQ(ParseKvReply(kv.Execute(header_only)).status,
+            KvResult::kBadRequest);
+}
+
 TEST(KvStoreTest, MalformedOpIsRejectedNotFatal) {
   KvStateMachine kv;
   EXPECT_EQ(ParseKvReply(kv.Execute(Bytes{})).status, KvResult::kBadRequest);
@@ -134,11 +152,59 @@ TEST(RequestTest, SignEncodeDecodeVerify) {
   EXPECT_TRUE(dec.AtEnd());
   EXPECT_EQ(*decoded, request);
   EXPECT_TRUE(decoded->VerifySignature(store));
-  EXPECT_EQ(decoded->ComputeDigest(), request.ComputeDigest());
+  EXPECT_EQ(decoded->sig, request.sig);
 
   // Tampering breaks the signature.
   decoded->timestamp = 18;
   EXPECT_FALSE(decoded->VerifySignature(store));
+}
+
+TEST(RequestTest, StreamedSignatureMatchesTheEncodedSignedFields) {
+  // The signature covers client, timestamp and the length-prefixed op, as
+  // Encoder lays them out. Sign/VerifySignature stream the header and then
+  // the op; the tag must be byte-equal to a MAC over the joined encoding.
+  KeyStore store(3);
+  const PrincipalId client = kClientIdBase + 5;
+  Signer client_signer(client, store);
+  Request request;
+  request.client = client;
+  request.timestamp = 0x0102030405060708ULL;
+  request.op = MakeEcho(0, 4096);
+  request.Sign(client_signer);
+
+  Encoder joined;
+  joined.PutU32(static_cast<uint32_t>(client));
+  joined.PutU64(request.timestamp);
+  joined.PutBytes(request.op);
+  EXPECT_EQ(request.sig, client_signer.Sign(joined.bytes()));
+  EXPECT_TRUE(request.VerifySignature(store));
+
+  Request flipped = request;
+  flipped.op[2048] ^= 0x01;
+  EXPECT_FALSE(flipped.VerifySignature(store));
+  Request last_byte = request;
+  last_byte.op.back() ^= 0x80;
+  EXPECT_FALSE(last_byte.VerifySignature(store));
+  Request retimed = request;
+  retimed.timestamp += 1;
+  EXPECT_FALSE(retimed.VerifySignature(store));
+  Request other_client = request;
+  other_client.client = client + 1;
+  EXPECT_FALSE(other_client.VerifySignature(store));
+  // The op length is signed too: a shorter op with the same prefix fails.
+  Request shortened = request;
+  shortened.op.pop_back();
+  EXPECT_FALSE(shortened.VerifySignature(store));
+}
+
+TEST(RequestTest, ToMessageIsOneExactAllocation) {
+  Request request;
+  request.client = kClientIdBase;
+  request.timestamp = 1;
+  request.op = MakeEcho(0, 4096);
+  const Bytes message = request.ToMessage();
+  EXPECT_EQ(message.size(), 1 + request.EncodedSize());
+  EXPECT_EQ(message.capacity(), message.size());
 }
 
 TEST(ReplyTest, SignEncodeDecodeVerify) {
@@ -162,6 +228,13 @@ TEST(ReplyTest, SignEncodeDecodeVerify) {
   EXPECT_FALSE(decoded->VerifySignature(store));
 }
 
+/// Commits `batch` as `seq` under its own digest, as a protocol does with
+/// the digest its slot agreed on.
+std::vector<ExecutedRequest> CommitBatch(ExecutionEngine& engine, uint64_t seq,
+                                         const Batch& batch) {
+  return engine.Commit(seq, batch, batch.ComputeDigest());
+}
+
 Request MakeTestRequest(PrincipalId client, uint64_t ts) {
   Request r;
   r.client = client;
@@ -174,9 +247,9 @@ TEST(ExecutionEngineTest, InOrderExecution) {
   ExecutionEngine engine(std::make_unique<KvStateMachine>());
   Batch b1{{MakeTestRequest(kClientIdBase, 1)}};
   Batch b2{{MakeTestRequest(kClientIdBase, 2)}};
-  EXPECT_EQ(engine.Commit(1, b1).size(), 1u);
+  EXPECT_EQ(CommitBatch(engine, 1, b1).size(), 1u);
   EXPECT_EQ(engine.last_executed(), 1u);
-  EXPECT_EQ(engine.Commit(2, b2).size(), 1u);
+  EXPECT_EQ(CommitBatch(engine, 2, b2).size(), 1u);
   EXPECT_EQ(engine.last_executed(), 2u);
 }
 
@@ -184,13 +257,13 @@ TEST(ExecutionEngineTest, BuffersGaps) {
   ExecutionEngine engine(std::make_unique<KvStateMachine>());
   Batch b1{{MakeTestRequest(kClientIdBase, 1)}};
   Batch b3{{MakeTestRequest(kClientIdBase, 3)}};
-  EXPECT_TRUE(engine.Commit(3, b3).empty());  // gap: waits for 1, 2
+  EXPECT_TRUE(CommitBatch(engine, 3, b3).empty());  // gap: waits for 1, 2
   EXPECT_EQ(engine.last_executed(), 0u);
   EXPECT_TRUE(engine.HasCommitted(3));
   Batch b2{{MakeTestRequest(kClientIdBase, 2)}};
-  EXPECT_EQ(engine.Commit(1, b1).size(), 1u);
+  EXPECT_EQ(CommitBatch(engine, 1, b1).size(), 1u);
   // Committing 2 releases both 2 and 3.
-  EXPECT_EQ(engine.Commit(2, b2).size(), 2u);
+  EXPECT_EQ(CommitBatch(engine, 2, b2).size(), 2u);
   EXPECT_EQ(engine.last_executed(), 3u);
 }
 
@@ -198,13 +271,13 @@ TEST(ExecutionEngineTest, ExactlyOnceDeduplication) {
   ExecutionEngine engine(std::make_unique<KvStateMachine>());
   Request put = MakeTestRequest(kClientIdBase, 5);
   put.op = MakePut("a", "1");
-  auto first = engine.Commit(1, Batch{{put}});
+  auto first = CommitBatch(engine, 1, Batch{{put}});
   ASSERT_EQ(first.size(), 1u);
   EXPECT_FALSE(first[0].duplicate);
 
   // The same (client, timestamp) committed again at a later seq must NOT
   // re-execute, and the cached reply is returned.
-  auto second = engine.Commit(2, Batch{{put}});
+  auto second = CommitBatch(engine, 2, Batch{{put}});
   ASSERT_EQ(second.size(), 1u);
   EXPECT_TRUE(second[0].duplicate);
   EXPECT_EQ(second[0].result, first[0].result);
@@ -213,18 +286,87 @@ TEST(ExecutionEngineTest, ExactlyOnceDeduplication) {
   EXPECT_FALSE(engine.CachedReply(kClientIdBase, 4).has_value());
 }
 
+TEST(ExecutionEngineTest, OutOfOrderBatchIsCopiedWithItsDigest) {
+  // An in-order batch executes in place from the caller's slot; one that
+  // must wait for a gap is copied with its digest, so the caller may reuse
+  // its slot right away. The executed outcome and the logged digest are
+  // those of the batch as committed.
+  ExecutionEngine engine(std::make_unique<KvStateMachine>());
+  Request put = MakeTestRequest(kClientIdBase + 3, 1);
+  put.op = MakePut("late", "v3");
+  Batch slot{{put}};
+  const Digest committed = slot.ComputeDigest();
+  EXPECT_TRUE(engine.Commit(3, slot, committed).empty());
+  slot.requests[0].op = MakePut("late", "overwritten");
+  slot.requests[0].timestamp = 99;
+
+  Batch b1{{MakeTestRequest(kClientIdBase, 1)}};
+  Batch b2{{MakeTestRequest(kClientIdBase, 2)}};
+  ASSERT_EQ(CommitBatch(engine, 1, b1).size(), 1u);
+  std::vector<ExecutedRequest> released = CommitBatch(engine, 2, b2);
+  ASSERT_EQ(released.size(), 2u);
+  EXPECT_EQ(released[0].seq, 2u);
+  EXPECT_EQ(released[1].seq, 3u);
+  EXPECT_EQ(released[1].client, kClientIdBase + 3);
+  EXPECT_EQ(released[1].timestamp, 1u);
+  EXPECT_EQ(engine.executed_digests().at(1), b1.ComputeDigest());
+  EXPECT_EQ(engine.executed_digests().at(2), b2.ComputeDigest());
+  EXPECT_EQ(engine.executed_digests().at(3), committed);
+
+  Request get = MakeTestRequest(kClientIdBase + 4, 1);
+  get.op = MakeGet("late");
+  std::vector<ExecutedRequest> read = CommitBatch(engine, 4, Batch{{get}});
+  ASSERT_EQ(read.size(), 1u);
+  EXPECT_EQ(ParseKvReply(read[0].result).value, "v3");
+}
+
+TEST(ExecutionEngineTest, BatchBufferedBeforeARestoreRunsOnTheNextCommit) {
+  // A state transfer can move the frontier right below a buffered batch.
+  // It runs on the next commit of any new seq, even one that must itself
+  // wait for a gap.
+  ExecutionEngine donor(std::make_unique<KvStateMachine>());
+  for (uint64_t seq = 1; seq <= 4; ++seq) {
+    CommitBatch(donor, seq, Batch{{MakeTestRequest(kClientIdBase, seq)}});
+  }
+  ExecutionEngine engine(std::make_unique<KvStateMachine>());
+  Batch b5{{MakeTestRequest(kClientIdBase, 5)}};
+  EXPECT_TRUE(CommitBatch(engine, 5, b5).empty());
+  ASSERT_TRUE(engine.Restore(donor.Snapshot(), 4).ok());
+  EXPECT_EQ(engine.last_executed(), 4u);
+
+  Batch b7{{MakeTestRequest(kClientIdBase, 7)}};
+  std::vector<ExecutedRequest> out = CommitBatch(engine, 7, b7);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].seq, 5u);
+  EXPECT_EQ(engine.last_executed(), 5u);
+  EXPECT_EQ(engine.executed_digests().at(5), b5.ComputeDigest());
+  EXPECT_TRUE(engine.HasCommitted(7));
+}
+
+TEST(ExecutionEngineTest, OutcomeNamesTheRequestByClientAndTimestamp) {
+  ExecutionEngine engine(std::make_unique<KvStateMachine>());
+  Batch batch{{MakeTestRequest(kClientIdBase + 7, 41),
+               MakeTestRequest(kClientIdBase + 8, 42)}};
+  std::vector<ExecutedRequest> out = CommitBatch(engine, 1, batch);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].client, kClientIdBase + 7);
+  EXPECT_EQ(out[0].timestamp, 41u);
+  EXPECT_EQ(out[1].client, kClientIdBase + 8);
+  EXPECT_EQ(out[1].timestamp, 42u);
+}
+
 TEST(ExecutionEngineTest, DuplicateSeqIgnored) {
   ExecutionEngine engine(std::make_unique<KvStateMachine>());
   Batch b{{MakeTestRequest(kClientIdBase, 1)}};
-  EXPECT_EQ(engine.Commit(1, b).size(), 1u);
-  EXPECT_TRUE(engine.Commit(1, b).empty());
+  EXPECT_EQ(CommitBatch(engine, 1, b).size(), 1u);
+  EXPECT_TRUE(CommitBatch(engine, 1, b).empty());
 }
 
 TEST(ExecutionEngineTest, SnapshotRestoreCarriesReplyCache) {
   ExecutionEngine engine(std::make_unique<KvStateMachine>());
   Request put = MakeTestRequest(kClientIdBase, 1);
   put.op = MakePut("k", "v");
-  engine.Commit(1, Batch{{put}});
+  CommitBatch(engine, 1, Batch{{put}});
   Bytes snapshot = engine.Snapshot();
   Digest digest = engine.StateDigest();
 
@@ -241,7 +383,7 @@ TEST(ExecutionEngineTest, SnapshotRestoreCarriesReplyCache) {
 TEST(ExecutionEngineTest, ExecutedDigestsTrackHistory) {
   ExecutionEngine engine(std::make_unique<KvStateMachine>());
   Batch b1{{MakeTestRequest(kClientIdBase, 1)}};
-  engine.Commit(1, b1);
+  CommitBatch(engine, 1, b1);
   ASSERT_EQ(engine.executed_digests().size(), 1u);
   EXPECT_EQ(engine.executed_digests().at(1), b1.ComputeDigest());
 }
@@ -261,7 +403,7 @@ TEST(ExecutionEngineTest, ReplyRetentionBoundsCacheSize) {
     Batch batch{{MakeTestRequest(kClientIdBase, seq),
                  MakeTestRequest(kClientIdBase + static_cast<PrincipalId>(seq),
                                  1)}};
-    ASSERT_EQ(engine.Commit(seq, batch).size(), 2u);
+    ASSERT_EQ(CommitBatch(engine, seq, batch).size(), 2u);
     // Active-client bound: the returning client + the one-shots whose seq
     // lies in the retention window [last_executed - R, last_executed].
     EXPECT_LE(engine.reply_cache_size(), kRetention + 2);
@@ -295,9 +437,10 @@ TEST(ExecutionEngineTest, ReplyRetentionSurvivesSnapshotRestore) {
   ExecutionEngine donor(std::make_unique<KvStateMachine>());
   donor.SetReplyRetention(kRetention);
   // The idle client executes only at seq 1; the active client every seq.
-  donor.Commit(1, Batch{{MakeTestRequest(kIdle, 1), MakeTestRequest(kActive, 1)}});
+  CommitBatch(donor, 1,
+              Batch{{MakeTestRequest(kIdle, 1), MakeTestRequest(kActive, 1)}});
   for (uint64_t seq = 2; seq <= 3; ++seq) {
-    donor.Commit(seq, Batch{{MakeTestRequest(kActive, seq)}});
+    CommitBatch(donor, seq, Batch{{MakeTestRequest(kActive, seq)}});
   }
   ASSERT_EQ(donor.reply_cache_size(), 2u);
 
@@ -313,8 +456,8 @@ TEST(ExecutionEngineTest, ReplyRetentionSurvivesSnapshotRestore) {
   // digests must stay pairwise identical the whole way.
   for (uint64_t seq = 4; seq <= 8; ++seq) {
     Batch batch{{MakeTestRequest(kActive, seq)}};
-    donor.Commit(seq, batch);
-    restored.Commit(seq, batch);
+    CommitBatch(donor, seq, batch);
+    CommitBatch(restored, seq, batch);
     EXPECT_EQ(restored.StateDigest(), donor.StateDigest()) << "seq " << seq;
     EXPECT_EQ(restored.reply_cache_size(), donor.reply_cache_size())
         << "seq " << seq;
@@ -333,11 +476,11 @@ TEST(ExecutionEngineTest, RetentionOffSnapshotKeepsHistoricalLayout) {
   put.op = MakePut("k", "v");
 
   ExecutionEngine plain(std::make_unique<KvStateMachine>());
-  plain.Commit(1, Batch{{put}});
+  CommitBatch(plain, 1, Batch{{put}});
 
   ExecutionEngine bounded(std::make_unique<KvStateMachine>());
   bounded.SetReplyRetention(16);
-  bounded.Commit(1, Batch{{put}});
+  CommitBatch(bounded, 1, Batch{{put}});
 
   Bytes plain_snap = plain.Snapshot();
   Bytes bounded_snap = bounded.Snapshot();

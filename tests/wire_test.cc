@@ -93,6 +93,94 @@ TEST(WireTest, VarintOverflowFails) {
   EXPECT_FALSE(dec.ok());
 }
 
+TEST(WireTest, VarintRejectsNonCanonicalEncodings) {
+  // Only the minimal encoding is accepted: a padded one (a zero final group
+  // after the first byte) decodes to a value whose re-encoding differs.
+  const Bytes padded[] = {
+      {0x80, 0x00},                    // 0
+      {0x81, 0x00},                    // 1
+      {0xff, 0x80, 0x00},              // 127
+      {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00},
+  };
+  for (const Bytes& bytes : padded) {
+    Decoder dec(bytes);
+    EXPECT_EQ(dec.GetVarint(), 0u);
+    EXPECT_EQ(dec.status().code(), StatusCode::kCorruption)
+        << "accepted a " << bytes.size() << "-byte padded varint";
+  }
+  // A zero group in the middle is canonical (128 = 0x80 0x01; 2^14 =
+  // 0x80 0x80 0x01), as is a lone zero byte.
+  const std::pair<Bytes, uint64_t> canonical[] = {
+      {{0x00}, 0}, {{0x80, 0x01}, 128}, {{0x80, 0x80, 0x01}, 1u << 14}};
+  for (const auto& [bytes, value] : canonical) {
+    Decoder dec(bytes);
+    EXPECT_EQ(dec.GetVarint(), value);
+    EXPECT_TRUE(dec.AtEnd());
+  }
+}
+
+TEST(WireTest, AcceptedVarintsReEncodeToTheBytesDecoded) {
+  // decode -> encode is the identity on every accepted input, so a digest
+  // over received bytes is the digest of what was decoded. Bytes are drawn
+  // mostly from continuation/zero patterns to hit padded encodings often.
+  const uint8_t kPool[] = {0x00, 0x01, 0x7f, 0x80, 0x81, 0xff};
+  uint64_t state = 0x5eed;
+  int accepted = 0;
+  int rejected = 0;
+  for (int round = 0; round < 4000; ++round) {
+    Bytes input;
+    const int len = 1 + static_cast<int>(SplitMix64(state) % 11);
+    for (int i = 0; i < len; ++i) {
+      const uint64_t r = SplitMix64(state);
+      input.push_back(r % 4 == 0 ? static_cast<uint8_t>(r >> 8)
+                                 : kPool[(r >> 8) % sizeof(kPool)]);
+    }
+    Decoder dec(input);
+    const uint64_t value = dec.GetVarint();
+    if (!dec.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    Encoder enc;
+    enc.PutVarint(value);
+    EXPECT_EQ(enc.bytes(), Bytes(input.begin(), input.begin() + dec.pos()))
+        << "round " << round;
+  }
+  EXPECT_GT(accepted, 100);
+  EXPECT_GT(rejected, 100);
+}
+
+TEST(WireTest, GetStringAndSkipPastTheEndFailWithoutAdvancing) {
+  Encoder enc;
+  enc.PutU8(7);
+  enc.PutVarint(1000);  // a string that claims 1000 bytes follow
+  enc.PutU8(1);
+  {
+    Decoder dec(enc.bytes());
+    dec.GetU8();
+    EXPECT_TRUE(dec.GetString().empty());
+    EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(dec.pos(), 1u);
+  }
+  {
+    Decoder dec(enc.bytes());
+    dec.GetU8();
+    EXPECT_FALSE(dec.Skip(enc.size()));
+    EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(dec.pos(), 1u);
+  }
+  {
+    // In bounds: Skip steps over exactly `len` bytes.
+    Decoder dec(enc.bytes());
+    EXPECT_TRUE(dec.Skip(1));
+    EXPECT_EQ(dec.GetVarint(), 1000u);
+    EXPECT_TRUE(dec.Skip(1));
+    EXPECT_TRUE(dec.AtEnd());
+    EXPECT_FALSE(dec.Skip(1));
+  }
+}
+
 TEST(WireTest, TrailingBytesDetectedByFinish) {
   Encoder enc;
   enc.PutU8(1);
@@ -187,6 +275,27 @@ class MessagesTest : public ::testing::Test {
   KeyStore keystore_;
   Signer signer_;
 };
+
+TEST_F(MessagesTest, BatchWithPaddedLengthFieldIsRejected) {
+  // A Byzantine primary could digest and sign batch bytes that use a padded
+  // varint; Batch::Decode must refuse them, so every accepted batch
+  // re-encodes to the digested bytes.
+  const Bytes canonical = SampleBatch().Encode();
+  ASSERT_TRUE(Batch::Decode(canonical).ok());
+  ASSERT_EQ(canonical[0], 0x01);  // request count
+  Bytes padded_count = canonical;
+  padded_count[0] = 0x81;
+  padded_count.insert(padded_count.begin() + 1, 0x00);
+  EXPECT_EQ(Batch::Decode(padded_count).status().code(),
+            StatusCode::kCorruption);
+  constexpr size_t kOpLength = 1 + 4 + 8;  // count, client, timestamp
+  ASSERT_EQ(canonical[kOpLength], 0x04);
+  Bytes padded_op = canonical;
+  padded_op[kOpLength] = 0x84;
+  padded_op.insert(padded_op.begin() + kOpLength + 1, 0x00);
+  EXPECT_EQ(Batch::Decode(padded_op).status().code(),
+            StatusCode::kCorruption);
+}
 
 TEST_F(MessagesTest, SmPrepareRoundTripAndSignature) {
   SmPrepareMsg msg;
