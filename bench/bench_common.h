@@ -2,7 +2,7 @@
 // expresses its experiments as scenario::ScenarioSpecs (the paper
 // calibration lives in scenario/registry.h: PaperCostModel / PaperNetwork /
 // PaperBaseSpec / PaperSystemSpec) and runs them through
-// scenario::RunScenario — no bench assembles ClusterOptions directly.
+// scenario::RunScenario, which builds each cluster from its spec.
 //
 // Topologies follow §6.1 exactly: for a failure budget (c, m), SeeMoRe and
 // S-UpRight deploy 2c private + 3m+1 public nodes (N = 3m+2c+1), CFT uses

@@ -22,15 +22,14 @@ int main() {
       .CloudSizes(/*s=*/2, /*p=*/4)
       .Seed(2024);
 
-  // 2. Build the cluster from the spec: simulator + network + 6 replicas,
-  //    each running a replicated key-value store.
-  Result<std::unique_ptr<Cluster>> made =
-      scenario::MakeCluster(builder.spec());
-  if (!made.ok()) {
-    std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
+  // 2. Build the cluster from the validated spec: simulator + network + 6
+  //    replicas, each running a replicated key-value store.
+  Result<scenario::ScenarioSpec> spec = builder.Build();
+  if (!spec.ok()) {
+    std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
     return 2;
   }
-  Cluster& cluster = **made;
+  Cluster cluster(*spec);
   std::printf("cluster: %s\n", cluster.config().ToString().c_str());
   for (int i = 0; i < cluster.n(); ++i) {
     std::printf("  replica %d: %s cloud%s\n", i,

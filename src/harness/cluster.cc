@@ -1,29 +1,46 @@
 #include "harness/cluster.h"
 
+#include "smr/ledger.h"
 #include "util/logging.h"
 
 namespace seemore {
+namespace {
 
-Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
-  SEEMORE_CHECK(options_.config.Validate().ok())
-      << "invalid cluster config: " << options_.config.Validate().ToString();
-  sim_ = std::make_unique<Simulator>(options_.seed);
-  keystore_ = std::make_unique<KeyStore>(RunKeySeed(options_.seed));
+/// The validated spec, or a CHECK failure naming what is wrong with it.
+const scenario::ScenarioSpec& CheckedSpec(const scenario::ScenarioSpec& spec) {
+  const Status valid = spec.Validate();
+  SEEMORE_CHECK(valid.ok()) << "invalid scenario spec: " << valid.ToString();
+  return spec;
+}
+
+std::unique_ptr<StateMachine> MakeStateMachine(
+    scenario::StateMachineKind kind) {
+  if (kind == scenario::StateMachineKind::kLedger) {
+    return std::make_unique<LedgerStateMachine>();
+  }
+  return std::make_unique<KvStateMachine>();
+}
+
+}  // namespace
+
+Cluster::Cluster(const scenario::ScenarioSpec& spec)
+    : spec_(CheckedSpec(spec)), config_(spec_.ResolvedConfig()) {
+  sim_ = std::make_unique<Simulator>(spec_.seed);
+  keystore_ = std::make_unique<KeyStore>(RunKeySeed(spec_.seed));
   memo_ = std::make_unique<CryptoMemo>();
-  net_ = std::make_unique<SimNetwork>(sim_.get(), options_.net);
+  net_ = std::make_unique<SimNetwork>(sim_.get(), spec_.net);
 
   // The cluster is the composition root: it owns the concrete simulator and
   // simulated network, and hands replicas/clients only the Transport and
   // TimerService interfaces they are written against.
-  const ClusterConfig& config = options_.config;
-  media_.resize(config.n());
-  stores_.resize(config.n());
-  for (int i = 0; i < config.n(); ++i) {
+  media_.resize(config_.n());
+  stores_.resize(config_.n());
+  for (int i = 0; i < config_.n(); ++i) {
     replicas_.push_back(BuildReplica(i));
-    if (options_.durability.enabled) {
+    if (spec_.durability.enabled) {
       media_[i] = std::make_unique<storage::MemMedium>();
       stores_[i] = std::make_unique<storage::FileDurableStore>(
-          media_[i].get(), options_.durability, options_.costs);
+          media_[i].get(), spec_.durability, spec_.costs);
       const Status st = stores_[i]->OpenFresh();
       SEEMORE_CHECK(st.ok()) << "open durable store: " << st.ToString();
       replicas_[i]->AttachDurable(stores_[i].get());
@@ -37,10 +54,15 @@ Cluster::~Cluster() {
   clients_.clear();
 }
 
-std::unique_ptr<ReplicaBase> MakeReplica(
-    const ClusterConfig& config, int id, Transport* transport,
-    TimerService* timers, const KeyStore* keystore, CryptoMemo* memo,
-    std::unique_ptr<StateMachine> state_machine, const CostModel& costs) {
+std::unique_ptr<ReplicaBase> MakeReplica(const scenario::ScenarioSpec& spec,
+                                         int id, Transport* transport,
+                                         TimerService* timers,
+                                         const KeyStore* keystore,
+                                         CryptoMemo* memo) {
+  const ClusterConfig config = spec.ResolvedConfig();
+  std::unique_ptr<StateMachine> state_machine =
+      MakeStateMachine(spec.state_machine);
+  const CostModel& costs = spec.costs;
   switch (config.kind) {
     case ProtocolKind::kCft:
       return std::make_unique<PaxosReplica>(transport, timers, keystore, memo,
@@ -79,16 +101,15 @@ int CurrentPrimary(const ReplicaBase& replica, const ClusterConfig& config) {
 }
 
 std::unique_ptr<ReplicaBase> Cluster::BuildReplica(int i) {
-  return MakeReplica(options_.config, i, net_.get(), sim_.get(),
-                     keystore_.get(), memo_.get(),
-                     options_.state_machine_factory(), options_.costs);
+  return MakeReplica(spec_, i, net_.get(), sim_.get(), keystore_.get(),
+                     memo_.get());
 }
 
 Result<RestartOutcome> Cluster::Restart(int i) {
   SEEMORE_CHECK(i >= 0 && i < n()) << "restart replica " << i;
-  if (!options_.durability.enabled) {
+  if (!spec_.durability.enabled) {
     return Status::FailedPrecondition(
-        "restart requires durability (enable ClusterOptions::durability)");
+        "restart requires durability (enable the spec's durability)");
   }
   if (!replicas_[i]->crashed()) {
     return Status::FailedPrecondition("restart target is not crashed");
@@ -106,7 +127,7 @@ Result<RestartOutcome> Cluster::Restart(int i) {
   net_->Unregister(i);
 
   auto store = std::make_unique<storage::FileDurableStore>(
-      media_[i].get(), options_.durability, options_.costs);
+      media_[i].get(), spec_.durability, spec_.costs);
   const Status opened = store->OpenAfterRecovery(image);
   // The medium cannot fail IO and recovery validated the inputs; failure
   // here is a storage-layer bug, not an injectable fault.
@@ -131,7 +152,7 @@ RestartOutcome RestartOutcome::Of(const RecoveredImage& image) {
 }
 
 void Cluster::PowerLoss(int i) {
-  SEEMORE_CHECK(options_.durability.enabled)
+  SEEMORE_CHECK(spec_.durability.enabled)
       << "power loss requires durability";
   replicas_[i]->Crash();
   media_[i]->PowerLoss();
@@ -139,7 +160,7 @@ void Cluster::PowerLoss(int i) {
 
 Status Cluster::TamperWal(int i, storage::WalTamper tamper,
                           uint64_t offset_from_end) {
-  if (!options_.durability.enabled) {
+  if (!spec_.durability.enabled) {
     return Status::FailedPrecondition("wal tampering requires durability");
   }
   if (!replicas_[i]->crashed()) {
@@ -149,35 +170,35 @@ Status Cluster::TamperWal(int i, storage::WalTamper tamper,
 }
 
 SeeMoReReplica* Cluster::seemore(int i) {
-  SEEMORE_CHECK(options_.config.kind == ProtocolKind::kSeeMoRe);
+  SEEMORE_CHECK(config_.kind == ProtocolKind::kSeeMoRe);
   return static_cast<SeeMoReReplica*>(replicas_[i].get());
 }
 
 PaxosReplica* Cluster::paxos(int i) {
-  SEEMORE_CHECK(options_.config.kind == ProtocolKind::kCft);
+  SEEMORE_CHECK(config_.kind == ProtocolKind::kCft);
   return static_cast<PaxosReplica*>(replicas_[i].get());
 }
 
 PbftCoreReplica* Cluster::pbft(int i) {
-  SEEMORE_CHECK(options_.config.kind == ProtocolKind::kBft ||
-                options_.config.kind == ProtocolKind::kSUpRight);
+  SEEMORE_CHECK(config_.kind == ProtocolKind::kBft ||
+                config_.kind == ProtocolKind::kSUpRight);
   return static_cast<PbftCoreReplica*>(replicas_[i].get());
 }
 
 SimClient* Cluster::AddClient() {
   ClientOptions client_options;
   client_options.id = next_client_id_++;
-  client_options.retransmit_timeout = options_.client_retransmit_timeout;
+  client_options.retransmit_timeout = spec_.client_retransmit_timeout;
   clients_.push_back(std::make_unique<SimClient>(
       net_.get(), sim_.get(), keystore_.get(), client_options,
-      MakeReplyPolicy(options_.config)));
+      MakeReplyPolicy(config_)));
   return clients_.back().get();
 }
 
 void Cluster::SetByzantine(int i, uint32_t flags) {
-  if (options_.config.kind == ProtocolKind::kSeeMoRe) {
+  if (config_.kind == ProtocolKind::kSeeMoRe) {
     // The model only admits Byzantine behaviour in the public cloud (§3.1).
-    SEEMORE_CHECK(!options_.config.IsTrusted(i) || flags == kByzNone)
+    SEEMORE_CHECK(!config_.IsTrusted(i) || flags == kByzNone)
         << "cannot make trusted replica " << i << " Byzantine";
   }
   replicas_[i]->SetByzantine(flags);

@@ -1,11 +1,12 @@
 // Cluster builder: wires a simulator, network, keystore, one replica process
-// per node (of the configured protocol), and any number of clients. Also the
-// fault-injection surface used by tests and the Figure 4 benchmark.
+// per node (of the spec's protocol), and any number of clients. Also the
+// fault-injection surface used by tests and the Figure 4 benchmark. A
+// cluster is always built from a scenario::ScenarioSpec: Cluster(spec) and
+// MakeReplica(spec, ...) are the only construction path.
 
 #ifndef SEEMORE_HARNESS_CLUSTER_H_
 #define SEEMORE_HARNESS_CLUSTER_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "consensus/config.h"
 #include "harness/policies.h"
 #include "net/network.h"
+#include "scenario/spec.h"
 #include "scenario/verdict.h"
 #include "seemore/seemore_replica.h"
 #include "sim/simulator.h"
@@ -26,34 +28,21 @@
 
 namespace seemore {
 
-struct ClusterOptions {
-  ClusterConfig config;
-  NetworkConfig net;
-  CostModel costs;
-  uint64_t seed = 1;
-  SimTime client_retransmit_timeout = Millis(60);
-  /// Factory for each replica's state machine.
-  std::function<std::unique_ptr<StateMachine>()> state_machine_factory = [] {
-    return std::make_unique<KvStateMachine>();
-  };
-  /// Durable storage knobs. Disabled by default: every replica then runs on
-  /// the no-op store and behaves bit-identically to the pre-durability code.
-  DurabilityOptions durability;
-};
-
 /// The KeyStore seed of a run seeded with `seed`: every process of a run
 /// derives the identical per-principal keys from it.
 inline uint64_t RunKeySeed(uint64_t seed) {
   return seed ^ 0x5eed'c0de'5eed'c0deULL;
 }
 
-/// Replica `id` of `config`'s protocol over the given runtime seams: the
-/// one per-protocol factory behind both the simulated cluster and a
-/// seemore_node process.
-std::unique_ptr<ReplicaBase> MakeReplica(
-    const ClusterConfig& config, int id, Transport* transport,
-    TimerService* timers, const KeyStore* keystore, CryptoMemo* memo,
-    std::unique_ptr<StateMachine> state_machine, const CostModel& costs);
+/// Replica `id` of a (valid) spec over the given runtime seams: the one
+/// spec-to-replica factory behind both the simulated cluster and a
+/// seemore_node process. It picks the protocol class from spec.protocol
+/// and the state machine from spec.state_machine.
+std::unique_ptr<ReplicaBase> MakeReplica(const scenario::ScenarioSpec& spec,
+                                         int id, Transport* transport,
+                                         TimerService* timers,
+                                         const KeyStore* keystore,
+                                         CryptoMemo* memo);
 
 /// Who `replica` believes is primary now (replicas can disagree mid view
 /// change; any live vantage is fine for fault injection).
@@ -70,7 +59,10 @@ struct RestartOutcome {
 
 class Cluster {
  public:
-  explicit Cluster(ClusterOptions options);
+  /// CHECKs spec.Validate(). The spec's clients, workload, plan and
+  /// schedule are not acted on here: the cluster starts idle, with no
+  /// clients (scenario::RunScenario drives those).
+  explicit Cluster(const scenario::ScenarioSpec& spec);
   ~Cluster();
 
   Cluster(const Cluster&) = delete;
@@ -79,9 +71,9 @@ class Cluster {
   Simulator& sim() { return *sim_; }
   SimNetwork& net() { return *net_; }
   const KeyStore& keystore() const { return *keystore_; }
-  const ClusterConfig& config() const { return options_.config; }
+  const ClusterConfig& config() const { return config_; }
 
-  int n() const { return options_.config.n(); }
+  int n() const { return config_.n(); }
   ReplicaBase* replica(int i) { return replicas_[i].get(); }
 
   /// Typed accessors (check the protocol kind).
@@ -137,7 +129,8 @@ class Cluster {
   /// MakeReplica over this cluster's simulator, network and keys.
   std::unique_ptr<ReplicaBase> BuildReplica(int i);
 
-  ClusterOptions options_;
+  const scenario::ScenarioSpec spec_;
+  const ClusterConfig config_;  // spec_.ResolvedConfig()
   std::unique_ptr<Simulator> sim_;
   std::unique_ptr<KeyStore> keystore_;
   /// The run's digest/verify memo (crypto/memo.h): shared by this cluster's

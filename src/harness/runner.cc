@@ -57,23 +57,6 @@ OpFactory KvWorkload(uint64_t seed, int key_space, double put_fraction) {
   };
 }
 
-RunResult RunClosedLoop(Cluster& cluster, int num_clients, OpFactory ops,
-                        SimTime warmup, SimTime measure) {
-  while (cluster.num_clients() < num_clients) cluster.AddClient();
-  for (int i = 0; i < num_clients; ++i) {
-    cluster.client(i)->Start(ops);
-  }
-  const SimTime start = cluster.sim().now();
-  cluster.sim().RunUntil(start + warmup);
-  for (int i = 0; i < num_clients; ++i) cluster.client(i)->ResetStats();
-
-  cluster.sim().RunUntil(start + warmup + measure);
-
-  std::vector<SimClient*> clients;
-  for (int i = 0; i < num_clients; ++i) clients.push_back(cluster.client(i));
-  return StopAndSummarize(clients, measure);
-}
-
 RunResult StopAndSummarize(const std::vector<SimClient*>& clients,
                            SimTime window) {
   RunResult result;

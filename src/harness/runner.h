@@ -1,6 +1,7 @@
-// Closed-loop experiment runner reproducing the paper's methodology (§6):
-// a population of clients, each waiting for its reply before issuing the
-// next request; measured end-to-end throughput and latency after a warmup.
+// What a closed-loop experiment measures, following the paper's methodology
+// (§6): a population of clients, each waiting for its reply before issuing
+// the next request; end-to-end throughput and latency after a warmup. The
+// run itself is driven by scenario::RunScenario (scenario/engine.h).
 
 #ifndef SEEMORE_HARNESS_RUNNER_H_
 #define SEEMORE_HARNESS_RUNNER_H_
@@ -46,14 +47,9 @@ OpFactory EchoWorkload(uint32_t request_kb, uint32_t reply_kb);
 /// integration tests.
 OpFactory KvWorkload(uint64_t seed, int key_space, double put_fraction);
 
-/// Run `num_clients` closed-loop clients for warmup + measure, then report.
-/// Creates the clients on the cluster (reusing any already added).
-RunResult RunClosedLoop(Cluster& cluster, int num_clients, OpFactory ops,
-                        SimTime warmup, SimTime measure);
-
 /// Stop `clients` and aggregate what they measured over a window of length
-/// `window`: the one RunResult formula of the sim engine, RunClosedLoop and
-/// the tcp launcher.
+/// `window`: the one RunResult formula of the sim engine and the tcp
+/// launcher.
 RunResult StopAndSummarize(const std::vector<SimClient*>& clients,
                            SimTime window);
 

@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "scenario/engine.h"
-
 namespace seemore {
 namespace rt {
 namespace {
@@ -62,13 +60,13 @@ Node::~Node() {
 }
 
 Status Node::InitDurability() {
-  if (!cluster_options_.durability.enabled || options_.data_dir.empty()) {
+  if (!spec_.durability.enabled || options_.data_dir.empty()) {
     return Status::Ok();
   }
   medium_ = std::make_unique<PosixMedium>(options_.data_dir);
   SEEMORE_RETURN_IF_ERROR(medium_->status());
   store_ = std::make_unique<storage::FileDurableStore>(
-      medium_.get(), cluster_options_.durability, cluster_options_.costs);
+      medium_.get(), spec_.durability, spec_.costs);
 
   // A data dir with prior WAL/snapshot files means this process is a
   // restarted incarnation: run the same recover -> reopen -> restore
@@ -91,8 +89,7 @@ Status Node::InitDurability() {
 
 Status Node::Init() {
   SEEMORE_RETURN_IF_ERROR(spec_.Validate());
-  cluster_options_ = scenario::ToClusterOptions(spec_);
-  const ClusterConfig& config = cluster_options_.config;
+  const ClusterConfig config = spec_.ResolvedConfig();
   if (options_.replica_id < 0 || options_.replica_id >= config.n()) {
     return Status::InvalidArgument("replica id out of range for topology");
   }
@@ -111,13 +108,11 @@ Status Node::Init() {
   transport_->SetControlHandler(
       [this](const FaultCommand& command) { OnControl(command); });
 
-  keystore_ = std::make_unique<KeyStore>(RunKeySeed(cluster_options_.seed));
+  keystore_ = std::make_unique<KeyStore>(RunKeySeed(spec_.seed));
   memo_ = std::make_unique<CryptoMemo>();
 
-  replica_ = MakeReplica(config, options_.replica_id, transport_.get(),
-                         loop_.get(), keystore_.get(), memo_.get(),
-                         cluster_options_.state_machine_factory(),
-                         cluster_options_.costs);
+  replica_ = MakeReplica(spec_, options_.replica_id, transport_.get(),
+                         loop_.get(), keystore_.get(), memo_.get());
   SEEMORE_RETURN_IF_ERROR(transport_->status());  // listener bind outcome
   return InitDurability();
 }
@@ -130,7 +125,7 @@ void Node::OnControl(const FaultCommand& command) {
       }
       return;
     case ControlKind::kSwitchMode: {
-      if (cluster_options_.config.kind != ProtocolKind::kSeeMoRe) return;
+      if (spec_.protocol != ProtocolKind::kSeeMoRe) return;
       auto* seemore = static_cast<SeeMoReReplica*>(replica_.get());
       const SeeMoReMode target = static_cast<SeeMoReMode>(command.mode);
       // The command is broadcast; only the first live authority acts, the
@@ -152,7 +147,7 @@ void Node::OnControl(const FaultCommand& command) {
       // +1 so "unknown primary" (no reply field set) stays distinct from
       // replica 0.
       reply.value = static_cast<uint32_t>(
-          CurrentPrimary(*replica_, cluster_options_.config) + 1);
+          CurrentPrimary(*replica_, replica_->config()) + 1);
       transport_->Send(options_.replica_id, kFaultControllerId,
                        Payload(EncodeFaultCommandBody(reply)));
       return;

@@ -68,7 +68,6 @@ class Node {
 
   const scenario::ScenarioSpec spec_;
   const NodeOptions options_;
-  ClusterOptions cluster_options_;
 
   std::unique_ptr<EventLoop> loop_;
   std::unique_ptr<TcpTransport> transport_;

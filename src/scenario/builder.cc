@@ -169,7 +169,7 @@ ScenarioBuilder& ScenarioBuilder::Sweep(std::vector<int> client_counts) {
 }
 
 ScenarioBuilder& ScenarioBuilder::Durability(int fsync_interval,
-                                             int64_t segment_bytes) {
+                                             uint32_t segment_bytes) {
   spec_.durability.enabled = true;
   spec_.durability.fsync_interval = fsync_interval;
   spec_.durability.segment_bytes = segment_bytes;

@@ -79,7 +79,7 @@ class ScenarioBuilder {
   /// --- durability ----------------------------------------------------------
   /// Enable the durable WAL + snapshot store on every replica.
   ScenarioBuilder& Durability(int fsync_interval = 1,
-                              int64_t segment_bytes = 64 * 1024);
+                              uint32_t segment_bytes = 64 * 1024);
 
   /// --- schedule ------------------------------------------------------------
   ScenarioBuilder& CrashAt(SimTime at, int replica);

@@ -5,7 +5,6 @@
 #include <optional>
 #include <set>
 
-#include "smr/ledger.h"
 #include "util/thread_pool.h"
 
 namespace seemore {
@@ -139,36 +138,12 @@ Json ScenarioReport::ToJson() const {
   return j;
 }
 
-ClusterOptions ToClusterOptions(const ScenarioSpec& spec) {
-  ClusterOptions options;
-  options.config = spec.ResolvedConfig();
-  options.net = spec.net;
-  options.costs = spec.costs;
-  options.seed = spec.seed;
-  options.client_retransmit_timeout = spec.client_retransmit_timeout;
-  options.durability.enabled = spec.durability.enabled;
-  options.durability.fsync_interval = spec.durability.fsync_interval;
-  options.durability.segment_bytes =
-      static_cast<uint32_t>(spec.durability.segment_bytes);
-  if (spec.state_machine == StateMachineKind::kLedger) {
-    options.state_machine_factory = [] {
-      return std::make_unique<LedgerStateMachine>();
-    };
-  }
-  return options;
-}
-
 OpFactory MakeWorkload(const ScenarioSpec& spec) {
   if (spec.workload.kind == WorkloadKind::kKv) {
     return KvWorkload(spec.seed * 13 + 7, spec.workload.keys,
                       spec.workload.put_fraction);
   }
   return EchoWorkload(spec.workload.request_kb, spec.workload.reply_kb);
-}
-
-Result<std::unique_ptr<Cluster>> MakeCluster(const ScenarioSpec& spec) {
-  SEEMORE_RETURN_IF_ERROR(spec.Validate());
-  return std::make_unique<Cluster>(ToClusterOptions(spec));
 }
 
 void ApplyEvent(FaultTarget& target, const ScenarioEvent& event,
@@ -283,7 +258,7 @@ Result<ScenarioReport> RunScenario(const ScenarioSpec& spec,
                                    const ScenarioHooks& hooks) {
   SEEMORE_RETURN_IF_ERROR(spec.Validate());
   const auto wall_start = std::chrono::steady_clock::now();
-  Cluster cluster(ToClusterOptions(spec));
+  Cluster cluster(spec);
 
   ScenarioReport report;
   report.scenario = spec.name;

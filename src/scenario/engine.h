@@ -154,16 +154,8 @@ using EventDone = std::function<void(std::string description, Status outcome)>;
 void ApplyEvent(FaultTarget& target, const ScenarioEvent& event,
                 std::set<int>& byzantine, EventDone done);
 
-/// Translate a (valid) spec into ClusterOptions — the only ClusterOptions
-/// assembly point outside unit tests.
-ClusterOptions ToClusterOptions(const ScenarioSpec& spec);
-
 /// The spec's client op factory.
 OpFactory MakeWorkload(const ScenarioSpec& spec);
-
-/// Validate the spec and build an idle cluster from it, for embedders that
-/// drive everything themselves (e.g. the Table 1 message-count bench).
-Result<std::unique_ptr<Cluster>> MakeCluster(const ScenarioSpec& spec);
 
 /// Run the full scenario lifecycle. Fails fast on an invalid spec; an
 /// invariant violation is NOT an error (inspect report.ok()).

@@ -128,6 +128,7 @@ ClusterConfig ScenarioSpec::ResolvedConfig() const {
   config.checkpoint_period = tuning.checkpoint_period;
   config.view_change_timeout = tuning.view_change_timeout;
   config.lion_sign_accepts = tuning.lion_sign_accepts;
+  config.reply_cache_retention = tuning.reply_cache_retention;
   return config;
 }
 
@@ -142,6 +143,11 @@ Status ScenarioSpec::Validate() const {
     // JSON integers are int64; a larger seed would not survive the
     // dump-spec -> --scenario round trip.
     return Status::InvalidArgument("seed must fit in 63 bits");
+  }
+  if (tuning.reply_cache_retention >
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
+    return Status::InvalidArgument(
+        "tuning.reply_cache_retention must fit in 63 bits");
   }
   if (client_retransmit_timeout <= 0) {
     return Status::InvalidArgument("client_retransmit_timeout must be > 0");
@@ -357,6 +363,7 @@ Json ScenarioSpec::ToJson() const {
   tune.Set("checkpoint_period", tuning.checkpoint_period);
   tune.Set("view_change_timeout_us", ToWholeMicros(tuning.view_change_timeout));
   tune.Set("lion_sign_accepts", tuning.lion_sign_accepts);
+  tune.Set("reply_cache_retention", tuning.reply_cache_retention);
   root.Set("tuning", std::move(tune));
 
   Json network = Json::Object();
@@ -408,7 +415,7 @@ Json ScenarioSpec::ToJson() const {
   Json durable = Json::Object();
   durable.Set("enabled", durability.enabled);
   durable.Set("fsync_interval", durability.fsync_interval);
-  durable.Set("segment_bytes", durability.segment_bytes);
+  durable.Set("segment_bytes", static_cast<int64_t>(durability.segment_bytes));
   root.Set("durability", std::move(durable));
 
   Json events = Json::Array();
@@ -509,6 +516,8 @@ Result<ScenarioSpec> ScenarioSpec::FromJson(const Json& json) {
                                      &spec.tuning.view_change_timeout));
     SEEMORE_RETURN_IF_ERROR(
         reader.ReadBool("lion_sign_accepts", &spec.tuning.lion_sign_accepts));
+    SEEMORE_RETURN_IF_ERROR(reader.ReadUint64(
+        "reply_cache_retention", &spec.tuning.reply_cache_retention));
     SEEMORE_RETURN_IF_ERROR(reader.Finish("tuning"));
   }
 
@@ -608,7 +617,7 @@ Result<ScenarioSpec> ScenarioSpec::FromJson(const Json& json) {
     SEEMORE_RETURN_IF_ERROR(
         reader.ReadInt("fsync_interval", &spec.durability.fsync_interval));
     SEEMORE_RETURN_IF_ERROR(
-        reader.ReadInt("segment_bytes", &spec.durability.segment_bytes));
+        reader.ReadUint32("segment_bytes", &spec.durability.segment_bytes));
     SEEMORE_RETURN_IF_ERROR(reader.Finish("durability"));
   }
 

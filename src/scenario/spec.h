@@ -18,6 +18,7 @@
 #include "net/cost_model.h"
 #include "net/network.h"
 #include "scenario/names.h"
+#include "storage/durable_store.h"
 #include "util/json.h"
 #include "util/status.h"
 #include "util/time.h"
@@ -43,6 +44,8 @@ struct TuningSpec {
   int checkpoint_period = 512;
   SimTime view_change_timeout = Millis(30);
   bool lion_sign_accepts = false;
+  /// ClusterConfig::reply_cache_retention (0 = keep every reply).
+  uint64_t reply_cache_retention = 0;
 };
 
 /// What the closed-loop clients issue.
@@ -77,15 +80,6 @@ struct ScenarioEvent {
 
   /// "t=30ms crash replica 2" — used by reports and seemore_ctl.
   std::string ToString() const;
-};
-
-/// The durable-storage knobs a scenario runs with. Mirrors
-/// DurabilityOptions (storage/durable_store.h); off by default so every
-/// pre-durability spec behaves bit-identically.
-struct DurabilitySpec {
-  bool enabled = false;
-  int fsync_interval = 1;
-  int64_t segment_bytes = 64 * 1024;
 };
 
 /// When to measure and what to record. The run is warmup + measure (client
@@ -130,7 +124,9 @@ struct ScenarioSpec {
   StateMachineKind state_machine = StateMachineKind::kKvStore;
   WorkloadSpec workload;
   MeasurementPlan plan;
-  DurabilitySpec durability;
+  /// Durable-storage knobs (storage/durable_store.h); off by default so
+  /// every pre-durability spec behaves bit-identically.
+  DurabilityOptions durability;
   std::vector<ScenarioEvent> schedule;
 
   /// ClusterConfig with the -1 topology defaults resolved (see TopologySpec).

@@ -10,7 +10,7 @@
 namespace seemore {
 namespace {
 
-using testing::SeeMoReOptions;
+using testing::SeeMoReSpec;
 using testing::SubmitAndWait;
 
 /// A "client" that can send arbitrary bytes and ignores replies.
@@ -74,7 +74,7 @@ class AdversarialInputTest : public ::testing::Test {
 };
 
 TEST_F(AdversarialInputTest, SeeMoReLionSurvivesGarbage) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kLion, 1, 1));
   SimClient* client = cluster.AddClient();
   RunGarbageCampaign(cluster);
   auto result = SubmitAndWait(cluster, client, MakePut("k", "v"), Seconds(10));
@@ -87,7 +87,7 @@ TEST_F(AdversarialInputTest, SeeMoReLionSurvivesGarbage) {
 }
 
 TEST_F(AdversarialInputTest, SeeMoRePeacockSurvivesGarbage) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kPeacock, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kPeacock, 1, 1));
   SimClient* client = cluster.AddClient();
   RunGarbageCampaign(cluster);
   auto result = SubmitAndWait(cluster, client, MakePut("k", "v"), Seconds(10));
@@ -96,7 +96,7 @@ TEST_F(AdversarialInputTest, SeeMoRePeacockSurvivesGarbage) {
 }
 
 TEST_F(AdversarialInputTest, PbftSurvivesGarbage) {
-  Cluster cluster(testing::BftOptions(1));
+  Cluster cluster(testing::BftSpec(1));
   SimClient* client = cluster.AddClient();
   RunGarbageCampaign(cluster);
   auto result = SubmitAndWait(cluster, client, MakePut("k", "v"), Seconds(10));
@@ -105,7 +105,7 @@ TEST_F(AdversarialInputTest, PbftSurvivesGarbage) {
 }
 
 TEST_F(AdversarialInputTest, PaxosSurvivesGarbage) {
-  Cluster cluster(testing::CftOptions(1));
+  Cluster cluster(testing::CftSpec(1));
   SimClient* client = cluster.AddClient();
   RunGarbageCampaign(cluster);
   auto result = SubmitAndWait(cluster, client, MakePut("k", "v"), Seconds(10));
@@ -120,7 +120,7 @@ TEST_F(AdversarialInputTest, PeacockRejectsSignedBatchWithPaddedVarint) {
   // and the honest re-proposal of the same batch would be refused as
   // equivocation. Proxies must reject the padded bytes at decode, then
   // accept, commit and execute the canonical proposal under its digest.
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kPeacock, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kPeacock, 1, 1));
   const PrincipalId primary = cluster.seemore(0)->current_primary();
   const Signer primary_signer(primary, cluster.keystore());
 
@@ -175,7 +175,7 @@ TEST_F(AdversarialInputTest, PeacockRejectsSignedBatchWithPaddedVarint) {
 TEST_F(AdversarialInputTest, MalformedOpsExecuteSafely) {
   // A *valid, signed* request whose op payload is garbage: the state
   // machine must return kBadRequest deterministically on every replica.
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kLion, 1, 1));
   SimClient* client = cluster.AddClient();
   auto result =
       SubmitAndWait(cluster, client, Bytes{0xff, 0x00, 0x13, 0x37});
@@ -193,7 +193,7 @@ TEST_F(AdversarialInputTest, MalformedOpsExecuteSafely) {
 // ---------------------------------------------------------------------------
 
 TEST_F(AdversarialInputTest, SeeMoReDogEquivocatingAcceptsDetectedOnce) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kDog, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kDog, 1, 1));
   SimClient* client = cluster.AddClient();
 
   // Proxy 5 equivocates on an in-window, not-yet-proposed slot: two validly
@@ -226,7 +226,7 @@ TEST_F(AdversarialInputTest, SeeMoReDogEquivocatingAcceptsDetectedOnce) {
 }
 
 TEST_F(AdversarialInputTest, PbftEquivocatingPreparesDetectedOnce) {
-  Cluster cluster(testing::BftOptions(1));
+  Cluster cluster(testing::BftSpec(1));
   SimClient* client = cluster.AddClient();
 
   const PrincipalId byz = 3;
@@ -254,7 +254,7 @@ TEST_F(AdversarialInputTest, PbftEquivocatingPreparesDetectedOnce) {
 }
 
 TEST_F(AdversarialInputTest, PaxosEquivocatingAcksDetectedAndNotCounted) {
-  Cluster cluster(testing::CftOptions(1));
+  Cluster cluster(testing::CftSpec(1));
   SimClient* client = cluster.AddClient();
 
   // Let the leader propose seq 1, then race a conflicting ACK from replica 2
@@ -293,7 +293,7 @@ TEST_F(AdversarialInputTest, PaxosEquivocatingAcksDetectedAndNotCounted) {
 TEST_F(AdversarialInputTest, ReplayedRequestExecutesOnce) {
   // Replay a legitimate committed request verbatim from a third party: the
   // exactly-once cache must not re-execute it.
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kLion, 1, 1));
   SimClient* client = cluster.AddClient();
   ASSERT_TRUE(SubmitAndWait(cluster, client, MakePut("ctr", "1")).ok());
   auto cas = SubmitAndWait(cluster, client, MakeCas("ctr", "1", "2"));

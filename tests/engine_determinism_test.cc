@@ -37,19 +37,18 @@ struct GoldenSnapshot {
 /// The canned scenario. Any change here invalidates the golden constants —
 /// capture new ones from a trusted engine build before editing.
 GoldenSnapshot RunScenario(SeeMoReMode mode, uint64_t seed) {
-  ClusterOptions options;
-  options.config.kind = ProtocolKind::kSeeMoRe;
-  options.config.c = 1;
-  options.config.m = 1;
-  options.config.s = 2;
-  options.config.p = 4;
-  options.config.initial_mode = mode;
-  options.config.batch_max = 32;
-  options.config.checkpoint_period = 64;
-  options.seed = seed;
-  options.net.drop_probability = 0.01;
-  options.net.duplicate_probability = 0.01;
-  Cluster cluster(options);
+  // Pipeline 8 and the 20 ms view-change timeout are the tuning the
+  // goldens were captured with.
+  scenario::ScenarioBuilder builder;
+  builder.SeeMoRe(mode, /*c=*/1, /*m=*/1)
+      .CloudSizes(/*s=*/2, /*p=*/4)
+      .Batching(/*batch_max=*/32, /*pipeline_max=*/8)
+      .CheckpointPeriod(64)
+      .ViewChangeTimeout(Millis(20))
+      .Seed(seed)
+      .Drop(0.01)
+      .Duplicate(0.01);
+  Cluster cluster(builder.spec());
   for (int i = 0; i < 6; ++i) cluster.AddClient();
   OpFactory ops = KvWorkload(99, 128, 0.5);
   for (int i = 0; i < cluster.num_clients(); ++i) cluster.client(i)->Start(ops);

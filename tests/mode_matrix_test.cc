@@ -12,7 +12,7 @@
 namespace seemore {
 namespace {
 
-using testing::SeeMoReOptions;
+using testing::SeeMoReSpec;
 using testing::SubmitAndWait;
 
 constexpr SeeMoReMode kModes[] = {SeeMoReMode::kLion, SeeMoReMode::kDog,
@@ -29,7 +29,7 @@ class ModeMatrixTest
 
 TEST_P(ModeMatrixTest, TransitionPreservesStateAndProgress) {
   if (From() == To()) GTEST_SKIP() << "self-transition";
-  Cluster cluster(SeeMoReOptions(From(), 1, 1, Seed()));
+  Cluster cluster(SeeMoReSpec(From(), 1, 1, Seed()));
   if (WithByzantine()) cluster.SetByzantine(5, kByzWrongVotes);
   SimClient* client = cluster.AddClient();
 

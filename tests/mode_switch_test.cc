@@ -11,7 +11,7 @@ namespace seemore {
 namespace {
 
 using testing::RunBurst;
-using testing::SeeMoReOptions;
+using testing::SeeMoReSpec;
 using testing::SubmitAndWait;
 
 /// Switch the cluster's mode and wait until every live replica adopted it.
@@ -27,7 +27,7 @@ void SwitchModeAndSettle(Cluster& cluster, SeeMoReMode target) {
 }
 
 TEST(ModeSwitchTest, LionToDog) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kLion, 1, 1));
   SimClient* client = cluster.AddClient();
   ASSERT_TRUE(SubmitAndWait(cluster, client, MakePut("a", "1")).ok());
 
@@ -45,7 +45,7 @@ TEST(ModeSwitchTest, LionToDog) {
 }
 
 TEST(ModeSwitchTest, LionToPeacock) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kLion, 1, 1));
   SimClient* client = cluster.AddClient();
   ASSERT_TRUE(SubmitAndWait(cluster, client, MakePut("a", "1")).ok());
 
@@ -61,7 +61,7 @@ TEST(ModeSwitchTest, LionToPeacock) {
 }
 
 TEST(ModeSwitchTest, FullCycleLionDogPeacockLion) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kLion, 1, 1));
   SimClient* client = cluster.AddClient();
   int key = 0;
   auto write_and_verify = [&](const std::string& tag) {
@@ -86,7 +86,7 @@ TEST(ModeSwitchTest, FullCycleLionDogPeacockLion) {
 }
 
 TEST(ModeSwitchTest, SwitchUnderLoad) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kLion, 1, 1));
   // Drive traffic continuously across the switch.
   for (int i = 0; i < 4; ++i) cluster.AddClient();
   for (int i = 0; i < 4; ++i) {
@@ -114,7 +114,7 @@ TEST(ModeSwitchTest, SwitchUnderLoad) {
 }
 
 TEST(ModeSwitchTest, RejectsWrongAuthority) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kLion, 1, 1));
   // View 0 -> next view 1; authority for Dog is TrustedPrimary(1) = 1.
   // Replica 0 is NOT the authority.
   Status status = cluster.seemore(0)->RequestModeSwitch(SeeMoReMode::kDog);
@@ -125,7 +125,7 @@ TEST(ModeSwitchTest, RejectsWrongAuthority) {
 }
 
 TEST(ModeSwitchTest, DogToLionKeepsPassiveNodesConsistent) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kDog, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kDog, 1, 1));
   SimClient* client = cluster.AddClient();
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(
@@ -176,7 +176,7 @@ TEST(ModeSwitchTest, EveryReplicaCountsEveryScheduledSwitch) {
 }
 
 TEST(ModeSwitchTest, LiveSwitchAuthoritySkipsCrashedAuthorities) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kLion, 1, 1));
   const SeeMoReReplica& vantage = *cluster.seemore(2);
   const PrincipalId next = vantage.SwitchAuthority(SeeMoReMode::kDog, 1);
   const PrincipalId after = vantage.SwitchAuthority(SeeMoReMode::kDog, 2);

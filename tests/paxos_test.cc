@@ -8,12 +8,12 @@
 namespace seemore {
 namespace {
 
-using testing::CftOptions;
+using testing::CftSpec;
 using testing::RunBurst;
 using testing::SubmitAndWait;
 
 TEST(PaxosTest, CommitsSingleRequest) {
-  Cluster cluster(CftOptions(/*f=*/1));
+  Cluster cluster(CftSpec(/*f=*/1));
   SimClient* client = cluster.AddClient();
   auto result = SubmitAndWait(cluster, client, MakePut("k", "v"));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -25,7 +25,7 @@ TEST(PaxosTest, CommitsSingleRequest) {
 }
 
 TEST(PaxosTest, AllReplicasExecuteCommittedRequests) {
-  Cluster cluster(CftOptions(1));
+  Cluster cluster(CftSpec(1));
   SimClient* client = cluster.AddClient();
   for (int i = 0; i < 10; ++i) {
     auto r = SubmitAndWait(cluster, client,
@@ -43,14 +43,14 @@ TEST(PaxosTest, AllReplicasExecuteCommittedRequests) {
 }
 
 TEST(PaxosTest, ConcurrentClientsAgree) {
-  Cluster cluster(CftOptions(2));
+  Cluster cluster(CftSpec(2));
   const uint64_t completed = RunBurst(cluster, 8, Millis(300));
   EXPECT_GT(completed, 100u);
   EXPECT_TRUE(cluster.CheckAgreement().ok());
 }
 
 TEST(PaxosTest, BackupCrashHarmless) {
-  Cluster cluster(CftOptions(1));
+  Cluster cluster(CftSpec(1));
   cluster.Crash(2);  // backup
   const uint64_t completed = RunBurst(cluster, 4, Millis(200));
   EXPECT_GT(completed, 50u);
@@ -58,7 +58,7 @@ TEST(PaxosTest, BackupCrashHarmless) {
 }
 
 TEST(PaxosTest, LeaderCrashTriggersViewChange) {
-  Cluster cluster(CftOptions(1));
+  Cluster cluster(CftSpec(1));
   SimClient* client = cluster.AddClient();
   auto warm = SubmitAndWait(cluster, client, MakePut("a", "1"));
   ASSERT_TRUE(warm.ok());
@@ -79,7 +79,7 @@ TEST(PaxosTest, LeaderCrashTriggersViewChange) {
 }
 
 TEST(PaxosTest, RepeatedLeaderCrashes) {
-  Cluster cluster(CftOptions(2));  // n=5 tolerates 2 crashes
+  Cluster cluster(CftSpec(2));  // n=5 tolerates 2 crashes
   SimClient* client = cluster.AddClient();
   ASSERT_TRUE(SubmitAndWait(cluster, client, MakePut("x", "0")).ok());
   cluster.Crash(0);
@@ -94,9 +94,9 @@ TEST(PaxosTest, RepeatedLeaderCrashes) {
 }
 
 TEST(PaxosTest, CheckpointsAdvanceAndGarbageCollect) {
-  ClusterOptions options = CftOptions(1);
-  options.config.checkpoint_period = 8;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = CftSpec(1);
+  spec.tuning.checkpoint_period = 8;
+  Cluster cluster(spec);
   RunBurst(cluster, 4, Millis(300));
   cluster.sim().RunUntil(cluster.sim().now() + Millis(50));
   for (int i = 0; i < cluster.n(); ++i) {
@@ -106,9 +106,9 @@ TEST(PaxosTest, CheckpointsAdvanceAndGarbageCollect) {
 }
 
 TEST(PaxosTest, LaggingReplicaCatchesUpViaStateTransfer) {
-  ClusterOptions options = CftOptions(1);
-  options.config.checkpoint_period = 8;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = CftSpec(1);
+  spec.tuning.checkpoint_period = 8;
+  Cluster cluster(spec);
   cluster.Crash(2);
   RunBurst(cluster, 4, Millis(300));
   const uint64_t leader_executed = cluster.paxos(0)->last_executed();
@@ -124,9 +124,9 @@ TEST(PaxosTest, LaggingReplicaCatchesUpViaStateTransfer) {
 }
 
 TEST(PaxosTest, ToleratesMessageLoss) {
-  ClusterOptions options = CftOptions(1);
-  options.net.drop_probability = 0.03;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = CftSpec(1);
+  spec.net.drop_probability = 0.03;
+  Cluster cluster(spec);
   const uint64_t completed = RunBurst(cluster, 4, Millis(400));
   EXPECT_GT(completed, 20u);
   EXPECT_TRUE(cluster.CheckAgreement().ok());
@@ -135,10 +135,10 @@ TEST(PaxosTest, ToleratesMessageLoss) {
 TEST(PaxosTest, ExactlyOnceUnderRetransmission) {
   // Force client retransmissions with heavy loss; the counter-like CAS
   // pattern would expose double execution.
-  ClusterOptions options = CftOptions(1);
-  options.net.drop_probability = 0.10;
-  options.client_retransmit_timeout = Millis(20);
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = CftSpec(1);
+  spec.net.drop_probability = 0.10;
+  spec.client_retransmit_timeout = Millis(20);
+  Cluster cluster(spec);
   SimClient* client = cluster.AddClient();
   ASSERT_TRUE(SubmitAndWait(cluster, client, MakePut("ctr", "0")).ok());
   for (int i = 0; i < 10; ++i) {

@@ -8,12 +8,12 @@
 namespace seemore {
 namespace {
 
-using testing::BftOptions;
+using testing::BftSpec;
 using testing::RunBurst;
 using testing::SubmitAndWait;
 
 TEST(PbftTest, CommitsSingleRequest) {
-  Cluster cluster(BftOptions(/*f=*/1));
+  Cluster cluster(BftSpec(/*f=*/1));
   SimClient* client = cluster.AddClient();
   auto result = SubmitAndWait(cluster, client, MakePut("k", "v"));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -21,7 +21,7 @@ TEST(PbftTest, CommitsSingleRequest) {
 }
 
 TEST(PbftTest, AllReplicasConverge) {
-  Cluster cluster(BftOptions(1));
+  Cluster cluster(BftSpec(1));
   SimClient* client = cluster.AddClient();
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(
@@ -34,14 +34,14 @@ TEST(PbftTest, AllReplicasConverge) {
 }
 
 TEST(PbftTest, ConcurrentClientsAgree) {
-  Cluster cluster(BftOptions(1));
+  Cluster cluster(BftSpec(1));
   const uint64_t completed = RunBurst(cluster, 6, Millis(300));
   EXPECT_GT(completed, 50u);
   EXPECT_TRUE(cluster.CheckAgreement().ok());
 }
 
 TEST(PbftTest, ToleratesSilentByzantineBackup) {
-  Cluster cluster(BftOptions(1));
+  Cluster cluster(BftSpec(1));
   cluster.SetByzantine(3, kByzSilent);
   const uint64_t completed = RunBurst(cluster, 4, Millis(250));
   EXPECT_GT(completed, 30u);
@@ -49,7 +49,7 @@ TEST(PbftTest, ToleratesSilentByzantineBackup) {
 }
 
 TEST(PbftTest, ToleratesWrongVoteByzantineBackup) {
-  Cluster cluster(BftOptions(1));
+  Cluster cluster(BftSpec(1));
   cluster.SetByzantine(2, kByzWrongVotes);
   const uint64_t completed = RunBurst(cluster, 4, Millis(250));
   EXPECT_GT(completed, 30u);
@@ -57,7 +57,7 @@ TEST(PbftTest, ToleratesWrongVoteByzantineBackup) {
 }
 
 TEST(PbftTest, ClientUnharmedByLyingReplica) {
-  Cluster cluster(BftOptions(1));
+  Cluster cluster(BftSpec(1));
   cluster.SetByzantine(3, kByzLieToClients);
   SimClient* client = cluster.AddClient();
   ASSERT_TRUE(SubmitAndWait(cluster, client, MakePut("key", "truth")).ok());
@@ -68,7 +68,7 @@ TEST(PbftTest, ClientUnharmedByLyingReplica) {
 }
 
 TEST(PbftTest, PrimaryCrashTriggersViewChange) {
-  Cluster cluster(BftOptions(1));
+  Cluster cluster(BftSpec(1));
   SimClient* client = cluster.AddClient();
   ASSERT_TRUE(SubmitAndWait(cluster, client, MakePut("a", "1")).ok());
   cluster.Crash(0);
@@ -82,7 +82,7 @@ TEST(PbftTest, PrimaryCrashTriggersViewChange) {
 }
 
 TEST(PbftTest, EquivocatingPrimaryRecoveredByViewChange) {
-  Cluster cluster(BftOptions(1));
+  Cluster cluster(BftSpec(1));
   cluster.SetByzantine(0, kByzEquivocate);  // view-0 primary lies
   SimClient* client = cluster.AddClient();
   auto result = SubmitAndWait(cluster, client, MakePut("k", "v"), Seconds(10));
@@ -93,9 +93,9 @@ TEST(PbftTest, EquivocatingPrimaryRecoveredByViewChange) {
 }
 
 TEST(PbftTest, CheckpointsAdvance) {
-  ClusterOptions options = BftOptions(1);
-  options.config.checkpoint_period = 8;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = BftSpec(1);
+  spec.tuning.checkpoint_period = 8;
+  Cluster cluster(spec);
   RunBurst(cluster, 4, Millis(300));
   cluster.sim().RunUntil(cluster.sim().now() + Millis(50));
   int advanced = 0;
@@ -107,9 +107,9 @@ TEST(PbftTest, CheckpointsAdvance) {
 }
 
 TEST(PbftTest, CrashedReplicaStateTransfersOnRecovery) {
-  ClusterOptions options = BftOptions(1);
-  options.config.checkpoint_period = 8;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = BftSpec(1);
+  spec.tuning.checkpoint_period = 8;
+  Cluster cluster(spec);
   cluster.Crash(3);
   RunBurst(cluster, 4, Millis(300));
   const uint64_t before = cluster.pbft(0)->last_executed();
@@ -122,7 +122,7 @@ TEST(PbftTest, CrashedReplicaStateTransfersOnRecovery) {
 }
 
 TEST(PbftTest, LargerClusterF2) {
-  Cluster cluster(BftOptions(2));  // n = 7
+  Cluster cluster(BftSpec(2));  // n = 7
   cluster.SetByzantine(5, kByzWrongVotes);
   cluster.Crash(6);  // second fault is a crash
   const uint64_t completed = RunBurst(cluster, 4, Millis(300));

@@ -14,11 +14,11 @@
 namespace seemore {
 namespace {
 
-using testing::BftOptions;
-using testing::CftOptions;
-using testing::SeeMoReOptions;
+using testing::BftSpec;
+using testing::CftSpec;
+using testing::SeeMoReSpec;
 using testing::SubmitAndWait;
-using testing::SUpRightOptions;
+using testing::SUpRightSpec;
 
 /// Drive a closed-loop burst while asserting the primary's uncommitted-slot
 /// count never exceeds pipeline_max at any event boundary. Returns the
@@ -50,10 +50,10 @@ int DriveAndAssertBound(Cluster& cluster, int pipeline_max,
 constexpr int kPipelineMax = 2;
 
 TEST(PipelineTest, SeeMoReLionPrimaryHonoursPipelineMax) {
-  ClusterOptions options = SeeMoReOptions(SeeMoReMode::kLion, 1, 1);
-  options.config.pipeline_max = kPipelineMax;
-  options.config.batch_max = 1;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kLion, 1, 1);
+  spec.tuning.pipeline_max = kPipelineMax;
+  spec.tuning.batch_max = 1;
+  Cluster cluster(spec);
   const int max_seen = DriveAndAssertBound(cluster, kPipelineMax, [&] {
     return cluster.seemore(0)->uncommitted_slots();
   });
@@ -61,10 +61,10 @@ TEST(PipelineTest, SeeMoReLionPrimaryHonoursPipelineMax) {
 }
 
 TEST(PipelineTest, PbftPrimaryHonoursPipelineMax) {
-  ClusterOptions options = BftOptions(1);
-  options.config.pipeline_max = kPipelineMax;
-  options.config.batch_max = 1;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = BftSpec(1);
+  spec.tuning.pipeline_max = kPipelineMax;
+  spec.tuning.batch_max = 1;
+  Cluster cluster(spec);
   const int max_seen = DriveAndAssertBound(cluster, kPipelineMax, [&] {
     return cluster.pbft(0)->uncommitted_slots();
   });
@@ -72,10 +72,10 @@ TEST(PipelineTest, PbftPrimaryHonoursPipelineMax) {
 }
 
 TEST(PipelineTest, PaxosLeaderHonoursPipelineMax) {
-  ClusterOptions options = CftOptions(1);
-  options.config.pipeline_max = kPipelineMax;
-  options.config.batch_max = 1;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = CftSpec(1);
+  spec.tuning.pipeline_max = kPipelineMax;
+  spec.tuning.batch_max = 1;
+  Cluster cluster(spec);
   const int max_seen = DriveAndAssertBound(cluster, kPipelineMax, [&] {
     return cluster.paxos(0)->uncommitted_slots();
   });
@@ -83,10 +83,10 @@ TEST(PipelineTest, PaxosLeaderHonoursPipelineMax) {
 }
 
 TEST(PipelineTest, SUpRightPrimaryHonoursPipelineMax) {
-  ClusterOptions options = SUpRightOptions(1, 1);
-  options.config.pipeline_max = kPipelineMax;
-  options.config.batch_max = 1;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SUpRightSpec(1, 1);
+  spec.tuning.pipeline_max = kPipelineMax;
+  spec.tuning.batch_max = 1;
+  Cluster cluster(spec);
   const int max_seen = DriveAndAssertBound(cluster, kPipelineMax, [&] {
     return cluster.pbft(0)->uncommitted_slots();
   });
@@ -101,10 +101,10 @@ TEST(PipelineTest, DeeperPipelineNeverCommitsLessAtBatchOne) {
   // drains the queue before batches fill — which is exactly what
   // bench_pipeline measures under the paper's cost model.)
   auto completed_at_depth = [](int depth) {
-    ClusterOptions options = SeeMoReOptions(SeeMoReMode::kLion, 1, 1);
-    options.config.pipeline_max = depth;
-    options.config.batch_max = 1;
-    Cluster cluster(options);
+    scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kLion, 1, 1);
+    spec.tuning.pipeline_max = depth;
+    spec.tuning.batch_max = 1;
+    Cluster cluster(spec);
     return testing::RunBurst(cluster, 16, Millis(150), /*seed=*/11);
   };
   const uint64_t shallow = completed_at_depth(1);

@@ -18,11 +18,11 @@
 namespace seemore {
 namespace {
 
-using testing::BftOptions;
-using testing::CftOptions;
-using testing::SeeMoReOptions;
+using testing::BftSpec;
+using testing::CftSpec;
+using testing::SeeMoReSpec;
 using testing::SubmitAndWait;
-using testing::SUpRightOptions;
+using testing::SUpRightSpec;
 
 struct ProtocolCase {
   const char* name;
@@ -30,18 +30,18 @@ struct ProtocolCase {
   SeeMoReMode mode;  // only used for SeeMoRe
 };
 
-ClusterOptions MakeOptions(const ProtocolCase& pc, uint64_t seed) {
+scenario::ScenarioSpec MakeSpec(const ProtocolCase& pc, uint64_t seed) {
   switch (pc.kind) {
     case ProtocolKind::kCft:
-      return CftOptions(1, seed);
+      return CftSpec(1, seed);
     case ProtocolKind::kBft:
-      return BftOptions(1, seed);
+      return BftSpec(1, seed);
     case ProtocolKind::kSUpRight:
-      return SUpRightOptions(1, 1, seed);
+      return SUpRightSpec(1, 1, seed);
     case ProtocolKind::kSeeMoRe:
-      return SeeMoReOptions(pc.mode, 1, 1, seed);
+      return SeeMoReSpec(pc.mode, 1, 1, seed);
   }
-  return CftOptions(1, seed);
+  return CftSpec(1, seed);
 }
 
 class ProtocolPropertyTest
@@ -90,10 +90,10 @@ TEST_P(ProtocolPropertyTest, ExecutedDigestIsTheCommittedBatchDigest) {
   // batch; that is only sound if the two are always equal. Loss and
   // duplication make commits arrive out of order, so batches are buffered
   // (copied with their digest) as well as executed in place.
-  ClusterOptions options = MakeOptions(Case(), Seed());
-  options.net.drop_probability = 0.02;
-  options.net.duplicate_probability = 0.01;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = MakeSpec(Case(), Seed());
+  spec.net.drop_probability = 0.02;
+  spec.net.duplicate_probability = 0.01;
+  Cluster cluster(spec);
   std::vector<std::unique_ptr<CommitRecorder>> recorders;
   for (int i = 0; i < cluster.n(); ++i) {
     recorders.push_back(
@@ -129,10 +129,10 @@ TEST_P(ProtocolPropertyTest, ExecutedDigestIsTheCommittedBatchDigest) {
 }
 
 TEST_P(ProtocolPropertyTest, AgreementAndProgressUnderLossyNetwork) {
-  ClusterOptions options = MakeOptions(Case(), Seed());
-  options.net.drop_probability = 0.02;
-  options.net.duplicate_probability = 0.01;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = MakeSpec(Case(), Seed());
+  spec.net.drop_probability = 0.02;
+  spec.net.duplicate_probability = 0.01;
+  Cluster cluster(spec);
 
   const uint64_t completed =
       testing::RunBurst(cluster, 4, Millis(300), /*seed=*/Seed() * 31 + 7);
@@ -145,8 +145,8 @@ TEST_P(ProtocolPropertyTest, AgreementAndProgressUnderLossyNetwork) {
 }
 
 TEST_P(ProtocolPropertyTest, AcknowledgedWritesAreDurableAcrossPrimaryCrash) {
-  ClusterOptions options = MakeOptions(Case(), Seed());
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = MakeSpec(Case(), Seed());
+  Cluster cluster(spec);
   SimClient* client = cluster.AddClient();
 
   auto put = SubmitAndWait(cluster, client, MakePut("durable", "yes"));
@@ -170,12 +170,12 @@ TEST_P(ProtocolPropertyTest, InstanceLogOccupancyBoundedUnderSustainedLoad) {
   // Checkpointing must reclaim slots below the stable checkpoint: under
   // sustained load the live instance-log occupancy stays within a small
   // multiple of the agreement window instead of growing with total commits.
-  ClusterOptions options = MakeOptions(Case(), Seed());
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = MakeSpec(Case(), Seed());
+  Cluster cluster(spec);
 
   const size_t window =
-      static_cast<size_t>(options.config.checkpoint_period) * 2 +
-      static_cast<size_t>(options.config.pipeline_max);
+      static_cast<size_t>(spec.tuning.checkpoint_period) * 2 +
+      static_cast<size_t>(spec.tuning.pipeline_max);
   const size_t bound = 2 * window;
 
   auto occupancy = [&](int i) -> size_t {
@@ -227,8 +227,8 @@ TEST_P(ProtocolPropertyTest, InstanceLogOccupancyBoundedUnderSustainedLoad) {
 
 TEST_P(ProtocolPropertyTest, DeterministicGivenSeed) {
   auto run_once = [this] {
-    ClusterOptions options = MakeOptions(Case(), Seed());
-    Cluster cluster(options);
+    scenario::ScenarioSpec spec = MakeSpec(Case(), Seed());
+    Cluster cluster(spec);
     testing::RunBurst(cluster, 3, Millis(150), /*seed=*/99);
     uint64_t fingerprint = 0;
     for (int i = 0; i < cluster.n(); ++i) {

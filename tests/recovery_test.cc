@@ -102,13 +102,13 @@ TEST(RecoveryTest, PowerLossScenarioRestoresAndConverges) {
 /// the cluster (the caller probes the crashed replica's disk image).
 struct TornWriteRig {
   explicit TornWriteRig(int victim) {
-    ClusterOptions options =
-        testing::SeeMoReOptions(SeeMoReMode::kLion, 1, 1, /*seed=*/9);
-    options.config.checkpoint_period = 16;
-    options.durability.enabled = true;
-    options.durability.fsync_interval = 4;
-    options.durability.segment_bytes = 8 * 1024;
-    cluster = std::make_unique<Cluster>(options);
+    scenario::ScenarioSpec spec =
+        testing::SeeMoReSpec(SeeMoReMode::kLion, 1, 1, /*seed=*/9);
+    spec.tuning.checkpoint_period = 16;
+    spec.durability.enabled = true;
+    spec.durability.fsync_interval = 4;
+    spec.durability.segment_bytes = 8 * 1024;
+    cluster = std::make_unique<Cluster>(spec);
     testing::RunBurst(*cluster, 4, Millis(250));
     cluster->Crash(victim);
   }
@@ -238,37 +238,37 @@ void CrashRestartCatchUp(Cluster& cluster, int victim,
   EXPECT_TRUE(cluster.CheckAgreement().ok());
 }
 
-ClusterOptions WithDurability(ClusterOptions options) {
-  options.config.checkpoint_period = 16;
-  options.durability.enabled = true;
-  options.durability.fsync_interval = 1;
-  return options;
+scenario::ScenarioSpec WithDurability(scenario::ScenarioSpec spec) {
+  spec.tuning.checkpoint_period = 16;
+  spec.durability.enabled = true;
+  spec.durability.fsync_interval = 1;
+  return spec;
 }
 
 TEST(RecoveryTest, LionPublicReplicaRestartsFromDisk) {
   Cluster cluster(
-      WithDurability(testing::SeeMoReOptions(SeeMoReMode::kLion, 1, 1)));
+      WithDurability(testing::SeeMoReSpec(SeeMoReMode::kLion, 1, 1)));
   CrashRestartCatchUp(cluster, /*victim=*/4, [&](int i) {
     return cluster.seemore(i)->last_executed();
   });
 }
 
 TEST(RecoveryTest, PbftReplicaRestartsFromDisk) {
-  Cluster cluster(WithDurability(testing::BftOptions(1)));
+  Cluster cluster(WithDurability(testing::BftSpec(1)));
   CrashRestartCatchUp(cluster, /*victim=*/3, [&](int i) {
     return cluster.pbft(i)->last_executed();
   });
 }
 
 TEST(RecoveryTest, PaxosReplicaRestartsFromDisk) {
-  Cluster cluster(WithDurability(testing::CftOptions(1)));
+  Cluster cluster(WithDurability(testing::CftSpec(1)));
   CrashRestartCatchUp(cluster, /*victim=*/2, [&](int i) {
     return cluster.paxos(i)->last_executed();
   });
 }
 
 TEST(RecoveryTest, SUpRightReplicaRestartsFromDisk) {
-  Cluster cluster(WithDurability(testing::SUpRightOptions(1, 1)));
+  Cluster cluster(WithDurability(testing::SUpRightSpec(1, 1)));
   CrashRestartCatchUp(cluster, /*victim=*/3, [&](int i) {
     return cluster.pbft(i)->last_executed();
   });
@@ -278,12 +278,12 @@ TEST(RecoveryTest, PowerLossFallsBackToOlderSnapshotAndCatchesUp) {
   // Batched fsyncs leave a window: after power loss the newest snapshot may
   // be gone or torn, but an older durable one plus the surviving log must
   // still restore a consistent replica.
-  ClusterOptions options =
-      testing::SeeMoReOptions(SeeMoReMode::kLion, 1, 1, /*seed=*/11);
-  options.config.checkpoint_period = 16;
-  options.durability.enabled = true;
-  options.durability.fsync_interval = 64;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec =
+      testing::SeeMoReSpec(SeeMoReMode::kLion, 1, 1, /*seed=*/11);
+  spec.tuning.checkpoint_period = 16;
+  spec.durability.enabled = true;
+  spec.durability.fsync_interval = 64;
+  Cluster cluster(spec);
   testing::RunBurst(cluster, 4, Millis(300));
   cluster.PowerLoss(4);
   testing::RunBurst(cluster, 4, Millis(200));
@@ -301,7 +301,7 @@ TEST(RecoveryTest, PowerLossFallsBackToOlderSnapshotAndCatchesUp) {
 
 TEST(RecoveryTest, RestartRequiresDurabilityAndACrashedTarget) {
   // Typed refusals, not CHECK failures: restart without durability...
-  ClusterOptions plain = testing::SeeMoReOptions(SeeMoReMode::kLion, 1, 1);
+  scenario::ScenarioSpec plain = testing::SeeMoReSpec(SeeMoReMode::kLion, 1, 1);
   Cluster no_disk(plain);
   no_disk.Crash(3);
   EXPECT_EQ(no_disk.Restart(3).status().code(),
@@ -309,7 +309,7 @@ TEST(RecoveryTest, RestartRequiresDurabilityAndACrashedTarget) {
 
   // ...and restart of a live replica.
   Cluster durable(
-      WithDurability(testing::SeeMoReOptions(SeeMoReMode::kLion, 1, 1)));
+      WithDurability(testing::SeeMoReSpec(SeeMoReMode::kLion, 1, 1)));
   EXPECT_EQ(durable.Restart(3).status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(durable.TamperWal(3, storage::WalTamper::kTruncate, 10).code(),

@@ -212,8 +212,9 @@ TEST(ScenarioRunTest, RejectsInvalidSpecBeforeBuildingAnything) {
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 
-  Result<std::unique_ptr<Cluster>> cluster = MakeCluster(builder.spec());
-  EXPECT_FALSE(cluster.ok());
+  // Cluster(spec) is the only way to build a cluster, and it refuses an
+  // invalid spec outright.
+  EXPECT_DEATH({ Cluster cluster(builder.spec()); }, "invalid scenario spec");
 }
 
 TEST(ScenarioRunTest, HooksSeeLifecycle) {

@@ -271,7 +271,9 @@ ScenarioSpec FullyLoadedSpec() {
       .RestartAt(Millis(90), 1)
       .PowerLossAt(Millis(95), 6)
       .RestartAt(Millis(98), 6);
-  return builder.spec();
+  ScenarioSpec spec = builder.spec();
+  spec.tuning.reply_cache_retention = 32;
+  return spec;
 }
 
 TEST(SpecJsonTest, LosslessRoundTrip) {
@@ -290,6 +292,8 @@ TEST(SpecJsonTest, LosslessRoundTrip) {
   EXPECT_TRUE(back->durability.enabled);
   EXPECT_EQ(back->durability.fsync_interval, 8);
   EXPECT_EQ(back->durability.segment_bytes, 128 * 1024);
+  EXPECT_EQ(back->tuning.reply_cache_retention, 32u);
+  EXPECT_EQ(back->ResolvedConfig().reply_cache_retention, 32u);
   EXPECT_EQ(back->schedule[8].kind, EventKind::kTruncateLog);
   EXPECT_EQ(back->schedule[8].arg, 128);
   EXPECT_EQ(back->schedule[11].kind, EventKind::kPowerLoss);
@@ -326,6 +330,24 @@ TEST(SpecJsonTest, RejectsUnknownFieldsEverywhere) {
                    .ok());
   EXPECT_FALSE(
       ScenarioSpec::FromJsonText(R"({"durability": {"fsync": 1}})").ok());
+}
+
+TEST(SpecJsonTest, RejectsSegmentSizesPastUint32) {
+  // The WAL takes a 32-bit segment size; a larger one must be refused, not
+  // truncated.
+  Result<ScenarioSpec> too_big = ScenarioSpec::FromJsonText(
+      R"({"durability": {"enabled": true, "segment_bytes": 4294967296}})");
+  ASSERT_FALSE(too_big.ok());
+  EXPECT_EQ(too_big.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(ScenarioSpec::FromJsonText(
+                   R"({"durability": {"segment_bytes": 4294968320}})")
+                   .ok());
+
+  Result<ScenarioSpec> largest = ScenarioSpec::FromJsonText(
+      R"({"durability": {"enabled": true, "segment_bytes": 4294967295}})");
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ(largest->durability.segment_bytes, 4294967295u);
+  EXPECT_TRUE(largest->Validate().ok());
 }
 
 TEST(SpecJsonTest, RejectsMalformedSchedules) {

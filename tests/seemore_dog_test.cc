@@ -9,11 +9,11 @@ namespace seemore {
 namespace {
 
 using testing::RunBurst;
-using testing::SeeMoReOptions;
+using testing::SeeMoReSpec;
 using testing::SubmitAndWait;
 
 TEST(DogTest, CommitsSingleRequest) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kDog, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kDog, 1, 1));
   SimClient* client = cluster.AddClient();
   auto result = SubmitAndWait(cluster, client, MakePut("k", "v"));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -21,7 +21,7 @@ TEST(DogTest, CommitsSingleRequest) {
 }
 
 TEST(DogTest, PassivePrivateNodesExecuteViaInforms) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kDog, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kDog, 1, 1));
   SimClient* client = cluster.AddClient();
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(
@@ -39,9 +39,9 @@ TEST(DogTest, PassivePrivateNodesExecuteViaInforms) {
 
 TEST(DogTest, NonProxyPublicNodeExecutesViaInforms) {
   // P = 5 > 3m+1 = 4: one public node is outside the proxy window.
-  ClusterOptions options = SeeMoReOptions(SeeMoReMode::kDog, 1, 1);
-  options.config.p = 5;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kDog, 1, 1);
+  spec.topology.p = 5;
+  Cluster cluster(spec);
   SimClient* client = cluster.AddClient();
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(
@@ -59,7 +59,7 @@ TEST(DogTest, NonProxyPublicNodeExecutesViaInforms) {
 }
 
 TEST(DogTest, ToleratesByzantineProxy) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kDog, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kDog, 1, 1));
   cluster.SetByzantine(3, kByzWrongVotes);
   const uint64_t completed = RunBurst(cluster, 4, Millis(300));
   EXPECT_GT(completed, 30u);
@@ -67,7 +67,7 @@ TEST(DogTest, ToleratesByzantineProxy) {
 }
 
 TEST(DogTest, ToleratesSilentProxyAndCrashedPrivate) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kDog, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kDog, 1, 1));
   cluster.SetByzantine(2, kByzSilent);
   cluster.Crash(1);  // passive private backup; agreement unaffected
   const uint64_t completed = RunBurst(cluster, 4, Millis(300));
@@ -76,7 +76,7 @@ TEST(DogTest, ToleratesSilentProxyAndCrashedPrivate) {
 }
 
 TEST(DogTest, PrimaryCrashViewChangeDrivenByPublicCloud) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kDog, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kDog, 1, 1));
   SimClient* client = cluster.AddClient();
   ASSERT_TRUE(SubmitAndWait(cluster, client, MakePut("a", "1")).ok());
   cluster.Crash(0);  // trusted primary
@@ -93,7 +93,7 @@ TEST(DogTest, PrimaryCrashViewChangeDrivenByPublicCloud) {
 
 TEST(DogTest, ClientWaits2MPlus1ProxyReplies) {
   // One lying proxy cannot corrupt the client's 2m+1 matching requirement.
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kDog, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kDog, 1, 1));
   cluster.SetByzantine(4, kByzLieToClients);
   SimClient* client = cluster.AddClient();
   ASSERT_TRUE(SubmitAndWait(cluster, client, MakePut("key", "real")).ok());
@@ -103,9 +103,9 @@ TEST(DogTest, ClientWaits2MPlus1ProxyReplies) {
 }
 
 TEST(DogTest, CheckpointsAndGc) {
-  ClusterOptions options = SeeMoReOptions(SeeMoReMode::kDog, 1, 1);
-  options.config.checkpoint_period = 8;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kDog, 1, 1);
+  spec.tuning.checkpoint_period = 8;
+  Cluster cluster(spec);
   RunBurst(cluster, 4, Millis(300));
   cluster.sim().RunUntil(cluster.sim().now() + Millis(100));
   for (int i = 0; i < cluster.n(); ++i) {
@@ -115,7 +115,7 @@ TEST(DogTest, CheckpointsAndGc) {
 }
 
 TEST(DogTest, LargerBudgetC2M2) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kDog, 2, 2));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kDog, 2, 2));
   EXPECT_EQ(cluster.n(), 11);
   cluster.SetByzantine(5, kByzWrongVotes);
   cluster.SetByzantine(6, kByzSilent);

@@ -9,11 +9,11 @@ namespace seemore {
 namespace {
 
 using testing::RunBurst;
-using testing::SeeMoReOptions;
+using testing::SeeMoReSpec;
 using testing::SubmitAndWait;
 
 TEST(LionTest, CommitsSingleRequest) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kLion, 1, 1));
   EXPECT_EQ(cluster.n(), 6);  // 2c private + 3m+1 public (§6.1)
   SimClient* client = cluster.AddClient();
   auto result = SubmitAndWait(cluster, client, MakePut("k", "v"));
@@ -22,7 +22,7 @@ TEST(LionTest, CommitsSingleRequest) {
 }
 
 TEST(LionTest, AllReplicasExecute) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kLion, 1, 1));
   SimClient* client = cluster.AddClient();
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(
@@ -41,7 +41,7 @@ TEST(LionTest, AllReplicasExecute) {
 TEST(LionTest, ToleratesCrashAndByzantineBudget) {
   // c=1 crashed private + m=1 Byzantine public simultaneously: quorum
   // 2m+c+1 = 4 of the remaining 4 honest nodes is exactly reachable.
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kLion, 1, 1));
   cluster.Crash(1);                         // private backup
   cluster.SetByzantine(5, kByzWrongVotes);  // public node
   const uint64_t completed = RunBurst(cluster, 4, Millis(300));
@@ -50,7 +50,7 @@ TEST(LionTest, ToleratesCrashAndByzantineBudget) {
 }
 
 TEST(LionTest, SilentByzantinePublic) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kLion, 1, 1));
   cluster.SetByzantine(4, kByzSilent);
   const uint64_t completed = RunBurst(cluster, 4, Millis(250));
   EXPECT_GT(completed, 30u);
@@ -58,7 +58,7 @@ TEST(LionTest, SilentByzantinePublic) {
 }
 
 TEST(LionTest, PrimaryCrashViewChange) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kLion, 1, 1));
   SimClient* client = cluster.AddClient();
   ASSERT_TRUE(SubmitAndWait(cluster, client, MakePut("a", "1")).ok());
   EXPECT_TRUE(cluster.seemore(0)->IsPrimary());
@@ -81,7 +81,7 @@ TEST(LionTest, ClientFallsBackToPublicQuorumOnRetransmit) {
   // The client cannot reach any private node: its request still commits
   // (publics forward it to the trusted primary) and the client completes on
   // m+1 matching public replies after retransmission (§5.1).
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kLion, 1, 1));
   SimClient* client = cluster.AddClient();
   for (PrincipalId trusted : {0, 1}) {
     cluster.net().faults().CutLink(client->id(), trusted);
@@ -97,9 +97,9 @@ TEST(LionTest, ClientFallsBackToPublicQuorumOnRetransmit) {
 }
 
 TEST(LionTest, CheckpointCertifiedByTrustedPrimary) {
-  ClusterOptions options = SeeMoReOptions(SeeMoReMode::kLion, 1, 1);
-  options.config.checkpoint_period = 8;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kLion, 1, 1);
+  spec.tuning.checkpoint_period = 8;
+  Cluster cluster(spec);
   RunBurst(cluster, 4, Millis(300));
   cluster.sim().RunUntil(cluster.sim().now() + Millis(50));
   for (int i = 0; i < cluster.n(); ++i) {
@@ -109,9 +109,9 @@ TEST(LionTest, CheckpointCertifiedByTrustedPrimary) {
 }
 
 TEST(LionTest, RecoveringPublicNodeCatchesUp) {
-  ClusterOptions options = SeeMoReOptions(SeeMoReMode::kLion, 1, 1);
-  options.config.checkpoint_period = 8;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kLion, 1, 1);
+  spec.tuning.checkpoint_period = 8;
+  Cluster cluster(spec);
   cluster.Crash(4);
   RunBurst(cluster, 4, Millis(300));
   const uint64_t before = cluster.seemore(0)->last_executed();
@@ -124,7 +124,7 @@ TEST(LionTest, RecoveringPublicNodeCatchesUp) {
 }
 
 TEST(LionTest, LargerBudgetC2M2) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 2, 2));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kLion, 2, 2));
   EXPECT_EQ(cluster.n(), 11);  // 2c + 3m + 1 (Fig 2(b))
   cluster.Crash(1);
   cluster.SetByzantine(6, kByzWrongVotes);
@@ -135,9 +135,9 @@ TEST(LionTest, LargerBudgetC2M2) {
 }
 
 TEST(LionTest, ToleratesMessageLoss) {
-  ClusterOptions options = SeeMoReOptions(SeeMoReMode::kLion, 1, 1);
-  options.net.drop_probability = 0.03;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kLion, 1, 1);
+  spec.net.drop_probability = 0.03;
+  Cluster cluster(spec);
   const uint64_t completed = RunBurst(cluster, 4, Millis(400));
   EXPECT_GT(completed, 20u);
   EXPECT_TRUE(cluster.CheckAgreement().ok());

@@ -10,11 +10,11 @@ namespace seemore {
 namespace {
 
 using testing::RunBurst;
-using testing::SeeMoReOptions;
+using testing::SeeMoReSpec;
 using testing::SubmitAndWait;
 
 TEST(PeacockTest, CommitsSingleRequest) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kPeacock, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kPeacock, 1, 1));
   SimClient* client = cluster.AddClient();
   auto result = SubmitAndWait(cluster, client, MakePut("k", "v"));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -25,7 +25,7 @@ TEST(PeacockTest, CommitsSingleRequest) {
 }
 
 TEST(PeacockTest, PrivateNodesExecuteViaInforms) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kPeacock, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kPeacock, 1, 1));
   SimClient* client = cluster.AddClient();
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(
@@ -41,7 +41,7 @@ TEST(PeacockTest, PrivateNodesExecuteViaInforms) {
 }
 
 TEST(PeacockTest, ToleratesByzantineProxy) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kPeacock, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kPeacock, 1, 1));
   // View-0 proxies are {2,3,4,5} with primary 2; flag a non-primary proxy.
   cluster.SetByzantine(4, kByzWrongVotes);
   const uint64_t completed = RunBurst(cluster, 4, Millis(300));
@@ -50,7 +50,7 @@ TEST(PeacockTest, ToleratesByzantineProxy) {
 }
 
 TEST(PeacockTest, PrimaryCrashTransfererRunsViewChange) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kPeacock, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kPeacock, 1, 1));
   SimClient* client = cluster.AddClient();
   ASSERT_TRUE(SubmitAndWait(cluster, client, MakePut("a", "1")).ok());
   const PrincipalId primary = cluster.seemore(0)->current_primary();
@@ -69,7 +69,7 @@ TEST(PeacockTest, PrimaryCrashTransfererRunsViewChange) {
 }
 
 TEST(PeacockTest, EquivocatingPrimaryRecovered) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kPeacock, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kPeacock, 1, 1));
   const PrincipalId primary = cluster.seemore(0)->current_primary();
   cluster.SetByzantine(primary, kByzEquivocate);
   SimClient* client = cluster.AddClient();
@@ -80,7 +80,7 @@ TEST(PeacockTest, EquivocatingPrimaryRecovered) {
 }
 
 TEST(PeacockTest, LyingProxyCannotFoolClients) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kPeacock, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kPeacock, 1, 1));
   cluster.SetByzantine(5, kByzLieToClients);
   SimClient* client = cluster.AddClient();
   ASSERT_TRUE(SubmitAndWait(cluster, client, MakePut("key", "honest")).ok());
@@ -90,9 +90,9 @@ TEST(PeacockTest, LyingProxyCannotFoolClients) {
 }
 
 TEST(PeacockTest, QuorumCheckpointsAdvance) {
-  ClusterOptions options = SeeMoReOptions(SeeMoReMode::kPeacock, 1, 1);
-  options.config.checkpoint_period = 8;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kPeacock, 1, 1);
+  spec.tuning.checkpoint_period = 8;
+  Cluster cluster(spec);
   RunBurst(cluster, 4, Millis(300));
   cluster.sim().RunUntil(cluster.sim().now() + Millis(100));
   int advanced = 0;
@@ -104,7 +104,7 @@ TEST(PeacockTest, QuorumCheckpointsAdvance) {
 }
 
 TEST(PeacockTest, ConcurrentClients) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kPeacock, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kPeacock, 1, 1));
   const uint64_t completed = RunBurst(cluster, 6, Millis(300));
   EXPECT_GT(completed, 50u);
   EXPECT_TRUE(cluster.CheckAgreement().ok());

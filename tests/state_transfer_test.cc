@@ -10,7 +10,7 @@ namespace seemore {
 namespace {
 
 using testing::RunBurst;
-using testing::SeeMoReOptions;
+using testing::SeeMoReSpec;
 
 /// Cut one replica off from everyone, generate traffic past several
 /// checkpoints, heal, and verify catch-up via snapshot transfer.
@@ -40,9 +40,9 @@ void PartitionHealCatchUp(Cluster& cluster, int victim,
 }
 
 TEST(StateTransferTest, LionPartitionedPublicNodeCatchesUp) {
-  ClusterOptions options = SeeMoReOptions(SeeMoReMode::kLion, 1, 1);
-  options.config.checkpoint_period = 8;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kLion, 1, 1);
+  spec.tuning.checkpoint_period = 8;
+  Cluster cluster(spec);
   PartitionHealCatchUp(cluster, /*victim=*/4, [&](int i) {
     return cluster.seemore(i)->last_executed();
   });
@@ -50,45 +50,45 @@ TEST(StateTransferTest, LionPartitionedPublicNodeCatchesUp) {
 }
 
 TEST(StateTransferTest, LionPartitionedPrivateBackupCatchesUp) {
-  ClusterOptions options = SeeMoReOptions(SeeMoReMode::kLion, 1, 1);
-  options.config.checkpoint_period = 8;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kLion, 1, 1);
+  spec.tuning.checkpoint_period = 8;
+  Cluster cluster(spec);
   PartitionHealCatchUp(cluster, /*victim=*/1, [&](int i) {
     return cluster.seemore(i)->last_executed();
   });
 }
 
 TEST(StateTransferTest, DogPassiveNodeCatchesUp) {
-  ClusterOptions options = SeeMoReOptions(SeeMoReMode::kDog, 1, 1);
-  options.config.checkpoint_period = 8;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kDog, 1, 1);
+  spec.tuning.checkpoint_period = 8;
+  Cluster cluster(spec);
   PartitionHealCatchUp(cluster, /*victim=*/1, [&](int i) {
     return cluster.seemore(i)->last_executed();
   });
 }
 
 TEST(StateTransferTest, PeacockProxyCatchesUp) {
-  ClusterOptions options = SeeMoReOptions(SeeMoReMode::kPeacock, 1, 1);
-  options.config.checkpoint_period = 8;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kPeacock, 1, 1);
+  spec.tuning.checkpoint_period = 8;
+  Cluster cluster(spec);
   PartitionHealCatchUp(cluster, /*victim=*/5, [&](int i) {
     return cluster.seemore(i)->last_executed();
   });
 }
 
 TEST(StateTransferTest, PbftPartitionedReplicaCatchesUp) {
-  ClusterOptions options = testing::BftOptions(1);
-  options.config.checkpoint_period = 8;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = testing::BftSpec(1);
+  spec.tuning.checkpoint_period = 8;
+  Cluster cluster(spec);
   PartitionHealCatchUp(cluster, /*victim=*/3, [&](int i) {
     return cluster.pbft(i)->last_executed();
   });
 }
 
 TEST(StateTransferTest, CftPartitionedReplicaCatchesUp) {
-  ClusterOptions options = testing::CftOptions(1);
-  options.config.checkpoint_period = 8;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = testing::CftSpec(1);
+  spec.tuning.checkpoint_period = 8;
+  Cluster cluster(spec);
   PartitionHealCatchUp(cluster, /*victim=*/2, [&](int i) {
     return cluster.paxos(i)->last_executed();
   });
@@ -97,9 +97,9 @@ TEST(StateTransferTest, CftPartitionedReplicaCatchesUp) {
 TEST(StateTransferTest, CheckpointGarbageCollectionIsBounded) {
   // The log (slots map) must not grow without bound while checkpoints
   // advance; stable checkpoints garbage-collect everything at or below.
-  ClusterOptions options = SeeMoReOptions(SeeMoReMode::kLion, 1, 1);
-  options.config.checkpoint_period = 8;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kLion, 1, 1);
+  spec.tuning.checkpoint_period = 8;
+  Cluster cluster(spec);
   RunBurst(cluster, 4, Millis(600));
   cluster.sim().RunUntil(cluster.sim().now() + Millis(100));
   for (int i = 0; i < cluster.n(); ++i) {
@@ -113,17 +113,17 @@ TEST(StateTransferTest, CheckpointGarbageCollectionIsBounded) {
 }
 
 TEST(StateTransferTest, ReplyRetentionSurvivesStateTransfer) {
-  // Opt-in reply-cache retention (ClusterConfig::reply_cache_retention) is
+  // Opt-in reply-cache retention (spec.tuning.reply_cache_retention) is
   // consensus state: eviction keys off each entry's last-execution seq,
   // which travels inside snapshots so a replica restored from a checkpoint
   // evicts on exactly the donor's schedule. Partition + heal forces a
   // snapshot restore on the victim; afterwards any two replicas at the same
   // execution point must have byte-identical engine state, reply cache
   // included — a restored replica that guessed last_seq would diverge here.
-  ClusterOptions options = SeeMoReOptions(SeeMoReMode::kLion, 1, 1);
-  options.config.checkpoint_period = 8;
-  options.config.reply_cache_retention = 32;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kLion, 1, 1);
+  spec.tuning.checkpoint_period = 8;
+  spec.tuning.reply_cache_retention = 32;
+  Cluster cluster(spec);
   PartitionHealCatchUp(cluster, /*victim=*/4, [&](int i) {
     return cluster.seemore(i)->last_executed();
   });
@@ -151,12 +151,12 @@ TEST(StateTransferTest, ReplyRetentionSurvivesDurableRestart) {
   // restored from disk must evict on exactly the donor's schedule too —
   // digest equality at equal frontiers would break if the restored engine
   // guessed any entry's last-execution seq.
-  ClusterOptions options = SeeMoReOptions(SeeMoReMode::kLion, 1, 1);
-  options.config.checkpoint_period = 8;
-  options.config.reply_cache_retention = 32;
-  options.durability.enabled = true;
-  options.durability.fsync_interval = 1;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kLion, 1, 1);
+  spec.tuning.checkpoint_period = 8;
+  spec.tuning.reply_cache_retention = 32;
+  spec.durability.enabled = true;
+  spec.durability.fsync_interval = 1;
+  Cluster cluster(spec);
   RunBurst(cluster, 4, Millis(300));
   cluster.Crash(4);
   RunBurst(cluster, 4, Millis(400));
@@ -223,9 +223,9 @@ TEST(StateTransferTest, ByzantineSnapshotRejected) {
 TEST(StateTransferTest, RecoverAfterLongOutage) {
   // Crash -> multiple checkpoint periods pass -> recover: the node must
   // come back via snapshot, not by replaying a GC'd log.
-  ClusterOptions options = SeeMoReOptions(SeeMoReMode::kLion, 1, 1);
-  options.config.checkpoint_period = 8;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kLion, 1, 1);
+  spec.tuning.checkpoint_period = 8;
+  Cluster cluster(spec);
   cluster.Crash(5);
   RunBurst(cluster, 4, Millis(600));
   const uint64_t progress = cluster.seemore(0)->last_executed();

@@ -10,17 +10,17 @@ namespace {
 
 using testing::RunBurst;
 using testing::SubmitAndWait;
-using testing::SUpRightOptions;
+using testing::SUpRightSpec;
 
 TEST(SUpRightTest, TopologyMatchesPaper) {
-  Cluster cluster(SUpRightOptions(/*c=*/1, /*m=*/1));
+  Cluster cluster(SUpRightSpec(/*c=*/1, /*m=*/1));
   EXPECT_EQ(cluster.n(), 6);  // 3m+2c+1
-  ClusterOptions big = SUpRightOptions(1, 3);
-  EXPECT_EQ(big.config.n(), 12);  // Fig 2(c) S-UpRight size
+  scenario::ScenarioSpec big = SUpRightSpec(1, 3);
+  EXPECT_EQ(big.ResolvedConfig().n(), 12);  // Fig 2(c) S-UpRight size
 }
 
 TEST(SUpRightTest, CommitsSingleRequest) {
-  Cluster cluster(SUpRightOptions(1, 1));
+  Cluster cluster(SUpRightSpec(1, 1));
   SimClient* client = cluster.AddClient();
   auto result = SubmitAndWait(cluster, client, MakePut("k", "v"));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -29,7 +29,7 @@ TEST(SUpRightTest, CommitsSingleRequest) {
 
 TEST(SUpRightTest, FullFailureBudget) {
   // c=1 crash AND m=1 Byzantine at the same time must not block progress.
-  Cluster cluster(SUpRightOptions(1, 1));
+  Cluster cluster(SUpRightSpec(1, 1));
   cluster.Crash(1);
   cluster.SetByzantine(4, kByzWrongVotes);
   const uint64_t completed = RunBurst(cluster, 4, Millis(300));
@@ -38,7 +38,7 @@ TEST(SUpRightTest, FullFailureBudget) {
 }
 
 TEST(SUpRightTest, PrimaryCrashViewChange) {
-  Cluster cluster(SUpRightOptions(1, 1));
+  Cluster cluster(SUpRightSpec(1, 1));
   SimClient* client = cluster.AddClient();
   ASSERT_TRUE(SubmitAndWait(cluster, client, MakePut("a", "1")).ok());
   cluster.Crash(0);
@@ -52,7 +52,7 @@ TEST(SUpRightTest, PrimaryCrashViewChange) {
 
 TEST(SUpRightTest, ClientNeedsOnlyMPlusOneMatching) {
   // With m=1, 2 matching replies suffice even while a replica lies.
-  Cluster cluster(SUpRightOptions(1, 1));
+  Cluster cluster(SUpRightSpec(1, 1));
   cluster.SetByzantine(5, kByzLieToClients);
   SimClient* client = cluster.AddClient();
   ASSERT_TRUE(SubmitAndWait(cluster, client, MakePut("key", "true")).ok());
@@ -64,7 +64,7 @@ TEST(SUpRightTest, ClientNeedsOnlyMPlusOneMatching) {
 TEST(SUpRightTest, ReportsUnimplementedUpRightFeatures) {
   // S-UpRight is the paper's simplified comparator, not UpRight proper;
   // the class must say so explicitly.
-  Cluster cluster(SUpRightOptions(1, 1));
+  Cluster cluster(SUpRightSpec(1, 1));
   auto* replica = static_cast<SUpRightReplica*>(cluster.replica(0));
   EXPECT_GE(SUpRightReplica::UnimplementedFeatures().size(), 3u);
   const std::string description = replica->Describe();
@@ -75,7 +75,7 @@ TEST(SUpRightTest, ReportsUnimplementedUpRightFeatures) {
 
 TEST(SUpRightTest, LargerHybridBudget) {
   // c=2, m=2 -> N=11, quorum 7.
-  Cluster cluster(SUpRightOptions(2, 2));
+  Cluster cluster(SUpRightSpec(2, 2));
   EXPECT_EQ(cluster.n(), 11);
   cluster.Crash(0);  // crash a private node (the view-0 primary!)
   cluster.SetByzantine(6, kByzWrongVotes);

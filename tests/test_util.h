@@ -1,15 +1,17 @@
-// Shared helpers for protocol integration tests: canned cluster options,
+// Shared helpers for protocol integration tests: canned cluster specs,
 // convenience runners, and completion predicates.
 
 #ifndef SEEMORE_TESTS_TEST_UTIL_H_
 #define SEEMORE_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "harness/cluster.h"
 #include "harness/runner.h"
+#include "scenario/builder.h"
 
 namespace seemore {
 namespace testing {
@@ -25,55 +27,41 @@ inline NetworkConfig TestNet() {
   return net;
 }
 
-inline ClusterOptions SeeMoReOptions(SeeMoReMode mode, int c, int m,
-                                     uint64_t seed = 1) {
-  ClusterOptions options;
-  options.config.kind = ProtocolKind::kSeeMoRe;
-  options.config.c = c;
-  options.config.m = m;
-  options.config.s = 2 * c;          // the paper's bench topology (§6.1)
-  options.config.p = 3 * m + 1;
-  if (options.config.s < c + 1) options.config.s = c + 1;
-  options.config.initial_mode = mode;
-  options.config.checkpoint_period = 16;
-  options.config.view_change_timeout = Millis(20);
-  options.net = TestNet();
-  options.seed = seed;
-  options.client_retransmit_timeout = Millis(60);
-  return options;
+/// The consensus tuning the protocol tests were written against (batch 16,
+/// pipeline 8, checkpoint every 16 seqs, 20 ms view-change timeout) on the
+/// test network; the protocol and topology are left to the caller.
+inline scenario::ScenarioBuilder TestBuilder(uint64_t seed) {
+  scenario::ScenarioBuilder builder;
+  builder.Batching(/*batch_max=*/16, /*pipeline_max=*/8)
+      .CheckpointPeriod(16)
+      .ViewChangeTimeout(Millis(20))
+      .Network(TestNet())
+      .Seed(seed)
+      .RetransmitTimeout(Millis(60));
+  return builder;
 }
 
-inline ClusterOptions CftOptions(int f, uint64_t seed = 1) {
-  ClusterOptions options;
-  options.config.kind = ProtocolKind::kCft;
-  options.config.f = f;
-  options.config.checkpoint_period = 16;
-  options.config.view_change_timeout = Millis(20);
-  options.net = TestNet();
-  options.seed = seed;
-  options.client_retransmit_timeout = Millis(60);
-  return options;
+inline scenario::ScenarioSpec SeeMoReSpec(SeeMoReMode mode, int c, int m,
+                                          uint64_t seed = 1) {
+  // The paper's bench topology (§6.1), with at least one private replica
+  // surviving its c crashes.
+  const int s = std::max(2 * c, c + 1);
+  return TestBuilder(seed).SeeMoRe(mode, c, m).CloudSizes(s, 3 * m + 1).spec();
 }
 
-inline ClusterOptions BftOptions(int f, uint64_t seed = 1) {
-  ClusterOptions options = CftOptions(f, seed);
-  options.config.kind = ProtocolKind::kBft;
-  return options;
+inline scenario::ScenarioSpec CftSpec(int f, uint64_t seed = 1) {
+  return TestBuilder(seed).Cft(f).spec();
 }
 
-inline ClusterOptions SUpRightOptions(int c, int m, uint64_t seed = 1) {
-  ClusterOptions options;
-  options.config.kind = ProtocolKind::kSUpRight;
-  options.config.c = c;
-  options.config.m = m;
-  options.config.s = 2 * c;
-  options.config.p = HybridNetworkSize(m, c) - options.config.s;
-  options.config.checkpoint_period = 16;
-  options.config.view_change_timeout = Millis(20);
-  options.net = TestNet();
-  options.seed = seed;
-  options.client_retransmit_timeout = Millis(60);
-  return options;
+inline scenario::ScenarioSpec BftSpec(int f, uint64_t seed = 1) {
+  return TestBuilder(seed).Bft(f).spec();
+}
+
+inline scenario::ScenarioSpec SUpRightSpec(int c, int m, uint64_t seed = 1) {
+  return TestBuilder(seed)
+      .SUpRight(c, m)
+      .CloudSizes(2 * c, HybridNetworkSize(m, c) - 2 * c)
+      .spec();
 }
 
 /// Submit one KV op synchronously: drives the simulator until the reply
@@ -95,13 +83,20 @@ inline Result<Bytes> SubmitAndWait(Cluster& cluster, SimClient* client,
   return result;
 }
 
-/// Run a closed-loop burst and return total completions.
+/// Run `clients` closed-loop KV clients (creating any the cluster lacks)
+/// for `duration`, stop them, and return their total completions.
 inline uint64_t RunBurst(Cluster& cluster, int clients, SimTime duration,
                          uint64_t seed = 7) {
-  RunResult result = RunClosedLoop(cluster, clients,
-                                   KvWorkload(seed, 64, 0.5), /*warmup=*/0,
-                                   duration);
-  return result.completed;
+  const OpFactory ops = KvWorkload(seed, 64, 0.5);
+  while (cluster.num_clients() < clients) cluster.AddClient();
+  for (int i = 0; i < clients; ++i) cluster.client(i)->Start(ops);
+  const SimTime start = cluster.sim().now();
+  cluster.sim().RunUntil(start);  // a zero-length warmup
+  for (int i = 0; i < clients; ++i) cluster.client(i)->ResetStats();
+  cluster.sim().RunUntil(start + duration);
+  std::vector<SimClient*> burst;
+  for (int i = 0; i < clients; ++i) burst.push_back(cluster.client(i));
+  return StopAndSummarize(burst, duration).completed;
 }
 
 }  // namespace testing

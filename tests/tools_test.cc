@@ -147,6 +147,34 @@ TEST(CtlScheduleFlagsTest, WellFormedScheduleParses) {
       << run.output;
 }
 
+TEST(CtlDurabilityFlagsTest, SegmentSizesPastUint32ExitTwo) {
+  // 4194304 KiB is exactly 2^32 bytes: it used to truncate to a 0-byte
+  // segment and abort in the WAL; one KiB more ran with 1 KiB segments.
+  // 4194308 KiB would truncate to a 4 KiB segment that Validate() accepts,
+  // so only the flag's own range check can refuse it.
+  for (const char* kb : {"4194304", "4194305", "4194308"}) {
+    const CtlRun run = RunCtl(
+        std::string("--quick --dump-spec --durable-segment-kb=") + kb);
+    EXPECT_EQ(run.exit_code, 2) << kb << "\n" << run.output;
+    EXPECT_NE(run.output.find("InvalidArgument"), std::string::npos)
+        << kb << "\n" << run.output;
+  }
+  // The largest whole-KiB size that fits is accepted.
+  const CtlRun largest =
+      RunCtl("--quick --dump-spec --durable-segment-kb=4194303");
+  ASSERT_EQ(largest.exit_code, 0) << largest.output;
+  EXPECT_NE(largest.output.find("4294966272"), std::string::npos)
+      << largest.output;
+}
+
+TEST(CtlDurabilityFlagsTest, FsyncIntervalPastIntExitsTwo) {
+  // 2^32 + 1 used to narrow to an fsync interval of 1.
+  const CtlRun run = RunCtl("--quick --dump-spec --durable-fsync=4294967297");
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("InvalidArgument"), std::string::npos)
+      << run.output;
+}
+
 TEST(MultiCloudTest, SingleCloudMatchesEq2) {
   // One offer with unlimited capacity must reproduce the single-cloud
   // result of Eq. 2 (paper's worked example: S=2, c=1, a=0.3 -> 10 nodes).

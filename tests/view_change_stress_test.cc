@@ -11,7 +11,7 @@ namespace seemore {
 namespace {
 
 using testing::RunBurst;
-using testing::SeeMoReOptions;
+using testing::SeeMoReSpec;
 using testing::SubmitAndWait;
 
 // Regression: after a view change, replicas that had already committed a
@@ -20,10 +20,10 @@ using testing::SubmitAndWait;
 // views forever. Trigger: view change under load with a deep in-flight
 // pipeline and mixed commit progress.
 TEST(ViewChangeStressTest, ViewChangeUnderLoadRecoversLion) {
-  ClusterOptions options = SeeMoReOptions(SeeMoReMode::kLion, 1, 1);
-  options.config.batch_max = 64;
-  options.config.pipeline_max = 4;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kLion, 1, 1);
+  spec.tuning.batch_max = 64;
+  spec.tuning.pipeline_max = 4;
+  Cluster cluster(spec);
   for (int i = 0; i < 12; ++i) {
     cluster.AddClient()->Start(KvWorkload(700 + i, 64, 0.5));
   }
@@ -42,10 +42,10 @@ TEST(ViewChangeStressTest, ViewChangeUnderLoadRecoversLion) {
 }
 
 TEST(ViewChangeStressTest, ViewChangeUnderLoadRecoversDog) {
-  ClusterOptions options = SeeMoReOptions(SeeMoReMode::kDog, 1, 1);
-  options.config.batch_max = 64;
-  options.config.pipeline_max = 4;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kDog, 1, 1);
+  spec.tuning.batch_max = 64;
+  spec.tuning.pipeline_max = 4;
+  Cluster cluster(spec);
   for (int i = 0; i < 12; ++i) {
     cluster.AddClient()->Start(KvWorkload(800 + i, 64, 0.5));
   }
@@ -66,9 +66,9 @@ TEST(ViewChangeStressTest, ViewChangeUnderLoadRecoversDog) {
 // or clients whose request was nooped by the view change are starved
 // forever (their retransmissions are "already seen").
 TEST(ViewChangeStressTest, NoopedRequestsRecoverViaRetransmission) {
-  ClusterOptions options = SeeMoReOptions(SeeMoReMode::kLion, 1, 1);
-  options.config.pipeline_max = 4;
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kLion, 1, 1);
+  spec.tuning.pipeline_max = 4;
+  Cluster cluster(spec);
   for (int i = 0; i < 8; ++i) {
     cluster.AddClient()->Start(KvWorkload(900 + i, 64, 0.5));
   }
@@ -94,8 +94,8 @@ TEST(ViewChangeStressTest, NoopedRequestsRecoverViaRetransmission) {
 // Cascading failures: crash the primary of every successive view in a CFT
 // cluster that can afford it (f=2), then verify the survivors finish.
 TEST(ViewChangeStressTest, CascadingPrimaryFailuresCft) {
-  ClusterOptions options = testing::CftOptions(2);
-  Cluster cluster(options);
+  scenario::ScenarioSpec spec = testing::CftSpec(2);
+  Cluster cluster(spec);
   SimClient* client = cluster.AddClient();
   ASSERT_TRUE(SubmitAndWait(cluster, client, MakePut("k", "v0")).ok());
   cluster.Crash(0);
@@ -113,7 +113,7 @@ TEST(ViewChangeStressTest, CascadingPrimaryFailuresCft) {
 // never force the cluster out of a healthy view (join needs a trusted
 // suspicion or m+1 public ones).
 TEST(ViewChangeStressTest, LoneByzantineCannotForceViewChanges) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kLion, 1, 1));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kLion, 1, 1));
   // Run healthy traffic; replica 5 votes garbage the whole time (its VC
   // messages from timer expiry would also be alone).
   cluster.SetByzantine(5, kByzWrongVotes);
@@ -126,7 +126,7 @@ TEST(ViewChangeStressTest, LoneByzantineCannotForceViewChanges) {
 // Peacock: crash the primary of view v, then the primary of view v+1 too
 // (both public, within m only if m >= 2 — use m=2).
 TEST(ViewChangeStressTest, ConsecutivePeacockPrimaryFailures) {
-  Cluster cluster(SeeMoReOptions(SeeMoReMode::kPeacock, 1, 2));
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kPeacock, 1, 2));
   SimClient* client = cluster.AddClient();
   ASSERT_TRUE(SubmitAndWait(cluster, client, MakePut("a", "1")).ok());
   const PrincipalId p0 = cluster.seemore(0)->current_primary();

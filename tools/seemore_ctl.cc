@@ -20,6 +20,7 @@
 // bit-identical to serial ones (tests/parallel_sweep_test.cc).
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -262,9 +263,24 @@ Result<ScenarioSpec> SpecFromFlags(const FlagSet& flags) {
   // Durability + the restart/fault-injection family it enables.
   if (flags.GetBool("durable") || flags.WasSet("durable-fsync") ||
       flags.WasSet("durable-segment-kb")) {
-    builder.Durability(
-        static_cast<int>(flags.GetInt("durable-fsync")),
-        static_cast<int64_t>(flags.GetInt("durable-segment-kb")) * 1024);
+    // Range-check both flags before narrowing them (and the segment size
+    // before multiplying it): the WAL takes an int fsync interval and a
+    // 32-bit segment size.
+    const int64_t fsync_interval = flags.GetInt("durable-fsync");
+    if (fsync_interval < 1 || fsync_interval > INT32_MAX) {
+      return Status::InvalidArgument(
+          "--durable-fsync out of range: must be in [1, " +
+          std::to_string(INT32_MAX) + "]");
+    }
+    const int64_t segment_kb = flags.GetInt("durable-segment-kb");
+    constexpr int64_t kMaxSegmentKb = UINT32_MAX / 1024;
+    if (segment_kb < 0 || segment_kb > kMaxSegmentKb) {
+      return Status::InvalidArgument(
+          "--durable-segment-kb out of range: a WAL segment must fit in 32 "
+          "bits (at most " + std::to_string(kMaxSegmentKb) + " KiB)");
+    }
+    builder.Durability(static_cast<int>(fsync_interval),
+                       static_cast<uint32_t>(segment_kb * 1024));
   }
   for (const auto& [flag, kind] :
        {std::make_pair("restart", scenario::EventKind::kRestart),
