@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks for the substrates: crypto primitives,
-// wire serialization, the discrete-event simulator and the network layer.
+// wire serialization, the discrete-event simulator, the network layer and
+// the tcp runtime's event loop.
 // These quantify the real (host) cost of the building blocks, independent of
 // the virtual-time cost model.
 
@@ -13,7 +14,9 @@
 #include "crypto/keystore.h"
 #include "crypto/sha256.h"
 #include "net/network.h"
+#include "rt/event_loop.h"
 #include "sim/simulator.h"
+#include "smr/command.h"
 #include "smr/kv_store.h"
 
 namespace seemore {
@@ -54,6 +57,25 @@ void BM_SignVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_SignVerify);
 
+void BM_ReplySignVerify(benchmark::State& state) {
+  // One reply's MAC on each side: the replica signs, the client verifies.
+  // Both stream a stack header and then the result in place.
+  KeyStore store(7);
+  Signer signer(2, store);
+  Reply reply;
+  reply.mode = 1;
+  reply.view = 3;
+  reply.replica = 2;
+  reply.result = Bytes(static_cast<size_t>(state.range(0)), 0x5a);
+  for (auto _ : state) {
+    ++reply.timestamp;
+    reply.Sign(signer);
+    bool ok = reply.VerifySignature(store);
+    benchmark::DoNotOptimize(ok);
+  }
+}
+BENCHMARK(BM_ReplySignVerify)->Arg(0)->Arg(1024);
+
 void BM_BatchEncodeDecode(benchmark::State& state) {
   const int requests = static_cast<int>(state.range(0));
   KeyStore store(3);
@@ -91,6 +113,22 @@ void BM_SimulatorEvents(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_SimulatorEvents);
+
+void BM_EventLoopTimerChurn(benchmark::State& state) {
+  // The per-request timer pattern on the tcp runtime (a backup's view
+  // timer, a client's retransmit timeout): arm a far deadline, cancel it.
+  rt::EventLoop loop;
+  uint64_t fired = 0;
+  for (auto _ : state) {
+    const EventId id =
+        loop.ScheduleAfter(Seconds(60), [&fired] { ++fired; });
+    bool cancelled = loop.CancelEvent(id);
+    benchmark::DoNotOptimize(cancelled);
+  }
+  benchmark::DoNotOptimize(fired);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventLoopTimerChurn);
 
 class CountingHandler : public MessageHandler {
  public:

@@ -23,7 +23,7 @@ struct Batch {
 
   Bytes Encode() const;
   /// Append the canonical encoding (same bytes as Encode()) to `enc` —
-  /// batch-carrying messages size-hint with EncodedSize() and encode in
+  /// batch-carrying messages prefix it with EncodedSize() and encode in
   /// place instead of materializing a temporary.
   void EncodeTo(Encoder& enc) const;
   /// Exact size of the canonical encoding.

@@ -5,26 +5,31 @@
 namespace seemore {
 
 namespace {
+
 // Domain-separation tag so a checkpoint signature can never be confused
 // with any other signed payload.
 constexpr uint8_t kCheckpointDomain = 0xC4;
-}  // namespace
 
-Bytes CheckpointMsg::SignedPayload() const {
-  Encoder enc;
-  enc.PutU8(kCheckpointDomain);
-  enc.PutU64(seq);
-  state_digest.EncodeTo(enc);
-  enc.PutU32(static_cast<uint32_t>(replica));
-  return enc.Take();
+/// The signed bytes: the domain tag, then seq, state digest and replica as
+/// EncodeTo lays them out. Fixed size, so it lives on the stack.
+StackEncoder<1 + 8 + Digest::kSize + 4> SignedHeader(
+    const CheckpointMsg& msg) {
+  StackEncoder<1 + 8 + Digest::kSize + 4> header;
+  header.PutU8(kCheckpointDomain);
+  header.PutU64(msg.seq);
+  header.PutRaw(msg.state_digest.data(), Digest::kSize);
+  header.PutU32(static_cast<uint32_t>(msg.replica));
+  return header;
 }
 
+}  // namespace
+
 void CheckpointMsg::Sign(const Signer& signer) {
-  sig = signer.Sign(SignedPayload());
+  sig = signer.Sign(SignedHeader(*this));
 }
 
 bool CheckpointMsg::Verify(const KeyStore& keystore) const {
-  return keystore.Verify(replica, SignedPayload(), sig);
+  return keystore.Verify(replica, SignedHeader(*this), sig);
 }
 
 void CheckpointMsg::EncodeTo(Encoder& enc) const {

@@ -31,7 +31,7 @@ struct CheckpointMsg {
   PrincipalId replica = 0;
   Signature sig;
 
-  Bytes SignedPayload() const;
+  /// The signature covers a domain tag, seq, state digest and replica.
   void Sign(const Signer& signer);
   bool Verify(const KeyStore& keystore) const;
 

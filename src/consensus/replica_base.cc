@@ -25,7 +25,6 @@ ReplicaBase::ReplicaBase(Transport* transport, TimerService* timers,
       commits_(exec_, stats_, cpu_, costs_),
       durable_(DurableStore::Null()) {
   SEEMORE_CHECK(cpu_ != nullptr) << "transport returned no CPU meter";
-  SEEMORE_CHECK(memo_ != nullptr) << "replica needs the run's CryptoMemo";
   // Opt-in reply-cache bound (see ClusterConfig::reply_cache_retention).
   // Eviction keys off the committed prefix and last_seq travels inside
   // snapshots, so every correct replica's cache — and checkpoint digest —

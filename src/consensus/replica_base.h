@@ -44,9 +44,11 @@ enum ByzantineFlag : uint32_t {
 
 class ReplicaBase : public MessageHandler {
  public:
-  /// `memo` is the run's digest/verify memo (owned by the composition root,
-  /// e.g. the Cluster); every replica of one run shares it, and runs on
-  /// different threads each have their own.
+  /// `memo` is the run's digest/verify memo (owned by the composition root):
+  /// the replicas of one Cluster share it, and runs on different threads
+  /// each have their own. Null where a process hosts one replica (an
+  /// rt::Node), since every received frame there is a fresh buffer and a
+  /// memo could never hit; the helpers below then compute directly.
   ReplicaBase(Transport* transport, TimerService* timers,
               const KeyStore* keystore, CryptoMemo* memo, PrincipalId id,
               const ClusterConfig& config,
@@ -118,6 +120,7 @@ class ReplicaBase : public MessageHandler {
   /// receiver of a multicast pays the real SHA-256; the rest reuse it.
   /// Falls back to a plain hash when the range cannot alias the frame.
   Digest FrameFieldDigest(const Bytes& field, size_t offset_in_frame) const {
+    if (memo_ == nullptr) return Digest::Of(field);
     const uint64_t buffer_id =
         offset_in_frame + field.size() <= current_frame_.size()
             ? current_frame_.id()
@@ -132,6 +135,12 @@ class ReplicaBase : public MessageHandler {
   /// batches; the batch digests land in `out[i]`.
   void FrameFieldDigests(const CryptoMemo::DigestSpan* spans, size_t n,
                          Digest* out) const {
+    if (memo_ == nullptr) {
+      for (size_t i = 0; i < n; ++i) {
+        out[i] = Digest::Of(spans[i].data, spans[i].len);
+      }
+      return;
+    }
     // Spans that cannot alias the frame fall back to unmemoized hashing.
     uint64_t buffer_id = current_frame_.id();
     for (size_t i = 0; i < n; ++i) {
@@ -151,8 +160,16 @@ class ReplicaBase : public MessageHandler {
   template <typename F>
   bool FrameVerifyMemoized(PrincipalId signer, uint32_t slot,
                            F&& verify) const {
-    return memo_->Verify(current_frame_.id(), signer, slot,
-                         std::forward<F>(verify));
+    return VerifyMemoized(current_frame_.id(), signer, slot,
+                          std::forward<F>(verify));
+  }
+  /// The same, keyed on an explicit buffer id (a frame whose checks run
+  /// after its delivery); id 0 computes without caching.
+  template <typename F>
+  bool VerifyMemoized(uint64_t buffer_id, PrincipalId signer, uint32_t slot,
+                      F&& verify) const {
+    if (memo_ == nullptr) return verify();
+    return memo_->Verify(buffer_id, signer, slot, std::forward<F>(verify));
   }
 
   /// Decoder over `frame` carrying the run's memo — what every protocol's
@@ -243,7 +260,7 @@ class ReplicaBase : public MessageHandler {
   Transport* transport_;
   TimerService* timers_;
   const KeyStore* keystore_;
-  CryptoMemo* const memo_;  // the run's memo, owned by the composition root
+  CryptoMemo* const memo_;  // the run's memo (may be null), not owned
   const PrincipalId id_;
   const ClusterConfig config_;
   const CostModel costs_;

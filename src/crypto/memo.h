@@ -17,6 +17,8 @@
 //
 // Ownership (DESIGN.md §"Concurrency model"): one CryptoMemo per run,
 // owned by the Cluster and threaded to its replicas and their decoders.
+// A memo exists only where replicas share a process: a seemore_node hosts
+// one replica, receives every frame into a fresh buffer, and runs without.
 // There is deliberately NO process-wide instance: a memo is single-threaded
 // like the simulator it serves, and giving each concurrently-executing run
 // its own table is what lets scenario::RunMany fan runs out across cores

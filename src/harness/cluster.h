@@ -37,7 +37,8 @@ inline uint64_t RunKeySeed(uint64_t seed) {
 /// Replica `id` of a (valid) spec over the given runtime seams: the one
 /// spec-to-replica factory behind both the simulated cluster and a
 /// seemore_node process. It picks the protocol class from spec.protocol
-/// and the state machine from spec.state_machine.
+/// and the state machine from spec.state_machine. `memo` is shared by the
+/// replicas of one process, or null when the process hosts only one.
 std::unique_ptr<ReplicaBase> MakeReplica(const scenario::ScenarioSpec& spec,
                                          int id, Transport* transport,
                                          TimerService* timers,

@@ -50,29 +50,14 @@ EventId EventLoop::ScheduleAfter(SimTime delay, std::function<void()> fn) {
 EventId EventLoop::ScheduleAt(SimTime deadline, std::function<void()> fn) {
   const SimTime now = Now();
   if (deadline < now) deadline = now;
-  const EventId id = next_timer_id_++;
-  timers_.emplace(id, Timer{deadline, std::move(fn)});
-  // multimap::insert places equal keys at the upper bound of their range,
-  // so same-deadline timers fire in scheduling order.
-  by_deadline_.insert(std::make_pair(deadline, id));
+  // The heap orders equal deadlines by push order, so same-deadline timers
+  // fire in scheduling order.
+  const EventId id = timers_.Push(deadline, std::move(fn));
   RearmTimerFd();
   return id;
 }
 
-bool EventLoop::CancelEvent(EventId id) {
-  auto it = timers_.find(id);
-  if (it == timers_.end()) return false;
-  const SimTime deadline = it->second.deadline;
-  timers_.erase(it);
-  for (auto range = by_deadline_.equal_range(deadline);
-       range.first != range.second; ++range.first) {
-    if (range.first->second == id) {
-      by_deadline_.erase(range.first);
-      break;
-    }
-  }
-  return true;
-}
+bool EventLoop::CancelEvent(EventId id) { return timers_.Cancel(id); }
 
 void EventLoop::RearmTimerFd() {
   // Lazy arming: when the fd is already armed for a deadline at or before
@@ -81,8 +66,8 @@ void EventLoop::RearmTimerFd() {
   // re-scheduled timer (view timers and client timeouts re-arm on every
   // request, so exact tracking would pay a syscall each time). An armed fd
   // with no timers left is likewise left to fire once and go quiet.
-  if (by_deadline_.empty()) return;
-  const SimTime earliest = by_deadline_.begin()->first;
+  SimTime earliest = 0;
+  if (!timers_.NextDeadline(&earliest)) return;
   if (armed_deadline_ <= earliest) return;
   itimerspec spec{};
   SimTime wait = earliest - Now();
@@ -105,13 +90,9 @@ void EventLoop::FireDueTimers() {
   // makes imminent), so a self-rescheduling zero-delay timer cannot starve
   // io events.
   const SimTime now = Now();
-  while (!by_deadline_.empty() && by_deadline_.begin()->first <= now) {
-    const EventId id = by_deadline_.begin()->second;
-    by_deadline_.erase(by_deadline_.begin());
-    auto it = timers_.find(id);
-    if (it == timers_.end()) continue;
-    std::function<void()> fn = std::move(it->second.fn);
-    timers_.erase(it);
+  SimTime when = 0;
+  while (timers_.NextDeadline(&when) && when <= now) {
+    std::function<void()> fn = timers_.PopNext();
     fn();
   }
   RearmTimerFd();
@@ -156,13 +137,27 @@ Status EventLoop::ModifyFd(int fd, uint32_t events) {
 }
 
 void EventLoop::UnwatchFd(int fd) {
-  if (watches_.erase(fd) > 0) {
-    epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
+  auto it = watches_.find(fd);
+  if (it == watches_.end()) return;
+  epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  // A callback unwatching its own fd is still running: keep it alive until
+  // it returns (Run clears retired_).
+  if (fd == dispatching_fd_) retired_ = std::move(it->second.callback);
+  watches_.erase(it);
 }
 
-void EventLoop::Post(std::function<void()> fn) {
-  posted_.push_back(std::move(fn));
+void EventLoop::Post(std::function<void()> fn, const void* owner) {
+  posted_.push_back(Posted{std::move(fn), owner});
+}
+
+void EventLoop::CancelPosts(const void* owner) {
+  // running_ too: a post in the batch being run may destroy an owner whose
+  // own posts come later in the same batch.
+  for (std::vector<Posted>* queue : {&posted_, &running_}) {
+    for (Posted& post : *queue) {
+      if (post.owner == owner) post.fn = nullptr;
+    }
+  }
 }
 
 void EventLoop::Run(SimTime until) {
@@ -205,18 +200,27 @@ void EventLoop::Run(SimTime until) {
       if (events[i].events & EPOLLIN) mask |= kReadable;
       if (events[i].events & EPOLLOUT) mask |= kWritable;
       if (events[i].events & (EPOLLERR | EPOLLHUP)) mask |= kError;
-      // Copy: the callback may unwatch its own fd mid-invocation.
-      IoCallback callback = it->second.callback;
-      callback(mask);
+      // Called in place: watches_ is node-based, so other fds' watches
+      // coming and going leave this one where it is, and UnwatchFd parks
+      // the callback in retired_ if it unwatches its own fd.
+      dispatching_fd_ = fd;
+      it->second.callback(mask);
+      dispatching_fd_ = -1;
+      retired_ = nullptr;
     }
     // End-of-batch posts: everything deferred while dispatching this batch
     // (e.g. per-connection flush requests) runs now, before the loop can
     // sleep again. Swap once, so an unbounded self-posting chain still
     // yields to io every iteration because the swapped vector is finite.
     if (!posted_.empty()) {
-      std::vector<std::function<void()>> batch;
-      batch.swap(posted_);
-      for (auto& fn : batch) fn();
+      running_.swap(posted_);
+      // By index, moving each out before it runs: a post may cancel
+      // entries of this batch, its own included.
+      for (size_t i = 0; i < running_.size(); ++i) {
+        std::function<void()> fn = std::move(running_[i].fn);
+        if (fn) fn();
+      }
+      running_.clear();
       // Posts queued by these run next iteration (epoll timeout 0).
     }
     if (static_cast<size_t>(n) == events.size()) events.resize(events.size() * 2);

@@ -7,17 +7,18 @@
 // needs locks in either backend.
 //
 // Time is the loop's MonotonicClock (CLOCK_MONOTONIC since construction).
-// Timers live in an ordered multimap; a single timerfd is always armed for
-// the earliest deadline, so the epoll wait itself is the timer wheel —
-// there is no polling and no drift accumulation. ScheduleAfter/CancelEvent
-// implement the TimerService contract replicas already program against.
+// Timers live in a TimerHeap (util/timer_heap.h), the same slab + binary
+// heap the Simulator keeps its events in; a single timerfd is armed for the
+// earliest deadline, so the epoll wait itself is the timer wheel — there is
+// no polling and no drift accumulation. ScheduleAfter/CancelEvent implement
+// the TimerService contract replicas already program against. Once warm,
+// dispatching io, timers and posts allocates nothing of its own.
 
 #ifndef SEEMORE_RT_EVENT_LOOP_H_
 #define SEEMORE_RT_EVENT_LOOP_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -26,6 +27,7 @@
 #include "rt/clock.h"
 #include "util/status.h"
 #include "util/time.h"
+#include "util/timer_heap.h"
 
 namespace seemore {
 namespace rt {
@@ -68,7 +70,9 @@ class EventLoop final : public TimerService {
   /// Change the interest set of a watched fd (typically toggling kWritable
   /// when a write queue drains/fills).
   Status ModifyFd(int fd, uint32_t events);
-  /// Stop watching (the caller still owns and closes the fd).
+  /// Stop watching (the caller still owns and closes the fd). A callback
+  /// may unwatch its own fd: the callback object stays alive until it
+  /// returns.
   void UnwatchFd(int fd);
 
   /// Run `fn` after the current io dispatch batch, before the next
@@ -78,8 +82,12 @@ class EventLoop final : public TimerService {
   /// unlike ScheduleAfter(0) it costs no timerfd_settime syscall. The queue
   /// is swapped once per iteration, so posts queued by a post run in the
   /// next iteration (after a zero-timeout epoll_wait), and a self-posting
-  /// callback cannot starve io.
-  void Post(std::function<void()> fn);
+  /// callback cannot starve io. `owner` tags the post for CancelPosts.
+  void Post(std::function<void()> fn, const void* owner = nullptr);
+  /// Drop every pending post tagged with `owner` (an object being
+  /// destroyed), so a post can capture a bare `this`: no liveness token,
+  /// and a closure small enough to be stored without allocating.
+  void CancelPosts(const void* owner);
 
   /// --- running ------------------------------------------------------------
   /// Dispatch io + timers until Stop() (or `until` elapses, when >= 0).
@@ -115,20 +123,24 @@ class EventLoop final : public TimerService {
   bool stopped_ = false;
   std::function<bool()> interrupt_;
 
-  /// Timers: deadline-ordered index + id-keyed store (cancel is O(log n)).
-  struct Timer {
-    SimTime deadline;
-    std::function<void()> fn;
-  };
-  std::multimap<SimTime, EventId> by_deadline_;
-  std::unordered_map<EventId, Timer> timers_;
-  EventId next_timer_id_ = 1;
+  TimerHeap timers_;
   SimTime armed_deadline_ = kNeverArmed;
 
   std::unordered_map<int, Watch> watches_;
   uint64_t next_generation_ = 1;
+  /// The fd whose callback is running (-1 outside io dispatch), and where
+  /// UnwatchFd parks that callback until it returns.
+  int dispatching_fd_ = -1;
+  IoCallback retired_;
 
-  std::vector<std::function<void()>> posted_;
+  struct Posted {
+    std::function<void()> fn;
+    const void* owner;
+  };
+  /// Posts queued for the end of this batch, and the batch being run; the
+  /// two swap every iteration and both keep their capacity.
+  std::vector<Posted> posted_;
+  std::vector<Posted> running_;
 };
 
 }  // namespace rt

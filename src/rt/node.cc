@@ -109,10 +109,12 @@ Status Node::Init() {
       [this](const FaultCommand& command) { OnControl(command); });
 
   keystore_ = std::make_unique<KeyStore>(RunKeySeed(spec_.seed));
-  memo_ = std::make_unique<CryptoMemo>();
 
+  // No CryptoMemo: this process hosts one replica, and every frame it
+  // receives is a fresh buffer, so a memo keyed on buffer identity could
+  // never hit.
   replica_ = MakeReplica(spec_, options_.replica_id, transport_.get(),
-                         loop_.get(), keystore_.get(), memo_.get());
+                         loop_.get(), keystore_.get(), /*memo=*/nullptr);
   SEEMORE_RETURN_IF_ERROR(transport_->status());  // listener bind outcome
   return InitDurability();
 }

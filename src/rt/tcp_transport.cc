@@ -73,6 +73,7 @@ TcpTransport::TcpTransport(EventLoop* loop, TcpTransportOptions options)
       faults_(options_.fingerprint) {}
 
 TcpTransport::~TcpTransport() {
+  loop_->CancelPosts(this);
   for (const std::shared_ptr<Connection>& conn : connections_) {
     if (conn->fd >= 0) {
       loop_->UnwatchFd(conn->fd);
@@ -423,22 +424,24 @@ void TcpTransport::RequestFlush(const std::shared_ptr<Connection>& conn) {
   flush_queue_.push_back(conn);
   if (flush_scheduled_) return;
   flush_scheduled_ = true;
-  std::weak_ptr<bool> alive = alive_;
   // One posted drain per io batch, one flush per dirty connection: every
   // frame enqueued while handling this batch's events joins its
-  // connection's single iovec chain, and the whole batch costs one
-  // heap-allocated closure instead of one per connection.
-  loop_->Post([this, alive] {
-    if (alive.expired()) return;
-    flush_scheduled_ = false;
-    std::vector<std::shared_ptr<Connection>> batch;
-    batch.swap(flush_queue_);
-    for (const std::shared_ptr<Connection>& dirty : batch) {
-      dirty->flush_pending = false;
-      if (dirty->fd < 0 || dirty->connecting) continue;
-      FlushWrites(dirty);
-    }
-  });
+  // connection's single iovec chain. The closure holds only `this` (the
+  // destructor cancels it), so posting it allocates nothing.
+  loop_->Post([this] { FlushDirty(); }, this);
+}
+
+void TcpTransport::FlushDirty() {
+  flush_scheduled_ = false;
+  // Swap into the reused flushing_ so a flush that dirties a connection
+  // again queues it for the next batch.
+  flushing_.swap(flush_queue_);
+  for (const std::shared_ptr<Connection>& dirty : flushing_) {
+    dirty->flush_pending = false;
+    if (dirty->fd < 0 || dirty->connecting) continue;
+    FlushWrites(dirty);
+  }
+  flushing_.clear();
 }
 
 void TcpTransport::EnqueueFrame(const std::shared_ptr<Connection>& conn,
@@ -499,7 +502,9 @@ void TcpTransport::Send(PrincipalId from, PrincipalId to, Payload payload) {
     ++counters_.dropped_no_connection;
     return;
   }
-  const SimTime now = loop_->Now();
+  // Admit reads `now` only while a fault is in place, and so does
+  // Transmit (a hold is 0 otherwise): read the clock only then.
+  const SimTime now = faults_.active() ? loop_->Now() : 0;
   const std::optional<SimTime> hold = faults_.Admit(from, to, now);
   if (!hold.has_value()) {
     ++counters_.fault_dropped_tx;
@@ -570,7 +575,7 @@ void TcpTransport::Multicast(PrincipalId from,
   // shared by every remote target's write queue. Built lazily so an
   // all-local or all-disconnected multicast builds nothing.
   std::shared_ptr<const FrameBuffer> frame;
-  const SimTime now = loop_->Now();
+  const SimTime now = faults_.active() ? loop_->Now() : 0;  // as in Send
   for (PrincipalId to : targets) {
     if (to == from) continue;
     if (IsLocal(to)) {
@@ -602,18 +607,19 @@ void TcpTransport::DeliverLocally(PrincipalId from, PrincipalId to,
   // re-enter the sender's handler stack (mirrors the simulator, where
   // delivery is always a scheduled event). Post, not ScheduleAfter(0):
   // no timerfd rearm syscall on this path.
-  std::weak_ptr<bool> alive = alive_;
-  loop_->Post([this, alive, from, to, payload = std::move(payload)] {
-    if (alive.expired()) return;
-    auto it = locals_.find(to);
-    if (it == locals_.end() || !it->second.up || it->second.handler == nullptr) {
-      ++counters_.dropped_node_down;
-      return;
-    }
-    ++counters_.messages_sent;
-    ++counters_.messages_received;
-    it->second.handler->OnMessage(from, std::move(payload));
-  });
+  loop_->Post(
+      [this, from, to, payload = std::move(payload)]() mutable {
+        auto it = locals_.find(to);
+        if (it == locals_.end() || !it->second.up ||
+            it->second.handler == nullptr) {
+          ++counters_.dropped_node_down;
+          return;
+        }
+        ++counters_.messages_sent;
+        ++counters_.messages_received;
+        it->second.handler->OnMessage(from, std::move(payload));
+      },
+      this);
 }
 
 void TcpTransport::SetNodeUp(PrincipalId id, bool up) {

@@ -228,6 +228,8 @@ class TcpTransport final : public Transport {
   void FlushWrites(const std::shared_ptr<Connection>& conn);
   /// Defer one FlushWrites to the end of the current io batch.
   void RequestFlush(const std::shared_ptr<Connection>& conn);
+  /// The posted end-of-batch drain: flush every dirty connection once.
+  void FlushDirty();
   void CloseConnection(const std::shared_ptr<Connection>& conn,
                        const char* why);
   void EnqueueFrame(const std::shared_ptr<Connection>& conn,
@@ -276,12 +278,15 @@ class TcpTransport final : public Transport {
   /// Dialer state: current backoff per (local, peer).
   std::map<std::pair<PrincipalId, PrincipalId>, SimTime> backoff_;
   /// Connections with frames enqueued this io batch, drained by one posted
-  /// callback (flush_scheduled_ guards the post; Connection::flush_pending
-  /// guards the per-connection entry).
+  /// FlushDirty (flush_scheduled_ guards the post; Connection::flush_pending
+  /// guards the per-connection entry). flushing_ is the batch being
+  /// drained; the two swap, keeping their capacity.
   std::vector<std::shared_ptr<Connection>> flush_queue_;
+  std::vector<std::shared_ptr<Connection>> flushing_;
   bool flush_scheduled_ = false;
-  /// Lifetime token for closures parked in the event loop (redials, local
-  /// deliveries, deferred flushes): expired means the transport is gone.
+  /// Lifetime token for timers parked in the event loop (redials, held
+  /// frames): expired means the transport is gone. Posts need none: the
+  /// destructor cancels them (EventLoop::CancelPosts).
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

@@ -1,5 +1,7 @@
 #include "smr/client.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace seemore {
@@ -57,7 +59,7 @@ void SimClient::MaybeIssueNext() {
   current_done_ = std::move(done);
   in_flight_ = true;
   retransmitted_ = false;
-  reply_groups_.clear();
+  tally_.clear();
   ++issued_;
   sent_at_ = timers_->Now();
   current_timeout_ = options_.retransmit_timeout;
@@ -98,7 +100,7 @@ void SimClient::OnMessage(PrincipalId from, Payload payload) {
   if (dec.GetU8() != kMsgReply) return;
   Result<Reply> reply_or = Reply::DecodeFrom(dec);
   if (!reply_or.ok() || !dec.AtEnd()) return;
-  const Reply& reply = reply_or.value();
+  Reply& reply = reply_or.value();
 
   // The network layer authenticates `from`; a Byzantine replica can lie in
   // the body, so the signature must cover the replica id it claims.
@@ -109,20 +111,33 @@ void SimClient::OnMessage(PrincipalId from, Payload payload) {
 
   if (!in_flight_ || reply.timestamp != current_.timestamp) return;
 
-  const Digest key = Digest::Of(reply.result);
-  auto& group = reply_groups_[key];
-  group[from] = reply;
+  // One entry per (result digest, sender): replies with conflicting
+  // results form separate groups, and a repeat from a sender counts once.
+  const Digest digest = Digest::Of(reply.result);
+  senders_.clear();
+  bool repeat = false;
+  for (const TalliedReply& entry : tally_) {
+    if (entry.digest != digest) continue;
+    repeat = repeat || entry.sender == from;
+    senders_.push_back(entry.sender);
+  }
+  if (!repeat) {
+    tally_.push_back(TalliedReply{digest, from, std::move(reply.result)});
+    senders_.push_back(from);
+  }
+  std::sort(senders_.begin(), senders_.end());
+  if (!policy_->Accepted(senders_, retransmitted_)) return;
 
-  std::vector<PrincipalId> senders;
-  senders.reserve(group.size());
-  for (const auto& [sender, r] : group) senders.push_back(sender);
-
-  if (policy_->Accepted(senders, retransmitted_)) {
-    Complete(group.begin()->second.result);
+  // The lowest-id sender's result completes the request.
+  for (TalliedReply& entry : tally_) {
+    if (entry.digest == digest && entry.sender == senders_.front()) {
+      Complete(std::move(entry.result));
+      return;
+    }
   }
 }
 
-void SimClient::Complete(const Bytes& result) {
+void SimClient::Complete(Bytes result) {
   if (timer_ != 0) {
     timers_->CancelEvent(timer_);
     timer_ = 0;
@@ -137,7 +152,7 @@ void SimClient::Complete(const Bytes& result) {
     current_done_ = nullptr;
     done(result);
   }
-  reply_groups_.clear();
+  tally_.clear();
   MaybeIssueNext();
 }
 

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -97,7 +96,7 @@ class SimClient : public MessageHandler {
   void Transmit(bool retransmit);
   void ArmTimer();
   void HandleTimeout();
-  void Complete(const Bytes& result);
+  void Complete(Bytes result);
 
   Transport* transport_;
   TimerService* timers_;
@@ -120,8 +119,18 @@ class SimClient : public MessageHandler {
   uint64_t next_timestamp_ = 1;
   uint64_t issued_ = 0;
 
-  /// Replies for the current timestamp, grouped by result digest.
-  std::map<Digest, std::map<PrincipalId, Reply>> reply_groups_;
+  /// A valid reply for the current timestamp.
+  struct TalliedReply {
+    Digest digest;  // of `result`; replies group by it
+    PrincipalId sender = 0;
+    Bytes result;
+  };
+  /// Replies for the current timestamp, one per (result digest, sender).
+  /// Cleared per request; its capacity (and senders_') is reused.
+  std::vector<TalliedReply> tally_;
+  /// The senders of the newest reply's group, ascending: what
+  /// ReplyPolicy::Accepted judges.
+  std::vector<PrincipalId> senders_;
 
   Histogram latencies_;
   uint64_t completed_ = 0;

@@ -6,37 +6,38 @@ namespace {
 
 /// The signed fields ahead of the op (client, timestamp, op length), laid
 /// out as Request::EncodeTo writes them; the op bytes follow in the MAC.
-class SignedHeader {
- public:
-  explicit SignedHeader(const Request& request) {
-    PutLe(static_cast<uint32_t>(request.client), 4);
-    PutLe(request.timestamp, 8);
-    len_ += WriteVarint(buf_ + len_, request.op.size());
-  }
+StackEncoder<4 + 8 + kMaxVarintSize> RequestSignedHeader(
+    const Request& request) {
+  StackEncoder<4 + 8 + kMaxVarintSize> header;
+  header.PutU32(static_cast<uint32_t>(request.client));
+  header.PutU64(request.timestamp);
+  header.PutVarint(request.op.size());
+  return header;
+}
 
-  const uint8_t* data() const { return buf_; }
-  size_t size() const { return len_; }
-
- private:
-  void PutLe(uint64_t v, int width) {
-    for (int i = 0; i < width; ++i) {
-      buf_[len_++] = static_cast<uint8_t>(v >> (8 * i));
-    }
-  }
-
-  uint8_t buf_[4 + 8 + kMaxVarintSize];
-  size_t len_ = 0;
-};
+/// The signed fields ahead of the result (mode, view, timestamp, replica,
+/// result length), laid out as Reply::EncodeTo writes them; the result
+/// bytes follow in the MAC.
+StackEncoder<1 + 8 + 8 + 4 + kMaxVarintSize> ReplySignedHeader(
+    const Reply& reply) {
+  StackEncoder<1 + 8 + 8 + 4 + kMaxVarintSize> header;
+  header.PutU8(reply.mode);
+  header.PutU64(reply.view);
+  header.PutU64(reply.timestamp);
+  header.PutU32(static_cast<uint32_t>(reply.replica));
+  header.PutVarint(reply.result.size());
+  return header;
+}
 
 }  // namespace
 
 void Request::Sign(const Signer& signer) {
-  const SignedHeader header(*this);
+  const auto header = RequestSignedHeader(*this);
   sig = signer.Sign(header.data(), header.size(), op.data(), op.size());
 }
 
 bool Request::VerifySignature(const KeyStore& keystore) const {
-  const SignedHeader header(*this);
+  const auto header = RequestSignedHeader(*this);
   return keystore.Verify(client, header.data(), header.size(), op.data(),
                          op.size(), sig);
 }
@@ -70,20 +71,16 @@ Bytes Request::ToMessage() const {
   return enc.Take();
 }
 
-Bytes Reply::SignedPayload() const {
-  Encoder enc;
-  enc.PutU8(mode);
-  enc.PutU64(view);
-  enc.PutU64(timestamp);
-  enc.PutU32(static_cast<uint32_t>(replica));
-  enc.PutBytes(result);
-  return enc.Take();
+void Reply::Sign(const Signer& signer) {
+  const auto header = ReplySignedHeader(*this);
+  sig = signer.Sign(header.data(), header.size(), result.data(),
+                    result.size());
 }
 
-void Reply::Sign(const Signer& signer) { sig = signer.Sign(SignedPayload()); }
-
 bool Reply::VerifySignature(const KeyStore& keystore) const {
-  return keystore.Verify(replica, SignedPayload(), sig);
+  const auto header = ReplySignedHeader(*this);
+  return keystore.Verify(replica, header.data(), header.size(),
+                         result.data(), result.size(), sig);
 }
 
 void Reply::EncodeTo(Encoder& enc) const {
@@ -108,10 +105,10 @@ Result<Reply> Reply::DecodeFrom(Decoder& dec) {
 }
 
 Bytes Reply::ToMessage() const {
-  Encoder enc;
-  enc.PutU8(kMsgReply);
-  EncodeTo(enc);
-  return enc.Take();
+  return EncodeExact([this](Encoder& enc) {
+    enc.PutU8(kMsgReply);
+    EncodeTo(enc);
+  });
 }
 
 }  // namespace seemore

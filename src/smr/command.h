@@ -61,13 +61,16 @@ struct Reply {
   Bytes result;
   Signature sig;
 
-  Bytes SignedPayload() const;
+  /// The signature covers the deterministic encoding of every field but
+  /// sig: mode, view, timestamp, replica, length-prefixed result. Like
+  /// Request's, it streams a stack header and then `result` in place.
   void Sign(const Signer& signer);
   bool VerifySignature(const KeyStore& keystore) const;
 
   void EncodeTo(Encoder& enc) const;
   static Result<Reply> DecodeFrom(Decoder& dec);
 
+  /// Full framed message (kMsgReply tag + body), exactly sized.
   Bytes ToMessage() const;
 };
 

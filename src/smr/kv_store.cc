@@ -1,24 +1,36 @@
 #include "smr/kv_store.h"
 
+#include <cstring>
 #include <memory>
 
 namespace seemore {
 
 namespace {
 
+// Every encoder below returns one allocation of exactly the encoded size
+// (EncodeExact): results and ops are built once per request.
+
 Bytes MakeResult(KvResult status, const std::string& value = "") {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(status));
-  enc.PutString(value);
-  return enc.Take();
+  return EncodeExact([&](Encoder& enc) {
+    enc.PutU8(static_cast<uint8_t>(status));
+    enc.PutString(value);
+  });
+}
+
+/// `header` followed by `zeros` zero bytes, in one allocation: the echo
+/// payloads are zero-filled, so no temporary string is built to copy them.
+template <size_t N>
+Bytes WithZeroPadding(const StackEncoder<N>& header, uint32_t zeros) {
+  Bytes out(header.size() + zeros, 0);
+  std::memcpy(out.data(), header.data(), header.size());
+  return out;
 }
 
 Bytes MakeEchoResult(uint32_t reply_size) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(KvResult::kOk));
-  std::string payload(reply_size, '\0');
-  enc.PutString(payload);
-  return enc.Take();
+  StackEncoder<1 + kMaxVarintSize> header;
+  header.PutU8(static_cast<uint8_t>(KvResult::kOk));
+  header.PutVarint(reply_size);
+  return WithZeroPadding(header, reply_size);
 }
 
 }  // namespace
@@ -30,44 +42,43 @@ Bytes MakeNoop() {
 }
 
 Bytes MakePut(const std::string& key, const std::string& value) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(KvOp::kPut));
-  enc.PutString(key);
-  enc.PutString(value);
-  return enc.Take();
+  return EncodeExact([&](Encoder& enc) {
+    enc.PutU8(static_cast<uint8_t>(KvOp::kPut));
+    enc.PutString(key);
+    enc.PutString(value);
+  });
 }
 
 Bytes MakeGet(const std::string& key) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(KvOp::kGet));
-  enc.PutString(key);
-  return enc.Take();
+  return EncodeExact([&](Encoder& enc) {
+    enc.PutU8(static_cast<uint8_t>(KvOp::kGet));
+    enc.PutString(key);
+  });
 }
 
 Bytes MakeDelete(const std::string& key) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(KvOp::kDelete));
-  enc.PutString(key);
-  return enc.Take();
+  return EncodeExact([&](Encoder& enc) {
+    enc.PutU8(static_cast<uint8_t>(KvOp::kDelete));
+    enc.PutString(key);
+  });
 }
 
 Bytes MakeCas(const std::string& key, const std::string& expected,
               const std::string& desired) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(KvOp::kCas));
-  enc.PutString(key);
-  enc.PutString(expected);
-  enc.PutString(desired);
-  return enc.Take();
+  return EncodeExact([&](Encoder& enc) {
+    enc.PutU8(static_cast<uint8_t>(KvOp::kCas));
+    enc.PutString(key);
+    enc.PutString(expected);
+    enc.PutString(desired);
+  });
 }
 
 Bytes MakeEcho(uint32_t reply_size, uint32_t request_padding) {
-  Encoder enc;
-  enc.PutU8(static_cast<uint8_t>(KvOp::kEcho));
-  enc.PutU32(reply_size);
-  std::string padding(request_padding, '\0');
-  enc.PutString(padding);
-  return enc.Take();
+  StackEncoder<1 + 4 + kMaxVarintSize> header;
+  header.PutU8(static_cast<uint8_t>(KvOp::kEcho));
+  header.PutU32(reply_size);
+  header.PutVarint(request_padding);
+  return WithZeroPadding(header, request_padding);
 }
 
 KvReply ParseKvReply(const Bytes& result) {

@@ -48,8 +48,6 @@ size_t FieldOffset(const Decoder& dec, const Bytes& field) {
 // ---------------------------------------------------------------------------
 
 void SmPrepareMsg::EncodeTo(Encoder& enc) const {
-  enc.Reserve(1 + 8 + 8 + Digest::kSize + Signature::kSize +
-              VarintSize(batch.size()) + batch.size());
   enc.PutU8(mode);
   enc.PutU64(view);
   enc.PutU64(seq);
@@ -112,8 +110,6 @@ Result<SmInformMsg> SmInformMsg::DecodeFrom(Decoder& dec) {
 }
 
 void SmCommitPrimaryMsg::EncodeTo(Encoder& enc) const {
-  enc.Reserve(1 + 8 + 8 + Digest::kSize + Signature::kSize +
-              VarintSize(batch.size()) + batch.size());
   enc.PutU8(mode);
   enc.PutU64(view);
   enc.PutU64(seq);
@@ -136,7 +132,6 @@ Result<SmCommitPrimaryMsg> SmCommitPrimaryMsg::DecodeFrom(Decoder& dec) {
 }
 
 void SmVcEntry::EncodeTo(Encoder& enc) const {
-  enc.Reserve(EncodedSize());
   enc.PutU8(static_cast<uint8_t>(mode));
   enc.PutU64(view);
   enc.PutU64(seq);
@@ -146,12 +141,6 @@ void SmVcEntry::EncodeTo(Encoder& enc) const {
   enc.PutVarint(batch.EncodedSize());
   batch.EncodeTo(enc);
   sig.EncodeTo(enc);
-}
-
-size_t SmVcEntry::EncodedSize() const {
-  const size_t batch_size = batch.EncodedSize();
-  return 1 + 8 + 8 + Digest::kSize + VarintSize(batch_size) + batch_size +
-         Signature::kSize;
 }
 
 Result<SmVcEntry> SmVcEntry::DecodeFrom(Decoder& dec) {
@@ -185,15 +174,6 @@ void SmViewChangeMsg::EncodeTo(Encoder& enc) const {
   enc.PutU64(new_view);
   enc.PutU64(stable_seq);
   cert.EncodeTo(enc);
-  // One allocation for all three entry sets (the bulk of a view change —
-  // every in-flight batch rides along).
-  size_t sets_size = VarintSize(prepares.size()) +
-                     VarintSize(commits.size()) + VarintSize(proofs.size()) +
-                     4;
-  for (const SmVcEntry& entry : prepares) sets_size += entry.EncodedSize();
-  for (const SmVcEntry& entry : commits) sets_size += entry.EncodedSize();
-  for (const PreparedProof& proof : proofs) sets_size += proof.EncodedSize();
-  enc.Reserve(sets_size);
   enc.PutVarint(prepares.size());
   for (const SmVcEntry& entry : prepares) entry.EncodeTo(enc);
   enc.PutVarint(commits.size());
@@ -254,17 +234,11 @@ Result<SmViewChangeMsg> SmViewChangeMsg::DecodeFrom(Decoder& dec,
 }
 
 void SmNewViewEntry::EncodeTo(Encoder& enc) const {
-  enc.Reserve(EncodedSize());
   enc.PutU64(view);
   enc.PutU64(seq);
   digest.EncodeTo(enc);
   enc.PutBytes(batch);
   sig.EncodeTo(enc);
-}
-
-size_t SmNewViewEntry::EncodedSize() const {
-  return 8 + 8 + Digest::kSize + VarintSize(batch.size()) + batch.size() +
-         Signature::kSize;
 }
 
 Result<SmNewViewEntry> SmNewViewEntry::DecodeFrom(Decoder& dec) {
@@ -306,11 +280,6 @@ Digest SmNewViewMsg::EntrySetDigest() const {
 }
 
 void SmNewViewMsg::EncodeTo(Encoder& enc) const {
-  size_t total = 1 + 8 + 8 + Signature::kSize + VarintSize(commits.size()) +
-                 VarintSize(prepares.size());
-  for (const SmNewViewEntry& entry : commits) total += entry.EncodedSize();
-  for (const SmNewViewEntry& entry : prepares) total += entry.EncodedSize();
-  enc.Reserve(total);
   enc.PutU8(mode);
   enc.PutU64(new_view);
   enc.PutU64(low);
@@ -398,7 +367,6 @@ Result<NewViewRequestMsg> NewViewRequestMsg::DecodeFrom(Decoder& dec) {
 
 void StateResponseMsg::EncodeTo(Encoder& enc) const {
   cert.EncodeTo(enc);
-  enc.Reserve(VarintSize(snapshot.size()) + snapshot.size());
   enc.PutBytes(snapshot);
 }
 
@@ -415,8 +383,6 @@ Result<StateResponseMsg> StateResponseMsg::DecodeFrom(Decoder& dec) {
 // ---------------------------------------------------------------------------
 
 void PbftPrePrepareMsg::EncodeTo(Encoder& enc) const {
-  enc.Reserve(8 + 8 + Digest::kSize + Signature::kSize +
-              VarintSize(batch.size()) + batch.size());
   enc.PutU64(view);
   enc.PutU64(seq);
   digest.EncodeTo(enc);
@@ -520,15 +486,6 @@ Result<PbftNewViewEntry> PbftNewViewEntry::DecodeFrom(Decoder& dec) {
 }
 
 void PbftNewViewMsg::EncodeTo(Encoder& enc) const {
-  // A NEW-VIEW carries a whole view-change quorum verbatim; reserve for it
-  // in one step.
-  size_t total = 8 + VarintSize(view_changes.size()) +
-                 VarintSize(entries.size()) +
-                 entries.size() * (8 + Digest::kSize + Signature::kSize);
-  for (const Bytes& raw : view_changes) {
-    total += VarintSize(raw.size()) + raw.size();
-  }
-  enc.Reserve(total);
   enc.PutU64(new_view);
   enc.PutVarint(view_changes.size());
   for (const Bytes& raw : view_changes) enc.PutBytes(raw);
@@ -568,7 +525,6 @@ Result<PbftNewViewMsg> PbftNewViewMsg::DecodeFrom(Decoder& dec,
 // ---------------------------------------------------------------------------
 
 void PaxosAcceptMsg::EncodeTo(Encoder& enc) const {
-  enc.Reserve(8 + 8 + VarintSize(batch.size()) + batch.size());
   enc.PutU64(view);
   enc.PutU64(seq);
   enc.PutBytes(batch);
@@ -628,11 +584,9 @@ Result<PaxosCheckpointMsg> PaxosCheckpointMsg::DecodeFrom(Decoder& dec) {
 }
 
 void PaxosVcEntry::EncodeTo(Encoder& enc) const {
-  const size_t batch_size = batch.EncodedSize();
-  enc.Reserve(8 + 8 + VarintSize(batch_size) + batch_size);
   enc.PutU64(seq);
   enc.PutU64(view);
-  enc.PutVarint(batch_size);
+  enc.PutVarint(batch.EncodedSize());
   batch.EncodeTo(enc);
 }
 
@@ -669,7 +623,6 @@ Result<PaxosViewChangeMsg> PaxosViewChangeMsg::DecodeFrom(Decoder& dec,
 }
 
 void PaxosNewViewEntry::EncodeTo(Encoder& enc) const {
-  enc.Reserve(8 + VarintSize(batch.size()) + batch.size());
   enc.PutU64(seq);
   enc.PutBytes(batch);
 }
@@ -709,8 +662,6 @@ Result<PaxosNewViewMsg> PaxosNewViewMsg::DecodeFrom(Decoder& dec,
 }
 
 void PaxosStateResponseMsg::EncodeTo(Encoder& enc) const {
-  enc.Reserve(8 + Digest::kSize + VarintSize(snapshot.size()) +
-              snapshot.size());
   enc.PutU64(seq);
   digest.EncodeTo(enc);
   enc.PutBytes(snapshot);

@@ -83,13 +83,14 @@ enum PaxosMsgType : uint8_t {
 // Framing and dispatch helpers
 // ---------------------------------------------------------------------------
 
-/// Frame a typed message body under `tag` (tag byte + encoded body).
+/// Frame a typed message body under `tag` (tag byte + encoded body), in
+/// one allocation of exactly the framed size (EncodeExact).
 template <typename M>
 Bytes FrameMessage(uint8_t tag, const M& body) {
-  Encoder enc;
-  enc.PutU8(tag);
-  body.EncodeTo(enc);
-  return enc.Take();
+  return EncodeExact([tag, &body](Encoder& enc) {
+    enc.PutU8(tag);
+    body.EncodeTo(enc);
+  });
 }
 
 /// The single decode-and-dispatch helper behind every replica's
@@ -245,8 +246,6 @@ struct SmVcEntry {
   Signature sig;  // primary's prepare sig (P set) or commit sig (C set)
 
   void EncodeTo(Encoder& enc) const;
-  /// Exact size EncodeTo appends (Encoder::Reserve hints).
-  size_t EncodedSize() const;
   static Result<SmVcEntry> DecodeFrom(Decoder& dec);
 };
 
@@ -285,8 +284,6 @@ struct SmNewViewEntry {
   Signature sig;
 
   void EncodeTo(Encoder& enc) const;
-  /// Exact size EncodeTo appends (Encoder::Reserve hints).
-  size_t EncodedSize() const;
   static Result<SmNewViewEntry> DecodeFrom(Decoder& dec);
 };
 

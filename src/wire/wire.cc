@@ -2,19 +2,6 @@
 
 namespace seemore {
 
-void Encoder::PutU16(uint16_t v) {
-  buf_.push_back(static_cast<uint8_t>(v));
-  buf_.push_back(static_cast<uint8_t>(v >> 8));
-}
-
-void Encoder::PutU32(uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void Encoder::PutU64(uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
 void Encoder::PutVarint(uint64_t v) {
   uint8_t encoded[kMaxVarintSize];
   PutRaw(encoded, WriteVarint(encoded, v));
@@ -22,7 +9,7 @@ void Encoder::PutVarint(uint64_t v) {
 
 void Encoder::PutBytes(const uint8_t* data, size_t len) {
   PutVarint(len);
-  buf_.insert(buf_.end(), data, data + len);
+  Append(data, len);
 }
 
 bool Decoder::Require(size_t n) {

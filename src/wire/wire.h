@@ -57,15 +57,31 @@ class Encoder {
  public:
   Encoder() = default;
 
-  /// Pre-size the buffer for `n` further bytes. Large messages (batches,
-  /// view changes) pass an exact or near-exact hint so one allocation
-  /// replaces the doubling-growth churn of byte-at-a-time appends.
-  void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
+  /// An encoder that stores nothing and only counts: size() is the exact
+  /// length the same Put* sequence appends to a real Encoder. EncodeExact
+  /// runs an encode through one of these to size its buffer.
+  static Encoder Measuring() {
+    Encoder enc;
+    enc.measuring_ = true;
+    return enc;
+  }
 
-  void PutU8(uint8_t v) { buf_.push_back(v); }
-  void PutU16(uint16_t v);
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
+  /// Pre-size the buffer for `n` further bytes, so one allocation replaces
+  /// the doubling growth of piecewise appends.
+  void Reserve(size_t n) {
+    if (!measuring_) buf_.reserve(buf_.size() + n);
+  }
+
+  void PutU8(uint8_t v) {
+    if (measuring_) {
+      ++measured_;
+      return;
+    }
+    buf_.push_back(v);
+  }
+  void PutU16(uint16_t v) { PutLittleEndian(v, 2); }
+  void PutU32(uint32_t v) { PutLittleEndian(v, 4); }
+  void PutU64(uint64_t v) { PutLittleEndian(v, 8); }
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
   void PutVarint(uint64_t v);
   void PutBytes(const uint8_t* data, size_t len);
@@ -74,17 +90,80 @@ class Encoder {
     PutBytes(reinterpret_cast<const uint8_t*>(s.data()), s.size());
   }
   /// Raw append with no length prefix (for fixed-size fields like digests).
-  void PutRaw(const uint8_t* data, size_t len) {
-    buf_.insert(buf_.end(), data, data + len);
-  }
+  void PutRaw(const uint8_t* data, size_t len) { Append(data, len); }
   void PutRaw(const Bytes& data) { PutRaw(data.data(), data.size()); }
 
   const Bytes& bytes() const { return buf_; }
   Bytes Take() { return std::move(buf_); }
-  size_t size() const { return buf_.size(); }
+  size_t size() const { return measuring_ ? measured_ : buf_.size(); }
 
  private:
+  void Append(const uint8_t* data, size_t len) {
+    if (measuring_) {
+      measured_ += len;
+      return;
+    }
+    buf_.insert(buf_.end(), data, data + len);
+  }
+  /// The low `width` bytes of `v`, least significant first, in one append.
+  void PutLittleEndian(uint64_t v, int width) {
+    if (measuring_) {
+      measured_ += static_cast<size_t>(width);
+      return;
+    }
+    const size_t at = buf_.size();
+    buf_.resize(at + static_cast<size_t>(width));
+    for (int i = 0; i < width; ++i) {
+      buf_[at + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  }
+
   Bytes buf_;
+  bool measuring_ = false;
+  size_t measured_ = 0;
+};
+
+/// Runs `encode(Encoder&)` twice: once measuring, once into a buffer
+/// reserved at exactly that size. The result is one allocation whose
+/// capacity() equals its size(); the bytes are those of a single pass.
+template <typename F>
+Bytes EncodeExact(F&& encode) {
+  Encoder sizer = Encoder::Measuring();
+  encode(sizer);
+  Encoder enc;
+  enc.Reserve(sizer.size());
+  encode(enc);
+  return enc.Take();
+}
+
+/// Fixed-capacity encoder on the stack for the short signed headers fed to
+/// a MAC (Signer::Sign / KeyStore::Verify): Encoder's byte layout with no
+/// heap allocation. `N` must cover every Put of the caller's fixed field
+/// layout, kMaxVarintSize per varint.
+template <size_t N>
+class StackEncoder {
+ public:
+  void PutU8(uint8_t v) { PutLittleEndian(v, 1); }
+  void PutU32(uint32_t v) { PutLittleEndian(v, 4); }
+  void PutU64(uint64_t v) { PutLittleEndian(v, 8); }
+  void PutVarint(uint64_t v) { len_ += WriteVarint(buf_ + len_, v); }
+  void PutRaw(const uint8_t* data, size_t len) {
+    std::memcpy(buf_ + len_, data, len);
+    len_ += len;
+  }
+
+  const uint8_t* data() const { return buf_; }
+  size_t size() const { return len_; }
+
+ private:
+  void PutLittleEndian(uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      buf_[len_++] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  }
+
+  uint8_t buf_[N];
+  size_t len_ = 0;
 };
 
 /// Bounds-checked reader over a byte span. All getters fail with

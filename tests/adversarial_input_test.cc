@@ -13,23 +13,93 @@ namespace {
 using testing::SeeMoReSpec;
 using testing::SubmitAndWait;
 
-/// A "client" that can send arbitrary bytes and ignores replies.
+/// A node that can send arbitrary bytes and ignores what it receives: an
+/// attacking "client", or a replica forging replies.
 class RawSender : public MessageHandler {
  public:
-  RawSender(Cluster& cluster, PrincipalId id) : cluster_(cluster), id_(id) {
-    cluster.net().AddNode(id, Zone::kClient, this, nullptr);
+  RawSender(Cluster& cluster, PrincipalId id)
+      : net_(cluster.net()), id_(id), n_(cluster.n()) {
+    net_.AddNode(id, Zone::kClient, this, nullptr);
+  }
+  RawSender(SimNetwork& net, PrincipalId id) : net_(net), id_(id) {
+    net_.AddNode(id, Zone::kPrivate, this, nullptr);
   }
   void OnMessage(PrincipalId, Payload) override {}
+  void Send(PrincipalId to, const Bytes& bytes) { net_.Send(id_, to, bytes); }
   void Blast(const Bytes& bytes) {
-    for (PrincipalId r = 0; r < cluster_.n(); ++r) {
-      cluster_.net().Send(id_, r, bytes);
-    }
+    for (PrincipalId r = 0; r < n_; ++r) Send(r, bytes);
   }
 
  private:
-  Cluster& cluster_;
+  SimNetwork& net_;
   PrincipalId id_;
+  int n_ = 0;
 };
+
+/// Completes on two matching senders and records every sender set the
+/// client asked it to judge.
+class RecordingPolicy : public ReplyPolicy {
+ public:
+  explicit RecordingPolicy(std::vector<std::vector<PrincipalId>>* judged)
+      : judged_(judged) {}
+  std::vector<PrincipalId> InitialTargets() const override { return {0}; }
+  std::vector<PrincipalId> RetransmitTargets() const override { return {0}; }
+  bool Accepted(const std::vector<PrincipalId>& senders,
+                bool /*after_retransmit*/) const override {
+    judged_->push_back(senders);
+    return senders.size() >= 2;
+  }
+
+ private:
+  std::vector<std::vector<PrincipalId>>* judged_;
+};
+
+TEST(ClientReplyTallyTest, LyingRepliesGroupApartAndRepeatsCountOnce) {
+  // What a client sees when replicas lie to it (kByzLieToClients): replies
+  // whose results differ form separate groups, a sender repeating itself
+  // counts once per group, and the policy judges a group's senders in
+  // ascending id order.
+  Simulator sim;
+  NetworkConfig config;
+  config.intra_private = {Micros(100), 0};
+  config.intra_public = {Micros(100), 0};
+  config.cross_cloud = {Micros(200), 0};
+  config.client_link = {Micros(300), 0};
+  SimNetwork net(&sim, config);
+  const KeyStore keystore(11);
+  RawSender replicas[] = {{net, 0}, {net, 1}, {net, 2}, {net, 3}};
+  std::vector<std::vector<PrincipalId>> judged;
+  SimClient client(&net, &sim, &keystore, ClientOptions{},
+                   std::make_unique<RecordingPolicy>(&judged));
+  Bytes completed;
+  int completions = 0;
+  client.SubmitOne(MakeGet("k"), [&](const Bytes& result) {
+    completed = result;
+    ++completions;
+  });
+  const auto reply_from = [&](PrincipalId replica, const Bytes& result) {
+    Reply reply;
+    reply.timestamp = 1;
+    reply.replica = replica;
+    reply.result = result;
+    reply.Sign(Signer(replica, keystore));
+    replicas[replica].Send(client.id(), reply.ToMessage());
+    sim.RunUntil(sim.now() + Millis(5));
+  };
+  const Bytes truth{1, 2, 3};
+  const Bytes lie{6, 6, 6};
+  reply_from(3, lie);
+  reply_from(3, truth);  // the same sender in a second group
+  reply_from(3, truth);  // a repeat counts once
+  EXPECT_EQ(completions, 0);
+  reply_from(1, lie);    // lie now has {1, 3}: accepted
+  EXPECT_EQ(judged, (std::vector<std::vector<PrincipalId>>{
+                        {3}, {3}, {3}, {1, 3}}));
+  EXPECT_EQ(completions, 1);
+  EXPECT_EQ(completed, lie);
+  reply_from(2, truth);  // late replies for a completed request are ignored
+  EXPECT_EQ(judged.size(), 4u);
+}
 
 class AdversarialInputTest : public ::testing::Test {
  protected:

@@ -77,6 +77,46 @@ TEST(LionTest, PrimaryCrashViewChange) {
   EXPECT_TRUE(cluster.CheckAgreement().ok());
 }
 
+TEST(LionTest, ReplicasWithoutAMemoCompleteAViewChange) {
+  // A seemore_node hosts one replica and builds no CryptoMemo, so every
+  // check a memo would share computes directly; view-change validation
+  // included. Same cluster as PrimaryCrashViewChange, wired by hand.
+  const scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kLion, 1, 1);
+  const ClusterConfig config = spec.ResolvedConfig();
+  Simulator sim(spec.seed);
+  SimNetwork net(&sim, spec.net);
+  const KeyStore keystore(RunKeySeed(spec.seed));
+  std::vector<std::unique_ptr<ReplicaBase>> replicas;
+  for (int i = 0; i < config.n(); ++i) {
+    replicas.push_back(
+        MakeReplica(spec, i, &net, &sim, &keystore, /*memo=*/nullptr));
+  }
+  ClientOptions options;
+  options.retransmit_timeout = spec.client_retransmit_timeout;
+  SimClient client(&net, &sim, &keystore, options, MakeReplyPolicy(config));
+  const auto submit = [&](Bytes op) {
+    Bytes result;
+    bool done = false;
+    client.SubmitOne(std::move(op), [&](const Bytes& r) {
+      result = r;
+      done = true;
+    });
+    const SimTime deadline = sim.now() + Seconds(5);
+    while (!done && sim.now() < deadline && sim.Step()) {
+    }
+    EXPECT_TRUE(done);
+    return result;
+  };
+
+  submit(MakePut("a", "1"));
+  replicas[0]->Crash();
+  EXPECT_EQ(ParseKvReply(submit(MakePut("b", "2"))).status, KvResult::kOk);
+  const auto* next = static_cast<const SeeMoReReplica*>(replicas[1].get());
+  EXPECT_GT(next->view(), 0u);
+  EXPECT_TRUE(next->IsPrimary());
+  EXPECT_EQ(ParseKvReply(submit(MakeGet("a"))).value, "1");
+}
+
 TEST(LionTest, ClientFallsBackToPublicQuorumOnRetransmit) {
   // The client cannot reach any private node: its request still commits
   // (publics forward it to the trusted primary) and the client completes on

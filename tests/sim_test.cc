@@ -1,4 +1,5 @@
-// Discrete-event simulator: ordering, determinism, cancellation, CPU queue.
+// Discrete-event simulator and the timer heap it shares with rt::EventLoop:
+// ordering, determinism, cancellation, CPU queue.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "util/timer_heap.h"
 
 namespace seemore {
 namespace {
@@ -124,37 +126,79 @@ TEST(SimulatorTest, CancelReleasesCallbackStateImmediately) {
   EXPECT_TRUE(watch.expired());  // freed at cancel time, not at pop time
 }
 
-TEST(SimulatorTest, ScheduleCancelChurnKeepsQueueBounded) {
+TEST(TimerHeapTest, ScheduleCancelChurnKeepsQueueBounded) {
   // Regression for the cancelled-timer leak: a long run that keeps arming
-  // and cancelling timers (the view-change pattern) must not grow the event
-  // queue unboundedly. The seed engine left every cancelled entry in the
+  // and cancelling timers (the view-change pattern) must not grow the heap
+  // unboundedly. The seed engine left every cancelled entry in the
   // priority queue until its (possibly far-future) deadline drained it.
-  Simulator sim;
-  bool stop = false;
-  std::function<void()> tick = [&] {
-    if (stop) return;
-    // Arm a far-future "view change" timer and immediately cancel it, as a
-    // replica does on every committed batch.
-    EventId timer = sim.Schedule(Seconds(3600), [] {});
-    EXPECT_TRUE(sim.Cancel(timer));
-    sim.Schedule(Micros(10), tick);
-  };
-  sim.Schedule(0, tick);
+  TimerHeap heap;
+  SimTime now = 0;
   size_t max_queued = 0;
   size_t max_slab = 0;
-  for (int i = 0; i < 200000 && !stop; ++i) {
-    if (!sim.Step()) break;
-    max_queued = std::max(max_queued, sim.queued_entries());
-    max_slab = std::max(max_slab, sim.slab_size());
-    if (i == 199999) stop = true;
+  heap.Push(now, [] {});
+  for (int i = 0; i < 200000; ++i) {
+    SimTime when = 0;
+    ASSERT_TRUE(heap.NextDeadline(&when));
+    now = when;
+    heap.PopNext()();
+    // Arm a far-future "view change" timer and immediately cancel it, as a
+    // replica does on every committed batch; then the next tick.
+    const EventId timer = heap.Push(now + Seconds(3600), [] {});
+    EXPECT_TRUE(heap.Cancel(timer));
+    heap.Push(now + Micros(10), [] {});
+    max_queued = std::max(max_queued, heap.queued_entries());
+    max_slab = std::max(max_slab, heap.slab_size());
   }
-  stop = true;
-  sim.Run();
-  // O(live events + compaction slack), nowhere near the ~100k cancellations.
+  // O(live timers + compaction slack), nowhere near the 200k cancellations.
   EXPECT_LE(max_queued, 200u);
   EXPECT_LE(max_slab, 200u);
-  EXPECT_EQ(sim.pending_events(), 0u);
-  EXPECT_EQ(sim.queued_entries(), 0u);
+  EXPECT_EQ(heap.pending(), 1u);
+  SimTime when = 0;
+  ASSERT_TRUE(heap.NextDeadline(&when));
+  heap.PopNext();
+  EXPECT_FALSE(heap.NextDeadline(&when));
+  EXPECT_EQ(heap.pending(), 0u);
+  EXPECT_EQ(heap.queued_entries(), 0u);
+}
+
+TEST(TimerHeapTest, EqualDeadlinesPopInPushOrder) {
+  TimerHeap heap;
+  std::vector<int> order;
+  heap.Push(Millis(9), [&order] { order.push_back(-1); });
+  for (int i = 0; i < 10; ++i) {
+    heap.Push(Millis(5), [&order, i] { order.push_back(i); });
+  }
+  const EventId cancelled =
+      heap.Push(Millis(5), [&order] { order.push_back(99); });
+  EXPECT_TRUE(heap.Cancel(cancelled));
+  heap.Push(Millis(5), [&order] { order.push_back(10); });
+  SimTime when = 0;
+  while (heap.NextDeadline(&when)) heap.PopNext()();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, -1}));
+}
+
+TEST(TimerHeapTest, CancelAfterFireReturnsFalse) {
+  TimerHeap heap;
+  const EventId id = heap.Push(Millis(1), [] {});
+  EventId inner = 0;
+  bool cancelled_from_callback = true;
+  inner = heap.Push(Millis(2),
+                    [&] { cancelled_from_callback = heap.Cancel(inner); });
+  SimTime when = 0;
+  ASSERT_TRUE(heap.NextDeadline(&when));
+  std::function<void()> fn = heap.PopNext();
+  EXPECT_FALSE(heap.Cancel(id));  // popped: dead before it even runs
+  fn();
+  ASSERT_TRUE(heap.NextDeadline(&when));
+  heap.PopNext()();
+  EXPECT_FALSE(cancelled_from_callback);  // a timer cannot cancel itself
+  EXPECT_FALSE(heap.Cancel(inner));
+  // The freed slots are reused under new generations; old ids stay dead.
+  const EventId reused = heap.Push(Millis(3), [] {});
+  EXPECT_NE(reused, id);
+  EXPECT_NE(reused, inner);
+  EXPECT_FALSE(heap.Cancel(id));
+  EXPECT_TRUE(heap.Cancel(reused));
 }
 
 TEST(SimulatorTest, PendingEventsTracksLiveEventsUnderChurn) {

@@ -228,6 +228,59 @@ TEST(ReplyTest, SignEncodeDecodeVerify) {
   EXPECT_FALSE(decoded->VerifySignature(store));
 }
 
+TEST(ReplyTest, StreamedSignatureMatchesTheEncodedSignedFields) {
+  // The signature covers mode, view, timestamp, replica and the
+  // length-prefixed result, as Encoder lays them out. Sign and
+  // VerifySignature stream a stack header and then the result; the tag must
+  // be byte-equal to a MAC over the joined encoding.
+  KeyStore store(3);
+  Signer replica_signer(4, store);
+  Reply reply;
+  reply.mode = 2;
+  reply.view = 0x0102030405060708ULL;
+  reply.timestamp = 1ULL << 40;
+  reply.replica = 4;
+  reply.result = Bytes(300, 0x42);  // two-byte length prefix
+  reply.Sign(replica_signer);
+
+  Encoder joined;
+  joined.PutU8(reply.mode);
+  joined.PutU64(reply.view);
+  joined.PutU64(reply.timestamp);
+  joined.PutU32(static_cast<uint32_t>(reply.replica));
+  joined.PutBytes(reply.result);
+  EXPECT_EQ(reply.sig, replica_signer.Sign(joined.bytes()));
+  EXPECT_TRUE(reply.VerifySignature(store));
+
+  Reply flipped = reply;
+  flipped.result.back() ^= 0x01;
+  EXPECT_FALSE(flipped.VerifySignature(store));
+  Reply shortened = reply;
+  shortened.result.pop_back();
+  EXPECT_FALSE(shortened.VerifySignature(store));
+  Reply remoded = reply;
+  remoded.mode = 1;
+  EXPECT_FALSE(remoded.VerifySignature(store));
+  Reply reviewed = reply;
+  reviewed.view += 1;
+  EXPECT_FALSE(reviewed.VerifySignature(store));
+  Reply other_replica = reply;
+  other_replica.replica = 5;
+  EXPECT_FALSE(other_replica.VerifySignature(store));
+  // An empty result streams no tail and still covers its zero length.
+  Reply empty = reply;
+  empty.result.clear();
+  empty.Sign(replica_signer);
+  Encoder empty_joined;
+  empty_joined.PutU8(empty.mode);
+  empty_joined.PutU64(empty.view);
+  empty_joined.PutU64(empty.timestamp);
+  empty_joined.PutU32(static_cast<uint32_t>(empty.replica));
+  empty_joined.PutBytes(empty.result);
+  EXPECT_EQ(empty.sig, replica_signer.Sign(empty_joined.bytes()));
+  EXPECT_TRUE(empty.VerifySignature(store));
+}
+
 /// Commits `batch` as `seq` under its own digest, as a protocol does with
 /// the digest its slot agreed on.
 std::vector<ExecutedRequest> CommitBatch(ExecutionEngine& engine, uint64_t seq,

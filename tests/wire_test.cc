@@ -2,12 +2,14 @@
 // (a Byzantine peer can send arbitrary bytes; decoding must fail cleanly).
 // The second half covers the typed message codecs of wire/messages.h: every
 // protocol message round-trips, and truncated or corrupted frames are
-// rejected without crashing.
+// rejected without crashing, and every frame is exactly sized and
+// byte-identical to the encoding pinned before framing measured sizes.
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <functional>
+#include <vector>
 
 #include "crypto/keystore.h"
 #include "util/rng.h"
@@ -275,6 +277,287 @@ class MessagesTest : public ::testing::Test {
   KeyStore keystore_;
   Signer signer_;
 };
+
+/// One framed sample of every message type ToMessage() encodes, beside the
+/// same message encoded in a single pass into a growing Encoder (how every
+/// frame was built before framing measured its exact size).
+struct FramedSample {
+  const char* name;
+  Bytes framed;
+  Bytes single_pass;
+};
+
+template <typename M>
+FramedSample Sample(const char* name, uint8_t tag, const M& msg,
+                    Bytes framed) {
+  Encoder enc;
+  enc.PutU8(tag);
+  msg.EncodeTo(enc);
+  return FramedSample{name, std::move(framed), enc.Take()};
+}
+
+std::vector<FramedSample> AllFramedSamples(const KeyStore& keystore) {
+  const Signer signer(1, keystore);
+  const Signer client(kClientIdBase, keystore);
+  Request request;
+  request.client = kClientIdBase;
+  request.timestamp = 300;  // multi-byte varints throughout
+  request.op = Bytes(200, 0x5a);
+  request.Sign(client);
+  Batch batch;
+  batch.requests = {request, request};
+  const Bytes batch_bytes = batch.Encode();
+  const Digest digest = Digest::Of(batch_bytes);
+  const Signature sig = signer.Sign(batch_bytes);
+  CheckpointMsg checkpoint;
+  checkpoint.seq = 1 << 20;
+  checkpoint.state_digest = digest;
+  checkpoint.replica = 2;
+  checkpoint.Sign(signer);
+  CheckpointCert cert;
+  cert.Add(checkpoint);
+  cert.Add(checkpoint);
+  PreparedProof proof;
+  proof.mode = 2;
+  proof.view = 1 << 16;
+  proof.seq = 1 << 14;
+  proof.digest = digest;
+  proof.batch = batch;
+  proof.primary_sig = sig;
+  proof.prepares = {{1, sig}, {3, sig}};
+
+  std::vector<FramedSample> out;
+  out.push_back(Sample("Request", kMsgRequest, request, request.ToMessage()));
+  Reply reply;
+  reply.mode = 1;
+  reply.view = 1 << 21;
+  reply.timestamp = 300;
+  reply.replica = 4;
+  reply.result = Bytes(130, 0x11);
+  reply.Sign(signer);
+  out.push_back(Sample("Reply", kMsgReply, reply, reply.ToMessage()));
+  out.push_back(Sample("Checkpoint", kSmCheckpoint, checkpoint,
+                       FrameMessage(kSmCheckpoint, checkpoint)));
+
+  SmPrepareMsg prepare;
+  prepare.mode = 1;
+  prepare.view = 1 << 30;
+  prepare.seq = 129;
+  prepare.digest = digest;
+  prepare.sig = sig;
+  prepare.batch = batch_bytes;
+  out.push_back(Sample("SmPrepare", SmPrepareMsg::kTag, prepare,
+                       prepare.ToMessage()));
+  SmAcceptPlainMsg accept;
+  accept.mode = 0;
+  accept.view = 7;
+  accept.seq = 129;
+  accept.digest = digest;
+  accept.voter = 3;
+  out.push_back(Sample("SmAcceptPlain", SmAcceptPlainMsg::kTag, accept,
+                       accept.ToMessage()));
+  SmAcceptSignedMsg accept_signed;
+  accept_signed.mode = 1;
+  accept_signed.view = 7;
+  accept_signed.seq = 129;
+  accept_signed.digest = digest;
+  accept_signed.voter = 3;
+  accept_signed.sig = sig;
+  out.push_back(Sample("SmAcceptSigned", SmAcceptSignedMsg::kTag,
+                       accept_signed, accept_signed.ToMessage()));
+  SmCommitVoteMsg commit_vote;
+  static_cast<SmSignedVoteBody&>(commit_vote) = accept_signed;
+  out.push_back(Sample("SmCommitVote", SmCommitVoteMsg::kTag, commit_vote,
+                       commit_vote.ToMessage()));
+  SmInformMsg inform;
+  static_cast<SmSignedVoteBody&>(inform) = accept_signed;
+  out.push_back(
+      Sample("SmInform", SmInformMsg::kTag, inform, inform.ToMessage()));
+  SmCommitPrimaryMsg commit_primary;
+  commit_primary.mode = 0;
+  commit_primary.view = 7;
+  commit_primary.seq = 129;
+  commit_primary.digest = digest;
+  commit_primary.sig = sig;
+  commit_primary.batch = batch_bytes;
+  out.push_back(Sample("SmCommitPrimary", SmCommitPrimaryMsg::kTag,
+                       commit_primary, commit_primary.ToMessage()));
+  SmViewChangeMsg view_change;
+  view_change.mode = 2;
+  view_change.new_view = 8;
+  view_change.stable_seq = 1 << 20;
+  view_change.cert = cert;
+  SmVcEntry entry;
+  entry.mode = SeeMoReMode::kDog;
+  entry.view = 7;
+  entry.seq = (1 << 20) + 1;
+  entry.digest = digest;
+  entry.batch = batch;
+  entry.sig = sig;
+  view_change.prepares = {entry, entry};
+  view_change.commits = {entry};
+  view_change.proofs = {proof};
+  view_change.sender = 5;
+  out.push_back(Sample("SmViewChange", SmViewChangeMsg::kTag, view_change,
+                       view_change.ToMessage()));
+  SmNewViewMsg new_view;
+  new_view.mode = 1;
+  new_view.new_view = 8;
+  new_view.low = 1 << 20;
+  new_view.header_sig = sig;
+  SmNewViewEntry nv_entry;
+  nv_entry.view = 8;
+  nv_entry.seq = (1 << 20) + 1;
+  nv_entry.digest = digest;
+  nv_entry.batch = batch_bytes;
+  nv_entry.sig = sig;
+  new_view.commits = {nv_entry};
+  new_view.prepares = {nv_entry, nv_entry};
+  out.push_back(Sample("SmNewView", SmNewViewMsg::kTag, new_view,
+                       new_view.ToMessage()));
+  SmModeChangeMsg mode_change;
+  mode_change.mode = 2;
+  mode_change.new_view = 1 << 9;
+  mode_change.sender = 0;
+  mode_change.sig = sig;
+  out.push_back(Sample("SmModeChange", SmModeChangeMsg::kTag, mode_change,
+                       mode_change.ToMessage()));
+  StateRequestMsg state_request;
+  state_request.last_executed = 1 << 25;
+  out.push_back(Sample("StateRequest", kSmStateRequest, state_request,
+                       state_request.ToMessage(kSmStateRequest)));
+  StateResponseMsg state_response;
+  state_response.cert = cert;
+  state_response.snapshot = Bytes(1000, 0x77);
+  out.push_back(Sample("StateResponse", kPbftStateResponse, state_response,
+                       state_response.ToMessage(kPbftStateResponse)));
+  NewViewRequestMsg new_view_request;
+  new_view_request.view = 1 << 12;
+  out.push_back(Sample("NewViewRequest", NewViewRequestMsg::kTag,
+                       new_view_request, new_view_request.ToMessage()));
+
+  PbftPrePrepareMsg pre_prepare;
+  pre_prepare.view = 3;
+  pre_prepare.seq = 1 << 15;
+  pre_prepare.digest = digest;
+  pre_prepare.sig = sig;
+  pre_prepare.batch = batch_bytes;
+  out.push_back(Sample("PbftPrePrepare", PbftPrePrepareMsg::kTag,
+                       pre_prepare, pre_prepare.ToMessage()));
+  PbftPrepareMsg pbft_prepare;
+  pbft_prepare.view = 3;
+  pbft_prepare.seq = 1 << 15;
+  pbft_prepare.digest = digest;
+  pbft_prepare.voter = 2;
+  pbft_prepare.sig = sig;
+  out.push_back(Sample("PbftPrepare", PbftPrepareMsg::kTag, pbft_prepare,
+                       pbft_prepare.ToMessage()));
+  PbftCommitMsg pbft_commit;
+  static_cast<PbftVoteBody&>(pbft_commit) = pbft_prepare;
+  out.push_back(Sample("PbftCommit", PbftCommitMsg::kTag, pbft_commit,
+                       pbft_commit.ToMessage()));
+  PbftNewViewMsg pbft_new_view;
+  pbft_new_view.new_view = 4;
+  pbft_new_view.view_changes = {
+      PbftViewChangeMsg::Build(4, 1 << 20, cert, {proof}, signer),
+      Bytes(3, 0x01)};
+  PbftNewViewEntry pbft_entry;
+  pbft_entry.seq = (1 << 20) + 1;
+  pbft_entry.digest = digest;
+  pbft_entry.sig = sig;
+  pbft_new_view.entries = {pbft_entry, pbft_entry};
+  out.push_back(Sample("PbftNewView", PbftNewViewMsg::kTag, pbft_new_view,
+                       pbft_new_view.ToMessage()));
+
+  PaxosAcceptMsg paxos_accept;
+  paxos_accept.view = 2;
+  paxos_accept.seq = 1 << 15;
+  paxos_accept.batch = batch_bytes;
+  out.push_back(Sample("PaxosAccept", PaxosAcceptMsg::kTag, paxos_accept,
+                       paxos_accept.ToMessage()));
+  PaxosAckMsg paxos_ack;
+  paxos_ack.view = 2;
+  paxos_ack.seq = 1 << 15;
+  paxos_ack.digest = digest;
+  out.push_back(Sample("PaxosAck", PaxosAckMsg::kTag, paxos_ack,
+                       paxos_ack.ToMessage()));
+  PaxosCommitMsg paxos_commit;
+  paxos_commit.view = 2;
+  paxos_commit.seq = 1 << 15;
+  paxos_commit.digest = digest;
+  out.push_back(Sample("PaxosCommit", PaxosCommitMsg::kTag, paxos_commit,
+                       paxos_commit.ToMessage()));
+  PaxosCheckpointMsg paxos_checkpoint;
+  paxos_checkpoint.seq = 1 << 20;
+  paxos_checkpoint.digest = digest;
+  out.push_back(Sample("PaxosCheckpoint", PaxosCheckpointMsg::kTag,
+                       paxos_checkpoint, paxos_checkpoint.ToMessage()));
+  PaxosViewChangeMsg paxos_view_change;
+  paxos_view_change.new_view = 3;
+  paxos_view_change.stable_seq = 1 << 20;
+  PaxosVcEntry paxos_vc_entry;
+  paxos_vc_entry.seq = (1 << 20) + 1;
+  paxos_vc_entry.view = 2;
+  paxos_vc_entry.batch = batch;
+  paxos_view_change.entries = {paxos_vc_entry, paxos_vc_entry};
+  out.push_back(Sample("PaxosViewChange", PaxosViewChangeMsg::kTag,
+                       paxos_view_change, paxos_view_change.ToMessage()));
+  PaxosNewViewMsg paxos_new_view;
+  paxos_new_view.new_view = 3;
+  paxos_new_view.stable_seq = 1 << 20;
+  PaxosNewViewEntry paxos_nv_entry;
+  paxos_nv_entry.seq = (1 << 20) + 1;
+  paxos_nv_entry.batch = batch_bytes;
+  paxos_new_view.entries = {paxos_nv_entry};
+  out.push_back(Sample("PaxosNewView", PaxosNewViewMsg::kTag, paxos_new_view,
+                       paxos_new_view.ToMessage()));
+  PaxosStateResponseMsg paxos_state;
+  paxos_state.seq = 1 << 20;
+  paxos_state.digest = digest;
+  paxos_state.snapshot = Bytes(1000, 0x66);
+  out.push_back(Sample("PaxosStateResponse", PaxosStateResponseMsg::kTag,
+                       paxos_state, paxos_state.ToMessage()));
+  return out;
+}
+
+TEST(FramingTest, EveryToMessageIsExactlySizedAndByteIdentical) {
+  const KeyStore keystore(42);
+  Bytes all;
+  for (const FramedSample& sample : AllFramedSamples(keystore)) {
+    // One allocation of exactly the frame's size...
+    EXPECT_EQ(sample.framed.capacity(), sample.framed.size()) << sample.name;
+    // ...holding the bytes a single growing pass writes.
+    EXPECT_EQ(sample.framed, sample.single_pass) << sample.name;
+    all.insert(all.end(), sample.framed.begin(), sample.framed.end());
+  }
+  // Every sample's bytes as framed before frames were exactly sized
+  // (captured from that encoder), so no wire byte or signature moved.
+  EXPECT_EQ(all.size(), 12546u);
+  EXPECT_EQ(Digest::Of(all).ToHex(),
+            "10b9a0504b401676b4432cf9940c834c347788496744b6947f4d6d719b11c943");
+}
+
+TEST(FramingTest, MeasuringEncoderCountsWhatARealOneWrites) {
+  const auto encode = [](Encoder& enc) {
+    enc.PutU8(1);
+    enc.PutU16(0x1234);
+    enc.PutU32(0xdeadbeef);
+    enc.PutU64(1ull << 63);
+    enc.PutVarint(300);
+    enc.PutBytes(Bytes(129, 7));
+    enc.PutString("seemore");
+    enc.PutRaw(Bytes(5, 9));
+  };
+  Encoder measuring = Encoder::Measuring();
+  encode(measuring);
+  EXPECT_TRUE(measuring.bytes().empty());
+  Encoder real;
+  encode(real);
+  EXPECT_EQ(measuring.size(), real.size());
+  const Bytes exact = EncodeExact(encode);
+  EXPECT_EQ(exact, real.bytes());
+  EXPECT_EQ(exact.capacity(), exact.size());
+}
 
 TEST_F(MessagesTest, BatchWithPaddedLengthFieldIsRejected) {
   // A Byzantine primary could digest and sign batch bytes that use a padded
