@@ -11,11 +11,11 @@ PaxosReplica::PaxosReplica(Transport* transport, TimerService* timers,
                            PrincipalId id, const ClusterConfig& config,
                            std::unique_ptr<StateMachine> state_machine,
                            const CostModel& costs)
-    : ReplicaBase(transport, timers, keystore, memo, id, config,
-                  std::move(state_machine), costs),
-      log_(Window()),
-      pipeline_(config.batch_max, config.pipeline_max),
-      ckpt_(config.checkpoint_period) {
+    : CheckpointingReplica(
+          transport, timers, keystore, memo, id, config,
+          std::move(state_machine), costs,
+          {kPaxCheckpoint, kPaxStateRequest, kPaxStateResponse}),
+      pipeline_(config.batch_max, config.pipeline_max) {
   current_vc_timeout_ = config_.view_change_timeout;
 }
 
@@ -26,7 +26,7 @@ void PaxosReplica::HandleMessage(PrincipalId from, const Payload& frame) {
   // Channels are pairwise authenticated: protocol-internal messages are only
   // ever legitimate on replica-to-replica channels. (In the crash model this
   // is the ONLY defense — there are no signatures to reject forgeries.)
-  if (tag != kMsgRequest && (from < 0 || from >= config_.n())) return;
+  if (tag != kMsgRequest && !IsReplicaId(from)) return;
   // Channel MAC check on every protocol message.
   ChargeMac();
   switch (tag) {
@@ -44,7 +44,7 @@ void PaxosReplica::HandleMessage(PrincipalId from, const Payload& frame) {
       break;
     case kPaxViewChange: {
       Result<PaxosViewChangeMsg> msg =
-          PaxosViewChangeMsg::DecodeFrom(dec, Window());
+          PaxosViewChangeMsg::DecodeFrom(dec, window_);
       if (msg.ok()) HandleViewChange(from, std::move(msg).value());
       break;
     }
@@ -232,73 +232,15 @@ void PaxosReplica::SendReply(const ExecutedRequest& executed) {
 // Checkpoints and state transfer
 // ---------------------------------------------------------------------------
 
-void PaxosReplica::MaybeCheckpoint() {
-  const uint64_t executed = exec_.last_executed();
-  if (!ckpt_.Due(executed)) return;
-  ckpt_.NoteTaken(executed);
-  Bytes snapshot = exec_.Snapshot();
-  ChargeHash(snapshot.size());
-  const Digest digest = Digest::Of(snapshot);
-  durable().SaveSnapshot(executed, digest, snapshot);
-  ckpt_.Buffer(executed, digest, std::move(snapshot));
-
-  PaxosCheckpointMsg msg{executed, digest};
-  SendToMany(config_.AllReplicas(), msg.ToMessage());
-  CountCheckpointVote(executed, digest, id_);
+void PaxosReplica::MulticastCheckpoint(CheckpointMsg& msg) {
+  PaxosCheckpointMsg announce{msg.seq, msg.state_digest};
+  SendToMany(config_.AllReplicas(), announce.ToMessage());
 }
 
 void PaxosReplica::HandleCheckpoint(PrincipalId from, PaxosCheckpointMsg msg) {
   if (msg.seq <= ckpt_.stable_seq()) return;
-  CountCheckpointVote(msg.seq, msg.digest, from);
-  // Crash model: a single announcer is honest. If it is ahead of us we fell
-  // behind (lost commits have no protocol-level retransmission); fetch its
-  // checkpointed state directly.
-  if (msg.seq > exec_.last_executed()) RequestStateFrom(from);
-}
-
-void PaxosReplica::CountCheckpointVote(uint64_t seq, const Digest& digest,
-                                       PrincipalId voter) {
-  // Crash model: votes travel unsigned; wrap them in the shared tracker's
-  // CheckpointMsg shape with an empty signature.
-  CheckpointMsg vote;
-  vote.seq = seq;
-  vote.state_digest = digest;
-  vote.replica = voter;
-  const auto& voters = ckpt_.AddVote(vote);
-  if (static_cast<int>(voters.size()) >= config_.f + 1) {
-    // Prefer fetching state from another voter, not ourselves.
-    PrincipalId helper = id_;
-    for (const auto& [v, unused] : voters) {
-      if (v != id_) {
-        helper = v;
-        break;
-      }
-    }
-    AdvanceStable(seq, digest, helper);
-  }
-}
-
-void PaxosReplica::AdvanceStable(uint64_t seq, const Digest& digest,
-                                 PrincipalId helper) {
-  if (seq <= ckpt_.stable_seq()) return;
-  durable().NoteStable(seq, CheckpointCert::Genesis());
-  const bool installed =
-      ckpt_.Advance(seq, digest, CheckpointCert::Genesis());
-  if (!installed && exec_.last_executed() < seq && helper != id_) {
-    // We fell behind the cluster; fetch the checkpointed state.
-    RequestStateFrom(helper);
-  }
-  // Garbage collection (paper §5.1 "State Transfer").
-  log_.Reclaim(seq);
-  NoteCheckpointGc();  // scratch arena rewinds at the next message boundary
-}
-
-void PaxosReplica::RequestStateFrom(PrincipalId target) {
-  if (target == id_) return;
-  if (now() - last_state_request_ < Millis(20)) return;
-  last_state_request_ = now();
-  StateRequestMsg request{exec_.last_executed()};
-  SendTo(target, request.ToMessage(kPaxStateRequest));
+  // The channel authenticates the sender; the vote itself is unsigned.
+  AcceptCheckpointVote(CheckpointMsg{msg.seq, msg.digest, from, Signature()});
 }
 
 void PaxosReplica::HandleStateRequest(PrincipalId from, StateRequestMsg msg) {
@@ -322,40 +264,15 @@ void PaxosReplica::HandleStateResponse(PrincipalId from,
                                        PaxosStateResponseMsg msg) {
   (void)from;
   if (msg.seq <= exec_.last_executed()) return;
-  ChargeHash(msg.snapshot.size());
-  if (Digest::Of(msg.snapshot) != msg.digest) return;
-  if (!exec_.Restore(msg.snapshot, msg.seq).ok()) return;
-  ++stats_.state_transfers;
-  // Persist the transferred checkpoint too: a restart must not come back
-  // below a state the replica already executed past.
-  durable().SaveSnapshot(msg.seq, msg.digest, msg.snapshot);
-  durable().NoteStable(msg.seq, CheckpointCert::Genesis());
-  ckpt_.InstallRestored(msg.seq, msg.digest, CheckpointCert::Genesis(),
-                        std::move(msg.snapshot));
+  InstallSnapshot(msg.seq, msg.digest, CheckpointCert::Genesis(),
+                  std::move(msg.snapshot));
 }
 
 void PaxosReplica::OnDurableRestore(const RecoveredImage& image) {
   // Rejoin in the last durably-entered view: acking in an older view after
   // a restart could contradict the pre-crash incarnation's votes.
   if (image.has_view) view_ = image.view;
-  // The newest stable checkpoint restores as stable; newer snapshots
-  // re-enter the tracker as buffered, exactly as on the cutting path, so
-  // the stability vote flow resumes where it stopped.
-  if (const storage::RecoveredSnapshot* stable = image.LatestStable()) {
-    ckpt_.InstallRestored(stable->seq, stable->digest,
-                          CheckpointCert::Genesis(), stable->bytes);
-    log_.Reclaim(stable->seq);
-  }
-  for (const auto& snap : image.snapshots) {
-    if (snap.seq > ckpt_.stable_seq()) {
-      ckpt_.Buffer(snap.seq, snap.digest, snap.bytes);
-    }
-  }
-  if (const storage::RecoveredSnapshot* latest = image.Latest()) {
-    if (latest->seq > ckpt_.last_checkpoint_seq()) {
-      ckpt_.NoteTaken(latest->seq);
-    }
-  }
+  CheckpointingReplica::OnDurableRestore(image);
 }
 
 // ---------------------------------------------------------------------------

@@ -25,15 +25,13 @@
 #include <utility>
 #include <vector>
 
-#include "consensus/checkpoint.h"
-#include "consensus/instance_log.h"
+#include "consensus/checkpointing_replica.h"
 #include "consensus/primary_pipeline.h"
-#include "consensus/replica_base.h"
 #include "wire/messages.h"
 
 namespace seemore {
 
-class PaxosReplica : public ReplicaBase {
+class PaxosReplica : public CheckpointingReplica {
  public:
   PaxosReplica(Transport* transport, TimerService* timers,
                const KeyStore* keystore, CryptoMemo* memo, PrincipalId id,
@@ -43,19 +41,32 @@ class PaxosReplica : public ReplicaBase {
 
   uint64_t view() const { return view_; }
   bool IsLeader() const { return config_.FlatPrimary(view_) == id_; }
-  uint64_t last_executed() const { return exec_.last_executed(); }
-  uint64_t stable_checkpoint() const { return ckpt_.stable_seq(); }
   bool in_view_change() const { return in_view_change_; }
-  /// Diagnostics: slots proposed but not yet committed (tests, debugging).
-  int uncommitted_slots() const { return log_.UncommittedSlots(); }
-  /// Diagnostics: live instance-log slots (property tests bound this).
-  size_t log_occupancy() const { return log_.occupied(); }
-  /// Diagnostics: the instance log itself (footprint tests read its ring).
-  const InstanceLog& instance_log() const { return log_; }
 
  protected:
   void HandleMessage(PrincipalId from, const Payload& frame) override;
   void OnDurableRestore(const RecoveredImage& image) override;
+
+  // ----- checkpoint policy (consensus/checkpointing_replica.h) -----
+  /// Every replica announces its checkpoints.
+  bool EmitsCheckpoint() const override { return true; }
+  /// f+1 matching announcements (a crash-model majority).
+  bool IsCheckpointQuorum(
+      const std::vector<PrincipalId>& signers) const override {
+    return static_cast<int>(signers.size()) >= config_.f + 1;
+  }
+  /// Crash model: a single announcer is honest. If it is ahead of us we
+  /// fell behind (lost commits have no protocol-level retransmission).
+  bool FetchOnCheckpoint(const CheckpointMsg& msg) const override {
+    return msg.seq > exec_.last_executed();
+  }
+  /// Announcements travel as the unsigned PaxosCheckpointMsg...
+  void MulticastCheckpoint(CheckpointMsg& msg) override;
+  /// ...so a stable checkpoint has no transferable certificate.
+  CheckpointCert Certify(
+      const std::map<PrincipalId, CheckpointMsg>& /*votes*/) const override {
+    return CheckpointCert::Genesis();
+  }
 
  private:
   // ----- normal case -----
@@ -68,15 +79,10 @@ class PaxosReplica : public ReplicaBase {
   void CommitSlot(uint64_t seq, SlotCore& slot, bool send_replies);
   void SendReply(const ExecutedRequest& executed);
 
-  // ----- checkpoints / state transfer -----
-  void MaybeCheckpoint();
+  // ----- the crash-model checkpoint wire types -----
   void HandleCheckpoint(PrincipalId from, PaxosCheckpointMsg msg);
-  void CountCheckpointVote(uint64_t seq, const Digest& digest,
-                           PrincipalId voter);
-  void AdvanceStable(uint64_t seq, const Digest& digest, PrincipalId helper);
   void HandleStateRequest(PrincipalId from, StateRequestMsg msg);
   void HandleStateResponse(PrincipalId from, PaxosStateResponseMsg msg);
-  void RequestStateFrom(PrincipalId target);
 
   // ----- view change -----
   void ArmViewTimer();
@@ -86,23 +92,13 @@ class PaxosReplica : public ReplicaBase {
   void MaybeFormNewView(uint64_t new_view);
   void HandleNewView(PrincipalId from, PaxosNewViewMsg msg);
   void EnterView(uint64_t view);
-  /// Entry-count sanity bound shared by view-change parsing (see the wire
-  /// codec): two checkpoint periods of in-flight entries plus the pipeline.
-  uint64_t Window() const {
-    return static_cast<uint64_t>(config_.checkpoint_period) * 2 +
-           static_cast<uint64_t>(config_.pipeline_max);
-  }
 
   uint64_t view_ = 0;
   bool in_view_change_ = false;
   uint64_t vc_target_ = 0;  // view we are trying to move to
 
-  /// The shared consensus core (consensus/): the slot log, the leader's
-  /// proposal pipeline and the checkpoint state. Checkpoint votes travel as
-  /// unsigned CheckpointMsgs (the crash model has no signatures).
-  InstanceLog log_;
+  /// The leader's proposal pipeline (consensus/primary_pipeline.h).
   PrimaryPipeline pipeline_;
-  CheckpointTracker ckpt_;
 
   struct ViewChangeRecord {
     uint64_t stable_seq = 0;
@@ -113,9 +109,6 @@ class PaxosReplica : public ReplicaBase {
 
   EventId view_timer_ = 0;
   SimTime current_vc_timeout_ = 0;
-  /// Last time we asked a peer for a snapshot (rate limit; a lost response
-  /// must not wedge recovery).
-  SimTime last_state_request_ = -Seconds(1);
 };
 
 }  // namespace seemore

@@ -14,14 +14,12 @@ PbftCoreReplica::PbftCoreReplica(Transport* transport, TimerService* timers,
                                  std::unique_ptr<StateMachine> state_machine,
                                  const CostModel& costs,
                                  const PbftQuorums& quorums)
-    : ReplicaBase(transport, timers, keystore, memo, id, config,
-                  std::move(state_machine), costs),
+    : CheckpointingReplica(
+          transport, timers, keystore, memo, id, config,
+          std::move(state_machine), costs,
+          {kPbftCheckpoint, kPbftStateRequest, kPbftStateResponse}),
       quorums_(quorums),
-      window_(static_cast<uint64_t>(config.checkpoint_period) * 2 +
-              static_cast<uint64_t>(config.pipeline_max)),
-      log_(window_),
-      pipeline_(config.batch_max, config.pipeline_max),
-      ckpt_(config.checkpoint_period) {
+      pipeline_(config.batch_max, config.pipeline_max) {
   current_vc_timeout_ = config_.view_change_timeout;
 }
 
@@ -32,6 +30,7 @@ void PbftCoreReplica::HandleMessage(PrincipalId from, const Payload& frame) {
   ChargeMac();  // channel authentication
   // Protocol-internal messages are only legitimate on replica channels.
   if (tag != kMsgRequest && !IsReplicaId(from)) return;
+  if (DispatchCheckpointTraffic(tag, from, dec)) return;
   switch (tag) {
     case kMsgRequest:
       DispatchTyped(this, from, dec, &PbftCoreReplica::HandleRequest);
@@ -45,9 +44,6 @@ void PbftCoreReplica::HandleMessage(PrincipalId from, const Payload& frame) {
     case kPbftCommit:
       DispatchTyped(this, from, dec, &PbftCoreReplica::HandleCommit);
       break;
-    case kPbftCheckpoint:
-      DispatchTyped(this, from, dec, &PbftCoreReplica::HandleCheckpoint);
-      break;
     case kPbftViewChange:
       // The body signature covers the whole frame; validate from the raw
       // bytes (ParseViewChange runs the typed decode internally; the record
@@ -60,12 +56,6 @@ void PbftCoreReplica::HandleMessage(PrincipalId from, const Payload& frame) {
       if (msg.ok()) HandleNewView(from, std::move(msg).value());
       break;
     }
-    case kPbftStateRequest:
-      DispatchTyped(this, from, dec, &PbftCoreReplica::HandleStateRequest);
-      break;
-    case kPbftStateResponse:
-      DispatchTyped(this, from, dec, &PbftCoreReplica::HandleStateResponse);
-      break;
     default:
       break;
   }
@@ -178,9 +168,7 @@ void PbftCoreReplica::EmitPrePrepare(uint64_t seq, const Batch& batch,
 void PbftCoreReplica::HandlePrePrepare(PrincipalId from, PbftPrePrepareMsg msg) {
   if (msg.view != view_ || in_view_change_) return;
   if (from != config_.FlatPrimary(view_)) return;
-  if (msg.seq <= ckpt_.stable_seq() || msg.seq > ckpt_.stable_seq() + window_) {
-    return;
-  }
+  if (!InWindow(msg.seq)) return;
 
   // Primary signature, batch digest and per-request client signatures are
   // pure functions of the multicast frame: real crypto runs once per
@@ -244,9 +232,7 @@ void PbftCoreReplica::SendPrepare(uint64_t seq, SlotCore& slot) {
 void PbftCoreReplica::HandlePrepare(PrincipalId from, PbftPrepareMsg msg) {
   if (msg.view != view_ || in_view_change_) return;
   if (msg.voter != from || !IsReplicaId(msg.voter)) return;
-  if (msg.seq <= ckpt_.stable_seq() || msg.seq > ckpt_.stable_seq() + window_) {
-    return;
-  }
+  if (!InWindow(msg.seq)) return;
   ChargeVerify();
   if (!FrameVerifyMemoized(msg.voter, kPbftPrepare,
                            [&] { return msg.Verify(*keystore_); })) {
@@ -284,9 +270,7 @@ void PbftCoreReplica::CheckPrepared(uint64_t seq, SlotCore& slot) {
 void PbftCoreReplica::HandleCommit(PrincipalId from, PbftCommitMsg msg) {
   if (msg.view != view_ || in_view_change_) return;
   if (msg.voter != from || !IsReplicaId(msg.voter)) return;
-  if (msg.seq <= ckpt_.stable_seq() || msg.seq > ckpt_.stable_seq() + window_) {
-    return;
-  }
+  if (!InWindow(msg.seq)) return;
   ChargeVerify();
   if (!FrameVerifyMemoized(msg.voter, kPbftCommit,
                            [&] { return msg.Verify(*keystore_); })) {
@@ -326,141 +310,11 @@ void PbftCoreReplica::SendReply(const ExecutedRequest& executed) {
   SendTo(executed.client, reply.ToMessage());
 }
 
-// ---------------------------------------------------------------------------
-// Checkpoints / state transfer
-// ---------------------------------------------------------------------------
-
-void PbftCoreReplica::MaybeCheckpoint() {
-  const uint64_t executed = exec_.last_executed();
-  if (!ckpt_.Due(executed)) return;
-  ckpt_.NoteTaken(executed);
-  Bytes snapshot = exec_.Snapshot();
-  ChargeHash(snapshot.size());
-  const Digest digest = Digest::Of(snapshot);
-  durable().SaveSnapshot(executed, digest, snapshot);
-  ckpt_.Buffer(executed, digest, std::move(snapshot));
-
-  CheckpointMsg msg;
-  msg.seq = executed;
-  msg.state_digest = digest;
-  msg.replica = id_;
-  ChargeSign();
-  msg.Sign(signer_);
-  SendToMany(config_.AllReplicas(), FrameMessage(kPbftCheckpoint, msg));
-  CountCheckpointVote(msg);
-}
-
-void PbftCoreReplica::HandleCheckpoint(PrincipalId from, CheckpointMsg msg) {
-  if (msg.replica != from || !IsReplicaId(from)) return;
-  if (msg.seq <= ckpt_.stable_seq()) return;
-  ChargeVerify();
-  if (!FrameVerifyMemoized(msg.replica, kPbftCheckpoint,
-                           [&] { return msg.Verify(*keystore_); })) {
-    return;
-  }
-  CountCheckpointVote(msg);
-  // If many peers checkpoint far ahead of us we fell behind; the vote path
-  // (quorum then AdvanceStable) normally handles it, but when our own vote
-  // can never arrive (we are stuck), fetch once the gap exceeds a period.
-  if (msg.seq > exec_.last_executed() +
-                    static_cast<uint64_t>(config_.checkpoint_period)) {
-    RequestStateFrom(msg.replica);
-  }
-}
-
-void PbftCoreReplica::CountCheckpointVote(const CheckpointMsg& msg) {
-  const auto& signers = ckpt_.AddVote(msg);
-  if (static_cast<int>(signers.size()) >= quorums_.checkpoint) {
-    CheckpointCert cert;
-    PrincipalId helper = id_;
-    for (const auto& [signer, m] : signers) {
-      cert.Add(m);
-      if (signer != id_) helper = signer;
-    }
-    AdvanceStable(msg.seq, msg.state_digest, std::move(cert), helper);
-  }
-}
-
-void PbftCoreReplica::AdvanceStable(uint64_t seq, const Digest& digest,
-                                    CheckpointCert cert, PrincipalId helper) {
-  if (seq <= ckpt_.stable_seq()) return;
-  durable().NoteStable(seq, cert);
-  const bool installed = ckpt_.Advance(seq, digest, std::move(cert));
-  if (!installed && exec_.last_executed() < seq && helper != id_) {
-    RequestStateFrom(helper);
-  }
-  log_.Reclaim(seq);
-  NoteCheckpointGc();  // scratch arena rewinds at the next message boundary
-  if (IsPrimary() && !in_view_change_) TryPropose();  // window may have moved
-}
-
-void PbftCoreReplica::RequestStateFrom(PrincipalId target) {
-  if (target == id_) return;
-  if (now() - last_state_request_ < Millis(20)) return;
-  last_state_request_ = now();
-  ++stats_.state_transfers;
-  StateRequestMsg request{exec_.last_executed()};
-  SendTo(target, request.ToMessage(kPbftStateRequest));
-}
-
-void PbftCoreReplica::HandleStateRequest(PrincipalId from, StateRequestMsg msg) {
-  if (!ckpt_.has_stable_snapshot() ||
-      ckpt_.stable_seq() <= msg.last_executed) {
-    return;
-  }
-  StateResponseMsg response;
-  response.cert = ckpt_.stable_cert();
-  response.snapshot = ckpt_.stable_snapshot();
-  SendTo(from, response.ToMessage(kPbftStateResponse));
-}
-
-void PbftCoreReplica::HandleStateResponse(PrincipalId from,
-                                          StateResponseMsg msg) {
-  (void)from;
-  CheckpointCert cert = std::move(msg.cert);
-  Bytes snapshot = std::move(msg.snapshot);
-  if (cert.IsGenesis() || cert.seq() <= exec_.last_executed()) return;
-  ChargeVerify(static_cast<int>(cert.msgs().size()));
-  if (!cert.Verify(*keystore_, quorums_.checkpoint,
-                   [this](PrincipalId r) { return IsReplicaId(r); })) {
-    return;
-  }
-  ChargeHash(snapshot.size());
-  if (Digest::Of(snapshot) != cert.state_digest()) return;
-  const uint64_t seq = cert.seq();
-  if (!exec_.Restore(snapshot, seq).ok()) return;
-  const Digest digest = cert.state_digest();
-  // Persist the transferred checkpoint too: a restart must not come back
-  // below a state the replica already executed past.
-  durable().SaveSnapshot(seq, digest, snapshot);
-  durable().NoteStable(seq, cert);
-  ckpt_.InstallRestored(seq, digest, std::move(cert), std::move(snapshot));
-  log_.Reclaim(seq);
-  NoteCheckpointGc();  // scratch arena rewinds at the next message boundary
-}
-
 void PbftCoreReplica::OnDurableRestore(const RecoveredImage& image) {
   // Rejoin in the last durably-entered view: voting in an older view after
   // a restart could double-vote against the pre-crash incarnation.
   if (image.has_view) view_ = image.view;
-  // The newest CERTIFIED checkpoint restores as stable; newer certless
-  // snapshots re-enter the tracker as buffered, exactly as on the cutting
-  // path, so the stability vote flow resumes where it stopped.
-  if (const storage::RecoveredSnapshot* stable = image.LatestStable()) {
-    ckpt_.InstallRestored(stable->seq, stable->digest, stable->cert,
-                          stable->bytes);
-    log_.Reclaim(stable->seq);
-  }
-  for (const auto& snap : image.snapshots) {
-    if (snap.seq > ckpt_.stable_seq()) {
-      ckpt_.Buffer(snap.seq, snap.digest, snap.bytes);
-    }
-  }
-  if (const storage::RecoveredSnapshot* latest = image.Latest()) {
-    if (latest->seq > ckpt_.last_checkpoint_seq()) {
-      ckpt_.NoteTaken(latest->seq);
-    }
-  }
+  CheckpointingReplica::OnDurableRestore(image);
 }
 
 // ---------------------------------------------------------------------------
@@ -543,8 +397,7 @@ Result<PbftCoreReplica::ViewChangeRecord> PbftCoreReplica::ValidateViewChange(
   record.cert = std::move(msg.cert);
   // Validate the embedded certificates now so the new-view computation can
   // trust every stored record.
-  if (!record.cert.Verify(*keystore_, quorums_.checkpoint,
-                          [this](PrincipalId r) { return IsReplicaId(r); })) {
+  if (!VerifyCheckpointCert(record.cert)) {
     return Status::Corruption("bad checkpoint cert in VC");
   }
   for (PreparedProof& proof : msg.proofs) {

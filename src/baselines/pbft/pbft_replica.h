@@ -16,11 +16,9 @@
 #include <utility>
 #include <vector>
 
-#include "consensus/checkpoint.h"
-#include "consensus/instance_log.h"
+#include "consensus/checkpointing_replica.h"
 #include "consensus/primary_pipeline.h"
 #include "consensus/proofs.h"
-#include "consensus/replica_base.h"
 #include "wire/messages.h"
 
 namespace seemore {
@@ -34,7 +32,7 @@ struct PbftQuorums {
   int vc_join;     // VCs for higher views that force us to join (PBFT: f+1)
 };
 
-class PbftCoreReplica : public ReplicaBase {
+class PbftCoreReplica : public CheckpointingReplica {
  public:
   PbftCoreReplica(Transport* transport, TimerService* timers,
                   const KeyStore* keystore, CryptoMemo* memo, PrincipalId id,
@@ -44,19 +42,30 @@ class PbftCoreReplica : public ReplicaBase {
 
   uint64_t view() const { return view_; }
   bool IsPrimary() const { return config_.FlatPrimary(view_) == id_; }
-  uint64_t last_executed() const { return exec_.last_executed(); }
-  uint64_t stable_checkpoint() const { return ckpt_.stable_seq(); }
   bool in_view_change() const { return in_view_change_; }
-  /// Diagnostics: slots proposed but not yet committed (tests, debugging).
-  int uncommitted_slots() const { return log_.UncommittedSlots(); }
-  /// Diagnostics: live instance-log slots (property tests bound this).
-  size_t log_occupancy() const { return log_.occupied(); }
-  /// Diagnostics: the instance log itself (footprint tests read its ring).
-  const InstanceLog& instance_log() const { return log_; }
 
  protected:
   void HandleMessage(PrincipalId from, const Payload& frame) override;
   void OnDurableRestore(const RecoveredImage& image) override;
+
+  // ----- checkpoint policy (consensus/checkpointing_replica.h) -----
+  /// Every replica signs and multicasts its checkpoints.
+  bool EmitsCheckpoint() const override { return true; }
+  /// `quorums_.checkpoint` matching signers (PBFT 2f+1, S-UpRight 2m+c+1).
+  bool IsCheckpointQuorum(
+      const std::vector<PrincipalId>& signers) const override {
+    return static_cast<int>(signers.size()) >= quorums_.checkpoint;
+  }
+  /// The vote path (quorum, then a stable advance) normally handles a
+  /// laggard, but when its own vote can never arrive (it is stuck) it
+  /// fetches once a peer is more than a period ahead.
+  bool FetchOnCheckpoint(const CheckpointMsg& msg) const override {
+    return msg.seq > exec_.last_executed() +
+                         static_cast<uint64_t>(config_.checkpoint_period);
+  }
+  void OnStableAdvanced() override {
+    if (IsPrimary() && !in_view_change_) TryPropose();  // window moved
+  }
 
  private:
   struct ViewChangeRecord {
@@ -85,16 +94,6 @@ class PbftCoreReplica : public ReplicaBase {
   void CheckCommitted(uint64_t seq, SlotCore& slot);
   void SendReply(const ExecutedRequest& executed);
 
-  // ----- checkpoints / state transfer -----
-  void MaybeCheckpoint();
-  void HandleCheckpoint(PrincipalId from, CheckpointMsg msg);
-  void CountCheckpointVote(const CheckpointMsg& msg);
-  void AdvanceStable(uint64_t seq, const Digest& digest, CheckpointCert cert,
-                     PrincipalId helper);
-  void HandleStateRequest(PrincipalId from, StateRequestMsg msg);
-  void HandleStateResponse(PrincipalId from, StateResponseMsg msg);
-  void RequestStateFrom(PrincipalId target);
-
   // ----- view change -----
   void ArmViewTimer();
   void RestartOrDisarmViewTimer();
@@ -116,27 +115,19 @@ class PbftCoreReplica : public ReplicaBase {
       const std::map<PrincipalId, ViewChangeRecord>& records) const;
   void HandleNewView(PrincipalId from, PbftNewViewMsg msg);
   void EnterView(uint64_t view);
-  bool IsReplicaId(PrincipalId id) const { return id >= 0 && id < config_.n(); }
 
   const PbftQuorums quorums_;
   uint64_t view_ = 0;
   bool in_view_change_ = false;
   uint64_t vc_target_ = 0;
-  uint64_t window_;  // max seqs above the stable checkpoint we accept
 
-  /// The shared consensus core (consensus/): the slot log, the primary's
-  /// proposal pipeline and the checkpoint state.
-  InstanceLog log_;
+  /// The primary's proposal pipeline (consensus/primary_pipeline.h).
   PrimaryPipeline pipeline_;
-  CheckpointTracker ckpt_;
 
   std::map<uint64_t, std::map<PrincipalId, ViewChangeRecord>> vc_msgs_;
 
   EventId view_timer_ = 0;
   SimTime current_vc_timeout_ = 0;
-  /// Last time we asked a peer for a snapshot (rate limit; a lost response
-  /// must not wedge recovery).
-  SimTime last_state_request_ = -Seconds(1);
 };
 
 /// PBFT proper: N = 3f+1, quorums per Castro & Liskov.

@@ -1,5 +1,6 @@
 #include "consensus/checkpoint.h"
 
+#include <algorithm>
 #include <set>
 
 namespace seemore {
@@ -47,6 +48,15 @@ Result<CheckpointMsg> CheckpointMsg::DecodeFrom(Decoder& dec) {
   msg.sig = Signature::DecodeFrom(dec);
   if (!dec.ok()) return dec.status();
   return msg;
+}
+
+std::vector<PrincipalId> CheckpointCert::Signers() const {
+  std::vector<PrincipalId> signers;
+  signers.reserve(msgs_.size());
+  for (const CheckpointMsg& msg : msgs_) signers.push_back(msg.replica);
+  std::sort(signers.begin(), signers.end());
+  signers.erase(std::unique(signers.begin(), signers.end()), signers.end());
+  return signers;
 }
 
 bool CheckpointCert::Verify(

@@ -55,6 +55,9 @@ class CheckpointCert {
   bool IsGenesis() const { return msgs_.empty(); }
   const std::vector<CheckpointMsg>& msgs() const { return msgs_; }
 
+  /// The distinct signers, ascending (a repeated signer counts once).
+  std::vector<PrincipalId> Signers() const;
+
   /// Valid iff: all messages agree on (seq, digest), every signature
   /// verifies, and at least `required` distinct signers satisfy
   /// `authorized`. A genesis cert is always valid.
@@ -71,9 +74,13 @@ class CheckpointCert {
 /// Per-replica checkpoint state shared by every protocol: the period gate,
 /// the buffer of snapshots taken but not yet stable, the per-(seq, digest)
 /// vote tally, and the stable checkpoint itself (seq, digest, certificate,
-/// snapshot). Stability POLICY stays in the protocols (one trusted signer
-/// vs. 2m+1 public signers vs. f+1 voters); this class owns the storage,
-/// the garbage collection and the floor arithmetic.
+/// snapshot). This class owns the storage, the garbage collection and the
+/// floor arithmetic. The flow that drives it — cutting, vote counting,
+/// stability, state transfer — is CheckpointingReplica
+/// (consensus/checkpointing_replica.h), where each protocol supplies only
+/// its stability predicate over a signer set (one trusted signer or 2m+1
+/// public signers, a 2f+1-style quorum, f+1 voters) and the few other
+/// policy points DESIGN.md §8 lists.
 class CheckpointTracker {
  public:
   explicit CheckpointTracker(int period) : period_(period) {}

@@ -1,11 +1,11 @@
-// Normal-case agreement (Algorithms 1 & 2, §5.3), checkpointing and state
-// transfer. View changes and mode switching live in seemore_view_change.cc.
+// Normal-case agreement (Algorithms 1 & 2, §5.3) and NEW-VIEW relay. View
+// changes and mode switching live in seemore_view_change.cc; checkpoints
+// and state transfer in consensus/checkpointing_replica.cc.
 
 #include "seemore/seemore_replica.h"
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "util/logging.h"
 
@@ -16,14 +16,11 @@ SeeMoReReplica::SeeMoReReplica(Transport* transport, TimerService* timers,
                                PrincipalId id, const ClusterConfig& config,
                                std::unique_ptr<StateMachine> state_machine,
                                const CostModel& costs)
-    : ReplicaBase(transport, timers, keystore, memo, id, config,
-                  std::move(state_machine), costs),
+    : CheckpointingReplica(transport, timers, keystore, memo, id, config,
+                           std::move(state_machine), costs,
+                           {kSmCheckpoint, kSmStateRequest, kSmStateResponse}),
       mode_(config.initial_mode),
-      window_(static_cast<uint64_t>(config.checkpoint_period) * 2 +
-              static_cast<uint64_t>(config.pipeline_max)),
-      log_(window_),
-      pipeline_(config.batch_max, config.pipeline_max),
-      ckpt_(config.checkpoint_period) {
+      pipeline_(config.batch_max, config.pipeline_max) {
   current_vc_timeout_ = config_.view_change_timeout;
 }
 
@@ -83,6 +80,7 @@ void SeeMoReReplica::HandleMessage(PrincipalId from, const Payload& frame) {
   ChargeMac();  // pairwise channel authentication (§3.1)
   // Protocol-internal messages are only legitimate on replica channels.
   if (tag != kMsgRequest && !IsReplicaId(from)) return;
+  if (DispatchCheckpointTraffic(tag, from, dec)) return;
   switch (tag) {
     case kMsgRequest:
       DispatchTyped(this, from, dec, &SeeMoReReplica::HandleRequest);
@@ -105,9 +103,6 @@ void SeeMoReReplica::HandleMessage(PrincipalId from, const Payload& frame) {
     case kSmInform:
       DispatchTyped(this, from, dec, &SeeMoReReplica::HandleInform);
       break;
-    case kSmCheckpoint:
-      DispatchTyped(this, from, dec, &SeeMoReReplica::HandleCheckpoint);
-      break;
     case kSmViewChange: {
       // Drop stale view-changes before paying the full structural decode
       // (embedded batches are hashed during decode).
@@ -124,12 +119,6 @@ void SeeMoReReplica::HandleMessage(PrincipalId from, const Payload& frame) {
     }
     case kSmModeChange:
       DispatchTyped(this, from, dec, &SeeMoReReplica::HandleModeChange);
-      break;
-    case kSmStateRequest:
-      DispatchTyped(this, from, dec, &SeeMoReReplica::HandleStateRequest);
-      break;
-    case kSmStateResponse:
-      DispatchTyped(this, from, dec, &SeeMoReReplica::HandleStateResponse);
       break;
     case kSmNewViewRequest:
       DispatchTyped(this, from, dec, &SeeMoReReplica::HandleNewViewRequest);
@@ -259,9 +248,7 @@ void SeeMoReReplica::TryPropose() {
 void SeeMoReReplica::HandlePrepare(PrincipalId from, SmPrepareMsg msg) {
   const SeeMoReMode msg_mode = static_cast<SeeMoReMode>(msg.mode);
   if (from != config_.PrimaryOf(msg_mode, msg.view)) return;
-  if (msg.seq <= ckpt_.stable_seq() || msg.seq > ckpt_.stable_seq() + window_) {
-    return;
-  }
+  if (!InWindow(msg.seq)) return;
 
   // Fast-forward: a valid prepare signed by the TRUSTED primary of a higher
   // view proves that view became active (Lion/Dog only; a Peacock primary is
@@ -455,9 +442,7 @@ void SeeMoReReplica::HandleAcceptSigned(PrincipalId from,
   if (mode_ == SeeMoReMode::kLion) return;
   if (msg.voter != from || !config_.IsProxy(msg.voter, msg.view)) return;
   if (!IsProxyNow() && !(mode_ == SeeMoReMode::kDog && IsPrimary())) return;
-  if (msg.seq <= ckpt_.stable_seq() || msg.seq > ckpt_.stable_seq() + window_) {
-    return;
-  }
+  if (!InWindow(msg.seq)) return;
   ChargeVerify();
   if (!FrameVerifyMemoized(msg.voter, kSmAcceptSigned,
                            [&] { return msg.Verify(*keystore_); })) {
@@ -533,9 +518,7 @@ void SeeMoReReplica::HandleCommitVote(PrincipalId from, SmCommitVoteMsg msg) {
   if (mode_ == SeeMoReMode::kLion) return;
   if (msg.voter != from || !config_.IsProxy(msg.voter, msg.view)) return;
   if (!IsProxyNow()) return;
-  if (msg.seq <= ckpt_.stable_seq() || msg.seq > ckpt_.stable_seq() + window_) {
-    return;
-  }
+  if (!InWindow(msg.seq)) return;
   ChargeVerify();
   if (!FrameVerifyMemoized(msg.voter, kSmCommitVote,
                            [&] { return msg.Verify(*keystore_); })) {
@@ -623,118 +606,17 @@ void SeeMoReReplica::SendInform(uint64_t seq, const SlotCore& slot) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoints / state transfer
+// Durable restart and view catch-up
 // ---------------------------------------------------------------------------
 
-void SeeMoReReplica::MaybeCheckpoint() {
-  const uint64_t executed = exec_.last_executed();
-  if (!ckpt_.Due(executed)) return;
-  ckpt_.NoteTaken(executed);
-  Bytes snapshot = exec_.Snapshot();
-  ChargeHash(snapshot.size());
-  const Digest digest = Digest::Of(snapshot);
-  durable().SaveSnapshot(executed, digest, snapshot);
-  ckpt_.Buffer(executed, digest, std::move(snapshot));
-
-  // Lion/Dog: only the trusted primary's signed checkpoint certifies
-  // (§5.1 "State Transfer"). Peacock: proxies run quorum checkpoints.
-  const bool emitter = mode_ == SeeMoReMode::kPeacock
-                           ? IsProxyNow()
-                           : IsPrimary();
-  if (!emitter) return;
-  CheckpointMsg msg;
-  msg.seq = executed;
-  msg.state_digest = digest;
-  msg.replica = id_;
-  ChargeSign();
-  msg.Sign(signer_);
-  SendToMany(config_.AllReplicas(), FrameMessage(kSmCheckpoint, msg));
-  CountCheckpointVote(msg);
-}
-
-void SeeMoReReplica::HandleCheckpoint(PrincipalId from, CheckpointMsg msg) {
-  if (msg.replica != from || !IsReplicaId(from)) return;
-  if (msg.seq <= ckpt_.stable_seq()) return;
-  ChargeVerify();
-  if (!FrameVerifyMemoized(msg.replica, kSmCheckpoint,
-                           [&] { return msg.Verify(*keystore_); })) {
-    return;
+void SeeMoReReplica::OnDurableRestore(const RecoveredImage& image) {
+  // Rejoin in the last durably-entered view: voting in an older view after
+  // a restart could double-vote against the pre-crash incarnation.
+  if (image.has_view) {
+    view_ = image.view;
+    mode_ = static_cast<SeeMoReMode>(image.mode);
   }
-  CountCheckpointVote(msg);
-  // A trusted signer's checkpoint ahead of us is authoritative evidence we
-  // fell behind; untrusted signers only trigger a fetch when the stability
-  // quorum path (CountCheckpointVote -> AdvanceStable) already ran.
-  if (config_.IsTrusted(msg.replica) && msg.seq > exec_.last_executed()) {
-    RequestStateFrom(msg.replica);
-  }
-}
-
-void SeeMoReReplica::CountCheckpointVote(const CheckpointMsg& msg) {
-  const auto& signers = ckpt_.AddVote(msg);
-
-  // Stability rule: one trusted signer suffices (it cannot lie), else a
-  // 2m+1 quorum of public signers (at least m+1 honest).
-  bool stable = false;
-  for (const auto& [signer, m] : signers) {
-    if (config_.IsTrusted(signer)) {
-      stable = true;
-      break;
-    }
-  }
-  if (!stable && static_cast<int>(signers.size()) >= 2 * config_.m + 1) {
-    stable = true;
-  }
-  if (!stable) return;
-
-  CheckpointCert cert;
-  PrincipalId helper = id_;
-  for (const auto& [signer, m] : signers) {
-    cert.Add(m);
-    if (signer != id_) helper = signer;
-  }
-  AdvanceStable(msg.seq, msg.state_digest, std::move(cert), helper);
-}
-
-bool SeeMoReReplica::VerifyCheckpointCert(const CheckpointCert& cert) const {
-  if (cert.IsGenesis()) return true;
-  if (!cert.Verify(*keystore_, 1,
-                   [this](PrincipalId r) { return IsReplicaId(r); })) {
-    return false;
-  }
-  int trusted = 0;
-  int untrusted = 0;
-  std::set<PrincipalId> seen;
-  for (const CheckpointMsg& msg : cert.msgs()) {
-    if (!seen.insert(msg.replica).second) continue;
-    if (config_.IsTrusted(msg.replica)) {
-      ++trusted;
-    } else {
-      ++untrusted;
-    }
-  }
-  return trusted >= 1 || untrusted >= 2 * config_.m + 1;
-}
-
-void SeeMoReReplica::AdvanceStable(uint64_t seq, const Digest& digest,
-                                   CheckpointCert cert, PrincipalId helper) {
-  if (seq <= ckpt_.stable_seq()) return;
-  durable().NoteStable(seq, cert);
-  const bool installed = ckpt_.Advance(seq, digest, std::move(cert));
-  if (!installed && exec_.last_executed() < seq && helper != id_) {
-    RequestStateFrom(helper);
-  }
-  log_.Reclaim(seq);
-  NoteCheckpointGc();  // scratch arena rewinds at the next message boundary
-  if (IsPrimary() && !in_view_change_) TryPropose();
-}
-
-void SeeMoReReplica::RequestStateFrom(PrincipalId target) {
-  if (target == id_) return;
-  if (now() - last_state_request_ < Millis(20)) return;
-  last_state_request_ = now();
-  ++stats_.state_transfers;
-  StateRequestMsg request{exec_.last_executed()};
-  SendTo(target, request.ToMessage(kSmStateRequest));
+  CheckpointingReplica::OnDurableRestore(image);
 }
 
 void SeeMoReReplica::RequestNewViewFrom(PrincipalId target) {
@@ -759,67 +641,6 @@ void SeeMoReReplica::HandleNewViewRequest(PrincipalId from,
   if (!first_request && now() - it->second < Millis(20)) return;
   it->second = now();
   SendTo(from, last_new_view_frame_);
-}
-
-void SeeMoReReplica::HandleStateRequest(PrincipalId from, StateRequestMsg msg) {
-  if (!ckpt_.has_stable_snapshot() ||
-      ckpt_.stable_seq() <= msg.last_executed) {
-    return;
-  }
-  StateResponseMsg response;
-  response.cert = ckpt_.stable_cert();
-  response.snapshot = ckpt_.stable_snapshot();
-  SendTo(from, response.ToMessage(kSmStateResponse));
-}
-
-void SeeMoReReplica::HandleStateResponse(PrincipalId from,
-                                         StateResponseMsg msg) {
-  (void)from;
-  CheckpointCert cert = std::move(msg.cert);
-  Bytes snapshot = std::move(msg.snapshot);
-  if (cert.IsGenesis() || cert.seq() <= exec_.last_executed()) return;
-  ChargeVerify(static_cast<int>(cert.msgs().size()));
-  if (!VerifyCheckpointCert(cert)) return;
-  ChargeHash(snapshot.size());
-  if (Digest::Of(snapshot) != cert.state_digest()) return;
-  const uint64_t seq = cert.seq();
-  if (!exec_.Restore(snapshot, seq).ok()) return;
-  const Digest digest = cert.state_digest();
-  // A state transfer is also a durability event: without persisting the
-  // received checkpoint, a later restart would replay a log with a hole
-  // below it and come back needlessly far behind.
-  durable().SaveSnapshot(seq, digest, snapshot);
-  durable().NoteStable(seq, cert);
-  ckpt_.InstallRestored(seq, digest, std::move(cert), std::move(snapshot));
-  log_.Reclaim(seq);
-  NoteCheckpointGc();  // scratch arena rewinds at the next message boundary
-}
-
-void SeeMoReReplica::OnDurableRestore(const RecoveredImage& image) {
-  // Rejoin in the last durably-entered view: voting in an older view after
-  // a restart could double-vote against the pre-crash incarnation.
-  if (image.has_view) {
-    view_ = image.view;
-    mode_ = static_cast<SeeMoReMode>(image.mode);
-  }
-  // The newest CERTIFIED checkpoint restores as stable; newer certless
-  // snapshots re-enter the tracker as buffered, exactly as on the cutting
-  // path, so the stability vote flow resumes where it stopped.
-  if (const storage::RecoveredSnapshot* stable = image.LatestStable()) {
-    ckpt_.InstallRestored(stable->seq, stable->digest, stable->cert,
-                          stable->bytes);
-    log_.Reclaim(stable->seq);
-  }
-  for (const auto& snap : image.snapshots) {
-    if (snap.seq > ckpt_.stable_seq()) {
-      ckpt_.Buffer(snap.seq, snap.digest, snap.bytes);
-    }
-  }
-  if (const storage::RecoveredSnapshot* latest = image.Latest()) {
-    if (latest->seq > ckpt_.last_checkpoint_seq()) {
-      ckpt_.NoteTaken(latest->seq);
-    }
-  }
 }
 
 }  // namespace seemore

@@ -35,16 +35,14 @@
 #include <utility>
 #include <vector>
 
-#include "consensus/checkpoint.h"
-#include "consensus/instance_log.h"
+#include "consensus/checkpointing_replica.h"
 #include "consensus/primary_pipeline.h"
 #include "consensus/proofs.h"
-#include "consensus/replica_base.h"
 #include "wire/messages.h"
 
 namespace seemore {
 
-class SeeMoReReplica : public ReplicaBase {
+class SeeMoReReplica : public CheckpointingReplica {
  public:
   SeeMoReReplica(Transport* transport, TimerService* timers,
                  const KeyStore* keystore, CryptoMemo* memo, PrincipalId id,
@@ -55,17 +53,9 @@ class SeeMoReReplica : public ReplicaBase {
   SeeMoReMode mode() const { return mode_; }
   uint64_t view() const { return view_; }
   bool in_view_change() const { return in_view_change_; }
-  uint64_t last_executed() const { return exec_.last_executed(); }
-  uint64_t stable_checkpoint() const { return ckpt_.stable_seq(); }
   PrincipalId current_primary() const {
     return config_.PrimaryOf(mode_, view_);
   }
-  /// Diagnostics: slots proposed but not yet committed (tests, debugging).
-  int uncommitted_slots() const { return log_.UncommittedSlots(); }
-  /// Diagnostics: live instance-log slots (property tests bound this).
-  size_t log_occupancy() const { return log_.occupied(); }
-  /// Diagnostics: the instance log itself (footprint tests read its ring).
-  const InstanceLog& instance_log() const { return log_; }
   bool IsPrimary() const { return current_primary() == id_; }
 
   /// Dynamic mode switching (§5.4). Must be invoked on the trusted replica
@@ -95,6 +85,30 @@ class SeeMoReReplica : public ReplicaBase {
  protected:
   void HandleMessage(PrincipalId from, const Payload& frame) override;
   void OnDurableRestore(const RecoveredImage& image) override;
+
+  // ----- checkpoint policy (consensus/checkpointing_replica.h) -----
+  /// Lion/Dog: only the trusted primary's signed checkpoint certifies
+  /// (§5.1 "State Transfer"). Peacock: the proxies run quorum checkpoints.
+  bool EmitsCheckpoint() const override {
+    return mode_ == SeeMoReMode::kPeacock ? IsProxyNow() : IsPrimary();
+  }
+  /// One trusted signer suffices (it cannot lie), else 2m+1 public signers
+  /// (at least m+1 of them honest).
+  bool IsCheckpointQuorum(
+      const std::vector<PrincipalId>& signers) const override {
+    for (PrincipalId signer : signers) {
+      if (config_.IsTrusted(signer)) return true;
+    }
+    return static_cast<int>(signers.size()) >= 2 * config_.m + 1;
+  }
+  /// A trusted signer ahead of us is authoritative evidence we fell behind;
+  /// untrusted signers only trigger a fetch through the stability quorum.
+  bool FetchOnCheckpoint(const CheckpointMsg& msg) const override {
+    return config_.IsTrusted(msg.replica) && msg.seq > exec_.last_executed();
+  }
+  void OnStableAdvanced() override {
+    if (IsPrimary() && !in_view_change_) TryPropose();
+  }
 
  private:
   /// A validated VIEW-CHANGE message, indexed for new-view computation.
@@ -143,17 +157,6 @@ class SeeMoReReplica : public ReplicaBase {
   void SendReply(const ExecutedRequest& executed);
   void SendInform(uint64_t seq, const SlotCore& slot);
 
-  // ----- checkpoints / state transfer -----
-  void MaybeCheckpoint();
-  void HandleCheckpoint(PrincipalId from, CheckpointMsg msg);
-  void CountCheckpointVote(const CheckpointMsg& msg);
-  bool VerifyCheckpointCert(const CheckpointCert& cert) const;
-  void AdvanceStable(uint64_t seq, const Digest& digest, CheckpointCert cert,
-                     PrincipalId helper);
-  void HandleStateRequest(PrincipalId from, StateRequestMsg msg);
-  void HandleStateResponse(PrincipalId from, StateResponseMsg msg);
-  void RequestStateFrom(PrincipalId target);
-
   // ----- view catch-up ----------------------------------------------------
   /// Called on protocol traffic for a view above ours that is not
   /// self-certifying (Peacock, where the primary is untrusted): ask the
@@ -184,19 +187,14 @@ class SeeMoReReplica : public ReplicaBase {
   void HandleNewView(PrincipalId from, SmNewViewMsg msg);
   void HandleModeChange(PrincipalId from, SmModeChangeMsg msg);
   void EnterView(uint64_t view, SeeMoReMode mode);
-  bool IsReplicaId(PrincipalId r) const { return r >= 0 && r < config_.n(); }
 
   SeeMoReMode mode_;
   uint64_t view_ = 0;
   bool in_view_change_ = false;
   uint64_t vc_target_ = 0;
-  uint64_t window_;
 
-  /// The shared consensus core (consensus/): the slot log, the primary's
-  /// proposal pipeline and the checkpoint state.
-  InstanceLog log_;
+  /// The primary's proposal pipeline (consensus/primary_pipeline.h).
   PrimaryPipeline pipeline_;
-  CheckpointTracker ckpt_;
 
   std::map<uint64_t, std::map<PrincipalId, VcRecord>> vc_msgs_;
   /// view -> mode requested by a signed MODE-CHANGE for that view.
@@ -204,10 +202,8 @@ class SeeMoReReplica : public ReplicaBase {
 
   EventId view_timer_ = 0;
   SimTime current_vc_timeout_ = 0;
-  /// Last time we asked a peer for a snapshot (rate limit; a lost response
-  /// must not wedge recovery).
-  SimTime last_state_request_ = -Seconds(1);
-  /// Last time we asked a peer to relay a NEW-VIEW (same rate-limit idea).
+  /// Last time we asked a peer to relay a NEW-VIEW (a lost response must not
+  /// wedge recovery).
   SimTime last_nv_request_ = -Seconds(1);
   /// Per-peer rate limit on ANSWERING relay requests: NEW-VIEW-REQUEST is
   /// unsigned and the stored frame can be large, so without this a Byzantine

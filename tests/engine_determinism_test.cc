@@ -199,7 +199,8 @@ TEST(EngineDeterminismTest, PbftStateTransferGolden) {
   const GoldenSnapshot golden{
       73612,    5112,  5112,  34223, 43326, 3714261, 4360,
       "5c0863ba1a019c3f46ca53763a1f2e0fa3b2f77b407320d8a9564d83471cff91"};
-  const scenario::ScenarioSpec spec = StateTransferBuilder(11).Bft(/*f=*/1).spec();
+  const scenario::ScenarioSpec spec =
+      StateTransferBuilder(11).Bft(/*f=*/1).spec();
   ExpectGolden(RunScenario(spec, /*victim=*/3), golden);
 }
 
@@ -218,7 +219,8 @@ TEST(EngineDeterminismTest, PaxosStateTransferGolden) {
   const GoldenSnapshot golden{
       128534,   18640, 18800, 60462, 74020, 4412474, 6634,
       "8299be99fd3973715a82f4543ee7b16b6131996a67efccf7149d1e3838565745"};
-  const scenario::ScenarioSpec spec = StateTransferBuilder(17).Cft(/*f=*/1).spec();
+  const scenario::ScenarioSpec spec =
+      StateTransferBuilder(17).Cft(/*f=*/1).spec();
   ExpectGolden(RunScenario(spec, /*victim=*/2), golden);
 }
 
