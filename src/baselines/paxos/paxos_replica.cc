@@ -229,7 +229,7 @@ void PaxosReplica::SendReply(const ExecutedRequest& executed) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoints and state transfer
+// Checkpoint wire types (the flow itself is CheckpointingReplica)
 // ---------------------------------------------------------------------------
 
 void PaxosReplica::MulticastCheckpoint(CheckpointMsg& msg) {

@@ -58,10 +58,12 @@ class CheckpointCert {
   /// The distinct signers, ascending (a repeated signer counts once).
   std::vector<PrincipalId> Signers() const;
 
-  /// Valid iff: all messages agree on (seq, digest), every signature
-  /// verifies, and at least `required` distinct signers satisfy
-  /// `authorized`. A genesis cert is always valid.
-  bool Verify(const KeyStore& keystore, size_t required,
+  /// Valid iff: all messages agree on (seq, digest), every signer
+  /// satisfies `authorized` and every signature verifies. How many signers
+  /// make a certificate is the protocol's rule over Signers()
+  /// (CheckpointingReplica::VerifyCheckpointCert). A genesis cert is always
+  /// valid.
+  bool Verify(const KeyStore& keystore,
               const std::function<bool(PrincipalId)>& authorized) const;
 
   void EncodeTo(Encoder& enc) const;

@@ -20,7 +20,7 @@ CheckpointingReplica::CheckpointingReplica(
 bool CheckpointingReplica::VerifyCheckpointCert(
     const CheckpointCert& cert) const {
   if (cert.IsGenesis()) return true;
-  return cert.Verify(*keystore_, /*required=*/1,
+  return cert.Verify(*keystore_,
                      [this](PrincipalId r) { return IsReplicaId(r); }) &&
          IsCheckpointQuorum(cert.Signers());
 }

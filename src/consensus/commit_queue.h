@@ -29,6 +29,8 @@ struct ReplicaStats {
   uint64_t view_changes_completed = 0;
   uint64_t mode_changes = 0;
   uint64_t messages_handled = 0;
+  /// Snapshots installed by state transfer (CheckpointingReplica counts
+  /// each install once, in every protocol; requests are not counted).
   uint64_t state_transfers = 0;
   /// Conflicting votes for one slot/view from a single replica, flagged by
   /// the slot vote trackers (each faulty voter counts once per slot/phase).

@@ -190,6 +190,7 @@ Json Node::Report() const {
   stats_json.Set("mode_changes", stats.mode_changes);
   stats_json.Set("messages_handled", stats.messages_handled);
   stats_json.Set("equivocations_detected", stats.equivocations_detected);
+  stats_json.Set("state_transfers", stats.state_transfers);
   root.Set("stats", std::move(stats_json));
 
   root.Set("last_executed", replica_->exec().last_executed());

@@ -76,6 +76,7 @@ Json ReplicaReport::ToJson() const {
   j.Set("view_changes_completed", view_changes_completed);
   j.Set("messages_handled", messages_handled);
   j.Set("equivocations_detected", equivocations_detected);
+  j.Set("state_transfers", state_transfers);
   j.Set("cpu_busy_ms", cpu_busy_ms);
   j.Set("last_executed", last_executed);
   j.Set("state_digest", state_digest);
@@ -354,6 +355,7 @@ Result<ScenarioReport> RunScenario(const ScenarioSpec& spec,
     r.view_changes_completed = replica->stats().view_changes_completed;
     r.messages_handled = replica->stats().messages_handled;
     r.equivocations_detected = replica->stats().equivocations_detected;
+    r.state_transfers = replica->stats().state_transfers;
     r.cpu_busy_ms = ToMillis(cluster.replica(i)->cpu()->total_busy());
     r.last_executed = outcome.last_executed;
     r.state_digest = outcome.state_digest.ToHex();

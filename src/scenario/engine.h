@@ -41,6 +41,8 @@ struct ReplicaReport {
   /// Conflicting votes flagged by the slot vote trackers (one per faulty
   /// voter per slot/phase).
   uint64_t equivocations_detected = 0;
+  /// Snapshots installed by state transfer.
+  uint64_t state_transfers = 0;
   double cpu_busy_ms = 0.0;
   /// Final execution frontier and state digest (hex) — what the restart
   /// scenarios compare between a kill-and-restart replica and its

@@ -259,10 +259,12 @@ TEST(CheckpointCertTest, VerifyQuorumAndTampering) {
     cert.Add(msg);
   }
   auto any = [](PrincipalId) { return true; };
-  EXPECT_TRUE(cert.Verify(store, 3, any));
-  EXPECT_FALSE(cert.Verify(store, 4, any));  // not enough signers
+  EXPECT_TRUE(cert.Verify(store, any));
+  // The distinct signers a protocol's quorum rule counts (the rules
+  // themselves are tested in state_transfer_test).
+  EXPECT_EQ(cert.Signers(), (std::vector<PrincipalId>{0, 1, 2}));
   // Authorization predicate filters signers.
-  EXPECT_FALSE(cert.Verify(store, 3, [](PrincipalId r) { return r < 2; }));
+  EXPECT_FALSE(cert.Verify(store, [](PrincipalId r) { return r < 2; }));
 
   // A certificate with a mismatched digest fails.
   CheckpointCert bad = cert;
@@ -272,7 +274,7 @@ TEST(CheckpointCertTest, VerifyQuorumAndTampering) {
   liar.replica = 5;
   liar.Sign(Signer(5, store));
   bad.Add(liar);
-  EXPECT_FALSE(bad.Verify(store, 3, any));
+  EXPECT_FALSE(bad.Verify(store, any));
 
   // Encode/decode round trip.
   Encoder enc;
@@ -280,10 +282,10 @@ TEST(CheckpointCertTest, VerifyQuorumAndTampering) {
   Decoder dec(enc.bytes());
   auto decoded = CheckpointCert::DecodeFrom(dec);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->Verify(store, 3, any));
+  EXPECT_TRUE(decoded->Verify(store, any));
   EXPECT_EQ(decoded->seq(), seq);
 
-  EXPECT_TRUE(CheckpointCert::Genesis().Verify(store, 99, any));
+  EXPECT_TRUE(CheckpointCert::Genesis().Verify(store, any));
 }
 
 TEST(CheckpointMsgTest, StreamedSignatureMatchesTheJoinedSignedBytes) {

@@ -72,6 +72,22 @@ TEST(ScenarioRunTest, GoldenCommittedCountForRegistryScenario) {
   EXPECT_EQ(once->DeterministicJson().Dump(), again->DeterministicJson().Dump());
 }
 
+TEST(ScenarioRunTest, ReportCountsStateTransferInstalls) {
+  // catchup-lion: replica 2 rejoins far behind the frontier and must install
+  // a transferred snapshot. The per-replica report (the schema the tcp
+  // nodes' stats share) carries the install count.
+  Result<ScenarioSpec> spec = FindScenario("catchup-lion");
+  ASSERT_TRUE(spec.ok());
+  Result<ScenarioReport> report = RunScenario(*spec);
+  ASSERT_TRUE(report.ok());
+  EXPECT_GT(report->replicas[2].state_transfers, 0u);
+  EXPECT_EQ(report->replicas[0].state_transfers, 0u);
+  const Json json = report->replicas[2].ToJson();
+  ASSERT_NE(json.Find("state_transfers"), nullptr);
+  EXPECT_EQ(static_cast<uint64_t>(json.Find("state_transfers")->AsInt()),
+            report->replicas[2].state_transfers);
+}
+
 TEST(ScenarioRunTest, CrashEventActuallyCrashes) {
   ScenarioBuilder builder;
   builder.Name("crash-one")

@@ -1,6 +1,6 @@
 // Checkpointing and state transfer across protocols: partition + heal,
-// deep lag, certificate validation against forged snapshots, and garbage
-// collection bounds.
+// deep lag, each protocol's certificate rule at its quorum boundary, a
+// forged snapshot under a valid certificate, and garbage collection bounds.
 
 #include <gtest/gtest.h>
 
@@ -186,38 +186,131 @@ TEST(StateTransferTest, ReplyRetentionSurvivesDurableRestart) {
   EXPECT_TRUE(cluster.CheckAgreement().ok());
 }
 
-TEST(StateTransferTest, ByzantineSnapshotRejected) {
-  // A Byzantine public node cannot poison a recovering replica: snapshots
-  // must match the digest in a valid checkpoint certificate, which needs a
-  // trusted signer or a 2m+1 public quorum. Here we verify the negative
-  // path directly through the certificate API.
-  KeyStore store(77);
-  ClusterConfig config;
-  config.kind = ProtocolKind::kSeeMoRe;
-  config.s = 2;
-  config.p = 4;
-  config.c = 1;
-  config.m = 1;
+/// A checkpoint vote signed by `signer` with its real key.
+CheckpointMsg SignedVote(const KeyStore& keys, PrincipalId signer,
+                         uint64_t seq, const Digest& digest) {
+  CheckpointMsg vote;
+  vote.seq = seq;
+  vote.state_digest = digest;
+  vote.replica = signer;
+  vote.Sign(Signer(signer, keys));
+  return vote;
+}
 
-  Bytes honest_snapshot = {1, 2, 3};
-  Bytes forged_snapshot = {9, 9, 9};
-  CheckpointMsg msg;
-  msg.seq = 42;
-  msg.state_digest = Digest::Of(honest_snapshot);
-  msg.replica = 4;  // untrusted
-  msg.Sign(Signer(4, store));
+/// A certificate for (seq 64, `digest`) signed by each of `signers`.
+CheckpointCert CertFrom(const KeyStore& keys,
+                        const std::vector<PrincipalId>& signers,
+                        const Digest& digest) {
   CheckpointCert cert;
-  cert.Add(msg);
-
-  // One untrusted signer is not a certificate...
-  int trusted = 0, untrusted = 0;
-  for (const auto& m : cert.msgs()) {
-    (config.IsTrusted(m.replica) ? trusted : untrusted) += 1;
+  for (PrincipalId signer : signers) {
+    cert.Add(SignedVote(keys, signer, 64, digest));
   }
-  EXPECT_EQ(trusted, 0);
-  EXPECT_LT(untrusted, 2 * config.m + 1);
-  // ...and even with a quorum, a forged snapshot fails the digest check.
-  EXPECT_NE(Digest::Of(forged_snapshot), cert.state_digest());
+  return cert;
+}
+
+/// The stability predicate and certificate check each protocol really runs
+/// (CheckpointingReplica::VerifyCheckpointCert, which state responses and
+/// view changes share), probed at its quorum boundary.
+struct CertRow {
+  const char* protocol;
+  scenario::ScenarioSpec spec;
+  /// Signers that are not trusted replicas (ascending); the first `quorum`
+  /// of them make a certificate.
+  std::vector<PrincipalId> untrusted;
+  size_t quorum;
+  /// Does trusted replica 0's signature alone make a certificate?
+  bool lone_trusted_certifies;
+};
+
+TEST(StateTransferTest, CheckpointCertificateRulesAtTheirBoundary) {
+  const std::vector<CertRow> rows = {
+      // 2m+1 public signers, or any one private (trusted) signer.
+      {"seemore", SeeMoReSpec(SeeMoReMode::kPeacock, 1, 1), {2, 3, 4, 5}, 3,
+       true},
+      // 2f+1 of N = 3f+1; replica 0 is trusted by no one.
+      {"pbft", testing::BftSpec(1), {1, 2, 3}, 3, false},
+      // 2m+c+1 of N = 3m+2c+1, blind to where the private cloud is.
+      {"supright", testing::SUpRightSpec(1, 1), {1, 2, 3, 4, 5}, 4, false},
+  };
+  const Digest digest = Digest::Of(Bytes{1, 2, 3});
+  const Digest other = Digest::Of(Bytes{9, 9, 9});
+  for (const CertRow& row : rows) {
+    SCOPED_TRACE(row.protocol);
+    Cluster cluster(row.spec);
+    const KeyStore& keys = cluster.keystore();
+    const auto& replica =
+        *static_cast<const CheckpointingReplica*>(cluster.replica(0));
+    const auto first = [&](size_t count) {
+      return std::vector<PrincipalId>(row.untrusted.begin(),
+                                      row.untrusted.begin() + count);
+    };
+
+    EXPECT_TRUE(replica.VerifyCheckpointCert(CheckpointCert::Genesis()));
+    EXPECT_FALSE(
+        replica.VerifyCheckpointCert(CertFrom(keys, first(row.quorum - 1),
+                                              digest)));
+    EXPECT_TRUE(replica.VerifyCheckpointCert(
+        CertFrom(keys, first(row.quorum), digest)));
+
+    // A duplicate signer counts once.
+    std::vector<PrincipalId> padded = first(row.quorum - 1);
+    padded.push_back(padded.front());
+    EXPECT_FALSE(replica.VerifyCheckpointCert(CertFrom(keys, padded, digest)));
+
+    // One bad signature, or one vote for another seq or digest, spoils an
+    // otherwise complete certificate.
+    const std::vector<PrincipalId> quorum = first(row.quorum);
+    CheckpointCert forged = CertFrom(keys, first(row.quorum - 1), digest);
+    CheckpointMsg bad_sig = SignedVote(keys, quorum.back(), 64, digest);
+    bad_sig.sig.data()[0] ^= 0xff;
+    forged.Add(bad_sig);
+    EXPECT_FALSE(replica.VerifyCheckpointCert(forged));
+    CheckpointCert wrong_seq = CertFrom(keys, first(row.quorum - 1), digest);
+    wrong_seq.Add(SignedVote(keys, quorum.back(), 65, digest));
+    EXPECT_FALSE(replica.VerifyCheckpointCert(wrong_seq));
+    CheckpointCert wrong_digest = CertFrom(keys, first(row.quorum - 1), digest);
+    wrong_digest.Add(SignedVote(keys, quorum.back(), 64, other));
+    EXPECT_FALSE(replica.VerifyCheckpointCert(wrong_digest));
+
+    // The trusted primary's lone signature certifies only in SeeMoRe.
+    EXPECT_EQ(replica.VerifyCheckpointCert(CertFrom(keys, {0}, digest)),
+              row.lone_trusted_certifies);
+  }
+}
+
+TEST(StateTransferTest, LaggardRefusesForgedSnapshotUnderValidCert) {
+  // Replica 5 is cut off while the cluster runs ahead. A Byzantine peer
+  // then offers it a snapshot under a genuine certificate (the trusted
+  // primary's signed checkpoint), but with forged bytes: the digest check
+  // must refuse it and leave execution where it was. The honest bytes
+  // under the same certificate do install, so the refusal is not vacuous.
+  scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kLion, 1, 1);
+  spec.tuning.checkpoint_period = 8;
+  Cluster cluster(spec);
+  FaultPlane& faults = cluster.net().faults();
+  for (int i = 0; i < 5; ++i) {
+    faults.CutLink(5, i);
+    faults.CutLink(i, 5);
+  }
+  RunBurst(cluster, 4, Millis(200));
+  const uint64_t lag = cluster.seemore(5)->last_executed();
+  const uint64_t seq = cluster.seemore(0)->last_executed();
+  ASSERT_GT(seq, lag);
+
+  const Bytes honest = cluster.replica(0)->exec().Snapshot();
+  StateResponseMsg response;
+  response.cert.Add(
+      SignedVote(cluster.keystore(), 0, seq, Digest::Of(honest)));
+  response.snapshot = honest;
+  response.snapshot.back() ^= 0xff;
+  cluster.replica(5)->OnMessage(4, response.ToMessage(kSmStateResponse));
+  EXPECT_EQ(cluster.seemore(5)->last_executed(), lag);
+  EXPECT_EQ(cluster.replica(5)->stats().state_transfers, 0u);
+
+  response.snapshot = honest;
+  cluster.replica(5)->OnMessage(4, response.ToMessage(kSmStateResponse));
+  EXPECT_EQ(cluster.seemore(5)->last_executed(), seq);
+  EXPECT_EQ(cluster.replica(5)->stats().state_transfers, 1u);
 }
 
 TEST(StateTransferTest, RecoverAfterLongOutage) {
