@@ -146,12 +146,12 @@ void CheckpointingReplica::HandleStateResponse(PrincipalId /*from*/,
   InstallSnapshot(seq, digest, std::move(msg.cert), std::move(msg.snapshot));
 }
 
-bool CheckpointingReplica::InstallSnapshot(uint64_t seq, const Digest& digest,
+void CheckpointingReplica::InstallSnapshot(uint64_t seq, const Digest& digest,
                                            CheckpointCert cert,
                                            Bytes snapshot) {
   ChargeHash(snapshot.size());
-  if (Digest::Of(snapshot) != digest) return false;
-  if (!exec_.Restore(snapshot, seq).ok()) return false;
+  if (Digest::Of(snapshot) != digest) return;
+  if (!exec_.Restore(snapshot, seq).ok()) return;
   ++stats_.state_transfers;
   // Persist it too: a restart must not come back below a state this replica
   // already executed past.
@@ -160,7 +160,6 @@ bool CheckpointingReplica::InstallSnapshot(uint64_t seq, const Digest& digest,
   ckpt_.InstallRestored(seq, digest, std::move(cert), std::move(snapshot));
   log_.Reclaim(seq);
   NoteCheckpointGc();  // scratch arena rewinds at the next message boundary
-  return true;
 }
 
 void CheckpointingReplica::OnDurableRestore(const RecoveredImage& image) {

@@ -78,8 +78,8 @@ class CheckpointingReplica : public ReplicaBase {
   /// lost response delays recovery but cannot wedge it.
   void RequestStateFrom(PrincipalId target);
   /// Install a transferred snapshot whose digest matches: restore, persist,
-  /// make stable. False (nothing changed) on a mismatch or a bad snapshot.
-  bool InstallSnapshot(uint64_t seq, const Digest& digest,
+  /// make stable. A mismatch or an undecodable snapshot changes nothing.
+  void InstallSnapshot(uint64_t seq, const Digest& digest,
                        CheckpointCert cert, Bytes snapshot);
   /// The checkpoint half of a durable restart (protocols restore the view).
   void OnDurableRestore(const RecoveredImage& image) override;
