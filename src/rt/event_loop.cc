@@ -79,11 +79,11 @@ void EventLoop::RearmTimerFd() {
 }
 
 void EventLoop::FireDueTimers() {
+  // One read clears the timerfd's expiration counter: the fd is one-shot
+  // and non-blocking, so a second read could only return EAGAIN. The count
+  // itself is irrelevant; the timer store below decides what is due.
   uint64_t expirations = 0;
-  // Drain the timerfd counter; the value itself is irrelevant, the timer
-  // store below decides what is due.
-  while (read(timer_fd_, &expirations, sizeof(expirations)) > 0) {
-  }
+  (void)!read(timer_fd_, &expirations, sizeof(expirations));
   armed_deadline_ = kNeverArmed;  // one-shot: the fd has fired and is idle
   // Fire everything due at entry. Callbacks may schedule new timers; a new
   // timer due "now" waits for the next epoll wakeup (which the rearm below

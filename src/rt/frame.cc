@@ -123,7 +123,7 @@ Result<FaultCommand> DecodeFaultCommand(const uint8_t* data, size_t len) {
     return Status::InvalidArgument("unsupported control version");
   }
   if (kind < static_cast<uint8_t>(ControlKind::kCutLink) ||
-      kind > static_cast<uint8_t>(ControlKind::kShapeLink)) {
+      kind > static_cast<uint8_t>(ControlKind::kReady)) {
     return Status::Corruption("unknown control command kind");
   }
   command.kind = static_cast<ControlKind>(kind);

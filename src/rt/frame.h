@@ -126,6 +126,7 @@ enum class ControlKind : uint8_t {
   kQueryPrimary = 7, // ask a node who it believes is primary
   kPrimaryReply = 8, // node -> launcher answer to kQueryPrimary (value = id)
   kShapeLink = 9,    // per-link delay/jitter/drop on the directed from -> to
+  kReady = 10,       // node -> launcher: HELLO'd links to all n-1 peers are up
 };
 
 /// One control-channel command. The layout is fixed across kinds (unused

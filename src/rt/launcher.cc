@@ -1,14 +1,18 @@
 #include "rt/launcher.h"
 
+#include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -51,6 +55,12 @@ std::string UnexpectedExit(int wstatus, int expected_signal) {
   return "";
 }
 
+std::string FormatMs(double ms) {
+  char text[32];
+  std::snprintf(text, sizeof(text), "%.1f ms", ms);
+  return text;
+}
+
 std::optional<Digest> ParseDigest(const Json* hex) {
   if (hex == nullptr || !hex->is_string()) return std::nullopt;
   Result<std::vector<uint8_t>> bytes = HexDecode(hex->AsString());
@@ -86,6 +96,8 @@ bool ReadNodeReport(const Json& node, scenario::ReplicaOutcome& outcome) {
 struct Child {
   int id = 0;
   pid_t pid = -1;
+  /// Readable once the process has exited: teardown waits on these.
+  int pidfd = -1;
   bool alive = false;
   /// The schedule SIGKILLed the current incarnation.
   bool killed = false;
@@ -158,7 +170,18 @@ class Launcher final : public scenario::FaultTarget, MessageHandler {
   Status Setup();
   Status SpawnChild(Child& child);
   void KillChild(Child& child);
+  /// Bookkeeping for a child whose exit status `wstatus` was just collected.
+  void OnReaped(Child& child, int wstatus, int expected_signal);
+  /// Run the loop until every node has reported its replica mesh up and
+  /// every launcher principal holds a link to every replica.
   Status AwaitCluster();
+  /// The readiness events' common check: stamps the lifecycle and ends
+  /// AwaitCluster's loop once the cluster is up.
+  void OnReadinessEvent();
+  bool ClusterUp() const { return mesh_up_ && clients_up_; }
+  double SinceLaunchMs() const {
+    return static_cast<double>(loop_->Now()) / kNanosPerMilli;
+  }
   void ScheduleRun();
   /// Send one fault command over the control channel to a single node /
   /// every live node. Link-level commands go to every node (harmlessly to
@@ -172,7 +195,8 @@ class Launcher final : public scenario::FaultTarget, MessageHandler {
     command.to = to;
     return command;
   }
-  /// CONTROL replies (kPrimaryReply) to the fault-controller principal.
+  /// CONTROL replies (kPrimaryReply, kReady) to the fault-controller
+  /// principal.
   void OnMessage(PrincipalId from, Payload payload) override;
   void ReapAll();
   /// Read every node's report into report_.nodes and judge the run.
@@ -201,6 +225,11 @@ class Launcher final : public scenario::FaultTarget, MessageHandler {
   /// Per-replica tallies of kPrimaryReply answers to the latest primary
   /// query (empty before the first).
   std::vector<int> primary_votes_;
+  /// Nodes that have reported kReady since launch.
+  std::vector<bool> ready_;
+  int ready_count_ = 0;
+  bool mesh_up_ = false;
+  bool clients_up_ = false;
   SimTime t0_ = 0;
   SimTime measure_start_ = 0;
   SimTime measure_end_ = 0;
@@ -233,11 +262,17 @@ Status Launcher::Setup() {
 }
 
 Status Launcher::SpawnChild(Child& child) {
+  // Bound before the fork, so every dial to this replica finds a listener
+  // even before the node runs; the node inherits and adopts it.
+  SEEMORE_ASSIGN_OR_RETURN(
+      const int listen_fd,
+      BindLoopbackListener(static_cast<uint16_t>(options_.base_port + child.id)));
   std::vector<std::string> args;
   args.push_back(node_binary_);
   args.push_back("--spec=" + spec_path_);
   args.push_back("--id=" + std::to_string(child.id));
   args.push_back("--base-port=" + std::to_string(options_.base_port));
+  args.push_back("--listen-fd=" + std::to_string(listen_fd));
   args.push_back("--report=" + child.report_path);
   if (!child.data_dir.empty()) args.push_back("--data-dir=" + child.data_dir);
   // Orphan protection: the whole run plus a generous margin.
@@ -251,12 +286,27 @@ Status Launcher::SpawnChild(Child& child) {
   argv.push_back(nullptr);
 
   const pid_t pid = fork();
-  if (pid < 0) return Status::Internal("fork failed");
   if (pid == 0) {
+    // Every launcher descriptor is close-on-exec; this one alone survives
+    // into the node.
+    fcntl(listen_fd, F_SETFD, 0);
     execv(node_binary_.c_str(), argv.data());
     _exit(127);  // exec failed; nothing sane to do in the child
   }
+  // The node's copy is now the only one: when the node dies, so does its
+  // listener, as if the node had bound it itself.
+  close(listen_fd);
+  if (pid < 0) return Status::Internal("fork failed");
+  const int pidfd = static_cast<int>(syscall(SYS_pidfd_open, pid, 0));
+  if (pidfd < 0) {
+    const Status failed =
+        Status::Internal(std::string("pidfd_open: ") + std::strerror(errno));
+    kill(pid, SIGKILL);
+    waitpid(pid, nullptr, 0);
+    return failed;
+  }
   child.pid = pid;
+  child.pidfd = pidfd;
   child.alive = true;
   child.killed = false;
   Note("spawned node " + std::to_string(child.id) + " pid " +
@@ -264,34 +314,54 @@ Status Launcher::SpawnChild(Child& child) {
   return Status::Ok();
 }
 
+void Launcher::OnReaped(Child& child, int wstatus, int expected_signal) {
+  child.alive = false;
+  close(child.pidfd);
+  child.pidfd = -1;
+  // The process may have ended on its own before the launcher signalled it.
+  const std::string death = UnexpectedExit(wstatus, expected_signal);
+  if (!death.empty() && child.death.empty()) child.death = death;
+}
+
 void Launcher::KillChild(Child& child) {
   if (!child.alive) return;
   kill(child.pid, SIGKILL);
   int wstatus = 0;
   waitpid(child.pid, &wstatus, 0);
-  child.alive = false;
   child.killed = true;
-  // The process may have ended on its own before the schedule got to it.
-  const std::string death = UnexpectedExit(wstatus, SIGKILL);
-  if (!death.empty() && child.death.empty()) child.death = death;
+  OnReaped(child, wstatus, SIGKILL);
 }
 
 Status Launcher::AwaitCluster() {
-  const SimTime deadline = loop_->Now() + options_.connect_timeout;
-  while (true) {
-    bool all = true;
-    for (int r = 0; r < config_.n(); ++r) {
-      if (!transport_->ConnectedTo(r)) {
-        all = false;
-        break;
-      }
-    }
-    if (all) return Status::Ok();
-    if (loop_->Now() >= deadline) {
-      return Status::Unavailable("cluster did not come up within timeout");
-    }
-    loop_->Run(Millis(25));
+  // No polling: kReady frames (OnMessage) and link-up events both land in
+  // OnReadinessEvent, which stops this loop the moment the cluster is up.
+  loop_->Run(options_.connect_timeout);
+  if (ClusterUp()) return Status::Ok();
+  return Status::Unavailable(
+      "cluster did not come up within timeout (" +
+      std::to_string(ready_count_) + "/" + std::to_string(config_.n()) +
+      " nodes reported their mesh up; clients " +
+      (clients_up_ ? "linked" : "not linked") + " to every replica)");
+}
+
+void Launcher::OnReadinessEvent() {
+  // Once up, later link-ups are reconnects during the run.
+  if (ClusterUp()) return;
+  if (!mesh_up_ && ready_count_ == config_.n()) {
+    mesh_up_ = true;
+    report_.lifecycle.mesh_ready_ms = SinceLaunchMs();
   }
+  if (!clients_up_) {
+    bool linked = true;
+    for (int r = 0; r < config_.n() && linked; ++r) {
+      linked = transport_->ConnectedTo(r);
+    }
+    if (linked) {
+      clients_up_ = true;
+      report_.lifecycle.clients_ready_ms = SinceLaunchMs();
+    }
+  }
+  if (ClusterUp()) loop_->Stop();
 }
 
 void Launcher::ScheduleRun() {
@@ -343,6 +413,19 @@ void Launcher::OnMessage(PrincipalId from, Payload payload) {
   if (!command.ok()) {
     Note("bad control reply from " + std::to_string(from) + ": " +
          command.status().ToString());
+    return;
+  }
+  if (command->kind == ControlKind::kReady && from >= 0 &&
+      from < config_.n()) {
+    // `from` is the HELLO-authenticated sender. A respawned node reports
+    // again; only the first report of each node counts toward bring-up.
+    Note("node " + std::to_string(from) + " mesh up at " +
+         FormatMs(SinceLaunchMs()));
+    if (!ready_[static_cast<size_t>(from)]) {
+      ready_[static_cast<size_t>(from)] = true;
+      ++ready_count_;
+      OnReadinessEvent();
+    }
     return;
   }
   if (command->kind == ControlKind::kPrimaryReply && command->value > 0 &&
@@ -423,27 +506,37 @@ void Launcher::ResolvePrimary(std::function<void(int)> then) {
 }
 
 void Launcher::ReapAll() {
+  const SimTime start = loop_->Now();
   for (const Child& child : children_) {
     if (child.alive) kill(child.pid, SIGTERM);
   }
-  const int grace_ms =
-      static_cast<int>(options_.shutdown_grace / kNanosPerMilli);
-  for (int waited = 0; waited < grace_ms; waited += 20) {
-    bool any = false;
+  // Wait on the children's pidfds: each wakeup is an exit, so teardown
+  // ends when the last node does, not on a polling tick.
+  const SimTime deadline = start + options_.shutdown_grace;
+  std::vector<pollfd> exits;
+  std::vector<Child*> waiting;
+  while (true) {
+    exits.clear();
+    waiting.clear();
     for (Child& child : children_) {
       if (!child.alive) continue;
+      exits.push_back(pollfd{child.pidfd, POLLIN, 0});
+      waiting.push_back(&child);
+    }
+    const SimTime left = deadline - loop_->Now();
+    if (waiting.empty() || left <= 0) break;
+    const int timeout_ms =
+        static_cast<int>((left + kNanosPerMilli - 1) / kNanosPerMilli);
+    if (poll(exits.data(), exits.size(), timeout_ms) < 0 && errno != EINTR) {
+      break;
+    }
+    for (size_t i = 0; i < exits.size(); ++i) {
+      if (exits[i].revents == 0) continue;
       int wstatus = 0;
-      if (waitpid(child.pid, &wstatus, WNOHANG) == child.pid) {
-        child.alive = false;
-        const std::string death = UnexpectedExit(wstatus, SIGTERM);
-        if (!death.empty() && child.death.empty()) child.death = death;
-      } else {
-        any = true;
+      if (waitpid(waiting[i]->pid, &wstatus, WNOHANG) == waiting[i]->pid) {
+        OnReaped(*waiting[i], wstatus, SIGTERM);
       }
     }
-    if (!any) return;
-    const timespec poll{0, 20 * 1000000L};
-    nanosleep(&poll, nullptr);
   }
   for (Child& child : children_) {
     if (child.alive && child.death.empty()) {
@@ -451,6 +544,9 @@ void Launcher::ReapAll() {
     }
     KillChild(child);
   }
+  report_.lifecycle.reap_ms =
+      static_cast<double>(loop_->Now() - start) / kNanosPerMilli;
+  Note("nodes reaped in " + FormatMs(report_.lifecycle.reap_ms));
 }
 
 void Launcher::CollectReports() {
@@ -489,9 +585,12 @@ void Launcher::CollectReports() {
 }
 
 Result<TcpRunReport> Launcher::Run() {
+  // The loop's clock starts here: lifecycle times count from launch.
+  loop_ = std::make_unique<EventLoop>();
+  SEEMORE_RETURN_IF_ERROR(loop_->init_status());
   SEEMORE_RETURN_IF_ERROR(Setup());
 
-  // Node processes first: their listeners must exist for the gate below.
+  // Node processes first, each with its listener already bound.
   children_.resize(static_cast<size_t>(config_.n()));
   for (int i = 0; i < config_.n(); ++i) {
     Child& child = children_[static_cast<size_t>(i)];
@@ -502,14 +601,16 @@ Result<TcpRunReport> Launcher::Run() {
     }
     SEEMORE_RETURN_IF_ERROR(SpawnChild(child));
   }
+  report_.lifecycle.spawn_ms = SinceLaunchMs();
+  ready_.assign(static_cast<size_t>(config_.n()), false);
 
-  loop_ = std::make_unique<EventLoop>();
-  SEEMORE_RETURN_IF_ERROR(loop_->init_status());
   TcpTransportOptions transport_options;
   transport_options.num_replicas = config_.n();
   transport_options.base_port = options_.base_port;
   transport_options.fingerprint = spec_.seed;
   transport_ = std::make_unique<TcpTransport>(loop_.get(), transport_options);
+  transport_->SetLinkUpHandler(
+      [this](PrincipalId, PrincipalId) { OnReadinessEvent(); });
   keystore_ = std::make_unique<KeyStore>(RunKeySeed(spec_.seed));
 
   // The fault controller dials every node like a client; those HELLO'd
@@ -528,6 +629,9 @@ Result<TcpRunReport> Launcher::Run() {
   }
 
   SEEMORE_RETURN_IF_ERROR(AwaitCluster());
+  Note("nodes spawned by " + FormatMs(report_.lifecycle.spawn_ms) +
+       ", mesh up at " + FormatMs(report_.lifecycle.mesh_ready_ms) +
+       ", clients linked at " + FormatMs(report_.lifecycle.clients_ready_ms));
   Note("cluster up, starting clients");
 
   OpFactory workload = scenario::MakeWorkload(spec_);
@@ -588,6 +692,8 @@ Status ValidateForTcp(const scenario::ScenarioSpec& spec) {
 Result<TcpRunReport> RunTcpScenario(const scenario::ScenarioSpec& spec,
                                     const LauncherOptions& options) {
   SEEMORE_RETURN_IF_ERROR(ValidateForTcp(spec));
+  SEEMORE_RETURN_IF_ERROR(
+      CheckPortBlock(options.base_port, spec.ResolvedConfig().n()));
   Launcher launcher(spec, options);
   return launcher.Run();
 }
@@ -600,7 +706,17 @@ Json TcpRunReport::ToJson() const {
   for (const Json& node : nodes) reps.Append(node);
   j.Set("replicas", std::move(reps));
   j.Set("net", net);
+  j.Set("lifecycle", lifecycle.ToJson());
   AppendJson(j);
+  return j;
+}
+
+Json TcpLifecycle::ToJson() const {
+  Json j = Json::Object();
+  j.Set("spawn_ms", spawn_ms);
+  j.Set("mesh_ready_ms", mesh_ready_ms);
+  j.Set("clients_ready_ms", clients_ready_ms);
+  j.Set("reap_ms", reap_ms);
   return j;
 }
 

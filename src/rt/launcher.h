@@ -11,8 +11,14 @@
 // SIGTERMs the survivors and judges their reports with scenario::
 // CheckVerdict; a node that died on its own fails the run.
 //
-// Timeline semantics match the simulator's lifecycle: t=0 is when every
-// node answered the readiness gate; warmup resets client stats; the
+// Bring-up and teardown run on events, not sleeps. The launcher binds each
+// node's listener before spawning it (the node inherits the socket), so no
+// dial is refused; each node sends kReady once its replica mesh is up, and
+// the readiness gate passes on the last such event with every client
+// linked to every replica. Teardown waits on the nodes' exits (pidfds).
+//
+// Timeline semantics match the simulator's lifecycle: t=0 is when the
+// readiness gate passed; warmup resets client stats; the
 // measure window sizes the RunResult; then clients stop, the drain elapses
 // and nodes shut down. Times are real nanoseconds instead of virtual ones.
 
@@ -39,12 +45,27 @@ struct LauncherOptions {
   /// /tmp and removes it on success.
   std::string work_dir;
   uint16_t base_port = 18500;
-  /// Readiness gate: how long to wait for every node to complete a HELLO.
+  /// Readiness gate: how long to wait for every node's replica mesh and
+  /// every client link.
   SimTime connect_timeout = Seconds(15);
   /// After SIGTERM, how long nodes get to write reports before SIGKILL.
   SimTime shutdown_grace = Seconds(5);
   bool keep_work_dir = false;
   bool verbose = false;
+};
+
+/// Where a run's setup and teardown time went, in real milliseconds. The
+/// first three are times since launch: the last node spawned, the last
+/// node reported its replica mesh up (kReady), and every launcher
+/// principal held a link to every replica. reap_ms is how long teardown
+/// took from SIGTERM to the last node reaped.
+struct TcpLifecycle {
+  double spawn_ms = 0;
+  double mesh_ready_ms = 0;
+  double clients_ready_ms = 0;
+  double reap_ms = 0;
+
+  Json ToJson() const;
 };
 
 /// The merged outcome of one real-cluster run, in ScenarioReport's shape so
@@ -61,6 +82,8 @@ struct TcpRunReport : scenario::RunReportBase {
   /// field — the whole-run syscall/copy ledger bench_realnet reads.
   Json net;
 
+  TcpLifecycle lifecycle;
+
   Json ToJson() const;
 };
 
@@ -70,7 +93,8 @@ struct TcpRunReport : scenario::RunReportBase {
 Status ValidateForTcp(const scenario::ScenarioSpec& spec);
 
 /// Run the spec against a real localhost cluster. Fails on spawn/setup
-/// errors; an invariant violation is NOT an error (inspect report.ok()).
+/// errors (including a port block outside 1..65535); an invariant
+/// violation is NOT an error (inspect report.ok()).
 Result<TcpRunReport> RunTcpScenario(const scenario::ScenarioSpec& spec,
                                     const LauncherOptions& options);
 

@@ -100,6 +100,7 @@ Status Node::Init() {
   TcpTransportOptions transport_options;
   transport_options.num_replicas = config.n();
   transport_options.base_port = options_.base_port;
+  transport_options.listen_fd = options_.listen_fd;
   transport_options.fingerprint = spec_.seed;
   transport_options.control_principal = kFaultControllerId;
   transport_options.trusted_count = config.s;
@@ -107,6 +108,7 @@ Status Node::Init() {
       std::make_unique<TcpTransport>(loop_.get(), transport_options);
   transport_->SetControlHandler(
       [this](const FaultCommand& command) { OnControl(command); });
+  transport_->SetLinkUpHandler([this](PrincipalId, PrincipalId) { OnLinkUp(); });
 
   keystore_ = std::make_unique<KeyStore>(RunKeySeed(spec_.seed));
 
@@ -157,6 +159,19 @@ void Node::OnControl(const FaultCommand& command) {
     default:
       return;  // link-level kinds were consumed by the transport
   }
+}
+
+void Node::OnLinkUp() {
+  if (ready_sent_ || !transport_->ConnectedTo(kFaultControllerId)) return;
+  for (PrincipalId peer = 0; peer < replica_->config().n(); ++peer) {
+    if (peer != options_.replica_id && !transport_->ConnectedTo(peer)) return;
+  }
+  ready_sent_ = true;
+  FaultCommand ready;
+  ready.kind = ControlKind::kReady;
+  ready.replica = options_.replica_id;
+  transport_->Send(options_.replica_id, kFaultControllerId,
+                   Payload(EncodeFaultCommandBody(ready)));
 }
 
 Status Node::Serve() {

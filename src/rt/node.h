@@ -7,6 +7,8 @@
 // launcher know which backend is underneath. A node runs until SIGTERM (the
 // launcher's orderly stop), then writes a per-node report JSON whose
 // digest samples feed the launcher's ReplicaOutcomes (scenario/verdict.h).
+// Once its replica mesh is up it tells the launcher so (kReady), which is
+// what the launcher's readiness gate waits for.
 
 #ifndef SEEMORE_RT_NODE_H_
 #define SEEMORE_RT_NODE_H_
@@ -29,6 +31,9 @@ namespace rt {
 struct NodeOptions {
   int replica_id = 0;
   uint16_t base_port = 18500;
+  /// This replica's listener, bound by the launcher and inherited across
+  /// exec (TcpTransportOptions::listen_fd); -1 binds one at Init.
+  int listen_fd = -1;
   /// Durable data directory. Empty disables durability even when the spec
   /// asks for it (the launcher only passes one for --durable runs). A
   /// directory holding WAL/snapshot files triggers the restart-recovery
@@ -65,6 +70,9 @@ class Node {
   /// channel: Byzantine flags (the same SetByzantine path the sim engine
   /// uses), mode-switch requests, primary queries.
   void OnControl(const FaultCommand& command);
+  /// Sends kReady to the fault controller the first time this replica
+  /// holds HELLO'd links to every peer and to the controller itself.
+  void OnLinkUp();
 
   const scenario::ScenarioSpec spec_;
   const NodeOptions options_;
@@ -77,6 +85,7 @@ class Node {
   std::unique_ptr<ReplicaBase> replica_;
   /// What recovery reconstructed, when this process is a restart.
   std::optional<RestartOutcome> recovery_;
+  bool ready_sent_ = false;
 };
 
 }  // namespace rt

@@ -1,6 +1,7 @@
 #include "rt/tcp_transport.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <limits.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -39,6 +40,34 @@ constexpr size_t kFlushIovs = 64 < IOV_MAX ? 64 : IOV_MAX;
 
 }  // namespace
 
+Status CheckPortBlock(int64_t base_port, int count) {
+  const int64_t last = base_port + (count > 1 ? count - 1 : 0);
+  if (base_port < 1 || last > 65535) {
+    return Status::InvalidArgument(
+        "base port " + std::to_string(base_port) + " puts replica ports at " +
+        std::to_string(base_port) + ".." + std::to_string(last) +
+        ", outside 1..65535");
+  }
+  return Status::Ok();
+}
+
+Result<int> BindLoopbackListener(uint16_t port) {
+  const int fd = NewTcpSocket();
+  if (fd < 0) return Errno("socket(listen)");
+  const int one = 1;
+  setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr = LoopbackAddr(port);
+  // SOMAXCONN: every peer and client may dial before the owner's first
+  // accept, and an overflowing backlog would turn a dial into a SYN retry.
+  if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
+      listen(fd, SOMAXCONN) < 0) {
+    const Status failed = Errno("bind/listen");
+    close(fd);
+    return failed;
+  }
+  return fd;
+}
+
 Json TcpCounters::ToJson() const {
   Json json = Json::Object();
   json.Set("messages_sent", messages_sent);
@@ -70,7 +99,9 @@ Json TcpCounters::ToJson() const {
 TcpTransport::TcpTransport(EventLoop* loop, TcpTransportOptions options)
     : loop_(loop),
       options_(std::move(options)),
-      faults_(options_.fingerprint) {}
+      status_(CheckPortBlock(options_.base_port, options_.num_replicas)),
+      faults_(options_.fingerprint),
+      inherited_listen_fd_(options_.listen_fd) {}
 
 TcpTransport::~TcpTransport() {
   loop_->CancelPosts(this);
@@ -85,6 +116,7 @@ TcpTransport::~TcpTransport() {
     loop_->UnwatchFd(fd);
     close(fd);
   }
+  if (inherited_listen_fd_ >= 0) close(inherited_listen_fd_);
 }
 
 CpuMeter* TcpTransport::Register(PrincipalId id, Zone zone,
@@ -94,6 +126,7 @@ CpuMeter* TcpTransport::Register(PrincipalId id, Zone zone,
   node.handler = handler;
   node.up = true;
   if (metered) node.meter = std::make_unique<RtCpuMeter>(loop_);
+  if (!status_.ok()) return node.meter.get();  // e.g. no valid port block
 
   if (IsReplicaPrincipal(id)) {
     StartListener(id);
@@ -121,21 +154,15 @@ std::shared_ptr<TcpTransport::Connection> TcpTransport::NewConnection() {
 }
 
 void TcpTransport::StartListener(PrincipalId id) {
-  const int fd = NewTcpSocket();
-  if (fd < 0) {
-    if (status_.ok()) status_ = Errno("socket(listen)");
+  Result<int> listener = inherited_listen_fd_ >= 0
+                             ? AdoptListener(id, inherited_listen_fd_)
+                             : BindLoopbackListener(PortOf(id));
+  inherited_listen_fd_ = -1;
+  if (!listener.ok()) {
+    status_ = listener.status();
     return;
   }
-  const int one = 1;
-  setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr =
-      LoopbackAddr(static_cast<uint16_t>(options_.base_port + id));
-  if (bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0 ||
-      listen(fd, 64) < 0) {
-    if (status_.ok()) status_ = Errno("bind/listen");
-    close(fd);
-    return;
-  }
+  const int fd = *listener;
   listeners_[id] = fd;
   // The owning replica id rides in the closure: accepting stays O(1)
   // instead of searching listeners_ for the fd that woke us.
@@ -143,6 +170,28 @@ void TcpTransport::StartListener(PrincipalId id) {
       loop_->WatchFd(fd, EventLoop::kReadable,
                      [this, id, fd](uint32_t) { OnListenerReadable(id, fd); });
   if (!watched.ok() && status_.ok()) status_ = watched;
+}
+
+Result<int> TcpTransport::AdoptListener(PrincipalId id, int fd) {
+  int listening = 0;
+  socklen_t len = sizeof(listening);
+  sockaddr_in addr{};
+  socklen_t addr_len = sizeof(addr);
+  const bool is_listener =
+      getsockopt(fd, SOL_SOCKET, SO_ACCEPTCONN, &listening, &len) == 0 &&
+      listening != 0 &&
+      getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len) == 0 &&
+      addr.sin_family == AF_INET && ntohs(addr.sin_port) == PortOf(id);
+  // An inherited descriptor keeps the flags its creator set; the loop
+  // needs it non-blocking, and no later exec should inherit it again.
+  if (!is_listener || fcntl(fd, F_SETFL, O_NONBLOCK) < 0 ||
+      fcntl(fd, F_SETFD, FD_CLOEXEC) < 0) {
+    close(fd);
+    return Status::InvalidArgument("listen fd " + std::to_string(fd) +
+                                   " is not listening on port " +
+                                   std::to_string(PortOf(id)));
+  }
+  return fd;
 }
 
 void TcpTransport::OnListenerReadable(PrincipalId local, int listen_fd) {
@@ -192,8 +241,7 @@ void TcpTransport::DialPeer(PrincipalId local, PrincipalId peer) {
   }
   const int one = 1;
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  sockaddr_in addr =
-      LoopbackAddr(static_cast<uint16_t>(options_.base_port + peer));
+  sockaddr_in addr = LoopbackAddr(PortOf(peer));
   const int rc = connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
   if (rc < 0 && errno != EINPROGRESS) {
     close(fd);
@@ -314,7 +362,8 @@ bool TcpTransport::AcceptHello(const std::shared_ptr<Connection>& conn,
   }
   peers_[key] = conn;
   if (conn->dialed) backoff_.erase({conn->local, conn->peer});
-  return true;
+  if (link_up_handler_) link_up_handler_(conn->local, conn->peer);
+  return conn->fd >= 0;  // the handler may have torn the connection down
 }
 
 void TcpTransport::DrainReadable(const std::shared_ptr<Connection>& conn) {
@@ -634,10 +683,14 @@ SimTime TcpTransport::MeterBusy(PrincipalId id) const {
 }
 
 bool TcpTransport::ConnectedTo(PrincipalId peer) const {
-  for (const auto& [key, conn] : peers_) {
-    if (key.second == peer && conn->hello_received) return true;
+  bool any = false;
+  for (const auto& [local, node] : locals_) {
+    if (local == peer) continue;
+    const std::shared_ptr<Connection> conn = ConnectionFor(local, peer);
+    if (conn == nullptr || !conn->hello_received) return false;
+    any = true;
   }
-  return false;
+  return any;
 }
 
 void TcpTransport::ApplyControl(const FaultCommand& command) {

@@ -3,7 +3,10 @@
 // One TcpTransport per process serves every principal registered in that
 // process (a node process registers its one replica; the launcher process
 // registers all clients). Replica r listens on base_port + r; clients have
-// no listener. Connection ownership is deterministic: a replica dials every
+// no listener. A replica either binds its listener itself or adopts one
+// already bound for it (TcpTransportOptions::listen_fd: the launcher binds
+// each node's listener before spawning it, so no peer's dial is refused).
+// Connection ownership is deterministic: a replica dials every
 // replica with a smaller id and accepts from larger ids and clients, so
 // each principal pair shares exactly one duplex connection. Every
 // established connection opens with a HELLO frame (rt/frame.h) announcing
@@ -67,10 +70,23 @@ class RtCpuMeter final : public CpuMeter {
   SimTime total_busy_ = 0;
 };
 
+/// Ok when the ports base_port .. base_port + count - 1 of a cluster's
+/// replicas are all real TCP ports (1..65535); InvalidArgument otherwise,
+/// so a bad flag is refused instead of wrapping to another port.
+Status CheckPortBlock(int64_t base_port, int count);
+
+/// A non-blocking, close-on-exec socket listening on 127.0.0.1:port with
+/// SO_REUSEADDR: what a replica's listener is, whoever binds it.
+Result<int> BindLoopbackListener(uint16_t port);
+
 struct TcpTransportOptions {
   /// Cluster size; replica ids 0..num_replicas-1 map to listener ports.
   int num_replicas = 0;
   uint16_t base_port = 18500;
+  /// A listener already bound to the port of the replica this transport
+  /// registers (BindLoopbackListener, inherited across exec). The
+  /// transport adopts and closes it; -1 binds a fresh one at Register.
+  int listen_fd = -1;
   /// Cluster-instance fingerprint carried in HELLO (launcher: the seed).
   uint64_t fingerprint = 0;
   /// Dialer retry backoff: initial doubles up to max.
@@ -137,8 +153,10 @@ class TcpTransport final : public Transport {
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
 
-  /// First error from listener setup / registration (sockets that fail
-  /// later retry or drop per the loss semantics; only setup is fatal).
+  /// First error from the port block check, listener setup or
+  /// registration (sockets that fail later retry or drop per the loss
+  /// semantics; only setup is fatal). Registering on a failed transport
+  /// neither listens nor dials.
   const Status& status() const { return status_; }
   const TcpCounters& counters() const { return counters_; }
 
@@ -153,9 +171,15 @@ class TcpTransport final : public Transport {
                  const Payload& payload) override;
   void SetNodeUp(PrincipalId id, bool up) override;
 
-  /// True once a duplex connection to `peer` is established (tests and the
-  /// launcher's readiness gate).
+  /// True once every local principal (other than `peer` itself) holds a
+  /// HELLO'd connection to `peer`: the readiness test of a node's replica
+  /// mesh and of the launcher's clients (and tests).
   bool ConnectedTo(PrincipalId peer) const;
+  /// Called with (local, peer) each time a connection completes its HELLO.
+  /// Readiness is judged on these events instead of by polling.
+  void SetLinkUpHandler(std::function<void(PrincipalId, PrincipalId)> handler) {
+    link_up_handler_ = std::move(handler);
+  }
 
   /// Accumulated cost-model busy time of a metered local node (0 when
   /// unmetered/unknown) — report provenance.
@@ -214,6 +238,12 @@ class TcpTransport final : public Transport {
   bool IsReplicaPrincipal(PrincipalId id) const;
   std::shared_ptr<Connection> NewConnection();
   void StartListener(PrincipalId id);
+  /// Take over options_.listen_fd as `id`'s listener, after checking that
+  /// it is a socket listening on that replica's port.
+  Result<int> AdoptListener(PrincipalId id, int fd);
+  uint16_t PortOf(PrincipalId replica) const {
+    return static_cast<uint16_t>(options_.base_port + replica);
+  }
   void DialPeer(PrincipalId local, PrincipalId peer);
   void ScheduleRedial(PrincipalId local, PrincipalId peer, SimTime delay);
   void OnListenerReadable(PrincipalId local, int listen_fd);
@@ -254,6 +284,9 @@ class TcpTransport final : public Transport {
   /// Per-peer-per-direction drop/delay filter between queues and sockets.
   FaultPlane faults_;
   std::function<void(const FaultCommand&)> control_handler_;
+  std::function<void(PrincipalId, PrincipalId)> link_up_handler_;
+  /// options_.listen_fd until a replica registers and adopts it.
+  int inherited_listen_fd_;
   /// Receive blocks shared by every connection of this transport.
   BlockPool pool_;
   /// Encode-once memo for fan-out loops that call Send() once per peer

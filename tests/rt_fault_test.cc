@@ -112,12 +112,17 @@ TEST(RtFaultCodec, GarbageMagicVersionAndKindRefused) {
   EXPECT_FALSE(DecodeFaultCommand(bad_version).ok());
 
   // The kind byte follows magic (u32) + version (u8); 0 and anything past
-  // kShapeLink are outside the enum and must be refused.
+  // kReady are outside the enum and must be refused.
   Bytes bad_kind = body;
   bad_kind[5] = 0;
   EXPECT_FALSE(DecodeFaultCommand(bad_kind).ok());
+  bad_kind[5] = static_cast<uint8_t>(ControlKind::kReady) + 1;
+  EXPECT_FALSE(DecodeFaultCommand(bad_kind).ok());
   bad_kind[5] = 200;
   EXPECT_FALSE(DecodeFaultCommand(bad_kind).ok());
+  bad_kind[5] = static_cast<uint8_t>(ControlKind::kReady);
+  ASSERT_TRUE(DecodeFaultCommand(bad_kind).ok());
+  EXPECT_EQ(DecodeFaultCommand(bad_kind)->kind, ControlKind::kReady);
 
   const Bytes noise = AsBytes("not a control frame at all, honest");
   EXPECT_FALSE(DecodeFaultCommand(noise).ok());

@@ -1,11 +1,13 @@
 // The rt backend in-process: EventLoop timer semantics, and real TCP
 // loopback between TcpTransports sharing one loop — connection
 // establishment with HELLO, duplex exchange, client dialing, co-located
-// local delivery, and node-down drop accounting. Each test uses its own
-// base port so listeners never collide across tests.
+// local delivery, node-down drop accounting, and adopting a listener bound
+// before its transport existed. Each test uses its own base port so
+// listeners never collide across tests.
 
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -293,6 +295,90 @@ TEST(RtTransport, BackpressureChargesAndDropsPerPeerQueue) {
   node2.Send(2, 0, Payload(AsBytes("small")));
   ASSERT_TRUE(RunUntil(&loop, [&] { return !handler0.messages.empty(); }));
   EXPECT_EQ(handler0.messages[0], AsBytes("small"));
+}
+
+TEST(RtTransport, DialBeforeAdoptionCompletesAndDeliversHello) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.init_status().ok());
+
+  TcpTransportOptions options;
+  options.num_replicas = 2;
+  options.base_port = 19240;
+  options.fingerprint = 11;
+
+  // Replica 0's listener exists before replica 0 does, as when a launcher
+  // binds it before spawning the node.
+  Result<int> listener = BindLoopbackListener(19240);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+
+  // Replica 1 dials 0 at once: the kernel completes the connect into the
+  // listen backlog, and the HELLO leaves with nobody accepting yet.
+  TcpTransport node1(&loop, options);
+  RecordingHandler handler1;
+  node1.Register(1, Zone::kPrivate, &handler1, true);
+  ASSERT_TRUE(RunUntil(&loop, [&] {
+    return node1.counters().connections_dialed == 1 &&
+           node1.counters().frames_sent == 1;
+  })) << "the dial did not complete against the bare listener";
+
+  TcpTransportOptions adopting = options;
+  adopting.listen_fd = *listener;
+  TcpTransport node0(&loop, adopting);
+  std::vector<std::pair<PrincipalId, PrincipalId>> links;
+  node0.SetLinkUpHandler(
+      [&](PrincipalId local, PrincipalId peer) { links.emplace_back(local, peer); });
+  RecordingHandler handler0;
+  node0.Register(0, Zone::kPrivate, &handler0, true);
+  ASSERT_TRUE(node0.status().ok()) << node0.status().ToString();
+
+  ASSERT_TRUE(RunUntil(&loop, [&] {
+    return node0.ConnectedTo(1) && node1.ConnectedTo(0);
+  })) << "the early dial was never accepted";
+  // The HELLO that waited in the backlog identified replica 1.
+  EXPECT_EQ(links, (std::vector<std::pair<PrincipalId, PrincipalId>>{{0, 1}}));
+
+  node1.Send(1, 0, Payload(AsBytes("early")));
+  ASSERT_TRUE(RunUntil(&loop, [&] { return !handler0.messages.empty(); }));
+  EXPECT_EQ(handler0.froms, (std::vector<PrincipalId>{1}));
+  EXPECT_EQ(handler0.messages[0], AsBytes("early"));
+  EXPECT_EQ(node0.counters().connections_accepted, 1u);
+  EXPECT_EQ(node1.counters().connection_failures, 0u) << "no dial refused";
+  EXPECT_EQ(node0.counters().connection_failures, 0u);
+}
+
+TEST(RtTransport, AdoptedListenerMustListenOnTheReplicaPort) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.init_status().ok());
+
+  // Bound to replica 1's port, handed to replica 0: refused, not served.
+  Result<int> listener = BindLoopbackListener(19251);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  TcpTransportOptions options;
+  options.num_replicas = 2;
+  options.base_port = 19250;
+  options.listen_fd = *listener;
+  TcpTransport node0(&loop, options);
+  RecordingHandler handler0;
+  node0.Register(0, Zone::kPrivate, &handler0, true);
+  EXPECT_EQ(node0.status().code(), StatusCode::kInvalidArgument)
+      << node0.status().ToString();
+}
+
+TEST(RtTransport, PortBlockMustFitTheTcpPortRange) {
+  EXPECT_TRUE(CheckPortBlock(1, 6).ok());
+  EXPECT_TRUE(CheckPortBlock(65530, 6).ok()) << "ports 65530..65535";
+  EXPECT_FALSE(CheckPortBlock(65531, 6).ok()) << "replica 5 would wrap";
+  EXPECT_FALSE(CheckPortBlock(0, 6).ok());
+  EXPECT_FALSE(CheckPortBlock(-1, 6).ok());
+  EXPECT_FALSE(CheckPortBlock(70000, 1).ok());
+
+  // A transport handed a block that wraps refuses to start.
+  EventLoop loop;
+  TcpTransportOptions options;
+  options.num_replicas = 4;
+  options.base_port = 65533;
+  TcpTransport transport(&loop, options);
+  EXPECT_EQ(transport.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(RtScenario, BackendFieldRoundTripsThroughJson) {

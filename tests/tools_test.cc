@@ -1,5 +1,5 @@
-// Flag parsing (the FlagSet library and seemore_ctl's schedule flags, run
-// as the real binary) and the multi-cloud sizing planner.
+// Flag parsing (the FlagSet library, and seemore_ctl's and seemore_node's
+// flags run as the real binaries) and the multi-cloud sizing planner.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -106,16 +106,15 @@ TEST(ParseInt64Test, AcceptsOnlyWholeIntegers) {
   }
 }
 
-struct CtlRun {
+struct ToolRun {
   int exit_code = -1;
   std::string output;
 };
 
-/// Run the seemore_ctl binary with `args`, capturing stdout and stderr.
-CtlRun RunCtl(const std::string& args) {
-  CtlRun run;
-  const std::string command =
-      std::string(SEEMORE_CTL_PATH) + " " + args + " 2>&1";
+/// Run `binary` with `args`, capturing stdout and stderr.
+ToolRun RunTool(const char* binary, const std::string& args) {
+  ToolRun run;
+  const std::string command = std::string(binary) + " " + args + " 2>&1";
   FILE* pipe = popen(command.c_str(), "r");
   if (pipe == nullptr) return run;
   char buffer[512];
@@ -125,12 +124,16 @@ CtlRun RunCtl(const std::string& args) {
   return run;
 }
 
+ToolRun RunCtl(const std::string& args) {
+  return RunTool(SEEMORE_CTL_PATH, args);
+}
+
 TEST(CtlScheduleFlagsTest, MalformedFieldsFailWithInvalidArgument) {
   // Each of these used to parse as garbage-but-valid: "x@zz" crashed
   // replica 0 at t=0, "15x0" cut the link at 15 ms.
   for (const char* flag : {"--crash=x@zz", "--cut-link=3-0@15x0",
                            "--shape-link=3-0:200:5x:1000@120"}) {
-    const CtlRun run = RunCtl(std::string("--quick ") + flag);
+    const ToolRun run = RunCtl(std::string("--quick ") + flag);
     EXPECT_NE(run.exit_code, 0) << flag << "\n" << run.output;
     EXPECT_NE(run.output.find("InvalidArgument"), std::string::npos)
         << flag << "\n" << run.output;
@@ -138,7 +141,7 @@ TEST(CtlScheduleFlagsTest, MalformedFieldsFailWithInvalidArgument) {
 }
 
 TEST(CtlScheduleFlagsTest, WellFormedScheduleParses) {
-  const CtlRun run = RunCtl(
+  const ToolRun run = RunCtl(
       "--quick --crash=0@60 --cut-link=3-0@15 "
       "--shape-link=3-0:200:50:1000@120 --dump-spec");
   ASSERT_EQ(run.exit_code, 0) << run.output;
@@ -153,14 +156,14 @@ TEST(CtlDurabilityFlagsTest, SegmentSizesPastUint32ExitTwo) {
   // 4194308 KiB would truncate to a 4 KiB segment that Validate() accepts,
   // so only the flag's own range check can refuse it.
   for (const char* kb : {"4194304", "4194305", "4194308"}) {
-    const CtlRun run = RunCtl(
+    const ToolRun run = RunCtl(
         std::string("--quick --dump-spec --durable-segment-kb=") + kb);
     EXPECT_EQ(run.exit_code, 2) << kb << "\n" << run.output;
     EXPECT_NE(run.output.find("InvalidArgument"), std::string::npos)
         << kb << "\n" << run.output;
   }
   // The largest whole-KiB size that fits is accepted.
-  const CtlRun largest =
+  const ToolRun largest =
       RunCtl("--quick --dump-spec --durable-segment-kb=4194303");
   ASSERT_EQ(largest.exit_code, 0) << largest.output;
   EXPECT_NE(largest.output.find("4294966272"), std::string::npos)
@@ -169,10 +172,44 @@ TEST(CtlDurabilityFlagsTest, SegmentSizesPastUint32ExitTwo) {
 
 TEST(CtlDurabilityFlagsTest, FsyncIntervalPastIntExitsTwo) {
   // 2^32 + 1 used to narrow to an fsync interval of 1.
-  const CtlRun run = RunCtl("--quick --dump-spec --durable-fsync=4294967297");
+  const ToolRun run = RunCtl("--quick --dump-spec --durable-fsync=4294967297");
   EXPECT_EQ(run.exit_code, 2) << run.output;
   EXPECT_NE(run.output.find("InvalidArgument"), std::string::npos)
       << run.output;
+}
+
+TEST(CtlTcpFlagsTest, BasePortOutsidePortRangeExitsTwo) {
+  // 70000 used to wrap to port 4464 and run there; 65533 put replica 3 on
+  // port 0 and waited out the connect timeout. The default Lion cluster has
+  // six replicas, so its block must end at 65535 or below.
+  for (const char* port : {"70000", "65533", "65531", "0", "-1"}) {
+    const ToolRun run =
+        RunCtl(std::string("--backend=tcp --quick --base-port=") + port);
+    EXPECT_EQ(run.exit_code, 2) << port << "\n" << run.output;
+    EXPECT_NE(run.output.find("InvalidArgument"), std::string::npos)
+        << port << "\n" << run.output;
+    EXPECT_EQ(run.output.find("backend: tcp"), std::string::npos)
+        << "refused before any process starts\n" << run.output;
+  }
+}
+
+TEST(NodeFlagsTest, BasePortOutsidePortRangeExitsTwo) {
+  const ToolRun spec = RunCtl("--quick --dump-spec");
+  ASSERT_EQ(spec.exit_code, 0) << spec.output;
+  const std::string path = testing::TempDir() + "tools_test_node_spec.json";
+  FILE* out = std::fopen(path.c_str(), "w");
+  ASSERT_NE(out, nullptr);
+  std::fputs(spec.output.c_str(), out);
+  std::fclose(out);
+  for (const char* port : {"70000", "65533", "0"}) {
+    const ToolRun run = RunTool(
+        SEEMORE_NODE_PATH,
+        "--spec=" + path + " --id=0 --base-port=" + std::string(port));
+    EXPECT_EQ(run.exit_code, 2) << port << "\n" << run.output;
+    EXPECT_NE(run.output.find("InvalidArgument"), std::string::npos)
+        << port << "\n" << run.output;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(MultiCloudTest, SingleCloudMatchesEq2) {

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "rt/launcher.h"
+#include "rt/tcp_transport.h"
 #include "scenario/builder.h"
 #include "scenario/engine.h"
 #include "scenario/registry.h"
@@ -364,6 +365,14 @@ using scenario::ApplyQuickBudgets;
 /// spec's clients over real TCP, injects schedule faults as process
 /// kills/respawns, and merges the per-node reports.
 int RunTcp(const FlagSet& flags, const ScenarioSpec& spec) {
+  // Checked before the narrowing below, which would wrap a bad value onto
+  // some other port.
+  const Status ports = rt::CheckPortBlock(flags.GetInt("base-port"),
+                                          spec.ResolvedConfig().n());
+  if (!ports.ok()) {
+    std::fprintf(stderr, "%s\n", ports.ToString().c_str());
+    return 2;
+  }
   rt::LauncherOptions options;
   options.node_binary = flags.GetString("node-binary");
   options.work_dir = flags.GetString("work-dir");

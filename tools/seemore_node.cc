@@ -4,8 +4,9 @@
 // The launcher (seemore_ctl --backend=tcp, or rt::RunTcpScenario directly)
 // spawns one of these per replica id with a shared ScenarioSpec file; the
 // process serves over real TCP on 127.0.0.1:base_port+id until SIGTERM,
-// then writes its per-node report JSON. Run by hand for a poke-at-it
-// cluster:
+// then writes its per-node report JSON. The launcher binds each node's
+// listener before spawning it and passes it down with --listen-fd; without
+// that flag the node binds its own. Run by hand for a poke-at-it cluster:
 //
 //   seemore_node --spec=spec.json --id=0 &
 //   seemore_node --spec=spec.json --id=1 &
@@ -26,6 +27,9 @@ int Main(int argc, char** argv) {
   flags.AddString("spec", "", "path to the ScenarioSpec JSON (required)");
   flags.AddInt("id", 0, "replica id within the spec's topology");
   flags.AddInt("base-port", 18500, "replica r listens on base-port + r");
+  flags.AddInt("listen-fd", -1,
+               "inherited socket already listening on this replica's port "
+               "(-1 = bind one)");
   flags.AddString("report", "",
                   "where the end-of-run report JSON goes (default stdout)");
   flags.AddString("data-dir", "",
@@ -67,9 +71,17 @@ int Main(int argc, char** argv) {
     return 2;
   }
 
+  const seemore::Status ports = seemore::rt::CheckPortBlock(
+      flags.GetInt("base-port"), spec->ResolvedConfig().n());
+  if (!ports.ok()) {
+    std::fprintf(stderr, "%s\n", ports.ToString().c_str());
+    return 2;
+  }
+
   seemore::rt::NodeOptions options;
   options.replica_id = static_cast<int>(flags.GetInt("id"));
   options.base_port = static_cast<uint16_t>(flags.GetInt("base-port"));
+  options.listen_fd = static_cast<int>(flags.GetInt("listen-fd"));
   options.data_dir = flags.GetString("data-dir");
   options.report_path = flags.GetString("report");
   options.max_run = seemore::Millis(flags.GetInt("max-run-ms"));
