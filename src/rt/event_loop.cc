@@ -1,6 +1,7 @@
 #include "rt/event_loop.h"
 
 #include <sys/epoll.h>
+#include <sys/resource.h>
 #include <sys/timerfd.h>
 #include <unistd.h>
 
@@ -16,7 +17,35 @@ Status Errno(const char* what) {
   return Status::Internal(std::string(what) + ": " + std::strerror(errno));
 }
 
+uint64_t TimevalMicros(const timeval& tv) {
+  return static_cast<uint64_t>(tv.tv_sec) * 1000000u +
+         static_cast<uint64_t>(tv.tv_usec);
+}
+
 }  // namespace
+
+ProcessUsage ProcessUsage::Now() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return {TimevalMicros(usage.ru_utime), TimevalMicros(usage.ru_stime),
+          static_cast<uint64_t>(usage.ru_nvcsw),
+          static_cast<uint64_t>(usage.ru_nivcsw)};
+}
+
+ProcessUsage ProcessUsage::operator-(const ProcessUsage& earlier) const {
+  return {user_us - earlier.user_us, sys_us - earlier.sys_us,
+          voluntary_switches - earlier.voluntary_switches,
+          involuntary_switches - earlier.involuntary_switches};
+}
+
+Json ProcessUsage::ToJson() const {
+  Json j = Json::Object();
+  j.Set("user_us", user_us);
+  j.Set("sys_us", sys_us);
+  j.Set("voluntary_switches", voluntary_switches);
+  j.Set("involuntary_switches", involuntary_switches);
+  return j;
+}
 
 EventLoop::EventLoop() {
   epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
@@ -181,6 +210,7 @@ void EventLoop::Run(SimTime until) {
       if (errno == EINTR) continue;  // signal: loop back to the interrupt check
       break;
     }
+    if (n > 0) ++wakeups_;
     for (int i = 0; i < n; ++i) {
       const int fd = static_cast<int>(events[i].data.u64 & 0xffffffffu);
       const uint64_t generation = events[i].data.u64 >> 32;

@@ -25,12 +25,27 @@
 
 #include "net/transport.h"
 #include "rt/clock.h"
+#include "util/json.h"
 #include "util/status.h"
 #include "util/time.h"
 #include "util/timer_heap.h"
 
 namespace seemore {
 namespace rt {
+
+/// CPU time and context switches of this process (getrusage), as the
+/// "rusage" object of a tcp report. Differences of two readings cover the
+/// span between them.
+struct ProcessUsage {
+  uint64_t user_us = 0;
+  uint64_t sys_us = 0;
+  uint64_t voluntary_switches = 0;
+  uint64_t involuntary_switches = 0;
+
+  static ProcessUsage Now();
+  ProcessUsage operator-(const ProcessUsage& earlier) const;
+  Json ToJson() const;
+};
 
 class EventLoop final : public TimerService {
  public:
@@ -100,6 +115,9 @@ class EventLoop final : public TimerService {
   void set_interrupt(std::function<bool()> interrupt) {
     interrupt_ = std::move(interrupt);
   }
+  /// epoll_wait returns with at least one ready fd or timer, over this
+  /// loop's life: what a process pays a wakeup for.
+  uint64_t wakeups() const { return wakeups_; }
 
  private:
   struct Watch {
@@ -122,6 +140,7 @@ class EventLoop final : public TimerService {
   int timer_fd_ = -1;
   bool stopped_ = false;
   std::function<bool()> interrupt_;
+  uint64_t wakeups_ = 0;
 
   TimerHeap timers_;
   SimTime armed_deadline_ = kNeverArmed;

@@ -21,31 +21,82 @@ constexpr uint8_t kHelloVersion = 1;
 constexpr uint32_t kControlMagic = 0x544c5443;  // "CTLT"
 constexpr uint8_t kControlVersion = 1;
 
-uint32_t BodyCrc(const uint8_t* data, size_t len) {
-  // Hardware CRC paths may prefetch; never hand them a null pointer.
+/// Hardware CRC paths may prefetch; never hand them a null pointer.
+const uint8_t* NonNull(const uint8_t* data, size_t len) {
   static const uint8_t kZero = 0;
-  return storage::Crc32c(len != 0 ? data : &kZero, len);
+  return len != 0 ? data : &kZero;
+}
+
+/// CRC32C of the tag bytes (when tagged) followed by the body.
+uint32_t FrameCrc(PrincipalId tag, const uint8_t* body, size_t len) {
+  if (tag == kNoTag) return storage::Crc32c(NonNull(body, len), len);
+  uint8_t tag_bytes[4];
+  std::memcpy(tag_bytes, &tag, 4);  // little-endian hosts (x86/arm)
+  return storage::Crc32cExtend(storage::Crc32c(tag_bytes, 4),
+                               NonNull(body, len), len);
+}
+
+/// Writes the 8- or 12-byte header of a frame; returns its size.
+size_t PutHeader(uint8_t* out, PrincipalId tag, const uint8_t* body,
+                 size_t len) {
+  const uint32_t word =
+      static_cast<uint32_t>(len) | (tag == kNoTag ? 0 : kFrameTagFlag);
+  const uint32_t crc = FrameCrc(tag, body, len);
+  std::memcpy(out, &word, 4);  // little-endian hosts (x86/arm)
+  std::memcpy(out + 4, &crc, 4);
+  if (tag == kNoTag) return kFrameHeaderBytes;
+  std::memcpy(out + 8, &tag, 4);
+  return kTaggedFrameHeaderBytes;
+}
+
+/// What the length word of a header says: body length and header size.
+/// Refuses a body past `max_frame` (which also catches any high bit but the
+/// tag flag).
+Status ReadLengthWord(const uint8_t* head, size_t max_frame,
+                      size_t* body_len, size_t* header_bytes) {
+  uint32_t word = 0;
+  std::memcpy(&word, head, 4);
+  const uint32_t len = word & ~kFrameTagFlag;
+  if (len > max_frame) {
+    char msg[96];
+    std::snprintf(msg, sizeof(msg),
+                  "frame length %u exceeds cap %zu (garbage prefix?)", len,
+                  max_frame);
+    return Status::Corruption(msg);
+  }
+  *body_len = len;
+  *header_bytes =
+      (word & kFrameTagFlag) != 0 ? kTaggedFrameHeaderBytes : kFrameHeaderBytes;
+  return Status::Ok();
+}
+
+/// The tag of a complete 12-byte header; Corruption unless it could be a
+/// principal id.
+Status ReadTag(const uint8_t* head, PrincipalId* tag) {
+  std::memcpy(tag, head + kFrameHeaderBytes, 4);
+  if (*tag < 0) return Status::Corruption("frame tag is not a principal id");
+  return Status::Ok();
 }
 
 }  // namespace
 
-Bytes EncodeFrame(const uint8_t* body, size_t len) {
-  Encoder enc;
-  enc.PutU32(static_cast<uint32_t>(len));
-  enc.PutU32(BodyCrc(body, len));
-  enc.PutRaw(body, len);
-  return enc.Take();
+Bytes EncodeFrame(const uint8_t* body, size_t len, PrincipalId tag) {
+  Bytes frame(kTaggedFrameHeaderBytes + len);
+  const size_t header = PutHeader(frame.data(), tag, body, len);
+  if (len != 0) std::memcpy(frame.data() + header, body, len);
+  frame.resize(header + len);
+  return frame;
 }
 
-FrameBuffer::FrameBuffer(Payload body) : body_(std::move(body)) {
-  const uint32_t len = static_cast<uint32_t>(body_.size());
-  const uint32_t crc = BodyCrc(body_.data(), body_.size());
-  std::memcpy(header_.data(), &len, 4);  // little-endian hosts (x86/arm)
-  std::memcpy(header_.data() + 4, &crc, 4);
+FrameBuffer::FrameBuffer(Payload body, PrincipalId tag)
+    : tag_(tag), body_(std::move(body)) {
+  PutHeader(header_.data(), tag_, body_.data(), body_.size());
 }
 
-std::shared_ptr<const FrameBuffer> FrameBuffer::Wrap(Payload body) {
-  return std::shared_ptr<const FrameBuffer>(new FrameBuffer(std::move(body)));
+std::shared_ptr<const FrameBuffer> FrameBuffer::Wrap(Payload body,
+                                                     PrincipalId tag) {
+  return std::shared_ptr<const FrameBuffer>(
+      new FrameBuffer(std::move(body), tag));
 }
 
 Bytes EncodeHelloBody(const Hello& hello) {
@@ -161,6 +212,7 @@ Status FrameReader::Fail(Status status) {
   parse_pos_ = 0;
   spill_active_ = false;
   spill_header_fill_ = 0;
+  spill_header_need_ = kFrameHeaderBytes;
   spill_body_len_ = 0;
   spill_body_.clear();
   spill_body_.shrink_to_fit();
@@ -221,28 +273,37 @@ Status FrameReader::Feed(const uint8_t* data, size_t len) {
 
 size_t FrameReader::AbsorbIntoSpill(const uint8_t* data, size_t len) {
   size_t consumed = 0;
-  while (consumed < len || (spill_header_fill_ == kFrameHeaderBytes &&
+  while (consumed < len || (spill_header_fill_ == spill_header_need_ &&
                             spill_body_.size() == spill_body_len_)) {
-    if (spill_header_fill_ < kFrameHeaderBytes) {
+    if (spill_header_fill_ < spill_header_need_) {
       const size_t take =
-          std::min(kFrameHeaderBytes - spill_header_fill_, len - consumed);
+          std::min(spill_header_need_ - spill_header_fill_, len - consumed);
       std::memcpy(spill_header_.data() + spill_header_fill_, data + consumed,
                   take);
       spill_header_fill_ += take;
       consumed += take;
-      if (spill_header_fill_ < kFrameHeaderBytes) break;
-      uint32_t body_len = 0;
-      std::memcpy(&body_len, spill_header_.data(), 4);
-      std::memcpy(&spill_crc_, spill_header_.data() + 4, 4);
-      if (body_len > max_frame_) {
-        char msg[96];
-        std::snprintf(msg, sizeof(msg),
-                      "frame length %u exceeds cap %zu (garbage prefix?)",
-                      body_len, max_frame_);
-        Fail(Status::Corruption(msg));
-        return consumed;
+      if (spill_header_fill_ < spill_header_need_) break;
+      if (spill_header_need_ == kFrameHeaderBytes) {
+        size_t body_len = 0;
+        size_t header_bytes = 0;
+        const Status length = ReadLengthWord(
+            spill_header_.data(), max_frame_, &body_len, &header_bytes);
+        if (!length.ok()) {
+          Fail(length);
+          return consumed;
+        }
+        std::memcpy(&spill_crc_, spill_header_.data() + 4, 4);
+        spill_body_len_ = body_len;
+        spill_header_need_ = header_bytes;
+        if (header_bytes != kFrameHeaderBytes) continue;  // the tag is next
+        spill_tag_ = kNoTag;
+      } else {
+        const Status tag = ReadTag(spill_header_.data(), &spill_tag_);
+        if (!tag.ok()) {
+          Fail(tag);
+          return consumed;
+        }
       }
-      spill_body_len_ = body_len;
       spill_body_.clear();
       spill_body_.reserve(spill_body_len_);
       continue;
@@ -253,7 +314,8 @@ size_t FrameReader::AbsorbIntoSpill(const uint8_t* data, size_t len) {
                        data + consumed + take);
     consumed += take;
     if (spill_body_.size() == spill_body_len_) {
-      if (BodyCrc(spill_body_.data(), spill_body_.size()) != spill_crc_) {
+      if (FrameCrc(spill_tag_, spill_body_.data(), spill_body_.size()) !=
+          spill_crc_) {
         Fail(Status::Corruption("frame CRC mismatch"));
         return consumed;
       }
@@ -261,10 +323,11 @@ size_t FrameReader::AbsorbIntoSpill(const uint8_t* data, size_t len) {
         ++stats_->frames_copied;
         stats_->bytes_copied += spill_body_.size();
       }
-      ready_.emplace_back(std::move(spill_body_));
+      ready_.push_back(Frame{Payload(std::move(spill_body_)), spill_tag_});
       ++frames_decoded_;
       spill_body_ = Bytes();
       spill_header_fill_ = 0;
+      spill_header_need_ = kFrameHeaderBytes;
       spill_body_len_ = 0;
       spill_active_ = false;
       return consumed;
@@ -287,18 +350,12 @@ Status FrameReader::Parse() {
     const size_t avail = write_pos_ - parse_pos_;
     if (avail < kFrameHeaderBytes) break;
     const uint8_t* head = block_->data() + parse_pos_;
-    uint32_t body_len = 0;
-    uint32_t crc = 0;
-    std::memcpy(&body_len, head, 4);  // little-endian hosts only (x86/arm)
-    std::memcpy(&crc, head + 4, 4);
-    if (body_len > max_frame_) {
-      char msg[96];
-      std::snprintf(msg, sizeof(msg),
-                    "frame length %u exceeds cap %zu (garbage prefix?)",
-                    body_len, max_frame_);
-      return Fail(Status::Corruption(msg));
-    }
-    const size_t total = kFrameHeaderBytes + body_len;
+    size_t body_len = 0;
+    size_t header_bytes = 0;
+    const Status length =
+        ReadLengthWord(head, max_frame_, &body_len, &header_bytes);
+    if (!length.ok()) return Fail(length);
+    const size_t total = header_bytes + body_len;
     if (parse_pos_ + total > block_->size()) {
       // The frame can never complete inside this block: reassemble it by
       // copy in the spill. Everything committed so far is part of it.
@@ -309,12 +366,18 @@ Status FrameReader::Parse() {
       break;
     }
     if (avail < total) break;  // fits in-block; wait for the rest
-    const uint8_t* body = head + kFrameHeaderBytes;
-    if (BodyCrc(body, body_len) != crc) {
+    PrincipalId tag = kNoTag;
+    if (header_bytes != kFrameHeaderBytes) {
+      const Status tagged = ReadTag(head, &tag);
+      if (!tagged.ok()) return Fail(tagged);
+    }
+    uint32_t crc = 0;
+    std::memcpy(&crc, head + 4, 4);
+    if (FrameCrc(tag, head + header_bytes, body_len) != crc) {
       return Fail(Status::Corruption("frame CRC mismatch"));
     }
-    ready_.push_back(Payload::View(block_, parse_pos_ + kFrameHeaderBytes,
-                                   body_len));
+    ready_.push_back(Frame{
+        Payload::View(block_, parse_pos_ + header_bytes, body_len), tag});
     if (stats_ != nullptr) {
       ++stats_->frames_aliased;
       stats_->bytes_aliased += body_len;
@@ -325,9 +388,11 @@ Status FrameReader::Parse() {
   return Status::Ok();
 }
 
-bool FrameReader::Next(Payload* body) {
+bool FrameReader::Next(Payload* body, PrincipalId* tag) {
   if (ready_.empty()) return false;
-  *body = std::move(ready_.front());
+  Frame& front = ready_.front();
+  *body = std::move(front.body);
+  if (tag != nullptr) *tag = front.tag;
   ready_.pop_front();
   return true;
 }

@@ -1,35 +1,51 @@
 // TCP frame codec for the real transport.
 //
-// A stream between two principals carries length-prefixed, checksummed
+// A stream between two processes carries length-prefixed, checksummed
 // frames; each frame body is exactly one wire message (the same encoded
-// bytes SimNetwork would have delivered as a Payload). Layout, all integers
-// little-endian like the rest of the wire layer:
+// bytes SimNetwork would have delivered as a Payload). Two layouts, all
+// integers little-endian like the rest of the wire layer:
 //
-//   u32 body length | u32 CRC32C(body) | body bytes
+//   untagged: u32 body length            | u32 CRC32C(body)       | body
+//   tagged:   u32 body length | 1u << 31 | u32 CRC32C(tag ‖ body) | u32 tag | body
+//
+// A connection is HELLO'd by one principal at each end (see below). A
+// process hosting several non-replica principals (the launcher's clients
+// and fault controller) shares one connection per replica among them, and
+// a frame for any principal other than the connection's HELLO identity at
+// that end names it in the tag: its source on the way to the replica, its
+// destination on the way back. Replica<->replica frames never carry a tag,
+// so their bytes are the untagged layout, unchanged. The top bit of the
+// length word is the tag flag; the other 31 bits are the body length (tag
+// excluded), so a stray high bit reads as a length past the cap and is
+// refused by the same max-frame check as any garbage prefix. A tag must be
+// a principal id (top bit clear); who may be named is the transport's rule
+// (rt/tcp_transport.h).
 //
 // The CRC (storage/crc32c.h — the same runtime-dispatched kernel the WAL
 // uses) is not a security boundary (signatures inside the body are); it
 // catches framing bugs and TCP-level corruption early, turning "garbage
 // seeped into the protocol" into a typed kCorruption at the boundary.
 //
-// The first frame on every freshly-established connection must be a HELLO
-// (EncodeHello) announcing the sender's principal id — the pairwise
-// authentication hook the paper's model assumes (§3.1): on localhost the
-// announcement is trusted; a deployment would bind it to a TLS identity.
+// The first frame on every freshly-established connection must be an
+// untagged HELLO (EncodeHello) announcing the sender's principal id — the
+// pairwise authentication hook the paper's model assumes (§3.1): on
+// localhost the announcement is trusted; a deployment would bind it to a
+// TLS identity.
 //
 // Buffer lifecycle (DESIGN.md §12): the send side never copies a body —
-// FrameBuffer pairs an inline 8-byte header with a refcounted Payload, so
-// a multicast builds one FrameBuffer (one CRC pass) and every peer's write
-// queue shares it. The receive side reads straight into pooled refcounted
-// blocks and FrameReader parses frames in place, handing each complete
-// body out as a Payload view of the block; only a frame that straddles a
-// block boundary is copied (FrameReadStats keeps the honest tally).
+// FrameBuffer pairs an inline 8- or 12-byte header with a refcounted
+// Payload, so a multicast builds one FrameBuffer (one CRC pass) and every
+// peer's write queue shares it. The receive side reads straight into
+// pooled refcounted blocks and FrameReader parses frames in place, handing
+// each complete body out (with its tag) as a Payload view of the block;
+// only a frame that straddles a block boundary is copied (FrameReadStats
+// keeps the honest tally).
 //
 // FrameReader is a pure incremental parser over arbitrary byte chunks: no
 // sockets, no allocation proportional to chunk count, and every malformed
-// input (oversized/garbage length, CRC mismatch, mid-frame EOF) surfaces
-// as a typed error — never a crash, never an unbounded buffer
-// (tests/rt_frame_test.cc drives it at every byte boundary).
+// input (oversized/garbage length, negative tag, CRC mismatch, mid-frame
+// EOF) surfaces as a typed error — never a crash, never an unbounded
+// buffer (tests/rt_frame_test.cc drives it at every byte boundary).
 
 #ifndef SEEMORE_RT_FRAME_H_
 #define SEEMORE_RT_FRAME_H_
@@ -49,8 +65,14 @@
 namespace seemore {
 namespace rt {
 
-/// Frame header: body length + CRC32C, 8 bytes.
+/// Untagged frame header: body length + CRC32C, 8 bytes.
 inline constexpr size_t kFrameHeaderBytes = 8;
+/// Tagged frame header: the untagged header plus the u32 tag.
+inline constexpr size_t kTaggedFrameHeaderBytes = kFrameHeaderBytes + 4;
+/// Set in the length word of a tagged frame.
+inline constexpr uint32_t kFrameTagFlag = 1u << 31;
+/// The tag of an untagged frame: the principal is the HELLO identity.
+inline constexpr PrincipalId kNoTag = -1;
 
 /// Upper bound on a frame body. Far above any real message (batches are
 /// bounded by batch_max * request size); its job is rejecting garbage
@@ -60,34 +82,41 @@ inline constexpr size_t kMaxFrameBytes = 16u << 20;
 /// Receive-block granularity: one kernel read lands in one pooled block.
 inline constexpr size_t kReadBlockBytes = 64u * 1024;
 
-/// Wrap one message body into a contiguous wire frame (header + body).
-/// This is the copying form — tests and the HELLO codec use it; the
-/// transport's hot path uses FrameBuffer, which never copies the body.
-Bytes EncodeFrame(const uint8_t* body, size_t len);
-inline Bytes EncodeFrame(const Bytes& body) {
-  return EncodeFrame(body.data(), body.size());
+/// Wrap one message body into a contiguous wire frame (header + body),
+/// tagged when `tag` is not kNoTag. This is the copying form — tests and
+/// the HELLO codec use it; the transport's hot path uses FrameBuffer, which
+/// never copies the body.
+Bytes EncodeFrame(const uint8_t* body, size_t len, PrincipalId tag = kNoTag);
+inline Bytes EncodeFrame(const Bytes& body, PrincipalId tag = kNoTag) {
+  return EncodeFrame(body.data(), body.size(), tag);
 }
 
-/// A framed message ready for transmission: the 8-byte header inline, the
-/// body as a refcounted Payload. Encoded once per send/multicast — every
-/// peer write queue that carries this frame shares one instance (and the
-/// body shares the sender's original encode), so fan-out is refcount bumps
-/// and the CRC is computed exactly once.
+/// A framed message ready for transmission: the 8- or 12-byte header
+/// inline, the body as a refcounted Payload. Encoded once per send/
+/// multicast — every peer write queue that carries this frame shares one
+/// instance (and the body shares the sender's original encode), so fan-out
+/// is refcount bumps and the CRC is computed exactly once.
 class FrameBuffer {
  public:
-  /// Builds the header (length + CRC) over `body`. The body bytes are
-  /// aliased, never copied.
-  static std::shared_ptr<const FrameBuffer> Wrap(Payload body);
+  /// Builds the header (length + CRC, and the tag unless kNoTag) over
+  /// `body`. The body bytes are aliased, never copied.
+  static std::shared_ptr<const FrameBuffer> Wrap(Payload body,
+                                                 PrincipalId tag = kNoTag);
 
   const uint8_t* header() const { return header_.data(); }
+  size_t header_size() const {
+    return tag_ == kNoTag ? kFrameHeaderBytes : kTaggedFrameHeaderBytes;
+  }
+  PrincipalId tag() const { return tag_; }
   const Payload& body() const { return body_; }
   /// Total on-the-wire size: header + body.
-  size_t size() const { return kFrameHeaderBytes + body_.size(); }
+  size_t size() const { return header_size() + body_.size(); }
 
  private:
-  explicit FrameBuffer(Payload body);
+  FrameBuffer(Payload body, PrincipalId tag);
 
-  std::array<uint8_t, kFrameHeaderBytes> header_;
+  std::array<uint8_t, kTaggedFrameHeaderBytes> header_;
+  PrincipalId tag_;
   Payload body_;
 };
 
@@ -195,9 +224,9 @@ struct FrameReadStats {
 
 /// Incremental frame parser over pooled read blocks. The socket reads
 /// straight into the reader's current block (WriteHead/Commit — no staging
-/// buffer), complete in-block frames come out of Next() as Payload views
-/// of that block, and only a frame that straddles a block boundary is
-/// copied into owned bytes. Feed() is the copying convenience for callers
+/// buffer), complete in-block frames come out of Next() as (tag, Payload
+/// view of that block), and only a frame that straddles a block boundary
+/// is copied into owned bytes. Feed() is the copying convenience for callers
 /// without an fd (tests). After any error the reader is poisoned: Feed and
 /// Commit keep returning the same typed failure and Next returns nothing,
 /// so a connection that produced garbage can only be torn down.
@@ -218,14 +247,15 @@ class FrameReader {
 
   /// Absorb `n` bytes just written at WriteHead, parsing as many complete
   /// frames as they finish. Typed failures: kCorruption for an oversized
-  /// length prefix or a CRC mismatch.
+  /// length prefix, a negative tag or a CRC mismatch.
   Status Commit(size_t n);
 
   /// Copying convenience: WriteHead/memcpy/Commit in a loop.
   Status Feed(const uint8_t* data, size_t len);
 
-  /// Pop the next complete frame body. False when none is pending.
-  bool Next(Payload* body);
+  /// Pop the next complete frame body, and its tag (kNoTag when untagged)
+  /// into `*tag` when given. False when none is pending.
+  bool Next(Payload* body, PrincipalId* tag = nullptr);
 
   /// What a clean peer close means right now: Ok on a frame boundary,
   /// kCorruption when the stream died mid-frame (torn frame).
@@ -258,15 +288,23 @@ class FrameReader {
   size_t write_pos_ = 0;          // committed bytes in block_
   size_t parse_pos_ = 0;          // parsed prefix of the committed bytes
 
-  /// A frame whose bytes straddle blocks, being reassembled by copy.
+  /// A frame whose bytes straddle blocks, being reassembled by copy. The
+  /// header is complete at spill_header_need_ bytes: 8 until the length
+  /// word shows a tag, then 12.
   bool spill_active_ = false;
-  std::array<uint8_t, kFrameHeaderBytes> spill_header_{};
+  std::array<uint8_t, kTaggedFrameHeaderBytes> spill_header_{};
   size_t spill_header_fill_ = 0;
+  size_t spill_header_need_ = kFrameHeaderBytes;
   size_t spill_body_len_ = 0;
   uint32_t spill_crc_ = 0;
+  PrincipalId spill_tag_ = kNoTag;
   Bytes spill_body_;
 
-  std::deque<Payload> ready_;
+  struct Frame {
+    Payload body;
+    PrincipalId tag;
+  };
+  std::deque<Frame> ready_;
   Status status_;
   uint64_t frames_decoded_ = 0;
 };

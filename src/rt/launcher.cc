@@ -15,6 +15,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -164,7 +165,11 @@ class Launcher final : public scenario::FaultTarget, MessageHandler {
   }
   void ShapeLink(int from, int to, SimTime delay, SimTime jitter,
                  uint32_t drop_ppm) override;
+  /// Asks every live node who the primary is and decides by plurality as
+  /// soon as each of them has answered, or after kPrimaryQueryWait.
   void ResolvePrimary(std::function<void(int)> then) override;
+  /// Decide the pending primary query with the answers in so far.
+  void DecidePrimary();
 
   Child& Slot(int replica) { return children_[static_cast<size_t>(replica)]; }
   Status Setup();
@@ -198,6 +203,9 @@ class Launcher final : public scenario::FaultTarget, MessageHandler {
   /// CONTROL replies (kPrimaryReply, kReady) to the fault-controller
   /// principal.
   void OnMessage(PrincipalId from, Payload payload) override;
+  /// Every schedule event whose outcome is still unknown when the run
+  /// ends goes into the report as not applied, and fails the verdict.
+  void ReportUnresolvedEvents();
   void ReapAll();
   /// Read every node's report into report_.nodes and judge the run.
   void CollectReports();
@@ -222,9 +230,19 @@ class Launcher final : public scenario::FaultTarget, MessageHandler {
   TcpRunReport report_;
   /// Replicas the schedule ever made Byzantine (scenario::ApplyEvent).
   std::set<int> byzantine_;
-  /// Per-replica tallies of kPrimaryReply answers to the latest primary
-  /// query (empty before the first).
+  /// The pending primary query: its continuation (empty when none is
+  /// pending), per-replica tallies of the kPrimaryReply answers so far, the
+  /// nodes alive at the broadcast that have not answered, and the timer
+  /// that bounds the wait for them.
+  std::function<void(int)> primary_then_;
   std::vector<int> primary_votes_;
+  std::vector<bool> primary_awaited_;
+  int primary_unanswered_ = 0;
+  EventId primary_timer_ = 0;
+  /// Descriptions of schedule events applied but not yet resolved, by
+  /// serial (only crash-primary resolves late).
+  std::map<uint64_t, std::string> unresolved_events_;
+  uint64_t next_event_serial_ = 0;
   /// Nodes that have reported kReady since launch.
   std::vector<bool> ready_;
   int ready_count_ = 0;
@@ -377,8 +395,12 @@ void Launcher::ScheduleRun() {
     const SimTime at = event.at < 0 ? 0 : event.at;
     loop_->ScheduleAfter(at, [this, event] {
       // Stamped when the outcome is known: crash-primary decides late.
+      const uint64_t serial = next_event_serial_++;
+      unresolved_events_[serial] = event.ToString();
       scenario::ApplyEvent(
-          *this, event, byzantine_, [this](std::string description, Status) {
+          *this, event, byzantine_,
+          [this, serial](std::string description, Status) {
+            unresolved_events_.erase(serial);
             Note(description);
             report_.events.push_back(
                 {loop_->Now() - t0_, std::move(description)});
@@ -428,13 +450,18 @@ void Launcher::OnMessage(PrincipalId from, Payload payload) {
     }
     return;
   }
-  if (command->kind == ControlKind::kPrimaryReply && command->value > 0 &&
-      !primary_votes_.empty()) {
-    const int primary = static_cast<int>(command->value) - 1;
-    if (primary >= 0 && primary < config_.n()) {
-      primary_votes_[static_cast<size_t>(primary)] += 1;
-    }
+  // `from` is a replica id here: only replicas reach the controller.
+  if (command->kind != ControlKind::kPrimaryReply || !primary_then_ ||
+      from < 0 || from >= config_.n() ||
+      !primary_awaited_[static_cast<size_t>(from)]) {
+    return;
   }
+  primary_awaited_[static_cast<size_t>(from)] = false;
+  const int primary = static_cast<int>(command->value) - 1;  // -1: unknown
+  if (primary >= 0 && primary < config_.n()) {
+    primary_votes_[static_cast<size_t>(primary)] += 1;
+  }
+  if (--primary_unanswered_ == 0) DecidePrimary();
 }
 
 Status Launcher::TamperWal(int replica, storage::WalTamper tamper,
@@ -489,20 +516,56 @@ void Launcher::ShapeLink(int from, int to, SimTime delay, SimTime jitter,
 
 void Launcher::ResolvePrimary(std::function<void(int)> then) {
   // Nobody here knows the view: ask every live node and take the plurality
-  // answer once the replies are in.
+  // answer once each has replied. A node that never answers (a Byzantine
+  // one, or one dying meanwhile) holds the decision up by the bound only.
+  constexpr SimTime kPrimaryQueryWait = Millis(50);
+  if (primary_then_) DecidePrimary();  // one query at a time
+  primary_then_ = std::move(then);
   primary_votes_.assign(static_cast<size_t>(config_.n()), 0);
+  primary_awaited_.assign(static_cast<size_t>(config_.n()), false);
+  primary_unanswered_ = 0;
+  for (const Child& child : children_) {
+    if (!child.alive) continue;
+    primary_awaited_[static_cast<size_t>(child.id)] = true;
+    ++primary_unanswered_;
+  }
+  if (primary_unanswered_ == 0) {
+    DecidePrimary();
+    return;
+  }
   BroadcastControl(Command(ControlKind::kQueryPrimary));
-  loop_->ScheduleAfter(Millis(300), [this, then = std::move(then)] {
-    int best = -1;
-    for (int r = 0; r < config_.n(); ++r) {
-      const int votes = primary_votes_[static_cast<size_t>(r)];
-      if (votes > 0 &&
-          (best < 0 || votes > primary_votes_[static_cast<size_t>(best)])) {
-        best = r;
-      }
+  primary_timer_ =
+      loop_->ScheduleAfter(kPrimaryQueryWait, [this] { DecidePrimary(); });
+}
+
+void Launcher::DecidePrimary() {
+  if (!primary_then_) return;
+  loop_->CancelEvent(primary_timer_);
+  int best = -1;
+  for (int r = 0; r < config_.n(); ++r) {
+    const int votes = primary_votes_[static_cast<size_t>(r)];
+    if (votes > 0 &&
+        (best < 0 || votes > primary_votes_[static_cast<size_t>(best)])) {
+      best = r;
     }
-    then(best);
-  });
+  }
+  std::function<void(int)> then = std::move(primary_then_);
+  primary_then_ = nullptr;
+  then(best);
+}
+
+void Launcher::ReportUnresolvedEvents() {
+  if (unresolved_events_.empty()) return;
+  std::string names;
+  for (auto& [serial, description] : unresolved_events_) {
+    if (!names.empty()) names += "; ";
+    names += description;
+    report_.events.push_back(
+        {loop_->Now() - t0_,
+         description + " (not applied: unresolved when the run ended)"});
+  }
+  unresolved_events_.clear();
+  report_.schedule = Status::Unavailable("events not applied: " + names);
 }
 
 void Launcher::ReapAll() {
@@ -580,12 +643,15 @@ void Launcher::CollectReports() {
     report_.nodes.push_back(*std::move(node));
     outcomes.push_back(std::move(outcome));
   }
+  const Status schedule = report_.schedule;
   static_cast<scenario::Verdict&>(report_) =
       scenario::CheckVerdict(outcomes, spec_.plan.check_convergence);
+  report_.schedule = schedule;
 }
 
 Result<TcpRunReport> Launcher::Run() {
   // The loop's clock starts here: lifecycle times count from launch.
+  const ProcessUsage usage_at_start = ProcessUsage::Now();
   loop_ = std::make_unique<EventLoop>();
   SEEMORE_RETURN_IF_ERROR(loop_->init_status());
   SEEMORE_RETURN_IF_ERROR(Setup());
@@ -613,9 +679,10 @@ Result<TcpRunReport> Launcher::Run() {
       [this](PrincipalId, PrincipalId) { OnReadinessEvent(); });
   keystore_ = std::make_unique<KeyStore>(RunKeySeed(spec_.seed));
 
-  // The fault controller dials every node like a client; those HELLO'd
-  // connections are the control channel the schedule speaks over (and the
-  // path kPrimaryReply answers come back on).
+  // The fault controller registers first, so it dials every node and is
+  // the HELLO identity of the one connection per node that the clients
+  // then share. Its frames are the control channel the schedule speaks
+  // over, and kPrimaryReply and kReady answers come back to it untagged.
   transport_->Register(kFaultControllerId, Zone::kClient, this,
                        /*metered=*/false);
 
@@ -644,7 +711,10 @@ Result<TcpRunReport> Launcher::Run() {
   const SimTime run_end = loop_->Now();
   if (measure_end_ == 0) measure_end_ = run_end;  // loop died early
 
+  ReportUnresolvedEvents();
   ReapAll();
+  report_.loop_wakeups = loop_->wakeups();
+  report_.rusage = ProcessUsage::Now() - usage_at_start;
 
   report_.scenario = spec_.name;
   report_.seed = spec_.seed;
@@ -707,6 +777,10 @@ Json TcpRunReport::ToJson() const {
   j.Set("replicas", std::move(reps));
   j.Set("net", net);
   j.Set("lifecycle", lifecycle.ToJson());
+  Json loop = Json::Object();
+  loop.Set("wakeups", loop_wakeups);
+  j.Set("loop", std::move(loop));
+  j.Set("rusage", rusage.ToJson());
   AppendJson(j);
   return j;
 }

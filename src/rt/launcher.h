@@ -3,13 +3,17 @@
 //
 // The launcher spawns one node process per replica and hosts every
 // closed-loop SimClient on its own EventLoop/TcpTransport, so measurement
-// happens where requests originate, as in the simulator. It is the
+// happens where requests originate, as in the simulator. Its fault
+// controller and clients share one connection per replica (the controller
+// registers first and HELLOs them; rt/tcp_transport.h). It is the
 // schedule's scenario::FaultTarget: crash and power loss are SIGKILLs,
 // recover and restart respawn the process (on its durable data dir when
 // the spec enables durability), WAL tampering edits the dead process's
-// files, and everything else is a CONTROL frame to the nodes. At the end it
-// SIGTERMs the survivors and judges their reports with scenario::
-// CheckVerdict; a node that died on its own fails the run.
+// files, and everything else is a CONTROL frame to the nodes. A
+// crash-primary asks the live nodes who the primary is and acts once they
+// have all answered (at most 50 ms later). At the end it SIGTERMs the
+// survivors and judges their reports with scenario::CheckVerdict; a node
+// that died on its own, or an event left unresolved, fails the run.
 //
 // Bring-up and teardown run on events, not sleeps. The launcher binds each
 // node's listener before spawning it (the node inherits the socket), so no
@@ -29,6 +33,7 @@
 #include <vector>
 
 #include "harness/runner.h"
+#include "rt/event_loop.h"
 #include "scenario/engine.h"
 #include "scenario/spec.h"
 #include "util/json.h"
@@ -83,6 +88,12 @@ struct TcpRunReport : scenario::RunReportBase {
   Json net;
 
   TcpLifecycle lifecycle;
+
+  /// The launcher process's own cost over the call, in the node reports'
+  /// shape: its loop's wakeups ("loop.wakeups") and its CPU time and
+  /// context switches ("rusage").
+  uint64_t loop_wakeups = 0;
+  ProcessUsage rusage;
 
   Json ToJson() const;
 };

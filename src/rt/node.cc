@@ -225,6 +225,10 @@ Json Node::Report() const {
   root.Set("recovery", std::move(recovery));
 
   root.Set("net", transport_->counters().ToJson());
+  Json loop = Json::Object();
+  loop.Set("wakeups", loop_->wakeups());
+  root.Set("loop", std::move(loop));
+  root.Set("rusage", ProcessUsage::Now().ToJson());
   return root;
 }
 

@@ -6,7 +6,10 @@
 // Protocol code is identical in both worlds; only this file and the
 // launcher know which backend is underneath. A node runs until SIGTERM (the
 // launcher's orderly stop), then writes a per-node report JSON whose
-// digest samples feed the launcher's ReplicaOutcomes (scenario/verdict.h).
+// digest samples feed the launcher's ReplicaOutcomes (scenario/verdict.h);
+// the report also carries the process's transport counters ("net"), its
+// loop's wakeups ("loop.wakeups") and its CPU time and context switches
+// ("rusage").
 // Once its replica mesh is up it tells the launcher so (kReady), which is
 // what the launcher's readiness gate waits for.
 

@@ -126,13 +126,17 @@ CpuMeter* TcpTransport::Register(PrincipalId id, Zone zone,
   node.handler = handler;
   node.up = true;
   if (metered) node.meter = std::make_unique<RtCpuMeter>(loop_);
+  // The first non-replica principal owns this process's connections to the
+  // replicas; every later one shares them.
+  const bool dials_replicas = !IsReplicaPrincipal(id) && shared_sender_ < 0;
+  if (dials_replicas) shared_sender_ = id;
   if (!status_.ok()) return node.meter.get();  // e.g. no valid port block
 
   if (IsReplicaPrincipal(id)) {
     StartListener(id);
     // Deterministic connection ownership: dial every smaller replica id.
     for (PrincipalId peer = 0; peer < id; ++peer) DialPeer(id, peer);
-  } else {
+  } else if (dials_replicas) {
     for (PrincipalId peer = 0; peer < options_.num_replicas; ++peer) {
       DialPeer(id, peer);
     }
@@ -321,9 +325,10 @@ void TcpTransport::OnConnectionEvent(const std::shared_ptr<Connection>& conn,
 }
 
 bool TcpTransport::AcceptHello(const std::shared_ptr<Connection>& conn,
-                               const Payload& body) {
+                               const Payload& body, PrincipalId tag) {
   Result<Hello> hello = DecodeHello(body.data(), body.size());
-  if (!hello.ok() || hello->fingerprint != options_.fingerprint) {
+  if (tag != kNoTag || !hello.ok() ||
+      hello->fingerprint != options_.fingerprint) {
     ++counters_.frame_errors;
     CloseConnection(conn, "bad HELLO");
     return false;
@@ -366,10 +371,31 @@ bool TcpTransport::AcceptHello(const std::shared_ptr<Connection>& conn,
   return conn->fd >= 0;  // the handler may have torn the connection down
 }
 
+bool TcpTransport::ResolveTag(const std::shared_ptr<Connection>& conn,
+                              PrincipalId tag, PrincipalId* from,
+                              PrincipalId* to, LocalNode** to_node) {
+  if (IsReplicaPrincipal(conn->local)) {
+    // A replica's end: the tag is the source, a non-replica principal
+    // behind a non-replica HELLO. Its frames teach us its route.
+    if (IsReplicaPrincipal(conn->peer) || tag < kClientIdBase) return false;
+    *from = tag;
+    auto [route, added] = peers_.try_emplace({conn->local, tag}, conn);
+    if (route->second != conn) {
+      route->second = conn;  // it moved to a newer connection
+      added = true;
+    }
+    if (added) conn->routed.push_back(tag);
+    return true;
+  }
+  // The multi-principal end: the tag is a destination hosted here.
+  auto local = locals_.find(tag);
+  if (local == locals_.end() || IsReplicaPrincipal(tag)) return false;
+  *to = tag;
+  *to_node = &local->second;
+  return true;
+}
+
 void TcpTransport::DrainReadable(const std::shared_ptr<Connection>& conn) {
-  // Hoisted once per drain: the handler lookup must not cost a map find
-  // per message.
-  LocalNode* const owner = conn->owner;
   while (true) {
     size_t cap = 0;
     uint8_t* head = conn->reader.WriteHead(&cap);
@@ -384,15 +410,26 @@ void TcpTransport::DrainReadable(const std::shared_ptr<Connection>& conn) {
         return;
       }
       Payload body;
-      while (conn->reader.Next(&body)) {
+      PrincipalId tag = kNoTag;
+      while (conn->reader.Next(&body, &tag)) {
         if (!conn->hello_received) {
-          if (!AcceptHello(conn, body)) return;
+          if (!AcceptHello(conn, body, tag)) return;
           continue;
+        }
+        // Untagged, the frame is between the HELLO identities; a tag names
+        // the co-located principal at one end instead.
+        PrincipalId from = conn->peer;
+        PrincipalId to = conn->local;
+        LocalNode* to_node = conn->owner;
+        if (tag != kNoTag && !ResolveTag(conn, tag, &from, &to, &to_node)) {
+          ++counters_.frame_errors;
+          CloseConnection(conn, "bad frame tag");
+          return;
         }
         // Every frame from the control principal is a fault command; one
         // that fails the strict decode kills the connection exactly like a
         // garbage data frame.
-        if (conn->peer == options_.control_principal &&
+        if (from == options_.control_principal &&
             options_.control_principal >= 0) {
           Result<FaultCommand> command =
               DecodeFaultCommand(body.data(), body.size());
@@ -407,16 +444,15 @@ void TcpTransport::DrainReadable(const std::shared_ptr<Connection>& conn) {
         ++counters_.messages_received;
         // A cut directed link is enforced at BOTH ends: frames already in
         // flight when the cut landed are refused here.
-        if (faults_.active() &&
-            faults_.ShouldDropInbound(conn->peer, conn->local)) {
+        if (faults_.active() && faults_.ShouldDropInbound(from, to)) {
           ++counters_.fault_dropped_rx;
           continue;
         }
-        if (owner == nullptr || !owner->up || owner->handler == nullptr) {
+        if (to_node == nullptr || !to_node->up || to_node->handler == nullptr) {
           ++counters_.dropped_node_down;
           continue;
         }
-        owner->handler->OnMessage(conn->peer, std::move(body));
+        to_node->handler->OnMessage(from, std::move(body));
         if (conn->fd < 0) return;  // handler-triggered teardown
       }
       // Short read: the kernel buffer is drained, skip the EAGAIN round
@@ -510,8 +546,14 @@ void TcpTransport::CloseConnection(const std::shared_ptr<Connection>& conn,
   close(conn->fd);
   conn->fd = -1;
   conn->write_queue.Clear();
-  auto it = peers_.find({conn->local, conn->peer});
-  if (it != peers_.end() && it->second == conn) peers_.erase(it);
+  // Forget every route through this connection: its HELLO identity and
+  // the principals learned from its tags.
+  conn->routed.push_back(conn->peer);
+  for (PrincipalId remote : conn->routed) {
+    auto it = peers_.find({conn->local, remote});
+    if (it != peers_.end() && it->second == conn) peers_.erase(it);
+  }
+  conn->routed.clear();
   // Swap-remove via the back-index: closes stay O(1) however many
   // connections a launcher process carries.
   const size_t index = conn->index;
@@ -546,7 +588,7 @@ void TcpTransport::Send(PrincipalId from, PrincipalId to, Payload payload) {
     DeliverLocally(from, to, std::move(payload));
     return;
   }
-  std::shared_ptr<Connection> conn = ConnectionFor(from, to);
+  std::shared_ptr<Connection> conn = RouteFor(from, to);
   if (conn == nullptr || !conn->hello_received) {
     ++counters_.dropped_no_connection;
     return;
@@ -563,7 +605,9 @@ void TcpTransport::Send(PrincipalId from, PrincipalId to, Payload payload) {
   // peer: wrap it once and share the frame, like an explicit Multicast.
   std::shared_ptr<const FrameBuffer> frame;
   const uint64_t payload_id = payload.id();
-  if (payload_id != 0 && payload_id == memo_payload_id_) {
+  const PrincipalId tag = TagFor(*conn, from, to);
+  if (payload_id != 0 && payload_id == memo_payload_id_ &&
+      memo_frame_->tag() == tag) {
     frame = memo_frame_;
     if (!memo_reused_) {
       memo_reused_ = true;
@@ -573,7 +617,7 @@ void TcpTransport::Send(PrincipalId from, PrincipalId to, Payload payload) {
       ++counters_.multicast_enqueues;
     }
   } else {
-    frame = FrameBuffer::Wrap(std::move(payload));
+    frame = FrameBuffer::Wrap(std::move(payload), tag);
     memo_payload_id_ = payload_id;
     memo_frame_ = frame;
     memo_reused_ = false;
@@ -600,13 +644,17 @@ void TcpTransport::Transmit(const std::shared_ptr<Connection>& conn,
   loop_->ScheduleAt(
       now + hold, [this, alive, from, to, frame = std::move(frame)] {
         if (alive.expired()) return;
-        std::shared_ptr<Connection> conn = ConnectionFor(from, to);
+        std::shared_ptr<Connection> conn = RouteFor(from, to);
         if (conn == nullptr || !conn->hello_received) {
           ++counters_.dropped_no_connection;
           return;
         }
         ++counters_.messages_sent;
-        EnqueueFrame(conn, frame);
+        // A route relearned meanwhile may want another tag.
+        const PrincipalId tag = TagFor(*conn, from, to);
+        EnqueueFrame(conn, tag == frame->tag()
+                               ? frame
+                               : FrameBuffer::Wrap(frame->body(), tag));
       });
 }
 
@@ -621,8 +669,9 @@ void TcpTransport::Multicast(PrincipalId from,
     return;
   }
   // Encode-once fan-out: one FrameBuffer (one CRC pass, zero body copies)
-  // shared by every remote target's write queue. Built lazily so an
-  // all-local or all-disconnected multicast builds nothing.
+  // shared by every remote target's write queue that wants the same tag.
+  // Built lazily so an all-local or all-disconnected multicast builds
+  // nothing.
   std::shared_ptr<const FrameBuffer> frame;
   const SimTime now = faults_.active() ? loop_->Now() : 0;  // as in Send
   for (PrincipalId to : targets) {
@@ -631,7 +680,7 @@ void TcpTransport::Multicast(PrincipalId from,
       DeliverLocally(from, to, payload);
       continue;
     }
-    std::shared_ptr<Connection> conn = ConnectionFor(from, to);
+    std::shared_ptr<Connection> conn = RouteFor(from, to);
     if (conn == nullptr || !conn->hello_received) {
       ++counters_.dropped_no_connection;
       continue;
@@ -641,8 +690,9 @@ void TcpTransport::Multicast(PrincipalId from,
       ++counters_.fault_dropped_tx;
       continue;
     }
-    if (frame == nullptr) {
-      frame = FrameBuffer::Wrap(payload);
+    const PrincipalId tag = TagFor(*conn, from, to);
+    if (frame == nullptr || frame->tag() != tag) {
+      frame = FrameBuffer::Wrap(payload, tag);
       ++counters_.multicast_encodes;
     }
     ++counters_.multicast_enqueues;
@@ -686,7 +736,7 @@ bool TcpTransport::ConnectedTo(PrincipalId peer) const {
   bool any = false;
   for (const auto& [local, node] : locals_) {
     if (local == peer) continue;
-    const std::shared_ptr<Connection> conn = ConnectionFor(local, peer);
+    const std::shared_ptr<Connection> conn = RouteFor(local, peer);
     if (conn == nullptr || !conn->hello_received) return false;
     any = true;
   }

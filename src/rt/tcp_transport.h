@@ -2,23 +2,47 @@
 //
 // One TcpTransport per process serves every principal registered in that
 // process (a node process registers its one replica; the launcher process
-// registers all clients). Replica r listens on base_port + r; clients have
-// no listener. A replica either binds its listener itself or adopts one
-// already bound for it (TcpTransportOptions::listen_fd: the launcher binds
-// each node's listener before spawning it, so no peer's dial is refused).
-// Connection ownership is deterministic: a replica dials every
-// replica with a smaller id and accepts from larger ids and clients, so
-// each principal pair shares exactly one duplex connection. Every
-// established connection opens with a HELLO frame (rt/frame.h) announcing
-// the dialer's principal id and the cluster fingerprint — the transport's
-// pairwise-authenticated-channel guarantee on localhost.
+// registers its fault controller and every client). Replica r listens on
+// base_port + r; other principals have no listener. A replica either binds
+// its listener itself or adopts one already bound for it
+// (TcpTransportOptions::listen_fd: the launcher binds each node's listener
+// before spawning it, so no peer's dial is refused).
+//
+// One connection per process and replica. A replica dials every replica
+// with a smaller id and accepts from larger ids, so each replica pair
+// shares exactly one duplex connection. A process's non-replica principals
+// share one connection to each replica: the first one registered dials
+// every replica and is that connection's HELLO identity, and the others
+// ride it with tagged frames (rt/frame.h). Every established connection
+// opens with an untagged HELLO announcing the dialer's principal id and
+// the cluster fingerprint — the transport's pairwise-authenticated-channel
+// guarantee on localhost — and the tag rule extends it to the co-located
+// principals behind a HELLO:
+//   - The tag names the principal at the multi-principal end: the source
+//     on the way to a replica, the destination on the way back.
+//   - At a replica, a tag must name a non-replica id (>= kClientIdBase) on
+//     a connection HELLO'd by a non-replica principal. At the non-replica
+//     end, it must name a principal registered there. Any other tag (one on
+//     a replica<->replica connection, or one naming a replica) is a frame
+//     error: counted, and the connection is closed.
+//   - A replica learns the route to a co-located principal from that
+//     principal's tagged frames and forgets it when the connection closes.
+//   - The control channel is a source principal, not a connection: a frame
+//     is CONTROL exactly when its source (tag or HELLO sender) is
+//     TcpTransportOptions::control_principal.
+// Because two clients' frames share a socket, they share its flushes: two
+// requests sent in one io batch leave in one sendmsg, and the replies,
+// prepares and commits they cause travel paired from then on — fewer
+// syscalls and wakeups per request for the same protocol messages.
 //
 // Loss semantics mirror the Transport contract exactly: Send never blocks;
-// a message with no established connection, a crashed local node, or a full
-// write queue is silently dropped and counted — the protocols already
-// tolerate loss, and a dialer retries its connection with exponential
-// backoff, so process kill + respawn looks like the message loss the
-// simulator injects.
+// a message with no established connection (or no learned route), a
+// crashed local node, or a full write queue is silently dropped and
+// counted — the protocols already tolerate loss, and a dialer retries its
+// connection with exponential backoff, so process kill + respawn looks
+// like the message loss the simulator injects. The fault plane judges each
+// frame by its (source, destination) principals at both ends, so a cut
+// from one client leaves its neighbours on the same socket untouched.
 //
 // Wire path (DESIGN.md §12): a send wraps the payload in one refcounted
 // FrameBuffer — a multicast enqueues that same buffer on every peer's
@@ -49,9 +73,10 @@ namespace seemore {
 namespace rt {
 
 /// Principal id the launcher's fault controller registers as: above every
-/// client id (clients are kClientIdBase + i) so AcceptHello admits it via
-/// the client rule, yet recognizable by every node as the one principal
-/// whose frames are CONTROL commands, not protocol messages.
+/// client id (clients are kClientIdBase + i) so AcceptHello and the tag
+/// rule admit it as a non-replica principal, yet recognizable by every node
+/// as the one principal whose frames are CONTROL commands, not protocol
+/// messages.
 inline constexpr PrincipalId kFaultControllerId = kClientIdBase * 2 - 1;
 
 /// Accounting-only CpuMeter: real nodes burn real CPU, so Charge() tracks
@@ -92,13 +117,15 @@ struct TcpTransportOptions {
   /// Dialer retry backoff: initial doubles up to max.
   SimTime reconnect_initial = Millis(25);
   SimTime reconnect_max = Millis(800);
-  /// Per-peer write-queue cap: beyond this, new frames are dropped
-  /// (backpressure as loss, which the protocols tolerate by design).
+  /// Per-connection write-queue cap, shared by the principals that share
+  /// the connection: beyond this, new frames are dropped (backpressure as
+  /// loss, which the protocols tolerate by design).
   size_t max_queued_bytes = 8u << 20;
   size_t max_frame = kMaxFrameBytes;
-  /// Frames from this peer are decoded as FaultCommands and applied to the
-  /// fault plane instead of reaching the replica. -1 = no control channel
-  /// (the launcher's own transport, tests).
+  /// Frames whose source principal (tag or HELLO sender) is this one are
+  /// decoded as FaultCommands and applied to the fault plane instead of
+  /// reaching the replica. -1 = no control channel (the launcher's own
+  /// transport, tests).
   PrincipalId control_principal = -1;
   /// Private-cloud size (s): kPartition cuts every pair spanning
   /// id < trusted_count and id >= trusted_count.
@@ -162,8 +189,8 @@ class TcpTransport final : public Transport {
 
   /// --- Transport ----------------------------------------------------------
   /// Registering a replica id binds its listener and starts dialing its
-  /// lower-id peers immediately; registering a client starts dialing every
-  /// replica.
+  /// lower-id peers immediately. The first non-replica principal
+  /// registered dials every replica; later ones share its connections.
   CpuMeter* Register(PrincipalId id, Zone zone, MessageHandler* handler,
                      bool metered) override;
   void Send(PrincipalId from, PrincipalId to, Payload payload) override;
@@ -171,9 +198,11 @@ class TcpTransport final : public Transport {
                  const Payload& payload) override;
   void SetNodeUp(PrincipalId id, bool up) override;
 
-  /// True once every local principal (other than `peer` itself) holds a
-  /// HELLO'd connection to `peer`: the readiness test of a node's replica
-  /// mesh and of the launcher's clients (and tests).
+  /// True once every local principal (other than `peer` itself) has a
+  /// route to `peer` over a HELLO'd connection: the readiness test of a
+  /// node's replica mesh and of the launcher's clients (and tests). A
+  /// replica routes to a co-located principal of another process only once
+  /// that principal's first tagged frame has arrived.
   bool ConnectedTo(PrincipalId peer) const;
   /// Called with (local, peer) each time a connection completes its HELLO.
   /// Readiness is judged on these events instead of by polling.
@@ -212,16 +241,20 @@ class TcpTransport final : public Transport {
         : reader(max_frame, pool, stats), write_queue(max_queued_bytes) {}
 
     int fd = -1;
-    /// Which local principal owns this connection (a process can host many:
-    /// the launcher hosts every client, each with its own connections).
+    /// The local principal this connection is HELLO'd as: a replica, or
+    /// the first non-replica principal of this process, which every other
+    /// co-located one shares the connection with.
     PrincipalId local = -1;
     /// Hoisted locals_ entry for `local` — the receive drain consults it
-    /// per frame, so it must not pay a map lookup per message. Stable:
-    /// locals_ is a std::map and entries are never erased.
+    /// per untagged frame, so it must not pay a map lookup per message.
+    /// Stable: locals_ is a std::map and entries are never erased.
     LocalNode* owner = nullptr;
     /// Peer identity: the dial target, or the HELLO announcement on an
     /// accepted connection (-1 until the HELLO arrives).
     PrincipalId peer = -1;
+    /// Remote principals whose routes were learned from their tags on this
+    /// connection: forgotten with it.
+    std::vector<PrincipalId> routed;
     /// Position in connections_ (swap-remove keeps closes O(1)).
     size_t index = 0;
     bool dialed = false;        // we own reconnect for this connection
@@ -236,6 +269,23 @@ class TcpTransport final : public Transport {
 
   bool IsLocal(PrincipalId id) const { return locals_.count(id) > 0; }
   bool IsReplicaPrincipal(PrincipalId id) const;
+  /// The principal whose connections `local` sends on: itself for a
+  /// replica, the shared HELLO identity for a non-replica principal.
+  PrincipalId ConnectionOwner(PrincipalId local) const {
+    return IsReplicaPrincipal(local) ? local : shared_sender_;
+  }
+  /// The tag a frame from `from` to `to` carries on `conn`: the co-located
+  /// principal that is not the connection's HELLO identity, if any.
+  static PrincipalId TagFor(const Connection& conn, PrincipalId from,
+                            PrincipalId to) {
+    if (from != conn.local) return from;
+    return to != conn.peer ? to : kNoTag;
+  }
+  /// Apply the tag rule to a frame received on `conn`: on success the
+  /// tag is the source (`*from`, with its route learned) or the
+  /// destination (`*to`, `*to_node`); false is a frame error.
+  bool ResolveTag(const std::shared_ptr<Connection>& conn, PrincipalId tag,
+                  PrincipalId* from, PrincipalId* to, LocalNode** to_node);
   std::shared_ptr<Connection> NewConnection();
   void StartListener(PrincipalId id);
   /// Take over options_.listen_fd as `id`'s listener, after checking that
@@ -250,10 +300,11 @@ class TcpTransport final : public Transport {
   void OnConnectionEvent(const std::shared_ptr<Connection>& conn,
                          uint32_t events);
   void FinishConnect(const std::shared_ptr<Connection>& conn);
-  /// Validate the opening HELLO of `conn`; false means the connection was
-  /// closed (bad magic/fingerprint, or a sender that must not dial us).
+  /// Validate the opening HELLO of `conn` (received with `tag`); false
+  /// means the connection was closed (a tag, bad magic/fingerprint, or a
+  /// sender that must not dial us).
   bool AcceptHello(const std::shared_ptr<Connection>& conn,
-                   const Payload& body);
+                   const Payload& body, PrincipalId tag);
   void DrainReadable(const std::shared_ptr<Connection>& conn);
   void FlushWrites(const std::shared_ptr<Connection>& conn);
   /// Defer one FlushWrites to the end of the current io batch.
@@ -276,6 +327,10 @@ class TcpTransport final : public Transport {
   /// The established connection for (local, peer), nullptr when none.
   std::shared_ptr<Connection> ConnectionFor(PrincipalId local,
                                             PrincipalId peer) const;
+  /// The connection a frame from local `from` to `to` goes out on.
+  std::shared_ptr<Connection> RouteFor(PrincipalId from, PrincipalId to) const {
+    return ConnectionFor(ConnectionOwner(from), to);
+  }
 
   EventLoop* loop_;
   const TcpTransportOptions options_;
@@ -299,10 +354,15 @@ class TcpTransport final : public Transport {
   bool memo_reused_ = false;
 
   std::map<PrincipalId, LocalNode> locals_;
+  /// The first non-replica principal registered (-1 until one is): the
+  /// HELLO identity of the connections every local non-replica principal
+  /// shares.
+  PrincipalId shared_sender_ = -1;
   /// Listener fds per local replica id.
   std::map<PrincipalId, int> listeners_;
   /// Established (hello-complete) connections by (local, peer) pair: the
-  /// routing table Send consults.
+  /// routing table Send consults. `local` is a ConnectionOwner; `peer` is
+  /// a HELLO identity or a principal learned from its tags.
   std::map<std::pair<PrincipalId, PrincipalId>, std::shared_ptr<Connection>>
       peers_;
   /// All live connections (including half-open ones awaiting HELLO);

@@ -21,15 +21,16 @@ size_t WriteQueue::BuildIovecs(iovec* iov, size_t max_iov,
   for (const auto& frame : frames_) {
     if (n == max_iov) break;
     // Header slice (offset may start inside it — partial write cursor).
-    if (offset < kFrameHeaderBytes) {
+    const size_t header = frame->header_size();
+    if (offset < header) {
       iov[n].iov_base =
           const_cast<uint8_t*>(frame->header()) + offset;
-      iov[n].iov_len = kFrameHeaderBytes - offset;
+      iov[n].iov_len = header - offset;
       bytes += iov[n].iov_len;
       ++n;
       offset = 0;
     } else {
-      offset -= kFrameHeaderBytes;
+      offset -= header;
     }
     // Body slice (skipped entirely for empty bodies).
     const size_t body_len = frame->body().size();

@@ -56,7 +56,7 @@ class WriteQueue {
   const size_t max_bytes_;
   std::deque<std::shared_ptr<const FrameBuffer>> frames_;
   /// Bytes of frames_.front() already accepted by the kernel. May point
-  /// into the header (< kFrameHeaderBytes) or the body.
+  /// into the header (< its header_size()) or the body.
   size_t head_offset_ = 0;
   /// Full wire size of every queued frame (the front frame counts whole
   /// until it completes): the cap guards queued *frames*, so a mid-frame

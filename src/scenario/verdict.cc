@@ -84,6 +84,7 @@ Status CheckConvergence(const std::vector<ReplicaOutcome>& outcomes) {
 
 void Verdict::AppendJson(Json& report) const {
   if (!survival.ok()) report.Set("survival", survival.ToString());
+  if (!schedule.ok()) report.Set("schedule", schedule.ToString());
   report.Set("agreement", agreement.ToString());
   report.Set("convergence_checked", convergence_checked);
   report.Set("convergence", convergence.ToString());

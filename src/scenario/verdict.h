@@ -45,6 +45,9 @@ struct ReplicaOutcome {
 struct Verdict {
   /// Every replica the schedule did not kill ran to the end.
   Status survival;
+  /// Every schedule event was applied before the run ended (a tcp
+  /// crash-primary waits on the nodes' answers; the sim's never fails).
+  Status schedule;
   /// Honest replicas executed the same batch at every seq two of them show.
   Status agreement;
   bool convergence_checked = false;
@@ -52,11 +55,11 @@ struct Verdict {
   Status convergence;
 
   bool ok() const {
-    return survival.ok() && agreement.ok() &&
+    return survival.ok() && schedule.ok() && agreement.ok() &&
            (!convergence_checked || convergence.ok());
   }
-  /// Appends the verdict fields to a report object ("survival" only when it
-  /// failed: a simulated replica cannot die on its own).
+  /// Appends the verdict fields to a report object ("survival" and
+  /// "schedule" only when they failed: neither can in a simulated run).
   void AppendJson(Json& report) const;
 };
 

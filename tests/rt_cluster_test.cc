@@ -2,13 +2,16 @@
 // seemore_node processes and runs a short two-client Lion workload over
 // loopback TCP. A fault-free run must pass its verdict without a single
 // refused dial, each node must hold exactly its own listener (bound by the
-// launcher and inherited, the launcher's copy closed), and every node must
-// be reaped by the time the call returns.
+// launcher and inherited, the launcher's copy closed), the launcher must
+// reach the n replicas over exactly n connections (its clients and fault
+// controller share them), and every node must be reaped by the time the
+// call returns.
 
 #include <dirent.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -36,30 +39,36 @@ std::string ReadFile(const std::string& path) {
   return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
-/// Socket inode -> port of every IPv4 socket in the LISTEN state.
-std::map<unsigned long, unsigned> ListeningSockets() {
-  std::map<unsigned long, unsigned> listeners;
+constexpr unsigned kEstablished = 0x01;
+constexpr unsigned kListen = 0x0A;
+
+/// Socket inode -> local port (or, with `remote`, remote port) of every
+/// IPv4 socket in TCP state `state`.
+std::map<unsigned long, unsigned> SocketsIn(unsigned state, bool remote) {
+  std::map<unsigned long, unsigned> sockets;
   std::ifstream in("/proc/net/tcp");
   std::string line;
   std::getline(in, line);  // header
   while (std::getline(in, line)) {
-    unsigned port = 0;
-    unsigned state = 0;
+    unsigned local_port = 0;
+    unsigned remote_port = 0;
+    unsigned st = 0;
     unsigned long inode = 0;
     if (std::sscanf(line.c_str(),
-                    " %*d: %*x:%x %*x:%*x %x %*x:%*x %*x:%*x %*x %*u %*u %lu",
-                    &port, &state, &inode) == 3 &&
-        state == 0x0A) {
-      listeners[inode] = port;
+                    " %*d: %*x:%x %*x:%x %x %*x:%*x %*x:%*x %*x %*u %*u %lu",
+                    &local_port, &remote_port, &st, &inode) == 4 &&
+        st == state) {
+      sockets[inode] = remote ? remote_port : local_port;
     }
   }
-  return listeners;
+  return sockets;
 }
 
-/// Ports of the listening sockets process `pid` holds open.
-std::set<unsigned> ListenerPortsOf(pid_t pid) {
-  const std::map<unsigned long, unsigned> listeners = ListeningSockets();
-  std::set<unsigned> ports;
+/// Ports of the sockets in `sockets` that process `pid` holds open, one
+/// entry per socket.
+std::multiset<unsigned> PortsHeldBy(
+    pid_t pid, const std::map<unsigned long, unsigned>& sockets) {
+  std::multiset<unsigned> ports;
   const std::string dir = "/proc/" + std::to_string(pid) + "/fd";
   DIR* fds = opendir(dir.c_str());
   if (fds == nullptr) return ports;
@@ -69,19 +78,38 @@ std::set<unsigned> ListenerPortsOf(pid_t pid) {
     if (readlink(link.c_str(), target, sizeof(target) - 1) < 0) continue;
     unsigned long inode = 0;
     if (std::sscanf(target, "socket:[%lu]", &inode) != 1) continue;
-    auto it = listeners.find(inode);
-    if (it != listeners.end()) ports.insert(it->second);
+    auto it = sockets.find(inode);
+    if (it != sockets.end()) ports.insert(it->second);
   }
   closedir(fds);
   return ports;
 }
 
+/// Ports of the listening sockets process `pid` holds open.
+std::set<unsigned> ListenerPortsOf(pid_t pid) {
+  const std::multiset<unsigned> held =
+      PortsHeldBy(pid, SocketsIn(kListen, /*remote=*/false));
+  return std::set<unsigned>(held.begin(), held.end());
+}
+
+/// How many established connections process `pid` holds to the ports
+/// base .. base + n - 1.
+int ConnectionsTo(pid_t pid, unsigned base, int n) {
+  int count = 0;
+  for (unsigned port : PortsHeldBy(pid, SocketsIn(kEstablished, true))) {
+    if (port >= base && port < base + static_cast<unsigned>(n)) ++count;
+  }
+  return count;
+}
+
 /// Watches this process's seemore_node children while a run is in flight
 /// and records, per replica id, the listener ports each one holds. Then
-/// records what the launcher itself holds once every node has exec'd.
+/// records what the launcher itself holds once every node has exec'd: its
+/// listeners, and the most connections to replica ports it ever held.
 class ListenerProbe {
  public:
-  explicit ListenerProbe(int nodes) : nodes_(nodes) {
+  ListenerProbe(int nodes, unsigned base_port)
+      : nodes_(nodes), base_port_(base_port) {
     thread_ = std::thread([this] { Watch(); });
   }
   ~ListenerProbe() { Stop(); }
@@ -97,6 +125,9 @@ class ListenerProbe {
     return by_replica_;
   }
   const std::set<unsigned>& launcher_ports() const { return launcher_ports_; }
+  int launcher_replica_connections() const {
+    return launcher_replica_connections_;
+  }
 
  private:
   void Watch() {
@@ -134,15 +165,24 @@ class ListenerProbe {
     }
     // The launcher closes its copy of a listener just after the fork, so
     // the last node may exec a moment before that: keep looking until the
-    // launcher holds none or the run is over.
+    // launcher holds none or the run is over. Its connections are counted
+    // for the rest of the run.
+    bool listeners_closed = false;
     while (!stop_) {
-      launcher_ports_ = ListenerPortsOf(getpid());
-      if (launcher_ports_.empty()) return;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      if (!listeners_closed) {
+        launcher_ports_ = ListenerPortsOf(getpid());
+        listeners_closed = launcher_ports_.empty();
+      }
+      launcher_replica_connections_ =
+          std::max(launcher_replica_connections_,
+                   ConnectionsTo(getpid(), base_port_, nodes_));
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   }
 
   const int nodes_;
+  const unsigned base_port_;
+  int launcher_replica_connections_ = 0;
   std::atomic<bool> stop_{false};
   std::map<int, std::set<unsigned>> by_replica_;
   std::set<unsigned> launcher_ports_;
@@ -168,7 +208,7 @@ TEST(RtCluster, FaultFreeLionRunsWithoutRefusedDials) {
   options.base_port = kBasePort;
   options.connect_timeout = Seconds(10);
 
-  ListenerProbe probe(n);
+  ListenerProbe probe(n, kBasePort);
   const Result<TcpRunReport> report = RunTcpScenario(spec, options);
   probe.Stop();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -178,6 +218,30 @@ TEST(RtCluster, FaultFreeLionRunsWithoutRefusedDials) {
   const Json* failures = report->net.Find("connection_failures");
   ASSERT_NE(failures, nullptr);
   EXPECT_EQ(failures->AsInt(), 0) << "a dial was refused or failed";
+  // Each replica pair dials once, and the launcher once per replica.
+  const Json* dialed = report->net.Find("connections_dialed");
+  ASSERT_NE(dialed, nullptr);
+  EXPECT_EQ(dialed->AsInt(), n * (n - 1) / 2 + n);
+
+  // Every process reports its wakeups and its rusage.
+  EXPECT_GT(report->loop_wakeups, 0u);
+  EXPECT_GT(report->rusage.user_us + report->rusage.sys_us, 0u);
+  const Json launcher = report->ToJson();
+  ASSERT_NE(launcher.Find("rusage"), nullptr);
+  EXPECT_NE(launcher.Find("rusage")->Find("voluntary_switches"), nullptr);
+  ASSERT_EQ(static_cast<int>(report->nodes.size()), n);
+  for (const Json& node : report->nodes) {
+    const Json* loop = node.Find("loop");
+    const Json* usage = node.Find("rusage");
+    ASSERT_NE(loop, nullptr) << node.Dump(2);
+    ASSERT_NE(usage, nullptr) << node.Dump(2);
+    EXPECT_GT(loop->Find("wakeups")->AsInt(), 0);
+    EXPECT_GT(usage->Find("user_us")->AsInt() + usage->Find("sys_us")->AsInt(),
+              0);
+    for (const char* field : {"voluntary_switches", "involuntary_switches"}) {
+      EXPECT_NE(usage->Find(field), nullptr) << field;
+    }
+  }
 
   // The lifecycle split is ordered and every phase was stamped.
   const TcpLifecycle& life = report->lifecycle;
@@ -196,6 +260,9 @@ TEST(RtCluster, FaultFreeLionRunsWithoutRefusedDials) {
   }
   EXPECT_TRUE(probe.launcher_ports().empty())
       << "the launcher kept a copy of a node's listener";
+  EXPECT_EQ(probe.launcher_replica_connections(), n)
+      << "the clients and the fault controller must share one connection "
+         "per replica";
 
   // Every node was reaped before the call returned.
   int status = 0;

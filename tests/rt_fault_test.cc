@@ -4,9 +4,12 @@
 // directed cut drops exactly one direction (the counters show where),
 // that a cloud partition heals back to full delivery while a heal leaves
 // directed cuts in place, and that link shaping delays frames without ever
-// reordering a directed link.
-// Ports 19200+ — rt_runtime_test.cc owns 19140-19190.
+// reordering a directed link, also between two clients that share one
+// socket to a replica.
+// Ports 19200-19230 and 19290 — rt_runtime_test.cc owns 19140-19190 and
+// 19240-19280.
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -338,6 +341,81 @@ TEST(RtFaultPlane, ShapedLinkDelaysWithoutReordering) {
       << "shaping must preserve per-link FIFO order";
   EXPECT_GE(node1.counters().fault_delayed, static_cast<uint64_t>(kFrames));
   EXPECT_EQ(node1.counters().fault_dropped_tx, 0u);
+}
+
+TEST(RtFaultPlane, CutClientLeavesItsNeighbourOnTheSameSocket) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.init_status().ok());
+
+  TcpTransportOptions options;
+  options.num_replicas = 1;
+  options.base_port = 19290;
+  options.fingerprint = 0xfa01b;
+
+  TcpTransport node0(&loop, options);
+  RecordingHandler handler0;
+  node0.Register(0, Zone::kPrivate, &handler0, true);
+  // Clients A and B share the launcher's one connection to replica 0; B's
+  // frames are the tagged ones.
+  TcpTransport launcher(&loop, options);
+  RecordingHandler client_a, client_b;
+  const PrincipalId a = kClientIdBase;
+  const PrincipalId b = kClientIdBase + 1;
+  launcher.Register(a, Zone::kClient, &client_a, false);
+  launcher.Register(b, Zone::kClient, &client_b, false);
+  ASSERT_TRUE(RunUntil(&loop, [&] { return launcher.ConnectedTo(0); }));
+  ASSERT_EQ(launcher.counters().connections_dialed, 1u);
+
+  FaultCommand cut;
+  cut.kind = ControlKind::kCutLink;
+  cut.from = b;
+  cut.to = 0;
+  FaultCommand restore = cut;
+  restore.kind = ControlKind::kRestoreLink;
+  const auto count_from = [&](PrincipalId from) {
+    return std::count(handler0.froms.begin(), handler0.froms.end(), from);
+  };
+
+  // Cut at both ends, as the launcher broadcasts it: B's frame is refused
+  // before the socket, A's on the same socket arrives.
+  node0.ApplyControl(cut);
+  launcher.ApplyControl(cut);
+  launcher.Send(b, 0, Payload(AsBytes("b-1")));
+  launcher.Send(a, 0, Payload(AsBytes("a-1")));
+  ASSERT_TRUE(RunUntil(&loop, [&] { return count_from(a) == 1; }));
+  RunUntil(&loop, [] { return false; }, Millis(100));
+  EXPECT_EQ(count_from(b), 0);
+  EXPECT_EQ(launcher.counters().fault_dropped_tx, 1u);
+
+  // The receiving end enforces the cut too, per frame: with the sender's
+  // side lifted, B's frame crosses the socket and is refused on arrival
+  // while A's, in the same flush, is delivered.
+  launcher.ApplyControl(restore);
+  launcher.Send(b, 0, Payload(AsBytes("b-2")));
+  launcher.Send(a, 0, Payload(AsBytes("a-2")));
+  ASSERT_TRUE(RunUntil(&loop, [&] { return count_from(a) == 2; }));
+  RunUntil(&loop, [] { return false; }, Millis(100));
+  EXPECT_EQ(count_from(b), 0);
+  EXPECT_EQ(node0.counters().fault_dropped_rx, 1u);
+
+  // Restored at both ends, B is back.
+  node0.ApplyControl(restore);
+  launcher.Send(b, 0, Payload(AsBytes("b-3")));
+  ASSERT_TRUE(RunUntil(&loop, [&] { return count_from(b) == 1; }));
+  EXPECT_EQ(handler0.messages.back(), AsBytes("b-3"));
+
+  // The reverse direction is per principal as well: 0 -> B cut, 0 -> A not.
+  FaultCommand cut_reply = cut;
+  cut_reply.from = 0;
+  cut_reply.to = b;
+  node0.ApplyControl(cut_reply);
+  node0.Send(0, b, Payload(AsBytes("to-b")));
+  node0.Send(0, a, Payload(AsBytes("to-a")));
+  ASSERT_TRUE(RunUntil(&loop, [&] { return !client_a.messages.empty(); }));
+  RunUntil(&loop, [] { return false; }, Millis(100));
+  EXPECT_EQ(client_a.messages[0], AsBytes("to-a"));
+  EXPECT_TRUE(client_b.messages.empty());
+  EXPECT_EQ(node0.counters().fault_dropped_tx, 1u);
 }
 
 TEST(RtFaultPlane, FilterPrimitivesAreDirectedAndHealable) {

@@ -1,10 +1,17 @@
 // The rt backend in-process: EventLoop timer semantics, and real TCP
 // loopback between TcpTransports sharing one loop — connection
-// establishment with HELLO, duplex exchange, client dialing, co-located
-// local delivery, node-down drop accounting, and adopting a listener bound
-// before its transport existed. Each test uses its own base port so
-// listeners never collide across tests.
+// establishment with HELLO, duplex exchange, client dialing, one shared
+// connection per process and replica with the tag rule enforced at both
+// ends, co-located local delivery, node-down drop accounting, and adopting
+// a listener bound before its transport existed. Each test uses its own
+// base port so listeners never collide across tests.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <utility>
@@ -43,6 +50,51 @@ struct RecordingHandler final : public MessageHandler {
 Bytes AsBytes(const char* text) {
   const auto* p = reinterpret_cast<const uint8_t*>(text);
   return Bytes(p, p + std::char_traits<char>::length(text));
+}
+
+/// A blocking loopback socket connected to `port`, for speaking the wire
+/// protocol by hand; -1 on failure.
+int DialRaw(uint16_t port) {
+  const int fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (fd >= 0 &&
+      connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool SendRaw(int fd, const Bytes& bytes) {
+  return send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+         static_cast<ssize_t>(bytes.size());
+}
+
+/// True once the other end has closed `fd` (whatever it sent first is
+/// drained and ignored).
+bool PeerClosed(int fd) {
+  uint8_t buffer[256];
+  while (true) {
+    const ssize_t n = recv(fd, buffer, sizeof(buffer), MSG_DONTWAIT);
+    if (n > 0) continue;
+    return n == 0;
+  }
+}
+
+/// (sender, text) pairs a handler received, sorted.
+std::vector<std::pair<PrincipalId, std::string>> Received(
+    const RecordingHandler& handler) {
+  std::vector<std::pair<PrincipalId, std::string>> out;
+  for (size_t i = 0; i < handler.froms.size(); ++i) {
+    out.emplace_back(handler.froms[i],
+                     std::string(handler.messages[i].begin(),
+                                 handler.messages[i].end()));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 TEST(RtEventLoop, TimersFireInDeadlineOrderAndCancel) {
@@ -159,6 +211,148 @@ TEST(RtTransport, ClientDialsEveryReplicaAndIsIdentified) {
       RunUntil(&loop, [&] { return !client_handler.messages.empty(); }));
   EXPECT_EQ(client_handler.froms, (std::vector<PrincipalId>{0}));
   EXPECT_EQ(client_handler.messages[0], AsBytes("reply"));
+}
+
+TEST(RtTransport, CoLocatedClientsShareOneConnectionPerReplica) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.init_status().ok());
+
+  TcpTransportOptions options;
+  options.num_replicas = 2;
+  options.base_port = 19260;
+  options.fingerprint = 5;
+
+  TcpTransport node0(&loop, options);
+  TcpTransport node1(&loop, options);
+  RecordingHandler handler0, handler1;
+  node0.Register(0, Zone::kPrivate, &handler0, true);
+  node1.Register(1, Zone::kPrivate, &handler1, true);
+
+  // The launcher's shape: the controller registers first (it HELLOs the
+  // shared connections), then two clients that ride them with tags.
+  TcpTransport launcher(&loop, options);
+  RecordingHandler controller, client_a, client_b;
+  const PrincipalId a = kClientIdBase;
+  const PrincipalId b = kClientIdBase + 1;
+  launcher.Register(kFaultControllerId, Zone::kClient, &controller, false);
+  launcher.Register(a, Zone::kClient, &client_a, false);
+  launcher.Register(b, Zone::kClient, &client_b, false);
+  ASSERT_TRUE(RunUntil(&loop, [&] {
+    return launcher.ConnectedTo(0) && launcher.ConnectedTo(1) &&
+           node1.ConnectedTo(0);
+  }));
+  EXPECT_EQ(launcher.counters().connections_dialed, 2u)
+      << "one connection per replica, not one per principal";
+  EXPECT_EQ(node0.counters().connections_accepted, 2u);  // replica 1 + us
+  EXPECT_EQ(node1.counters().connections_accepted, 1u);
+
+  launcher.Send(a, 0, Payload(AsBytes("a0")));
+  launcher.Send(b, 0, Payload(AsBytes("b0")));
+  launcher.Send(kFaultControllerId, 0, Payload(AsBytes("c0")));
+  launcher.Multicast(a, {0, 1}, Payload(AsBytes("a*")));
+  launcher.Send(b, 1, Payload(AsBytes("b1")));
+  ASSERT_TRUE(RunUntil(&loop, [&] {
+    return handler0.messages.size() == 4 && handler1.messages.size() == 2;
+  }));
+  // Each replica tells the co-located principals apart.
+  using Got = std::vector<std::pair<PrincipalId, std::string>>;
+  EXPECT_EQ(Received(handler0),
+            (Got{{a, "a*"}, {a, "a0"}, {b, "b0"}, {kFaultControllerId, "c0"}}));
+  EXPECT_EQ(Received(handler1), (Got{{a, "a*"}, {b, "b1"}}));
+
+  // Replies reach only the principal they name.
+  node0.Send(0, a, Payload(AsBytes("r0a")));
+  node0.Send(0, b, Payload(AsBytes("r0b")));
+  node1.Send(1, b, Payload(AsBytes("r1b")));
+  node1.Send(1, a, Payload(AsBytes("r1a")));
+  ASSERT_TRUE(RunUntil(&loop, [&] {
+    return client_a.messages.size() == 2 && client_b.messages.size() == 2;
+  }));
+  RunUntil(&loop, [] { return false; }, Millis(50));
+  EXPECT_EQ(Received(client_a), (Got{{0, "r0a"}, {1, "r1a"}}));
+  EXPECT_EQ(Received(client_b), (Got{{0, "r0b"}, {1, "r1b"}}));
+  EXPECT_TRUE(controller.messages.empty());
+  for (const TcpTransport* t : {&node0, &node1, &launcher}) {
+    EXPECT_EQ(t->counters().frame_errors, 0u);
+    EXPECT_EQ(t->counters().dropped_no_connection, 0u);
+  }
+}
+
+TEST(RtTransport, TagRuleIsEnforcedAtTheReplica) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.init_status().ok());
+
+  TcpTransportOptions options;
+  options.num_replicas = 2;
+  options.base_port = 19270;
+  options.fingerprint = 13;
+  TcpTransport node0(&loop, options);
+  RecordingHandler handler0;
+  node0.Register(0, Zone::kPrivate, &handler0, true);
+
+  // A client process: a tag naming a non-replica principal is its source.
+  const int client = DialRaw(19270);
+  ASSERT_GE(client, 0);
+  ASSERT_TRUE(SendRaw(client, EncodeHello(Hello{kClientIdBase, 13})));
+  ASSERT_TRUE(SendRaw(client, EncodeFrame(AsBytes("fine"), kClientIdBase + 1)));
+  ASSERT_TRUE(RunUntil(&loop, [&] { return handler0.messages.size() == 1; }));
+  EXPECT_EQ(handler0.froms, (std::vector<PrincipalId>{kClientIdBase + 1}));
+
+  // ... but one naming a replica would let it speak as that replica.
+  ASSERT_TRUE(SendRaw(client, EncodeFrame(AsBytes("spoof"), 1)));
+  ASSERT_TRUE(RunUntil(&loop, [&] { return PeerClosed(client); }))
+      << "the connection survived a tag naming a replica";
+  EXPECT_EQ(node0.counters().frame_errors, 1u);
+  close(client);
+
+  // Replica <-> replica connections carry no tags at all.
+  const int replica = DialRaw(19270);
+  ASSERT_GE(replica, 0);
+  ASSERT_TRUE(SendRaw(replica, EncodeHello(Hello{1, 13})));
+  ASSERT_TRUE(RunUntil(&loop, [&] { return node0.ConnectedTo(1); }));
+  ASSERT_TRUE(SendRaw(replica, EncodeFrame(AsBytes("tagged"), kClientIdBase)));
+  ASSERT_TRUE(RunUntil(&loop, [&] { return PeerClosed(replica); }))
+      << "the connection survived a tag on a replica link";
+  EXPECT_EQ(node0.counters().frame_errors, 2u);
+  EXPECT_FALSE(node0.ConnectedTo(1));
+  close(replica);
+
+  EXPECT_EQ(handler0.messages.size(), 1u) << "a refused frame was delivered";
+}
+
+TEST(RtTransport, TagNamingNoLocalPrincipalIsRefused) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.init_status().ok());
+
+  TcpTransportOptions options;
+  options.num_replicas = 1;
+  options.base_port = 19280;
+  options.fingerprint = 17;
+  // A hand-driven replica 0: its listener, and the launcher-side transport
+  // dialing it.
+  Result<int> listener = BindLoopbackListener(19280);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  TcpTransport launcher(&loop, options);
+  RecordingHandler client;
+  launcher.Register(kClientIdBase, Zone::kClient, &client, false);
+  int replica = -1;
+  ASSERT_TRUE(RunUntil(&loop, [&] {
+    if (replica < 0) {
+      replica = accept4(*listener, nullptr, nullptr, SOCK_CLOEXEC);
+    }
+    return replica >= 0;
+  }));
+  ASSERT_TRUE(SendRaw(replica, EncodeHello(Hello{0, 17})));
+  ASSERT_TRUE(RunUntil(&loop, [&] { return launcher.ConnectedTo(0); }));
+
+  ASSERT_TRUE(SendRaw(replica, EncodeFrame(AsBytes("to whom?"),
+                                           kClientIdBase + 5)));
+  ASSERT_TRUE(RunUntil(&loop, [&] { return PeerClosed(replica); }))
+      << "the connection survived a tag naming no local principal";
+  EXPECT_EQ(launcher.counters().frame_errors, 1u);
+  EXPECT_TRUE(client.messages.empty());
+  close(replica);
+  close(*listener);
 }
 
 TEST(RtTransport, CoLocatedPrincipalsDeliverLocallyAndRespectNodeDown) {

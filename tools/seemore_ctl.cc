@@ -315,6 +315,10 @@ void PrintVerdict(std::FILE* out, const char* indent,
     std::fprintf(out, "%ssurvival: %s\n", indent,
                  verdict.survival.ToString().c_str());
   }
+  if (!verdict.schedule.ok()) {
+    std::fprintf(out, "%sschedule: %s\n", indent,
+                 verdict.schedule.ToString().c_str());
+  }
   std::fprintf(out, "%sagreement: %s\n", indent,
                verdict.agreement.ToString().c_str());
   if (verdict.convergence_checked) {
