@@ -269,11 +269,6 @@ class TcpTransport final : public Transport {
 
   bool IsLocal(PrincipalId id) const { return locals_.count(id) > 0; }
   bool IsReplicaPrincipal(PrincipalId id) const;
-  /// The principal whose connections `local` sends on: itself for a
-  /// replica, the shared HELLO identity for a non-replica principal.
-  PrincipalId ConnectionOwner(PrincipalId local) const {
-    return IsReplicaPrincipal(local) ? local : shared_sender_;
-  }
   /// The tag a frame from `from` to `to` carries on `conn`: the co-located
   /// principal that is not the connection's HELLO identity, if any.
   static PrincipalId TagFor(const Connection& conn, PrincipalId from,
@@ -327,9 +322,10 @@ class TcpTransport final : public Transport {
   /// The established connection for (local, peer), nullptr when none.
   std::shared_ptr<Connection> ConnectionFor(PrincipalId local,
                                             PrincipalId peer) const;
-  /// The connection a frame from local `from` to `to` goes out on.
+  /// The connection a frame from local `from` to `to` goes out on: a
+  /// replica's own, or the one every local non-replica principal shares.
   std::shared_ptr<Connection> RouteFor(PrincipalId from, PrincipalId to) const {
-    return ConnectionFor(ConnectionOwner(from), to);
+    return ConnectionFor(IsReplicaPrincipal(from) ? from : shared_sender_, to);
   }
 
   EventLoop* loop_;
@@ -361,8 +357,8 @@ class TcpTransport final : public Transport {
   /// Listener fds per local replica id.
   std::map<PrincipalId, int> listeners_;
   /// Established (hello-complete) connections by (local, peer) pair: the
-  /// routing table Send consults. `local` is a ConnectionOwner; `peer` is
-  /// a HELLO identity or a principal learned from its tags.
+  /// routing table Send consults. `local` is a replica or shared_sender_;
+  /// `peer` is a HELLO identity or a principal learned from its tags.
   std::map<std::pair<PrincipalId, PrincipalId>, std::shared_ptr<Connection>>
       peers_;
   /// All live connections (including half-open ones awaiting HELLO);
