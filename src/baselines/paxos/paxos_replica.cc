@@ -11,13 +11,10 @@ PaxosReplica::PaxosReplica(Transport* transport, TimerService* timers,
                            PrincipalId id, const ClusterConfig& config,
                            std::unique_ptr<StateMachine> state_machine,
                            const CostModel& costs)
-    : CheckpointingReplica(
+    : ViewChangingReplica(
           transport, timers, keystore, memo, id, config,
           std::move(state_machine), costs,
-          {kPaxCheckpoint, kPaxStateRequest, kPaxStateResponse}),
-      pipeline_(config.batch_max, config.pipeline_max) {
-  current_vc_timeout_ = config_.view_change_timeout;
-}
+          {kPaxCheckpoint, kPaxStateRequest, kPaxStateResponse}) {}
 
 void PaxosReplica::HandleMessage(PrincipalId from, const Payload& frame) {
   Decoder dec = FrameDecoder(frame);
@@ -268,42 +265,12 @@ void PaxosReplica::HandleStateResponse(PrincipalId from,
                   std::move(msg.snapshot));
 }
 
-void PaxosReplica::OnDurableRestore(const RecoveredImage& image) {
-  // Rejoin in the last durably-entered view: acking in an older view after
-  // a restart could contradict the pre-crash incarnation's votes.
-  if (image.has_view) view_ = image.view;
-  CheckpointingReplica::OnDurableRestore(image);
-}
-
 // ---------------------------------------------------------------------------
 // View changes
 // ---------------------------------------------------------------------------
 
-void PaxosReplica::ArmViewTimer() {
-  if (view_timer_ != 0 || in_view_change_) return;
-  // Do not count our own CPU backlog against the primary (see the SeeMoRe
-  // replica for the full rationale: timers that ignore post-view-change
-  // re-agreement work livelock the cluster).
-  view_timer_ = StartTimer(current_vc_timeout_ + CpuBacklog(), [this] {
-    view_timer_ = 0;
-    StartViewChange(view_ + 1);
-  });
-}
-
-void PaxosReplica::RestartOrDisarmViewTimer() {
-  CancelTimer(view_timer_);
-  current_vc_timeout_ = config_.view_change_timeout;
-  if (log_.UncommittedSlots() > 0) ArmViewTimer();
-}
-
-void PaxosReplica::StartViewChange(uint64_t new_view) {
-  if (new_view <= view_ || (in_view_change_ && new_view <= vc_target_)) return;
-  in_view_change_ = true;
-  vc_target_ = new_view;
-  ++stats_.view_changes_started;
-  CancelTimer(view_timer_);
-
-  ViewChangeRecord record;
+void PaxosReplica::SendViewChange(uint64_t new_view) {
+  PaxosViewChangeRecord record;
   record.stable_seq = ckpt_.stable_seq();
   PaxosViewChangeMsg msg;
   msg.new_view = new_view;
@@ -318,101 +285,56 @@ void PaxosReplica::StartViewChange(uint64_t new_view) {
     msg.entries.push_back(std::move(entry));
   });
   SendToMany(config_.AllReplicas(), msg.ToMessage());
-
-  vc_msgs_[new_view][id_] = std::move(record);
-  if (config_.FlatPrimary(new_view) == id_) MaybeFormNewView(new_view);
-
-  // Escalate if this view change stalls (next leader may be dead too).
-  current_vc_timeout_ = std::min<SimTime>(current_vc_timeout_ * 2, Seconds(2));
-  view_timer_ = StartTimer(current_vc_timeout_ + CpuBacklog(), [this] {
-    view_timer_ = 0;
-    if (in_view_change_) StartViewChange(vc_target_ + 1);
-  });
+  StoreViewChange(new_view, id_, std::move(record));
 }
 
 void PaxosReplica::HandleViewChange(PrincipalId from, PaxosViewChangeMsg msg) {
   if (msg.new_view <= view_) return;
-  ViewChangeRecord record;
+  PaxosViewChangeRecord record;
   record.stable_seq = msg.stable_seq;
   for (PaxosVcEntry& entry : msg.entries) {
     record.entries[entry.seq] = {entry.view, std::move(entry.batch)};
   }
-  const uint64_t new_view = msg.new_view;
-  vc_msgs_[new_view][from] = std::move(record);
-  // Join the view change (crash model: a peer's suspicion is honest).
-  StartViewChange(new_view);
-  if (config_.FlatPrimary(new_view) == id_) MaybeFormNewView(new_view);
+  AcceptViewChange(msg.new_view, from, std::move(record));
 }
 
-void PaxosReplica::MaybeFormNewView(uint64_t new_view) {
-  auto it = vc_msgs_.find(new_view);
-  if (it == vc_msgs_.end()) return;
-  const auto& records = it->second;
-  if (static_cast<int>(records.size()) < config_.f + 1) return;
-  if (view_ >= new_view) return;
-
-  // Highest stable checkpoint and re-proposal set: per seq, the batch
-  // accepted in the highest view wins (Paxos invariant); holes get no-ops.
-  uint64_t max_stable = 0;
-  PrincipalId best_helper = id_;
-  uint64_t max_seq = 0;
-  for (const auto& [sender, record] : records) {
-    if (record.stable_seq > max_stable) {
-      max_stable = record.stable_seq;
-      best_helper = sender;
-    }
-    if (!record.entries.empty()) {
-      max_seq = std::max(max_seq, record.entries.rbegin()->first);
-    }
-  }
-
-  std::map<uint64_t, std::pair<uint64_t, Batch>> chosen;
+void PaxosReplica::FormNewView(uint64_t new_view, const Records& records) {
+  // Per seq, the batch accepted in the highest view wins (Paxos invariant);
+  // holes get no-ops.
+  const auto [floor, helper] = Floor(records);
+  uint64_t high = 0;
+  Reproposals chosen;
   for (const auto& [sender, record] : records) {
     for (const auto& [seq, entry] : record.entries) {
-      if (seq <= max_stable) continue;
-      auto existing = chosen.find(seq);
-      if (existing == chosen.end() || entry.first > existing->second.first) {
-        chosen[seq] = entry;
+      high = std::max(high, seq);
+      if (seq > floor) {
+        OfferReproposal(chosen, seq, entry.first, Digest(), entry.second);
       }
     }
   }
+  FillWithNoops(chosen, floor, high);
 
   PaxosNewViewMsg nv;
   nv.new_view = new_view;
-  nv.stable_seq = max_stable;
-  for (uint64_t seq = max_stable + 1; seq <= max_seq; ++seq) {
-    auto chosen_it = chosen.find(seq);
-    Batch batch =
-        chosen_it != chosen.end() ? chosen_it->second.second : Batch::Noop();
+  nv.stable_seq = floor;
+  for (const auto& [seq, value] : chosen) {
     PaxosNewViewEntry entry;
     entry.seq = seq;
-    entry.batch = batch.Encode();
+    entry.batch = value.batch.Encode();
     nv.entries.push_back(std::move(entry));
   }
   SendToMany(config_.AllReplicas(), nv.ToMessage());
 
   // Install locally: the new leader treats every entry as freshly accepted.
   EnterView(new_view);
-  if (max_stable > exec_.last_executed() && best_helper != id_) {
-    RequestStateFrom(best_helper);
-  }
-  for (uint64_t seq = max_stable + 1; seq <= max_seq; ++seq) {
-    const SlotCore* prior = log_.Find(seq);
-    const bool was_committed =
-        (prior != nullptr && prior->committed()) || exec_.HasCommitted(seq);
-    // Fresh slot: stale ACK sets must not count toward the new view.
-    SlotCore& slot = log_.ResetSlot(seq);
-    auto chosen_it = chosen.find(seq);
-    slot.batch =
-        chosen_it != chosen.end() ? chosen_it->second.second : Batch::Noop();
-    log_.SetHasBatch(slot, true);
-    slot.digest = slot.batch.ComputeDigest();
-    slot.view = new_view;
-    log_.SetCommitted(slot, was_committed);
+  if (floor > exec_.last_executed() && helper != id_) RequestStateFrom(helper);
+  for (auto& [seq, value] : chosen) {
+    const Digest digest = value.batch.ComputeDigest();
+    SlotCore& slot = InstallReproposal(seq, std::move(value.batch), digest);
     RecordVote(slot.plain_votes, slot.digest, id_);
   }
-  ckpt_.AdvanceFloor(max_stable);
-  pipeline_.AdvanceNextSeq(max_seq + 1);
+  ckpt_.AdvanceFloor(floor);
+  pipeline_.AdvanceNextSeq(high + 1);
   pipeline_.AdvanceNextSeq(ckpt_.stable_seq() + 1);
   ++stats_.view_changes_completed;
   TryPropose();
@@ -432,44 +354,14 @@ void PaxosReplica::HandleNewView(PrincipalId from, PaxosNewViewMsg msg) {
     if (!batch_or.ok()) return;
     // Already-committed slots still get ACKed: the new leader needs f+1
     // ACKs even for entries some replicas committed before the view change.
-    const SlotCore* prior = log_.Find(wire_entry.seq);
-    const bool was_committed = (prior != nullptr && prior->committed()) ||
-                               exec_.HasCommitted(wire_entry.seq);
-    SlotCore& slot = log_.ResetSlot(wire_entry.seq);
-    slot.batch = std::move(batch_or).value();
-    log_.SetHasBatch(slot, true);
     ChargeHash(wire_entry.batch.size());
-    slot.digest = FrameFieldDigest(wire_entry.batch, wire_entry.batch_offset);
-    slot.view = new_view;
-    log_.SetCommitted(slot, was_committed);
-
+    SlotCore& slot = InstallReproposal(
+        wire_entry.seq, std::move(batch_or).value(),
+        FrameFieldDigest(wire_entry.batch, wire_entry.batch_offset));
     PaxosAckMsg ack{new_view, wire_entry.seq, slot.digest};
     SendTo(from, ack.ToMessage());
   }
   if (log_.UncommittedSlots() > 0) ArmViewTimer();
-}
-
-void PaxosReplica::EnterView(uint64_t view) {
-  view_ = view;
-  ClearProposerQuiescence();
-  durable().NoteView(view, 0);
-  in_view_change_ = false;
-  vc_target_ = 0;
-  CancelTimer(view_timer_);
-  // Grace period: the re-proposed log needs a full re-agreement round under
-  // post-view-change backlog before anyone may suspect the new primary.
-  current_vc_timeout_ = config_.view_change_timeout * 3;
-  // A view change may have nooped requests the admission table says were
-  // handled; client retransmissions must be accepted afresh (the execution
-  // engine still deduplicates anything that really committed).
-  pipeline_.ForgetAdmissions();
-  // Uncommitted slots are superseded by the NEW-VIEW's re-proposals (which
-  // the caller installs after this); keeping them would leave phantom
-  // "uncommitted work" that re-arms the view timer forever.
-  log_.EraseUncommitted();
-  for (auto it = vc_msgs_.begin(); it != vc_msgs_.end();) {
-    it = it->first <= view ? vc_msgs_.erase(it) : std::next(it);
-  }
 }
 
 }  // namespace seemore

@@ -25,13 +25,20 @@
 #include <utility>
 #include <vector>
 
-#include "consensus/checkpointing_replica.h"
-#include "consensus/primary_pipeline.h"
+#include "consensus/view_changing_replica.h"
 #include "wire/messages.h"
 
 namespace seemore {
 
-class PaxosReplica : public CheckpointingReplica {
+/// A VIEW-CHANGE as received: crash-model peers do not lie, so it is taken
+/// as claimed.
+struct PaxosViewChangeRecord {
+  uint64_t stable_seq = 0;
+  /// seq -> (view it was accepted in, batch).
+  std::map<uint64_t, std::pair<uint64_t, Batch>> entries;
+};
+
+class PaxosReplica : public ViewChangingReplica<PaxosViewChangeRecord> {
  public:
   PaxosReplica(Transport* transport, TimerService* timers,
                const KeyStore* keystore, CryptoMemo* memo, PrincipalId id,
@@ -39,13 +46,10 @@ class PaxosReplica : public CheckpointingReplica {
                std::unique_ptr<StateMachine> state_machine,
                const CostModel& costs);
 
-  uint64_t view() const { return view_; }
   bool IsLeader() const { return config_.FlatPrimary(view_) == id_; }
-  bool in_view_change() const { return in_view_change_; }
 
  protected:
   void HandleMessage(PrincipalId from, const Payload& frame) override;
-  void OnDurableRestore(const RecoveredImage& image) override;
 
   // ----- checkpoint policy (consensus/checkpointing_replica.h) -----
   /// Every replica announces its checkpoints.
@@ -68,6 +72,22 @@ class PaxosReplica : public CheckpointingReplica {
     return CheckpointCert::Genesis();
   }
 
+  // ----- view-change policy (consensus/view_changing_replica.h) -----
+  /// Every accepted entry, with the stable seq as claimed.
+  void SendViewChange(uint64_t new_view) override;
+  /// Crash model: a peer's suspicion is honest, so join the view it names.
+  bool JoinsViewChange(const Records& /*records*/, bool named) const override {
+    return named;
+  }
+  bool IsNewViewAuthority(uint64_t view) const override {
+    return config_.FlatPrimary(view) == id_;
+  }
+  /// f+1 records (a crash-model majority).
+  bool IsNewViewQuorum(const Records& records) const override {
+    return static_cast<int>(records.size()) >= config_.f + 1;
+  }
+  void FormNewView(uint64_t new_view, const Records& records) override;
+
  private:
   // ----- normal case -----
   void HandleRequest(PrincipalId from, Request request);
@@ -85,30 +105,8 @@ class PaxosReplica : public CheckpointingReplica {
   void HandleStateResponse(PrincipalId from, PaxosStateResponseMsg msg);
 
   // ----- view change -----
-  void ArmViewTimer();
-  void RestartOrDisarmViewTimer();
-  void StartViewChange(uint64_t new_view);
   void HandleViewChange(PrincipalId from, PaxosViewChangeMsg msg);
-  void MaybeFormNewView(uint64_t new_view);
   void HandleNewView(PrincipalId from, PaxosNewViewMsg msg);
-  void EnterView(uint64_t view);
-
-  uint64_t view_ = 0;
-  bool in_view_change_ = false;
-  uint64_t vc_target_ = 0;  // view we are trying to move to
-
-  /// The leader's proposal pipeline (consensus/primary_pipeline.h).
-  PrimaryPipeline pipeline_;
-
-  struct ViewChangeRecord {
-    uint64_t stable_seq = 0;
-    /// seq -> (view it was accepted in, batch).
-    std::map<uint64_t, std::pair<uint64_t, Batch>> entries;
-  };
-  std::map<uint64_t, std::map<PrincipalId, ViewChangeRecord>> vc_msgs_;
-
-  EventId view_timer_ = 0;
-  SimTime current_vc_timeout_ = 0;
 };
 
 }  // namespace seemore

@@ -14,14 +14,11 @@ PbftCoreReplica::PbftCoreReplica(Transport* transport, TimerService* timers,
                                  std::unique_ptr<StateMachine> state_machine,
                                  const CostModel& costs,
                                  const PbftQuorums& quorums)
-    : CheckpointingReplica(
+    : ViewChangingReplica(
           transport, timers, keystore, memo, id, config,
           std::move(state_machine), costs,
           {kPbftCheckpoint, kPbftStateRequest, kPbftStateResponse}),
-      quorums_(quorums),
-      pipeline_(config.batch_max, config.pipeline_max) {
-  current_vc_timeout_ = config_.view_change_timeout;
-}
+      quorums_(quorums) {}
 
 void PbftCoreReplica::HandleMessage(PrincipalId from, const Payload& frame) {
   Decoder dec = FrameDecoder(frame);
@@ -310,41 +307,11 @@ void PbftCoreReplica::SendReply(const ExecutedRequest& executed) {
   SendTo(executed.client, reply.ToMessage());
 }
 
-void PbftCoreReplica::OnDurableRestore(const RecoveredImage& image) {
-  // Rejoin in the last durably-entered view: voting in an older view after
-  // a restart could double-vote against the pre-crash incarnation.
-  if (image.has_view) view_ = image.view;
-  CheckpointingReplica::OnDurableRestore(image);
-}
-
 // ---------------------------------------------------------------------------
 // View change
 // ---------------------------------------------------------------------------
 
-void PbftCoreReplica::ArmViewTimer() {
-  if (view_timer_ != 0 || in_view_change_) return;
-  // Do not count our own CPU backlog against the primary (see the SeeMoRe
-  // replica for the full rationale: timers that ignore post-view-change
-  // re-agreement work livelock the cluster).
-  view_timer_ = StartTimer(current_vc_timeout_ + CpuBacklog(), [this] {
-    view_timer_ = 0;
-    StartViewChange(view_ + 1);
-  });
-}
-
-void PbftCoreReplica::RestartOrDisarmViewTimer() {
-  CancelTimer(view_timer_);
-  current_vc_timeout_ = config_.view_change_timeout;
-  if (log_.UncommittedSlots() > 0) ArmViewTimer();
-}
-
-void PbftCoreReplica::StartViewChange(uint64_t new_view) {
-  if (new_view <= view_ || (in_view_change_ && new_view <= vc_target_)) return;
-  in_view_change_ = true;
-  vc_target_ = new_view;
-  ++stats_.view_changes_started;
-  CancelTimer(view_timer_);
-
+void PbftCoreReplica::SendViewChange(uint64_t new_view) {
   std::vector<PreparedProof> proofs;
   const uint64_t stable = ckpt_.stable_seq();
   log_.ForEachAscending([&](uint64_t seq, const SlotCore& slot) {
@@ -366,16 +333,7 @@ void PbftCoreReplica::StartViewChange(uint64_t new_view) {
   SendToMany(config_.AllReplicas(), raw);
 
   Result<ViewChangeRecord> record = ParseViewChange(raw, id_);
-  if (record.ok()) {
-    vc_msgs_[new_view][id_] = std::move(record).value();
-  }
-  if (config_.FlatPrimary(new_view) == id_) MaybeFormNewView(new_view);
-
-  current_vc_timeout_ = std::min<SimTime>(current_vc_timeout_ * 2, Seconds(2));
-  view_timer_ = StartTimer(current_vc_timeout_ + CpuBacklog(), [this] {
-    view_timer_ = 0;
-    if (in_view_change_) StartViewChange(vc_target_ + 1);
-  });
+  if (record.ok()) StoreViewChange(new_view, id_, std::move(record).value());
 }
 
 Result<PbftCoreReplica::ViewChangeRecord> PbftCoreReplica::ParseViewChange(
@@ -393,11 +351,11 @@ Result<PbftCoreReplica::ViewChangeRecord> PbftCoreReplica::ValidateViewChange(
   }
   ViewChangeRecord record;
   record.raw = raw;
-  record.stable_seq = msg.stable_seq;
-  record.cert = std::move(msg.cert);
+  SEEMORE_ASSIGN_OR_RETURN(record.stable_seq,
+                           CertifiedStableSeq(msg.stable_seq, msg.cert));
   // Validate the embedded certificates now so the new-view computation can
   // trust every stored record.
-  if (!VerifyCheckpointCert(record.cert)) {
+  if (!VerifyCheckpointCert(msg.cert)) {
     return Status::Corruption("bad checkpoint cert in VC");
   }
   for (PreparedProof& proof : msg.proofs) {
@@ -425,66 +383,28 @@ void PbftCoreReplica::HandleViewChange(PrincipalId from, const Bytes& raw) {
   ChargeVerify(2);
   Result<ViewChangeRecord> record_or = ParseViewChange(raw, from);
   if (!record_or.ok()) return;
-  vc_msgs_[new_view][from] = std::move(record_or).value();
-  MaybeJoinViewChange();
-  if (config_.FlatPrimary(new_view) == id_) MaybeFormNewView(new_view);
+  AcceptViewChange(new_view, from, std::move(record_or).value());
 }
 
-void PbftCoreReplica::MaybeJoinViewChange() {
-  // Join the lowest view > view_ for which vc_join distinct replicas have
-  // asked — prevents a lone Byzantine node from forcing view changes while
-  // guaranteeing we follow the honest majority.
-  for (const auto& [target, records] : vc_msgs_) {
-    if (target <= view_) continue;
-    if (static_cast<int>(records.size()) >= quorums_.vc_join &&
-        (!in_view_change_ || target > vc_target_)) {
-      StartViewChange(target);
-      return;
-    }
-  }
-}
-
-std::pair<uint64_t, std::map<uint64_t, PbftCoreReplica::Proposal>>
-PbftCoreReplica::ComputeNewViewProposals(
-    const std::map<PrincipalId, ViewChangeRecord>& records) const {
-  uint64_t max_stable = 0;
-  uint64_t max_seq = 0;
-  for (const auto& [sender, record] : records) {
-    max_stable = std::max(max_stable, record.stable_seq);
-    if (!record.proofs.empty()) {
-      max_seq = std::max(max_seq, record.proofs.rbegin()->first);
-    }
-  }
-  std::map<uint64_t, Proposal> proposals;
-  std::map<uint64_t, uint64_t> proposal_views;
+std::pair<uint64_t, Reproposals> PbftCoreReplica::ComputeNewViewProposals(
+    const Records& records) const {
+  const uint64_t floor = Floor(records).first;
+  uint64_t high = 0;
+  Reproposals proposals;
   for (const auto& [sender, record] : records) {
     for (const auto& [seq, proof] : record.proofs) {
-      if (seq <= max_stable) continue;
-      auto it = proposal_views.find(seq);
-      if (it == proposal_views.end() || proof.view > it->second) {
-        proposal_views[seq] = proof.view;
-        proposals[seq] = Proposal{proof.digest, proof.batch};
+      high = std::max(high, seq);
+      if (seq > floor) {
+        OfferReproposal(proposals, seq, proof.view, proof.digest, proof.batch);
       }
     }
   }
-  // Fill holes with no-ops.
-  for (uint64_t seq = max_stable + 1; seq <= max_seq; ++seq) {
-    if (proposals.count(seq) == 0) {
-      Batch noop = Batch::Noop();
-      proposals[seq] = Proposal{noop.ComputeDigest(), std::move(noop)};
-    }
-  }
-  return {max_stable, std::move(proposals)};
+  FillWithNoops(proposals, floor, high);
+  return {floor, std::move(proposals)};
 }
 
-void PbftCoreReplica::MaybeFormNewView(uint64_t new_view) {
-  if (view_ >= new_view) return;
-  auto it = vc_msgs_.find(new_view);
-  if (it == vc_msgs_.end()) return;
-  const auto& records = it->second;
-  if (static_cast<int>(records.size()) < quorums_.view_change) return;
-
-  auto [max_stable, proposals] = ComputeNewViewProposals(records);
+void PbftCoreReplica::FormNewView(uint64_t new_view, const Records& records) {
+  auto [floor, proposals] = ComputeNewViewProposals(records);
 
   PbftNewViewMsg nv;
   nv.new_view = new_view;
@@ -503,29 +423,18 @@ void PbftCoreReplica::MaybeFormNewView(uint64_t new_view) {
   SendToMany(config_.AllReplicas(), nv.ToMessage());
 
   // Install locally.
-  PrincipalId helper = id_;
-  for (const auto& [sender, record] : records) {
-    if (record.stable_seq == max_stable && sender != id_) helper = sender;
-  }
+  const PrincipalId helper = Floor(records).second;
   EnterView(new_view);
   ++stats_.view_changes_completed;
-  uint64_t max_seq = max_stable;
+  uint64_t max_seq = floor;
   for (auto& [seq, proposal] : proposals) {
     max_seq = std::max(max_seq, seq);
-    const SlotCore* prior = log_.Find(seq);
-    const bool was_committed =
-        (prior != nullptr && prior->committed()) || exec_.HasCommitted(seq);
-    // Fresh slot: stale votes must not count toward the new view.
-    SlotCore& slot = log_.ResetSlot(seq);
-    slot.batch = std::move(proposal.batch);
-    log_.SetHasBatch(slot, true);
-    slot.digest = proposal.digest;
-    slot.view = new_view;
+    SlotCore& slot =
+        InstallReproposal(seq, std::move(proposal.batch), proposal.digest);
     slot.primary_sig = signer_.Sign(
         ProposalHeader(kDomainPrePrepare, 0, new_view, seq, proposal.digest));
-    log_.SetCommitted(slot, was_committed);
   }
-  if (max_stable > ckpt_.stable_seq() && max_stable > exec_.last_executed() &&
+  if (floor > ckpt_.stable_seq() && floor > exec_.last_executed() &&
       helper != id_) {
     RequestStateFrom(helper);
   }
@@ -540,7 +449,7 @@ void PbftCoreReplica::HandleNewView(PrincipalId from, PbftNewViewMsg msg) {
   if (new_view <= view_) return;
 
   // Re-validate the embedded view-change quorum.
-  std::map<PrincipalId, ViewChangeRecord> records;
+  Records records;
   ChargeVerify(static_cast<int>(msg.view_changes.size()) * 2);
   for (const Bytes& raw : msg.view_changes) {
     // The sender id is part of the signed body; decode it from the frame
@@ -555,9 +464,9 @@ void PbftCoreReplica::HandleNewView(PrincipalId from, PbftNewViewMsg msg) {
     if (!record_or.ok()) return;
     records[sender] = std::move(record_or).value();
   }
-  if (static_cast<int>(records.size()) < quorums_.view_change) return;
+  if (!IsNewViewQuorum(records)) return;
 
-  auto [max_stable, proposals] = ComputeNewViewProposals(records);
+  auto [floor, proposals] = ComputeNewViewProposals(records);
   if (msg.entries.size() != proposals.size()) return;
   std::set<uint64_t> seen_seqs;
   for (PbftNewViewEntry& entry : msg.entries) {
@@ -580,49 +489,19 @@ void PbftCoreReplica::HandleNewView(PrincipalId from, PbftNewViewMsg msg) {
 
   EnterView(new_view);
   ++stats_.view_changes_completed;
-  PrincipalId helper = from;
-  if (max_stable > exec_.last_executed()) RequestStateFrom(helper);
+  if (floor > exec_.last_executed()) RequestStateFrom(from);
   for (PbftNewViewEntry& entry : msg.entries) {
     if (entry.seq <= ckpt_.stable_seq()) continue;
     // Already-committed sequence numbers still run the prepare/commit vote
     // exchange so peers that missed them pre-view-change can assemble their
     // quorums; the committed flag prevents re-execution.
-    const SlotCore* prior = log_.Find(entry.seq);
-    const bool was_committed = (prior != nullptr && prior->committed()) ||
-                               exec_.HasCommitted(entry.seq);
-    SlotCore& slot = log_.ResetSlot(entry.seq);
-    slot.batch = std::move(proposals[entry.seq].batch);
-    log_.SetHasBatch(slot, true);
-    slot.digest = entry.digest;
-    slot.view = new_view;
+    SlotCore& slot = InstallReproposal(
+        entry.seq, std::move(proposals[entry.seq].batch), entry.digest);
     slot.primary_sig = entry.sig;
-    log_.SetCommitted(slot, was_committed);
     SendPrepare(entry.seq, slot);
     CheckPrepared(entry.seq, slot);
   }
   if (log_.UncommittedSlots() > 0) ArmViewTimer();
-}
-
-void PbftCoreReplica::EnterView(uint64_t view) {
-  view_ = view;
-  ClearProposerQuiescence();
-  durable().NoteView(view, 0);
-  in_view_change_ = false;
-  vc_target_ = 0;
-  CancelTimer(view_timer_);
-  // Grace period: the re-proposed log needs a full re-agreement round under
-  // post-view-change backlog before anyone may suspect the new primary.
-  current_vc_timeout_ = config_.view_change_timeout * 3;
-  // A view change may have nooped requests the admission table says were
-  // handled; client retransmissions must be accepted afresh (the execution
-  // engine still deduplicates anything that really committed).
-  pipeline_.ForgetAdmissions();
-  // Uncommitted slots are superseded by the NEW-VIEW the caller installs
-  // next; keeping them would re-arm the view timer forever.
-  log_.EraseUncommitted();
-  for (auto it = vc_msgs_.begin(); it != vc_msgs_.end();) {
-    it = it->first <= view ? vc_msgs_.erase(it) : std::next(it);
-  }
 }
 
 }  // namespace seemore

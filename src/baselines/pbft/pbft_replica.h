@@ -16,9 +16,8 @@
 #include <utility>
 #include <vector>
 
-#include "consensus/checkpointing_replica.h"
-#include "consensus/primary_pipeline.h"
 #include "consensus/proofs.h"
+#include "consensus/view_changing_replica.h"
 #include "wire/messages.h"
 
 namespace seemore {
@@ -32,7 +31,14 @@ struct PbftQuorums {
   int vc_join;     // VCs for higher views that force us to join (PBFT: f+1)
 };
 
-class PbftCoreReplica : public CheckpointingReplica {
+/// A validated VIEW-CHANGE.
+struct PbftViewChangeRecord {
+  Bytes raw;  // full message, embedded into NEW-VIEW as proof
+  uint64_t stable_seq = 0;  // its certificate's seq
+  std::map<uint64_t, PreparedProof> proofs;
+};
+
+class PbftCoreReplica : public ViewChangingReplica<PbftViewChangeRecord> {
  public:
   PbftCoreReplica(Transport* transport, TimerService* timers,
                   const KeyStore* keystore, CryptoMemo* memo, PrincipalId id,
@@ -40,13 +46,10 @@ class PbftCoreReplica : public CheckpointingReplica {
                   std::unique_ptr<StateMachine> state_machine,
                   const CostModel& costs, const PbftQuorums& quorums);
 
-  uint64_t view() const { return view_; }
   bool IsPrimary() const { return config_.FlatPrimary(view_) == id_; }
-  bool in_view_change() const { return in_view_change_; }
 
  protected:
   void HandleMessage(PrincipalId from, const Payload& frame) override;
-  void OnDurableRestore(const RecoveredImage& image) override;
 
   // ----- checkpoint policy (consensus/checkpointing_replica.h) -----
   /// Every replica signs and multicasts its checkpoints.
@@ -67,19 +70,25 @@ class PbftCoreReplica : public CheckpointingReplica {
     if (IsPrimary() && !in_view_change_) TryPropose();  // window moved
   }
 
- private:
-  struct ViewChangeRecord {
-    Bytes raw;  // full message, embedded into NEW-VIEW as proof
-    uint64_t stable_seq = 0;
-    CheckpointCert cert;
-    std::map<uint64_t, PreparedProof> proofs;
-  };
+  // ----- view-change policy (consensus/view_changing_replica.h) -----
+  /// Prepared proofs above the stable checkpoint, under its certificate.
+  void SendViewChange(uint64_t new_view) override;
+  /// `quorums_.vc_join` distinct senders (PBFT f+1): a lone Byzantine node
+  /// cannot force a view change, and we follow the honest majority.
+  bool JoinsViewChange(const Records& records, bool /*named*/) const override {
+    return static_cast<int>(records.size()) >= quorums_.vc_join;
+  }
+  bool IsNewViewAuthority(uint64_t view) const override {
+    return config_.FlatPrimary(view) == id_;
+  }
+  /// `quorums_.view_change` records (PBFT 2f+1, S-UpRight 2m+c+1).
+  bool IsNewViewQuorum(const Records& records) const override {
+    return static_cast<int>(records.size()) >= quorums_.view_change;
+  }
+  void FormNewView(uint64_t new_view, const Records& records) override;
 
-  /// Chosen value for one re-proposed sequence number.
-  struct Proposal {
-    Digest digest;
-    Batch batch;
-  };
+ private:
+  using ViewChangeRecord = PbftViewChangeRecord;
 
   // ----- normal case -----
   void HandleRequest(PrincipalId from, Request request);
@@ -95,9 +104,6 @@ class PbftCoreReplica : public CheckpointingReplica {
   void SendReply(const ExecutedRequest& executed);
 
   // ----- view change -----
-  void ArmViewTimer();
-  void RestartOrDisarmViewTimer();
-  void StartViewChange(uint64_t new_view);
   /// Structural decode (wire/messages.h) + semantic validation of a raw
   /// VIEW-CHANGE frame: body signature, checkpoint cert, prepared proofs.
   Result<ViewChangeRecord> ParseViewChange(const Bytes& raw, PrincipalId from);
@@ -107,27 +113,13 @@ class PbftCoreReplica : public CheckpointingReplica {
                                               const Bytes& raw,
                                               PrincipalId from);
   void HandleViewChange(PrincipalId from, const Bytes& raw);
-  void MaybeJoinViewChange();
-  void MaybeFormNewView(uint64_t new_view);
   /// Deterministic re-proposal computation shared by the new primary and by
-  /// backups validating a NEW-VIEW: (max stable, proposals per seq).
-  std::pair<uint64_t, std::map<uint64_t, Proposal>> ComputeNewViewProposals(
-      const std::map<PrincipalId, ViewChangeRecord>& records) const;
+  /// backups validating a NEW-VIEW: (floor, proposals per seq).
+  std::pair<uint64_t, Reproposals> ComputeNewViewProposals(
+      const Records& records) const;
   void HandleNewView(PrincipalId from, PbftNewViewMsg msg);
-  void EnterView(uint64_t view);
 
   const PbftQuorums quorums_;
-  uint64_t view_ = 0;
-  bool in_view_change_ = false;
-  uint64_t vc_target_ = 0;
-
-  /// The primary's proposal pipeline (consensus/primary_pipeline.h).
-  PrimaryPipeline pipeline_;
-
-  std::map<uint64_t, std::map<PrincipalId, ViewChangeRecord>> vc_msgs_;
-
-  EventId view_timer_ = 0;
-  SimTime current_vc_timeout_ = 0;
 };
 
 /// PBFT proper: N = 3f+1, quorums per Castro & Liskov.

@@ -16,13 +16,10 @@ SeeMoReReplica::SeeMoReReplica(Transport* transport, TimerService* timers,
                                PrincipalId id, const ClusterConfig& config,
                                std::unique_ptr<StateMachine> state_machine,
                                const CostModel& costs)
-    : CheckpointingReplica(transport, timers, keystore, memo, id, config,
-                           std::move(state_machine), costs,
-                           {kSmCheckpoint, kSmStateRequest, kSmStateResponse}),
-      mode_(config.initial_mode),
-      pipeline_(config.batch_max, config.pipeline_max) {
-  current_vc_timeout_ = config_.view_change_timeout;
-}
+    : ViewChangingReplica(transport, timers, keystore, memo, id, config,
+                          std::move(state_machine), costs,
+                          {kSmCheckpoint, kSmStateRequest, kSmStateResponse}),
+      mode_(config.initial_mode) {}
 
 std::vector<PrincipalId> SeeMoReReplica::PassiveNodes() const {
   std::vector<PrincipalId> out;
@@ -610,13 +607,9 @@ void SeeMoReReplica::SendInform(uint64_t seq, const SlotCore& slot) {
 // ---------------------------------------------------------------------------
 
 void SeeMoReReplica::OnDurableRestore(const RecoveredImage& image) {
-  // Rejoin in the last durably-entered view: voting in an older view after
-  // a restart could double-vote against the pre-crash incarnation.
-  if (image.has_view) {
-    view_ = image.view;
-    mode_ = static_cast<SeeMoReMode>(image.mode);
-  }
-  CheckpointingReplica::OnDurableRestore(image);
+  // The view comes back in the mode it was entered in.
+  if (image.has_view) mode_ = static_cast<SeeMoReMode>(image.mode);
+  ViewChangingReplica::OnDurableRestore(image);
 }
 
 void SeeMoReReplica::RequestNewViewFrom(PrincipalId target) {

@@ -35,14 +35,25 @@
 #include <utility>
 #include <vector>
 
-#include "consensus/checkpointing_replica.h"
-#include "consensus/primary_pipeline.h"
 #include "consensus/proofs.h"
+#include "consensus/view_changing_replica.h"
 #include "wire/messages.h"
 
 namespace seemore {
 
-class SeeMoReReplica : public CheckpointingReplica {
+/// A validated VIEW-CHANGE, indexed for new-view computation. Entries are
+/// the typed wire entries (wire/messages.h SmVcEntry).
+struct SeeMoReViewChangeRecord {
+  uint64_t stable_seq = 0;                     // its certificate's seq
+  std::map<uint64_t, SmVcEntry> prepares;      // Lion/Dog P set
+  std::map<uint64_t, SmVcEntry> commits;       // Lion C set
+  std::map<uint64_t, PreparedProof> proofs;    // Peacock prepared certs
+  /// Highest view with evidence created under `mode` (for "last active
+  /// view" determination within the current mode epoch).
+  uint64_t LastActiveView(SeeMoReMode mode) const;
+};
+
+class SeeMoReReplica : public ViewChangingReplica<SeeMoReViewChangeRecord> {
  public:
   SeeMoReReplica(Transport* transport, TimerService* timers,
                  const KeyStore* keystore, CryptoMemo* memo, PrincipalId id,
@@ -51,8 +62,6 @@ class SeeMoReReplica : public CheckpointingReplica {
                  const CostModel& costs);
 
   SeeMoReMode mode() const { return mode_; }
-  uint64_t view() const { return view_; }
-  bool in_view_change() const { return in_view_change_; }
   PrincipalId current_primary() const {
     return config_.PrimaryOf(mode_, view_);
   }
@@ -110,20 +119,26 @@ class SeeMoReReplica : public CheckpointingReplica {
     if (IsPrimary() && !in_view_change_) TryPropose();
   }
 
+  // ----- view-change policy (consensus/view_changing_replica.h) -----
+  /// Only a backup that takes part in agreement suspects the primary.
+  bool WatchesPrimary() const override {
+    return ParticipatesInAgreement() && !IsPrimary();
+  }
+  /// Who sends depends on the mode (seemore_view_change.cc header).
+  void SendViewChange(uint64_t new_view) override;
+  /// One trusted sender suffices (trusted nodes never lie), else m+1
+  /// public senders (at least one honest); only a replica that takes part
+  /// in agreement, or a trusted one, joins.
+  bool JoinsViewChange(const Records& records, bool named) const override;
+  /// The trusted authority of the view's mode: primary or transferer.
+  bool IsNewViewAuthority(uint64_t view) const override;
+  /// Lion: 2m+c+1 records; Dog/Peacock: 2m+1 from the proxies of the last
+  /// active view.
+  bool IsNewViewQuorum(const Records& records) const override;
+  void FormNewView(uint64_t new_view, const Records& records) override;
+
  private:
-  /// A validated VIEW-CHANGE message, indexed for new-view computation.
-  /// Entries are the typed wire entries (wire/messages.h SmVcEntry).
-  struct VcRecord {
-    SeeMoReMode mode = SeeMoReMode::kLion;
-    uint64_t stable_seq = 0;
-    CheckpointCert cert;
-    std::map<uint64_t, SmVcEntry> prepares;      // Lion/Dog P set
-    std::map<uint64_t, SmVcEntry> commits;       // Lion C set
-    std::map<uint64_t, PreparedProof> proofs;    // Peacock prepared certs
-    /// Highest view with evidence created under `mode` (for "last active
-    /// view" determination within the current mode epoch).
-    uint64_t LastActiveView(SeeMoReMode mode) const;
-  };
+  using VcRecord = SeeMoReViewChangeRecord;
 
   // ----- role helpers ----------------------------------------------------
   bool IsProxyNow() const {
@@ -165,9 +180,6 @@ class SeeMoReReplica : public CheckpointingReplica {
   void HandleNewViewRequest(PrincipalId from, NewViewRequestMsg msg);
 
   // ----- view change / mode switch -----
-  void ArmViewTimer();
-  void RestartOrDisarmViewTimer();
-  void StartViewChange(uint64_t new_view);
   SmViewChangeMsg BuildViewChangeMessage(uint64_t new_view) const;
   /// Semantic validation of a structurally-decoded VIEW-CHANGE (signatures,
   /// certificates, sender binding); returns the indexed record. `frame_id`
@@ -177,31 +189,17 @@ class SeeMoReReplica : public CheckpointingReplica {
   Result<VcRecord> ValidateViewChange(SmViewChangeMsg msg, PrincipalId from,
                                       uint64_t frame_id) const;
   void HandleViewChange(PrincipalId from, SmViewChangeMsg msg);
-  void MaybeJoinViewChange();
   /// Mode the protocol will run in view `v` (honours pending MODE-CHANGE).
   SeeMoReMode ModeForView(uint64_t v) const;
-  /// Whether this replica issues the NEW-VIEW for `new_view`.
-  bool IsNewViewAuthority(uint64_t new_view) const;
-  bool ViewChangeQuorumReached(uint64_t new_view) const;
-  void MaybeFormNewView(uint64_t new_view);
   void HandleNewView(PrincipalId from, SmNewViewMsg msg);
   void HandleModeChange(PrincipalId from, SmModeChangeMsg msg);
+  /// The shared view entry, plus the mode this view runs in.
   void EnterView(uint64_t view, SeeMoReMode mode);
 
   SeeMoReMode mode_;
-  uint64_t view_ = 0;
-  bool in_view_change_ = false;
-  uint64_t vc_target_ = 0;
-
-  /// The primary's proposal pipeline (consensus/primary_pipeline.h).
-  PrimaryPipeline pipeline_;
-
-  std::map<uint64_t, std::map<PrincipalId, VcRecord>> vc_msgs_;
   /// view -> mode requested by a signed MODE-CHANGE for that view.
   std::map<uint64_t, SeeMoReMode> pending_mode_;
 
-  EventId view_timer_ = 0;
-  SimTime current_vc_timeout_ = 0;
   /// Last time we asked a peer to relay a NEW-VIEW (a lost response must not
   /// wedge recovery).
   SimTime last_nv_request_ = -Seconds(1);

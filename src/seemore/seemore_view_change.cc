@@ -19,13 +19,12 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "util/logging.h"
 
 namespace seemore {
 
-uint64_t SeeMoReReplica::VcRecord::LastActiveView(SeeMoReMode mode) const {
+uint64_t SeeMoReViewChangeRecord::LastActiveView(SeeMoReMode mode) const {
   uint64_t last = 0;
   for (const auto& [seq, entry] : prepares) {
     if (entry.mode == mode) last = std::max(last, entry.view);
@@ -48,30 +47,6 @@ SeeMoReMode SeeMoReReplica::ModeForView(uint64_t v) const {
 
 bool SeeMoReReplica::IsNewViewAuthority(uint64_t new_view) const {
   return SwitchAuthority(ModeForView(new_view), new_view) == id_;
-}
-
-// ---------------------------------------------------------------------------
-// Timers
-// ---------------------------------------------------------------------------
-
-void SeeMoReReplica::ArmViewTimer() {
-  if (view_timer_ != 0 || in_view_change_) return;
-  if (!ParticipatesInAgreement() || IsPrimary()) return;
-  // Failure detection must not count our own CPU backlog against the
-  // primary: right after a view change every node burns milliseconds
-  // re-running agreement on the re-proposed log, and a timer that ignores
-  // that work self-destructs the new view (view-change livelock).
-  view_timer_ = StartTimer(current_vc_timeout_ + CpuBacklog(), [this] {
-    view_timer_ = 0;
-    StartViewChange(view_ + 1);
-  });
-}
-
-void SeeMoReReplica::RestartOrDisarmViewTimer() {
-  CancelTimer(view_timer_);
-  // Progress observed: drop back from the post-view-change grace timeout.
-  current_vc_timeout_ = config_.view_change_timeout;
-  if (log_.UncommittedSlots() > 0) ArmViewTimer();
 }
 
 // ---------------------------------------------------------------------------
@@ -159,16 +134,12 @@ Result<SeeMoReReplica::VcRecord> SeeMoReReplica::ValidateViewChange(
   constexpr uint32_t kProofSlots = kCertSlot | (3u << 20);
 
   VcRecord record;
-  record.mode = static_cast<SeeMoReMode>(msg.mode);
-  record.stable_seq = msg.stable_seq;
   if (!VerifyMemoized(frame_id, from, kCertSlot,
                       [&] { return VerifyCheckpointCert(msg.cert); })) {
     return Status::Corruption("invalid checkpoint cert in view-change");
   }
-  if (!msg.cert.IsGenesis() && msg.cert.seq() < msg.stable_seq) {
-    return Status::Corruption("checkpoint cert below claimed stable seq");
-  }
-  record.cert = std::move(msg.cert);
+  SEEMORE_ASSIGN_OR_RETURN(record.stable_seq,
+                           CertifiedStableSeq(msg.stable_seq, msg.cert));
 
   for (size_t i = 0; i < msg.prepares.size(); ++i) {
     SmVcEntry& entry = msg.prepares[i];
@@ -232,33 +203,19 @@ Result<SeeMoReReplica::VcRecord> SeeMoReReplica::ValidateViewChange(
 // View-change protocol
 // ---------------------------------------------------------------------------
 
-void SeeMoReReplica::StartViewChange(uint64_t new_view) {
-  if (new_view <= view_ || (in_view_change_ && new_view <= vc_target_)) return;
-  in_view_change_ = true;
-  vc_target_ = new_view;
-  ++stats_.view_changes_started;
-  CancelTimer(view_timer_);
-
+void SeeMoReReplica::SendViewChange(uint64_t new_view) {
   // Who multicasts VIEW-CHANGE depends on the current mode (header comment).
   const bool sender_role =
       mode_ == SeeMoReMode::kLion
           ? true
           : (mode_ == SeeMoReMode::kDog ? !config_.IsTrusted(id_)
                                         : IsProxyNow());
-  if (sender_role) {
-    SmViewChangeMsg msg = BuildViewChangeMessage(new_view);
-    SendToMany(config_.AllReplicas(), msg.ToMessage());
-    // Own message, never a delivered frame: frame_id 0 skips the memo.
-    Result<VcRecord> own = ValidateViewChange(std::move(msg), id_, 0);
-    if (own.ok()) vc_msgs_[new_view][id_] = std::move(own).value();
-  }
-  if (IsNewViewAuthority(new_view)) MaybeFormNewView(new_view);
-
-  current_vc_timeout_ = std::min<SimTime>(current_vc_timeout_ * 2, Seconds(2));
-  view_timer_ = StartTimer(current_vc_timeout_ + CpuBacklog(), [this] {
-    view_timer_ = 0;
-    if (in_view_change_) StartViewChange(vc_target_ + 1);
-  });
+  if (!sender_role) return;
+  SmViewChangeMsg msg = BuildViewChangeMessage(new_view);
+  SendToMany(config_.AllReplicas(), msg.ToMessage());
+  // Own message, never a delivered frame: frame_id 0 skips the memo.
+  Result<VcRecord> own = ValidateViewChange(std::move(msg), id_, 0);
+  if (own.ok()) StoreViewChange(new_view, id_, std::move(own).value());
 }
 
 void SeeMoReReplica::HandleViewChange(PrincipalId from, SmViewChangeMsg msg) {
@@ -274,40 +231,21 @@ void SeeMoReReplica::HandleViewChange(PrincipalId from, SmViewChangeMsg msg) {
                        << from << ": " << record_or.status().ToString();
     return;
   }
-  vc_msgs_[new_view][from] = std::move(record_or).value();
-  MaybeJoinViewChange();
-  if (IsNewViewAuthority(new_view)) MaybeFormNewView(new_view);
+  AcceptViewChange(new_view, from, std::move(record_or).value());
 }
 
-void SeeMoReReplica::MaybeJoinViewChange() {
-  for (const auto& [target, records] : vc_msgs_) {
-    if (target <= view_) continue;
-    if (in_view_change_ && target <= vc_target_) continue;
-    // One trusted suspicion suffices (trusted nodes never lie); otherwise
-    // m+1 public senders guarantee at least one honest suspicion.
-    int trusted = 0;
-    int untrusted = 0;
-    for (const auto& [sender, record] : records) {
-      if (config_.IsTrusted(sender)) {
-        ++trusted;
-      } else {
-        ++untrusted;
-      }
-    }
-    if (trusted >= 1 || untrusted >= config_.m + 1) {
-      if (ParticipatesInAgreement() || config_.IsTrusted(id_)) {
-        StartViewChange(target);
-      }
-      return;
-    }
+bool SeeMoReReplica::JoinsViewChange(const Records& records,
+                                     bool /*named*/) const {
+  int trusted = 0;
+  for (const auto& [sender, record] : records) {
+    if (config_.IsTrusted(sender)) ++trusted;
   }
+  const int untrusted = static_cast<int>(records.size()) - trusted;
+  return (trusted >= 1 || untrusted >= config_.m + 1) &&
+         (ParticipatesInAgreement() || config_.IsTrusted(id_));
 }
 
-bool SeeMoReReplica::ViewChangeQuorumReached(uint64_t new_view) const {
-  auto it = vc_msgs_.find(new_view);
-  if (it == vc_msgs_.end()) return false;
-  const auto& records = it->second;
-
+bool SeeMoReReplica::IsNewViewQuorum(const Records& records) const {
   if (mode_ == SeeMoReMode::kLion) {
     return static_cast<int>(records.size()) >= 2 * config_.m + config_.c + 1;
   }
@@ -329,132 +267,64 @@ bool SeeMoReReplica::ViewChangeQuorumReached(uint64_t new_view) const {
   return count >= 2 * config_.m + 1;
 }
 
-void SeeMoReReplica::MaybeFormNewView(uint64_t new_view) {
-  if (view_ >= new_view || !IsNewViewAuthority(new_view)) return;
-  if (!ViewChangeQuorumReached(new_view)) {
-    SEEMORE_LOG(Debug) << "replica " << id_ << ": view-change quorum for "
-                       << new_view << " not yet reached ("
-                       << (vc_msgs_.count(new_view)
-                               ? vc_msgs_[new_view].size()
-                               : 0)
-                       << " records)";
-    return;
-  }
+void SeeMoReReplica::FormNewView(uint64_t new_view, const Records& records) {
   const SeeMoReMode target_mode = ModeForView(new_view);
-  const auto& records = vc_msgs_[new_view];
+  const bool lion = target_mode == SeeMoReMode::kLion;
 
-  // l: latest stable checkpoint across the quorum; h: highest evidenced seq.
-  uint64_t low = 0;
-  PrincipalId helper = id_;
-  uint64_t high = 0;
-  for (const auto& [sender, record] : records) {
-    const uint64_t cert_seq = record.cert.seq();
-    if (cert_seq > low) {
-      low = cert_seq;
-      helper = sender;
-    }
-    if (!record.prepares.empty()) {
-      high = std::max(high, record.prepares.rbegin()->first);
-    }
-    if (!record.commits.empty()) {
-      high = std::max(high, record.commits.rbegin()->first);
-    }
-    if (!record.proofs.empty()) {
-      high = std::max(high, record.proofs.rbegin()->first);
-    }
-  }
+  // l: latest stable checkpoint across the quorum (and ours); h: highest
+  // evidenced seq.
+  auto [low, helper] = Floor(records);
   low = std::max(low, ckpt_.stable_seq());
+  uint64_t high = 0;
 
   // Candidate selection per sequence number (§5.1 steps 1-3, generalized
   // across modes). Priority: commit evidence > quorum of prepares > highest-
   // view prepare/proof > no-op.
-  struct Candidate {
-    bool committed = false;
-    uint64_t view = 0;
-    Digest digest;
-    Batch batch;
-    bool present = false;
-  };
-  std::map<uint64_t, Candidate> candidates;
-  std::map<uint64_t, std::map<Digest, std::set<PrincipalId>>> prepare_support;
-
+  Reproposals candidates;
+  std::map<uint64_t, std::map<Digest, int>> prepare_support;
   for (const auto& [sender, record] : records) {
     for (const auto& [seq, entry] : record.commits) {
+      high = std::max(high, seq);
       if (seq <= low) continue;
-      Candidate& cand = candidates[seq];
-      if (!cand.committed || entry.view > cand.view) {
-        cand.committed = true;
-        cand.view = entry.view;
-        cand.digest = entry.digest;
-        cand.batch = entry.batch;
-        cand.present = true;
-      }
+      OfferReproposal(candidates, seq, entry.view, entry.digest, entry.batch,
+                      /*committed=*/true);
     }
     for (const auto& [seq, entry] : record.prepares) {
+      high = std::max(high, seq);
       if (seq <= low) continue;
-      prepare_support[seq][entry.digest].insert(sender);
-      Candidate& cand = candidates[seq];
-      if (!cand.committed && (!cand.present || entry.view > cand.view)) {
-        cand.view = entry.view;
-        cand.digest = entry.digest;
-        cand.batch = entry.batch;
-        cand.present = true;
-      }
+      ++prepare_support[seq][entry.digest];
+      OfferReproposal(candidates, seq, entry.view, entry.digest, entry.batch);
     }
     for (const auto& [seq, proof] : record.proofs) {
+      high = std::max(high, seq);
       if (seq <= low) continue;
-      Candidate& cand = candidates[seq];
-      if (!cand.committed && (!cand.present || proof.view > cand.view)) {
-        cand.view = proof.view;
-        cand.digest = proof.digest;
-        cand.batch = proof.batch;
-        cand.present = true;
-      }
+      OfferReproposal(candidates, seq, proof.view, proof.digest, proof.batch);
     }
   }
   // Lion step 2: 2m+c+1 matching prepares imply the old primary may have
   // committed — promote to commit evidence.
   if (mode_ == SeeMoReMode::kLion) {
     for (auto& [seq, cand] : candidates) {
-      if (cand.committed) continue;
       auto sup = prepare_support.find(seq);
       if (sup == prepare_support.end()) continue;
-      for (const auto& [digest, senders] : sup->second) {
-        if (static_cast<int>(senders.size()) >= 2 * config_.m + config_.c + 1 &&
-            digest == cand.digest) {
-          cand.committed = true;
-        }
+      auto matching = sup->second.find(cand.digest);
+      if (matching != sup->second.end() &&
+          matching->second >= 2 * config_.m + config_.c + 1) {
+        cand.committed = true;
       }
     }
   }
+  FillWithNoops(candidates, low, high);
 
   // Build the NEW-VIEW. C' only exists when the target mode is Lion; in
   // Dog/Peacock every entry is re-agreed by the proxies.
   const uint8_t mode8 = static_cast<uint8_t>(target_mode);
-  std::vector<std::pair<uint64_t, Candidate>> commit_entries;
-  std::vector<std::pair<uint64_t, Candidate>> prepare_entries;
-  for (uint64_t seq = low + 1; seq <= high; ++seq) {
-    auto it2 = candidates.find(seq);
-    Candidate cand;
-    if (it2 != candidates.end() && it2->second.present) {
-      cand = it2->second;
-    } else {
-      cand.batch = Batch::Noop();
-      cand.digest = cand.batch.ComputeDigest();
-      cand.present = true;
-    }
-    if (target_mode == SeeMoReMode::kLion && cand.committed) {
-      commit_entries.emplace_back(seq, std::move(cand));
-    } else {
-      prepare_entries.emplace_back(seq, std::move(cand));
-    }
-  }
-
   SmNewViewMsg nv;
   nv.mode = mode8;
   nv.new_view = new_view;
   nv.low = low;
-  for (auto& [seq, cand] : commit_entries) {
+  for (const auto& [seq, cand] : candidates) {
+    const bool commit = lion && cand.committed;
     ChargeSign();
     SmNewViewEntry entry;
     entry.view = new_view;
@@ -462,19 +332,9 @@ void SeeMoReReplica::MaybeFormNewView(uint64_t new_view) {
     entry.digest = cand.digest;
     entry.batch = cand.batch.Encode();
     entry.sig = signer_.Sign(
-        ProposalHeader(kDomainCommit, mode8, new_view, seq, cand.digest));
-    nv.commits.push_back(std::move(entry));
-  }
-  for (auto& [seq, cand] : prepare_entries) {
-    ChargeSign();
-    SmNewViewEntry entry;
-    entry.view = new_view;
-    entry.seq = seq;
-    entry.digest = cand.digest;
-    entry.batch = cand.batch.Encode();
-    entry.sig = signer_.Sign(
-        ProposalHeader(kDomainPrePrepare, mode8, new_view, seq, cand.digest));
-    nv.prepares.push_back(std::move(entry));
+        ProposalHeader(commit ? kDomainCommit : kDomainPrePrepare, mode8,
+                       new_view, seq, cand.digest));
+    (commit ? nv.commits : nv.prepares).push_back(std::move(entry));
   }
   // Sign last: the header binds the complete C'/P' sets (EntrySetDigest), so
   // an untrusted relayer cannot prune entries from the frame.
@@ -485,46 +345,35 @@ void SeeMoReReplica::MaybeFormNewView(uint64_t new_view) {
   const Payload nv_frame(nv.ToMessage());
   SendToMany(config_.AllReplicas(), nv_frame);
 
-  // Install locally.
+  // Install locally: C' entries commit first, then P' entries are re-agreed.
   EnterView(new_view, target_mode);
   last_new_view_frame_ = nv_frame;  // kept for relay to sleeping replicas
   ++stats_.view_changes_completed;
   if (low > exec_.last_executed() && helper != id_) RequestStateFrom(helper);
 
-  for (auto& [seq, cand] : commit_entries) {
-    if (seq <= ckpt_.stable_seq() || exec_.HasCommitted(seq)) continue;
-    // Re-proposed slots start from a clean sheet: votes from earlier views
-    // or modes were signed under different headers and must never count
-    // toward (or leak into proofs of) the new view.
-    SlotCore& slot = log_.ResetSlot(seq);
-    slot.batch = std::move(cand.batch);
-    log_.SetHasBatch(slot, true);
-    slot.digest = cand.digest;
-    slot.view = new_view;
+  for (auto& [seq, cand] : candidates) {
+    if (!(lion && cand.committed) || seq <= ckpt_.stable_seq() ||
+        exec_.HasCommitted(seq)) {
+      continue;
+    }
+    SlotCore& slot =
+        InstallReproposal(seq, std::move(cand.batch), cand.digest);
     slot.mode = target_mode;
     slot.commit_sig = signer_.Sign(
         ProposalHeader(kDomainCommit, mode8, new_view, seq, cand.digest));
     slot.has_commit_sig = true;
     CommitSlot(seq, slot, /*replies=*/IsPrimary(), /*informs=*/false);
   }
-  for (auto& [seq, cand] : prepare_entries) {
-    if (seq <= ckpt_.stable_seq()) continue;
-    const SlotCore* prior = log_.Find(seq);
-    const bool was_committed =
-        (prior != nullptr && prior->committed()) || exec_.HasCommitted(seq);
-    SlotCore& slot = log_.ResetSlot(seq);
-    slot.batch = std::move(cand.batch);
-    log_.SetHasBatch(slot, true);
-    slot.digest = cand.digest;
-    slot.view = new_view;
+  for (auto& [seq, cand] : candidates) {
+    if ((lion && cand.committed) || seq <= ckpt_.stable_seq()) continue;
+    SlotCore& slot =
+        InstallReproposal(seq, std::move(cand.batch), cand.digest);
     slot.mode = target_mode;
     slot.primary_sig = signer_.Sign(
         ProposalHeader(kDomainPrePrepare, mode8, new_view, seq, cand.digest));
-    log_.SetCommitted(slot, was_committed);
-    if (target_mode == SeeMoReMode::kLion) {
+    if (lion) {
       RecordVote(slot.plain_votes, slot.digest, id_);
-    }
-    if (target_mode != SeeMoReMode::kLion && IsProxyNow()) {
+    } else if (IsProxyNow()) {
       SendSignedAccept(seq, slot);
     }
   }
@@ -637,11 +486,8 @@ void SeeMoReReplica::HandleNewView(PrincipalId from, SmNewViewMsg msg) {
     if (entry.seq <= ckpt_.stable_seq() || exec_.HasCommitted(entry.seq)) {
       continue;
     }
-    SlotCore& slot = log_.ResetSlot(entry.seq);
-    slot.batch = std::move(entry.batch);
-    log_.SetHasBatch(slot, true);
-    slot.digest = entry.digest;
-    slot.view = new_view;
+    SlotCore& slot =
+        InstallReproposal(entry.seq, std::move(entry.batch), entry.digest);
     slot.mode = new_mode;
     slot.commit_sig = entry.sig;
     slot.has_commit_sig = true;
@@ -655,17 +501,10 @@ void SeeMoReReplica::HandleNewView(PrincipalId from, SmNewViewMsg msg) {
     // before the view change can only assemble their quorums if committed
     // nodes keep voting. The committed flag prevents re-execution.
     const bool already_committed = exec_.HasCommitted(entry.seq);
-    const SlotCore* prior = log_.Find(entry.seq);
-    const bool was_committed =
-        (prior != nullptr && prior->committed()) || already_committed;
-    SlotCore& slot = log_.ResetSlot(entry.seq);
-    slot.batch = std::move(entry.batch);
-    log_.SetHasBatch(slot, true);
-    slot.digest = entry.digest;
-    slot.view = new_view;
+    SlotCore& slot =
+        InstallReproposal(entry.seq, std::move(entry.batch), entry.digest);
     slot.mode = new_mode;
     slot.primary_sig = entry.sig;
-    log_.SetCommitted(slot, was_committed);
     if (already_committed && IsProxyNow() && mode_ != SeeMoReMode::kLion) {
       SendInform(entry.seq, slot);  // passive nodes may have missed them
     }
@@ -688,7 +527,7 @@ void SeeMoReReplica::HandleNewView(PrincipalId from, SmNewViewMsg msg) {
     }
   }
   if (IsPrimary()) pipeline_.AdvanceNextSeq(high + 1);
-  if (log_.UncommittedSlots() > 0 && !IsPrimary()) ArmViewTimer();
+  if (log_.UncommittedSlots() > 0) ArmViewTimer();
   if (IsPrimary()) TryPropose();
 }
 
@@ -737,30 +576,10 @@ void SeeMoReReplica::HandleModeChange(PrincipalId from, SmModeChangeMsg msg) {
 }
 
 void SeeMoReReplica::EnterView(uint64_t view, SeeMoReMode mode) {
-  view_ = view;
   if (mode != mode_) ++stats_.mode_changes;
   mode_ = mode;
-  ClearProposerQuiescence();
-  durable().NoteView(view, static_cast<uint8_t>(mode));
-  in_view_change_ = false;
-  vc_target_ = 0;
-  CancelTimer(view_timer_);
-  // Grace period: the re-proposed log needs a full re-agreement round under
-  // post-view-change backlog before anyone may suspect the new primary.
-  current_vc_timeout_ = config_.view_change_timeout * 3;
-  // A view change may have nooped requests the admission table says were
-  // handled; client retransmissions must be accepted afresh (the execution
-  // engine still deduplicates anything that really committed).
-  pipeline_.ForgetAdmissions();
-  // Uncommitted slots from older views are superseded by the NEW-VIEW's
-  // entries (or were re-proposed); drop them.
-  log_.EraseUncommitted();
-  for (auto it = vc_msgs_.begin(); it != vc_msgs_.end();) {
-    it = it->first <= view ? vc_msgs_.erase(it) : std::next(it);
-  }
-  for (auto it = pending_mode_.begin(); it != pending_mode_.end();) {
-    it = it->first <= view ? pending_mode_.erase(it) : std::next(it);
-  }
+  ViewChangingReplica::EnterView(view, static_cast<uint8_t>(mode));
+  pending_mode_.erase(pending_mode_.begin(), pending_mode_.upper_bound(view));
 }
 
 }  // namespace seemore

@@ -121,6 +121,40 @@ TEST(PbftTest, CrashedReplicaStateTransfersOnRecovery) {
   EXPECT_TRUE(cluster.CheckAgreement().ok());
 }
 
+TEST(PbftTest, ViewChangeStableSeqMustMatchItsCertificate) {
+  // A Byzantine replica signs VIEW-CHANGEs for views 1..64 that claim a
+  // stable checkpoint at seq 1000000 under the genesis certificate, which
+  // proves seq 0. Were the claim taken as the NEW-VIEW floor, every honest
+  // prepared proof below it would be dropped and the new primary would
+  // jump its next seq out of the window: views would climb with nothing
+  // executed. The claim must be refused, so the view change recovers.
+  Cluster cluster(BftSpec(1));
+  cluster.SetByzantine(3, kByzSilent);
+  SimClient* client = cluster.AddClient();
+  ASSERT_TRUE(SubmitAndWait(cluster, client, MakePut("a", "1")).ok());
+  const Signer forger(3, cluster.keystore());
+  for (uint64_t view = 1; view <= 64; ++view) {
+    const Bytes forged = PbftViewChangeMsg::Build(
+        view, /*stable_seq=*/1000000, CheckpointCert::Genesis(), {}, forger);
+    for (int r = 0; r < 3; ++r) cluster.replica(r)->OnMessage(3, forged);
+  }
+  // The primary goes quiet for 100 ms: the backups suspect it and change
+  // view. The request must still commit within 10 s.
+  FaultPlane& faults = cluster.net().faults();
+  for (int r = 1; r < 4; ++r) faults.CutLink(0, r);
+  bool done = false;
+  client->SubmitOne(MakePut("b", "2"), [&done](const Bytes&) { done = true; });
+  cluster.sim().RunUntil(cluster.sim().now() + Millis(100));
+  for (int r = 1; r < 4; ++r) faults.RestoreLink(0, r);
+  const SimTime deadline = cluster.sim().now() + Seconds(10);
+  while (!done && cluster.sim().now() < deadline && cluster.sim().Step()) {
+  }
+  EXPECT_TRUE(done);
+  EXPECT_GT(cluster.pbft(1)->view(), 0u);
+  EXPECT_GT(cluster.pbft(1)->last_executed(), 1u);
+  EXPECT_TRUE(cluster.CheckAgreement().ok());
+}
+
 TEST(PbftTest, LargerClusterF2) {
   Cluster cluster(BftSpec(2));  // n = 7
   cluster.SetByzantine(5, kByzWrongVotes);
