@@ -113,10 +113,6 @@ SlotCore* InstanceLog::Find(uint64_t seq) {
   return it == overflow_.end() ? nullptr : &it->second;
 }
 
-const SlotCore* InstanceLog::Find(uint64_t seq) const {
-  return const_cast<InstanceLog*>(this)->Find(seq);
-}
-
 void InstanceLog::Erase(uint64_t seq) {
   if (InWindow(seq)) {
     if (SlotCore* slot = Find(seq)) Free(*slot);

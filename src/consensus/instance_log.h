@@ -100,7 +100,6 @@ class InstanceLog {
   SlotCore& ResetSlot(uint64_t seq);
 
   SlotCore* Find(uint64_t seq);
-  const SlotCore* Find(uint64_t seq) const;
 
   /// Flag writes for a live slot of this log. Each keeps UncommittedSlots()
   /// exact in O(1).

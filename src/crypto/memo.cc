@@ -41,10 +41,4 @@ bool CryptoMemo::StoreVerdict(const VerifyKey& key, bool verdict) {
   return verdict;
 }
 
-void CryptoMemo::Clear() {
-  digests_.clear();
-  verdicts_.clear();
-  digest_hits_ = digest_misses_ = verify_hits_ = verify_misses_ = 0;
-}
-
 }  // namespace seemore

@@ -97,8 +97,6 @@ class CryptoMemo {
   uint64_t verify_hits() const { return verify_hits_; }
   uint64_t verify_misses() const { return verify_misses_; }
 
-  void Clear();
-
  private:
   struct DigestKey {
     uint64_t buffer_id;

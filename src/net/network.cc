@@ -81,12 +81,6 @@ void SimNetwork::Unregister(PrincipalId id) {
   nodes_.erase(it);
 }
 
-Zone SimNetwork::ZoneOf(PrincipalId id) const {
-  auto it = nodes_.find(id);
-  SEEMORE_CHECK(it != nodes_.end()) << "unknown node " << id;
-  return it->second.zone;
-}
-
 void SimNetwork::SetNodeUp(PrincipalId id, bool up) {
   auto it = nodes_.find(id);
   SEEMORE_CHECK(it != nodes_.end()) << "unknown node " << id;

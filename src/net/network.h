@@ -169,7 +169,6 @@ class SimNetwork : public Transport {
   /// consulted once per Send.
   FaultPlane& faults() { return faults_; }
 
-  Zone ZoneOf(PrincipalId id) const;
   bool HasNode(PrincipalId id) const { return nodes_.count(id) > 0; }
 
   const NetCounters& counters() const { return counters_; }

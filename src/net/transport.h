@@ -28,8 +28,6 @@ enum class Zone {
   kClient,
 };
 
-const char* ZoneName(Zone zone);
-
 /// Receives messages delivered by the transport. The transport authenticates
 /// the sender: `from` is always the true origin of the message (pairwise
 /// authenticated channels, paper §3.1). The payload is shared immutable

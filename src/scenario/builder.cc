@@ -77,11 +77,6 @@ ScenarioBuilder& ScenarioBuilder::Network(const NetworkConfig& net) {
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::Costs(const CostModel& costs) {
-  spec_.costs = costs;
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::Drop(double probability) {
   spec_.net.drop_probability = probability;
   return *this;

@@ -54,7 +54,6 @@ class ScenarioBuilder {
 
   /// --- environment ---------------------------------------------------------
   ScenarioBuilder& Network(const NetworkConfig& net);
-  ScenarioBuilder& Costs(const CostModel& costs);
   ScenarioBuilder& Drop(double probability);
   ScenarioBuilder& Duplicate(double probability);
   ScenarioBuilder& CrossCloudLink(SimTime base, SimTime jitter);

@@ -1,7 +1,6 @@
 #include "util/histogram.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 
 namespace seemore {
@@ -99,15 +98,6 @@ double Histogram::Percentile(double p) const {
     accumulated = next;
   }
   return static_cast<double>(max_);
-}
-
-std::string Histogram::ToString() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "count=%lld mean=%.1f p50=%.1f p99=%.1f max=%lld",
-                static_cast<long long>(count_), Mean(), Percentile(50.0),
-                Percentile(99.0), static_cast<long long>(max_));
-  return buf;
 }
 
 void Histogram::Merge(const Histogram& other) {

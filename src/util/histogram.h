@@ -37,9 +37,6 @@ class Histogram {
   double P90() const { return Percentile(90.0); }
   double P99() const { return Percentile(99.0); }
 
-  /// One-line summary: count/mean/p50/p99/max.
-  std::string ToString() const;
-
   /// Merge another histogram into this one.
   void Merge(const Histogram& other);
 

@@ -1,13 +1,13 @@
 #include "util/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace seemore {
 
 namespace {
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kWarning)};
+/// Messages below this level are discarded.
+constexpr LogLevel kMinLevel = LogLevel::kWarning;
 
 const char* LevelTag(LogLevel level) {
   switch (level) {
@@ -28,19 +28,10 @@ const char* LevelTag(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
-
 namespace internal {
 
 bool ShouldLog(LogLevel level) {
-  return static_cast<int>(level) >=
-         g_min_level.load(std::memory_order_relaxed);
+  return static_cast<int>(level) >= static_cast<int>(kMinLevel);
 }
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)

@@ -18,10 +18,6 @@ enum class LogLevel : int {
   kFatal = 5,
 };
 
-/// Process-wide minimum level; messages below it are discarded.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
 namespace internal {
 
 /// Accumulates one log line and emits it (to stderr) on destruction.
