@@ -88,8 +88,6 @@ class PbftCoreReplica : public ViewChangingReplica<PbftViewChangeRecord> {
   void FormNewView(uint64_t new_view, const Records& records) override;
 
  private:
-  using ViewChangeRecord = PbftViewChangeRecord;
-
   // ----- normal case -----
   void HandleRequest(PrincipalId from, Request request);
   void PrimaryEnqueue(Request request);

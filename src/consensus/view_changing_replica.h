@@ -68,6 +68,7 @@ class ViewChangingReplica : public CheckpointingReplica {
   bool in_view_change() const { return in_view_change_; }
 
  protected:
+  using ViewChangeRecord = Record;
   /// The VIEW-CHANGE records collected for one target view, by sender.
   using Records = std::map<PrincipalId, Record>;
 

@@ -138,8 +138,6 @@ class SeeMoReReplica : public ViewChangingReplica<SeeMoReViewChangeRecord> {
   void FormNewView(uint64_t new_view, const Records& records) override;
 
  private:
-  using VcRecord = SeeMoReViewChangeRecord;
-
   // ----- role helpers ----------------------------------------------------
   bool IsProxyNow() const {
     return config_.IsProxy(id_, view_);
@@ -186,8 +184,9 @@ class SeeMoReReplica : public ViewChangingReplica<SeeMoReViewChangeRecord> {
   /// is the delivered frame's buffer identity, keying the verify memo so n
   /// receivers of one multicast pay the real crypto once; pass 0 when the
   /// message did not arrive as a shared frame (own-message validation).
-  Result<VcRecord> ValidateViewChange(SmViewChangeMsg msg, PrincipalId from,
-                                      uint64_t frame_id) const;
+  Result<ViewChangeRecord> ValidateViewChange(SmViewChangeMsg msg,
+                                              PrincipalId from,
+                                              uint64_t frame_id) const;
   void HandleViewChange(PrincipalId from, SmViewChangeMsg msg);
   /// Mode the protocol will run in view `v` (honours pending MODE-CHANGE).
   SeeMoReMode ModeForView(uint64_t v) const;

@@ -118,7 +118,7 @@ SmViewChangeMsg SeeMoReReplica::BuildViewChangeMessage(
   return msg;
 }
 
-Result<SeeMoReReplica::VcRecord> SeeMoReReplica::ValidateViewChange(
+Result<SeeMoReReplica::ViewChangeRecord> SeeMoReReplica::ValidateViewChange(
     SmViewChangeMsg msg, PrincipalId from, uint64_t frame_id) const {
   if (msg.sender != from) {
     return Status::Corruption("view-change sender mismatch");
@@ -133,7 +133,7 @@ Result<SeeMoReReplica::VcRecord> SeeMoReReplica::ValidateViewChange(
   constexpr uint32_t kCommitSlots = kCertSlot | (2u << 20);
   constexpr uint32_t kProofSlots = kCertSlot | (3u << 20);
 
-  VcRecord record;
+  ViewChangeRecord record;
   if (!VerifyMemoized(frame_id, from, kCertSlot,
                       [&] { return VerifyCheckpointCert(msg.cert); })) {
     return Status::Corruption("invalid checkpoint cert in view-change");
@@ -214,7 +214,7 @@ void SeeMoReReplica::SendViewChange(uint64_t new_view) {
   SmViewChangeMsg msg = BuildViewChangeMessage(new_view);
   SendToMany(config_.AllReplicas(), msg.ToMessage());
   // Own message, never a delivered frame: frame_id 0 skips the memo.
-  Result<VcRecord> own = ValidateViewChange(std::move(msg), id_, 0);
+  Result<ViewChangeRecord> own = ValidateViewChange(std::move(msg), id_, 0);
   if (own.ok()) StoreViewChange(new_view, id_, std::move(own).value());
 }
 
@@ -224,7 +224,7 @@ void SeeMoReReplica::HandleViewChange(PrincipalId from, SmViewChangeMsg msg) {
   if (new_view <= view_) return;
 
   ChargeVerify(2);  // cert + entry validation (amortized)
-  Result<VcRecord> record_or =
+  Result<ViewChangeRecord> record_or =
       ValidateViewChange(std::move(msg), from, current_frame().id());
   if (!record_or.ok()) {
     SEEMORE_LOG(Debug) << "replica " << id_ << ": rejecting view-change from "
