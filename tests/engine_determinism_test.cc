@@ -39,6 +39,8 @@
 namespace seemore {
 namespace {
 
+using testing::ViewOf;
+
 struct GoldenSnapshot {
   uint64_t executed_events;
   uint64_t total_executed;
@@ -182,19 +184,6 @@ GoldenSnapshot RunScenario(const scenario::ScenarioSpec& spec,
 /// completed a view change into view `min_view` or later.
 constexpr SimTime kCrashAt = Millis(100);
 constexpr SimTime kCascadeAt = Millis(105);
-
-uint64_t ViewOf(Cluster& cluster, int i) {
-  switch (cluster.config().kind) {
-    case ProtocolKind::kSeeMoRe:
-      return cluster.seemore(i)->view();
-    case ProtocolKind::kCft:
-      return cluster.paxos(i)->view();
-    case ProtocolKind::kBft:
-    case ProtocolKind::kSUpRight:
-      return cluster.pbft(i)->view();
-  }
-  return 0;
-}
 
 GoldenSnapshot RunPrimaryCrash(const scenario::ScenarioSpec& spec,
                                int primary, int next_primary = -1) {

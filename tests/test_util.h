@@ -99,6 +99,20 @@ inline uint64_t RunBurst(Cluster& cluster, int clients, SimTime duration,
   return StopAndSummarize(burst, duration).completed;
 }
 
+/// The view replica `i` is in, whatever its protocol.
+inline uint64_t ViewOf(Cluster& cluster, int i) {
+  switch (cluster.config().kind) {
+    case ProtocolKind::kSeeMoRe:
+      return cluster.seemore(i)->view();
+    case ProtocolKind::kCft:
+      return cluster.paxos(i)->view();
+    case ProtocolKind::kBft:
+    case ProtocolKind::kSUpRight:
+      return cluster.pbft(i)->view();
+  }
+  return 0;
+}
+
 }  // namespace testing
 }  // namespace seemore
 

@@ -17,6 +17,7 @@ using testing::BftSpec;
 using testing::CftSpec;
 using testing::SeeMoReSpec;
 using testing::SUpRightSpec;
+using testing::ViewOf;
 
 /// A VIEW-CHANGE for `new_view` from `sender` that carries no evidence
 /// under the genesis certificate, framed in the protocol's own format.
@@ -41,19 +42,6 @@ Bytes EmptyViewChange(const Cluster& cluster, PrincipalId sender,
                                       {}, Signer(sender, cluster.keystore()));
   }
   return {};
-}
-
-uint64_t ViewOf(Cluster& cluster, int i) {
-  switch (cluster.config().kind) {
-    case ProtocolKind::kSeeMoRe:
-      return cluster.seemore(i)->view();
-    case ProtocolKind::kCft:
-      return cluster.paxos(i)->view();
-    case ProtocolKind::kBft:
-    case ProtocolKind::kSUpRight:
-      return cluster.pbft(i)->view();
-  }
-  return 0;
 }
 
 bool InViewChange(Cluster& cluster, int i) {
