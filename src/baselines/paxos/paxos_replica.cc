@@ -14,7 +14,8 @@ PaxosReplica::PaxosReplica(Transport* transport, TimerService* timers,
     : ViewChangingReplica(
           transport, timers, keystore, memo, id, config,
           std::move(state_machine), costs,
-          {kPaxCheckpoint, kPaxStateRequest, kPaxStateResponse}) {}
+          {kPaxCheckpoint, kPaxStateRequest, kPaxStateResponse,
+           kPaxBatchRequest, kPaxBatchResponse}) {}
 
 void PaxosReplica::HandleMessage(PrincipalId from, const Payload& frame) {
   Decoder dec = FrameDecoder(frame);
@@ -26,6 +27,7 @@ void PaxosReplica::HandleMessage(PrincipalId from, const Payload& frame) {
   if (tag != kMsgRequest && !IsReplicaId(from)) return;
   // Channel MAC check on every protocol message.
   ChargeMac();
+  if (DispatchBatchFetch(tag, from, dec)) return;
   switch (tag) {
     case kMsgRequest:
       DispatchTyped(this, from, dec, &PaxosReplica::HandleRequest);
@@ -276,15 +278,11 @@ void PaxosReplica::SendViewChange(uint64_t new_view) {
   msg.new_view = new_view;
   msg.stable_seq = ckpt_.stable_seq();
   log_.ForEachAscending([&](uint64_t seq, const SlotCore& slot) {
-    if (!slot.has_batch()) return;
-    record.entries[seq] = {slot.view, slot.batch};
-    PaxosVcEntry entry;
-    entry.seq = seq;
-    entry.view = slot.view;
-    entry.batch = slot.batch;
-    msg.entries.push_back(std::move(entry));
+    if (!slot.has_proposal()) return;
+    record.entries[seq] = {slot.view, slot.digest};
+    msg.entries.push_back(PaxosVcEntry{seq, slot.view, slot.digest});
   });
-  SendToMany(config_.AllReplicas(), msg.ToMessage());
+  MulticastViewChangeFrame(msg.ToMessage(), msg.entries.size());
   StoreViewChange(new_view, id_, std::move(record));
 }
 
@@ -292,8 +290,8 @@ void PaxosReplica::HandleViewChange(PrincipalId from, PaxosViewChangeMsg msg) {
   if (msg.new_view <= view_) return;
   PaxosViewChangeRecord record;
   record.stable_seq = msg.stable_seq;
-  for (PaxosVcEntry& entry : msg.entries) {
-    record.entries[entry.seq] = {entry.view, std::move(entry.batch)};
+  for (const PaxosVcEntry& entry : msg.entries) {
+    record.entries[entry.seq] = {entry.view, entry.digest};
   }
   AcceptViewChange(msg.new_view, from, std::move(record));
 }
@@ -307,30 +305,25 @@ void PaxosReplica::FormNewView(uint64_t new_view, const Records& records) {
   for (const auto& [sender, record] : records) {
     for (const auto& [seq, entry] : record.entries) {
       high = std::max(high, seq);
-      if (seq > floor) {
-        OfferReproposal(chosen, seq, entry.first, Digest(), entry.second);
-      }
+      if (seq > floor) OfferReproposal(chosen, seq, entry.first, entry.second);
     }
   }
   FillWithNoops(chosen, floor, high);
+  if (!HoldsBatches(new_view, chosen, records)) return;
 
   PaxosNewViewMsg nv;
   nv.new_view = new_view;
   nv.stable_seq = floor;
   for (const auto& [seq, value] : chosen) {
-    PaxosNewViewEntry entry;
-    entry.seq = seq;
-    entry.batch = value.batch.Encode();
-    nv.entries.push_back(std::move(entry));
+    nv.entries.push_back(PaxosNewViewEntry{seq, value.digest});
   }
-  SendToMany(config_.AllReplicas(), nv.ToMessage());
+  MulticastViewChangeFrame(nv.ToMessage(), nv.entries.size());
 
   // Install locally: the new leader treats every entry as freshly accepted.
   EnterView(new_view);
   if (floor > exec_.last_executed() && helper != id_) RequestStateFrom(helper);
-  for (auto& [seq, value] : chosen) {
-    const Digest digest = value.batch.ComputeDigest();
-    SlotCore& slot = InstallReproposal(seq, std::move(value.batch), digest);
+  for (const auto& [seq, value] : chosen) {
+    SlotCore& slot = InstallReproposal(seq, value.digest);
     RecordVote(slot.plain_votes, slot.digest, id_);
   }
   ckpt_.AdvanceFloor(floor);
@@ -346,22 +339,26 @@ void PaxosReplica::HandleNewView(PrincipalId from, PaxosNewViewMsg msg) {
   }
   const uint64_t new_view = msg.new_view;
 
+  const Records vouching = TakeViewChanges(new_view);
   EnterView(new_view);
   ++stats_.view_changes_completed;
-  for (PaxosNewViewEntry& wire_entry : msg.entries) {
-    if (wire_entry.seq <= ckpt_.stable_seq()) continue;
-    Result<Batch> batch_or = Batch::Decode(wire_entry.batch);
-    if (!batch_or.ok()) return;
+  const std::vector<PrincipalId> sources = {from};
+  for (const PaxosNewViewEntry& entry : msg.entries) {
+    if (entry.seq <= ckpt_.stable_seq()) continue;
     // Already-committed slots still get ACKed: the new leader needs f+1
     // ACKs even for entries some replicas committed before the view change.
-    ChargeHash(wire_entry.batch.size());
-    SlotCore& slot = InstallReproposal(
-        wire_entry.seq, std::move(batch_or).value(),
-        FrameFieldDigest(wire_entry.batch, wire_entry.batch_offset));
-    PaxosAckMsg ack{new_view, wire_entry.seq, slot.digest};
+    SlotCore& slot =
+        InstallReproposal(entry.seq, entry.digest, sources, vouching);
+    PaxosAckMsg ack{new_view, entry.seq, slot.digest};
     SendTo(from, ack.ToMessage());
   }
   if (log_.UncommittedSlots() > 0) ArmViewTimer();
+}
+
+void PaxosReplica::ResumeReproposal(uint64_t seq, SlotCore& slot) {
+  if (slot.commit_seen && !slot.committed()) {
+    CommitSlot(seq, slot, /*send_replies=*/false);
+  }
 }
 
 }  // namespace seemore

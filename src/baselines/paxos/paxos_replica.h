@@ -6,9 +6,9 @@
 //                replicas ACK -> leader; on f+1 (incl. self) leader sends
 //                COMMIT -> all, executes and replies to the client.
 // View change:   backup timers; VIEW-CHANGE(v+1, stable seq, accepted
-//                entries) broadcast; new leader collects f+1 => NEW-VIEW
-//                carrying re-proposals, which backups ACK like fresh
-//                ACCEPTs.
+//                entries by digest) broadcast; new leader collects f+1 =>
+//                NEW-VIEW carrying re-proposals by digest, which backups
+//                ACK like fresh ACCEPTs once they hold the batch.
 // Checkpoints:   taken when execution advances checkpoint_period past the
 //                previous one; stable at f+1 matching CHECKPOINT messages;
 //                the stable point garbage-collects the log.
@@ -34,8 +34,13 @@ namespace seemore {
 /// as claimed.
 struct PaxosViewChangeRecord {
   uint64_t stable_seq = 0;
-  /// seq -> (view it was accepted in, batch).
-  std::map<uint64_t, std::pair<uint64_t, Batch>> entries;
+  /// seq -> (view it was accepted in, digest of its batch).
+  std::map<uint64_t, std::pair<uint64_t, Digest>> entries;
+
+  bool Names(uint64_t seq, const Digest& digest) const {
+    auto it = entries.find(seq);
+    return it != entries.end() && it->second.second == digest;
+  }
 };
 
 class PaxosReplica : public ViewChangingReplica<PaxosViewChangeRecord> {
@@ -87,6 +92,8 @@ class PaxosReplica : public ViewChangingReplica<PaxosViewChangeRecord> {
     return static_cast<int>(records.size()) >= config_.f + 1;
   }
   void FormNewView(uint64_t new_view, const Records& records) override;
+  /// Commit, if the leader's COMMIT came while the batch was missing.
+  void ResumeReproposal(uint64_t seq, SlotCore& slot) override;
 
  private:
   // ----- normal case -----

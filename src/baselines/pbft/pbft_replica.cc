@@ -17,7 +17,8 @@ PbftCoreReplica::PbftCoreReplica(Transport* transport, TimerService* timers,
     : ViewChangingReplica(
           transport, timers, keystore, memo, id, config,
           std::move(state_machine), costs,
-          {kPbftCheckpoint, kPbftStateRequest, kPbftStateResponse}),
+          {kPbftCheckpoint, kPbftStateRequest, kPbftStateResponse,
+           kPbftBatchRequest, kPbftBatchResponse}),
       quorums_(quorums) {}
 
 void PbftCoreReplica::HandleMessage(PrincipalId from, const Payload& frame) {
@@ -28,6 +29,7 @@ void PbftCoreReplica::HandleMessage(PrincipalId from, const Payload& frame) {
   // Protocol-internal messages are only legitimate on replica channels.
   if (tag != kMsgRequest && !IsReplicaId(from)) return;
   if (DispatchCheckpointTraffic(tag, from, dec)) return;
+  if (DispatchBatchFetch(tag, from, dec)) return;
   switch (tag) {
     case kMsgRequest:
       DispatchTyped(this, from, dec, &PbftCoreReplica::HandleRequest);
@@ -241,7 +243,7 @@ void PbftCoreReplica::HandlePrepare(PrincipalId from, PbftPrepareMsg msg) {
 }
 
 void PbftCoreReplica::CheckPrepared(uint64_t seq, SlotCore& slot) {
-  if (slot.prepared || !slot.has_batch()) return;
+  if (slot.prepared || !slot.has_proposal()) return;
   if (static_cast<int>(slot.accept_votes.Count(slot.digest)) <
       quorums_.agreement) {
     return;
@@ -279,7 +281,8 @@ void PbftCoreReplica::HandleCommit(PrincipalId from, PbftCommitMsg msg) {
 }
 
 void PbftCoreReplica::CheckCommitted(uint64_t seq, SlotCore& slot) {
-  if (slot.committed() || !slot.prepared) return;
+  // Agreement is on the digest; executing needs the batch itself.
+  if (slot.committed() || !slot.prepared || !slot.has_batch()) return;
   if (static_cast<int>(slot.commit_votes.Count(slot.digest)) <
       quorums_.commit) {
     return;
@@ -320,7 +323,6 @@ void PbftCoreReplica::SendViewChange(uint64_t new_view) {
     proof.view = slot.view;
     proof.seq = seq;
     proof.digest = slot.digest;
-    proof.batch = slot.batch;
     proof.primary_sig = slot.primary_sig;
     proof.prepares =
         slot.accept_votes.SignaturesFor(slot.digest).SortedEntries();
@@ -330,9 +332,8 @@ void PbftCoreReplica::SendViewChange(uint64_t new_view) {
   const Bytes raw = PbftViewChangeMsg::Build(new_view, stable,
                                              ckpt_.stable_cert(), proofs,
                                              signer_);
-  SendToMany(config_.AllReplicas(), raw);
-
   Result<ViewChangeRecord> record = ParseViewChange(raw, id_);
+  MulticastViewChangeFrame(raw, record.ok() ? record->entries : 0);
   if (record.ok()) StoreViewChange(new_view, id_, std::move(record).value());
 }
 
@@ -367,6 +368,7 @@ Result<PbftCoreReplica::ViewChangeRecord> PbftCoreReplica::ValidateViewChange(
                       [this](PrincipalId r) { return IsReplicaId(r); })) {
       return Status::Corruption("invalid prepared proof");
     }
+    record.entries += 1 + proof.prepares.size();
     const uint64_t seq = proof.seq;
     if (!record.proofs.emplace(seq, std::move(proof)).second) {
       return Status::Corruption("duplicate proof seq");
@@ -395,7 +397,7 @@ std::pair<uint64_t, Reproposals> PbftCoreReplica::ComputeNewViewProposals(
     for (const auto& [seq, proof] : record.proofs) {
       high = std::max(high, seq);
       if (seq > floor) {
-        OfferReproposal(proposals, seq, proof.view, proof.digest, proof.batch);
+        OfferReproposal(proposals, seq, proof.view, proof.digest);
       }
     }
   }
@@ -405,11 +407,14 @@ std::pair<uint64_t, Reproposals> PbftCoreReplica::ComputeNewViewProposals(
 
 void PbftCoreReplica::FormNewView(uint64_t new_view, const Records& records) {
   auto [floor, proposals] = ComputeNewViewProposals(records);
+  if (!HoldsBatches(new_view, proposals, records)) return;
 
   PbftNewViewMsg nv;
   nv.new_view = new_view;
+  uint64_t entries = proposals.size();
   for (const auto& [sender, record] : records) {
     nv.view_changes.push_back(record.raw);
+    entries += record.entries;
   }
   for (auto& [seq, proposal] : proposals) {
     ChargeSign();
@@ -420,17 +425,16 @@ void PbftCoreReplica::FormNewView(uint64_t new_view, const Records& records) {
         ProposalHeader(kDomainPrePrepare, 0, new_view, seq, proposal.digest));
     nv.entries.push_back(std::move(entry));
   }
-  SendToMany(config_.AllReplicas(), nv.ToMessage());
+  MulticastViewChangeFrame(nv.ToMessage(), entries);
 
   // Install locally.
   const PrincipalId helper = Floor(records).second;
   EnterView(new_view);
   ++stats_.view_changes_completed;
   uint64_t max_seq = floor;
-  for (auto& [seq, proposal] : proposals) {
+  for (const auto& [seq, proposal] : proposals) {
     max_seq = std::max(max_seq, seq);
-    SlotCore& slot =
-        InstallReproposal(seq, std::move(proposal.batch), proposal.digest);
+    SlotCore& slot = InstallReproposal(seq, proposal.digest);
     slot.primary_sig = signer_.Sign(
         ProposalHeader(kDomainPrePrepare, 0, new_view, seq, proposal.digest));
   }
@@ -448,7 +452,8 @@ void PbftCoreReplica::HandleNewView(PrincipalId from, PbftNewViewMsg msg) {
   if (config_.FlatPrimary(new_view) != from) return;
   if (new_view <= view_) return;
 
-  // Re-validate the embedded view-change quorum.
+  // Re-validate the embedded view-change quorum. Its senders vouch for the
+  // batches the NEW-VIEW re-proposes.
   Records records;
   ChargeVerify(static_cast<int>(msg.view_changes.size()) * 2);
   for (const Bytes& raw : msg.view_changes) {
@@ -490,18 +495,23 @@ void PbftCoreReplica::HandleNewView(PrincipalId from, PbftNewViewMsg msg) {
   EnterView(new_view);
   ++stats_.view_changes_completed;
   if (floor > exec_.last_executed()) RequestStateFrom(from);
-  for (PbftNewViewEntry& entry : msg.entries) {
+  const std::vector<PrincipalId> sources = {from};
+  for (const PbftNewViewEntry& entry : msg.entries) {
     if (entry.seq <= ckpt_.stable_seq()) continue;
     // Already-committed sequence numbers still run the prepare/commit vote
     // exchange so peers that missed them pre-view-change can assemble their
     // quorums; the committed flag prevents re-execution.
-    SlotCore& slot = InstallReproposal(
-        entry.seq, std::move(proposals[entry.seq].batch), entry.digest);
+    SlotCore& slot =
+        InstallReproposal(entry.seq, entry.digest, sources, records);
     slot.primary_sig = entry.sig;
     SendPrepare(entry.seq, slot);
     CheckPrepared(entry.seq, slot);
   }
   if (log_.UncommittedSlots() > 0) ArmViewTimer();
+}
+
+void PbftCoreReplica::ResumeReproposal(uint64_t seq, SlotCore& slot) {
+  CheckCommitted(seq, slot);
 }
 
 }  // namespace seemore

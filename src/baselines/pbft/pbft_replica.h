@@ -36,6 +36,13 @@ struct PbftViewChangeRecord {
   Bytes raw;  // full message, embedded into NEW-VIEW as proof
   uint64_t stable_seq = 0;  // its certificate's seq
   std::map<uint64_t, PreparedProof> proofs;
+  /// Signed entries it names: each proof and its prepare signatures.
+  uint64_t entries = 0;
+
+  bool Names(uint64_t seq, const Digest& digest) const {
+    auto it = proofs.find(seq);
+    return it != proofs.end() && it->second.digest == digest;
+  }
 };
 
 class PbftCoreReplica : public ViewChangingReplica<PbftViewChangeRecord> {
@@ -86,6 +93,8 @@ class PbftCoreReplica : public ViewChangingReplica<PbftViewChangeRecord> {
     return static_cast<int>(records.size()) >= quorums_.view_change;
   }
   void FormNewView(uint64_t new_view, const Records& records) override;
+  /// Commit, if the votes that came while the batch was missing suffice.
+  void ResumeReproposal(uint64_t seq, SlotCore& slot) override;
 
  private:
   // ----- normal case -----

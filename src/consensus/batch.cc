@@ -46,4 +46,9 @@ Digest Batch::ComputeDigest() const { return Digest::Of(Encode()); }
 
 Batch Batch::Noop() { return Batch{}; }
 
+const Digest& Batch::NoopDigest() {
+  static const Digest digest = Noop().ComputeDigest();
+  return digest;
+}
+
 }  // namespace seemore

@@ -37,6 +37,8 @@ struct Batch {
   /// A batch containing the special no-op command µ∅ used by view changes
   /// to fill sequence-number holes (paper §5.1 step 3).
   static Batch Noop();
+  /// D(µ∅), which every replica knows without holding or fetching a batch.
+  static const Digest& NoopDigest();
   bool IsNoop() const { return requests.empty(); }
 };
 

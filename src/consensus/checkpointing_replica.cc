@@ -1,5 +1,6 @@
 #include "consensus/checkpointing_replica.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace seemore {
@@ -8,7 +9,7 @@ CheckpointingReplica::CheckpointingReplica(
     Transport* transport, TimerService* timers, const KeyStore* keystore,
     CryptoMemo* memo, PrincipalId id, const ClusterConfig& config,
     std::unique_ptr<StateMachine> state_machine, const CostModel& costs,
-    const CheckpointTags& tags)
+    const CoreTags& tags)
     : ReplicaBase(transport, timers, keystore, memo, id, config,
                   std::move(state_machine), costs),
       window_(static_cast<uint64_t>(config.checkpoint_period) * 2 +
@@ -111,14 +112,21 @@ void CheckpointingReplica::AdvanceStable(uint64_t seq, const Digest& digest,
   if (!installed && exec_.last_executed() < seq && helper != id_) {
     RequestStateFrom(helper);
   }
-  log_.Reclaim(seq);
-  NoteCheckpointGc();  // scratch arena rewinds at the next message boundary
+  Reclaim(seq);
   OnStableAdvanced();
+}
+
+void CheckpointingReplica::Reclaim(uint64_t seq) {
+  log_.Reclaim(seq);
+  wanted_batches_.erase(wanted_batches_.begin(),
+                        wanted_batches_.upper_bound(seq));
+  spare_batches_.erase(spare_batches_.begin(),
+                       spare_batches_.upper_bound(seq));
 }
 
 void CheckpointingReplica::RequestStateFrom(PrincipalId target) {
   if (target == id_) return;
-  if (now() - last_state_request_ < Millis(20)) return;
+  if (now() - last_state_request_ < kFetchInterval) return;
   last_state_request_ = now();
   StateRequestMsg request{exec_.last_executed()};
   SendTo(target, request.ToMessage(tags_.state_request));
@@ -158,8 +166,177 @@ void CheckpointingReplica::InstallSnapshot(uint64_t seq, const Digest& digest,
   durable().SaveSnapshot(seq, digest, snapshot);
   durable().NoteStable(seq, cert);
   ckpt_.InstallRestored(seq, digest, std::move(cert), std::move(snapshot));
-  log_.Reclaim(seq);
-  NoteCheckpointGc();  // scratch arena rewinds at the next message boundary
+  Reclaim(seq);
+}
+
+bool CheckpointingReplica::DispatchBatchFetch(uint8_t tag, PrincipalId from,
+                                              Decoder& dec) {
+  const uint64_t max_entries = window_ + 1;
+  if (tag == tags_.batch_request) {
+    Result<BatchRequestMsg> msg = BatchRequestMsg::DecodeFrom(dec, max_entries);
+    if (msg.ok()) HandleBatchRequest(from, std::move(msg).value());
+  } else if (tag == tags_.batch_response) {
+    Result<BatchResponseMsg> msg =
+        BatchResponseMsg::DecodeFrom(dec, max_entries);
+    if (msg.ok()) HandleBatchResponse(std::move(msg).value());
+  } else {
+    return false;
+  }
+  return true;
+}
+
+const Batch* CheckpointingReplica::LocalBatch(uint64_t seq,
+                                              const Digest& digest) {
+  static const Batch kNoop = Batch::Noop();
+  if (digest == Batch::NoopDigest()) return &kNoop;
+  const SlotCore* slot = log_.Find(seq);
+  if (slot != nullptr && slot->has_batch() && slot->digest == digest) {
+    return &slot->batch;
+  }
+  auto spare = spare_batches_.find(seq);
+  if (spare != spare_batches_.end() && spare->second.first == digest) {
+    return &spare->second.second;
+  }
+  return nullptr;
+}
+
+void CheckpointingReplica::KeepSpareBatch(uint64_t seq, const Digest& digest,
+                                          Batch batch) {
+  if (seq <= ckpt_.stable_seq()) return;
+  spare_batches_[seq] = {digest, std::move(batch)};
+}
+
+bool CheckpointingReplica::TakeSpareBatch(uint64_t seq, const Digest& digest,
+                                          Batch* out) {
+  if (digest == Batch::NoopDigest()) {
+    *out = Batch::Noop();
+    return true;
+  }
+  auto spare = spare_batches_.find(seq);
+  if (spare == spare_batches_.end() || spare->second.first != digest) {
+    return false;
+  }
+  *out = std::move(spare->second.second);
+  spare_batches_.erase(spare);
+  return true;
+}
+
+void CheckpointingReplica::FetchBatch(uint64_t seq, const Digest& digest,
+                                      std::vector<PrincipalId> vouchers) {
+  auto [it, fresh] = wanted_batches_.try_emplace(seq);
+  WantedBatch& want = it->second;
+  if (fresh || want.digest != digest) {
+    want = WantedBatch{digest, std::move(vouchers)};
+  } else {
+    want.vouchers = std::move(vouchers);  // keeps its turn and last ask
+  }
+  // Round at the end of this dispatch, so one request per voucher covers
+  // every batch the handler found missing.
+  ScheduleBatchFetch(0);
+}
+
+void CheckpointingReplica::ScheduleBatchFetch(SimTime delay) {
+  const SimTime at = now() + delay;
+  // A live timer due no later keeps its turn (after a crash the stale one
+  // is in the past and is replaced).
+  if (batch_fetch_timer_ != 0 && batch_fetch_at_ >= now() &&
+      batch_fetch_at_ <= at) {
+    return;
+  }
+  CancelTimer(batch_fetch_timer_);
+  batch_fetch_at_ = at;
+  batch_fetch_timer_ = StartTimer(delay, [this] {
+    batch_fetch_timer_ = 0;
+    RequestMissingBatches();
+  });
+}
+
+void CheckpointingReplica::RequestMissingBatches() {
+  // Each missing batch is asked of its next voucher at most once per
+  // interval, and each voucher is asked at most once per interval, for
+  // every batch due from it.
+  std::map<PrincipalId, BatchRequestMsg> requests;
+  SimTime next_round = kFetchInterval;
+  for (auto it = wanted_batches_.begin(); it != wanted_batches_.end();) {
+    const uint64_t seq = it->first;
+    WantedBatch& want = it->second;
+    if (LocalBatch(seq, want.digest) != nullptr) {
+      it = wanted_batches_.erase(it);
+      continue;
+    }
+    ++it;
+    if (want.vouchers.empty()) continue;
+    const PrincipalId target = want.vouchers[want.next % want.vouchers.size()];
+    auto request = requests.find(target);
+    SimTime ready = want.asked_at + kFetchInterval;
+    if (request == requests.end()) {
+      auto asked = last_batch_ask_.find(target);
+      if (asked != last_batch_ask_.end()) {
+        ready = std::max(ready, asked->second + kFetchInterval);
+      }
+    } else if (request->second.wanted.size() >= kMaxBatchesPerFetch) {
+      ready = now() + kFetchInterval;
+    }
+    if (ready > now()) {
+      next_round = std::min(next_round, ready - now());
+      continue;
+    }
+    if (request == requests.end()) request = requests.try_emplace(target).first;
+    request->second.wanted.push_back(BatchRef{seq, want.digest});
+    want.asked_at = now();
+    ++want.next;
+  }
+  for (const auto& [target, request] : requests) {
+    last_batch_ask_[target] = now();
+    ++stats_.batch_fetches;
+    SendTo(target, request.ToMessage(tags_.batch_request));
+  }
+  // Retry what this round leaves missing once our own backlog has drained
+  // (a response cannot be handled before that anyway).
+  if (!wanted_batches_.empty()) ScheduleBatchFetch(next_round + CpuBacklog());
+}
+
+void CheckpointingReplica::HandleBatchRequest(PrincipalId from,
+                                              BatchRequestMsg msg) {
+  auto [last, first_request] = last_batch_reply_.emplace(from, -Seconds(1));
+  if (!first_request && now() - last->second < kFetchInterval) return;
+  BatchResponseMsg response;
+  for (const BatchRef& ref : msg.wanted) {
+    if (response.batches.size() >= kMaxBatchesPerFetch) break;
+    const Batch* batch = LocalBatch(ref.seq, ref.digest);
+    if (batch != nullptr) {
+      response.batches.push_back({ref.seq, batch->Encode()});
+    }
+  }
+  if (response.batches.empty()) return;
+  last->second = now();
+  SendTo(from, response.ToMessage(tags_.batch_response));
+}
+
+void CheckpointingReplica::HandleBatchResponse(BatchResponseMsg msg) {
+  for (BatchResponseMsg::Entry& entry : msg.batches) {
+    auto want = wanted_batches_.find(entry.seq);
+    if (want == wanted_batches_.end()) continue;  // not (or no longer) needed
+    ChargeHash(entry.batch.size());
+    if (Digest::Of(entry.batch) != want->second.digest) {
+      ++stats_.batch_fetch_rejects;
+      continue;
+    }
+    Result<Batch> batch = Batch::Decode(entry.batch);
+    if (!batch.ok()) {
+      ++stats_.batch_fetch_rejects;
+      continue;
+    }
+    const Digest digest = want->second.digest;
+    wanted_batches_.erase(want);
+    ++stats_.batches_fetched;
+    OnBatchFetched(entry.seq, digest, std::move(batch).value());
+  }
+}
+
+void CheckpointingReplica::OnBatchFetched(uint64_t seq, const Digest& digest,
+                                          Batch batch) {
+  KeepSpareBatch(seq, digest, std::move(batch));
 }
 
 void CheckpointingReplica::OnDurableRestore(const RecoveredImage& image) {

@@ -3,14 +3,18 @@
 // buffer), tally CHECKPOINT votes into a certificate, advance the stable
 // checkpoint (log reclaim, arena GC), fetch a certified snapshot when this
 // replica fell behind, serve and install snapshots, and restore checkpoint
-// state from a durable image. Protocols supply only the policy hooks below
-// (DESIGN.md §8 tabulates them); nothing here branches on the protocol.
+// state from a durable image. Beside the state request sits the batch
+// fetch: view changes name batches by digest only, and a replica that lacks
+// one asks a replica that vouched for the digest. Protocols supply only the
+// policy hooks below (DESIGN.md §8 tabulates them); nothing here branches
+// on the protocol.
 
 #ifndef SEEMORE_CONSENSUS_CHECKPOINTING_REPLICA_H_
 #define SEEMORE_CONSENSUS_CHECKPOINTING_REPLICA_H_
 
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "consensus/checkpoint.h"
@@ -37,18 +41,26 @@ class CheckpointingReplica : public ReplicaBase {
   bool VerifyCheckpointCert(const CheckpointCert& cert) const;
 
  protected:
-  /// The protocol's CHECKPOINT, STATE-REQUEST and STATE-RESPONSE tags.
-  struct CheckpointTags {
+  /// The protocol's tags for the traffic this core handles.
+  struct CoreTags {
     uint8_t checkpoint;
     uint8_t state_request;
     uint8_t state_response;
+    uint8_t batch_request;
+    uint8_t batch_response;
   };
+
+  /// At most one state request and one batch request per this interval, so
+  /// a lost response delays recovery but cannot wedge it.
+  static constexpr SimTime kFetchInterval = Millis(20);
+  /// Batches one BATCH-REQUEST asks for (and one response carries).
+  static constexpr size_t kMaxBatchesPerFetch = 128;
 
   CheckpointingReplica(Transport* transport, TimerService* timers,
                        const KeyStore* keystore, CryptoMemo* memo,
                        PrincipalId id, const ClusterConfig& config,
                        std::unique_ptr<StateMachine> state_machine,
-                       const CostModel& costs, const CheckpointTags& tags);
+                       const CostModel& costs, const CoreTags& tags);
 
   // ----- policy hooks -----
   /// Does this replica multicast the checkpoints it cuts?
@@ -74,8 +86,7 @@ class CheckpointingReplica : public ReplicaBase {
   void MaybeCheckpoint();
   /// Count a peer's authenticated vote, then fetch if FetchOnCheckpoint.
   void AcceptCheckpointVote(const CheckpointMsg& msg);
-  /// Ask `target` for its snapshot; rate limited to one ask per 20 ms, so a
-  /// lost response delays recovery but cannot wedge it.
+  /// Ask `target` for its snapshot; at most once per kFetchInterval.
   void RequestStateFrom(PrincipalId target);
   /// Install a transferred snapshot whose digest matches: restore, persist,
   /// make stable. A mismatch or an undecodable snapshot changes nothing.
@@ -83,6 +94,33 @@ class CheckpointingReplica : public ReplicaBase {
                        CheckpointCert cert, Bytes snapshot);
   /// The checkpoint half of a durable restart (protocols restore the view).
   void OnDurableRestore(const RecoveredImage& image) override;
+
+  // ----- batch fetch -----
+  /// Handles a BATCH-REQUEST or BATCH-RESPONSE (the decoder is past the tag
+  /// byte); returns false for any other tag.
+  bool DispatchBatchFetch(uint8_t tag, PrincipalId from, Decoder& dec);
+  /// The batch this replica holds for `digest` at `seq`: its log slot's, a
+  /// spare, or the no-op (held by everyone). Null when it holds none.
+  const Batch* LocalBatch(uint64_t seq, const Digest& digest);
+  /// Keeps `batch` outside the log until a re-proposal of `digest` at `seq`
+  /// takes it or a stable checkpoint passes `seq`.
+  void KeepSpareBatch(uint64_t seq, const Digest& digest, Batch batch);
+  /// Moves the spare (or the no-op) for `digest` at `seq` into `out`;
+  /// false when there is none.
+  bool TakeSpareBatch(uint64_t seq, const Digest& digest, Batch* out);
+  /// Fetch the batch `digest` names at `seq` from `vouchers` in turn: a
+  /// batch still missing kFetchInterval after an ask goes to its next
+  /// voucher, and each voucher gets at most one request (for every batch
+  /// due from it) per kFetchInterval. A fetch ends when the batch arrives,
+  /// is held some other way, or a stable checkpoint passes `seq`.
+  void FetchBatch(uint64_t seq, const Digest& digest,
+                  std::vector<PrincipalId> vouchers);
+  /// Drops every fetch under way.
+  void CancelBatchFetches() { wanted_batches_.clear(); }
+  /// A fetched batch hashed to the digest asked for at `seq`. By default it
+  /// is kept as a spare.
+  virtual void OnBatchFetched(uint64_t seq, const Digest& digest,
+                              Batch batch);
 
   bool IsReplicaId(PrincipalId r) const { return r >= 0 && r < config_.n(); }
   /// Is `seq` inside the agreement window above the stable checkpoint?
@@ -103,9 +141,34 @@ class CheckpointingReplica : public ReplicaBase {
   void CountCheckpointVote(const CheckpointMsg& msg);
   void AdvanceStable(uint64_t seq, const Digest& digest, CheckpointCert cert,
                      PrincipalId helper);
+  /// Log reclaim up to `seq`, and the fetch state it makes moot.
+  void Reclaim(uint64_t seq);
 
-  const CheckpointTags tags_;
+  void HandleBatchRequest(PrincipalId from, BatchRequestMsg msg);
+  void HandleBatchResponse(BatchResponseMsg msg);
+  /// One fetch round (FetchBatch), then a retry for what it leaves missing.
+  void RequestMissingBatches();
+  void ScheduleBatchFetch(SimTime delay);
+
+  const CoreTags tags_;
   SimTime last_state_request_ = -Seconds(1);
+
+  struct WantedBatch {
+    Digest digest;
+    std::vector<PrincipalId> vouchers;
+    size_t next = 0;  // the voucher the next ask goes to
+    SimTime asked_at = -Seconds(1);
+  };
+  std::map<uint64_t, WantedBatch> wanted_batches_;
+  std::map<uint64_t, std::pair<Digest, Batch>> spare_batches_;
+  /// When each voucher was last asked.
+  std::map<PrincipalId, SimTime> last_batch_ask_;
+  EventId batch_fetch_timer_ = 0;
+  SimTime batch_fetch_at_ = 0;  // when that timer fires
+  /// Per-peer rate limit on answering BATCH-REQUESTs: the request is
+  /// unsigned and a response can be large, so a Byzantine peer gets at most
+  /// one answer per kFetchInterval.
+  std::map<PrincipalId, SimTime> last_batch_reply_;
 };
 
 }  // namespace seemore

@@ -35,6 +35,18 @@ struct ReplicaStats {
   /// Conflicting votes for one slot/view from a single replica, flagged by
   /// the slot vote trackers (each faulty voter counts once per slot/phase).
   uint64_t equivocations_detected = 0;
+  /// BATCH-REQUESTs sent, and fetched batches accepted (each hashed to the
+  /// digest asked for at a seq still needed). Rejects are fetched batches
+  /// dropped because they did not hash to that digest or did not decode.
+  uint64_t batch_fetches = 0;
+  uint64_t batches_fetched = 0;
+  uint64_t batch_fetch_rejects = 0;
+  /// VIEW-CHANGE and NEW-VIEW traffic sent (relays included), counted per
+  /// receiver: bytes, frames, and the signed entries the frames name (a
+  /// prepared certificate counts one plus one per prepare signature).
+  uint64_t view_change_bytes_sent = 0;
+  uint64_t view_change_msgs_sent = 0;
+  uint64_t view_change_entries_sent = 0;
 };
 
 class CommitQueue {

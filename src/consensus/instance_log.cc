@@ -156,20 +156,4 @@ void InstanceLog::Reclaim(uint64_t stable_seq) {
   }
 }
 
-void InstanceLog::EraseUncommitted() {
-  const uint64_t hi = RingScanEnd();
-  for (uint64_t seq = stable_ + 1; seq <= hi; ++seq) {
-    SlotCore& slot = ring_[seq & mask_];
-    if (slot.seq == seq && !slot.committed_) Free(slot);
-  }
-  for (auto it = overflow_.begin(); it != overflow_.end();) {
-    if (!it->second.committed_) {
-      Uncount(it->second);
-      it = overflow_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 }  // namespace seemore

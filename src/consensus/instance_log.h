@@ -68,11 +68,17 @@ struct SlotCore {
   bool commit_sent = false;  // commit vote sent / Paxos COMMIT broadcast
   bool commit_seen = false;  // Paxos: COMMIT raced ahead of the ACCEPT
   bool has_commit_sig = false;
+  /// A NEW-VIEW installed `digest` here but this replica holds no batch for
+  /// it yet: it is being fetched. Cleared when the batch arrives.
+  bool awaiting_batch = false;
 
   /// The two flags behind the pacing count; set them through
   /// InstanceLog::SetHasBatch/SetCommitted so the count stays exact.
   bool has_batch() const { return has_batch_; }
   bool committed() const { return committed_; }
+  /// Holds a proposal's digest, with or without its batch: what a
+  /// VIEW-CHANGE may name.
+  bool has_proposal() const { return has_batch_ || awaiting_batch; }
 
  private:
   friend class InstanceLog;
@@ -104,6 +110,7 @@ class InstanceLog {
   /// Flag writes for a live slot of this log. Each keeps UncommittedSlots()
   /// exact in O(1).
   void SetHasBatch(SlotCore& slot, bool has_batch) {
+    if (has_batch) slot.awaiting_batch = false;
     SetFlags(slot, has_batch, slot.committed_);
   }
   void SetCommitted(SlotCore& slot, bool committed) {
@@ -115,8 +122,31 @@ class InstanceLog {
   /// reclamation floor. Lower-than-current floors still erase matching
   /// stragglers but never move the floor backwards.
   void Reclaim(uint64_t stable_seq);
-  /// Free every uncommitted slot (EnterView: superseded by the NEW-VIEW).
-  void EraseUncommitted();
+  /// Free every uncommitted slot (EnterView: superseded by the NEW-VIEW),
+  /// first handing each one that holds a batch to `keep(seq, slot)`, which
+  /// may move the batch out.
+  void EraseUncommitted() {
+    EraseUncommitted([](uint64_t, SlotCore&) {});
+  }
+  template <typename F>
+  void EraseUncommitted(F&& keep) {
+    const uint64_t hi = RingScanEnd();
+    for (uint64_t seq = stable_ + 1; seq <= hi; ++seq) {
+      SlotCore& slot = ring_[seq & mask_];
+      if (slot.seq != seq || slot.committed_) continue;
+      if (slot.has_batch_) keep(seq, slot);
+      Free(slot);
+    }
+    for (auto it = overflow_.begin(); it != overflow_.end();) {
+      if (!it->second.committed_) {
+        if (it->second.has_batch_) keep(it->first, it->second);
+        Uncount(it->second);
+        it = overflow_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
 
   /// Reclamation floor (highest Reclaim() argument seen).
   uint64_t stable() const { return stable_; }

@@ -42,10 +42,6 @@ void PreparedProof::EncodeTo(Encoder& enc) const {
   enc.PutU64(view);
   enc.PutU64(seq);
   digest.EncodeTo(enc);
-  // Size-hinted in-place batch encode: the length prefix is computed, not
-  // discovered by materializing a temporary buffer.
-  enc.PutVarint(batch.EncodedSize());
-  batch.EncodeTo(enc);
   primary_sig.EncodeTo(enc);
   enc.PutVarint(prepares.size());
   for (const auto& [voter, sig] : prepares) {
@@ -55,9 +51,8 @@ void PreparedProof::EncodeTo(Encoder& enc) const {
 }
 
 size_t PreparedProof::EncodedSize() const {
-  const size_t batch_size = batch.EncodedSize();
-  return 1 + 8 + 8 + Digest::kSize + VarintSize(batch_size) + batch_size +
-         Signature::kSize + VarintSize(prepares.size()) +
+  return 1 + 8 + 8 + Digest::kSize + Signature::kSize +
+         VarintSize(prepares.size()) +
          prepares.size() * (4 + Signature::kSize);
 }
 
@@ -67,9 +62,6 @@ Result<PreparedProof> PreparedProof::DecodeFrom(Decoder& dec) {
   proof.view = dec.GetU64();
   proof.seq = dec.GetU64();
   proof.digest = Digest::DecodeFrom(dec);
-  Bytes batch_bytes = dec.GetBytes();
-  if (!dec.ok()) return dec.status();
-  SEEMORE_ASSIGN_OR_RETURN(proof.batch, Batch::Decode(batch_bytes));
   proof.primary_sig = Signature::DecodeFrom(dec);
   const uint64_t count = dec.GetVarint();
   if (!dec.ok()) return dec.status();
@@ -87,7 +79,6 @@ Result<PreparedProof> PreparedProof::DecodeFrom(Decoder& dec) {
 bool PreparedProof::Verify(
     const KeyStore& keystore, PrincipalId primary, size_t prepares_needed,
     const std::function<bool(PrincipalId)>& authorized) const {
-  if (batch.ComputeDigest() != digest) return false;
   const HeaderBuf proposal =
       ProposalHeader(kDomainPrePrepare, mode, view, seq, digest);
   if (!keystore.Verify(primary, proposal, primary_sig)) return false;

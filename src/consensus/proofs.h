@@ -4,7 +4,9 @@
 // signature for one message type (or one protocol phase) can never be
 // replayed as another. PreparedProof is PBFT's prepared certificate —
 // pre-prepare + quorum of matching prepares — carried inside view-change
-// messages by PBFT, S-UpRight and SeeMoRe's Peacock mode.
+// messages by PBFT, S-UpRight and SeeMoRe's Peacock mode. It names its batch
+// by digest only; a replica that lacks the batch fetches it
+// (consensus/checkpointing_replica.h).
 
 #ifndef SEEMORE_CONSENSUS_PROOFS_H_
 #define SEEMORE_CONSENSUS_PROOFS_H_
@@ -14,7 +16,6 @@
 #include <utility>
 #include <vector>
 
-#include "consensus/batch.h"
 #include "crypto/digest.h"
 #include "crypto/keystore.h"
 
@@ -79,7 +80,6 @@ struct PreparedProof {
   uint64_t view = 0;
   uint64_t seq = 0;
   Digest digest;
-  Batch batch;
   Signature primary_sig;  // over ProposalHeader(kDomainPrePrepare, ...)
   /// (voter id, signature over VoteHeader(kDomainPrepare, ..., voter)),
   /// sorted by voter id when locally built — QuorumTracker's
@@ -93,9 +93,9 @@ struct PreparedProof {
   size_t EncodedSize() const;
   static Result<PreparedProof> DecodeFrom(Decoder& dec);
 
-  /// Checks: the batch matches `digest`; `primary_sig` is `primary`'s
-  /// signature; at least `prepares_needed` distinct authorized voters signed
-  /// matching prepare headers.
+  /// Checks: `primary_sig` is `primary`'s signature; at least
+  /// `prepares_needed` distinct authorized voters signed matching prepare
+  /// headers.
   bool Verify(const KeyStore& keystore, PrincipalId primary,
               size_t prepares_needed,
               const std::function<bool(PrincipalId)>& authorized) const;

@@ -22,7 +22,6 @@
 #include "net/cost_model.h"
 #include "net/transport.h"
 #include "smr/command.h"
-#include "util/arena.h"
 
 namespace seemore {
 
@@ -129,29 +128,6 @@ class ReplicaBase : public MessageHandler {
                            field.size());
   }
 
-  /// Batched FrameFieldDigest: resolve all `n` fields of the current frame
-  /// through one CryptoMemo pass (DigestOfMany). Used by certificate-style
-  /// frames (view-change NEW-VIEW entries) that embed many digestable
-  /// batches; the batch digests land in `out[i]`.
-  void FrameFieldDigests(const CryptoMemo::DigestSpan* spans, size_t n,
-                         Digest* out) const {
-    if (memo_ == nullptr) {
-      for (size_t i = 0; i < n; ++i) {
-        out[i] = Digest::Of(spans[i].data, spans[i].len);
-      }
-      return;
-    }
-    // Spans that cannot alias the frame fall back to unmemoized hashing.
-    uint64_t buffer_id = current_frame_.id();
-    for (size_t i = 0; i < n; ++i) {
-      if (spans[i].offset + spans[i].len > current_frame_.size()) {
-        buffer_id = 0;
-        break;
-      }
-    }
-    memo_->DigestOfMany(buffer_id, spans, n, out);
-  }
-
   /// Memoized `verify()` keyed on (current frame, signer, slot). `signer`
   /// and `slot` must be derived purely from frame contents so every
   /// receiver of the frame asks the same question (use the message tag, or
@@ -172,10 +148,10 @@ class ReplicaBase : public MessageHandler {
     return memo_->Verify(buffer_id, signer, slot, std::forward<F>(verify));
   }
 
-  /// Decoder over `frame` carrying the run's memo — what every protocol's
-  /// HandleMessage switch decodes from.
+  /// Decoder over `frame` — what every protocol's HandleMessage switch
+  /// decodes from.
   Decoder FrameDecoder(const Payload& frame) const {
-    return MakeDecoder(frame, memo_);
+    return MakeDecoder(frame);
   }
 
   /// Hook invoked after Recover() re-attaches the replica.
@@ -195,16 +171,6 @@ class ReplicaBase : public MessageHandler {
   /// change that its silence provokes hands leadership elsewhere).
   bool proposer_quiesced() const { return proposer_quiesced_; }
   void ClearProposerQuiescence() { proposer_quiesced_ = false; }
-
-  /// --- scratch memory ---------------------------------------------------
-  /// Per-replica bump arena for handler-local temporaries (span tables,
-  /// sort scratch). Memory is reclaimed wholesale at checkpoint boundaries:
-  /// protocols call NoteCheckpointGc() beside InstanceLog::Reclaim, and the
-  /// arena rewinds at the next message boundary — never mid-handler, so
-  /// scratch taken anywhere in the current dispatch stays valid until the
-  /// handler returns. See util/arena.h for the lifetime contract.
-  Arena& scratch_arena() { return scratch_; }
-  void NoteCheckpointGc() { scratch_reset_pending_ = true; }
 
   /// --- voting -----------------------------------------------------------
   /// Offer a vote to a slot tracker, folding any equivocation flag into the
@@ -282,8 +248,6 @@ class ReplicaBase : public MessageHandler {
   /// in the simulator.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
   Payload current_frame_;  // frame being handled (empty when idle)
-  Arena scratch_;  // handler-local scratch, reset at checkpoint boundaries
-  bool scratch_reset_pending_ = false;
 };
 
 }  // namespace seemore

@@ -4,7 +4,10 @@
 // validated VIEW-CHANGE records and the loop that joins a view change,
 // NEW-VIEW formation once this replica is the authority and holds a quorum,
 // view entry, the NEW-VIEW floor, re-proposal selection and install, and
-// the view a durable restart comes back in. Protocols supply only the
+// the view a durable restart comes back in. VIEW-CHANGE and NEW-VIEW name
+// batches by digest; the authority fetches any batch it lacks before it
+// signs, and a replica that installs a re-proposal without its batch
+// fetches it and resumes the entry when it lands. Protocols supply only the
 // policy hooks below (DESIGN.md §8 tabulates them); nothing here branches
 // on the protocol.
 
@@ -15,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "consensus/batch.h"
 #include "consensus/checkpointing_replica.h"
@@ -22,11 +26,11 @@
 
 namespace seemore {
 
-/// The value a NEW-VIEW re-proposes for one sequence number.
+/// The value a NEW-VIEW re-proposes for one sequence number, named by the
+/// digest of its batch.
 struct Reproposal {
   uint64_t view = 0;  // view of the evidence it was chosen from
   Digest digest;
-  Batch batch;
   bool committed = false;  // chosen from commit evidence
 };
 
@@ -36,15 +40,14 @@ using Reproposals = std::map<uint64_t, Reproposal>;
 /// Offers evidence for `seq`. Commit evidence beats prepare evidence; within
 /// one kind the higher view wins, and of equal views the first offer stays.
 inline void OfferReproposal(Reproposals& set, uint64_t seq, uint64_t view,
-                            const Digest& digest, const Batch& batch,
-                            bool committed = false) {
+                            const Digest& digest, bool committed = false) {
   auto [it, fresh] = set.try_emplace(seq);
   Reproposal& current = it->second;
   if (!fresh && !(committed && !current.committed) &&
       !(committed == current.committed && view > current.view)) {
     return;
   }
-  current = Reproposal{view, digest, batch, committed};
+  current = Reproposal{view, digest, committed};
 }
 
 /// Fills every sequence number in (floor, high] that no evidence named with
@@ -52,15 +55,15 @@ inline void OfferReproposal(Reproposals& set, uint64_t seq, uint64_t view,
 inline void FillWithNoops(Reproposals& set, uint64_t floor, uint64_t high) {
   for (uint64_t seq = floor + 1; seq <= high; ++seq) {
     if (set.count(seq) != 0) continue;
-    Batch noop = Batch::Noop();
-    const Digest digest = noop.ComputeDigest();
-    set[seq] = Reproposal{0, digest, std::move(noop), false};
+    set[seq] = Reproposal{0, Batch::NoopDigest(), false};
   }
 }
 
 /// `Record` is the protocol's validated VIEW-CHANGE. Its `stable_seq` is the
 /// checkpoint floor the record proves: its certificate's seq, or in the
-/// crash model, where no one lies, the seq it claims.
+/// crash model, where no one lies, the seq it claims. `Names(seq, digest)`
+/// says whether it lists `digest` at `seq`, so its sender vouches for (and
+/// is asked for) that batch.
 template <typename Record>
 class ViewChangingReplica : public CheckpointingReplica {
  public:
@@ -83,7 +86,7 @@ class ViewChangingReplica : public CheckpointingReplica {
                       const KeyStore* keystore, CryptoMemo* memo,
                       PrincipalId id, const ClusterConfig& config,
                       std::unique_ptr<StateMachine> state_machine,
-                      const CostModel& costs, const CheckpointTags& tags)
+                      const CostModel& costs, const CoreTags& tags)
       : CheckpointingReplica(transport, timers, keystore, memo, id, config,
                              std::move(state_machine), costs, tags),
         pipeline_(config.batch_max, config.pipeline_max),
@@ -103,9 +106,13 @@ class ViewChangingReplica : public CheckpointingReplica {
   virtual bool IsNewViewAuthority(uint64_t view) const = 0;
   /// Are `records` a NEW-VIEW quorum?
   virtual bool IsNewViewQuorum(const Records& records) const = 0;
-  /// Build, multicast and install the NEW-VIEW for `view`. `records` die at
-  /// EnterView, so copy out what the install needs first.
+  /// Build, multicast and install the NEW-VIEW for `view` once this replica
+  /// HoldsBatches of every re-proposal it names.
   virtual void FormNewView(uint64_t view, const Records& records) = 0;
+  /// The batch of a re-proposal installed without it arrived (the slot now
+  /// has it). Votes went out at the install, since agreement is on the
+  /// digest; commit now if the votes suffice.
+  virtual void ResumeReproposal(uint64_t seq, SlotCore& slot) = 0;
 
   // ----- the shared flow -----
   /// Starts the view timer unless it runs, a view change is under way, or
@@ -179,6 +186,7 @@ class ViewChangingReplica : public CheckpointingReplica {
     durable().NoteView(view, durable_tag);
     in_view_change_ = false;
     vc_target_ = 0;
+    awaiting_new_view_ = 0;
     CancelTimer(view_timer_);
     current_vc_timeout_ = config_.view_change_timeout * kViewEntryGrace;
     // A view change may have nooped requests the admission table says were
@@ -187,9 +195,25 @@ class ViewChangingReplica : public CheckpointingReplica {
     pipeline_.ForgetAdmissions();
     // Uncommitted slots are superseded by the NEW-VIEW's re-proposals,
     // which the caller installs next; kept, they would re-arm the view
-    // timer forever.
-    log_.EraseUncommitted();
+    // timer forever. Their batches stay as spares, so re-proposing the same
+    // digest needs no fetch.
+    log_.EraseUncommitted([this](uint64_t seq, SlotCore& slot) {
+      KeepSpareBatch(seq, slot.digest, std::move(slot.batch));
+    });
+    // Earlier fetches are moot: the install asks again for what it lacks.
+    CancelBatchFetches();
     vc_msgs_.erase(vc_msgs_.begin(), vc_msgs_.upper_bound(view));
+  }
+
+  /// Moves out the records held for `view` (none: empty). A NEW-VIEW's
+  /// receiver takes them before EnterView drops them: their senders vouch
+  /// for the batches the NEW-VIEW names.
+  Records TakeViewChanges(uint64_t view) {
+    auto it = vc_msgs_.find(view);
+    if (it == vc_msgs_.end()) return Records();
+    Records records = std::move(it->second);
+    vc_msgs_.erase(it);
+    return records;
   }
 
   /// The NEW-VIEW floor: the highest stable seq `records` prove, and the
@@ -218,21 +242,75 @@ class ViewChangingReplica : public CheckpointingReplica {
     return claimed;
   }
 
-  /// Installs `batch` as this view's proposal for `seq` in a fresh slot
+  /// The authority holds the batch of every re-proposal its NEW-VIEW names
+  /// before it signs. True when it holds all of `chosen`'s; otherwise it
+  /// fetches the missing ones from the senders of `records` that name them,
+  /// and FormNewView runs again as they arrive.
+  bool HoldsBatches(uint64_t view, const Reproposals& chosen,
+                    const Records& records) {
+    bool all = true;
+    for (const auto& [seq, proposal] : chosen) {
+      if (seq <= ckpt_.stable_seq() ||
+          LocalBatch(seq, proposal.digest) != nullptr) {
+        continue;
+      }
+      all = false;
+      FetchBatch(seq, proposal.digest,
+                 Vouchers(records, seq, proposal.digest, {}));
+    }
+    awaiting_new_view_ = all ? 0 : view;
+    return all;
+  }
+
+  /// Installs `digest` as this view's proposal for `seq` in a fresh slot
   /// (votes from earlier views must never count toward this one) that keeps
-  /// the committed mark, so nothing executes twice.
-  SlotCore& InstallReproposal(uint64_t seq, Batch batch,
-                              const Digest& digest) {
-    const SlotCore* prior = log_.Find(seq);
+  /// the committed mark, so nothing executes twice. The slot takes the batch
+  /// this replica holds for `digest`; without one it is `awaiting_batch`,
+  /// fetched from `sources` (the NEW-VIEW's sender) and then from the
+  /// senders of `vouching` (the view's VIEW-CHANGE records) that name it;
+  /// executing it waits for ResumeReproposal. The authority, which holds
+  /// every batch it names, passes neither.
+  SlotCore& InstallReproposal(uint64_t seq, const Digest& digest,
+                              const std::vector<PrincipalId>& sources = {},
+                              const Records& vouching = {}) {
+    SlotCore* prior = log_.Find(seq);
     const bool was_committed =
         (prior != nullptr && prior->committed()) || exec_.HasCommitted(seq);
+    Batch batch;
+    bool held = false;
+    if (prior != nullptr && prior->has_batch() && prior->digest == digest) {
+      batch = std::move(prior->batch);
+      held = true;
+    } else {
+      held = TakeSpareBatch(seq, digest, &batch);
+    }
     SlotCore& slot = log_.ResetSlot(seq);
-    slot.batch = std::move(batch);
-    log_.SetHasBatch(slot, true);
+    if (held) {
+      slot.batch = std::move(batch);
+      log_.SetHasBatch(slot, true);
+    } else {
+      slot.awaiting_batch = true;
+      FetchBatch(seq, digest, Vouchers(vouching, seq, digest, sources));
+    }
     slot.digest = digest;
     slot.view = view_;
     log_.SetCommitted(slot, was_committed);
     return slot;
+  }
+
+  /// Sends a VIEW-CHANGE or NEW-VIEW frame naming `entries` signed entries
+  /// to every other replica, counting it in the stats.
+  void MulticastViewChangeFrame(const Payload& frame, uint64_t entries) {
+    if (crashed()) return;
+    SendToMany(config_.AllReplicas(), frame);
+    CountViewChangeFrame(frame, entries,
+                         static_cast<uint64_t>(config_.n() - 1));
+  }
+  void CountViewChangeFrame(const Payload& frame, uint64_t entries,
+                            uint64_t receivers) {
+    stats_.view_change_bytes_sent += frame.size() * receivers;
+    stats_.view_change_msgs_sent += receivers;
+    stats_.view_change_entries_sent += entries * receivers;
   }
 
   /// Rejoin in the last durably entered view: voting in an older view after
@@ -248,6 +326,42 @@ class ViewChangingReplica : public CheckpointingReplica {
   PrimaryPipeline pipeline_;
 
  private:
+  /// A fetched batch: into the slot awaiting it (then resume that entry),
+  /// else kept as a spare for the NEW-VIEW this replica waits to form.
+  void OnBatchFetched(uint64_t seq, const Digest& digest,
+                      Batch batch) override {
+    SlotCore* slot = log_.Find(seq);
+    if (slot != nullptr && slot->awaiting_batch && slot->digest == digest) {
+      slot->batch = std::move(batch);
+      log_.SetHasBatch(*slot, true);
+      ResumeReproposal(seq, *slot);
+      if (log_.UncommittedSlots() > 0) ArmViewTimer();
+      return;
+    }
+    KeepSpareBatch(seq, digest, std::move(batch));
+    if (awaiting_new_view_ != 0) MaybeFormNewView(awaiting_new_view_);
+  }
+
+  /// `first`, then every sender of `records` that names `digest` at `seq`;
+  /// each once, and never this replica.
+  std::vector<PrincipalId> Vouchers(const Records& records, uint64_t seq,
+                                    const Digest& digest,
+                                    const std::vector<PrincipalId>& first)
+      const {
+    std::vector<PrincipalId> vouchers;
+    const auto add = [&](PrincipalId r) {
+      if (r != id_ && std::find(vouchers.begin(), vouchers.end(), r) ==
+                          vouchers.end()) {
+        vouchers.push_back(r);
+      }
+    };
+    for (PrincipalId r : first) add(r);
+    for (const auto& [sender, record] : records) {
+      if (record.Names(seq, digest)) add(sender);
+    }
+    return vouchers;
+  }
+
   void MaybeFormNewView(uint64_t view) {
     if (view_ >= view || !IsNewViewAuthority(view)) return;
     auto it = vc_msgs_.find(view);
@@ -256,6 +370,9 @@ class ViewChangingReplica : public CheckpointingReplica {
   }
 
   uint64_t vc_target_ = 0;  // the view a running view change moves to
+  /// The view whose NEW-VIEW this authority waits to form until fetched
+  /// batches arrive (0: none).
+  uint64_t awaiting_new_view_ = 0;
   EventId view_timer_ = 0;
   SimTime current_vc_timeout_;
   std::map<uint64_t, Records> vc_msgs_;

@@ -18,13 +18,6 @@ Digest CryptoMemo::DigestOf(uint64_t buffer_id, size_t offset,
   return digest;
 }
 
-void CryptoMemo::DigestOfMany(uint64_t buffer_id, const DigestSpan* spans,
-                              size_t n, Digest* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = DigestOf(buffer_id, spans[i].offset, spans[i].data, spans[i].len);
-  }
-}
-
 const bool* CryptoMemo::FindVerdict(const VerifyKey& key) {
   auto it = verdicts_.find(key);
   if (it != verdicts_.end()) {

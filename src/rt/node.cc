@@ -206,6 +206,12 @@ Json Node::Report() const {
   stats_json.Set("messages_handled", stats.messages_handled);
   stats_json.Set("equivocations_detected", stats.equivocations_detected);
   stats_json.Set("state_transfers", stats.state_transfers);
+  stats_json.Set("batch_fetches", stats.batch_fetches);
+  stats_json.Set("batches_fetched", stats.batches_fetched);
+  stats_json.Set("batch_fetch_rejects", stats.batch_fetch_rejects);
+  stats_json.Set("view_change_bytes_sent", stats.view_change_bytes_sent);
+  stats_json.Set("view_change_msgs_sent", stats.view_change_msgs_sent);
+  stats_json.Set("view_change_entries_sent", stats.view_change_entries_sent);
   root.Set("stats", std::move(stats_json));
 
   root.Set("last_executed", replica_->exec().last_executed());

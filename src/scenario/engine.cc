@@ -77,6 +77,12 @@ Json ReplicaReport::ToJson() const {
   j.Set("messages_handled", messages_handled);
   j.Set("equivocations_detected", equivocations_detected);
   j.Set("state_transfers", state_transfers);
+  j.Set("batch_fetches", batch_fetches);
+  j.Set("batches_fetched", batches_fetched);
+  j.Set("batch_fetch_rejects", batch_fetch_rejects);
+  j.Set("view_change_bytes_sent", view_change_bytes_sent);
+  j.Set("view_change_msgs_sent", view_change_msgs_sent);
+  j.Set("view_change_entries_sent", view_change_entries_sent);
   j.Set("cpu_busy_ms", cpu_busy_ms);
   j.Set("last_executed", last_executed);
   j.Set("state_digest", state_digest);
@@ -354,8 +360,15 @@ Result<ScenarioReport> RunScenario(const ScenarioSpec& spec,
     r.batches_committed = replica->stats().batches_committed;
     r.view_changes_completed = replica->stats().view_changes_completed;
     r.messages_handled = replica->stats().messages_handled;
-    r.equivocations_detected = replica->stats().equivocations_detected;
-    r.state_transfers = replica->stats().state_transfers;
+    const ReplicaStats& stats = replica->stats();
+    r.equivocations_detected = stats.equivocations_detected;
+    r.state_transfers = stats.state_transfers;
+    r.batch_fetches = stats.batch_fetches;
+    r.batches_fetched = stats.batches_fetched;
+    r.batch_fetch_rejects = stats.batch_fetch_rejects;
+    r.view_change_bytes_sent = stats.view_change_bytes_sent;
+    r.view_change_msgs_sent = stats.view_change_msgs_sent;
+    r.view_change_entries_sent = stats.view_change_entries_sent;
     r.cpu_busy_ms = ToMillis(cluster.replica(i)->cpu()->total_busy());
     r.last_executed = outcome.last_executed;
     r.state_digest = outcome.state_digest.ToHex();

@@ -43,6 +43,13 @@ struct ReplicaReport {
   uint64_t equivocations_detected = 0;
   /// Snapshots installed by state transfer.
   uint64_t state_transfers = 0;
+  /// Batch fetches and view-change traffic (ReplicaStats has the meaning).
+  uint64_t batch_fetches = 0;
+  uint64_t batches_fetched = 0;
+  uint64_t batch_fetch_rejects = 0;
+  uint64_t view_change_bytes_sent = 0;
+  uint64_t view_change_msgs_sent = 0;
+  uint64_t view_change_entries_sent = 0;
   double cpu_busy_ms = 0.0;
   /// Final execution frontier and state digest (hex) — what the restart
   /// scenarios compare between a kill-and-restart replica and its

@@ -18,7 +18,8 @@ SeeMoReReplica::SeeMoReReplica(Transport* transport, TimerService* timers,
                                const CostModel& costs)
     : ViewChangingReplica(transport, timers, keystore, memo, id, config,
                           std::move(state_machine), costs,
-                          {kSmCheckpoint, kSmStateRequest, kSmStateResponse}),
+                          {kSmCheckpoint, kSmStateRequest, kSmStateResponse,
+                           kSmBatchRequest, kSmBatchResponse}),
       mode_(config.initial_mode) {}
 
 std::vector<PrincipalId> SeeMoReReplica::PassiveNodes() const {
@@ -78,6 +79,7 @@ void SeeMoReReplica::HandleMessage(PrincipalId from, const Payload& frame) {
   // Protocol-internal messages are only legitimate on replica channels.
   if (tag != kMsgRequest && !IsReplicaId(from)) return;
   if (DispatchCheckpointTraffic(tag, from, dec)) return;
+  if (DispatchBatchFetch(tag, from, dec)) return;
   switch (tag) {
     case kMsgRequest:
       DispatchTyped(this, from, dec, &SeeMoReReplica::HandleRequest);
@@ -101,8 +103,7 @@ void SeeMoReReplica::HandleMessage(PrincipalId from, const Payload& frame) {
       DispatchTyped(this, from, dec, &SeeMoReReplica::HandleInform);
       break;
     case kSmViewChange: {
-      // Drop stale view-changes before paying the full structural decode
-      // (embedded batches are hashed during decode).
+      // Drop stale view-changes before paying the full structural decode.
       if (SmViewChangeMsg::PeekNewView(dec) <= view_) break;
       Result<SmViewChangeMsg> msg =
           SmViewChangeMsg::DecodeFrom(dec, window_ + 1);
@@ -451,7 +452,8 @@ void SeeMoReReplica::HandleAcceptSigned(PrincipalId from,
 }
 
 void SeeMoReReplica::CheckProxyCommit(uint64_t seq, SlotCore& slot) {
-  if (!slot.has_batch()) return;
+  // Agreement is on the digest; executing needs the batch itself.
+  if (!slot.has_proposal()) return;
   const int quorum = CommitQuorum();  // 2m+1
 
   if (mode_ == SeeMoReMode::kDog) {
@@ -474,7 +476,9 @@ void SeeMoReReplica::CheckProxyCommit(uint64_t seq, SlotCore& slot) {
       commit.sig = signer_.Sign(commit.Header(SmCommitVoteMsg::kDomain));
       SendToMany(Proxies(), commit.ToMessage());
     }
-    CommitSlot(seq, slot, /*replies=*/true, /*informs=*/true);
+    if (slot.has_batch()) {
+      CommitSlot(seq, slot, /*replies=*/true, /*informs=*/true);
+    }
     return;
   }
 
@@ -502,7 +506,7 @@ void SeeMoReReplica::CheckProxyCommit(uint64_t seq, SlotCore& slot) {
       RecordVote(slot.commit_votes, vote, id_, commit.sig);
     }
   }
-  if (slot.prepared &&
+  if (slot.prepared && slot.has_batch() &&
       static_cast<int>(slot.commit_votes.Count(slot.digest)) >= quorum) {
     CommitSlot(seq, slot, /*replies=*/true, /*informs=*/true);
   }
@@ -551,11 +555,9 @@ void SeeMoReReplica::HandleInform(PrincipalId from, SmInformMsg msg) {
   }
   SlotCore& slot = log_.Slot(msg.seq);
   RecordVote(slot.inform_votes, msg.digest, msg.voter);
-  // Dog: 2m+1 matching INFORMs; Peacock: m+1 (§5.2 / §5.3).
-  const int needed =
-      mode_ == SeeMoReMode::kDog ? 2 * config_.m + 1 : config_.m + 1;
   if (!slot.committed() && slot.has_batch() && slot.digest == msg.digest &&
-      static_cast<int>(slot.inform_votes.Count(msg.digest)) >= needed) {
+      static_cast<int>(slot.inform_votes.Count(msg.digest)) >=
+          InformQuorum()) {
     CommitSlot(msg.seq, slot, /*replies=*/false, /*informs=*/false);
   }
 }
@@ -634,6 +636,7 @@ void SeeMoReReplica::HandleNewViewRequest(PrincipalId from,
   if (!first_request && now() - it->second < Millis(20)) return;
   it->second = now();
   SendTo(from, last_new_view_frame_);
+  CountViewChangeFrame(last_new_view_frame_, last_new_view_entries_, 1);
 }
 
 }  // namespace seemore

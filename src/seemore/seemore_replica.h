@@ -51,6 +51,8 @@ struct SeeMoReViewChangeRecord {
   /// Highest view with evidence created under `mode` (for "last active
   /// view" determination within the current mode epoch).
   uint64_t LastActiveView(SeeMoReMode mode) const;
+  /// Does any of its sets list `digest` at `seq`?
+  bool Names(uint64_t seq, const Digest& digest) const;
 };
 
 class SeeMoReReplica : public ViewChangingReplica<SeeMoReViewChangeRecord> {
@@ -136,6 +138,9 @@ class SeeMoReReplica : public ViewChangingReplica<SeeMoReViewChangeRecord> {
   /// active view.
   bool IsNewViewQuorum(const Records& records) const override;
   void FormNewView(uint64_t new_view, const Records& records) override;
+  /// Commit, if what came while the batch was missing suffices: a Lion C'
+  /// entry, a proxy's quorums, or a passive node's INFORMs.
+  void ResumeReproposal(uint64_t seq, SlotCore& slot) override;
 
  private:
   // ----- role helpers ----------------------------------------------------
@@ -146,6 +151,10 @@ class SeeMoReReplica : public ViewChangingReplica<SeeMoReViewChangeRecord> {
   std::vector<PrincipalId> PassiveNodes() const;
   bool ParticipatesInAgreement() const;
   int CommitQuorum() const { return config_.CommitQuorum(mode_); }
+  /// Matching INFORMs a passive node commits on: Dog 2m+1, Peacock m+1.
+  int InformQuorum() const {
+    return mode_ == SeeMoReMode::kDog ? 2 * config_.m + 1 : config_.m + 1;
+  }
   bool VerifyProposalSig(SeeMoReMode mode, uint64_t view, uint64_t seq,
                          const Digest& digest, const Signature& sig) const;
   /// Validity of a P-set entry: Lion/Dog entries are signed by that view's
@@ -212,6 +221,7 @@ class SeeMoReReplica : public ViewChangingReplica<SeeMoReViewChangeRecord> {
   /// slept through the view change — it is self-certifying (signed by the
   /// trusted authority), so relaying through untrusted peers is safe.
   Payload last_new_view_frame_;
+  uint64_t last_new_view_entries_ = 0;  // entries that frame names
 };
 
 }  // namespace seemore

@@ -40,6 +40,15 @@ uint64_t SeeMoReViewChangeRecord::LastActiveView(SeeMoReMode mode) const {
   return last;
 }
 
+bool SeeMoReViewChangeRecord::Names(uint64_t seq,
+                                    const Digest& digest) const {
+  const auto lists = [seq, &digest](const auto& set) {
+    auto it = set.find(seq);
+    return it != set.end() && it->second.digest == digest;
+  };
+  return lists(prepares) || lists(commits) || lists(proofs);
+}
+
 SeeMoReMode SeeMoReReplica::ModeForView(uint64_t v) const {
   auto it = pending_mode_.find(v);
   return it != pending_mode_.end() ? it->second : mode_;
@@ -65,41 +74,30 @@ SmViewChangeMsg SeeMoReReplica::BuildViewChangeMessage(
   // outlive a mode switch (committed entries kept as evidence), so the sets
   // may mix modes; each entry is verified against its own signature domain.
   //   P set: trusted-primary/transferer-signed proposals (Lion, Dog, and
-  //          transferer-re-proposed Peacock entries). The paper transmits
-  //          them "without the request message µ"; we carry µ so the new
-  //          primary can always re-propose without a fetch round (the same
-  //          pragmatic choice BFT-SMaRt makes).
+  //          transferer-re-proposed Peacock entries), "without the request
+  //          message µ" as the paper has it: each names its batch by
+  //          digest, and whoever lacks a batch fetches it.
   //   C set: Lion primary-signed commits (§5.1).
   //   Proofs: Peacock prepared certificates (§5.3).
+  // A slot still fetching the batch a NEW-VIEW named is listed too: the
+  // NEW-VIEW's signature is evidence whether or not the batch arrived.
   const uint64_t stable = ckpt_.stable_seq();
   log_.ForEachAscending([&](uint64_t seq, const SlotCore& slot) {
-    if (!slot.has_batch() || seq <= stable) return;
+    if (!slot.has_proposal() || seq <= stable) return;
     if (slot.mode == SeeMoReMode::kPeacock) return;
-    SmVcEntry entry;
-    entry.mode = slot.mode;
-    entry.view = slot.view;
-    entry.seq = seq;
-    entry.digest = slot.digest;
-    entry.batch = slot.batch;
-    entry.sig = slot.primary_sig;
-    msg.prepares.push_back(std::move(entry));
+    msg.prepares.push_back(
+        SmVcEntry{slot.mode, slot.view, seq, slot.digest, slot.primary_sig});
   });
   log_.ForEachAscending([&](uint64_t seq, const SlotCore& slot) {
-    if (!slot.has_batch() || seq <= stable ||
+    if (!slot.has_proposal() || seq <= stable ||
         slot.mode != SeeMoReMode::kLion || !slot.has_commit_sig) {
       return;
     }
-    SmVcEntry entry;
-    entry.mode = slot.mode;
-    entry.view = slot.view;
-    entry.seq = seq;
-    entry.digest = slot.digest;
-    entry.batch = slot.batch;
-    entry.sig = slot.commit_sig;
-    msg.commits.push_back(std::move(entry));
+    msg.commits.push_back(
+        SmVcEntry{slot.mode, slot.view, seq, slot.digest, slot.commit_sig});
   });
   log_.ForEachAscending([&](uint64_t seq, const SlotCore& slot) {
-    if (!slot.has_batch() || seq <= stable ||
+    if (!slot.has_proposal() || seq <= stable ||
         slot.mode != SeeMoReMode::kPeacock || !slot.prepared) {
       return;
     }
@@ -108,7 +106,6 @@ SmViewChangeMsg SeeMoReReplica::BuildViewChangeMessage(
     proof.view = slot.view;
     proof.seq = seq;
     proof.digest = slot.digest;
-    proof.batch = slot.batch;
     proof.primary_sig = slot.primary_sig;
     proof.prepares =
         slot.accept_votes.SignaturesFor(slot.digest).SortedEntries();
@@ -212,7 +209,11 @@ void SeeMoReReplica::SendViewChange(uint64_t new_view) {
                                         : IsProxyNow());
   if (!sender_role) return;
   SmViewChangeMsg msg = BuildViewChangeMessage(new_view);
-  SendToMany(config_.AllReplicas(), msg.ToMessage());
+  uint64_t entries = msg.prepares.size() + msg.commits.size();
+  for (const PreparedProof& proof : msg.proofs) {
+    entries += 1 + proof.prepares.size();
+  }
+  MulticastViewChangeFrame(msg.ToMessage(), entries);
   // Own message, never a delivered frame: frame_id 0 skips the memo.
   Result<ViewChangeRecord> own = ValidateViewChange(std::move(msg), id_, 0);
   if (own.ok()) StoreViewChange(new_view, id_, std::move(own).value());
@@ -286,19 +287,19 @@ void SeeMoReReplica::FormNewView(uint64_t new_view, const Records& records) {
     for (const auto& [seq, entry] : record.commits) {
       high = std::max(high, seq);
       if (seq <= low) continue;
-      OfferReproposal(candidates, seq, entry.view, entry.digest, entry.batch,
+      OfferReproposal(candidates, seq, entry.view, entry.digest,
                       /*committed=*/true);
     }
     for (const auto& [seq, entry] : record.prepares) {
       high = std::max(high, seq);
       if (seq <= low) continue;
       ++prepare_support[seq][entry.digest];
-      OfferReproposal(candidates, seq, entry.view, entry.digest, entry.batch);
+      OfferReproposal(candidates, seq, entry.view, entry.digest);
     }
     for (const auto& [seq, proof] : record.proofs) {
       high = std::max(high, seq);
       if (seq <= low) continue;
-      OfferReproposal(candidates, seq, proof.view, proof.digest, proof.batch);
+      OfferReproposal(candidates, seq, proof.view, proof.digest);
     }
   }
   // Lion step 2: 2m+c+1 matching prepares imply the old primary may have
@@ -315,6 +316,7 @@ void SeeMoReReplica::FormNewView(uint64_t new_view, const Records& records) {
     }
   }
   FillWithNoops(candidates, low, high);
+  if (!HoldsBatches(new_view, candidates, records)) return;
 
   // Build the NEW-VIEW. C' only exists when the target mode is Lion; in
   // Dog/Peacock every entry is re-agreed by the proxies.
@@ -330,7 +332,6 @@ void SeeMoReReplica::FormNewView(uint64_t new_view, const Records& records) {
     entry.view = new_view;
     entry.seq = seq;
     entry.digest = cand.digest;
-    entry.batch = cand.batch.Encode();
     entry.sig = signer_.Sign(
         ProposalHeader(commit ? kDomainCommit : kDomainPrePrepare, mode8,
                        new_view, seq, cand.digest));
@@ -343,31 +344,31 @@ void SeeMoReReplica::FormNewView(uint64_t new_view, const Records& records) {
              (16 + Digest::kSize));
   nv.header_sig = signer_.Sign(nv.Header());
   const Payload nv_frame(nv.ToMessage());
-  SendToMany(config_.AllReplicas(), nv_frame);
+  const uint64_t nv_entries = nv.commits.size() + nv.prepares.size();
+  MulticastViewChangeFrame(nv_frame, nv_entries);
 
   // Install locally: C' entries commit first, then P' entries are re-agreed.
   EnterView(new_view, target_mode);
   last_new_view_frame_ = nv_frame;  // kept for relay to sleeping replicas
+  last_new_view_entries_ = nv_entries;
   ++stats_.view_changes_completed;
   if (low > exec_.last_executed() && helper != id_) RequestStateFrom(helper);
 
-  for (auto& [seq, cand] : candidates) {
+  for (const auto& [seq, cand] : candidates) {
     if (!(lion && cand.committed) || seq <= ckpt_.stable_seq() ||
         exec_.HasCommitted(seq)) {
       continue;
     }
-    SlotCore& slot =
-        InstallReproposal(seq, std::move(cand.batch), cand.digest);
+    SlotCore& slot = InstallReproposal(seq, cand.digest);
     slot.mode = target_mode;
     slot.commit_sig = signer_.Sign(
         ProposalHeader(kDomainCommit, mode8, new_view, seq, cand.digest));
     slot.has_commit_sig = true;
     CommitSlot(seq, slot, /*replies=*/IsPrimary(), /*informs=*/false);
   }
-  for (auto& [seq, cand] : candidates) {
+  for (const auto& [seq, cand] : candidates) {
     if ((lion && cand.committed) || seq <= ckpt_.stable_seq()) continue;
-    SlotCore& slot =
-        InstallReproposal(seq, std::move(cand.batch), cand.digest);
+    SlotCore& slot = InstallReproposal(seq, cand.digest);
     slot.mode = target_mode;
     slot.primary_sig = signer_.Sign(
         ProposalHeader(kDomainPrePrepare, mode8, new_view, seq, cand.digest));
@@ -405,107 +406,73 @@ void SeeMoReReplica::HandleNewView(PrincipalId from, SmNewViewMsg msg) {
     return;
   }
 
-  struct Entry {
-    uint64_t seq;
-    Digest digest;
-    Batch batch;
-    Signature sig;
+  // Every entry is the authority's signature over (view, seq, digest): a
+  // pure function of the frame, so the receivers of one multicast share the
+  // real crypto through the memo (slots index the two sets).
+  constexpr uint32_t kCommitSlots = static_cast<uint32_t>(kSmNewView) << 24;
+  constexpr uint32_t kPrepareSlots = kCommitSlots | (1u << 20);
+  const auto signed_by_authority = [&](const std::vector<SmNewViewEntry>& set,
+                                       SigDomain domain, uint32_t slots) {
+    for (size_t i = 0; i < set.size(); ++i) {
+      const SmNewViewEntry& entry = set[i];
+      if (entry.view != new_view) return false;
+      ChargeVerify();
+      if (!FrameVerifyMemoized(
+              authority, slots | static_cast<uint32_t>(i), [&] {
+                return keystore_->Verify(
+                    authority,
+                    ProposalHeader(domain, mode8, new_view, entry.seq,
+                                   entry.digest),
+                    entry.sig);
+              })) {
+        return false;
+      }
+    }
+    return true;
   };
-  // Batch-resolve every embedded batch digest in one memo pass: the first
-  // receiver of this NEW-VIEW hashes them all, the rest reuse the answers.
-  // Simulated charges stay per-entry inside the loops below, so a malformed
-  // certificate still costs exactly what it did when digests were computed
-  // one at a time.
-  // Span table and digest results live in the replica's scratch arena
-  // (reset at checkpoint boundaries): zero heap traffic per NEW-VIEW.
-  const size_t n_spans = msg.commits.size() + msg.prepares.size();
-  CryptoMemo::DigestSpan* spans =
-      scratch_arena().AllocateArray<CryptoMemo::DigestSpan>(n_spans);
-  size_t si = 0;
-  for (const SmNewViewEntry& e : msg.commits) {
-    spans[si++] = {e.batch_offset, e.batch.data(), e.batch.size()};
-  }
-  for (const SmNewViewEntry& e : msg.prepares) {
-    spans[si++] = {e.batch_offset, e.batch.data(), e.batch.size()};
-  }
-  Digest* batch_digests = scratch_arena().AllocateArray<Digest>(n_spans);
-  if (n_spans > 0) FrameFieldDigests(spans, n_spans, batch_digests);
-  size_t span_idx = 0;
-
-  std::vector<Entry> commit_entries;
-  for (SmNewViewEntry& wire_entry : msg.commits) {
-    Entry entry;
-    entry.seq = wire_entry.seq;
-    entry.digest = wire_entry.digest;
-    entry.sig = wire_entry.sig;
-    if (wire_entry.view != new_view) return;
-    ChargeHash(wire_entry.batch.size());
-    if (batch_digests[span_idx++] != entry.digest) return;
-    Result<Batch> batch_or = Batch::Decode(wire_entry.batch);
-    if (!batch_or.ok()) return;
-    entry.batch = std::move(batch_or).value();
-    ChargeVerify();
-    if (!keystore_->Verify(authority,
-                           ProposalHeader(kDomainCommit, mode8, new_view,
-                                          entry.seq, entry.digest),
-                           entry.sig)) {
-      return;
-    }
-    commit_entries.push_back(std::move(entry));
-  }
-  std::vector<Entry> prepare_entries;
-  for (SmNewViewEntry& wire_entry : msg.prepares) {
-    Entry entry;
-    entry.seq = wire_entry.seq;
-    entry.digest = wire_entry.digest;
-    entry.sig = wire_entry.sig;
-    if (wire_entry.view != new_view) return;
-    ChargeHash(wire_entry.batch.size());
-    if (batch_digests[span_idx++] != entry.digest) return;
-    Result<Batch> batch_or = Batch::Decode(wire_entry.batch);
-    if (!batch_or.ok()) return;
-    entry.batch = std::move(batch_or).value();
-    ChargeVerify();
-    if (!keystore_->Verify(authority,
-                           ProposalHeader(kDomainPrePrepare, mode8, new_view,
-                                          entry.seq, entry.digest),
-                           entry.sig)) {
-      return;
-    }
-    prepare_entries.push_back(std::move(entry));
+  if (!signed_by_authority(msg.commits, kDomainCommit, kCommitSlots) ||
+      !signed_by_authority(msg.prepares, kDomainPrePrepare, kPrepareSlots)) {
+    return;
   }
 
+  const Records vouching = TakeViewChanges(new_view);
   EnterView(new_view, new_mode);
   last_new_view_frame_ = current_frame();  // kept for relay to laggards
+  last_new_view_entries_ = msg.commits.size() + msg.prepares.size();
   ++stats_.view_changes_completed;
   if (msg.low > exec_.last_executed()) RequestStateFrom(from);
 
+  // A missing batch is asked of the authority first (it holds every batch
+  // it names), then of the relayer.
+  const std::vector<PrincipalId> sources = {authority, from};
   uint64_t high = msg.low;
-  for (Entry& entry : commit_entries) {
+  for (const SmNewViewEntry& entry : msg.commits) {
     high = std::max(high, entry.seq);
     if (entry.seq <= ckpt_.stable_seq() || exec_.HasCommitted(entry.seq)) {
       continue;
     }
     SlotCore& slot =
-        InstallReproposal(entry.seq, std::move(entry.batch), entry.digest);
+        InstallReproposal(entry.seq, entry.digest, sources, vouching);
     slot.mode = new_mode;
     slot.commit_sig = entry.sig;
     slot.has_commit_sig = true;
-    CommitSlot(entry.seq, slot, /*replies=*/false, /*informs=*/false);
+    if (slot.has_batch()) {
+      CommitSlot(entry.seq, slot, /*replies=*/false, /*informs=*/false);
+    }
   }
-  for (Entry& entry : prepare_entries) {
+  for (const SmNewViewEntry& entry : msg.prepares) {
     high = std::max(high, entry.seq);
     if (entry.seq <= ckpt_.stable_seq()) continue;
+    SlotCore& slot =
+        InstallReproposal(entry.seq, entry.digest, sources, vouching);
+    slot.mode = new_mode;
+    slot.primary_sig = entry.sig;
     // Already-committed sequence numbers still take part in the new view's
     // agreement (echoes/accepts/informs): peers that had NOT committed them
     // before the view change can only assemble their quorums if committed
-    // nodes keep voting. The committed flag prevents re-execution.
-    const bool already_committed = exec_.HasCommitted(entry.seq);
-    SlotCore& slot =
-        InstallReproposal(entry.seq, std::move(entry.batch), entry.digest);
-    slot.mode = new_mode;
-    slot.primary_sig = entry.sig;
-    if (already_committed && IsProxyNow() && mode_ != SeeMoReMode::kLion) {
+    // nodes keep voting. The committed flag prevents re-execution. Votes
+    // are on the digest, so they go out whether or not the batch is here.
+    if (slot.committed() && IsProxyNow() && mode_ != SeeMoReMode::kLion) {
       SendInform(entry.seq, slot);  // passive nodes may have missed them
     }
     switch (mode_) {
@@ -529,6 +496,19 @@ void SeeMoReReplica::HandleNewView(PrincipalId from, SmNewViewMsg msg) {
   if (IsPrimary()) pipeline_.AdvanceNextSeq(high + 1);
   if (log_.UncommittedSlots() > 0) ArmViewTimer();
   if (IsPrimary()) TryPropose();
+}
+
+void SeeMoReReplica::ResumeReproposal(uint64_t seq, SlotCore& slot) {
+  if (slot.has_commit_sig) {  // a Lion C' entry
+    CommitSlot(seq, slot, /*replies=*/false, /*informs=*/false);
+  } else if (mode_ == SeeMoReMode::kLion) {
+    // Commits when the primary's COMMIT comes.
+  } else if (IsProxyNow()) {
+    CheckProxyCommit(seq, slot);
+  } else if (static_cast<int>(slot.inform_votes.Count(slot.digest)) >=
+             InformQuorum()) {
+    CommitSlot(seq, slot, /*replies=*/false, /*informs=*/false);
+  }
 }
 
 // ---------------------------------------------------------------------------

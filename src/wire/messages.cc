@@ -2,7 +2,6 @@
 
 #include <array>
 
-#include "crypto/memo.h"
 #include "crypto/sha256.h"
 
 namespace seemore {
@@ -136,10 +135,6 @@ void SmVcEntry::EncodeTo(Encoder& enc) const {
   enc.PutU64(view);
   enc.PutU64(seq);
   digest.EncodeTo(enc);
-  // In-place batch encode under a computed length prefix — identical bytes
-  // to PutBytes(batch.Encode()) without the temporary buffer.
-  enc.PutVarint(batch.EncodedSize());
-  batch.EncodeTo(enc);
   sig.EncodeTo(enc);
 }
 
@@ -149,23 +144,8 @@ Result<SmVcEntry> SmVcEntry::DecodeFrom(Decoder& dec) {
   entry.view = dec.GetU64();
   entry.seq = dec.GetU64();
   entry.digest = Digest::DecodeFrom(dec);
-  Bytes batch_bytes = dec.GetBytes();
-  const size_t batch_offset = dec.ok() ? FieldOffset(dec, batch_bytes) : 0;
   entry.sig = Signature::DecodeFrom(dec);
   if (!dec.ok()) return dec.status();
-  // Memoized on the frame's buffer identity: each receiver of a multicast
-  // view-change re-validates these embedded batches, but only the first
-  // pays the real SHA-256 (the simulated cost is charged by the replica).
-  // A memo-less decoder (unit tests, own-message validation) computes the
-  // digest for real — same verdict, no sharing.
-  const Digest batch_digest =
-      dec.memo() != nullptr
-          ? dec.memo()->DigestOf(dec.buffer_id(), batch_offset, batch_bytes)
-          : Digest::Of(batch_bytes);
-  if (batch_digest != entry.digest) {
-    return Status::Corruption("view-change entry digest mismatch");
-  }
-  SEEMORE_ASSIGN_OR_RETURN(entry.batch, Batch::Decode(batch_bytes));
   return entry;
 }
 
@@ -237,7 +217,6 @@ void SmNewViewEntry::EncodeTo(Encoder& enc) const {
   enc.PutU64(view);
   enc.PutU64(seq);
   digest.EncodeTo(enc);
-  enc.PutBytes(batch);
   sig.EncodeTo(enc);
 }
 
@@ -246,18 +225,15 @@ Result<SmNewViewEntry> SmNewViewEntry::DecodeFrom(Decoder& dec) {
   entry.view = dec.GetU64();
   entry.seq = dec.GetU64();
   entry.digest = Digest::DecodeFrom(dec);
-  entry.batch = dec.GetBytes();
-  const size_t batch_offset = dec.ok() ? FieldOffset(dec, entry.batch) : 0;
   entry.sig = Signature::DecodeFrom(dec);
   if (!dec.ok()) return dec.status();
-  entry.batch_offset = batch_offset;
   return entry;
 }
 
 Digest SmNewViewMsg::EntrySetDigest() const {
   // Canonical encoding: set sizes, then each entry's (view, seq, digest) in
-  // frame order. Batch bytes are bound transitively (receivers reject any
-  // entry whose batch does not hash to entry.digest); the per-entry sigs are
+  // frame order. Batch bytes are bound transitively (a fetched batch is
+  // accepted only if it hashes to entry.digest); the per-entry sigs are
   // the authority's own deterministic-domain signatures and add no binding.
   Sha256 hasher;
   const auto put_u64 = [&hasher](uint64_t v) {
@@ -319,6 +295,7 @@ Result<SmNewViewMsg> SmNewViewMsg::DecodeFrom(Decoder& dec,
                              SmNewViewEntry::DecodeFrom(dec));
     msg.prepares.push_back(std::move(entry));
   }
+  SEEMORE_RETURN_IF_ERROR(dec.Finish());
   return msg;
 }
 
@@ -351,6 +328,60 @@ Result<StateRequestMsg> StateRequestMsg::DecodeFrom(Decoder& dec) {
   StateRequestMsg msg;
   msg.last_executed = dec.GetU64();
   if (!dec.ok()) return dec.status();
+  return msg;
+}
+
+void BatchRequestMsg::EncodeTo(Encoder& enc) const {
+  enc.PutVarint(wanted.size());
+  for (const BatchRef& ref : wanted) {
+    enc.PutU64(ref.seq);
+    ref.digest.EncodeTo(enc);
+  }
+}
+
+Result<BatchRequestMsg> BatchRequestMsg::DecodeFrom(Decoder& dec,
+                                                    uint64_t max_entries) {
+  BatchRequestMsg msg;
+  const uint64_t count = dec.GetVarint();
+  if (!dec.ok() || count > max_entries) {
+    return Status::Corruption("bad batch-request count");
+  }
+  msg.wanted.reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    BatchRef ref;
+    ref.seq = dec.GetU64();
+    ref.digest = Digest::DecodeFrom(dec);
+    if (!dec.ok()) return dec.status();
+    msg.wanted.push_back(ref);
+  }
+  SEEMORE_RETURN_IF_ERROR(dec.Finish());
+  return msg;
+}
+
+void BatchResponseMsg::EncodeTo(Encoder& enc) const {
+  enc.PutVarint(batches.size());
+  for (const Entry& entry : batches) {
+    enc.PutU64(entry.seq);
+    enc.PutBytes(entry.batch);
+  }
+}
+
+Result<BatchResponseMsg> BatchResponseMsg::DecodeFrom(Decoder& dec,
+                                                      uint64_t max_entries) {
+  BatchResponseMsg msg;
+  const uint64_t count = dec.GetVarint();
+  if (!dec.ok() || count > max_entries) {
+    return Status::Corruption("bad batch-response count");
+  }
+  msg.batches.reserve(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    Entry entry;
+    entry.seq = dec.GetU64();
+    entry.batch = dec.GetBytes();
+    if (!dec.ok()) return dec.status();
+    msg.batches.push_back(std::move(entry));
+  }
+  SEEMORE_RETURN_IF_ERROR(dec.Finish());
   return msg;
 }
 
@@ -517,6 +548,7 @@ Result<PbftNewViewMsg> PbftNewViewMsg::DecodeFrom(Decoder& dec,
                              PbftNewViewEntry::DecodeFrom(dec));
     msg.entries.push_back(std::move(entry));
   }
+  SEEMORE_RETURN_IF_ERROR(dec.Finish());
   return msg;
 }
 
@@ -586,8 +618,7 @@ Result<PaxosCheckpointMsg> PaxosCheckpointMsg::DecodeFrom(Decoder& dec) {
 void PaxosVcEntry::EncodeTo(Encoder& enc) const {
   enc.PutU64(seq);
   enc.PutU64(view);
-  enc.PutVarint(batch.EncodedSize());
-  batch.EncodeTo(enc);
+  digest.EncodeTo(enc);
 }
 
 void PaxosViewChangeMsg::EncodeTo(Encoder& enc) const {
@@ -611,28 +642,27 @@ Result<PaxosViewChangeMsg> PaxosViewChangeMsg::DecodeFrom(Decoder& dec,
     PaxosVcEntry entry;
     entry.seq = dec.GetU64();
     entry.view = dec.GetU64();
-    Bytes batch_bytes = dec.GetBytes();
+    entry.digest = Digest::DecodeFrom(dec);
     if (!dec.ok()) return dec.status();
     if (entry.seq <= msg.stable_seq || entry.seq > msg.stable_seq + window) {
       return Status::Corruption("view-change entry outside sanity window");
     }
-    SEEMORE_ASSIGN_OR_RETURN(entry.batch, Batch::Decode(batch_bytes));
-    msg.entries.push_back(std::move(entry));
+    msg.entries.push_back(entry);
   }
+  SEEMORE_RETURN_IF_ERROR(dec.Finish());
   return msg;
 }
 
 void PaxosNewViewEntry::EncodeTo(Encoder& enc) const {
   enc.PutU64(seq);
-  enc.PutBytes(batch);
+  digest.EncodeTo(enc);
 }
 
 Result<PaxosNewViewEntry> PaxosNewViewEntry::DecodeFrom(Decoder& dec) {
   PaxosNewViewEntry entry;
   entry.seq = dec.GetU64();
-  entry.batch = dec.GetBytes();
+  entry.digest = Digest::DecodeFrom(dec);
   if (!dec.ok()) return dec.status();
-  entry.batch_offset = FieldOffset(dec, entry.batch);
   return entry;
 }
 
@@ -658,6 +688,7 @@ Result<PaxosNewViewMsg> PaxosNewViewMsg::DecodeFrom(Decoder& dec,
                              PaxosNewViewEntry::DecodeFrom(dec));
     msg.entries.push_back(std::move(entry));
   }
+  SEEMORE_RETURN_IF_ERROR(dec.Finish());
   return msg;
 }
 

@@ -13,8 +13,15 @@
 //
 // Decode rules: decoders are bounds-checked and sticky (wire/wire.h); every
 // DecodeFrom returns Corruption on truncated or malformed input. Messages
-// whose size is attacker-controlled (view changes, new views) take explicit
-// entry-count bounds so a Byzantine sender cannot force huge allocations.
+// whose size is attacker-controlled (view changes, new views, batch fetches)
+// take explicit entry-count bounds so a Byzantine sender cannot force huge
+// allocations.
+//
+// View changes name batches by digest only: every VIEW-CHANGE and NEW-VIEW
+// entry is (mode/view, seq, digest, sig), so its size does not depend on the
+// batch. A replica that must act on an entry whose batch it lacks fetches
+// the batch with BATCH-REQUEST / BATCH-RESPONSE (the same pair, under
+// per-protocol tags, for every protocol).
 
 #ifndef SEEMORE_WIRE_MESSAGES_H_
 #define SEEMORE_WIRE_MESSAGES_H_
@@ -53,6 +60,8 @@ enum SeeMoReMsgType : uint8_t {
   kSmStateRequest = 20,
   kSmStateResponse = 21,
   kSmNewViewRequest = 22,  // laggard -> any replica: relay the NEW-VIEW
+  kSmBatchRequest = 23,
+  kSmBatchResponse = 24,
 };
 
 /// PBFT / S-UpRight tags (Castro & Liskov message flow).
@@ -65,6 +74,8 @@ enum PbftMsgType : uint8_t {
   kPbftNewView = 15,
   kPbftStateRequest = 16,
   kPbftStateResponse = 17,
+  kPbftBatchRequest = 18,
+  kPbftBatchResponse = 19,
 };
 
 /// Paxos / VR (crash model) tags.
@@ -77,6 +88,8 @@ enum PaxosMsgType : uint8_t {
   kPaxCheckpoint = 15,
   kPaxStateRequest = 16,
   kPaxStateResponse = 17,
+  kPaxBatchRequest = 18,
+  kPaxBatchResponse = 19,
 };
 
 // ---------------------------------------------------------------------------
@@ -233,16 +246,14 @@ struct SmCommitPrimaryMsg {
   }
 };
 
-/// One re-proposable entry carried in a SeeMoRe view-change message.
-/// Decode verifies the digest against the embedded batch bytes and decodes
-/// the batch (structural well-formedness); signature validity is semantic
-/// and stays with the replica.
+/// One re-proposable entry carried in a SeeMoRe view-change message: the
+/// batch is named by `digest` only, so the entry has one fixed size.
+/// Signature validity is semantic and stays with the replica.
 struct SmVcEntry {
   SeeMoReMode mode = SeeMoReMode::kLion;  // signature domain of `sig`
   uint64_t view = 0;
   uint64_t seq = 0;
   Digest digest;
-  Batch batch;
   Signature sig;  // primary's prepare sig (P set) or commit sig (C set)
 
   void EncodeTo(Encoder& enc) const;
@@ -274,13 +285,12 @@ struct SmViewChangeMsg {
   Bytes ToMessage() const { return FrameMessage(kTag, *this); }
 };
 
-/// One re-proposed entry in a NEW-VIEW (signed by the new-view authority).
+/// One re-proposed entry in a NEW-VIEW (signed by the new-view authority),
+/// naming its batch by digest.
 struct SmNewViewEntry {
   uint64_t view = 0;  // must equal the enclosing message's new_view
   uint64_t seq = 0;
   Digest digest;
-  Bytes batch;  // raw: the receiver charges + checks the digest itself
-  size_t batch_offset = 0;  // see SmPrepareMsg::batch_offset
   Signature sig;
 
   void EncodeTo(Encoder& enc) const;
@@ -299,11 +309,12 @@ struct SmNewViewMsg {
   std::vector<SmNewViewEntry> prepares;
 
   void EncodeTo(Encoder& enc) const;
+  /// Requires the input to be fully consumed.
   static Result<SmNewViewMsg> DecodeFrom(Decoder& dec, uint64_t max_entries);
   Bytes ToMessage() const { return FrameMessage(kTag, *this); }
 
   /// Binds the full C'/P' entry sets (set sizes and each entry's view, seq,
-  /// digest — batches are in turn bound by their digests) so one header
+  /// digest — a fetched batch is in turn bound by its digest) so one header
   /// signature covers the whole frame. NEW-VIEW may be relayed by untrusted
   /// peers, so a frame whose entry sets were pruned or reordered by the
   /// relayer must not verify.
@@ -360,6 +371,43 @@ struct StateResponseMsg {
 
   void EncodeTo(Encoder& enc) const;
   static Result<StateResponseMsg> DecodeFrom(Decoder& dec);
+  Bytes ToMessage(uint8_t tag) const { return FrameMessage(tag, *this); }
+};
+
+/// One (seq, digest) a BATCH-REQUEST asks for.
+struct BatchRef {
+  uint64_t seq = 0;
+  Digest digest;
+};
+
+/// <BATCH-REQUEST, (n, d)...>: "send me the batches these digests name." Sent
+/// to a replica that vouched for the digests (a NEW-VIEW or VIEW-CHANGE
+/// sender). Unsigned: the response is checked against the digests, so a
+/// forged request can at worst cost the responder one send. Tag differs per
+/// protocol.
+struct BatchRequestMsg {
+  std::vector<BatchRef> wanted;
+
+  void EncodeTo(Encoder& enc) const;
+  /// `max_entries` bounds the request (the receiver's window).
+  static Result<BatchRequestMsg> DecodeFrom(Decoder& dec,
+                                            uint64_t max_entries);
+  Bytes ToMessage(uint8_t tag) const { return FrameMessage(tag, *this); }
+};
+
+/// <BATCH-RESPONSE, (n, µ)...>: the requested batches the responder holds.
+/// Raw: the receiver charges the hash and accepts a batch only if it hashes
+/// to the digest it asked for at that seq.
+struct BatchResponseMsg {
+  struct Entry {
+    uint64_t seq = 0;
+    Bytes batch;  // encoded Batch
+  };
+  std::vector<Entry> batches;
+
+  void EncodeTo(Encoder& enc) const;
+  static Result<BatchResponseMsg> DecodeFrom(Decoder& dec,
+                                             uint64_t max_entries);
   Bytes ToMessage(uint8_t tag) const { return FrameMessage(tag, *this); }
 };
 
@@ -503,6 +551,7 @@ struct PbftNewViewMsg {
   std::vector<PbftNewViewEntry> entries;
 
   void EncodeTo(Encoder& enc) const;
+  /// Requires the input to be fully consumed.
   static Result<PbftNewViewMsg> DecodeFrom(Decoder& dec, uint64_t max_vcs,
                                            uint64_t max_entries);
   Bytes ToMessage() const { return FrameMessage(kTag, *this); }
@@ -564,11 +613,12 @@ struct PaxosCheckpointMsg {
   Bytes ToMessage() const { return FrameMessage(kTag, *this); }
 };
 
-/// One accepted entry reported in a Paxos VIEW-CHANGE.
+/// One accepted entry reported in a Paxos VIEW-CHANGE, its batch named by
+/// digest.
 struct PaxosVcEntry {
   uint64_t seq = 0;
   uint64_t view = 0;  // view the batch was accepted in
-  Batch batch;
+  Digest digest;
 
   void EncodeTo(Encoder& enc) const;
 };
@@ -584,15 +634,15 @@ struct PaxosViewChangeMsg {
   std::vector<PaxosVcEntry> entries;
 
   void EncodeTo(Encoder& enc) const;
+  /// Requires the input to be fully consumed.
   static Result<PaxosViewChangeMsg> DecodeFrom(Decoder& dec, uint64_t window);
   Bytes ToMessage() const { return FrameMessage(kTag, *this); }
 };
 
-/// One re-proposed entry in a Paxos NEW-VIEW.
+/// One re-proposed entry in a Paxos NEW-VIEW, its batch named by digest.
 struct PaxosNewViewEntry {
   uint64_t seq = 0;
-  Bytes batch;  // raw: receiver decodes + hashes (and charges) itself
-  size_t batch_offset = 0;  // see SmPrepareMsg::batch_offset
+  Digest digest;
 
   void EncodeTo(Encoder& enc) const;
   static Result<PaxosNewViewEntry> DecodeFrom(Decoder& dec);
@@ -607,6 +657,7 @@ struct PaxosNewViewMsg {
   std::vector<PaxosNewViewEntry> entries;
 
   void EncodeTo(Encoder& enc) const;
+  /// Requires the input to be fully consumed.
   static Result<PaxosNewViewMsg> DecodeFrom(Decoder& dec,
                                             uint64_t max_entries);
   Bytes ToMessage() const { return FrameMessage(kTag, *this); }

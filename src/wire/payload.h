@@ -85,13 +85,9 @@ class Payload {
   std::shared_ptr<const Rep> rep_;
 };
 
-/// Decoder over a payload, carrying the buffer identity (and, when the
-/// caller runs inside a cluster, the run's CryptoMemo) so decode-time
-/// digest checks (e.g. view-change entries) can reuse another receiver's
-/// work. With `memo` null the checks compute for real — same answer, same
-/// simulated cost, just no host-CPU sharing.
-inline Decoder MakeDecoder(const Payload& payload, CryptoMemo* memo = nullptr) {
-  return Decoder(payload.data(), payload.size(), payload.id(), memo);
+/// Decoder over a payload, carrying the buffer identity.
+inline Decoder MakeDecoder(const Payload& payload) {
+  return Decoder(payload.data(), payload.size(), payload.id());
 }
 
 }  // namespace seemore

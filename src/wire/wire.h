@@ -23,8 +23,6 @@
 
 namespace seemore {
 
-class CryptoMemo;
-
 using Bytes = std::vector<uint8_t>;
 
 /// Encoded length of PutVarint(v), for exact Encoder::Reserve hints.
@@ -175,14 +173,9 @@ class Decoder {
   Decoder(const uint8_t* data, size_t len) : data_(data), len_(len) {}
   explicit Decoder(const Bytes& data) : Decoder(data.data(), data.size()) {}
   /// Decoder over a shared immutable buffer (wire/payload.h): `buffer_id`
-  /// is the buffer's process-unique identity and `memo` the run's digest
-  /// memo (crypto/memo.h), letting decode-time digest checks reuse work
-  /// another receiver of the same frame already paid for. `memo` may be
-  /// null (and must be when buffer_id is 0): digests then compute for real,
-  /// which is observationally identical — the memo elides host CPU only.
-  Decoder(const uint8_t* data, size_t len, uint64_t buffer_id,
-          CryptoMemo* memo = nullptr)
-      : data_(data), len_(len), buffer_id_(buffer_id), memo_(memo) {}
+  /// is the buffer's process-unique identity.
+  Decoder(const uint8_t* data, size_t len, uint64_t buffer_id)
+      : data_(data), len_(len), buffer_id_(buffer_id) {}
 
   uint8_t GetU8();
   uint16_t GetU16();
@@ -209,9 +202,6 @@ class Decoder {
   /// Identity of the underlying shared buffer, or 0 when decoding plain
   /// bytes (see the buffer_id constructor).
   uint64_t buffer_id() const { return buffer_id_; }
-  /// The run's digest/verify memo, or null when decoding outside a run (or
-  /// plain bytes); see the buffer_id constructor.
-  CryptoMemo* memo() const { return memo_; }
   /// True if the whole input has been consumed and no error occurred.
   bool AtEnd() const { return ok() && pos_ == len_; }
   /// Fails the decoder unless the input was fully consumed.
@@ -229,7 +219,6 @@ class Decoder {
   size_t len_;
   size_t pos_ = 0;
   uint64_t buffer_id_ = 0;
-  CryptoMemo* memo_ = nullptr;
   Status status_;
 };
 

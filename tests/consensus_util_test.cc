@@ -328,7 +328,6 @@ TEST(PreparedProofTest, VerifyAndReject) {
   proof.view = 7;
   proof.seq = 21;
   proof.digest = batch.ComputeDigest();
-  proof.batch = batch;
   proof.primary_sig = Signer(primary, store)
                           .Sign(ProposalHeader(kDomainPrePrepare, 3, 7, 21,
                                                proof.digest));
@@ -345,9 +344,10 @@ TEST(PreparedProofTest, VerifyAndReject) {
   EXPECT_FALSE(proof.Verify(store, primary, 3,
                             [](PrincipalId r) { return r != 4; }));
 
-  // Batch/digest mismatch rejected.
+  // The certificate binds its digest: another digest breaks every
+  // signature in it.
   PreparedProof tampered = proof;
-  tampered.batch = Batch::Noop();
+  tampered.digest = Batch::NoopDigest();
   EXPECT_FALSE(tampered.Verify(store, primary, 3, any));
 
   // Round trip.

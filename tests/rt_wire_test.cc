@@ -13,6 +13,7 @@
 
 #include "rt/frame.h"
 #include "rt/write_queue.h"
+#include "wire/messages.h"
 
 namespace seemore {
 namespace rt {
@@ -226,6 +227,67 @@ TEST(PooledReaderTest, ViewsOutliveTheReadersProgress) {
   // The held view still reads the original bytes: its block was never
   // reissued while the view lived.
   EXPECT_EQ(held.ToBytes(), first);
+}
+
+// A view change on the pooled read path: a digest-only VIEW-CHANGE naming
+// 600 sequence numbers fits one read block whatever the batches behind it
+// weigh (it is aliased, not copied), while a BATCH-RESPONSE carrying a batch
+// larger than a block straddles blocks and is reassembled; both decode to
+// the messages sent.
+TEST(PooledReaderTest, DigestOnlyViewChangeFitsABlockBatchResponseStraddles) {
+  BlockPool pool(kReadBlockBytes, /*max_cached=*/4);
+  FrameReadStats stats;
+  FrameReader reader(kMaxFrameBytes, &pool, &stats);
+
+  SmViewChangeMsg view_change;
+  view_change.new_view = 3;
+  view_change.cert = CheckpointCert::Genesis();
+  for (uint64_t seq = 1; seq <= 600; ++seq) {
+    SmVcEntry entry;
+    entry.view = 2;
+    entry.seq = seq;
+    entry.digest = Digest::Of(MakeBody(64, static_cast<uint8_t>(seq)));
+    view_change.prepares.push_back(entry);
+  }
+  view_change.sender = 4;
+  Request request;
+  request.client = kClientIdBase;
+  request.timestamp = 9;
+  request.op = MakeBody(kReadBlockBytes + 4096, 7);
+  Batch batch;
+  batch.requests.push_back(request);
+  BatchResponseMsg response;
+  response.batches.push_back({600, batch.Encode()});
+
+  const Bytes vc_body = view_change.ToMessage();
+  const Bytes response_body = response.ToMessage(kSmBatchResponse);
+  ASSERT_LT(vc_body.size() + kFrameHeaderBytes, kReadBlockBytes);
+  Bytes stream = EncodeFrame(vc_body);
+  const Bytes response_frame = EncodeFrame(response_body);
+  stream.insert(stream.end(), response_frame.begin(), response_frame.end());
+  ASSERT_TRUE(reader.Feed(stream.data(), stream.size()).ok());
+
+  Payload vc_out, response_out;
+  ASSERT_TRUE(reader.Next(&vc_out));
+  ASSERT_TRUE(reader.Next(&response_out));
+  EXPECT_EQ(stats.frames_aliased, 1u);
+  EXPECT_EQ(stats.frames_copied, 1u);
+
+  Decoder vc_dec = MakeDecoder(vc_out);
+  ASSERT_EQ(vc_dec.GetU8(), kSmViewChange);
+  Result<SmViewChangeMsg> vc_decoded =
+      SmViewChangeMsg::DecodeFrom(vc_dec, 1024);
+  ASSERT_TRUE(vc_decoded.ok());
+  EXPECT_EQ(vc_decoded->ToMessage(), vc_body);
+
+  Decoder response_dec = MakeDecoder(response_out);
+  ASSERT_EQ(response_dec.GetU8(), kSmBatchResponse);
+  Result<BatchResponseMsg> response_decoded =
+      BatchResponseMsg::DecodeFrom(response_dec, 1024);
+  ASSERT_TRUE(response_decoded.ok());
+  ASSERT_EQ(response_decoded->batches.size(), 1u);
+  EXPECT_EQ(Digest::Of(response_decoded->batches[0].batch),
+            batch.ComputeDigest());
 }
 
 }  // namespace

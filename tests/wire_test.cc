@@ -267,6 +267,26 @@ class MessagesTest : public ::testing::Test {
     }
   }
 
+  /// Every single-byte mutation of a body is visible: it is either rejected
+  /// or decodes to a message whose re-encoding is exactly the mutated bytes.
+  /// No byte is ignored or normalised away, so what a receiver acts on is
+  /// what was sent (and what any signature over those bytes covers).
+  void ExpectMutationsVisible(
+      const Bytes& body,
+      const std::function<bool(Decoder&, Bytes*)>& decode_reencode) const {
+    for (size_t pos = 0; pos < body.size(); ++pos) {
+      for (int delta = 1; delta < 256; ++delta) {
+        Bytes mutated = body;
+        mutated[pos] = static_cast<uint8_t>(mutated[pos] + delta);
+        Decoder dec(mutated);
+        Bytes reencoded;
+        if (decode_reencode(dec, &reencoded)) {
+          EXPECT_EQ(reencoded, mutated) << "mutation at byte " << pos;
+        }
+      }
+    }
+  }
+
   /// Strips the tag byte off a framed message and checks it.
   static Bytes Body(const Bytes& frame, uint8_t expected_tag) {
     EXPECT_FALSE(frame.empty());
@@ -322,7 +342,6 @@ std::vector<FramedSample> AllFramedSamples(const KeyStore& keystore) {
   proof.view = 1 << 16;
   proof.seq = 1 << 14;
   proof.digest = digest;
-  proof.batch = batch;
   proof.primary_sig = sig;
   proof.prepares = {{1, sig}, {3, sig}};
 
@@ -392,7 +411,6 @@ std::vector<FramedSample> AllFramedSamples(const KeyStore& keystore) {
   entry.view = 7;
   entry.seq = (1 << 20) + 1;
   entry.digest = digest;
-  entry.batch = batch;
   entry.sig = sig;
   view_change.prepares = {entry, entry};
   view_change.commits = {entry};
@@ -409,7 +427,6 @@ std::vector<FramedSample> AllFramedSamples(const KeyStore& keystore) {
   nv_entry.view = 8;
   nv_entry.seq = (1 << 20) + 1;
   nv_entry.digest = digest;
-  nv_entry.batch = batch_bytes;
   nv_entry.sig = sig;
   new_view.commits = {nv_entry};
   new_view.prepares = {nv_entry, nv_entry};
@@ -435,6 +452,14 @@ std::vector<FramedSample> AllFramedSamples(const KeyStore& keystore) {
   new_view_request.view = 1 << 12;
   out.push_back(Sample("NewViewRequest", NewViewRequestMsg::kTag,
                        new_view_request, new_view_request.ToMessage()));
+  BatchRequestMsg batch_request;
+  batch_request.wanted = {{(1 << 20) + 1, digest}, {(1 << 20) + 2, digest}};
+  out.push_back(Sample("BatchRequest", kSmBatchRequest, batch_request,
+                       batch_request.ToMessage(kSmBatchRequest)));
+  BatchResponseMsg batch_response;
+  batch_response.batches = {{(1 << 20) + 1, batch_bytes}};
+  out.push_back(Sample("BatchResponse", kPbftBatchResponse, batch_response,
+                       batch_response.ToMessage(kPbftBatchResponse)));
 
   PbftPrePrepareMsg pre_prepare;
   pre_prepare.view = 3;
@@ -498,7 +523,7 @@ std::vector<FramedSample> AllFramedSamples(const KeyStore& keystore) {
   PaxosVcEntry paxos_vc_entry;
   paxos_vc_entry.seq = (1 << 20) + 1;
   paxos_vc_entry.view = 2;
-  paxos_vc_entry.batch = batch;
+  paxos_vc_entry.digest = digest;
   paxos_view_change.entries = {paxos_vc_entry, paxos_vc_entry};
   out.push_back(Sample("PaxosViewChange", PaxosViewChangeMsg::kTag,
                        paxos_view_change, paxos_view_change.ToMessage()));
@@ -507,7 +532,7 @@ std::vector<FramedSample> AllFramedSamples(const KeyStore& keystore) {
   paxos_new_view.stable_seq = 1 << 20;
   PaxosNewViewEntry paxos_nv_entry;
   paxos_nv_entry.seq = (1 << 20) + 1;
-  paxos_nv_entry.batch = batch_bytes;
+  paxos_nv_entry.digest = digest;
   paxos_new_view.entries = {paxos_nv_entry};
   out.push_back(Sample("PaxosNewView", PaxosNewViewMsg::kTag, paxos_new_view,
                        paxos_new_view.ToMessage()));
@@ -520,21 +545,37 @@ std::vector<FramedSample> AllFramedSamples(const KeyStore& keystore) {
   return out;
 }
 
+/// The samples whose frames name batches by digest: the view-change
+/// messages and the batch fetch pair.
+bool IsViewChangeSample(const std::string& name) {
+  return name == "SmViewChange" || name == "SmNewView" ||
+         name == "PbftNewView" || name == "PaxosViewChange" ||
+         name == "PaxosNewView" || name == "BatchRequest" ||
+         name == "BatchResponse";
+}
+
 TEST(FramingTest, EveryToMessageIsExactlySizedAndByteIdentical) {
   const KeyStore keystore(42);
-  Bytes all;
+  Bytes normal;
+  Bytes view_change;
   for (const FramedSample& sample : AllFramedSamples(keystore)) {
     // One allocation of exactly the frame's size...
     EXPECT_EQ(sample.framed.capacity(), sample.framed.size()) << sample.name;
     // ...holding the bytes a single growing pass writes.
     EXPECT_EQ(sample.framed, sample.single_pass) << sample.name;
+    Bytes& all = IsViewChangeSample(sample.name) ? view_change : normal;
     all.insert(all.end(), sample.framed.begin(), sample.framed.end());
   }
-  // Every sample's bytes as framed before frames were exactly sized
-  // (captured from that encoder), so no wire byte or signature moved.
-  EXPECT_EQ(all.size(), 12546u);
-  EXPECT_EQ(Digest::Of(all).ToHex(),
-            "10b9a0504b401676b4432cf9940c834c347788496744b6947f4d6d719b11c943");
+  // Every normal-case sample's bytes as framed before frames were exactly
+  // sized and before view changes named batches by digest (captured from
+  // those encoders), so no normal-case wire byte or signature moved.
+  EXPECT_EQ(normal.size(), 5636u);
+  EXPECT_EQ(Digest::Of(normal).ToHex(),
+            "2ccd8ceabaec5818b06258f89c9d4bc320b573907a3cc457d0a98c2c26e44c38");
+  // The digest-only view-change frames, pinned as first framed.
+  EXPECT_EQ(view_change.size(), 2148u);
+  EXPECT_EQ(Digest::Of(view_change).ToHex(),
+            "e7ee1c81a27053d41e336043b99006a17790c954e95d1ad24d968eaca36d71ca");
 }
 
 TEST(FramingTest, MeasuringEncoderCountsWhatARealOneWrites) {
@@ -678,7 +719,7 @@ TEST_F(MessagesTest, SmAcceptPlainAndCommitPrimaryRoundTrip) {
   });
 }
 
-TEST_F(MessagesTest, SmViewChangeRoundTripTruncationAndCorruption) {
+TEST_F(MessagesTest, SmViewChangeRoundTripTruncationAndMutation) {
   const Batch batch = SampleBatch();
   SmViewChangeMsg msg;
   msg.mode = 1;
@@ -689,13 +730,20 @@ TEST_F(MessagesTest, SmViewChangeRoundTripTruncationAndCorruption) {
   prepare.mode = SeeMoReMode::kLion;
   prepare.view = 8;
   prepare.seq = 4;
-  prepare.batch = batch;
   prepare.digest = Digest::Of(batch.Encode());
   prepare.sig = signer_.Sign(Bytes{1});
   msg.prepares.push_back(prepare);
   SmVcEntry commit = prepare;
   commit.seq = 5;
   msg.commits.push_back(commit);
+  PreparedProof proof;
+  proof.mode = 2;
+  proof.view = 8;
+  proof.seq = 6;
+  proof.digest = prepare.digest;
+  proof.primary_sig = signer_.Sign(Bytes{2});
+  proof.prepares = {{2, signer_.Sign(Bytes{3})}, {3, signer_.Sign(Bytes{4})}};
+  msg.proofs.push_back(proof);
   msg.sender = 1;
 
   const Bytes body = Body(msg.ToMessage(), kSmViewChange);
@@ -706,9 +754,11 @@ TEST_F(MessagesTest, SmViewChangeRoundTripTruncationAndCorruption) {
     EXPECT_EQ(out.value().new_view, 9u);
     ASSERT_EQ(out.value().prepares.size(), 1u);
     EXPECT_EQ(out.value().prepares[0].seq, 4u);
+    EXPECT_EQ(out.value().prepares[0].digest, prepare.digest);
+    EXPECT_EQ(out.value().prepares[0].sig, prepare.sig);
     ASSERT_EQ(out.value().commits.size(), 1u);
-    EXPECT_TRUE(out.value().prepares[0].batch.requests ==
-                batch.requests);
+    ASSERT_EQ(out.value().proofs.size(), 1u);
+    EXPECT_EQ(out.value().proofs[0].prepares, proof.prepares);
   }
   // Entry-count bound: a window of 0 entries rejects the message.
   {
@@ -722,17 +772,13 @@ TEST_F(MessagesTest, SmViewChangeRoundTripTruncationAndCorruption) {
     Decoder dec(padded);
     EXPECT_FALSE(SmViewChangeMsg::DecodeFrom(dec, 100).ok());
   }
-  // A corrupted entry digest breaks the digest<->batch binding. Layout:
-  // mode(1) new_view(8) stable_seq(8) genesis cert(1) n_prepares(1) then
-  // the first entry's mode(1) view(8) seq(8) digest...
-  {
-    Bytes corrupted = body;
-    corrupted[1 + 8 + 8 + 1 + 1 + 1 + 8 + 8] ^= 0xff;
-    Decoder dec(corrupted);
-    EXPECT_FALSE(SmViewChangeMsg::DecodeFrom(dec, 100).ok());
-  }
   ExpectPrefixesRejected(body, [](Decoder& d) {
     return SmViewChangeMsg::DecodeFrom(d, 100).ok();
+  });
+  ExpectMutationsVisible(body, [](Decoder& d, Bytes* out) {
+    Result<SmViewChangeMsg> decoded = SmViewChangeMsg::DecodeFrom(d, 100);
+    if (decoded.ok()) *out = Body(decoded->ToMessage(), kSmViewChange);
+    return decoded.ok();
   });
 }
 
@@ -744,10 +790,12 @@ TEST_F(MessagesTest, SmNewViewAndModeChangeRoundTrip) {
   SmNewViewEntry entry;
   entry.view = 4;
   entry.seq = 2;
-  entry.batch = SampleBatch().Encode();
-  entry.digest = Digest::Of(entry.batch);
+  entry.digest = Digest::Of(SampleBatch().Encode());
   entry.sig = signer_.Sign(Bytes{2});
   msg.prepares.push_back(entry);
+  SmNewViewEntry commit = entry;
+  commit.seq = 1;
+  msg.commits.push_back(commit);
   // Signed last: the header binds the entry sets via EntrySetDigest.
   msg.header_sig = signer_.Sign(msg.Header());
 
@@ -757,7 +805,9 @@ TEST_F(MessagesTest, SmNewViewAndModeChangeRoundTrip) {
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out.value().VerifySignature(keystore_, 1));
   ASSERT_EQ(out.value().prepares.size(), 1u);
-  EXPECT_EQ(out.value().prepares[0].batch, entry.batch);
+  EXPECT_EQ(out.value().prepares[0].digest, entry.digest);
+  EXPECT_EQ(out.value().prepares[0].sig, entry.sig);
+  ASSERT_EQ(out.value().commits.size(), 1u);
   // A relayer that strips, reorders, or retargets entries must break the
   // header signature (NEW-VIEW is relayed by untrusted peers).
   {
@@ -782,6 +832,11 @@ TEST_F(MessagesTest, SmNewViewAndModeChangeRoundTrip) {
   }
   ExpectPrefixesRejected(body, [](Decoder& d) {
     return SmNewViewMsg::DecodeFrom(d, 10).ok();
+  });
+  ExpectMutationsVisible(body, [](Decoder& d, Bytes* out) {
+    Result<SmNewViewMsg> decoded = SmNewViewMsg::DecodeFrom(d, 10);
+    if (decoded.ok()) *out = Body(decoded->ToMessage(), kSmNewView);
+    return decoded.ok();
   });
 
   SmModeChangeMsg mc;
@@ -868,8 +923,14 @@ TEST_F(MessagesTest, PbftMessagesRoundTrip) {
 }
 
 TEST_F(MessagesTest, PbftViewChangeBuildDecodeVerify) {
+  PreparedProof proof;
+  proof.view = 5;
+  proof.seq = 3;
+  proof.digest = FillDigest(0x31);
+  proof.primary_sig = signer_.Sign(Bytes{5});
+  proof.prepares = {{2, signer_.Sign(Bytes{6})}};
   const Bytes raw = PbftViewChangeMsg::Build(
-      /*new_view=*/6, /*stable_seq=*/0, CheckpointCert::Genesis(), {},
+      /*new_view=*/6, /*stable_seq=*/0, CheckpointCert::Genesis(), {proof},
       signer_);
   EXPECT_EQ(PbftViewChangeMsg::PeekNewView(raw), 6u);
 
@@ -877,13 +938,22 @@ TEST_F(MessagesTest, PbftViewChangeBuildDecodeVerify) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.value().sender, 1);
   EXPECT_TRUE(out.value().VerifySignature(keystore_, raw));
+  ASSERT_EQ(out.value().proofs.size(), 1u);
+  EXPECT_EQ(out.value().proofs[0].digest, proof.digest);
 
-  // Any body flip invalidates the whole-frame signature.
-  Bytes corrupted = raw;
-  corrupted[2] ^= 0x01;
-  Result<PbftViewChangeMsg> bad = PbftViewChangeMsg::DecodeFrom(corrupted, 10);
-  if (bad.ok()) {
-    EXPECT_FALSE(bad.value().VerifySignature(keystore_, corrupted));
+  // Any single-byte mutation is refused or breaks the whole-frame
+  // signature.
+  for (size_t pos = 0; pos < raw.size(); ++pos) {
+    for (int delta = 1; delta < 256; ++delta) {
+      Bytes mutated = raw;
+      mutated[pos] = static_cast<uint8_t>(mutated[pos] + delta);
+      Result<PbftViewChangeMsg> bad =
+          PbftViewChangeMsg::DecodeFrom(mutated, 10);
+      if (bad.ok()) {
+        EXPECT_FALSE(bad.value().VerifySignature(keystore_, mutated))
+            << "mutation at byte " << pos;
+      }
+    }
   }
 
   // Truncations of the whole frame are rejected.
@@ -922,6 +992,11 @@ TEST_F(MessagesTest, PbftNewViewRoundTripAndBounds) {
   }
   ExpectPrefixesRejected(body, [](Decoder& d) {
     return PbftNewViewMsg::DecodeFrom(d, 4, 10).ok();
+  });
+  ExpectMutationsVisible(body, [](Decoder& d, Bytes* out) {
+    Result<PbftNewViewMsg> decoded = PbftNewViewMsg::DecodeFrom(d, 4, 10);
+    if (decoded.ok()) *out = Body(decoded->ToMessage(), kPbftNewView);
+    return decoded.ok();
   });
 }
 
@@ -967,7 +1042,7 @@ TEST_F(MessagesTest, PaxosViewChangeWindowEnforced) {
   PaxosVcEntry entry;
   entry.seq = 12;
   entry.view = 1;
-  entry.batch = SampleBatch();
+  entry.digest = FillDigest(0x41);
   msg.entries.push_back(entry);
 
   const Bytes body = Body(msg.ToMessage(), kPaxViewChange);
@@ -977,6 +1052,8 @@ TEST_F(MessagesTest, PaxosViewChangeWindowEnforced) {
     ASSERT_TRUE(out.ok());
     ASSERT_EQ(out.value().entries.size(), 1u);
     EXPECT_EQ(out.value().entries[0].seq, 12u);
+    EXPECT_EQ(out.value().entries[0].view, 1u);
+    EXPECT_EQ(out.value().entries[0].digest, entry.digest);
   }
   // seq 12 is outside a window of 1 above stable_seq 10.
   {
@@ -986,23 +1063,176 @@ TEST_F(MessagesTest, PaxosViewChangeWindowEnforced) {
   ExpectPrefixesRejected(body, [](Decoder& d) {
     return PaxosViewChangeMsg::DecodeFrom(d, 16).ok();
   });
+  ExpectMutationsVisible(body, [](Decoder& d, Bytes* out) {
+    Result<PaxosViewChangeMsg> decoded = PaxosViewChangeMsg::DecodeFrom(d, 16);
+    if (decoded.ok()) *out = Body(decoded->ToMessage(), kPaxViewChange);
+    return decoded.ok();
+  });
 
   PaxosNewViewMsg nv;
   nv.new_view = 2;
   nv.stable_seq = 10;
   PaxosNewViewEntry nv_entry;
   nv_entry.seq = 11;
-  nv_entry.batch = SampleBatch().Encode();
+  nv_entry.digest = FillDigest(0x42);
   nv.entries.push_back(nv_entry);
   const Bytes nv_body = Body(nv.ToMessage(), kPaxNewView);
   Decoder dec(nv_body);
   Result<PaxosNewViewMsg> nv_out = PaxosNewViewMsg::DecodeFrom(dec, 16);
   ASSERT_TRUE(nv_out.ok());
   ASSERT_EQ(nv_out.value().entries.size(), 1u);
+  EXPECT_EQ(nv_out.value().entries[0].seq, 11u);
+  EXPECT_EQ(nv_out.value().entries[0].digest, nv_entry.digest);
   {
     Decoder bounded(nv_body);
     EXPECT_FALSE(PaxosNewViewMsg::DecodeFrom(bounded, 0).ok());
   }
+  ExpectPrefixesRejected(nv_body, [](Decoder& d) {
+    return PaxosNewViewMsg::DecodeFrom(d, 16).ok();
+  });
+  ExpectMutationsVisible(nv_body, [](Decoder& d, Bytes* out) {
+    Result<PaxosNewViewMsg> decoded = PaxosNewViewMsg::DecodeFrom(d, 16);
+    if (decoded.ok()) *out = Body(decoded->ToMessage(), kPaxNewView);
+    return decoded.ok();
+  });
+}
+
+TEST_F(MessagesTest, BatchFetchRoundTripTruncationAndMutation) {
+  BatchRequestMsg request;
+  request.wanted = {{7, FillDigest(0x51)}, {9, FillDigest(0x52)}};
+  const Bytes request_body =
+      Body(request.ToMessage(kSmBatchRequest), kSmBatchRequest);
+  {
+    Decoder dec(request_body);
+    Result<BatchRequestMsg> out = BatchRequestMsg::DecodeFrom(dec, 4);
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out->wanted.size(), 2u);
+    EXPECT_EQ(out->wanted[1].seq, 9u);
+    EXPECT_EQ(out->wanted[1].digest, FillDigest(0x52));
+  }
+  {
+    Decoder bounded(request_body);
+    EXPECT_FALSE(BatchRequestMsg::DecodeFrom(bounded, 1).ok());
+  }
+  ExpectPrefixesRejected(request_body, [](Decoder& d) {
+    return BatchRequestMsg::DecodeFrom(d, 4).ok();
+  });
+  ExpectMutationsVisible(request_body, [](Decoder& d, Bytes* out) {
+    Result<BatchRequestMsg> decoded = BatchRequestMsg::DecodeFrom(d, 4);
+    if (decoded.ok()) {
+      *out = Body(decoded->ToMessage(kSmBatchRequest), kSmBatchRequest);
+    }
+    return decoded.ok();
+  });
+
+  BatchResponseMsg response;
+  response.batches = {{7, SampleBatch().Encode()}, {9, Batch::Noop().Encode()}};
+  const Bytes response_body =
+      Body(response.ToMessage(kPaxBatchResponse), kPaxBatchResponse);
+  {
+    Decoder dec(response_body);
+    Result<BatchResponseMsg> out = BatchResponseMsg::DecodeFrom(dec, 4);
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out->batches.size(), 2u);
+    EXPECT_EQ(out->batches[0].seq, 7u);
+    EXPECT_EQ(out->batches[0].batch, response.batches[0].batch);
+  }
+  {
+    Decoder bounded(response_body);
+    EXPECT_FALSE(BatchResponseMsg::DecodeFrom(bounded, 1).ok());
+  }
+  {
+    Bytes padded = response_body;
+    padded.push_back(0x00);
+    Decoder dec(padded);
+    EXPECT_FALSE(BatchResponseMsg::DecodeFrom(dec, 4).ok());
+  }
+  ExpectPrefixesRejected(response_body, [](Decoder& d) {
+    return BatchResponseMsg::DecodeFrom(d, 4).ok();
+  });
+  ExpectMutationsVisible(response_body, [](Decoder& d, Bytes* out) {
+    Result<BatchResponseMsg> decoded = BatchResponseMsg::DecodeFrom(d, 4);
+    if (decoded.ok()) {
+      *out = Body(decoded->ToMessage(kPaxBatchResponse), kPaxBatchResponse);
+    }
+    return decoded.ok();
+  });
+}
+
+TEST_F(MessagesTest, ViewChangeEntriesHaveOneSizeWhateverTheBatch) {
+  // A one-request batch and a 2000-request batch of 1 KB requests.
+  Batch large;
+  for (int i = 0; i < 2000; ++i) {
+    Request request = SampleBatch().requests[0];
+    request.timestamp = static_cast<uint64_t>(i + 1);
+    request.op = Bytes(1024, static_cast<uint8_t>(i));
+    large.requests.push_back(std::move(request));
+  }
+  const Digest small_digest = Digest::Of(SampleBatch().Encode());
+  const Digest large_digest = Digest::Of(large.Encode());
+  const Signature sig = signer_.Sign(Bytes{7});
+
+  const auto sm_vc_entry = [&](const Digest& digest) {
+    Encoder enc;
+    SmVcEntry{SeeMoReMode::kLion, 3, 40, digest, sig}.EncodeTo(enc);
+    return enc.size();
+  };
+  const auto sm_nv_entry = [&](const Digest& digest) {
+    Encoder enc;
+    SmNewViewEntry{4, 40, digest, sig}.EncodeTo(enc);
+    return enc.size();
+  };
+  const auto proof = [&](const Digest& digest) {
+    PreparedProof p;
+    p.view = 3;
+    p.seq = 40;
+    p.digest = digest;
+    p.primary_sig = sig;
+    p.prepares = {{1, sig}, {2, sig}};
+    Encoder enc;
+    p.EncodeTo(enc);
+    EXPECT_EQ(enc.size(), p.EncodedSize());
+    return enc.size();
+  };
+  const auto paxos_vc_entry = [&](const Digest& digest) {
+    Encoder enc;
+    PaxosVcEntry{40, 3, digest}.EncodeTo(enc);
+    return enc.size();
+  };
+  const auto paxos_nv_entry = [&](const Digest& digest) {
+    Encoder enc;
+    PaxosNewViewEntry{40, digest}.EncodeTo(enc);
+    return enc.size();
+  };
+  // mode, view, seq, digest, sig.
+  EXPECT_EQ(sm_vc_entry(small_digest), 1 + 8 + 8 + 32 + 32u);
+  EXPECT_EQ(sm_vc_entry(large_digest), sm_vc_entry(small_digest));
+  EXPECT_EQ(sm_nv_entry(small_digest), 8 + 8 + 32 + 32u);
+  EXPECT_EQ(sm_nv_entry(large_digest), sm_nv_entry(small_digest));
+  // ... plus a count and (voter, sig) per prepare.
+  EXPECT_EQ(proof(small_digest), 1 + 8 + 8 + 32 + 32 + 1 + 2 * 36u);
+  EXPECT_EQ(proof(large_digest), proof(small_digest));
+  EXPECT_EQ(paxos_vc_entry(small_digest), 8 + 8 + 32u);
+  EXPECT_EQ(paxos_vc_entry(large_digest), paxos_vc_entry(small_digest));
+  EXPECT_EQ(paxos_nv_entry(small_digest), 8 + 32u);
+  EXPECT_EQ(paxos_nv_entry(large_digest), paxos_nv_entry(small_digest));
+
+  // Whole messages: the same entries naming either batch, the same size.
+  const auto sm_view_change_size = [&](const Digest& digest) {
+    SmViewChangeMsg msg;
+    msg.new_view = 4;
+    msg.cert = CheckpointCert::Genesis();
+    for (uint64_t seq = 1; seq <= 100; ++seq) {
+      msg.prepares.push_back(
+          SmVcEntry{SeeMoReMode::kLion, 3, seq, digest, sig});
+      msg.commits.push_back(
+          SmVcEntry{SeeMoReMode::kLion, 3, seq, digest, sig});
+    }
+    return msg.ToMessage().size();
+  };
+  EXPECT_EQ(sm_view_change_size(large_digest),
+            sm_view_change_size(small_digest));
+  EXPECT_LE(sm_view_change_size(large_digest), 64 + 200 * 81u);
 }
 
 TEST_F(MessagesTest, DispatchTypedRoutesAndDropsMalformed) {
@@ -1067,6 +1297,14 @@ TEST_F(MessagesTest, TypedMessageFuzzNeverCrashes) {
     {
       Decoder dec(garbage);
       (void)PaxosNewViewMsg::DecodeFrom(dec, 64);
+    }
+    {
+      Decoder dec(garbage);
+      (void)BatchRequestMsg::DecodeFrom(dec, 64);
+    }
+    {
+      Decoder dec(garbage);
+      (void)BatchResponseMsg::DecodeFrom(dec, 64);
     }
   }
   SUCCEED();
