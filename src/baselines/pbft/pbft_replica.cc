@@ -198,7 +198,9 @@ void PbftCoreReplica::HandlePrePrepare(PrincipalId from, PbftPrePrepareMsg msg) 
   }
 
   SlotCore& slot = log_.Slot(msg.seq);
-  if (slot.has_batch()) {
+  // A slot a NEW-VIEW installed without its batch already holds this view's
+  // digest and has voted for it.
+  if (slot.has_proposal()) {
     // Equivocation defense: at most one pre-prepare per (view, seq).
     if (slot.view == msg.view && slot.digest != msg.digest) return;
     if (slot.digest == msg.digest) return;  // duplicate

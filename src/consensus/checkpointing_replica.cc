@@ -120,8 +120,10 @@ void CheckpointingReplica::Reclaim(uint64_t seq) {
   log_.Reclaim(seq);
   wanted_batches_.erase(wanted_batches_.begin(),
                         wanted_batches_.upper_bound(seq));
-  spare_batches_.erase(spare_batches_.begin(),
-                       spare_batches_.upper_bound(seq));
+  while (!spare_batches_.empty() &&
+         spare_batches_.begin()->first.first <= seq) {
+    spare_batches_.erase(spare_batches_.begin());
+  }
 }
 
 void CheckpointingReplica::RequestStateFrom(PrincipalId target) {
@@ -169,8 +171,9 @@ void CheckpointingReplica::InstallSnapshot(uint64_t seq, const Digest& digest,
   Reclaim(seq);
 }
 
-bool CheckpointingReplica::DispatchBatchFetch(uint8_t tag, PrincipalId from,
-                                              Decoder& dec) {
+bool CheckpointingReplica::HandleBatchFetch(
+    uint8_t tag, PrincipalId from, Decoder& dec,
+    std::vector<FetchedBatch>* fetched) {
   const uint64_t max_entries = window_ + 1;
   if (tag == tags_.batch_request) {
     Result<BatchRequestMsg> msg = BatchRequestMsg::DecodeFrom(dec, max_entries);
@@ -178,7 +181,7 @@ bool CheckpointingReplica::DispatchBatchFetch(uint8_t tag, PrincipalId from,
   } else if (tag == tags_.batch_response) {
     Result<BatchResponseMsg> msg =
         BatchResponseMsg::DecodeFrom(dec, max_entries);
-    if (msg.ok()) HandleBatchResponse(std::move(msg).value());
+    if (msg.ok()) HandleBatchResponse(std::move(msg).value(), fetched);
   } else {
     return false;
   }
@@ -193,17 +196,14 @@ const Batch* CheckpointingReplica::LocalBatch(uint64_t seq,
   if (slot != nullptr && slot->has_batch() && slot->digest == digest) {
     return &slot->batch;
   }
-  auto spare = spare_batches_.find(seq);
-  if (spare != spare_batches_.end() && spare->second.first == digest) {
-    return &spare->second.second;
-  }
-  return nullptr;
+  auto spare = spare_batches_.find({seq, digest});
+  return spare == spare_batches_.end() ? nullptr : &spare->second;
 }
 
 void CheckpointingReplica::KeepSpareBatch(uint64_t seq, const Digest& digest,
                                           Batch batch) {
   if (seq <= ckpt_.stable_seq()) return;
-  spare_batches_[seq] = {digest, std::move(batch)};
+  spare_batches_.try_emplace({seq, digest}, std::move(batch));
 }
 
 bool CheckpointingReplica::TakeSpareBatch(uint64_t seq, const Digest& digest,
@@ -212,88 +212,66 @@ bool CheckpointingReplica::TakeSpareBatch(uint64_t seq, const Digest& digest,
     *out = Batch::Noop();
     return true;
   }
-  auto spare = spare_batches_.find(seq);
-  if (spare == spare_batches_.end() || spare->second.first != digest) {
-    return false;
-  }
-  *out = std::move(spare->second.second);
+  auto spare = spare_batches_.find({seq, digest});
+  if (spare == spare_batches_.end()) return false;
+  *out = std::move(spare->second);
   spare_batches_.erase(spare);
   return true;
 }
 
 void CheckpointingReplica::FetchBatch(uint64_t seq, const Digest& digest,
                                       std::vector<PrincipalId> vouchers) {
+  if (vouchers.empty()) return;
   auto [it, fresh] = wanted_batches_.try_emplace(seq);
   WantedBatch& want = it->second;
   if (fresh || want.digest != digest) {
     want = WantedBatch{digest, std::move(vouchers)};
   } else {
-    want.vouchers = std::move(vouchers);  // keeps its turn and last ask
+    want.vouchers = std::move(vouchers);  // keeps its turn
   }
-  // Round at the end of this dispatch, so one request per voucher covers
-  // every batch the handler found missing.
-  ScheduleBatchFetch(0);
+  // With no round due, one runs at the end of this dispatch, so one request
+  // per voucher covers every batch the handler found missing.
+  if (batch_fetch_timer_ == 0) StartFetchRounds(0);
 }
 
-void CheckpointingReplica::ScheduleBatchFetch(SimTime delay) {
-  const SimTime at = now() + delay;
-  // A live timer due no later keeps its turn (after a crash the stale one
-  // is in the past and is replaced).
-  if (batch_fetch_timer_ != 0 && batch_fetch_at_ >= now() &&
-      batch_fetch_at_ <= at) {
-    return;
-  }
-  CancelTimer(batch_fetch_timer_);
-  batch_fetch_at_ = at;
+void CheckpointingReplica::StartFetchRounds(SimTime delay) {
   batch_fetch_timer_ = StartTimer(delay, [this] {
     batch_fetch_timer_ = 0;
     RequestMissingBatches();
   });
 }
 
+void CheckpointingReplica::OnRecover() {
+  batch_fetch_timer_ = 0;
+  if (!wanted_batches_.empty()) StartFetchRounds(kFetchInterval);
+}
+
 void CheckpointingReplica::RequestMissingBatches() {
-  // Each missing batch is asked of its next voucher at most once per
-  // interval, and each voucher is asked at most once per interval, for
-  // every batch due from it.
   std::map<PrincipalId, BatchRequestMsg> requests;
-  SimTime next_round = kFetchInterval;
   for (auto it = wanted_batches_.begin(); it != wanted_batches_.end();) {
-    const uint64_t seq = it->first;
     WantedBatch& want = it->second;
-    if (LocalBatch(seq, want.digest) != nullptr) {
+    if (LocalBatch(it->first, want.digest) != nullptr) {
       it = wanted_batches_.erase(it);
       continue;
     }
+    // A full request leaves the batch to the next round, same voucher.
+    BatchRequestMsg& request =
+        requests[want.vouchers[want.next % want.vouchers.size()]];
+    if (request.wanted.size() < kMaxBatchesPerFetch) {
+      request.wanted.push_back(BatchRef{it->first, want.digest});
+      ++want.next;
+    }
     ++it;
-    if (want.vouchers.empty()) continue;
-    const PrincipalId target = want.vouchers[want.next % want.vouchers.size()];
-    auto request = requests.find(target);
-    SimTime ready = want.asked_at + kFetchInterval;
-    if (request == requests.end()) {
-      auto asked = last_batch_ask_.find(target);
-      if (asked != last_batch_ask_.end()) {
-        ready = std::max(ready, asked->second + kFetchInterval);
-      }
-    } else if (request->second.wanted.size() >= kMaxBatchesPerFetch) {
-      ready = now() + kFetchInterval;
-    }
-    if (ready > now()) {
-      next_round = std::min(next_round, ready - now());
-      continue;
-    }
-    if (request == requests.end()) request = requests.try_emplace(target).first;
-    request->second.wanted.push_back(BatchRef{seq, want.digest});
-    want.asked_at = now();
-    ++want.next;
   }
   for (const auto& [target, request] : requests) {
-    last_batch_ask_[target] = now();
     ++stats_.batch_fetches;
     SendTo(target, request.ToMessage(tags_.batch_request));
   }
-  // Retry what this round leaves missing once our own backlog has drained
-  // (a response cannot be handled before that anyway).
-  if (!wanted_batches_.empty()) ScheduleBatchFetch(next_round + CpuBacklog());
+  // The next round waits for our own backlog too: a response cannot be
+  // handled before it drains.
+  if (!wanted_batches_.empty()) {
+    StartFetchRounds(kFetchInterval + CpuBacklog());
+  }
 }
 
 void CheckpointingReplica::HandleBatchRequest(PrincipalId from,
@@ -304,16 +282,16 @@ void CheckpointingReplica::HandleBatchRequest(PrincipalId from,
   for (const BatchRef& ref : msg.wanted) {
     if (response.batches.size() >= kMaxBatchesPerFetch) break;
     const Batch* batch = LocalBatch(ref.seq, ref.digest);
-    if (batch != nullptr) {
-      response.batches.push_back({ref.seq, batch->Encode()});
-    }
+    // The requester asks again for what does not fit.
+    if (batch != nullptr && !response.Add(ref.seq, batch->Encode())) break;
   }
   if (response.batches.empty()) return;
   last->second = now();
   SendTo(from, response.ToMessage(tags_.batch_response));
 }
 
-void CheckpointingReplica::HandleBatchResponse(BatchResponseMsg msg) {
+void CheckpointingReplica::HandleBatchResponse(
+    BatchResponseMsg msg, std::vector<FetchedBatch>* fetched) {
   for (BatchResponseMsg::Entry& entry : msg.batches) {
     auto want = wanted_batches_.find(entry.seq);
     if (want == wanted_batches_.end()) continue;  // not (or no longer) needed
@@ -327,16 +305,11 @@ void CheckpointingReplica::HandleBatchResponse(BatchResponseMsg msg) {
       ++stats_.batch_fetch_rejects;
       continue;
     }
-    const Digest digest = want->second.digest;
+    fetched->push_back(
+        FetchedBatch{entry.seq, want->second.digest, std::move(batch).value()});
     wanted_batches_.erase(want);
     ++stats_.batches_fetched;
-    OnBatchFetched(entry.seq, digest, std::move(batch).value());
   }
-}
-
-void CheckpointingReplica::OnBatchFetched(uint64_t seq, const Digest& digest,
-                                          Batch batch) {
-  KeepSpareBatch(seq, digest, std::move(batch));
 }
 
 void CheckpointingReplica::OnDurableRestore(const RecoveredImage& image) {

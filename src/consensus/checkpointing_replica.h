@@ -50,10 +50,12 @@ class CheckpointingReplica : public ReplicaBase {
     uint8_t batch_response;
   };
 
-  /// At most one state request and one batch request per this interval, so
-  /// a lost response delays recovery but cannot wedge it.
+  /// At most one state request, and one batch-fetch round (one request per
+  /// voucher), per this interval, so a lost response delays recovery but
+  /// cannot wedge it.
   static constexpr SimTime kFetchInterval = Millis(20);
-  /// Batches one BATCH-REQUEST asks for (and one response carries).
+  /// Batches one BATCH-REQUEST asks for; a response carries at most these,
+  /// and fewer when they would pass BatchResponseMsg::kMaxBytes.
   static constexpr size_t kMaxBatchesPerFetch = 128;
 
   CheckpointingReplica(Transport* transport, TimerService* timers,
@@ -96,31 +98,39 @@ class CheckpointingReplica : public ReplicaBase {
   void OnDurableRestore(const RecoveredImage& image) override;
 
   // ----- batch fetch -----
+  /// A fetched batch that hashed to the digest asked for at `seq`.
+  struct FetchedBatch {
+    uint64_t seq;
+    Digest digest;
+    Batch batch;
+  };
   /// Handles a BATCH-REQUEST or BATCH-RESPONSE (the decoder is past the tag
-  /// byte); returns false for any other tag.
-  bool DispatchBatchFetch(uint8_t tag, PrincipalId from, Decoder& dec);
+  /// byte): answers a request, and appends to `fetched` every batch a
+  /// response delivers (its fetch is over; the caller places it). Returns
+  /// false for any other tag.
+  bool HandleBatchFetch(uint8_t tag, PrincipalId from, Decoder& dec,
+                        std::vector<FetchedBatch>* fetched);
   /// The batch this replica holds for `digest` at `seq`: its log slot's, a
   /// spare, or the no-op (held by everyone). Null when it holds none.
   const Batch* LocalBatch(uint64_t seq, const Digest& digest);
   /// Keeps `batch` outside the log until a re-proposal of `digest` at `seq`
-  /// takes it or a stable checkpoint passes `seq`.
+  /// takes it or a stable checkpoint passes `seq`. Spares of different
+  /// digests at one seq live side by side.
   void KeepSpareBatch(uint64_t seq, const Digest& digest, Batch batch);
   /// Moves the spare (or the no-op) for `digest` at `seq` into `out`;
   /// false when there is none.
   bool TakeSpareBatch(uint64_t seq, const Digest& digest, Batch* out);
-  /// Fetch the batch `digest` names at `seq` from `vouchers` in turn: a
-  /// batch still missing kFetchInterval after an ask goes to its next
-  /// voucher, and each voucher gets at most one request (for every batch
-  /// due from it) per kFetchInterval. A fetch ends when the batch arrives,
-  /// is held some other way, or a stable checkpoint passes `seq`.
+  /// Fetch the batch `digest` names at `seq` from `vouchers` in turn. One
+  /// round runs per kFetchInterval while any batch is missing: each missing
+  /// batch is asked of its next voucher, in one request per voucher. A
+  /// fetch ends when the batch arrives, is held some other way, or a stable
+  /// checkpoint passes `seq`. Without vouchers there is no one to ask.
   void FetchBatch(uint64_t seq, const Digest& digest,
                   std::vector<PrincipalId> vouchers);
   /// Drops every fetch under way.
   void CancelBatchFetches() { wanted_batches_.clear(); }
-  /// A fetched batch hashed to the digest asked for at `seq`. By default it
-  /// is kept as a spare.
-  virtual void OnBatchFetched(uint64_t seq, const Digest& digest,
-                              Batch batch);
+  /// Crash() killed the fetch timer: resume the rounds an interval on.
+  void OnRecover() override;
 
   bool IsReplicaId(PrincipalId r) const { return r >= 0 && r < config_.n(); }
   /// Is `seq` inside the agreement window above the stable checkpoint?
@@ -145,10 +155,12 @@ class CheckpointingReplica : public ReplicaBase {
   void Reclaim(uint64_t seq);
 
   void HandleBatchRequest(PrincipalId from, BatchRequestMsg msg);
-  void HandleBatchResponse(BatchResponseMsg msg);
-  /// One fetch round (FetchBatch), then a retry for what it leaves missing.
+  void HandleBatchResponse(BatchResponseMsg msg,
+                           std::vector<FetchedBatch>* fetched);
+  /// One fetch round (FetchBatch); the next is due kFetchInterval on while
+  /// any batch is still missing.
   void RequestMissingBatches();
-  void ScheduleBatchFetch(SimTime delay);
+  void StartFetchRounds(SimTime delay);
 
   const CoreTags tags_;
   SimTime last_state_request_ = -Seconds(1);
@@ -157,14 +169,10 @@ class CheckpointingReplica : public ReplicaBase {
     Digest digest;
     std::vector<PrincipalId> vouchers;
     size_t next = 0;  // the voucher the next ask goes to
-    SimTime asked_at = -Seconds(1);
   };
   std::map<uint64_t, WantedBatch> wanted_batches_;
-  std::map<uint64_t, std::pair<Digest, Batch>> spare_batches_;
-  /// When each voucher was last asked.
-  std::map<PrincipalId, SimTime> last_batch_ask_;
-  EventId batch_fetch_timer_ = 0;
-  SimTime batch_fetch_at_ = 0;  // when that timer fires
+  std::map<std::pair<uint64_t, Digest>, Batch> spare_batches_;
+  EventId batch_fetch_timer_ = 0;  // the next round; 0 when none is due
   /// Per-peer rate limit on answering BATCH-REQUESTs: the request is
   /// unsigned and a response can be large, so a Byzantine peer gets at most
   /// one answer per kFetchInterval.

@@ -298,6 +298,32 @@ class ViewChangingReplica : public CheckpointingReplica {
     return slot;
   }
 
+  /// Handles a BATCH-REQUEST or BATCH-RESPONSE (the decoder is past the tag
+  /// byte); false for any other tag. Each fetched batch goes into the slot
+  /// awaiting it, whose entry then resumes, or else stays a spare for the
+  /// NEW-VIEW this replica waits to form, which is tried once per response.
+  bool DispatchBatchFetch(uint8_t tag, PrincipalId from, Decoder& dec) {
+    std::vector<FetchedBatch> fetched;
+    if (!HandleBatchFetch(tag, from, dec, &fetched)) return false;
+    if (fetched.empty()) return true;
+    bool resumed = false;
+    for (FetchedBatch& batch : fetched) {
+      SlotCore* slot = log_.Find(batch.seq);
+      if (slot != nullptr && slot->awaiting_batch &&
+          slot->digest == batch.digest) {
+        slot->batch = std::move(batch.batch);
+        log_.SetHasBatch(*slot, true);
+        ResumeReproposal(batch.seq, *slot);
+        resumed = true;
+      } else {
+        KeepSpareBatch(batch.seq, batch.digest, std::move(batch.batch));
+      }
+    }
+    if (resumed && log_.UncommittedSlots() > 0) ArmViewTimer();
+    if (awaiting_new_view_ != 0) MaybeFormNewView(awaiting_new_view_);
+    return true;
+  }
+
   /// Sends a VIEW-CHANGE or NEW-VIEW frame naming `entries` signed entries
   /// to every other replica, counting it in the stats.
   void MulticastViewChangeFrame(const Payload& frame, uint64_t entries) {
@@ -326,22 +352,6 @@ class ViewChangingReplica : public CheckpointingReplica {
   PrimaryPipeline pipeline_;
 
  private:
-  /// A fetched batch: into the slot awaiting it (then resume that entry),
-  /// else kept as a spare for the NEW-VIEW this replica waits to form.
-  void OnBatchFetched(uint64_t seq, const Digest& digest,
-                      Batch batch) override {
-    SlotCore* slot = log_.Find(seq);
-    if (slot != nullptr && slot->awaiting_batch && slot->digest == digest) {
-      slot->batch = std::move(batch);
-      log_.SetHasBatch(*slot, true);
-      ResumeReproposal(seq, *slot);
-      if (log_.UncommittedSlots() > 0) ArmViewTimer();
-      return;
-    }
-    KeepSpareBatch(seq, digest, std::move(batch));
-    if (awaiting_new_view_ != 0) MaybeFormNewView(awaiting_new_view_);
-  }
-
   /// `first`, then every sender of `records` that names `digest` at `seq`;
   /// each once, and never this replica.
   std::vector<PrincipalId> Vouchers(const Records& records, uint64_t seq,

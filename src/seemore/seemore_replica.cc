@@ -298,7 +298,9 @@ void SeeMoReReplica::HandlePrepare(PrincipalId from, SmPrepareMsg msg) {
   }
 
   SlotCore& slot = log_.Slot(msg.seq);
-  if (slot.has_batch()) {
+  // A slot a NEW-VIEW installed without its batch already holds this view's
+  // digest and has voted for it.
+  if (slot.has_proposal()) {
     // At most one proposal per (view, seq): equivocation defense.
     if (slot.view == msg.view && slot.digest != msg.digest) return;
     if (slot.view == msg.view && slot.digest == msg.digest) return;  // dup

@@ -366,6 +366,24 @@ void BatchResponseMsg::EncodeTo(Encoder& enc) const {
   }
 }
 
+bool BatchResponseMsg::Add(uint64_t seq, Bytes batch) {
+  const size_t entry_bytes = 8 + VarintSize(batch.size()) + batch.size();
+  // The count's varint may grow by a byte too.
+  if (!batches.empty() && EncodedSize() + entry_bytes + 1 > kMaxBytes) {
+    return false;
+  }
+  batches.push_back({seq, std::move(batch)});
+  return true;
+}
+
+size_t BatchResponseMsg::EncodedSize() const {
+  size_t size = VarintSize(batches.size());
+  for (const Entry& entry : batches) {
+    size += 8 + VarintSize(entry.batch.size()) + entry.batch.size();
+  }
+  return size;
+}
+
 Result<BatchResponseMsg> BatchResponseMsg::DecodeFrom(Decoder& dec,
                                                       uint64_t max_entries) {
   BatchResponseMsg msg;

@@ -399,11 +399,21 @@ struct BatchRequestMsg {
 /// Raw: the receiver charges the hash and accepts a batch only if it hashes
 /// to the digest it asked for at that seq.
 struct BatchResponseMsg {
+  /// The encoded size a responder keeps a response under: well inside what
+  /// the tcp backend carries (a 16 MiB frame limit, an 8 MiB queue per
+  /// peer). The requester asks again for the batches that did not fit.
+  static constexpr size_t kMaxBytes = 4u << 20;
+
   struct Entry {
     uint64_t seq = 0;
     Bytes batch;  // encoded Batch
   };
   std::vector<Entry> batches;
+
+  /// Appends `batch` at `seq` unless the encoded response would then pass
+  /// kMaxBytes; a first batch always goes in. False when it was refused.
+  bool Add(uint64_t seq, Bytes batch);
+  size_t EncodedSize() const;
 
   void EncodeTo(Encoder& enc) const;
   static Result<BatchResponseMsg> DecodeFrom(Decoder& dec,

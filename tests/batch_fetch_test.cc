@@ -38,6 +38,24 @@ std::vector<uint64_t> AwaitingSeqs(Cluster& cluster, int i) {
   return seqs;
 }
 
+/// Replica `i`'s slot at `seq`, or null.
+const SlotCore* SlotAt(Cluster& cluster, int i, uint64_t seq) {
+  const SlotCore* found = nullptr;
+  Core(cluster, i).instance_log().ForEachAscending(
+      [&](uint64_t s, const SlotCore& slot) {
+        if (s == seq) found = &slot;
+      });
+  return found;
+}
+
+uint64_t EquivocationsDetected(Cluster& cluster) {
+  uint64_t total = 0;
+  for (int i = 0; i < cluster.n(); ++i) {
+    total += cluster.replica(i)->stats().equivocations_detected;
+  }
+  return total;
+}
+
 struct FetchCase {
   std::string name;
   scenario::ScenarioSpec spec;
@@ -187,6 +205,70 @@ TEST_P(BatchFetchTest, RequestsStayWithinTheRateLimit) {
   EXPECT_TRUE(agreement.ok()) << agreement.ToString();
 }
 
+TEST_P(BatchFetchTest, ConflictingProposalForAnAwaitingSlotIsRefused) {
+  const FetchCase& c = GetParam();
+  CutThenCrashPrimary();
+  ASSERT_TRUE(RunUntilAwaiting(Millis(400)));
+  const PrincipalId primary =
+      CurrentPrimary(*cluster_->replica(c.backup), cluster_->config());
+  if (c.spec.protocol == ProtocolKind::kCft ||
+      (c.spec.protocol == ProtocolKind::kSeeMoRe &&
+       cluster_->config().IsTrusted(primary))) {
+    GTEST_SKIP() << "in the fault model this primary does not equivocate";
+  }
+  // The slot already names this view's digest and the backup has voted for
+  // it. A Byzantine new primary now proposes another batch at that seq, in
+  // the same view, to the backup alone.
+  const uint64_t seq = AwaitingSeqs(*cluster_, c.backup).front();
+  const Digest named = SlotAt(*cluster_, c.backup, seq)->digest;
+  const uint64_t view = ViewOf(*cluster_, c.backup);
+  const Signer signer(primary, cluster_->keystore());
+  const Bytes other = Batch::Noop().Encode();
+  ASSERT_NE(Digest::Of(other), named);
+  Bytes proposal;
+  if (c.spec.protocol == ProtocolKind::kSeeMoRe) {
+    SmPrepareMsg prepare;
+    prepare.mode = static_cast<uint8_t>(cluster_->seemore(c.backup)->mode());
+    prepare.view = view;
+    prepare.seq = seq;
+    prepare.batch = other;
+    prepare.digest = Digest::Of(other);
+    prepare.sig = signer.Sign(prepare.Header());
+    proposal = prepare.ToMessage();
+  } else {
+    PbftPrePrepareMsg pre_prepare{view, seq, Digest::Of(other), Signature(),
+                                  other};
+    pre_prepare.sig = signer.Sign(pre_prepare.Header());
+    proposal = pre_prepare.ToMessage();
+  }
+  // Meanwhile nothing else reaches the backup and the primary answers no
+  // fetch, so the slot still awaits its batch when the proposal lands.
+  FaultPlane& faults = cluster_->net().faults();
+  for (int i = 0; i < cluster_->n(); ++i) {
+    if (i != c.backup && i != primary) faults.CutLink(i, c.backup);
+  }
+  cluster_->SetByzantine(primary, kByzSilent);
+  const uint64_t equivocations = EquivocationsDetected(*cluster_);
+  cluster_->net().Send(primary, c.backup, proposal);
+  cluster_->sim().RunUntil(cluster_->sim().now() + Millis(5));
+
+  // Refused: the slot still names the first digest, and no one (the backup
+  // included) saw the backup vote twice at that (view, seq).
+  const SlotCore* slot = SlotAt(*cluster_, c.backup, seq);
+  ASSERT_NE(slot, nullptr);
+  EXPECT_EQ(slot->digest, named);
+  EXPECT_EQ(slot->view, view);
+  EXPECT_TRUE(slot->awaiting_batch);
+  EXPECT_EQ(EquivocationsDetected(*cluster_), equivocations);
+  cluster_->SetByzantine(primary, 0);
+  for (int i = 0; i < cluster_->n(); ++i) {
+    if (i != c.backup && i != primary) faults.RestoreLink(i, c.backup);
+  }
+  cluster_->sim().RunUntil(Millis(500));
+  EXPECT_TRUE(AwaitingSeqs(*cluster_, c.backup).empty());
+  ExpectConverged();
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Protocols, BatchFetchTest, ::testing::ValuesIn(Cases()),
     [](const ::testing::TestParamInfo<FetchCase>& info) {
@@ -231,6 +313,128 @@ TEST(BatchFetchVoucherTest, FirstVoucherCrashedSecondAnswers) {
     for (int i = 2; i < cluster.n(); ++i) live.push_back(i);
     const Status converged = cluster.CheckConvergence(live);
     EXPECT_TRUE(converged.ok()) << converged.ToString();
+  }
+}
+
+/// A view change while a batch is awaited: nothing the backup sends gets
+/// out, so its fetch goes unanswered, and the new primary dies too. View
+/// 2's NEW-VIEW re-proposes what the backup awaited; it installs each entry
+/// with that digest's batch or awaits it again, fetches it once its links
+/// are back, and converges.
+TEST(BatchFetchVoucherTest, ViewChangeWhileAwaitingRefetchesAndConverges) {
+  Cluster cluster(SeeMoReSpec(SeeMoReMode::kLion, 2, 1, 5));
+  const int backup = 5;
+  for (int i = 0; i < 8; ++i) {
+    cluster.AddClient()->Start(KvWorkload(600 + i, 64, 0.5));
+  }
+  cluster.sim().RunUntil(Millis(60));
+  cluster.net().faults().CutLink(0, backup);
+  cluster.sim().RunUntil(Millis(63));
+  cluster.Crash(0);
+  while (AwaitingSeqs(cluster, backup).empty()) {
+    ASSERT_LT(cluster.sim().now(), Millis(400));
+    ASSERT_TRUE(cluster.sim().Step());
+  }
+  const std::vector<uint64_t> awaited = AwaitingSeqs(cluster, backup);
+  FaultPlane& faults = cluster.net().faults();
+  for (int i = 0; i < cluster.n(); ++i) {
+    if (i != backup) faults.CutLink(backup, i);
+  }
+  cluster.Crash(1);
+  while (ViewOf(cluster, backup) < 2) {
+    ASSERT_LT(cluster.sim().now(), Millis(1000));
+    ASSERT_TRUE(cluster.sim().Step());
+  }
+  // Every slot the backup holds a batch for holds that digest's batch.
+  size_t reinstalled = 0;
+  for (uint64_t seq : awaited) {
+    const SlotCore* slot = SlotAt(cluster, backup, seq);
+    if (slot == nullptr) continue;
+    ++reinstalled;
+    if (slot->has_batch()) {
+      EXPECT_EQ(slot->batch.ComputeDigest(), slot->digest) << "seq " << seq;
+    }
+  }
+  EXPECT_GT(reinstalled, 0u);
+
+  for (int i = 0; i < cluster.n(); ++i) {
+    if (i != backup) faults.RestoreLink(backup, i);
+  }
+  cluster.sim().RunUntil(cluster.sim().now() + Millis(300));
+  for (int i = 0; i < cluster.num_clients(); ++i) cluster.client(i)->Stop();
+  cluster.sim().RunUntil(cluster.sim().now() + Millis(400));
+  const Status agreement = cluster.CheckAgreement();
+  EXPECT_TRUE(agreement.ok()) << agreement.ToString();
+  std::vector<int> live;
+  for (int i = 2; i < cluster.n(); ++i) live.push_back(i);
+  const Status converged = cluster.CheckConvergence(live);
+  EXPECT_TRUE(converged.ok()) << converged.ToString();
+}
+
+/// The NEW-VIEW authority's own uncommitted slot holds another digest at a
+/// seq whose prepared digest it re-proposes: PBFT's old primary sent the
+/// authority (replica 1) a different batch for the seqs it then prepared at
+/// the others. The authority fetches the prepared batch before it signs and
+/// keeps it next to its own, so it installs the re-proposal with its batch,
+/// executes it and converges.
+TEST(BatchFetchAuthorityTest, OwnSlotHoldsAnotherDigestThanItReproposes) {
+  Cluster cluster(BftSpec(1, 3));
+  for (int i = 0; i < 8; ++i) {
+    cluster.AddClient()->Start(KvWorkload(500 + i, 64, 0.5));
+  }
+  cluster.sim().RunUntil(Millis(60));
+  // The authority hears the old primary only through these forged
+  // proposals for the next seqs it will assign, and then not at all.
+  uint64_t held = 0;
+  Core(cluster, 1).instance_log().ForEachAscending(
+      [&](uint64_t seq, const SlotCore& slot) {
+        if (slot.has_proposal()) held = std::max(held, seq);
+      });
+  const Signer old_primary(0, cluster.keystore());
+  const Bytes noop = Batch::Noop().Encode();
+  std::vector<uint64_t> forged;
+  for (uint64_t seq = held + 1; seq <= held + 8; ++seq) {
+    PbftPrePrepareMsg pre_prepare{0, seq, Digest::Of(noop), Signature(),
+                                  noop};
+    pre_prepare.sig = old_primary.Sign(pre_prepare.Header());
+    cluster.net().Send(0, 1, pre_prepare.ToMessage());
+    forged.push_back(seq);
+  }
+  cluster.net().faults().CutLink(0, 1);
+  cluster.sim().RunUntil(Millis(63));
+  cluster.Crash(0);
+
+  // Seqs where the authority holds the no-op while the others prepared a
+  // real batch, which the NEW-VIEW then re-proposes.
+  std::vector<uint64_t> conflicting;
+  for (uint64_t seq : forged) {
+    const SlotCore* own = SlotAt(cluster, 1, seq);
+    const SlotCore* other = SlotAt(cluster, 2, seq);
+    if (own != nullptr && own->has_batch() && own->batch.IsNoop() &&
+        other != nullptr && other->prepared && !other->batch.IsNoop()) {
+      conflicting.push_back(seq);
+    }
+  }
+  ASSERT_FALSE(conflicting.empty());
+  while (ViewOf(cluster, 1) == 0 && cluster.sim().now() < Millis(400)) {
+    ASSERT_TRUE(cluster.sim().Step());
+  }
+  ASSERT_EQ(ViewOf(cluster, 1), 1u);
+  // It signed holding every batch it names, so it awaits none.
+  EXPECT_TRUE(AwaitingSeqs(cluster, 1).empty());
+  EXPECT_GE(cluster.replica(1)->stats().batches_fetched, conflicting.size());
+
+  cluster.sim().RunUntil(Millis(300));
+  for (int i = 0; i < cluster.num_clients(); ++i) cluster.client(i)->Stop();
+  cluster.sim().RunUntil(Millis(700));
+  const Status agreement = cluster.CheckAgreement();
+  EXPECT_TRUE(agreement.ok()) << agreement.ToString();
+  const Status converged = cluster.CheckConvergence({1, 2, 3});
+  EXPECT_TRUE(converged.ok()) << converged.ToString();
+  for (uint64_t seq : conflicting) {
+    const ExecutedDigestLog& log = cluster.replica(1)->exec().executed_digests();
+    ASSERT_NE(log.Find(seq), nullptr) << "seq " << seq;
+    EXPECT_NE(log.at(seq), Batch::NoopDigest()) << "seq " << seq;
   }
 }
 

@@ -249,9 +249,10 @@ TEST(EngineDeterminismTest, PeacockMatchesSeedEngineGolden) {
   // stayed bit-identical to the seed engine throughout. Re-captured again
   // when view changes began naming batches by digest: the run changes view
   // dozens of times under 1% drops, and the smaller VIEW-CHANGE and
-  // NEW-VIEW frames move every column.
+  // NEW-VIEW frames move every column; and once more when batch fetches
+  // became one round per interval (executed_events only).
   const GoldenSnapshot golden{
-      66049, 1935, 1965, 32328, 36350, 6807072, 372,
+      66046, 1935, 1965, 32328, 36350, 6807072, 372,
       "6268485505c0da32f4b298711c9284f6511f1e5cd8430db3ae535952ebb5d993"};
   ExpectGolden(RunScenario(SeeMoReGoldenSpec(SeeMoReMode::kPeacock, 1337)),
                golden);
@@ -420,9 +421,10 @@ TEST(EngineDeterminismTest, PaxosCascadingCrashGolden) {
 TEST(EngineDeterminismTest, LionPeacockLionSwitchGolden) {
   // The switch goes through each target mode's trusted authority for the
   // next view (Peacock: the transferer; Lion: the trusted primary).
+  // Re-captured when batch fetches became one round per interval.
   const GoldenSnapshot golden{
-      135750, 15990, 15990, 65841, 69158, 6513056, 0,
-      "486a3669ea965e42ea0dd5723b24854158581decb83f93d33ffa54d070094d1d"};
+      135290, 16164, 16164, 65671, 68876, 6514842, 0,
+      "0be0ceacb85fe2a75590f73dbf0da5726d3eb2fef68fb16f2839a40dba8d26d4"};
   const scenario::ScenarioSpec spec =
       SeeMoReCrashSpec(SeeMoReMode::kLion, 33, false);
   const auto switch_to = [](SeeMoReMode mode) {

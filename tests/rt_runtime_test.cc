@@ -23,6 +23,7 @@
 #include "rt/event_loop.h"
 #include "rt/tcp_transport.h"
 #include "scenario/spec.h"
+#include "wire/messages.h"
 #include "util/time.h"
 
 namespace seemore {
@@ -489,6 +490,60 @@ TEST(RtTransport, BackpressureChargesAndDropsPerPeerQueue) {
   node2.Send(2, 0, Payload(AsBytes("small")));
   ASSERT_TRUE(RunUntil(&loop, [&] { return !handler0.messages.empty(); }));
   EXPECT_EQ(handler0.messages[0], AsBytes("small"));
+}
+
+TEST(RtTransport, BatchResponseAtItsByteBudgetCrossesTcp) {
+  // Batches of 256 requests of 4 KB, about 1 MB each encoded: the 128 a
+  // BATCH-REQUEST may ask for would be a 128 MB frame, which the receiver
+  // refuses and the sender's queue cannot hold. A response stops taking
+  // batches at its byte budget (the requester asks again for the rest).
+  Batch batch;
+  for (int i = 0; i < 256; ++i) {
+    Request request;
+    request.client = kClientIdBase + i;
+    request.timestamp = 1;
+    request.op = Bytes(4096, static_cast<uint8_t>(i));
+    batch.requests.push_back(request);
+  }
+  const Bytes encoded = batch.Encode();
+  ASSERT_GT(128 * encoded.size(), kMaxFrameBytes);
+  BatchResponseMsg response;
+  uint64_t seq = 1;
+  while (response.Add(seq, encoded)) ++seq;
+  ASSERT_GE(response.batches.size(), 2u);
+  EXPECT_LE(response.EncodedSize(), BatchResponseMsg::kMaxBytes);
+  const Bytes body = response.ToMessage(kSmBatchResponse);
+  EXPECT_EQ(body.size(), 1 + response.EncodedSize());
+
+  EventLoop loop;
+  ASSERT_TRUE(loop.init_status().ok());
+  TcpTransportOptions options;
+  options.num_replicas = 2;
+  options.base_port = 19350;
+  options.fingerprint = 0x5eed;
+  TcpTransport node0(&loop, options);
+  TcpTransport node1(&loop, options);
+  RecordingHandler handler0, handler1;
+  node0.Register(0, Zone::kPrivate, &handler0, true);
+  node1.Register(1, Zone::kPrivate, &handler1, true);
+  ASSERT_TRUE(RunUntil(&loop, [&] {
+    return node0.ConnectedTo(1) && node1.ConnectedTo(0);
+  }));
+
+  node1.Send(1, 0, Payload(body));
+  ASSERT_TRUE(RunUntil(&loop, [&] { return !handler0.messages.empty(); },
+                       Seconds(10)));
+  EXPECT_EQ(handler0.messages[0], body);
+  EXPECT_EQ(node0.counters().frame_errors, 0u);
+  EXPECT_EQ(node1.counters().dropped_backpressure, 0u);
+  Decoder dec(handler0.messages[0]);
+  ASSERT_EQ(dec.GetU8(), kSmBatchResponse);
+  Result<BatchResponseMsg> decoded = BatchResponseMsg::DecodeFrom(dec, 128);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded->batches.size(), response.batches.size());
+  for (const BatchResponseMsg::Entry& entry : decoded->batches) {
+    EXPECT_EQ(Digest::Of(entry.batch), batch.ComputeDigest());
+  }
 }
 
 TEST(RtTransport, DialBeforeAdoptionCompletesAndDeliversHello) {

@@ -1159,6 +1159,31 @@ TEST_F(MessagesTest, BatchFetchRoundTripTruncationAndMutation) {
   });
 }
 
+TEST_F(MessagesTest, BatchResponseAddStopsAtTheByteBudget) {
+  // EncodedSize is the body after the tag, kept exact as batches go in.
+  BatchResponseMsg response;
+  EXPECT_EQ(response.EncodedSize() + 1,
+            response.ToMessage(kSmBatchResponse).size());
+  const Bytes small = SampleBatch().Encode();
+  ASSERT_TRUE(response.Add(3, small));
+  EXPECT_EQ(response.EncodedSize() + 1,
+            response.ToMessage(kSmBatchResponse).size());
+
+  // A first batch goes in whatever its size; a later one that would pass
+  // the budget does not.
+  const Bytes big(BatchResponseMsg::kMaxBytes / 2, 0xab);
+  BatchResponseMsg filling;
+  ASSERT_TRUE(filling.Add(1, big));
+  EXPECT_FALSE(filling.Add(2, big));
+  EXPECT_EQ(filling.batches.size(), 1u);
+  ASSERT_TRUE(filling.Add(2, small));
+  EXPECT_LE(filling.EncodedSize(), BatchResponseMsg::kMaxBytes);
+  EXPECT_EQ(filling.EncodedSize() + 1,
+            filling.ToMessage(kSmBatchResponse).size());
+  BatchResponseMsg oversized;
+  EXPECT_TRUE(oversized.Add(1, Bytes(BatchResponseMsg::kMaxBytes + 1, 0)));
+}
+
 TEST_F(MessagesTest, ViewChangeEntriesHaveOneSizeWhateverTheBatch) {
   // A one-request batch and a 2000-request batch of 1 KB requests.
   Batch large;
