@@ -38,9 +38,11 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "crypto/memo.h"
 #include "crypto/sha256.h"
+#include "harness/bench_json.h"
+#include "scenario/builder.h"
+#include "scenario/engine.h"
 #include "util/json.h"
 
 namespace seemore {

@@ -21,8 +21,10 @@
 #include <utility>
 #include <vector>
 
-#include "bench/bench_common.h"
+#include "harness/bench_json.h"
 #include "rt/launcher.h"
+#include "scenario/engine.h"
+#include "scenario/registry.h"
 #include "util/json.h"
 
 namespace seemore {
@@ -53,7 +55,7 @@ std::string ResolveNodeBinary(int argc, char** argv) {
 
 struct RealnetSystem {
   std::string label;
-  ScenarioSpec spec;
+  scenario::ScenarioSpec spec;
   uint16_t base_port;
 };
 
@@ -213,13 +215,13 @@ int main(int argc, char** argv) {
   {
     RealnetSystem lion;
     lion.label = "lion_c1m1";
-    lion.spec = SystemSpec("Lion", /*c=*/1, /*m=*/1);
+    lion.spec = scenario::PaperSystemSpec("Lion", 1, 1, /*seed=*/17).value();
     lion.base_port = 18700;
     systems.push_back(std::move(lion));
 
     RealnetSystem pbft;
     pbft.label = "pbft_f1";
-    pbft.spec = SystemSpec("BFT", /*c=*/1, /*m=*/1);
+    pbft.spec = scenario::PaperSystemSpec("BFT", 1, 1, /*seed=*/17).value();
     pbft.spec.topology.f = 1;  // 4 processes on localhost, not 7
     pbft.base_port = 18800;
     systems.push_back(std::move(pbft));

@@ -32,7 +32,7 @@ struct RunResult {
 
   std::string ToString() const;
   /// Machine-readable image; the single emission path for bench JSON
-  /// (bench_common.h BenchResultsJson) and scenario reports.
+  /// (harness/bench_json.h BenchResultsJson) and scenario reports.
   Json ToJson() const;
 };
 

@@ -138,7 +138,7 @@ ScenarioSpec Fig3Payload(uint32_t request_kb, uint32_t reply_kb) {
       .Description("Figure 3 point: Lion, c=m=1, " +
                    std::to_string(request_kb) + " KB requests / " +
                    std::to_string(reply_kb) +
-                   " KB replies (bench_fig3 sweeps all six systems)")
+                   " KB replies (--bench=fig3 sweeps all six systems)")
       .SeeMoRe(SeeMoReMode::kLion, 1, 1)
       .Clients(32)
       .Echo(request_kb, reply_kb)

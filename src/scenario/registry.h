@@ -2,8 +2,7 @@
 // 2-4) plus the repository's stress scenarios (view-change stress,
 // mode-switch storm, cross-cloud partition), all expressed as ScenarioSpecs
 // so `seemore_ctl --scenario=<name>`, the benches and CI smoke runs share
-// one definition. Also the home of the paper-calibrated cost/network models
-// (formerly bench/bench_common.h).
+// one definition. Also the home of the paper-calibrated cost/network models.
 
 #ifndef SEEMORE_SCENARIO_REGISTRY_H_
 #define SEEMORE_SCENARIO_REGISTRY_H_
@@ -45,7 +44,7 @@ Result<ScenarioSpec> PaperSystemSpec(const std::string& system, int c, int m,
 /// checkpoint period 10000, an aggressive failure detector (8ms suspicion,
 /// 12ms client retransmit), the primary crashed at t=30ms on a 0-100ms
 /// horizon, and a 2ms-bucket completion timeline. Single source for both
-/// bench_fig4 and the registry's "fig4-primary-crash" entry.
+/// `seemore_ctl --bench=fig4` and the registry's "fig4-primary-crash" entry.
 Result<ScenarioSpec> Fig4SystemSpec(const std::string& system, int clients);
 
 /// --- the named-scenario registry -----------------------------------------

@@ -99,7 +99,7 @@ TEST(PipelineTest, DeeperPipelineNeverCommitsLessAtBatchOne) {
   // 8 commits at least as many requests as depth 1 in the same virtual
   // time. (With batching enabled the tradeoff is workload-dependent — depth
   // drains the queue before batches fill — which is exactly what
-  // bench_pipeline measures under the paper's cost model.)
+  // `seemore_ctl --bench=pipeline` measures under the paper's cost model.)
   auto completed_at_depth = [](int depth) {
     scenario::ScenarioSpec spec = SeeMoReSpec(SeeMoReMode::kLion, 1, 1);
     spec.tuning.pipeline_max = depth;

@@ -1,6 +1,7 @@
 // Flag parsing (the FlagSet library, and seemore_ctl's and seemore_node's
 // flags run as the real binaries), when a tcp crash-primary event is
-// applied, and the multi-cloud sizing planner.
+// applied, seemore_ctl's --bench plans, and the multi-cloud sizing
+// planner.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -8,10 +9,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "consensus/config.h"
+#include "scenario/registry.h"
 #include "util/flags.h"
+#include "util/json.h"
 
 namespace seemore {
 namespace {
@@ -231,6 +236,58 @@ TEST(NodeFlagsTest, BasePortOutsidePortRangeExitsTwo) {
         << port << "\n" << run.output;
   }
   std::remove(path.c_str());
+}
+
+TEST(CtlBenchTest, UnknownPlanExitsTwoAndListsPlans) {
+  const ToolRun run = RunCtl("--bench=fig9");
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  for (const char* plan : {"fig2", "fig3", "fig4", "table1", "ablation",
+                           "pipeline", "durability", "sizing"}) {
+    EXPECT_NE(run.output.find(plan), std::string::npos)
+        << plan << "\n" << run.output;
+  }
+}
+
+TEST(CtlBenchTest, SizingPrintsTheWorkedExample) {
+  // §4: S=2, c=1, alpha=0.3 -> rent 10 public nodes, N=12.
+  const ToolRun run = RunCtl("--bench=sizing");
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find("Worked example: S=2, c=1, alpha=0.3\n"
+                            "  -> rent P=10 public nodes, network N=12"),
+            std::string::npos)
+      << run.output;
+}
+
+TEST(CtlBenchTest, Table1WritesOneMessageCountPerSystem) {
+  // Six single-client 600 ms simulated runs, written to a scratch dir.
+  const std::string dir = testing::TempDir() + "tools_test_table1";
+  ASSERT_EQ(std::system(("mkdir -p '" + dir + "'").c_str()), 0);
+  const std::string ctl = "cd '" + dir + "' && " + SEEMORE_CTL_PATH;
+  const ToolRun run = RunTool(ctl.c_str(), "--bench=table1 --jobs=2");
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+  EXPECT_NE(run.output.find("wrote BENCH_table1.json"), std::string::npos)
+      << run.output;
+
+  std::ifstream file(dir + "/BENCH_table1.json");
+  ASSERT_TRUE(file) << run.output;
+  std::ostringstream text;
+  text << file.rdbuf();
+  Result<Json> json = Json::Parse(text.str());
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  const Json* msgs = nullptr;
+  for (const Json& section : json->Find("sections")->items()) {
+    if (section.Find("label")->AsString() == "msgs_per_instance") {
+      msgs = section.Find("scalars");
+    }
+  }
+  ASSERT_NE(msgs, nullptr) << text.str();
+  const std::vector<std::string>& systems = scenario::PaperSystemNames();
+  ASSERT_EQ(msgs->size(), systems.size()) << text.str();
+  for (size_t i = 0; i < systems.size(); ++i) {
+    EXPECT_EQ(msgs->at(i).Find("name")->AsString(), systems[i]);
+    EXPECT_GT(msgs->at(i).Find("value")->AsDouble(), 0.0) << systems[i];
+  }
+  std::system(("rm -rf '" + dir + "'").c_str());
 }
 
 TEST(MultiCloudTest, SingleCloudMatchesEq2) {

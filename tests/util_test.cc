@@ -5,7 +5,6 @@
 #include <cmath>
 #include <string>
 
-#include "util/arena.h"
 #include "util/flat_hash_map.h"
 #include "util/hex.h"
 #include "util/histogram.h"
@@ -207,79 +206,6 @@ TEST(FlatHashMapTest, EraseByIteratorAdvances) {
   }
   EXPECT_EQ(m.size(), 50u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(m.contains(i), i % 2 == 1);
-}
-
-TEST(ArenaTest, BumpAllocationAndAlignment) {
-  Arena arena(/*chunk_bytes=*/256);
-  uint8_t* a = arena.Allocate(10, 1);
-  uint8_t* b = arena.Allocate(10, 1);
-  // Same chunk: the second allocation bumps past the first.
-  EXPECT_EQ(b, a + 10);
-  // Alignment holds on absolute addresses up to alignof(max_align_t) (the
-  // chunk base's own guarantee from operator new[]).
-  uint8_t* c = arena.Allocate(1, alignof(std::max_align_t));
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(c) % alignof(std::max_align_t), 0u);
-  EXPECT_GE(arena.bytes_in_use(), 21u);
-}
-
-TEST(ArenaTest, ResetReusesCapacityWithoutReallocating) {
-  Arena arena(/*chunk_bytes=*/128);
-  // Fill several chunks, note the footprint, then reset: the next interval
-  // must hand out the same memory again with zero new reservation (the
-  // steady-state contract the replica hot path depends on).
-  for (int i = 0; i < 10; ++i) arena.Allocate(100);
-  uint8_t* first_round = arena.Allocate(64);
-  const size_t reserved = arena.bytes_reserved();
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_in_use(), 0u);
-  uint8_t* second_round = nullptr;
-  for (int i = 0; i < 10; ++i) arena.Allocate(100);
-  second_round = arena.Allocate(64);
-  EXPECT_EQ(second_round, first_round);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-}
-
-TEST(ArenaTest, OversizedRequestGetsExactChunk) {
-  Arena arena(/*chunk_bytes=*/64);
-  const size_t before = arena.bytes_reserved();
-  uint8_t* big = arena.Allocate(1000);
-  ASSERT_NE(big, nullptr);
-  // One huge request reserves exactly its own size, not a multiple of the
-  // chunk size — a single large message can't inflate every interval.
-  EXPECT_EQ(arena.bytes_reserved(), before + 1000);
-  big[0] = 1;
-  big[999] = 2;  // whole extent is writable
-  // Small allocations keep working after an oversized chunk.
-  uint8_t* small = arena.Allocate(8);
-  ASSERT_NE(small, nullptr);
-  arena.Reset();
-  EXPECT_EQ(arena.bytes_in_use(), 0u);
-}
-
-TEST(ArenaTest, AllocateArrayDefaultConstructs) {
-  Arena arena;
-  struct Span {
-    uint32_t offset = 7;
-    const uint8_t* data = nullptr;
-    size_t len = 0;
-  };
-  Span* spans = arena.AllocateArray<Span>(33);
-  for (size_t i = 0; i < 33; ++i) {
-    EXPECT_EQ(spans[i].offset, 7u);
-    EXPECT_EQ(spans[i].data, nullptr);
-    EXPECT_EQ(spans[i].len, 0u);
-  }
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(spans) % alignof(Span), 0u);
-}
-
-TEST(ArenaTest, ArenaVectorUsesArenaStorage) {
-  Arena arena;
-  ArenaVector<uint64_t> v{ArenaAllocator<uint64_t>(&arena)};
-  for (uint64_t i = 0; i < 100; ++i) v.push_back(i);
-  for (uint64_t i = 0; i < 100; ++i) EXPECT_EQ(v[i], i);
-  // Element storage came from the arena (growth leaks old capacity into the
-  // arena by design — deallocate is a no-op until Reset).
-  EXPECT_GE(arena.bytes_in_use(), 100 * sizeof(uint64_t));
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 //   seemore_ctl --list-scenarios
 //   seemore_ctl --scenario=fig4-primary-crash --quick
 //   seemore_ctl --smoke --jobs=8 --report-dir=reports
+//   seemore_ctl --bench=fig2 --quick --jobs=4
 //   seemore_ctl --c=2 --m=1 --dump-spec > my.json; seemore_ctl --scenario=my.json
 //
 // A spec dumped with --dump-spec re-runs via --scenario= to a bit-identical
@@ -33,6 +34,7 @@
 #include "scenario/builder.h"
 #include "scenario/engine.h"
 #include "scenario/registry.h"
+#include "tools/bench_plans.h"
 #include "util/flags.h"
 #include "util/thread_pool.h"
 
@@ -501,6 +503,10 @@ int Run(const FlagSet& flags) {
   const int jobs = jobs_flag > 0 ? jobs_flag : ThreadPool::DefaultJobs();
 
   if (flags.GetBool("smoke")) return SmokeRegistry(flags, jobs);
+  if (flags.WasSet("bench")) {
+    return RunBenchPlan(flags.GetString("bench"), flags.GetBool("quick"),
+                        jobs);
+  }
 
   if (flags.GetBool("list-scenarios")) {
     for (const scenario::RegistryEntry& entry : scenario::Registry()) {
@@ -622,8 +628,13 @@ int main(int argc, char** argv) {
   flags.AddBool("smoke", false,
                 "run EVERY registered scenario at quick budgets in one "
                 "parallel pass (see --jobs); nonzero exit on any violation");
+  flags.AddString("bench", "",
+                  "run a paper-reproduction plan and write "
+                  "BENCH_<plan>.json: fig2 | fig3 | fig4 | table1 | ablation "
+                  "| pipeline | durability | sizing (--quick: its smoke "
+                  "budgets)");
   flags.AddInt("jobs", 0,
-               "worker threads for sweeps and --smoke (0 = hardware "
+               "worker threads for sweeps, --smoke and --bench (0 = hardware "
                "concurrency); parallel reports are bit-identical to --jobs=1");
   flags.AddString("report-dir", "",
                   "with --smoke: write REPORT_<scenario>.json files here");
