@@ -132,7 +132,7 @@ void PaxosReplica::TryPropose() {
     RecordVote(slot.plain_votes, slot.digest, id_);
 
     PaxosAcceptMsg accept{view_, seq, encoded};
-    SendToMany(config_.AllReplicas(), accept.ToMessage());
+    SendToMany(all_replicas_, accept.ToMessage());
   }
 }
 
@@ -180,7 +180,7 @@ void PaxosReplica::HandleAck(PrincipalId from, PaxosAckMsg msg) {
       config_.CommitQuorum(config_.initial_mode)) {
     slot.commit_sent = true;
     PaxosCommitMsg commit{view_, msg.seq, slot.digest};
-    SendToMany(config_.AllReplicas(), commit.ToMessage());
+    SendToMany(all_replicas_, commit.ToMessage());
     if (!slot.committed()) CommitSlot(msg.seq, slot, /*send_replies=*/true);
   }
 }
@@ -233,7 +233,7 @@ void PaxosReplica::SendReply(const ExecutedRequest& executed) {
 
 void PaxosReplica::MulticastCheckpoint(CheckpointMsg& msg) {
   PaxosCheckpointMsg announce{msg.seq, msg.state_digest};
-  SendToMany(config_.AllReplicas(), announce.ToMessage());
+  SendToMany(all_replicas_, announce.ToMessage());
 }
 
 void PaxosReplica::HandleCheckpoint(PrincipalId from, PaxosCheckpointMsg msg) {

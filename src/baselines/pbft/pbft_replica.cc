@@ -134,7 +134,7 @@ void PbftCoreReplica::TryPropose() {
       ChargeSign(2);
       const Bytes msg_a = pp_a.ToMessage();
       const Bytes msg_b = pp_b.ToMessage();
-      const std::vector<PrincipalId> all = config_.AllReplicas();
+      const std::vector<PrincipalId>& all = all_replicas_;
       for (size_t i = 0; i < all.size(); ++i) {
         if (all[i] == id_) continue;
         SendTo(all[i], i < all.size() / 2 ? msg_a : msg_b);
@@ -161,7 +161,7 @@ void PbftCoreReplica::EmitPrePrepare(uint64_t seq, const Batch& batch,
   slot.view = view_;
   slot.primary_sig = pp.sig;
 
-  SendToMany(config_.AllReplicas(), pp.ToMessage());
+  SendToMany(all_replicas_, pp.ToMessage());
 }
 
 void PbftCoreReplica::HandlePrePrepare(PrincipalId from, PbftPrePrepareMsg msg) {
@@ -226,7 +226,7 @@ void PbftCoreReplica::SendPrepare(uint64_t seq, SlotCore& slot) {
   prepare.digest = vote_digest;
   prepare.voter = id_;
   prepare.sig = signer_.Sign(prepare.Header(PbftPrepareMsg::kDomain));
-  SendToMany(config_.AllReplicas(), prepare.ToMessage());
+  SendToMany(all_replicas_, prepare.ToMessage());
   RecordVote(slot.accept_votes, vote_digest, id_, prepare.sig);
 }
 
@@ -262,7 +262,7 @@ void PbftCoreReplica::CheckPrepared(uint64_t seq, SlotCore& slot) {
     commit.digest = vote_digest;
     commit.voter = id_;
     commit.sig = signer_.Sign(commit.Header(PbftCommitMsg::kDomain));
-    SendToMany(config_.AllReplicas(), commit.ToMessage());
+    SendToMany(all_replicas_, commit.ToMessage());
     RecordVote(slot.commit_votes, vote_digest, id_, commit.sig);
   }
   CheckCommitted(seq, slot);

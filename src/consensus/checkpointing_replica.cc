@@ -29,7 +29,7 @@ bool CheckpointingReplica::VerifyCheckpointCert(
 void CheckpointingReplica::MulticastCheckpoint(CheckpointMsg& msg) {
   ChargeSign();
   msg.Sign(signer_);
-  SendToMany(config_.AllReplicas(), FrameMessage(tags_.checkpoint, msg));
+  SendToMany(all_replicas_, FrameMessage(tags_.checkpoint, msg));
 }
 
 CheckpointCert CheckpointingReplica::Certify(

@@ -17,6 +17,7 @@ ReplicaBase::ReplicaBase(Transport* transport, TimerService* timers,
       memo_(memo),
       id_(id),
       config_(config),
+      all_replicas_(config.AllReplicas()),
       costs_(costs),
       signer_(id, *keystore),
       cpu_(transport->Register(id, config.ReplicaZone(id), this,

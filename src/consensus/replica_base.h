@@ -13,6 +13,7 @@
 #include <functional>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "consensus/commit_queue.h"
 #include "consensus/config.h"
@@ -229,6 +230,9 @@ class ReplicaBase : public MessageHandler {
   CryptoMemo* const memo_;  // the run's memo (may be null), not owned
   const PrincipalId id_;
   const ClusterConfig config_;
+  /// config_.AllReplicas(), built once: every PREPARE and COMMIT
+  /// multicast targets it.
+  const std::vector<PrincipalId> all_replicas_;
   const CostModel costs_;
   Signer signer_;
   CpuMeter* cpu_;  // owned by the transport

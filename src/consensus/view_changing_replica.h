@@ -328,7 +328,7 @@ class ViewChangingReplica : public CheckpointingReplica {
   /// to every other replica, counting it in the stats.
   void MulticastViewChangeFrame(const Payload& frame, uint64_t entries) {
     if (crashed()) return;
-    SendToMany(config_.AllReplicas(), frame);
+    SendToMany(all_replicas_, frame);
     CountViewChangeFrame(frame, entries,
                          static_cast<uint64_t>(config_.n() - 1));
   }

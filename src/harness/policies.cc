@@ -10,13 +10,13 @@ void CftReplyPolicy::Observe(const Reply& reply) {
   view_ = std::max(view_, reply.view);
 }
 
-std::vector<PrincipalId> CftReplyPolicy::InitialTargets() const {
+const std::vector<PrincipalId>& CftReplyPolicy::InitialTargets() const {
   // BFT-SMaRt clients multicast to the receiving network (all 2f+1).
-  return config_.AllReplicas();
+  return all_;
 }
 
-std::vector<PrincipalId> CftReplyPolicy::RetransmitTargets() const {
-  return config_.AllReplicas();
+const std::vector<PrincipalId>& CftReplyPolicy::RetransmitTargets() const {
+  return all_;
 }
 
 bool CftReplyPolicy::Accepted(const std::vector<PrincipalId>& senders,
@@ -33,13 +33,13 @@ void BftReplyPolicy::Observe(const Reply& reply) {
   view_ = std::max(view_, reply.view);
 }
 
-std::vector<PrincipalId> BftReplyPolicy::InitialTargets() const {
+const std::vector<PrincipalId>& BftReplyPolicy::InitialTargets() const {
   // Receiving network: all 3f+1 replicas (Table 1).
-  return config_.AllReplicas();
+  return all_;
 }
 
-std::vector<PrincipalId> BftReplyPolicy::RetransmitTargets() const {
-  return config_.AllReplicas();
+const std::vector<PrincipalId>& BftReplyPolicy::RetransmitTargets() const {
+  return all_;
 }
 
 bool BftReplyPolicy::Accepted(const std::vector<PrincipalId>& senders,
@@ -56,13 +56,13 @@ void SUpRightReplyPolicy::Observe(const Reply& reply) {
   view_ = std::max(view_, reply.view);
 }
 
-std::vector<PrincipalId> SUpRightReplyPolicy::InitialTargets() const {
+const std::vector<PrincipalId>& SUpRightReplyPolicy::InitialTargets() const {
   // Receiving network: all 3m+2c+1 replicas (Table 1).
-  return config_.AllReplicas();
+  return all_;
 }
 
-std::vector<PrincipalId> SUpRightReplyPolicy::RetransmitTargets() const {
-  return config_.AllReplicas();
+const std::vector<PrincipalId>& SUpRightReplyPolicy::RetransmitTargets() const {
+  return all_;
 }
 
 bool SUpRightReplyPolicy::Accepted(const std::vector<PrincipalId>& senders,
@@ -75,6 +75,11 @@ bool SUpRightReplyPolicy::Accepted(const std::vector<PrincipalId>& senders,
 // SeeMoRe
 // ---------------------------------------------------------------------------
 
+SeeMoReReplyPolicy::SeeMoReReplyPolicy(const ClusterConfig& config)
+    : config_(config), all_(config.AllReplicas()), mode_(config.initial_mode) {
+  Retarget();
+}
+
 void SeeMoReReplyPolicy::Observe(const Reply& reply) {
   // Track the newest (view, mode) the cluster reports. Byzantine replicas
   // can inflate these, costing at worst one retransmission round before an
@@ -86,29 +91,35 @@ void SeeMoReReplyPolicy::Observe(const Reply& reply) {
         m == SeeMoReMode::kPeacock) {
       mode_ = m;
     }
+    Retarget();
   }
 }
 
-std::vector<PrincipalId> SeeMoReReplyPolicy::InitialTargets() const {
+void SeeMoReReplyPolicy::Retarget() {
   // Receiving networks per Table 1: Lion all 3m+2c+1 nodes; Dog the trusted
   // primary + the 3m+1 proxies; Peacock the 3m+1 proxies (the primary is
   // one of them).
   switch (mode_) {
     case SeeMoReMode::kLion:
-      return config_.AllReplicas();
-    case SeeMoReMode::kDog: {
-      std::vector<PrincipalId> targets = config_.ProxySet(view_);
-      targets.push_back(config_.TrustedPrimary(view_));
-      return targets;
-    }
+      initial_ = all_;
+      return;
+    case SeeMoReMode::kDog:
+      initial_ = config_.ProxySet(view_);
+      initial_.push_back(config_.TrustedPrimary(view_));
+      return;
     case SeeMoReMode::kPeacock:
-      return config_.ProxySet(view_);
+      initial_ = config_.ProxySet(view_);
+      return;
   }
-  return config_.AllReplicas();
+  initial_ = all_;
 }
 
-std::vector<PrincipalId> SeeMoReReplyPolicy::RetransmitTargets() const {
-  return config_.AllReplicas();
+const std::vector<PrincipalId>& SeeMoReReplyPolicy::InitialTargets() const {
+  return initial_;
+}
+
+const std::vector<PrincipalId>& SeeMoReReplyPolicy::RetransmitTargets() const {
+  return all_;
 }
 
 bool SeeMoReReplyPolicy::Accepted(const std::vector<PrincipalId>& senders,

@@ -17,32 +17,36 @@ namespace seemore {
 /// CFT (Paxos): send to the leader; a single reply is trusted (crash model).
 class CftReplyPolicy : public ReplyPolicy {
  public:
-  explicit CftReplyPolicy(const ClusterConfig& config) : config_(config) {}
+  explicit CftReplyPolicy(const ClusterConfig& config)
+      : config_(config), all_(config.AllReplicas()) {}
 
   void Observe(const Reply& reply) override;
-  std::vector<PrincipalId> InitialTargets() const override;
-  std::vector<PrincipalId> RetransmitTargets() const override;
+  const std::vector<PrincipalId>& InitialTargets() const override;
+  const std::vector<PrincipalId>& RetransmitTargets() const override;
   bool Accepted(const std::vector<PrincipalId>& senders,
                 bool after_retransmit) const override;
 
  private:
   ClusterConfig config_;
+  const std::vector<PrincipalId> all_;  // config_.AllReplicas(), built once
   uint64_t view_ = 0;
 };
 
 /// PBFT: send to the primary; f+1 matching replies.
 class BftReplyPolicy : public ReplyPolicy {
  public:
-  explicit BftReplyPolicy(const ClusterConfig& config) : config_(config) {}
+  explicit BftReplyPolicy(const ClusterConfig& config)
+      : config_(config), all_(config.AllReplicas()) {}
 
   void Observe(const Reply& reply) override;
-  std::vector<PrincipalId> InitialTargets() const override;
-  std::vector<PrincipalId> RetransmitTargets() const override;
+  const std::vector<PrincipalId>& InitialTargets() const override;
+  const std::vector<PrincipalId>& RetransmitTargets() const override;
   bool Accepted(const std::vector<PrincipalId>& senders,
                 bool after_retransmit) const override;
 
  private:
   ClusterConfig config_;
+  const std::vector<PrincipalId> all_;  // config_.AllReplicas(), built once
   uint64_t view_ = 0;
 };
 
@@ -50,16 +54,18 @@ class BftReplyPolicy : public ReplyPolicy {
 /// "at least one honest" bound — crash nodes cannot lie).
 class SUpRightReplyPolicy : public ReplyPolicy {
  public:
-  explicit SUpRightReplyPolicy(const ClusterConfig& config) : config_(config) {}
+  explicit SUpRightReplyPolicy(const ClusterConfig& config)
+      : config_(config), all_(config.AllReplicas()) {}
 
   void Observe(const Reply& reply) override;
-  std::vector<PrincipalId> InitialTargets() const override;
-  std::vector<PrincipalId> RetransmitTargets() const override;
+  const std::vector<PrincipalId>& InitialTargets() const override;
+  const std::vector<PrincipalId>& RetransmitTargets() const override;
   bool Accepted(const std::vector<PrincipalId>& senders,
                 bool after_retransmit) const override;
 
  private:
   ClusterConfig config_;
+  const std::vector<PrincipalId> all_;  // config_.AllReplicas(), built once
   uint64_t view_ = 0;
 };
 
@@ -71,12 +77,11 @@ class SUpRightReplyPolicy : public ReplyPolicy {
 ///   Peacock — m+1 matching proxy replies (§5.3, PBFT rule with m).
 class SeeMoReReplyPolicy : public ReplyPolicy {
  public:
-  explicit SeeMoReReplyPolicy(const ClusterConfig& config)
-      : config_(config), mode_(config.initial_mode) {}
+  explicit SeeMoReReplyPolicy(const ClusterConfig& config);
 
   void Observe(const Reply& reply) override;
-  std::vector<PrincipalId> InitialTargets() const override;
-  std::vector<PrincipalId> RetransmitTargets() const override;
+  const std::vector<PrincipalId>& InitialTargets() const override;
+  const std::vector<PrincipalId>& RetransmitTargets() const override;
   bool Accepted(const std::vector<PrincipalId>& senders,
                 bool after_retransmit) const override;
 
@@ -84,9 +89,15 @@ class SeeMoReReplyPolicy : public ReplyPolicy {
   uint64_t view() const { return view_; }
 
  private:
+  /// Rebuild initial_ for the current (mode_, view_).
+  void Retarget();
+
   ClusterConfig config_;
+  const std::vector<PrincipalId> all_;  // config_.AllReplicas(), built once
   SeeMoReMode mode_;
   uint64_t view_ = 0;
+  /// InitialTargets(), rebuilt only when the view or mode estimate moves.
+  std::vector<PrincipalId> initial_;
 };
 
 /// Factory used by the cluster builder.

@@ -8,15 +8,19 @@
 //   - Asynchrony: messages may be dropped, delayed, duplicated or reordered
 //     (jitter + drops + dups are all seedable knobs).
 //   - Liveness experiments use bounded jitter, i.e. partial synchrony.
+//
+// The per-message path allocates nothing once warm: an in-flight message
+// waits in a pooled delivery slot, its arrival event captures only the
+// network and the slot index (small enough for std::function's inline
+// buffer), nodes live in flat tables indexed by principal id, and each
+// CPU queue is a reused ring.
 
 #ifndef SEEMORE_NET_NETWORK_H_
 #define SEEMORE_NET_NETWORK_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "crypto/keystore.h"
@@ -56,7 +60,7 @@ struct NetworkConfig {
 /// Single-threaded CPU of one node: tasks submitted while busy queue up.
 /// Protocol handlers call Charge() to account for the work they perform;
 /// subsequent tasks (and outgoing messages) see the accumulated delay.
-class NodeCpu : public CpuMeter {
+class NodeCpu final : public CpuMeter {
  public:
   explicit NodeCpu(Simulator* sim) : sim_(sim) {}
 
@@ -74,7 +78,7 @@ class NodeCpu : public CpuMeter {
 
   /// Drop all queued work. Used when a node is unregistered: queued tasks
   /// hold raw handler pointers that die with the node's replica.
-  void Clear() { queue_.clear(); }
+  void Clear();
 
   /// Account CPU time to the currently running task.
   void Charge(SimTime cost) override {
@@ -98,14 +102,24 @@ class NodeCpu : public CpuMeter {
     Payload payload;
   };
 
-  void Enqueue(Task task);
+  /// Append a queued task in place and return it for the caller to fill.
+  Task& PushBack();
+  /// Slot of the i-th queued task (the ring's size is a power of two).
+  size_t RingIndex(size_t i) const {
+    return (head_ + i) & (queue_.size() - 1);
+  }
+  void ScheduleDrain();
   void DrainOne();
 
   Simulator* sim_;
   SimTime busy_until_ = 0;
   SimTime total_busy_ = 0;
   bool drain_scheduled_ = false;
-  std::deque<Task> queue_;
+  /// FIFO ring over reused slots: queue_[RingIndex(i)] for i in
+  /// [0, queued_). It grows by doubling and never shrinks.
+  std::vector<Task> queue_;
+  size_t head_ = 0;
+  size_t queued_ = 0;
 };
 
 /// Message/byte counters, separable by replica vs. client traffic so the
@@ -169,7 +183,7 @@ class SimNetwork : public Transport {
   /// consulted once per Send.
   FaultPlane& faults() { return faults_; }
 
-  bool HasNode(PrincipalId id) const { return nodes_.count(id) > 0; }
+  bool HasNode(PrincipalId id) const { return Find(id) != nullptr; }
 
   const NetCounters& counters() const { return counters_; }
   void ResetCounters() { counters_.Reset(); }
@@ -179,15 +193,35 @@ class SimNetwork : public Transport {
 
  private:
   struct NodeEntry {
-    Zone zone;
-    MessageHandler* handler;
-    NodeCpu* cpu;
+    Zone zone = Zone::kPrivate;
+    MessageHandler* handler = nullptr;
+    NodeCpu* cpu = nullptr;
+    bool registered = false;
     bool up = true;
   };
 
+  /// A message between its send and its arrival event.
+  struct Delivery {
+    PrincipalId from = 0;
+    PrincipalId to = 0;
+    Payload payload;
+  };
+
+  /// The registered node `id`, or null. Replicas are indexed by id,
+  /// clients by id - kClientIdBase.
+  const NodeEntry* Find(PrincipalId id) const;
+  /// The table entry of `id`, registered or not; grows the table to hold it.
+  NodeEntry& EntryFor(PrincipalId id);
+  /// Arrival of the message in delivery slot `slot`.
+  void Deliver(uint32_t slot);
+
   Simulator* sim_;
   NetworkConfig config_;
-  std::unordered_map<PrincipalId, NodeEntry> nodes_;
+  std::vector<NodeEntry> replicas_;
+  std::vector<NodeEntry> clients_;
+  /// In-flight messages; a slot is reused once its message arrives.
+  std::vector<Delivery> deliveries_;
+  std::vector<uint32_t> free_deliveries_;
   FaultPlane faults_;
   /// CPUs created by Register(); AddNode callers own theirs externally.
   std::vector<std::unique_ptr<NodeCpu>> owned_cpus_;

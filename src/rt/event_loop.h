@@ -7,7 +7,7 @@
 // needs locks in either backend.
 //
 // Time is the loop's MonotonicClock (CLOCK_MONOTONIC since construction).
-// Timers live in a TimerHeap (util/timer_heap.h), the same slab + binary
+// Timers live in a TimerHeap (util/timer_heap.h), the same slab + 4-ary
 // heap the Simulator keeps its events in; a single timerfd is armed for the
 // earliest deadline, so the epoll wait itself is the timer wheel — there is
 // no polling and no drift accumulation. ScheduleAfter/CancelEvent implement

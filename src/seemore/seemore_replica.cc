@@ -210,7 +210,7 @@ void SeeMoReReplica::TryPropose() {
       ChargeSign(2);
       const Bytes msg_a = prep_a.ToMessage();
       const Bytes msg_b = prep_b.ToMessage();
-      const std::vector<PrincipalId> all = config_.AllReplicas();
+      const std::vector<PrincipalId>& all = all_replicas_;
       for (size_t i = 0; i < all.size(); ++i) {
         if (all[i] == id_) continue;
         SendTo(all[i], i % 2 == 0 ? msg_a : msg_b);
@@ -232,7 +232,7 @@ void SeeMoReReplica::TryPropose() {
 
     // In every mode the proposal is multicast to ALL replicas (Algorithm 1
     // line 8, Algorithm 2 line 9, §5.3 change #1).
-    SendToMany(config_.AllReplicas(), prepare.ToMessage());
+    SendToMany(all_replicas_, prepare.ToMessage());
 
     if (mode_ == SeeMoReMode::kLion) {
       RecordVote(slot.plain_votes, digest, id_);  // the primary counts itself
@@ -388,7 +388,7 @@ void SeeMoReReplica::HandleAcceptPlain(PrincipalId from, SmAcceptPlainMsg msg) {
   commit.batch = slot.batch.Encode();
   slot.commit_sig = commit.sig;
   slot.has_commit_sig = true;
-  SendToMany(config_.AllReplicas(), commit.ToMessage());
+  SendToMany(all_replicas_, commit.ToMessage());
   CommitSlot(msg.seq, slot, /*replies=*/true, /*informs=*/false);
 }
 

@@ -529,7 +529,7 @@ Status SeeMoReReplica::RequestModeSwitch(SeeMoReMode new_mode) {
   msg.new_view = new_view;
   msg.sender = id_;
   msg.sig = signer_.Sign(msg.Header());
-  SendToMany(config_.AllReplicas(), msg.ToMessage());
+  SendToMany(all_replicas_, msg.ToMessage());
 
   pending_mode_[new_view] = new_mode;
   StartViewChange(new_view);

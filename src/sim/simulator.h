@@ -6,11 +6,15 @@
 // paper's AWS testbed (see DESIGN.md §1).
 //
 // Engine internals (DESIGN.md §"Engine internals"): events live in a
-// TimerHeap (util/timer_heap.h), the slab + binary heap that rt::EventLoop
+// TimerHeap (util/timer_heap.h), the slab + 4-ary heap that rt::EventLoop
 // also keeps its timers in. Scheduling costs one heap push and at most one
 // slot (re)initialization; cancellation is O(1) and releases the callback
 // immediately, and tombstone compaction keeps schedule/cancel churn
-// (view-change timers) from growing the queue.
+// (view-change timers) from growing the queue. The engine's hottest
+// callers keep their callbacks within std::function's inline buffer: a
+// message's arrival event captures only the network and a pooled delivery
+// slot, and a CPU drain event only the CPU (net/network.h), so a warm run
+// schedules them without allocating.
 
 #ifndef SEEMORE_SIM_SIMULATOR_H_
 #define SEEMORE_SIM_SIMULATOR_H_

@@ -68,7 +68,7 @@ void SimClient::MaybeIssueNext() {
 }
 
 void SimClient::Transmit(bool retransmit) {
-  const std::vector<PrincipalId> targets =
+  const std::vector<PrincipalId>& targets =
       retransmit ? policy_->RetransmitTargets() : policy_->InitialTargets();
   // Encode once; every target shares the one payload buffer.
   const Payload message(current_.ToMessage());

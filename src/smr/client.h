@@ -29,11 +29,12 @@ class ReplyPolicy {
   /// current view / SeeMoRe mode.
   virtual void Observe(const Reply& reply) { (void)reply; }
 
-  /// Targets for the first transmission of a request.
-  virtual std::vector<PrincipalId> InitialTargets() const = 0;
+  /// Targets for the first transmission of a request. The list stays
+  /// valid until the next Observe().
+  virtual const std::vector<PrincipalId>& InitialTargets() const = 0;
 
   /// Targets after a client timeout (typically: broadcast).
-  virtual std::vector<PrincipalId> RetransmitTargets() const = 0;
+  virtual const std::vector<PrincipalId>& RetransmitTargets() const = 0;
 
   /// True once the replicas in `senders` (all of which reported an identical
   /// result for the current timestamp) prove the request completed.

@@ -17,10 +17,45 @@ EventId TimerHeap::Push(SimTime when, std::function<void()> fn) {
   slot.fn = std::move(fn);
   slot.live = true;
   heap_.push_back(Entry{when, next_seq_++, index, slot.gen});
-  std::push_heap(heap_.begin(), heap_.end(), Later);
+  SiftUp(heap_.size() - 1);
   ++live_;
   // gen >= 1, so ids are never 0 (the TimerService contract).
   return (static_cast<EventId>(slot.gen) << 32) | index;
+}
+
+void TimerHeap::SiftUp(size_t pos) {
+  const Entry moving = heap_[pos];
+  while (pos > 0) {
+    const size_t parent = (pos - 1) / kArity;
+    if (!Earlier(moving, heap_[parent])) break;
+    heap_[pos] = heap_[parent];
+    pos = parent;
+  }
+  heap_[pos] = moving;
+}
+
+void TimerHeap::SiftDown(size_t pos) {
+  const size_t size = heap_.size();
+  const Entry moving = heap_[pos];
+  for (;;) {
+    const size_t first = pos * kArity + 1;
+    if (first >= size) break;
+    const size_t end = std::min(first + kArity, size);
+    size_t best = first;
+    for (size_t child = first + 1; child < end; ++child) {
+      if (Earlier(heap_[child], heap_[best])) best = child;
+    }
+    if (!Earlier(heap_[best], moving)) break;
+    heap_[pos] = heap_[best];
+    pos = best;
+  }
+  heap_[pos] = moving;
+}
+
+void TimerHeap::RemoveTop() {
+  heap_.front() = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) SiftDown(0);
 }
 
 void TimerHeap::ReleaseSlot(uint32_t index) {
@@ -49,14 +84,18 @@ void TimerHeap::MaybeCompact() {
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
                              [this](const Entry& e) { return !EntryLive(e); }),
               heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), Later);
+  // Re-heapify bottom-up, from the last parent to the root.
+  if (heap_.size() > 1) {
+    for (size_t pos = (heap_.size() - 2) / kArity + 1; pos-- > 0;) {
+      SiftDown(pos);
+    }
+  }
   tombstones_ = 0;
 }
 
 bool TimerHeap::NextDeadline(SimTime* when) {
   while (!heap_.empty() && !EntryLive(heap_.front())) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later);
-    heap_.pop_back();
+    RemoveTop();
     --tombstones_;
   }
   if (heap_.empty()) return false;
@@ -66,8 +105,7 @@ bool TimerHeap::NextDeadline(SimTime* when) {
 
 std::function<void()> TimerHeap::PopNext() {
   const uint32_t index = heap_.front().slot;
-  std::pop_heap(heap_.begin(), heap_.end(), Later);
-  heap_.pop_back();
+  RemoveTop();
   std::function<void()> fn = std::move(slots_[index].fn);
   ReleaseSlot(index);
   --live_;

@@ -3,15 +3,18 @@
 // The one timer store of both runtimes: the Simulator's event queue and
 // rt::EventLoop's timers. Timers live in a slab of pooled slots addressed
 // by an EventId that packs (slot index, generation); the ready queue is a
-// binary heap of POD entries over that slab, ordered by (deadline, push
+// 4-ary heap of POD entries over that slab, ordered by (deadline, push
 // order), so equal deadlines fire first-in first-out and a seeded sim run
-// replays the same interleaving. Once warm, Push and Cancel allocate
-// nothing beyond what the callback itself needs (a std::function stores a
-// small trivially-copyable capture inline). Cancel is O(1): it frees the
-// slot, releasing the callback immediately, and leaves a tombstone in the
-// heap that is dropped when it reaches the top or compacted away once
-// tombstones outnumber live entries, so schedule/cancel churn (view-change
-// timers, client timeouts) cannot grow the heap.
+// replays the same interleaving. Push order is unique, so the order is
+// total and the pop sequence does not depend on the heap's shape; four
+// children per node halve the depth a push or pop sifts through. Once
+// warm, Push and Cancel allocate nothing beyond what the callback itself
+// needs (a std::function stores a small trivially-copyable capture
+// inline). Cancel is O(1): it frees the slot, releasing the callback
+// immediately, and leaves a tombstone in the heap that is dropped when it
+// reaches the top or compacted away once tombstones outnumber live
+// entries, so schedule/cancel churn (view-change timers, client timeouts)
+// cannot grow the heap.
 
 #ifndef SEEMORE_UTIL_TIMER_HEAP_H_
 #define SEEMORE_UTIL_TIMER_HEAP_H_
@@ -68,12 +71,19 @@ class TimerHeap {
     uint32_t slot;
     uint32_t gen;
   };
-  /// std::push_heap/pop_heap build a max-heap; "later fires last" puts the
-  /// earliest entry at the front.
-  static bool Later(const Entry& a, const Entry& b) {
-    if (a.when != b.when) return a.when > b.when;
-    return a.seq > b.seq;
+  static constexpr size_t kArity = 4;
+  /// The heap's order: `a` fires before `b`.
+  static bool Earlier(const Entry& a, const Entry& b) {
+    if (a.when != b.when) return a.when < b.when;
+    return a.seq < b.seq;
   }
+  /// Restore the heap order for the entry at `pos` by moving it towards
+  /// the root (after a push) or the leaves (after it replaced the top, or
+  /// when re-heapifying after compaction).
+  void SiftUp(size_t pos);
+  void SiftDown(size_t pos);
+  /// Drop heap_.front(), live or not.
+  void RemoveTop();
 
   bool EntryLive(const Entry& e) const {
     const Slot& s = slots_[e.slot];

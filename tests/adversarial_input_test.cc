@@ -42,8 +42,12 @@ class RecordingPolicy : public ReplyPolicy {
  public:
   explicit RecordingPolicy(std::vector<std::vector<PrincipalId>>* judged)
       : judged_(judged) {}
-  std::vector<PrincipalId> InitialTargets() const override { return {0}; }
-  std::vector<PrincipalId> RetransmitTargets() const override { return {0}; }
+  const std::vector<PrincipalId>& InitialTargets() const override {
+    return targets_;
+  }
+  const std::vector<PrincipalId>& RetransmitTargets() const override {
+    return targets_;
+  }
   bool Accepted(const std::vector<PrincipalId>& senders,
                 bool /*after_retransmit*/) const override {
     judged_->push_back(senders);
@@ -52,6 +56,7 @@ class RecordingPolicy : public ReplyPolicy {
 
  private:
   std::vector<std::vector<PrincipalId>>* judged_;
+  const std::vector<PrincipalId> targets_{0};
 };
 
 TEST(ClientReplyTallyTest, LyingRepliesGroupApartAndRepeatsCountOnce) {

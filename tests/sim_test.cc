@@ -5,11 +5,14 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 #include "util/timer_heap.h"
 
 namespace seemore {
@@ -199,6 +202,130 @@ TEST(TimerHeapTest, CancelAfterFireReturnsFalse) {
   EXPECT_NE(reused, inner);
   EXPECT_FALSE(heap.Cancel(id));
   EXPECT_TRUE(heap.Cancel(reused));
+}
+
+TEST(TimerHeapTest, RandomizedOpsMatchReferenceOrder) {
+  // Seeded push/cancel/pop sequences against a reference queue ordered by
+  // (deadline, push order). Deadlines span a few ticks, so ties are common
+  // and must pop first-in first-out. The op mix cycles through phases that
+  // grow the heap, cancel most of it (queueing enough tombstones to force
+  // compactions) and drain it.
+  using Key = std::pair<SimTime, uint64_t>;  // (deadline, push order)
+  size_t compactions = 0;
+  size_t top_cancels = 0;
+  size_t max_pending = 0;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng rng(seed);
+    TimerHeap heap;
+    std::map<Key, EventId> reference;
+    std::vector<std::pair<EventId, Key>> live;  // for random cancels
+    std::vector<EventId> dead;
+    uint64_t pushes = 0;
+    uint64_t fired = 0;  // push order of the last callback that ran
+    SimTime now = 0;
+    auto forget = [&](EventId id) {
+      for (size_t i = 0; i < live.size(); ++i) {
+        if (live[i].first != id) continue;
+        reference.erase(live[i].second);
+        live[i] = live.back();
+        live.pop_back();
+        break;
+      }
+      dead.push_back(id);
+    };
+    for (int step = 0; step < 20000; ++step) {
+      // Phases of 500 steps: grow (push 60%, cancel 30%), purge (push 10%,
+      // cancel 80%), drain (push 20%, cancel 20%); pops take the rest.
+      static constexpr uint64_t kPush[] = {60, 10, 20};
+      static constexpr uint64_t kCancel[] = {30, 80, 20};
+      const int phase = (step / 500) % 3;
+      const uint64_t roll = rng.NextBounded(100);
+      const size_t queued_before = heap.queued_entries();
+      const bool probe_dead = rng.NextBounded(20) == 0;
+      if (probe_dead && !dead.empty()) {
+        // A fired or cancelled id stays dead, even after slot reuse.
+        EXPECT_FALSE(heap.Cancel(dead[rng.NextBounded(dead.size())]));
+      } else if (roll < kPush[phase]) {
+        const bool far = rng.NextBounded(4) == 0;
+        const SimTime when =
+            now + (far ? Seconds(1) : 0) +
+            static_cast<SimTime>(rng.NextBounded(4));
+        const uint64_t order = ++pushes;
+        const EventId id = heap.Push(when, [&fired, order] { fired = order; });
+        ASSERT_NE(id, 0u);
+        reference.emplace(Key{when, order}, id);
+        live.emplace_back(id, Key{when, order});
+      } else if (roll < kPush[phase] + kCancel[phase] && !live.empty()) {
+        // Cancel the current top a third of the time, else any live timer.
+        EventId id = live[rng.NextBounded(live.size())].first;
+        if (rng.NextBounded(3) == 0) {
+          id = reference.begin()->second;
+          ++top_cancels;
+        }
+        ASSERT_TRUE(heap.Cancel(id));
+        forget(id);
+        if (heap.queued_entries() < queued_before) ++compactions;
+      } else {
+        SimTime when = 0;
+        if (reference.empty()) {
+          ASSERT_FALSE(heap.NextDeadline(&when));
+          continue;
+        }
+        const auto top = reference.begin();
+        ASSERT_TRUE(heap.NextDeadline(&when));
+        ASSERT_EQ(when, top->first.first);
+        const EventId id = top->second;
+        const uint64_t order = top->first.second;
+        std::function<void()> fn = heap.PopNext();
+        EXPECT_FALSE(heap.Cancel(id));  // dead before its callback runs
+        forget(id);
+        fn();
+        ASSERT_EQ(fired, order) << "seed " << seed << " step " << step;
+        now = when;
+      }
+      ASSERT_EQ(heap.pending(), reference.size());
+      max_pending = std::max(max_pending, heap.pending());
+      // Fewer than 64 tombstones, or no more tombstones than live timers.
+      ASSERT_LE(heap.queued_entries(),
+                heap.pending() + std::max<size_t>(heap.pending(), 63));
+    }
+    // Drain: the rest pops in reference order, then the heap is empty.
+    SimTime when = 0;
+    for (const auto& [key, id] : reference) {
+      ASSERT_TRUE(heap.NextDeadline(&when));
+      ASSERT_EQ(when, key.first);
+      heap.PopNext()();
+      ASSERT_EQ(fired, key.second);
+    }
+    EXPECT_FALSE(heap.NextDeadline(&when));
+    EXPECT_EQ(heap.queued_entries(), 0u);
+  }
+  EXPECT_GT(compactions, 0u);
+  EXPECT_GT(top_cancels, 0u);
+  EXPECT_GT(max_pending, 64u);
+}
+
+TEST(TimerHeapTest, CompactsAtTheSixtyFourthTombstone) {
+  TimerHeap heap;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 100; ++i) {
+    ids.push_back(heap.Push(Seconds(1) + i, [] {}));
+  }
+  // Cancel from the back, so no tombstone reaches the top: until there are
+  // 64 of them and they outnumber live timers, they stay queued.
+  for (int i = 0; i < 63; ++i) ASSERT_TRUE(heap.Cancel(ids[99 - i]));
+  EXPECT_EQ(heap.queued_entries(), 100u);
+  ASSERT_TRUE(heap.Cancel(ids[99 - 63]));
+  EXPECT_EQ(heap.queued_entries(), 36u);
+  EXPECT_EQ(heap.pending(), 36u);
+  std::vector<SimTime> popped;
+  SimTime when = 0;
+  while (heap.NextDeadline(&when)) {
+    popped.push_back(when);
+    heap.PopNext();
+  }
+  ASSERT_EQ(popped.size(), 36u);
+  for (int i = 0; i < 36; ++i) EXPECT_EQ(popped[i], Seconds(1) + i);
 }
 
 TEST(SimulatorTest, PendingEventsTracksLiveEventsUnderChurn) {
