@@ -17,21 +17,9 @@ PaxosReplica::PaxosReplica(Transport* transport, TimerService* timers,
           {kPaxCheckpoint, kPaxStateRequest, kPaxStateResponse,
            kPaxBatchRequest, kPaxBatchResponse}) {}
 
-void PaxosReplica::HandleMessage(PrincipalId from, const Payload& frame) {
-  Decoder dec = FrameDecoder(frame);
-  const uint8_t tag = dec.GetU8();
-  if (!dec.ok()) return;
-  // Channels are pairwise authenticated: protocol-internal messages are only
-  // ever legitimate on replica-to-replica channels. (In the crash model this
-  // is the ONLY defense — there are no signatures to reject forgeries.)
-  if (tag != kMsgRequest && !IsReplicaId(from)) return;
-  // Channel MAC check on every protocol message.
-  ChargeMac();
-  if (DispatchBatchFetch(tag, from, dec)) return;
+void PaxosReplica::HandleProtocolMessage(uint8_t tag, PrincipalId from,
+                                         Decoder& dec) {
   switch (tag) {
-    case kMsgRequest:
-      DispatchTyped(this, from, dec, &PaxosReplica::HandleRequest);
-      break;
     case kPaxAccept:
       DispatchTyped(this, from, dec, &PaxosReplica::HandleAccept);
       break;
@@ -70,53 +58,6 @@ void PaxosReplica::HandleMessage(PrincipalId from, const Payload& frame) {
 // ---------------------------------------------------------------------------
 // Normal case
 // ---------------------------------------------------------------------------
-
-void PaxosReplica::HandleRequest(PrincipalId from, Request request) {
-  // Channel authentication (§3.1): a request arriving directly from a
-  // client channel must name that client. Without this, a rogue client
-  // could impersonate another and poison its timestamp sequence — the
-  // crash-model baseline has no signatures to catch it otherwise.
-  if (IsClientPrincipal(from) && from != request.client) return;
-
-  // Retransmission of an executed request: resend the cached reply.
-  if (exec_.SeenTimestamp(request.client, request.timestamp)) {
-    auto cached = exec_.CachedReply(request.client, request.timestamp);
-    if (cached.has_value()) {
-      Reply reply;
-      reply.mode = 0;
-      reply.view = view_;
-      reply.timestamp = request.timestamp;
-      reply.replica = id_;
-      reply.result = *cached;
-      reply.Sign(signer_);
-      ChargeMac();
-      SendTo(request.client, reply.ToMessage());
-    }
-    return;
-  }
-
-  if (IsLeader() && !in_view_change_) {
-    LeaderEnqueue(std::move(request));
-  } else if (!in_view_change_) {
-    // Clients multicast to the whole receiving network, so the primary has
-    // its own copy on the first transmission. Seeing the SAME timestamp
-    // again means the client timed out: relay to the primary (its copy may
-    // have been lost or the client cannot reach it) and arm the liveness
-    // timer — if the request still never commits, a view change follows.
-    if (from == request.client) {
-      if (pipeline_.NoteDirectDelivery(request.client, request.timestamp)) {
-        SendTo(config_.FlatPrimary(view_), request.ToMessage());
-      }
-    }
-    ArmViewTimer();
-  }
-}
-
-void PaxosReplica::LeaderEnqueue(Request request) {
-  if (!pipeline_.Admit(request)) return;  // already queued or proposed
-  pipeline_.Enqueue(std::move(request));
-  TryPropose();
-}
 
 void PaxosReplica::TryPropose() {
   if (proposer_quiesced()) return;
@@ -167,7 +108,7 @@ void PaxosReplica::HandleAccept(PrincipalId from, PaxosAcceptMsg msg) {
 }
 
 void PaxosReplica::HandleAck(PrincipalId from, PaxosAckMsg msg) {
-  if (msg.view != view_ || !IsLeader() || in_view_change_) return;
+  if (msg.view != view_ || !IsPrimary() || in_view_change_) return;
   SlotCore* found = log_.Find(msg.seq);
   if (found == nullptr || !found->has_batch()) return;
   SlotCore& slot = *found;
@@ -204,27 +145,7 @@ void PaxosReplica::HandleCommit(PrincipalId from, PaxosCommitMsg msg) {
 
 void PaxosReplica::CommitSlot(uint64_t seq, SlotCore& slot,
                               bool send_replies) {
-  std::vector<ExecutedRequest> executed = commits().Commit(log_, seq, slot);
-  for (const ExecutedRequest& ex : executed) {
-    if (send_replies && !(ex.duplicate && ex.result.empty())) {
-      SendReply(ex);
-    }
-  }
-  MaybeCheckpoint();
-  RestartOrDisarmViewTimer();
-  if (IsLeader() && !in_view_change_) TryPropose();
-}
-
-void PaxosReplica::SendReply(const ExecutedRequest& executed) {
-  Reply reply;
-  reply.mode = 0;
-  reply.view = view_;
-  reply.timestamp = executed.timestamp;
-  reply.replica = id_;
-  reply.result = executed.result;
-  reply.Sign(signer_);
-  ChargeMac();  // crash model: replies carry MACs, not signatures
-  SendTo(executed.client, reply.ToMessage());
+  FinishCommit(commits().Commit(log_, seq, slot), send_replies);
 }
 
 // ---------------------------------------------------------------------------

@@ -51,10 +51,12 @@ class PaxosReplica : public ViewChangingReplica<PaxosViewChangeRecord> {
                std::unique_ptr<StateMachine> state_machine,
                const CostModel& costs);
 
-  bool IsLeader() const { return config_.FlatPrimary(view_) == id_; }
-
  protected:
-  void HandleMessage(PrincipalId from, const Payload& frame) override;
+  // ----- request path (consensus/view_changing_replica.h) -----
+  /// Also dispatches the crash-model checkpoint wire types.
+  void HandleProtocolMessage(uint8_t tag, PrincipalId from,
+                             Decoder& dec) override;
+  void TryPropose() override;
 
   // ----- checkpoint policy (consensus/checkpointing_replica.h) -----
   /// Every replica announces its checkpoints.
@@ -97,14 +99,10 @@ class PaxosReplica : public ViewChangingReplica<PaxosViewChangeRecord> {
 
  private:
   // ----- normal case -----
-  void HandleRequest(PrincipalId from, Request request);
-  void LeaderEnqueue(Request request);
-  void TryPropose();
   void HandleAccept(PrincipalId from, PaxosAcceptMsg msg);
   void HandleAck(PrincipalId from, PaxosAckMsg msg);
   void HandleCommit(PrincipalId from, PaxosCommitMsg msg);
   void CommitSlot(uint64_t seq, SlotCore& slot, bool send_replies);
-  void SendReply(const ExecutedRequest& executed);
 
   // ----- the crash-model checkpoint wire types -----
   void HandleCheckpoint(PrincipalId from, PaxosCheckpointMsg msg);

@@ -21,19 +21,10 @@ PbftCoreReplica::PbftCoreReplica(Transport* transport, TimerService* timers,
            kPbftBatchRequest, kPbftBatchResponse}),
       quorums_(quorums) {}
 
-void PbftCoreReplica::HandleMessage(PrincipalId from, const Payload& frame) {
-  Decoder dec = FrameDecoder(frame);
-  const uint8_t tag = dec.GetU8();
-  if (!dec.ok()) return;
-  ChargeMac();  // channel authentication
-  // Protocol-internal messages are only legitimate on replica channels.
-  if (tag != kMsgRequest && !IsReplicaId(from)) return;
+void PbftCoreReplica::HandleProtocolMessage(uint8_t tag, PrincipalId from,
+                                            Decoder& dec) {
   if (DispatchCheckpointTraffic(tag, from, dec)) return;
-  if (DispatchBatchFetch(tag, from, dec)) return;
   switch (tag) {
-    case kMsgRequest:
-      DispatchTyped(this, from, dec, &PbftCoreReplica::HandleRequest);
-      break;
     case kPbftPrePrepare:
       DispatchTyped(this, from, dec, &PbftCoreReplica::HandlePrePrepare);
       break;
@@ -47,7 +38,7 @@ void PbftCoreReplica::HandleMessage(PrincipalId from, const Payload& frame) {
       // The body signature covers the whole frame; validate from the raw
       // bytes (ParseViewChange runs the typed decode internally; the record
       // keeps an owned copy regardless, so copy out of the shared frame).
-      HandleViewChange(from, frame.ToBytes());
+      HandleViewChange(from, current_frame().ToBytes());
       break;
     case kPbftNewView: {
       Result<PbftNewViewMsg> msg = PbftNewViewMsg::DecodeFrom(
@@ -63,54 +54,6 @@ void PbftCoreReplica::HandleMessage(PrincipalId from, const Payload& frame) {
 // ---------------------------------------------------------------------------
 // Normal case
 // ---------------------------------------------------------------------------
-
-void PbftCoreReplica::HandleRequest(PrincipalId from, Request request) {
-  // Channel authentication (§3.1): a request arriving directly from a
-  // client channel must name that client. Without this, a rogue client
-  // could impersonate another and poison its timestamp sequence — the
-  // crash-model baseline has no signatures to catch it otherwise.
-  if (IsClientPrincipal(from) && from != request.client) return;
-
-  if (exec_.SeenTimestamp(request.client, request.timestamp)) {
-    auto cached = exec_.CachedReply(request.client, request.timestamp);
-    if (cached.has_value()) {
-      Reply reply;
-      reply.view = view_;
-      reply.timestamp = request.timestamp;
-      reply.replica = id_;
-      reply.result = *cached;
-      reply.Sign(signer_);
-      ChargeMac();
-      SendTo(request.client, reply.ToMessage());
-    }
-    return;
-  }
-
-  ChargeVerify();  // client signature
-  if (!request.VerifySignature(*keystore_)) return;
-
-  if (IsPrimary() && !in_view_change_) {
-    PrimaryEnqueue(std::move(request));
-  } else if (!in_view_change_) {
-    // Clients multicast to the whole receiving network, so the primary has
-    // its own copy on the first transmission. Seeing the SAME timestamp
-    // again means the client timed out: relay to the primary (its copy may
-    // have been lost or the client cannot reach it) and arm the liveness
-    // timer — if the request still never commits, a view change follows.
-    if (from == request.client) {
-      if (pipeline_.NoteDirectDelivery(request.client, request.timestamp)) {
-        SendTo(config_.FlatPrimary(view_), request.ToMessage());
-      }
-    }
-    ArmViewTimer();
-  }
-}
-
-void PbftCoreReplica::PrimaryEnqueue(Request request) {
-  if (!pipeline_.Admit(request)) return;
-  pipeline_.Enqueue(std::move(request));
-  TryPropose();
-}
 
 void PbftCoreReplica::TryPropose() {
   if (proposer_quiesced()) return;
@@ -289,27 +232,7 @@ void PbftCoreReplica::CheckCommitted(uint64_t seq, SlotCore& slot) {
       quorums_.commit) {
     return;
   }
-  std::vector<ExecutedRequest> executed = commits().Commit(log_, seq, slot);
-  for (const ExecutedRequest& ex : executed) {
-    if (!(ex.duplicate && ex.result.empty())) SendReply(ex);
-  }
-  MaybeCheckpoint();
-  RestartOrDisarmViewTimer();
-  if (IsPrimary() && !in_view_change_) TryPropose();
-}
-
-void PbftCoreReplica::SendReply(const ExecutedRequest& executed) {
-  Reply reply;
-  reply.view = view_;
-  reply.timestamp = executed.timestamp;
-  reply.replica = id_;
-  reply.result = executed.result;
-  if (HasByz(kByzLieToClients) && !reply.result.empty()) {
-    reply.result[0] ^= 0xff;
-  }
-  reply.Sign(signer_);
-  ChargeMac();
-  SendTo(executed.client, reply.ToMessage());
+  FinishCommit(commits().Commit(log_, seq, slot), /*replies=*/true);
 }
 
 // ---------------------------------------------------------------------------

@@ -53,10 +53,13 @@ class PbftCoreReplica : public ViewChangingReplica<PbftViewChangeRecord> {
                   std::unique_ptr<StateMachine> state_machine,
                   const CostModel& costs, const PbftQuorums& quorums);
 
-  bool IsPrimary() const { return config_.FlatPrimary(view_) == id_; }
-
  protected:
-  void HandleMessage(PrincipalId from, const Payload& frame) override;
+  // ----- request path (consensus/view_changing_replica.h) -----
+  void HandleProtocolMessage(uint8_t tag, PrincipalId from,
+                             Decoder& dec) override;
+  /// Every replica authenticates a request before it orders or relays it.
+  bool ChecksClientSignature() const override { return true; }
+  void TryPropose() override;
 
   // ----- checkpoint policy (consensus/checkpointing_replica.h) -----
   /// Every replica signs and multicasts its checkpoints.
@@ -72,9 +75,6 @@ class PbftCoreReplica : public ViewChangingReplica<PbftViewChangeRecord> {
   bool FetchOnCheckpoint(const CheckpointMsg& msg) const override {
     return msg.seq > exec_.last_executed() +
                          static_cast<uint64_t>(config_.checkpoint_period);
-  }
-  void OnStableAdvanced() override {
-    if (IsPrimary() && !in_view_change_) TryPropose();  // window moved
   }
 
   // ----- view-change policy (consensus/view_changing_replica.h) -----
@@ -98,9 +98,6 @@ class PbftCoreReplica : public ViewChangingReplica<PbftViewChangeRecord> {
 
  private:
   // ----- normal case -----
-  void HandleRequest(PrincipalId from, Request request);
-  void PrimaryEnqueue(Request request);
-  void TryPropose();
   void EmitPrePrepare(uint64_t seq, const Batch& batch, const Bytes& encoded);
   void HandlePrePrepare(PrincipalId from, PbftPrePrepareMsg msg);
   void HandlePrepare(PrincipalId from, PbftPrepareMsg msg);
@@ -108,7 +105,6 @@ class PbftCoreReplica : public ViewChangingReplica<PbftViewChangeRecord> {
   void SendPrepare(uint64_t seq, SlotCore& slot);
   void CheckPrepared(uint64_t seq, SlotCore& slot);
   void CheckCommitted(uint64_t seq, SlotCore& slot);
-  void SendReply(const ExecutedRequest& executed);
 
   // ----- view change -----
   /// Structural decode (wire/messages.h) + semantic validation of a raw

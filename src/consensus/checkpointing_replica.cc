@@ -276,8 +276,7 @@ void CheckpointingReplica::RequestMissingBatches() {
 
 void CheckpointingReplica::HandleBatchRequest(PrincipalId from,
                                               BatchRequestMsg msg) {
-  auto [last, first_request] = last_batch_reply_.emplace(from, -Seconds(1));
-  if (!first_request && now() - last->second < kFetchInterval) return;
+  if (!MayAnswer(last_batch_reply_, from)) return;
   BatchResponseMsg response;
   for (const BatchRef& ref : msg.wanted) {
     if (response.batches.size() >= kMaxBatchesPerFetch) break;
@@ -286,7 +285,7 @@ void CheckpointingReplica::HandleBatchRequest(PrincipalId from,
     if (batch != nullptr && !response.Add(ref.seq, batch->Encode())) break;
   }
   if (response.batches.empty()) return;
-  last->second = now();
+  last_batch_reply_[from] = now();
   SendTo(from, response.ToMessage(tags_.batch_response));
 }
 

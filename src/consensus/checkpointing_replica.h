@@ -5,7 +5,8 @@
 // replica fell behind, serve and install snapshots, and restore checkpoint
 // state from a durable image. Beside the state request sits the batch
 // fetch: view changes name batches by digest only, and a replica that lacks
-// one asks a replica that vouched for the digest. Protocols supply only the
+// one asks a replica that vouched for the digest; answers to such unsigned
+// asks are rate-limited per peer (MayAnswer). Protocols supply only the
 // policy hooks below (DESIGN.md §8 tabulates them); nothing here branches
 // on the protocol.
 
@@ -73,7 +74,7 @@ class CheckpointingReplica : public ReplicaBase {
   /// Does a peer's authenticated checkpoint prove we lag, so we fetch now?
   virtual bool FetchOnCheckpoint(const CheckpointMsg& msg) const = 0;
   /// Runs after every stable advance (the proposal window moved).
-  virtual void OnStableAdvanced() {}
+  virtual void OnStableAdvanced() = 0;
   /// Puts our own checkpoint on the wire; by default signed, under the tag.
   virtual void MulticastCheckpoint(CheckpointMsg& msg);
   /// The certificate a stable checkpoint keeps; by default all its votes.
@@ -132,6 +133,17 @@ class CheckpointingReplica : public ReplicaBase {
   /// Crash() killed the fetch timer: resume the rounds an interval on.
   void OnRecover() override;
 
+  /// The per-peer answer limit on unsigned requests whose answers can be
+  /// large (a BATCH-REQUEST, SeeMoRe's NEW-VIEW-REQUEST): may `peer` be
+  /// answered now, given when `answered` says each peer last was? A
+  /// Byzantine spammer gets at most one answer per kFetchInterval; an
+  /// honest asker self-limits to that rate anyway.
+  bool MayAnswer(const std::map<PrincipalId, SimTime>& answered,
+                 PrincipalId peer) const {
+    auto last = answered.find(peer);
+    return last == answered.end() || now() - last->second >= kFetchInterval;
+  }
+
   bool IsReplicaId(PrincipalId r) const { return r >= 0 && r < config_.n(); }
   /// Is `seq` inside the agreement window above the stable checkpoint?
   bool InWindow(uint64_t seq) const {
@@ -173,9 +185,7 @@ class CheckpointingReplica : public ReplicaBase {
   std::map<uint64_t, WantedBatch> wanted_batches_;
   std::map<std::pair<uint64_t, Digest>, Batch> spare_batches_;
   EventId batch_fetch_timer_ = 0;  // the next round; 0 when none is due
-  /// Per-peer rate limit on answering BATCH-REQUESTs: the request is
-  /// unsigned and a response can be large, so a Byzantine peer gets at most
-  /// one answer per kFetchInterval.
+  /// When each peer's BATCH-REQUEST was last answered (MayAnswer).
   std::map<PrincipalId, SimTime> last_batch_reply_;
 };
 

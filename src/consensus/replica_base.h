@@ -1,7 +1,8 @@
 // Common plumbing for every protocol replica: transport registration, CPU
 // cost accounting, signing, timers that die with the replica, crash/recover
-// fault injection, and Byzantine-behaviour flags consulted by the protocol
-// logic.
+// fault injection, Byzantine-behaviour flags consulted by the protocol
+// logic, and the primary a replica currently follows (answered by the
+// consensus core, consensus/view_changing_replica.h).
 //
 // Replicas see the outside world only through the Transport / TimerService /
 // CpuMeter interfaces (net/transport.h); no protocol code knows whether it
@@ -66,6 +67,9 @@ class ReplicaBase : public MessageHandler {
   const ReplicaStats& stats() const { return stats_; }
   CpuMeter* cpu() { return cpu_; }
   bool crashed() const { return crashed_; }
+  /// The replica this one takes to order requests now (the consensus core
+  /// answers from its view; SeeMoRe also from its mode).
+  virtual PrincipalId current_primary() const = 0;
 
   /// Fault injection: stop processing and detach from the network. State is
   /// retained in memory (a restart models a reboot with a durable log).

@@ -1,5 +1,14 @@
-// The view-change flow of §5.1-§5.3 and of the PBFT and Paxos baselines,
-// written once for every protocol: the view timer that suspects the
+// The consensus core every protocol runs on (DESIGN.md §8). It writes once
+// what SeeMoRe's Lion, Dog and Peacock modes and the PBFT, S-UpRight and
+// Paxos baselines share around their agreement phases.
+//
+// The request path (§5.1): the frame prologue (tag, channel MAC, the
+// replica-channel rule), client admission (impersonation check, cached
+// reply for a retransmission, ordering at the primary, the one-time relay
+// of a repeated timestamp to the primary), one reply builder, and the tail
+// every commit runs (replies, checkpoint, view timer, next proposal).
+//
+// The view-change flow of §5.1-§5.3: the view timer that suspects the
 // primary, the escalation when a view change stalls, the per-view store of
 // validated VIEW-CHANGE records and the loop that joins a view change,
 // NEW-VIEW formation once this replica is the authority and holds a quorum,
@@ -7,9 +16,10 @@
 // the view a durable restart comes back in. VIEW-CHANGE and NEW-VIEW name
 // batches by digest; the authority fetches any batch it lacks before it
 // signs, and a replica that installs a re-proposal without its batch
-// fetches it and resumes the entry when it lands. Protocols supply only the
-// policy hooks below (DESIGN.md §8 tabulates them); nothing here branches
-// on the protocol.
+// fetches it and resumes the entry when it lands.
+//
+// Protocols supply only the policy hooks below (DESIGN.md §8 tabulates
+// them); nothing here branches on the protocol.
 
 #ifndef SEEMORE_CONSENSUS_VIEW_CHANGING_REPLICA_H_
 #define SEEMORE_CONSENSUS_VIEW_CHANGING_REPLICA_H_
@@ -69,6 +79,11 @@ class ViewChangingReplica : public CheckpointingReplica {
  public:
   uint64_t view() const { return view_; }
   bool in_view_change() const { return in_view_change_; }
+  /// The flat rotation over all replicas; SeeMoRe's depends on its mode.
+  PrincipalId current_primary() const override {
+    return config_.FlatPrimary(view_);
+  }
+  bool IsPrimary() const { return current_primary() == id_; }
 
  protected:
   using ViewChangeRecord = Record;
@@ -92,7 +107,77 @@ class ViewChangingReplica : public CheckpointingReplica {
         pipeline_(config.batch_max, config.pipeline_max),
         current_vc_timeout_(config.view_change_timeout) {}
 
-  // ----- policy hooks -----
+  // ----- request-path hooks -----
+  /// Every frame tag the prologue (HandleMessage) does not handle: the
+  /// protocol's agreement, view-change and checkpoint traffic. The decoder
+  /// is past the tag byte; current_frame() is the whole frame.
+  virtual void HandleProtocolMessage(uint8_t tag, PrincipalId from,
+                                     Decoder& dec) = 0;
+  /// Must a client's signature verify before this replica orders or relays
+  /// its request? By default no: the crash model trusts its clients.
+  virtual bool ChecksClientSignature() const { return false; }
+  /// The mode byte every reply carries; 0 outside SeeMoRe.
+  virtual uint8_t ReplyMode() const { return 0; }
+  /// Charges the authentication of one reply; by default a MAC.
+  virtual void ChargeReplyAuth() { ChargeMac(); }
+  /// At the primary: open and propose batches while the pipeline allows.
+  virtual void TryPropose() = 0;
+
+  // ----- the shared request path -----
+  /// The frame prologue: decode the tag and charge the pairwise channel MAC
+  /// (§3.1). A REQUEST may come from a client; anything else only on a
+  /// replica-to-replica channel. Batch-fetch frames are the core's;
+  /// everything else goes to HandleProtocolMessage.
+  void HandleMessage(PrincipalId from, const Payload& frame) final {
+    Decoder dec = FrameDecoder(frame);
+    const uint8_t tag = dec.GetU8();
+    if (!dec.ok()) return;
+    ChargeMac();
+    if (tag == kMsgRequest) {
+      DispatchTyped(this, from, dec, &ViewChangingReplica::HandleRequest);
+      return;
+    }
+    if (!IsReplicaId(from) || DispatchBatchFetch(tag, from, dec)) return;
+    HandleProtocolMessage(tag, from, dec);
+  }
+
+  /// Signs and sends one reply to `client`: a fresh result or a cached one.
+  void SendReply(PrincipalId client, uint64_t timestamp, const Bytes& result) {
+    Reply reply;
+    reply.mode = ReplyMode();
+    reply.view = view_;
+    reply.timestamp = timestamp;
+    reply.replica = id_;
+    reply.result = result;
+    if (HasByz(kByzLieToClients) && !reply.result.empty()) {
+      reply.result[0] ^= 0xff;
+    }
+    reply.Sign(signer_);
+    ChargeReplyAuth();
+    SendTo(client, reply.ToMessage());
+  }
+
+  /// What follows every commit: answer the clients of `executed` when
+  /// `replies` (a duplicate without a cached result has no answer), cut a
+  /// checkpoint if one is due, restart or disarm the view timer, and at the
+  /// primary propose again.
+  void FinishCommit(const std::vector<ExecutedRequest>& executed,
+                    bool replies) {
+    for (const ExecutedRequest& ex : executed) {
+      if (replies && !(ex.duplicate && ex.result.empty())) {
+        SendReply(ex.client, ex.timestamp, ex.result);
+      }
+    }
+    MaybeCheckpoint();
+    RestartOrDisarmViewTimer();
+    if (IsPrimary() && !in_view_change_) TryPropose();
+  }
+  /// The proposal window moved.
+  void OnStableAdvanced() override {
+    if (IsPrimary() && !in_view_change_) TryPropose();
+  }
+
+  // ----- view-change hooks -----
   /// Does this replica time the primary while work stays uncommitted?
   virtual bool WatchesPrimary() const { return true; }
   /// Multicast this replica's VIEW-CHANGE for `new_view` and keep its own
@@ -352,6 +437,45 @@ class ViewChangingReplica : public CheckpointingReplica {
   PrimaryPipeline pipeline_;
 
  private:
+  /// A client REQUEST, from the client or relayed by a replica (§5.1).
+  void HandleRequest(PrincipalId from, Request request) {
+    // Channel authentication (§3.1): a request arriving directly from a
+    // client channel must name that client. Without this, a rogue client
+    // could impersonate another and poison its timestamp sequence — the
+    // crash model has no signatures to catch it otherwise.
+    if (IsClientPrincipal(from) && from != request.client) return;
+    // Retransmission of an executed request: any replica resends the cached
+    // reply; the client's reply policy decides how many it needs.
+    if (exec_.SeenTimestamp(request.client, request.timestamp)) {
+      auto cached = exec_.CachedReply(request.client, request.timestamp);
+      if (cached.has_value()) {
+        SendReply(request.client, request.timestamp, *cached);
+      }
+      return;
+    }
+    if (ChecksClientSignature()) {
+      ChargeVerify();
+      if (!request.VerifySignature(*keystore_)) return;
+    }
+    if (in_view_change_) return;
+    if (IsPrimary()) {
+      if (!pipeline_.Admit(request)) return;  // already queued or proposed
+      pipeline_.Enqueue(std::move(request));
+      TryPropose();
+      return;
+    }
+    // Clients multicast to the receiving network, so the primary has its
+    // own copy on the first transmission. A repeated timestamp means the
+    // client timed out: relay it to the primary once (its copy may have
+    // been lost, or the client cannot reach it), and arm the timer that
+    // suspects a primary under which the request never commits.
+    if (from == request.client &&
+        pipeline_.NoteDirectDelivery(request.client, request.timestamp)) {
+      SendTo(current_primary(), request.ToMessage());
+    }
+    ArmViewTimer();
+  }
+
   /// `first`, then every sender of `records` that names `digest` at `seq`;
   /// each once, and never this replica.
   std::vector<PrincipalId> Vouchers(const Records& records, uint64_t seq,

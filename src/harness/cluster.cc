@@ -85,21 +85,6 @@ std::unique_ptr<ReplicaBase> MakeReplica(const scenario::ScenarioSpec& spec,
   return nullptr;
 }
 
-int CurrentPrimary(const ReplicaBase& replica, const ClusterConfig& config) {
-  switch (config.kind) {
-    case ProtocolKind::kSeeMoRe:
-      return static_cast<const SeeMoReReplica&>(replica).current_primary();
-    case ProtocolKind::kCft:
-      return config.FlatPrimary(
-          static_cast<const PaxosReplica&>(replica).view());
-    case ProtocolKind::kBft:
-    case ProtocolKind::kSUpRight:
-      return config.FlatPrimary(
-          static_cast<const PbftCoreReplica&>(replica).view());
-  }
-  return -1;
-}
-
 std::unique_ptr<ReplicaBase> Cluster::BuildReplica(int i) {
   return MakeReplica(spec_, i, net_.get(), sim_.get(), keystore_.get(),
                      memo_.get());

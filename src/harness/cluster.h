@@ -45,10 +45,6 @@ std::unique_ptr<ReplicaBase> MakeReplica(const scenario::ScenarioSpec& spec,
                                          const KeyStore* keystore,
                                          CryptoMemo* memo);
 
-/// Who `replica` believes is primary now (replicas can disagree mid view
-/// change; any live vantage is fine for fault injection).
-int CurrentPrimary(const ReplicaBase& replica, const ClusterConfig& config);
-
 /// What a successful Restart() reconstructed (scenario/report provenance).
 struct RestartOutcome {
   uint64_t snapshot_seq = 0;     // newest snapshot restored from (0 = none)

@@ -150,8 +150,7 @@ void Node::OnControl(const FaultCommand& command) {
       reply.replica = options_.replica_id;
       // +1 so "unknown primary" (no reply field set) stays distinct from
       // replica 0.
-      reply.value = static_cast<uint32_t>(
-          CurrentPrimary(*replica_, replica_->config()) + 1);
+      reply.value = static_cast<uint32_t>(replica_->current_primary() + 1);
       transport_->Send(options_.replica_id, kFaultControllerId,
                        Payload(EncodeFaultCommandBody(reply)));
       return;

@@ -54,7 +54,7 @@ class ClusterTarget final : public FaultTarget {
   void ResolvePrimary(std::function<void(int)> then) override {
     for (int i = 0; i < cluster_.n(); ++i) {
       if (cluster_.replica(i)->crashed()) continue;
-      then(CurrentPrimary(*cluster_.replica(i), cluster_.config()));
+      then(cluster_.replica(i)->current_primary());
       return;
     }
     then(-1);

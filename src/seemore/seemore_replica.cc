@@ -1,6 +1,8 @@
 // Normal-case agreement (Algorithms 1 & 2, §5.3) and NEW-VIEW relay. View
-// changes and mode switching live in seemore_view_change.cc; checkpoints
-// and state transfer in consensus/checkpointing_replica.cc.
+// changes and mode switching live in seemore_view_change.cc. Request
+// admission, replies and the commit tail are the consensus core's
+// (consensus/view_changing_replica.h); checkpoints and state transfer are
+// in consensus/checkpointing_replica.cc.
 
 #include "seemore/seemore_replica.h"
 
@@ -71,19 +73,10 @@ bool SeeMoReReplica::VerifyProposalSig(SeeMoReMode mode, uint64_t view,
   return authority != proposer && keystore_->Verify(authority, header, sig);
 }
 
-void SeeMoReReplica::HandleMessage(PrincipalId from, const Payload& frame) {
-  Decoder dec = FrameDecoder(frame);
-  const uint8_t tag = dec.GetU8();
-  if (!dec.ok()) return;
-  ChargeMac();  // pairwise channel authentication (§3.1)
-  // Protocol-internal messages are only legitimate on replica channels.
-  if (tag != kMsgRequest && !IsReplicaId(from)) return;
+void SeeMoReReplica::HandleProtocolMessage(uint8_t tag, PrincipalId from,
+                                           Decoder& dec) {
   if (DispatchCheckpointTraffic(tag, from, dec)) return;
-  if (DispatchBatchFetch(tag, from, dec)) return;
   switch (tag) {
-    case kMsgRequest:
-      DispatchTyped(this, from, dec, &SeeMoReReplica::HandleRequest);
-      break;
     case kSmPrepare:
       DispatchTyped(this, from, dec, &SeeMoReReplica::HandlePrepare);
       break;
@@ -129,62 +122,6 @@ void SeeMoReReplica::HandleMessage(PrincipalId from, const Payload& frame) {
 // ---------------------------------------------------------------------------
 // Normal case
 // ---------------------------------------------------------------------------
-
-void SeeMoReReplica::HandleRequest(PrincipalId from, Request request) {
-  // Channel authentication (§3.1): a request arriving directly from a
-  // client channel must name that client. Without this, a rogue client
-  // could impersonate another and poison its timestamp sequence — the
-  // crash-model baseline has no signatures to catch it otherwise.
-  if (IsClientPrincipal(from) && from != request.client) return;
-
-  // Retransmission of an executed request: any replica resends the cached
-  // reply (§5.1); the client's reply policy decides how many it needs.
-  if (exec_.SeenTimestamp(request.client, request.timestamp)) {
-    auto cached = exec_.CachedReply(request.client, request.timestamp);
-    if (cached.has_value()) {
-      Reply reply;
-      reply.mode = static_cast<uint8_t>(mode_);
-      reply.view = view_;
-      reply.timestamp = request.timestamp;
-      reply.replica = id_;
-      reply.result = *cached;
-      if (HasByz(kByzLieToClients) && !reply.result.empty()) {
-        reply.result[0] ^= 0xff;
-      }
-      reply.Sign(signer_);
-      ChargeSign();
-      SendTo(request.client, reply.ToMessage());
-    }
-    return;
-  }
-
-  if (IsPrimary() && !in_view_change_) {
-    // The (trusted or Peacock) primary validates the client signature and
-    // timestamp before ordering (Algorithm 1 lines 5-8).
-    ChargeVerify();
-    if (!request.VerifySignature(*keystore_)) return;
-    PrimaryEnqueue(std::move(request));
-    return;
-  }
-  if (in_view_change_) return;
-  // Clients multicast to the mode's receiving network (Table 1), so the
-  // primary has its own copy on the first transmission. A repeated
-  // timestamp is a client retransmission: relay it to the primary (the
-  // paper's liveness path, §5.1) and let participants arm the timer that
-  // eventually suspects a dead primary.
-  if (from == request.client) {
-    if (pipeline_.NoteDirectDelivery(request.client, request.timestamp)) {
-      SendTo(current_primary(), request.ToMessage());
-    }
-  }
-  if (ParticipatesInAgreement()) ArmViewTimer();
-}
-
-void SeeMoReReplica::PrimaryEnqueue(Request request) {
-  if (!pipeline_.Admit(request)) return;
-  pipeline_.Enqueue(std::move(request));
-  TryPropose();
-}
 
 void SeeMoReReplica::TryPropose() {
   if (proposer_quiesced()) return;
@@ -569,29 +506,7 @@ void SeeMoReReplica::CommitSlot(uint64_t seq, SlotCore& slot, bool replies,
   if (slot.committed()) return;
   commits().MarkCommitted(log_, slot);
   if (informs) SendInform(seq, slot);
-  std::vector<ExecutedRequest> executed =
-      commits().Execute(seq, slot.batch, slot.digest);
-  for (const ExecutedRequest& ex : executed) {
-    if (replies && !(ex.duplicate && ex.result.empty())) SendReply(ex);
-  }
-  MaybeCheckpoint();
-  RestartOrDisarmViewTimer();
-  if (IsPrimary() && !in_view_change_) TryPropose();
-}
-
-void SeeMoReReplica::SendReply(const ExecutedRequest& executed) {
-  Reply reply;
-  reply.mode = static_cast<uint8_t>(mode_);
-  reply.view = view_;
-  reply.timestamp = executed.timestamp;
-  reply.replica = id_;
-  reply.result = executed.result;
-  if (HasByz(kByzLieToClients) && !reply.result.empty()) {
-    reply.result[0] ^= 0xff;
-  }
-  reply.Sign(signer_);
-  ChargeSign();  // replies are signed in every SeeMoRe mode (§5.1)
-  SendTo(executed.client, reply.ToMessage());
+  FinishCommit(commits().Execute(seq, slot.batch, slot.digest), replies);
 }
 
 void SeeMoReReplica::SendInform(uint64_t seq, const SlotCore& slot) {
@@ -618,7 +533,7 @@ void SeeMoReReplica::OnDurableRestore(const RecoveredImage& image) {
 
 void SeeMoReReplica::RequestNewViewFrom(PrincipalId target) {
   if (target == id_ || !IsReplicaId(target)) return;
-  if (now() - last_nv_request_ < Millis(20)) return;
+  if (now() - last_nv_request_ < kFetchInterval) return;
   last_nv_request_ = now();
   NewViewRequestMsg request{view_};
   SendTo(target, request.ToMessage());
@@ -629,14 +544,11 @@ void SeeMoReReplica::HandleNewViewRequest(PrincipalId from,
   // Only useful when we actually hold a NEW-VIEW newer than the requester's
   // view. The relayed frame is verified end-to-end by the receiver
   // (HandleNewView), so no further validation is needed here. The request is
-  // unsigned and the stored frame can be large, so rate-limit per peer: an
-  // honest laggard self-limits to one request per 20ms anyway, while a
-  // Byzantine spammer gets at most one relay per window instead of
-  // per-request bandwidth amplification.
+  // unsigned and the stored frame can be large: answers are rate-limited
+  // per peer.
   if (msg.view >= view_ || last_new_view_frame_.size() == 0) return;
-  auto [it, first_request] = last_nv_relay_.emplace(from, -Seconds(1));
-  if (!first_request && now() - it->second < Millis(20)) return;
-  it->second = now();
+  if (!MayAnswer(last_nv_relay_, from)) return;
+  last_nv_relay_[from] = now();
   SendTo(from, last_new_view_frame_);
   CountViewChangeFrame(last_new_view_frame_, last_new_view_entries_, 1);
 }

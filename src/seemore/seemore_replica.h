@@ -64,10 +64,10 @@ class SeeMoReReplica : public ViewChangingReplica<SeeMoReViewChangeRecord> {
                  const CostModel& costs);
 
   SeeMoReMode mode() const { return mode_; }
-  PrincipalId current_primary() const {
+  /// The primary of this view under the current mode.
+  PrincipalId current_primary() const override {
     return config_.PrimaryOf(mode_, view_);
   }
-  bool IsPrimary() const { return current_primary() == id_; }
 
   /// Dynamic mode switching (§5.4). Must be invoked on the trusted replica
   /// that is the authority for view v+1 under `new_mode` (the new primary
@@ -94,8 +94,21 @@ class SeeMoReReplica : public ViewChangingReplica<SeeMoReViewChangeRecord> {
   }
 
  protected:
-  void HandleMessage(PrincipalId from, const Payload& frame) override;
   void OnDurableRestore(const RecoveredImage& image) override;
+
+  // ----- request path (consensus/view_changing_replica.h) -----
+  void HandleProtocolMessage(uint8_t tag, PrincipalId from,
+                             Decoder& dec) override;
+  /// The (trusted or Peacock) primary validates the client's signature and
+  /// timestamp before ordering (Algorithm 1 lines 5-8); no one orders
+  /// during a view change. Backups leave it to the primary.
+  bool ChecksClientSignature() const override {
+    return IsPrimary() && !in_view_change_;
+  }
+  uint8_t ReplyMode() const override { return static_cast<uint8_t>(mode_); }
+  /// Replies are signed in every SeeMoRe mode (§5.1).
+  void ChargeReplyAuth() override { ChargeSign(); }
+  void TryPropose() override;
 
   // ----- checkpoint policy (consensus/checkpointing_replica.h) -----
   /// Lion/Dog: only the trusted primary's signed checkpoint certifies
@@ -116,9 +129,6 @@ class SeeMoReReplica : public ViewChangingReplica<SeeMoReViewChangeRecord> {
   /// untrusted signers only trigger a fetch through the stability quorum.
   bool FetchOnCheckpoint(const CheckpointMsg& msg) const override {
     return config_.IsTrusted(msg.replica) && msg.seq > exec_.last_executed();
-  }
-  void OnStableAdvanced() override {
-    if (IsPrimary() && !in_view_change_) TryPropose();
   }
 
   // ----- view-change policy (consensus/view_changing_replica.h) -----
@@ -164,9 +174,6 @@ class SeeMoReReplica : public ViewChangingReplica<SeeMoReViewChangeRecord> {
   bool VerifyVcPrepareEntry(const SmVcEntry& entry) const;
 
   // ----- normal case -----
-  void HandleRequest(PrincipalId from, Request request);
-  void PrimaryEnqueue(Request request);
-  void TryPropose();
   void HandlePrepare(PrincipalId from, SmPrepareMsg msg);
   void HandleAcceptPlain(PrincipalId from, SmAcceptPlainMsg msg);
   void HandleAcceptSigned(PrincipalId from, SmAcceptSignedMsg msg);
@@ -176,7 +183,6 @@ class SeeMoReReplica : public ViewChangingReplica<SeeMoReViewChangeRecord> {
   void SendSignedAccept(uint64_t seq, SlotCore& slot);
   void CheckProxyCommit(uint64_t seq, SlotCore& slot);
   void CommitSlot(uint64_t seq, SlotCore& slot, bool replies, bool informs);
-  void SendReply(const ExecutedRequest& executed);
   void SendInform(uint64_t seq, const SlotCore& slot);
 
   // ----- view catch-up ----------------------------------------------------
@@ -208,12 +214,10 @@ class SeeMoReReplica : public ViewChangingReplica<SeeMoReViewChangeRecord> {
   /// view -> mode requested by a signed MODE-CHANGE for that view.
   std::map<uint64_t, SeeMoReMode> pending_mode_;
 
-  /// Last time we asked a peer to relay a NEW-VIEW (a lost response must not
-  /// wedge recovery).
+  /// Last time we asked a peer to relay a NEW-VIEW: at most once per
+  /// kFetchInterval, so a lost response delays catch-up but cannot wedge it.
   SimTime last_nv_request_ = -Seconds(1);
-  /// Per-peer rate limit on ANSWERING relay requests: NEW-VIEW-REQUEST is
-  /// unsigned and the stored frame can be large, so without this a Byzantine
-  /// peer could spam requests for bandwidth amplification.
+  /// When each peer's NEW-VIEW-REQUEST was last answered (MayAnswer).
   std::map<PrincipalId, SimTime> last_nv_relay_;
   /// The NEW-VIEW frame that activated the current view (empty when the view
   /// was entered some other way: genesis, trusted-primary fast-forward, or a

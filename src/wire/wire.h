@@ -14,6 +14,7 @@
 #ifndef SEEMORE_WIRE_WIRE_H_
 #define SEEMORE_WIRE_WIRE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -101,19 +102,20 @@ class Encoder {
       measured_ += len;
       return;
     }
+    // Grow here rather than inside insert: GCC 12 takes insert's own
+    // regrowth of an empty buffer for an overflow (-Wstringop-overflow).
+    if (buf_.capacity() - buf_.size() < len) {
+      buf_.reserve(std::max(2 * buf_.capacity(), buf_.size() + len));
+    }
     buf_.insert(buf_.end(), data, data + len);
   }
   /// The low `width` bytes of `v`, least significant first, in one append.
   void PutLittleEndian(uint64_t v, int width) {
-    if (measuring_) {
-      measured_ += static_cast<size_t>(width);
-      return;
-    }
-    const size_t at = buf_.size();
-    buf_.resize(at + static_cast<size_t>(width));
+    uint8_t bytes[8];
     for (int i = 0; i < width; ++i) {
-      buf_[at + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
+      bytes[i] = static_cast<uint8_t>(v >> (8 * i));
     }
+    Append(bytes, static_cast<size_t>(width));
   }
 
   Bytes buf_;

@@ -13,8 +13,9 @@ namespace {
 using testing::SeeMoReSpec;
 using testing::SubmitAndWait;
 
-/// A node that can send arbitrary bytes and ignores what it receives: an
-/// attacking "client", or a replica forging replies.
+/// A node that can send arbitrary bytes and keeps what it receives: an
+/// attacking or hand-driven "client", a replica forging replies, or a
+/// stand-in that records what replicas send to one replica id.
 class RawSender : public MessageHandler {
  public:
   RawSender(Cluster& cluster, PrincipalId id)
@@ -24,11 +25,16 @@ class RawSender : public MessageHandler {
   RawSender(SimNetwork& net, PrincipalId id) : net_(net), id_(id) {
     net_.AddNode(id, Zone::kPrivate, this, nullptr);
   }
-  void OnMessage(PrincipalId, Payload) override {}
+  void OnMessage(PrincipalId from, Payload payload) override {
+    received.emplace_back(from, payload.ToBytes());
+  }
   void Send(PrincipalId to, const Bytes& bytes) { net_.Send(id_, to, bytes); }
   void Blast(const Bytes& bytes) {
     for (PrincipalId r = 0; r < n_; ++r) Send(r, bytes);
   }
+
+  /// Every frame delivered here, with its sender.
+  std::vector<std::pair<PrincipalId, Bytes>> received;
 
  private:
   SimNetwork& net_;
@@ -390,6 +396,170 @@ TEST_F(AdversarialInputTest, ReplayedRequestExecutesOnce) {
   ASSERT_TRUE(get.ok());
   EXPECT_EQ(ParseKvReply(*get).value, "2");  // not re-executed / corrupted
   EXPECT_TRUE(cluster.CheckAgreement().ok());
+}
+
+// ---------------------------------------------------------------------------
+// The request path (consensus/view_changing_replica.h), through the replica,
+// for every protocol.
+// ---------------------------------------------------------------------------
+
+struct ProtocolCase {
+  const char* name;
+  scenario::ScenarioSpec spec;
+  uint8_t reply_mode;  // the mode byte its replies carry
+};
+
+std::vector<ProtocolCase> EveryProtocol() {
+  return {
+      {"lion", SeeMoReSpec(SeeMoReMode::kLion, 1, 1),
+       static_cast<uint8_t>(SeeMoReMode::kLion)},
+      {"dog", SeeMoReSpec(SeeMoReMode::kDog, 1, 1),
+       static_cast<uint8_t>(SeeMoReMode::kDog)},
+      {"peacock", SeeMoReSpec(SeeMoReMode::kPeacock, 1, 1),
+       static_cast<uint8_t>(SeeMoReMode::kPeacock)},
+      {"pbft", testing::BftSpec(1), 0},
+      {"s-upright", testing::SUpRightSpec(1, 1), 0},
+      {"paxos", testing::CftSpec(1), 0},
+  };
+}
+
+/// A request from `client` signed with `keys` (the cluster's keystore, or
+/// another one to forge the signature).
+Request SignedRequest(PrincipalId client, uint64_t timestamp,
+                      const std::string& key, const KeyStore& keys) {
+  Request request;
+  request.client = client;
+  request.timestamp = timestamp;
+  request.op = MakePut(key, "v");
+  request.Sign(Signer(client, keys));
+  return request;
+}
+
+uint64_t MostExecuted(Cluster& cluster) {
+  uint64_t most = 0;
+  for (int r = 0; r < cluster.n(); ++r) {
+    most = std::max(most, cluster.replica(r)->stats().requests_executed);
+  }
+  return most;
+}
+
+TEST(RequestPathTest, RequestNamingAnotherClientIsIgnored) {
+  for (const ProtocolCase& c : EveryProtocol()) {
+    SCOPED_TRACE(c.name);
+    Cluster cluster(c.spec);
+    // Client B sends a request that names client A, validly signed by A:
+    // only the channel tells the replicas that B is not A.
+    RawSender b(cluster, kClientIdBase + 500);
+    const Request request =
+        SignedRequest(kClientIdBase + 600, 1, "imp", cluster.keystore());
+    b.Blast(request.ToMessage());
+    b.Blast(request.ToMessage());
+    cluster.sim().RunUntil(cluster.sim().now() + Millis(200));
+    EXPECT_EQ(MostExecuted(cluster), 0u);
+    EXPECT_TRUE(b.received.empty());
+  }
+}
+
+TEST(RequestPathTest, RetransmissionGetsSignedCachedReplyWithModeByte) {
+  for (const ProtocolCase& c : EveryProtocol()) {
+    SCOPED_TRACE(c.name);
+    Cluster cluster(c.spec);
+    RawSender client(cluster, kClientIdBase + 600);
+    const Request request =
+        SignedRequest(kClientIdBase + 600, 1, "k", cluster.keystore());
+    client.Blast(request.ToMessage());
+    cluster.sim().RunUntil(cluster.sim().now() + Millis(200));
+    ASSERT_FALSE(client.received.empty());
+    const size_t fresh = client.received.size();
+
+    client.Blast(request.ToMessage());
+    cluster.sim().RunUntil(cluster.sim().now() + Millis(200));
+    ASSERT_GT(client.received.size(), fresh);
+    for (size_t i = fresh; i < client.received.size(); ++i) {
+      const auto& [from, frame] = client.received[i];
+      Decoder dec(frame);
+      ASSERT_EQ(dec.GetU8(), kMsgReply);
+      Result<Reply> reply = Reply::DecodeFrom(dec);
+      ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+      EXPECT_EQ(reply->replica, from);
+      EXPECT_EQ(reply->timestamp, 1u);
+      EXPECT_EQ(reply->mode, c.reply_mode);
+      EXPECT_TRUE(reply->VerifySignature(cluster.keystore()));
+    }
+  }
+}
+
+TEST(RequestPathTest, BadClientSignatureIsCheckedWhereTheProtocolSays) {
+  for (const ProtocolCase& c : EveryProtocol()) {
+    SCOPED_TRACE(c.name);
+    Cluster cluster(c.spec);
+    const PrincipalId primary = cluster.replica(0)->current_primary();
+    RawSender client(cluster, kClientIdBase + 600);
+    const KeyStore wrong_keys(cluster.config().n());
+    const Bytes forged =
+        SignedRequest(kClientIdBase + 600, 1, "forged", wrong_keys)
+            .ToMessage();
+    const ProtocolKind kind = c.spec.protocol;
+    if (kind == ProtocolKind::kSeeMoRe) {
+      // The primary drops it; backups leave the check to the primary.
+      client.Send(primary, forged);
+      client.Send(primary, forged);
+    } else {
+      client.Blast(forged);
+      client.Blast(forged);  // a retransmission: backups would relay it
+    }
+    cluster.sim().RunUntil(cluster.sim().now() + Millis(200));
+    if (kind == ProtocolKind::kCft) {
+      // The crash model trusts its clients: the leader orders it.
+      EXPECT_GE(MostExecuted(cluster), 1u);
+      continue;
+    }
+    EXPECT_EQ(MostExecuted(cluster), 0u);
+    // PBFT and S-UpRight backups drop it too: none relays it or suspects
+    // the primary over it.
+    for (int r = 0; r < cluster.n(); ++r) {
+      EXPECT_EQ(cluster.replica(r)->stats().view_changes_started, 0u)
+          << "replica " << r;
+    }
+  }
+}
+
+TEST(RequestPathTest, BackupRelaysRepeatedTimestampOnceToCurrentPrimary) {
+  for (const ProtocolCase& c : EveryProtocol()) {
+    SCOPED_TRACE(c.name);
+    Cluster cluster(c.spec);
+    // Move the primary off replica 0 where it starts there, so a relay to
+    // any fixed replica misses it.
+    SimClient* warm = cluster.AddClient();
+    ASSERT_TRUE(SubmitAndWait(cluster, warm, MakePut("a", "1")).ok());
+    cluster.Crash(0);
+    ASSERT_TRUE(SubmitAndWait(cluster, warm, MakePut("b", "2")).ok());
+    const PrincipalId primary = cluster.replica(1)->current_primary();
+    ASSERT_NE(primary, 0);
+    PrincipalId backup = 1;
+    while (backup == primary) ++backup;
+    ASSERT_EQ(cluster.replica(backup)->current_primary(), primary);
+
+    // A stand-in takes the primary's place and records what reaches it.
+    cluster.Crash(primary);
+    cluster.net().Unregister(primary);
+    RawSender stand_in(cluster.net(), primary);
+    RawSender client(cluster, kClientIdBase + 600);
+    const Request request =
+        SignedRequest(kClientIdBase + 600, 1, "k", cluster.keystore());
+    client.Send(backup, request.ToMessage());
+    client.Send(backup, request.ToMessage());
+    // Well inside the view-change timeout.
+    cluster.sim().RunUntil(cluster.sim().now() + Millis(5));
+    int relays = 0;
+    for (const auto& [from, frame] : stand_in.received) {
+      if (from == backup && frame[0] == kMsgRequest) {
+        ++relays;
+        EXPECT_EQ(frame, request.ToMessage());
+      }
+    }
+    EXPECT_EQ(relays, 1);
+  }
 }
 
 }  // namespace

@@ -209,8 +209,7 @@ TEST_P(BatchFetchTest, ConflictingProposalForAnAwaitingSlotIsRefused) {
   const FetchCase& c = GetParam();
   CutThenCrashPrimary();
   ASSERT_TRUE(RunUntilAwaiting(Millis(400)));
-  const PrincipalId primary =
-      CurrentPrimary(*cluster_->replica(c.backup), cluster_->config());
+  const PrincipalId primary = cluster_->replica(c.backup)->current_primary();
   if (c.spec.protocol == ProtocolKind::kCft ||
       (c.spec.protocol == ProtocolKind::kSeeMoRe &&
        cluster_->config().IsTrusted(primary))) {

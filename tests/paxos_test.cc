@@ -62,7 +62,7 @@ TEST(PaxosTest, LeaderCrashTriggersViewChange) {
   SimClient* client = cluster.AddClient();
   auto warm = SubmitAndWait(cluster, client, MakePut("a", "1"));
   ASSERT_TRUE(warm.ok());
-  EXPECT_TRUE(cluster.paxos(0)->IsLeader());
+  EXPECT_TRUE(cluster.paxos(0)->IsPrimary());
 
   cluster.Crash(0);
   auto after = SubmitAndWait(cluster, client, MakePut("b", "2"));
