@@ -67,7 +67,8 @@ class CommitQueue {
   }
 
   /// The commit funnel is the WAL hook point: with a durable store set,
-  /// every committed batch is logged before execution (write-ahead order).
+  /// every committed batch is logged before execution (write-ahead order);
+  /// the record's sync runs in the background, and replies wait for it.
   /// The default null pointer keeps the hot path to one predictable branch.
   void SetDurable(DurableStore* durable) {
     durable_ = durable != nullptr && durable->enabled() ? durable : nullptr;

@@ -38,6 +38,12 @@ ReplicaBase::~ReplicaBase() { *alive_ = false; }
 void ReplicaBase::AttachDurable(DurableStore* store) {
   durable_ = store != nullptr ? store : DurableStore::Null();
   durable_->BindCpu(cpu_);
+  // A store may outlive the replica attached to it (a restart destroys the
+  // replica first): the alive token keeps a late completion from reaching
+  // a destroyed one.
+  durable_->SetDurableListener([this, alive = alive_] {
+    if (*alive) OnDurableAdvanced();
+  });
   commits_.SetDurable(durable_);
 }
 

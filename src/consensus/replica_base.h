@@ -78,8 +78,8 @@ class ReplicaBase : public MessageHandler {
 
   /// --- durability (storage/durable_store.h) ------------------------------
   /// Attach a durable store (null restores the no-op default). Binds the
-  /// replica's CPU meter so storage work is charged, and arms the commit
-  /// funnel's WAL hook.
+  /// replica's CPU meter so storage work is charged, arms the commit
+  /// funnel's WAL hook and listens for the durable log position.
   void AttachDurable(DurableStore* store);
   DurableStore& durable() { return *durable_; }
 
@@ -165,6 +165,9 @@ class ReplicaBase : public MessageHandler {
   /// Hook invoked by RestoreFromImage after execution replay: protocols
   /// restore their view/mode and checkpoint tracker from the image here.
   virtual void OnDurableRestore(const RecoveredImage& /*image*/) {}
+
+  /// Hook invoked when the durable store's durable_lsn() advanced.
+  virtual void OnDurableAdvanced() {}
 
   /// True from RestoreFromImage until the protocol next enters a view. A
   /// restarted replica must not resume the primary/leader role in its

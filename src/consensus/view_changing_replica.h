@@ -6,7 +6,9 @@
 // replica-channel rule), client admission (impersonation check, cached
 // reply for a retransmission, ordering at the primary, the one-time relay
 // of a repeated timestamp to the primary), one reply builder, and the tail
-// every commit runs (replies, checkpoint, view timer, next proposal).
+// every commit runs (replies, checkpoint, view timer, next proposal). With
+// a durable store syncing every commit record, a reply, fresh or cached,
+// is held until the durable log position passes it (ReplyWhenDurable).
 //
 // The view-change flow of §5.1-§5.3: the view timer that suspects the
 // primary, the escalation when a view change stalls, the per-view store of
@@ -25,6 +27,7 @@
 #define SEEMORE_CONSENSUS_VIEW_CHANGING_REPLICA_H_
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <memory>
 #include <utility>
@@ -157,15 +160,43 @@ class ViewChangingReplica : public CheckpointingReplica {
     SendTo(client, reply.ToMessage());
   }
 
+  /// Sends a reply once the commit records behind it are durable: it
+  /// waits for the store's ReplyLsn() (at fsync_interval 1, every record
+  /// appended so far) and is held until durable_lsn() reaches it.
+  void ReplyWhenDurable(PrincipalId client, uint64_t timestamp,
+                        Bytes result) {
+    const uint64_t lsn = durable().ReplyLsn();
+    if (lsn <= durable().durable_lsn()) {
+      SendReply(client, timestamp, result);
+      return;
+    }
+    held_replies_.push_back(
+        HeldReply{lsn, client, timestamp, std::move(result)});
+  }
+  /// Releases the held replies the durable log position now covers, in
+  /// the order they were held.
+  void OnDurableAdvanced() override {
+    if (crashed()) {
+      held_replies_.clear();
+      return;
+    }
+    const uint64_t durable_lsn = durable().durable_lsn();
+    while (!held_replies_.empty() &&
+           held_replies_.front().lsn <= durable_lsn) {
+      const HeldReply& reply = held_replies_.front();
+      SendReply(reply.client, reply.timestamp, reply.result);
+      held_replies_.pop_front();
+    }
+  }
+
   /// What follows every commit: answer the clients of `executed` when
   /// `replies` (a duplicate without a cached result has no answer), cut a
   /// checkpoint if one is due, restart or disarm the view timer, and at the
   /// primary propose again.
-  void FinishCommit(const std::vector<ExecutedRequest>& executed,
-                    bool replies) {
-    for (const ExecutedRequest& ex : executed) {
+  void FinishCommit(std::vector<ExecutedRequest> executed, bool replies) {
+    for (ExecutedRequest& ex : executed) {
       if (replies && !(ex.duplicate && ex.result.empty())) {
-        SendReply(ex.client, ex.timestamp, ex.result);
+        ReplyWhenDurable(ex.client, ex.timestamp, std::move(ex.result));
       }
     }
     MaybeCheckpoint();
@@ -449,7 +480,8 @@ class ViewChangingReplica : public CheckpointingReplica {
     if (exec_.SeenTimestamp(request.client, request.timestamp)) {
       auto cached = exec_.CachedReply(request.client, request.timestamp);
       if (cached.has_value()) {
-        SendReply(request.client, request.timestamp, *cached);
+        ReplyWhenDurable(request.client, request.timestamp,
+                         *std::move(cached));
       }
       return;
     }
@@ -503,6 +535,14 @@ class ViewChangingReplica : public CheckpointingReplica {
     FormNewView(view, it->second);
   }
 
+  /// A reply waiting for the durable log position to reach `lsn`.
+  struct HeldReply {
+    uint64_t lsn;
+    PrincipalId client;
+    uint64_t timestamp;
+    Bytes result;
+  };
+  std::deque<HeldReply> held_replies_;  // ascending lsn
   uint64_t vc_target_ = 0;  // the view a running view change moves to
   /// The view whose NEW-VIEW this authority waits to form until fetched
   /// batches arrive (0: none).

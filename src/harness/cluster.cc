@@ -13,6 +13,41 @@ const scenario::ScenarioSpec& CheckedSpec(const scenario::ScenarioSpec& spec) {
   return spec;
 }
 
+/// A replica's background WAL syncs in the simulator: a sync starts once
+/// the replica's CPU has written what it covers (its AvailableAt) and
+/// completes `latency` later as a storage event of its own, occupying no
+/// CPU. The WAL keeps at most one in flight.
+class SimSyncRunner final : public storage::SyncRunner {
+ public:
+  SimSyncRunner(Simulator* sim, const CpuMeter* cpu, SimTime latency)
+      : sim_(sim), cpu_(cpu), latency_(latency) {}
+  ~SimSyncRunner() override {
+    if (pending_ != 0) sim_->Cancel(pending_);
+  }
+  SimSyncRunner(const SimSyncRunner&) = delete;
+  SimSyncRunner& operator=(const SimSyncRunner&) = delete;
+
+  void Run(storage::SyncJob job, std::function<void(Status)> done) override {
+    SEEMORE_CHECK(pending_ == 0) << "one wal sync in flight at a time";
+    job_ = std::move(job);
+    done_ = std::move(done);
+    pending_ = sim_->ScheduleAt(cpu_->AvailableAt() + latency_, [this] {
+      pending_ = 0;
+      const storage::SyncJob job = std::move(job_);
+      const std::function<void(Status)> done = std::move(done_);
+      done(job());
+    });
+  }
+
+ private:
+  Simulator* sim_;
+  const CpuMeter* cpu_;
+  const SimTime latency_;
+  EventId pending_ = 0;
+  storage::SyncJob job_;                  // of the sync in flight
+  std::function<void(Status)> done_;
+};
+
 std::unique_ptr<StateMachine> MakeStateMachine(
     scenario::StateMachineKind kind) {
   if (kind == scenario::StateMachineKind::kLedger) {
@@ -43,7 +78,7 @@ Cluster::Cluster(const scenario::ScenarioSpec& spec)
           media_[i].get(), spec_.durability, spec_.costs);
       const Status st = stores_[i]->OpenFresh();
       SEEMORE_CHECK(st.ok()) << "open durable store: " << st.ToString();
-      replicas_[i]->AttachDurable(stores_[i].get());
+      AttachStore(i, stores_[i].get());
     }
   }
 }
@@ -90,6 +125,12 @@ std::unique_ptr<ReplicaBase> Cluster::BuildReplica(int i) {
                      memo_.get());
 }
 
+void Cluster::AttachStore(int i, storage::FileDurableStore* store) {
+  store->SetSyncRunner(std::make_unique<SimSyncRunner>(
+      sim_.get(), replicas_[i]->cpu(), spec_.costs.fsync));
+  replicas_[i]->AttachDurable(store);
+}
+
 Result<RestartOutcome> Cluster::Restart(int i) {
   SEEMORE_CHECK(i >= 0 && i < n()) << "restart replica " << i;
   if (!spec_.durability.enabled) {
@@ -119,7 +160,7 @@ Result<RestartOutcome> Cluster::Restart(int i) {
   SEEMORE_CHECK(opened.ok()) << "reopen after recovery: " << opened.ToString();
 
   replicas_[i] = BuildReplica(i);
-  replicas_[i]->AttachDurable(store.get());
+  AttachStore(i, store.get());
   replicas_[i]->RestoreFromImage(image);
   stores_[i] = std::move(store);
 

@@ -89,8 +89,12 @@ class Cluster {
   void SetByzantine(int i, uint32_t flags);
 
   /// --- durability / restart ----------------------------------------------
-  /// Per-replica disk (null when durability is disabled).
+  /// Per-replica disk and durable store (null when durability is
+  /// disabled). A restart replaces the store.
   storage::MemMedium* medium(int i) { return media_[i].get(); }
+  const storage::FileDurableStore* store(int i) const {
+    return stores_[i].get();
+  }
 
   /// Replace a crashed replica with a new incarnation rebuilt from its
   /// durable state (kill-and-restart, as opposed to Recover()'s
@@ -125,6 +129,9 @@ class Cluster {
  private:
   /// MakeReplica over this cluster's simulator, network and keys.
   std::unique_ptr<ReplicaBase> BuildReplica(int i);
+  /// Attaches `store` to replica `i`, its background syncs running as
+  /// simulator events.
+  void AttachStore(int i, storage::FileDurableStore* store);
 
   const scenario::ScenarioSpec spec_;
   const ClusterConfig config_;  // spec_.ResolvedConfig()

@@ -37,9 +37,10 @@ struct CostModel {
   /// Executing one state-machine operation.
   SimTime execute = Micros(2);
   /// Flushing the write-ahead log / snapshot store to stable media (one
-  /// fsync). Charged only when a replica runs with a durable store
-  /// attached; the default models a datacenter NVMe flush. The durability
-  /// ablation axis sweeps the WAL batch interval against this price.
+  /// fsync); the default models a datacenter NVMe flush. Only with a
+  /// durable store attached: a commit-record sync is a storage completion
+  /// this long after it starts and occupies no CPU, while view-record,
+  /// segment-seal and snapshot syncs are charged to the replica's CPU.
   SimTime fsync = Micros(120);
   /// Marginal CPU per KiB serialized into the durable store (buffered
   /// write path, no flush included).

@@ -67,6 +67,9 @@ Status Node::InitDurability() {
   SEEMORE_RETURN_IF_ERROR(medium_->status());
   store_ = std::make_unique<storage::FileDurableStore>(
       medium_.get(), spec_.durability, spec_.costs);
+  auto sync_thread = std::make_unique<SyncThread>(loop_.get());
+  SEEMORE_RETURN_IF_ERROR(sync_thread->status());
+  store_->SetSyncRunner(std::move(sync_thread));
 
   // A data dir with prior WAL/snapshot files means this process is a
   // restarted incarnation: run the same recover -> reopen -> restore
@@ -211,6 +214,10 @@ Json Node::Report() const {
   stats_json.Set("view_change_bytes_sent", stats.view_change_bytes_sent);
   stats_json.Set("view_change_msgs_sent", stats.view_change_msgs_sent);
   stats_json.Set("view_change_entries_sent", stats.view_change_entries_sent);
+  if (store_ != nullptr) {
+    stats_json.Set("wal_syncs", store_->wal().sync_count());
+    stats_json.Set("wal_records", store_->wal().appended_lsn());
+  }
   root.Set("stats", std::move(stats_json));
 
   root.Set("last_executed", replica_->exec().last_executed());

@@ -9,7 +9,9 @@
 // digest samples feed the launcher's ReplicaOutcomes (scenario/verdict.h);
 // the report also carries the process's transport counters ("net"), its
 // loop's wakeups ("loop.wakeups") and its CPU time and context switches
-// ("rusage").
+// ("rusage"), and with durability on its WAL's group-commit counters
+// ("stats.wal_syncs", "stats.wal_records"). Commit-record syncs run on the
+// node's sync thread (rt/sync_thread.h), off the event loop.
 // Once its replica mesh is up it tells the launcher so (kReady), which is
 // what the launcher's readiness gate waits for.
 
@@ -24,6 +26,7 @@
 #include "harness/cluster.h"
 #include "rt/event_loop.h"
 #include "rt/posix_medium.h"
+#include "rt/sync_thread.h"
 #include "rt/tcp_transport.h"
 #include "scenario/spec.h"
 #include "storage/file_store.h"

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <memory>
 
 namespace seemore {
 namespace rt {
@@ -180,22 +181,45 @@ Status PosixMedium::Remove(const std::string& name) {
   return SyncDir();
 }
 
-Status PosixMedium::Sync(const std::string& name) {
+Result<int> PosixMedium::ExistingFdFor(const std::string& name) {
   if (!ValidName(name)) return Status::InvalidArgument("bad file name");
   // Never create on sync: fsync of a file that was never written must be a
   // NotFound, not a silent empty-file creation.
   auto it = append_fds_.find(name);
-  int fd = it != append_fds_.end() ? it->second : -1;
+  if (it != append_fds_.end()) return it->second;
+  const int fd = open(PathFor(name).c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
   if (fd < 0) {
-    fd = open(PathFor(name).c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-    if (fd < 0) {
-      if (errno == ENOENT) return Status::NotFound("no such file: " + name);
-      return Errno("open " + name);
-    }
-    append_fds_[name] = fd;
+    if (errno == ENOENT) return Status::NotFound("no such file: " + name);
+    return Errno("open " + name);
   }
+  append_fds_[name] = fd;
+  return fd;
+}
+
+Status PosixMedium::Sync(const std::string& name) {
+  SEEMORE_ASSIGN_OR_RETURN(const int fd, ExistingFdFor(name));
   if (fsync(fd) < 0) return Errno("fsync " + name);
   return Status::Ok();
+}
+
+Result<storage::SyncJob> PosixMedium::PrepareSync(const std::string& name) {
+  SEEMORE_ASSIGN_OR_RETURN(const int fd, ExistingFdFor(name));
+  // The job owns a duplicate: a seal or GC that closes (or unlinks) the
+  // file on the loop cannot pull the descriptor from under the sync.
+  struct OwnedFd {
+    explicit OwnedFd(int owned) : fd(owned) {}
+    OwnedFd(const OwnedFd&) = delete;
+    OwnedFd& operator=(const OwnedFd&) = delete;
+    ~OwnedFd() { close(fd); }
+    const int fd;
+  };
+  const int dup_fd = fcntl(fd, F_DUPFD_CLOEXEC, 0);
+  if (dup_fd < 0) return Errno("dup " + name);
+  auto owned = std::make_shared<OwnedFd>(dup_fd);
+  return storage::SyncJob([owned, name] {
+    if (fdatasync(owned->fd) < 0) return Errno("fdatasync " + name);
+    return Status::Ok();
+  });
 }
 
 Status PosixMedium::SyncAll() {

@@ -4,12 +4,15 @@
 // WAL / snapshot store stack (storage/durable_store.h) runs unmodified on
 // top, exactly as it does over MemMedium in the simulator. File names map
 // 1:1 to directory entries (names never contain '/'), Append keeps an open
-// O_APPEND descriptor per file, and Sync is a real fsync — so a SIGKILLed
+// O_APPEND descriptor per file, and a sync is a real fsync — so a SIGKILLed
 // node that is respawned with the same directory recovers through the same
 // FileDurableStore::Recover path the simulator's restart events exercise.
 //
 // Not thread-safe: one node process owns its medium on the event-loop
-// thread, the same ownership MemMedium has under a scenario run.
+// thread, the same ownership MemMedium has under a scenario run. The one
+// exception is the job PrepareSync returns: it touches only a descriptor
+// of its own (a dup), so the node's sync thread (rt/sync_thread.h) runs it
+// while the loop goes on appending, sealing and removing files.
 
 #ifndef SEEMORE_RT_POSIX_MEDIUM_H_
 #define SEEMORE_RT_POSIX_MEDIUM_H_
@@ -43,6 +46,7 @@ class PosixMedium final : public storage::StorageMedium {
   Status Remove(const std::string& name) override;
   Status Sync(const std::string& name) override;
   Status SyncAll() override;
+  Result<storage::SyncJob> PrepareSync(const std::string& name) override;
   Status FlipBit(const std::string& name, uint64_t offset, int bit) override;
 
  private:
@@ -50,6 +54,8 @@ class PosixMedium final : public storage::StorageMedium {
   /// Cached O_APPEND fd for `name`, opened (and created) on demand.
   Result<int> AppendFdFor(const std::string& name);
   void DropFd(const std::string& name);
+  /// The cached fd for `name`, opened (never created) on demand.
+  Result<int> ExistingFdFor(const std::string& name);
   /// fsync of the directory itself: a created or unlinked directory entry
   /// is not durable across power loss until this runs.
   Status SyncDir();

@@ -84,6 +84,10 @@ Json ReplicaReport::ToJson() const {
   j.Set("view_change_msgs_sent", view_change_msgs_sent);
   j.Set("view_change_entries_sent", view_change_entries_sent);
   j.Set("cpu_busy_ms", cpu_busy_ms);
+  if (durable) {
+    j.Set("wal_syncs", wal_syncs);
+    j.Set("wal_records", wal_records);
+  }
   j.Set("last_executed", last_executed);
   j.Set("state_digest", state_digest);
   return j;
@@ -370,6 +374,11 @@ Result<ScenarioReport> RunScenario(const ScenarioSpec& spec,
     r.view_change_msgs_sent = stats.view_change_msgs_sent;
     r.view_change_entries_sent = stats.view_change_entries_sent;
     r.cpu_busy_ms = ToMillis(cluster.replica(i)->cpu()->total_busy());
+    if (const storage::FileDurableStore* store = cluster.store(i)) {
+      r.durable = true;
+      r.wal_syncs = store->wal().sync_count();
+      r.wal_records = store->wal().appended_lsn();
+    }
     r.last_executed = outcome.last_executed;
     r.state_digest = outcome.state_digest.ToHex();
     report.total_cpu_busy_ms += r.cpu_busy_ms;

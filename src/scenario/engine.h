@@ -51,6 +51,11 @@ struct ReplicaReport {
   uint64_t view_change_msgs_sent = 0;
   uint64_t view_change_entries_sent = 0;
   double cpu_busy_ms = 0.0;
+  /// Group commit, reported only when the replica has a durable store:
+  /// WAL syncs completed and records appended by its current incarnation.
+  bool durable = false;
+  uint64_t wal_syncs = 0;
+  uint64_t wal_records = 0;
   /// Final execution frontier and state digest (hex) — what the restart
   /// scenarios compare between a kill-and-restart replica and its
   /// kill-and-rejoin twin.

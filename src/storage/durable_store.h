@@ -7,7 +7,11 @@
 // the null store every hook is an empty virtual call guarded by enabled(),
 // so all existing goldens stay bit-identical; with a FileDurableStore
 // (storage/file_store.h) the same hooks feed a segmented WAL + snapshot
-// store and charge the simulated fsync/write costs to the replica's CPU.
+// store. A commit record is only written on the replica's loop; its sync
+// runs off the loop (group commit), and the replica holds each reply until
+// the durable log position passes it (ReplyLsn, durable_lsn). View records,
+// segment seals and snapshot syncs stay on the loop and are charged to the
+// replica's CPU.
 //
 // RecoveredImage is what a restart hands back to the replica stack: the
 // newest valid snapshots (stable + still-buffered), the commit records above
@@ -17,6 +21,7 @@
 #define SEEMORE_STORAGE_DURABLE_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -30,8 +35,10 @@ namespace seemore {
 /// run purely in-memory and bit-identical to the historical behaviour.
 struct DurabilityOptions {
   bool enabled = false;
-  /// WAL appends per fsync (1 = sync every record; larger values model
-  /// group commit and open the power-loss window the scenarios probe).
+  /// Unsynced commit records that start a sync. At 1 a sync starts
+  /// whenever one is unsynced and no reply leaves before its record is
+  /// durable; a larger interval syncs less often and lets replies leave
+  /// first, opening the power-loss window the scenarios probe.
   int fsync_interval = 1;
   /// WAL segment roll size in bytes.
   uint32_t segment_bytes = 64 * 1024;
@@ -51,7 +58,8 @@ class DurableStore {
   /// new incarnation gets a fresh CPU).
   virtual void BindCpu(CpuMeter* /*cpu*/) {}
 
-  /// A batch committed at `seq` — append a commit record.
+  /// A batch committed at `seq` — append a commit record (and start a
+  /// background sync if one is due).
   virtual void AppendCommit(uint64_t /*seq*/, const Batch& /*batch*/) {}
   /// The replica entered (view, mode) — append a view record, synced
   /// immediately (view durability is what makes restart vote-safe).
@@ -63,6 +71,14 @@ class DurableStore {
   /// durable and garbage-collect everything below it.
   virtual void NoteStable(uint64_t /*seq*/,
                           const CheckpointCert& /*cert*/) {}
+
+  /// The log position a reply sent now must wait for: at fsync_interval 1
+  /// every record appended so far, else 0 (no wait).
+  virtual uint64_t ReplyLsn() const { return 0; }
+  /// The log position known durable.
+  virtual uint64_t durable_lsn() const { return 0; }
+  /// `listener` runs on the replica's loop whenever durable_lsn() advances.
+  virtual void SetDurableListener(std::function<void()> /*listener*/) {}
 };
 
 /// Everything a replica needs to rebuild after a restart.

@@ -115,13 +115,14 @@ Status FileDurableStore::OpenAfterRecovery(const RecoveredImage& image) {
   SEEMORE_RETURN_IF_ERROR(wal_.Sync());
   // No CPU is bound yet, so nothing above was charged: recovery work
   // happens while the replica is down (its wall-clock cost is the outage).
-  charged_syncs_ = wal_.sync_count();
+  charged_syncs_ = wal_.inline_sync_count();
   charged_segments_ = wal_.segments_created();
+  notified_lsn_ = wal_.durable_lsn();
   return Status::Ok();
 }
 
 void FileDurableStore::ChargeSyncDelta() {
-  const uint64_t syncs = wal_.sync_count();
+  const uint64_t syncs = wal_.inline_sync_count();
   if (syncs > charged_syncs_) {
     Charge(costs_.fsync * static_cast<SimTime>(syncs - charged_syncs_));
     charged_syncs_ = syncs;
@@ -152,9 +153,37 @@ void FileDurableStore::Append(const Bytes& payload, uint64_t watermark) {
   ChargeSyncDelta();
 }
 
+void FileDurableStore::MaybeStartSync() {
+  Result<WalSync> sync = wal_.BeginSync();
+  SEEMORE_CHECK(sync.ok()) << "wal sync: " << sync.status().ToString();
+  if (!sync->job) return;
+  const uint64_t lsn = sync->lsn;
+  auto done = [this, lsn](Status st) {
+    SEEMORE_CHECK(st.ok()) << "wal sync failed: " << st.ToString();
+    wal_.EndSync(lsn);
+    // The next sync starts before the replies this one released go out,
+    // as a dedicated sync thread would.
+    MaybeStartSync();
+    NotifyDurable();
+  };
+  if (runner_ == nullptr) {
+    done(sync->job());
+  } else {
+    runner_->Run(std::move(sync->job), std::move(done));
+  }
+}
+
+void FileDurableStore::NotifyDurable() {
+  if (wal_.durable_lsn() == notified_lsn_) return;
+  notified_lsn_ = wal_.durable_lsn();
+  if (listener_) listener_();
+}
+
 void FileDurableStore::AppendCommit(uint64_t seq, const Batch& batch) {
   last_commit_seq_ = std::max(last_commit_seq_, seq);
   Append(EncodeCommitRecord(seq, batch), seq);
+  MaybeStartSync();
+  NotifyDurable();  // a seal may have made it durable already
 }
 
 void FileDurableStore::NoteView(uint64_t view, uint8_t mode) {
@@ -167,6 +196,7 @@ void FileDurableStore::NoteView(uint64_t view, uint8_t mode) {
   Status st = wal_.Sync();
   SEEMORE_CHECK(st.ok()) << st.ToString();
   ChargeSyncDelta();
+  NotifyDurable();
 }
 
 void FileDurableStore::SaveSnapshot(uint64_t seq, const Digest& digest,

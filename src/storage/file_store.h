@@ -9,6 +9,12 @@
 // segments can never lose the last view entered (the open segment always
 // carries a copy).
 //
+// Commit records are synced in the background (WriteAheadLog::BeginSync)
+// by the SyncRunner the composition root sets: the simulator's storage
+// completion event or a node's sync thread. Their completions advance
+// durable_lsn() and call the durable listener. View records, seals and
+// snapshot/cert syncs run on the caller's thread and are charged to its CPU.
+//
 // Restart sequence (Cluster::Restart):
 //   1. Recover(medium)      — read-only scan; kCorruption refuses restart.
 //   2. OpenAfterRecovery()  — compact: damaged snapshots and the old
@@ -20,6 +26,9 @@
 
 #ifndef SEEMORE_STORAGE_FILE_STORE_H_
 #define SEEMORE_STORAGE_FILE_STORE_H_
+
+#include <functional>
+#include <memory>
 
 #include "net/cost_model.h"
 #include "storage/durable_store.h"
@@ -51,6 +60,12 @@ class FileDurableStore final : public DurableStore {
   /// Start over a recovered medium (see the restart sequence above).
   Status OpenAfterRecovery(const RecoveredImage& image);
 
+  /// Where commit-record syncs run. Without a runner (a store no replica
+  /// drives, as in unit tests and probes) each one runs at once.
+  void SetSyncRunner(std::unique_ptr<SyncRunner> runner) {
+    runner_ = std::move(runner);
+  }
+
   bool enabled() const override { return true; }
   void BindCpu(CpuMeter* cpu) override { cpu_ = cpu; }
 
@@ -60,12 +75,24 @@ class FileDurableStore final : public DurableStore {
                     const Bytes& snapshot) override;
   void NoteStable(uint64_t seq, const CheckpointCert& cert) override;
 
+  uint64_t ReplyLsn() const override {
+    return options_.fsync_interval == 1 ? wal_.appended_lsn() : 0;
+  }
+  uint64_t durable_lsn() const override { return wal_.durable_lsn(); }
+  void SetDurableListener(std::function<void()> listener) override {
+    listener_ = std::move(listener);
+  }
+
   const WriteAheadLog& wal() const { return wal_; }
 
  private:
   /// Frame-and-append plus cost accounting (write cost per KiB now, fsync
-  /// cost whenever the append crossed a sync boundary).
+  /// cost when the append sealed a segment).
   void Append(const Bytes& payload, uint64_t watermark);
+  /// Starts the background sync the WAL says is due, if any.
+  void MaybeStartSync();
+  /// Calls the listener if durable_lsn() moved since it was last called.
+  void NotifyDurable();
   void Charge(SimTime cost) {
     if (cpu_ != nullptr) cpu_->Charge(cost);
   }
@@ -84,6 +111,11 @@ class FileDurableStore final : public DurableStore {
   uint64_t view_ = 0;
   uint8_t mode_ = 0;
   uint64_t last_commit_seq_ = 0;
+  uint64_t notified_lsn_ = 0;
+  std::function<void()> listener_;
+  /// Declared last, so it is destroyed first: a sync still in flight can
+  /// then no longer call back into this store.
+  std::unique_ptr<SyncRunner> runner_;
 };
 
 }  // namespace storage

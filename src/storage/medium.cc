@@ -5,9 +5,15 @@
 namespace seemore {
 namespace storage {
 
+MemMedium::File& MemMedium::FileFor(const std::string& name) {
+  auto [it, created] = files_.try_emplace(name);
+  if (created) it->second.incarnation = ++incarnations_;
+  return it->second;
+}
+
 Status MemMedium::Append(const std::string& name, const uint8_t* data,
                          size_t len) {
-  File& file = files_[name];
+  File& file = FileFor(name);
   file.data.insert(file.data.end(), data, data + len);
   bytes_appended_ += len;
   return Status::Ok();
@@ -80,8 +86,28 @@ Status MemMedium::SyncAll() {
   return Status::Ok();
 }
 
+Result<SyncJob> MemMedium::PrepareSync(const std::string& name) {
+  auto it = files_.find(name);
+  if (it == files_.end()) {
+    return Status::NotFound("no such file: " + name);
+  }
+  const uint64_t size = it->second.data.size();
+  const uint64_t incarnation = it->second.incarnation;
+  return SyncJob([this, name, size, incarnation] {
+    auto file = files_.find(name);
+    if (file != files_.end() && file->second.incarnation == incarnation) {
+      File& f = file->second;
+      f.durable_size = std::max(
+          f.durable_size, std::min<uint64_t>(size, f.data.size()));
+      ++sync_calls_;
+    }
+    return Status::Ok();
+  });
+}
+
 void MemMedium::PowerLoss() {
   for (auto& [name, file] : files_) {
+    file.incarnation = ++incarnations_;
     const uint64_t sector_floor =
         (file.data.size() / kTornSector) * kTornSector;
     const uint64_t kept = std::max(file.durable_size, sector_floor);
@@ -104,6 +130,7 @@ Status MemMedium::FlipBit(const std::string& name, uint64_t offset, int bit) {
 std::unique_ptr<MemMedium> MemMedium::Clone() const {
   auto copy = std::make_unique<MemMedium>();
   copy->files_ = files_;
+  copy->incarnations_ = incarnations_;
   copy->bytes_appended_ = bytes_appended_;
   copy->sync_calls_ = sync_calls_;
   return copy;

@@ -9,9 +9,17 @@
 //   - Process kill: nothing happens to the medium. Appended bytes survive
 //     whether or not they were synced (the page cache outlives the process).
 //   - Power loss: PowerLoss() rolls every file back to what the hardware
-//     durably holds — everything up to the last Sync(), plus any later
-//     fully-written sectors (kTornSector granularity). A record straddling
-//     the cut survives only partially: a torn write.
+//     durably holds — everything up to the last completed sync, plus any
+//     later fully-written sectors (kTornSector granularity). A record
+//     straddling the cut survives only partially: a torn write.
+//
+// A sync either runs on the caller's thread (Sync) or off it: PrepareSync
+// captures what a background sync covers and returns the job that performs
+// it, and a SyncRunner runs that job elsewhere and reports back on the
+// owner's loop. The simulator runs it as a storage completion event, a
+// node process on its sync thread (rt/sync_thread.h). A MemMedium advances
+// its durable watermark only when the job runs, so a power loss while a
+// sync is in flight loses what that sync covered.
 //
 // Corruption injection (FlipBit / TruncateTo) drives the recovery
 // fuzz/property tests; it models latent media errors, not crash semantics.
@@ -20,6 +28,7 @@
 #define SEEMORE_STORAGE_MEDIUM_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,6 +39,18 @@
 
 namespace seemore {
 namespace storage {
+
+/// A sync prepared on the owner's thread to run later, possibly on another
+/// thread (StorageMedium::PrepareSync).
+using SyncJob = std::function<Status()>;
+
+/// Where background syncs run: off the owner's loop, with `done` called
+/// back on it once the job returned.
+class SyncRunner {
+ public:
+  virtual ~SyncRunner() = default;
+  virtual void Run(SyncJob job, std::function<void(Status)> done) = 0;
+};
 
 class StorageMedium {
  public:
@@ -59,6 +80,11 @@ class StorageMedium {
   virtual Status Sync(const std::string& name) = 0;
   /// Sync every file (fsync the lot at a batch boundary).
   virtual Status SyncAll() = 0;
+  /// A background sync of `name`: the job makes durable the bytes appended
+  /// before this call. It may run later and on another thread while the
+  /// owner keeps appending, sealing and removing files; a job whose file
+  /// was removed or rolled back by a power loss meanwhile does nothing.
+  virtual Result<SyncJob> PrepareSync(const std::string& name) = 0;
 
   /// Flip one bit (latent corruption, fault injection). `bit` in [0, 8).
   virtual Status FlipBit(const std::string& name, uint64_t offset,
@@ -83,10 +109,12 @@ class MemMedium final : public StorageMedium {
   Status Remove(const std::string& name) override;
   Status Sync(const std::string& name) override;
   Status SyncAll() override;
+  Result<SyncJob> PrepareSync(const std::string& name) override;
 
   /// --- fault injection ---------------------------------------------------
   /// Roll every file back to its durable prefix extended to the last fully
   /// written sector: max(durable_size, size rounded down to kTornSector).
+  /// Syncs prepared before it do nothing when they run.
   void PowerLoss();
   Status FlipBit(const std::string& name, uint64_t offset,
                  int bit) override;
@@ -106,9 +134,15 @@ class MemMedium final : public StorageMedium {
   struct File {
     Bytes data;
     uint64_t durable_size = 0;  // prefix guaranteed to survive power loss
+    /// Renewed when the file is created and at every power loss: a
+    /// prepared sync applies only to the incarnation it was prepared on.
+    uint64_t incarnation = 0;
   };
 
+  File& FileFor(const std::string& name);
+
   std::map<std::string, File> files_;  // ordered: List() is a range scan
+  uint64_t incarnations_ = 0;
   uint64_t bytes_appended_ = 0;
   uint64_t sync_calls_ = 0;
 };

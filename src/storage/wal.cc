@@ -181,7 +181,7 @@ Status WriteAheadLog::Append(const Bytes& payload, uint64_t watermark) {
   open_.max_watermark = std::max(open_.max_watermark, watermark);
   open_.any_records = true;
   bytes_written_ += frame.size();
-  ++unsynced_records_;
+  ++appended_lsn_;
 
   if (open_.size >= options_.segment_bytes) {
     // Seal: sync before the successor exists, so torn writes can never hide
@@ -190,19 +190,40 @@ Status WriteAheadLog::Append(const Bytes& payload, uint64_t watermark) {
     sealed_.push_back(open_);
     return OpenSegment(open_.index + 1);
   }
-  if (unsynced_records_ >= options_.fsync_interval) {
-    return Sync();
-  }
   return Status::Ok();
 }
 
 Status WriteAheadLog::Sync() {
   SEEMORE_CHECK(created_) << "wal not created";
-  if (unsynced_records_ == 0) return Status::Ok();
+  if (durable_lsn_ == appended_lsn_) return Status::Ok();
   SEEMORE_RETURN_IF_ERROR(medium_->Sync(WalSegmentName(open_.index)));
-  unsynced_records_ = 0;
+  durable_lsn_ = appended_lsn_;
   ++sync_count_;
+  ++inline_sync_count_;
   return Status::Ok();
+}
+
+Result<WalSync> WriteAheadLog::BeginSync() {
+  SEEMORE_CHECK(created_) << "wal not created";
+  WalSync sync;
+  if (syncing_ || appended_lsn_ - durable_lsn_ <
+                      static_cast<uint64_t>(options_.fsync_interval)) {
+    return sync;
+  }
+  // Seals sync on the caller's thread, so every unsynced record is in the
+  // open segment.
+  SEEMORE_ASSIGN_OR_RETURN(sync.job,
+                           medium_->PrepareSync(WalSegmentName(open_.index)));
+  sync.lsn = appended_lsn_;
+  syncing_ = true;
+  return sync;
+}
+
+void WriteAheadLog::EndSync(uint64_t lsn) {
+  SEEMORE_CHECK(syncing_) << "no wal sync in flight";
+  syncing_ = false;
+  durable_lsn_ = std::max(durable_lsn_, lsn);
+  ++sync_count_;
 }
 
 Status WriteAheadLog::GcBelow(uint64_t floor) {

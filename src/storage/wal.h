@@ -16,10 +16,17 @@
 //
 // Durability contract (modeled on the Aeron Archive recovery shape,
 // SNIPPETS.md §3):
-//   - Append() buffers; every `fsync_interval` appends the open segment is
-//     synced. Sync() forces it.
-//   - A segment is synced when sealed (before its successor is created), so
-//     torn writes can only live in the LAST segment.
+//   - Append() only writes. Records are numbered in append order (the log
+//     sequence number, LSN), and durable_lsn() is the prefix of them known
+//     durable.
+//   - Group commit: once `fsync_interval` records await a sync and none is
+//     in flight, BeginSync() starts one that covers every record appended
+//     so far; its job runs off the caller's thread and EndSync() advances
+//     durable_lsn() when it completes. At most one is in flight.
+//   - Sync() syncs on the caller's thread (view records need it at once).
+//   - A segment is synced on the caller's thread when sealed (before its
+//     successor is created), so torn writes can only live in the LAST
+//     segment, and every unsynced record is in the open one.
 //
 // Recovery policy (scan → validate → truncate):
 //   - Records are scanned segment by segment, frame by frame.
@@ -62,8 +69,15 @@ std::string WalSegmentName(uint64_t index);
 struct WalOptions {
   /// Roll to a new segment once the current one reaches this size.
   uint32_t segment_bytes = 64 * 1024;
-  /// Appends per fsync; 1 = sync every record (group commit off).
+  /// Unsynced records that make a background sync due; 1 = a sync is due
+  /// whenever any record is unsynced.
   int fsync_interval = 1;
+};
+
+/// A background sync begun by WriteAheadLog::BeginSync.
+struct WalSync {
+  SyncJob job;       // empty when no sync was due
+  uint64_t lsn = 0;  // the log position it makes durable
 };
 
 /// Result of scanning a medium's WAL at recovery time.
@@ -100,19 +114,34 @@ class WriteAheadLog {
   /// no WAL segments — restart recovery compacts the old log away first.
   Status Create();
 
-  /// Frame and append one record; syncs when the batch interval is reached
-  /// or rolls (seal + sync) when the segment is full.
+  /// Frame and append one record. Nothing is synced here, except that a
+  /// full segment rolls: it is sealed with a sync on the caller's thread.
   Status Append(const Bytes& payload, uint64_t watermark);
 
-  /// Force the open segment durable regardless of the batch interval.
+  /// Make every appended record durable on the caller's thread.
   Status Sync();
+
+  /// Group commit: when `fsync_interval` records await a sync and none is
+  /// in flight, begins one covering every record appended so far. Its job
+  /// is run off the caller's thread; an empty job means none was due.
+  Result<WalSync> BeginSync();
+  /// The background sync BeginSync returned for `lsn` completed.
+  void EndSync(uint64_t lsn);
+  bool sync_in_flight() const { return syncing_; }
 
   /// Delete sealed segments whose every record has watermark <= `floor`
   /// (the stable-checkpoint GC; the open segment is never deleted).
   Status GcBelow(uint64_t floor);
 
-  /// Syncs performed so far (each one costs CostModel::fsync).
+  /// Records appended so far, and the prefix of them known durable.
+  uint64_t appended_lsn() const { return appended_lsn_; }
+  uint64_t durable_lsn() const { return durable_lsn_; }
+
+  /// Syncs completed, in the background or on the caller's thread.
   uint64_t sync_count() const { return sync_count_; }
+  /// Syncs run on the caller's thread (Sync() and seals); each one costs
+  /// the caller CostModel::fsync.
+  uint64_t inline_sync_count() const { return inline_sync_count_; }
   uint64_t bytes_written() const { return bytes_written_; }
   uint64_t segments_created() const { return segments_created_; }
 
@@ -131,8 +160,11 @@ class WriteAheadLog {
   std::vector<Segment> sealed_;
   Segment open_;
   bool created_ = false;
-  int unsynced_records_ = 0;
+  uint64_t appended_lsn_ = 0;
+  uint64_t durable_lsn_ = 0;
+  bool syncing_ = false;
   uint64_t sync_count_ = 0;
+  uint64_t inline_sync_count_ = 0;
   uint64_t bytes_written_ = 0;
   uint64_t segments_created_ = 0;
 };

@@ -2,8 +2,9 @@
 // restored from its durable WAL + snapshots must commit identically to one
 // that rejoined with its memory intact), torn-write injection at every
 // offset of the live WAL's last segment, the typed mid-log corruption
-// refusal, power-loss fallback to an older snapshot, and restart across
-// every protocol family.
+// refusal, power-loss fallback to an older snapshot, restart across
+// every protocol family, and no accepted request lost to a power loss
+// while replies wait for their commit records to be synced.
 
 #include <gtest/gtest.h>
 
@@ -99,7 +100,9 @@ TEST(RecoveryTest, PowerLossScenarioRestoresAndConverges) {
 }
 
 /// Build a durable Lion cluster, run traffic, crash a replica, and return
-/// the cluster (the caller probes the crashed replica's disk image).
+/// the cluster (the caller probes the crashed replica's disk image). The
+/// crash waits until the victim's last segment holds some records, so a
+/// roll just before it cannot leave the probes nothing to cut.
 struct TornWriteRig {
   explicit TornWriteRig(int victim) {
     scenario::ScenarioSpec spec =
@@ -110,7 +113,15 @@ struct TornWriteRig {
     spec.durability.segment_bytes = 8 * 1024;
     cluster = std::make_unique<Cluster>(spec);
     testing::RunBurst(*cluster, 4, Millis(250));
+    for (int i = 0; i < 50 && LastSegmentSize(victim) < 512; ++i) {
+      testing::RunBurst(*cluster, 4, Millis(5));
+    }
     cluster->Crash(victim);
+  }
+  uint64_t LastSegmentSize(int victim) const {
+    const storage::MemMedium* disk = cluster->medium(victim);
+    const std::vector<std::string> segments = disk->List("wal-");
+    return segments.empty() ? 0 : *disk->SizeOf(segments.back());
   }
   std::unique_ptr<Cluster> cluster;
 };
@@ -297,6 +308,130 @@ TEST(RecoveryTest, PowerLossFallsBackToOlderSnapshotAndCatchesUp) {
   cluster.sim().RunUntil(cluster.sim().now() + Millis(200));
   EXPECT_GT(cluster.seemore(4)->last_executed(), progress);
   EXPECT_TRUE(cluster.CheckAgreement().ok());
+}
+
+/// Replays a recovered image into a fresh execution engine, the way a
+/// restart does (ReplicaBase::RestoreFromImage).
+std::unique_ptr<ExecutionEngine> ReplayImage(const RecoveredImage& image) {
+  auto exec = std::make_unique<ExecutionEngine>(
+      std::make_unique<KvStateMachine>());
+  if (const storage::RecoveredSnapshot* snap = image.Latest()) {
+    SEEMORE_CHECK(exec->Restore(snap->bytes, snap->seq).ok());
+  }
+  for (const auto& [seq, batch] : image.commits) {
+    exec->Commit(seq, batch, batch.ComputeDigest());
+  }
+  return exec;
+}
+
+/// At fsync_interval 1 a reply leaves a replica only once the commit
+/// record behind it is durable. So if the whole cluster loses power at
+/// any instant, every request a client has accepted by then is in some
+/// replica's recovered image. The probes clone every replica's disk at
+/// evenly spaced instants, roll the clones back as a power loss does and
+/// recover them; some probes must land while a sync is in flight. Then one
+/// replica really loses power mid-sync, restarts and catches up.
+void ExpectAcceptedRequestsSurvivePowerLoss(scenario::ScenarioSpec spec) {
+  spec.durability.enabled = true;
+  spec.durability.fsync_interval = 1;
+  // A slow disk widens the window in which a reply sent before its record
+  // is durable could be accepted.
+  spec.costs.fsync = Micros(400);
+  Cluster cluster(spec);
+  constexpr int kClients = 4;
+  std::vector<uint64_t> accepted(kClients, 0);
+  const OpFactory ops = KvWorkload(5, 64, 0.5);
+  for (int c = 0; c < kClients; ++c) {
+    SimClient* client = cluster.AddClient();
+    // Closed loop: the k-th completion is the client's timestamp k.
+    client->on_complete = [&accepted, c](SimTime, SimTime) {
+      ++accepted[c];
+    };
+    client->Start(ops);
+  }
+
+  constexpr int kProbes = 150;
+  const SimTime step = Micros(67);
+  SimTime at = Millis(20);
+  int probes_mid_sync = 0;
+  for (int probe = 0; probe < kProbes; ++probe, at += step) {
+    cluster.sim().RunUntil(at);
+    bool mid_sync = false;
+    std::vector<std::unique_ptr<ExecutionEngine>> images;
+    for (int i = 0; i < cluster.n(); ++i) {
+      mid_sync |= cluster.store(i)->wal().sync_in_flight();
+      std::unique_ptr<storage::MemMedium> disk = cluster.medium(i)->Clone();
+      disk->PowerLoss();
+      Result<RecoveredImage> image = storage::FileDurableStore::Recover(*disk);
+      ASSERT_TRUE(image.ok()) << image.status().ToString();
+      images.push_back(ReplayImage(*image));
+    }
+    probes_mid_sync += mid_sync ? 1 : 0;
+    for (int c = 0; c < kClients; ++c) {
+      if (accepted[c] == 0) continue;
+      const PrincipalId client = cluster.client(c)->id();
+      bool durable = false;
+      for (const auto& exec : images) {
+        durable |= exec->SeenTimestamp(client, accepted[c]);
+      }
+      ASSERT_TRUE(durable) << "client " << client << " accepted timestamp "
+                           << accepted[c] << " but no replica holds it "
+                           << "after a power loss at " << ToMillis(at)
+                           << " ms";
+    }
+  }
+  EXPECT_GT(probes_mid_sync, 0);
+  for (uint64_t count : accepted) EXPECT_GT(count, 10u);
+
+  // A real power loss while the victim's sync is in flight.
+  const int victim = cluster.n() - 1;
+  while (!cluster.store(victim)->wal().sync_in_flight()) {
+    ASSERT_TRUE(cluster.sim().Step());
+  }
+  cluster.PowerLoss(victim);
+  cluster.sim().RunUntil(cluster.sim().now() + Millis(30));
+  const uint64_t progress = cluster.replica(0)->exec().last_executed();
+  Result<RestartOutcome> outcome = cluster.Restart(victim);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  cluster.sim().RunUntil(cluster.sim().now() + Millis(300));
+  EXPECT_GT(cluster.replica(victim)->exec().last_executed(), progress);
+  EXPECT_TRUE(cluster.CheckAgreement().ok());
+}
+
+TEST(RecoveryTest, LionAcceptedRequestsSurvivePowerLoss) {
+  ExpectAcceptedRequestsSurvivePowerLoss(
+      testing::SeeMoReSpec(SeeMoReMode::kLion, 1, 1, /*seed=*/13));
+}
+
+TEST(RecoveryTest, DogAcceptedRequestsSurvivePowerLoss) {
+  ExpectAcceptedRequestsSurvivePowerLoss(
+      testing::SeeMoReSpec(SeeMoReMode::kDog, 1, 1, /*seed=*/13));
+}
+
+TEST(RecoveryTest, PbftAcceptedRequestsSurvivePowerLoss) {
+  ExpectAcceptedRequestsSurvivePowerLoss(testing::BftSpec(1, /*seed=*/13));
+}
+
+TEST(RecoveryTest, CachedRepliesWaitForDurability) {
+  // A 100 ms sync and a 20 ms retransmission timeout: the client's
+  // retransmission reaches replicas that executed the request but hold its
+  // reply, and the cached resend must wait for the sync as well.
+  for (scenario::ScenarioSpec spec :
+       {testing::SeeMoReSpec(SeeMoReMode::kLion, 1, 1, /*seed=*/17),
+        testing::BftSpec(1, /*seed=*/17)}) {
+    spec.durability.enabled = true;
+    spec.durability.fsync_interval = 1;
+    spec.costs.fsync = Millis(100);
+    spec.client_retransmit_timeout = Millis(20);
+    Cluster cluster(spec);
+    SimClient* client = cluster.AddClient();
+    const SimTime start = cluster.sim().now();
+    Result<Bytes> result =
+        testing::SubmitAndWait(cluster, client, MakePut("k", "v"));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GT(client->retransmissions(), 0u);
+    EXPECT_GE(cluster.sim().now() - start, Millis(100));
+  }
 }
 
 TEST(RecoveryTest, RestartRequiresDurabilityAndACrashedTarget) {

@@ -290,6 +290,40 @@ TEST(CtlBenchTest, Table1WritesOneMessageCountPerSystem) {
   std::system(("rm -rf '" + dir + "'").c_str());
 }
 
+TEST(CtlBenchTest, DurabilityFsyncEveryCommitKeepsThroughput) {
+  // The durability plan's Lion sweep: with each commit record synced off
+  // the event loop, syncing every record must keep at least 95% of the
+  // throughput of running with no durable store. An fsync charged to the
+  // replica's CPU again would cost about 14%.
+  const std::string dir = testing::TempDir() + "tools_test_durability";
+  ASSERT_EQ(std::system(("mkdir -p '" + dir + "'").c_str()), 0);
+  const std::string ctl = "cd '" + dir + "' && " + SEEMORE_CTL_PATH;
+  const ToolRun run = RunTool(ctl.c_str(), "--bench=durability --jobs=2");
+  ASSERT_EQ(run.exit_code, 0) << run.output;
+
+  std::ifstream file(dir + "/BENCH_durability.json");
+  ASSERT_TRUE(file) << run.output;
+  std::ostringstream text;
+  text << file.rdbuf();
+  Result<Json> json = Json::Parse(text.str());
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  double off = 0;
+  double every = 0;
+  for (const Json& section : json->Find("sections")->items()) {
+    if (section.Find("label")->AsString() != "fsync_sweep") continue;
+    for (const Json& curve : section.Find("curves")->items()) {
+      const double kreqs =
+          curve.Find("points")->at(0).Find("throughput_kreqs")->AsDouble();
+      const std::string system = curve.Find("system")->AsString();
+      if (system == "off") off = kreqs;
+      if (system == "fsync=1") every = kreqs;
+    }
+  }
+  ASSERT_GT(off, 0.0) << text.str();
+  EXPECT_GE(every, 0.95 * off) << run.output;
+  std::system(("rm -rf '" + dir + "'").c_str());
+}
+
 TEST(MultiCloudTest, SingleCloudMatchesEq2) {
   // One offer with unlimited capacity must reproduce the single-cloud
   // result of Eq. 2 (paper's worked example: S=2, c=1, a=0.3 -> 10 nodes).

@@ -113,21 +113,184 @@ TEST(WalTest, RefusesCreateOverExistingSegments) {
   EXPECT_EQ(second.Create().code(), StatusCode::kFailedPrecondition);
 }
 
+/// Appends `count` records, beginning each background sync the WAL says is
+/// due and completing it at once; returns the syncs run.
+uint64_t AppendWithGroupCommit(MemMedium& medium, const WalOptions& options,
+                               int count) {
+  WriteAheadLog wal(&medium, options);
+  SEEMORE_CHECK(wal.Create().ok());
+  for (int i = 0; i < count; ++i) {
+    SEEMORE_CHECK(wal.Append(Payload(i, 32), static_cast<uint64_t>(i)).ok());
+    Result<WalSync> sync = wal.BeginSync();
+    SEEMORE_CHECK(sync.ok());
+    if (!sync->job) continue;
+    SEEMORE_CHECK(sync->job().ok());
+    wal.EndSync(sync->lsn);
+    SEEMORE_CHECK(wal.durable_lsn() == wal.appended_lsn());
+  }
+  return wal.sync_count();
+}
+
 TEST(WalTest, FsyncIntervalBatchesSyncs) {
   MemMedium every;
   WalOptions one;
   one.fsync_interval = 1;
-  FillWal(every, one, 32);
-
   MemMedium batched;
   WalOptions eight;
   eight.fsync_interval = 8;
-  FillWal(batched, eight, 32);
 
-  EXPECT_GT(every.sync_calls(), batched.sync_calls());
-  // One sync per append; FillWal's trailing Sync() is a no-op (nothing
-  // unsynced).
+  // One sync per append at interval 1, one per eight appends at 8.
+  EXPECT_EQ(AppendWithGroupCommit(every, one, 32), 32u);
+  EXPECT_EQ(AppendWithGroupCommit(batched, eight, 32), 4u);
   EXPECT_EQ(every.sync_calls(), 32u);
+  EXPECT_EQ(batched.sync_calls(), 4u);
+}
+
+TEST(WalTest, GroupCommitCoversWhatWasAppendedBeforeItBegan) {
+  MemMedium medium;
+  WriteAheadLog wal(&medium, WalOptions());
+  ASSERT_TRUE(wal.Create().ok());
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(wal.Append(Payload(i, 40), static_cast<uint64_t>(i)).ok());
+  }
+  Result<WalSync> first = wal.BeginSync();
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(static_cast<bool>(first->job));
+  EXPECT_EQ(first->lsn, 3u);
+  EXPECT_TRUE(wal.sync_in_flight());
+
+  // Appends during the sync wait for the next one: at most one in flight.
+  ASSERT_TRUE(wal.Append(Payload(4, 40), 4).ok());
+  ASSERT_TRUE(wal.Append(Payload(5, 40), 5).ok());
+  Result<WalSync> busy = wal.BeginSync();
+  ASSERT_TRUE(busy.ok());
+  EXPECT_FALSE(static_cast<bool>(busy->job));
+  EXPECT_EQ(wal.durable_lsn(), 0u);
+
+  ASSERT_TRUE(first->job().ok());
+  wal.EndSync(first->lsn);
+  EXPECT_EQ(wal.durable_lsn(), 3u);
+  EXPECT_LT(medium.DurableSize(WalSegmentName(0)),
+            *medium.SizeOf(WalSegmentName(0)));
+
+  Result<WalSync> second = wal.BeginSync();
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(static_cast<bool>(second->job));
+  EXPECT_EQ(second->lsn, 5u);
+  ASSERT_TRUE(second->job().ok());
+  wal.EndSync(second->lsn);
+  EXPECT_EQ(wal.durable_lsn(), 5u);
+  EXPECT_EQ(medium.DurableSize(WalSegmentName(0)),
+            *medium.SizeOf(WalSegmentName(0)));
+  EXPECT_EQ(wal.sync_count(), 2u);
+  EXPECT_EQ(wal.inline_sync_count(), 0u);
+}
+
+TEST(MemMediumTest, PendingSyncLeavesTheDurableWatermark) {
+  // A prepared sync whose completion has not run moves nothing: a power
+  // loss in between loses what it covered, and the job does nothing once
+  // it runs against the rolled-back file.
+  MemMedium medium;
+  const Bytes data = Payload(1, 1500);
+  ASSERT_TRUE(medium.Append("f", data.data(), data.size()).ok());
+  Result<SyncJob> job = medium.PrepareSync("f");
+  ASSERT_TRUE(job.ok());
+  const Bytes tail = Payload(2, 100);
+  ASSERT_TRUE(medium.Append("f", tail.data(), tail.size()).ok());
+  EXPECT_EQ(medium.DurableSize("f"), 0u);
+  std::unique_ptr<MemMedium> lost = medium.Clone();
+
+  // Completed: exactly the bytes appended before the sync began.
+  ASSERT_TRUE((*job)().ok());
+  EXPECT_EQ(medium.DurableSize("f"), data.size());
+
+  // Power lost before completing: the durable prefix stays empty, the
+  // tail is cut to whole sectors, and the late completion is void.
+  Result<SyncJob> late = lost->PrepareSync("f");
+  ASSERT_TRUE(late.ok());
+  lost->PowerLoss();
+  EXPECT_EQ(*lost->SizeOf("f"),
+            1600 / MemMedium::kTornSector * MemMedium::kTornSector);
+  ASSERT_TRUE((*late)().ok());
+  EXPECT_EQ(lost->DurableSize("f"), 0u);
+}
+
+/// A SyncRunner whose completions fire only when the test says so.
+class ManualSyncRunner final : public SyncRunner {
+ public:
+  void Run(SyncJob job, std::function<void(Status)> done) override {
+    pending_.emplace_back(std::move(job), std::move(done));
+  }
+  size_t pending() const { return pending_.size(); }
+  void CompleteOne() {
+    auto [job, done] = std::move(pending_.front());
+    pending_.erase(pending_.begin());
+    done(job());
+  }
+
+ private:
+  std::vector<std::pair<SyncJob, std::function<void(Status)>>> pending_;
+};
+
+TEST(FileDurableStoreTest, CommitSyncsRunInTheBackground) {
+  MemMedium medium;
+  DurabilityOptions options;
+  options.enabled = true;
+  FileDurableStore store(&medium, options, CostModel{});
+  ASSERT_TRUE(store.OpenFresh().ok());
+  auto runner = std::make_unique<ManualSyncRunner>();
+  ManualSyncRunner* sync = runner.get();
+  store.SetSyncRunner(std::move(runner));
+  int advanced = 0;
+  store.SetDurableListener([&] { ++advanced; });
+
+  Batch batch;
+  store.AppendCommit(1, batch);
+  store.AppendCommit(2, batch);
+  // Both records are written, one sync is in flight, nothing is durable.
+  EXPECT_EQ(sync->pending(), 1u);
+  EXPECT_EQ(store.ReplyLsn(), 2u);
+  EXPECT_EQ(store.durable_lsn(), 0u);
+  EXPECT_EQ(medium.DurableSize(WalSegmentName(0)), 0u);
+
+  sync->CompleteOne();  // covers record 1; record 2 starts the next sync
+  EXPECT_EQ(store.durable_lsn(), 1u);
+  EXPECT_EQ(advanced, 1);
+  EXPECT_EQ(sync->pending(), 1u);
+  sync->CompleteOne();
+  EXPECT_EQ(store.durable_lsn(), 2u);
+  EXPECT_EQ(advanced, 2);
+  EXPECT_EQ(sync->pending(), 0u);
+  EXPECT_EQ(medium.DurableSize(WalSegmentName(0)),
+            *medium.SizeOf(WalSegmentName(0)));
+
+  // A view record is synced at once, covering the commit before it.
+  store.AppendCommit(3, batch);
+  store.NoteView(1, 0);
+  EXPECT_EQ(store.durable_lsn(), store.wal().appended_lsn());
+  EXPECT_EQ(advanced, 3);
+  EXPECT_EQ(store.wal().sync_count(), 3u);
+  sync->CompleteOne();  // the sync begun for record 3 lands late
+  EXPECT_EQ(store.durable_lsn(), store.wal().appended_lsn());
+  EXPECT_EQ(advanced, 3);
+}
+
+TEST(FileDurableStoreTest, LargerIntervalRepliesWithoutWaiting) {
+  MemMedium medium;
+  DurabilityOptions options;
+  options.enabled = true;
+  options.fsync_interval = 4;
+  FileDurableStore store(&medium, options, CostModel{});
+  ASSERT_TRUE(store.OpenFresh().ok());
+  auto runner = std::make_unique<ManualSyncRunner>();
+  ManualSyncRunner* sync = runner.get();
+  store.SetSyncRunner(std::move(runner));
+  Batch batch;
+  for (uint64_t seq = 1; seq <= 3; ++seq) store.AppendCommit(seq, batch);
+  EXPECT_EQ(sync->pending(), 0u);  // three records: no sync due yet
+  EXPECT_EQ(store.ReplyLsn(), 0u);
+  store.AppendCommit(4, batch);
+  EXPECT_EQ(sync->pending(), 1u);
 }
 
 TEST(MemMediumTest, ProcessKillKeepsUnsyncedBytes) {

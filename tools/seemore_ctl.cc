@@ -701,7 +701,9 @@ int main(int argc, char** argv) {
                 "give every replica a durable WAL + snapshot store (in the "
                 "simulated storage medium; see --restart)");
   flags.AddInt("durable-fsync", 1,
-               "appends per fsync, 1 = sync every record (setting this "
+               "unsynced commit records that start a background sync; 1 = "
+               "sync every record and hold each reply until its record is "
+               "durable, larger = sync less and reply first (setting this "
                "implies --durable)");
   flags.AddInt("durable-segment-kb", 64,
                "WAL segment size in KiB (setting this implies --durable)");
